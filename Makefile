@@ -10,9 +10,9 @@ GO ?= go
 # room drains all share the stats and send-queue paths.
 RACE_PKGS = ./internal/trace ./internal/core ./internal/amnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway
 
-.PHONY: ci vet build test race bench bench-smoke bench-allocs chaos-smoke cluster-smoke gate-smoke
+.PHONY: ci vet build test bench-test race bench bench-compare bench-smoke bench-allocs chaos-smoke cluster-smoke gate-smoke
 
-ci: vet build test race bench-smoke bench-allocs chaos-smoke cluster-smoke gate-smoke
+ci: vet build test bench-test race bench-smoke bench-allocs chaos-smoke cluster-smoke gate-smoke
 
 vet:
 	$(GO) vet ./...
@@ -22,6 +22,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# bench-test runs the benchmark module's own smoke test (all six workloads
+# and the layer probes on a small input). benchmark/ is a module of its
+# own, so ./... above does not reach it.
+bench-test:
+	$(GO) test -C benchmark ./...
 
 # -cpu 1,4 runs each race test single-context and multicore: the
 # sharded-dispatch paths only interleave for real when the pumps have
@@ -39,6 +45,13 @@ bench:
 	$(GO) run ./cmd/acebench -exp scale
 	$(GO) run ./cmd/acebench -exp coll
 	$(GO) run ./cmd/acebench -exp elastic
+
+# bench-compare measures this tree against BASE by alternating runs of the
+# two builds, workload by workload, and prints the benchmark's own
+# -compare verdicts (see scripts/bench_compare.sh for ROUNDS, SECS, SEED).
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev>" >&2; exit 2; }
+	bash scripts/bench_compare.sh $(BASE)
 
 # bench-smoke runs the fabric benchmarks briefly so CI catches a stalled
 # or asserting fast path without paying for full measurements, plus one

@@ -5,20 +5,55 @@
 // handler on the destination node; the handler runs asynchronously to the
 // destination's compute thread, may examine the message and send further
 // messages (for example a reply), but must never block waiting for network
-// events. By default each node owns a single dispatch pump goroutine that
-// drains its mailbox and runs handlers one at a time, so handlers on a
-// given node are serialized with respect to each other. Transports may
-// shard dispatch into multiple lanes keyed by source node (see
-// ChanConfig.Lanes): all traffic from one sender still lands in one lane
-// and is dispatched in order by one goroutine, preserving the
+// events. Each node's dispatch is split into lanes keyed by source node —
+// one unless the transport is told otherwise (see ChanConfig.Lanes) — and
+// a lane's handlers run one at a time, in arrival order, on whichever
+// goroutine holds the lane's dispatch token. With one lane, handlers on a
+// node are therefore serialized with respect to each other. With several,
+// all traffic from one sender still lands in one lane, preserving the
 // per-(sender, handler) FIFO contract, but handlers for messages from
-// different senders may then run concurrently — handler code relying on
+// different senders may run concurrently — handler code relying on
 // whole-node serialization must take lane count 1 or lock its state.
 //
-// Mailboxes are unbounded, which preserves the classic Active Messages
-// liveness argument: a send never blocks, so a handler can always complete,
-// so every mailbox is eventually drained. The pump drains the mailbox in
-// batches (one lock acquisition per burst, not per message); see mailbox.
+// Every lane has a pump goroutine that takes the token, pops what is
+// queued and delivers it. Mailboxes are unbounded, which preserves the
+// classic Active Messages liveness argument: a send never blocks, so a
+// handler can always complete, so every mailbox is eventually drained.
+// The pump drains the mailbox in batches (one lock acquisition per burst,
+// not per message); see mailbox.
+//
+// # Direct dispatch
+//
+// On the in-process channel fabric with no modelled latency, the hop
+// through the mailbox and the pump's wake-up can be skipped (the CM-5's
+// Active Messages ran handlers on whichever thread polled; this is the
+// fabric-level form of the paper's direct-dispatch optimisation). A
+// handler opts in by registering a TryHandler beside its Handler
+// (DirectDispatcher.RegisterTry); Send then runs it on the sender's own
+// goroutine, and Poll lets a node's compute thread deliver its own
+// backlog before it parks. The rules that keep this equivalent to the
+// queued path:
+//
+//   - FIFO. A sender dispatches directly only while it holds the lane's
+//     token and the lane's queue is empty. The pump takes the token
+//     before it pops and holds it until the batch is delivered, so while
+//     any goroutine is dispatching, every other sender queues, and nothing
+//     queued is ever overtaken. A TryHandler that declines (before any
+//     side effect) leaves the message to be queued like any other.
+//   - No deadlock by construction. Only the pump blocks on a token, and it
+//     holds nothing when it does. A goroutine running handlers it does not
+//     own — a sender, a poller — acquires tokens only with TryLock, and a
+//     TryHandler may block only on leaf locks that no code path holds
+//     across a Send; anything else it must TryLock and decline on failure.
+//     A dispatch chain (a directly dispatched handler sends, and that send
+//     dispatches directly) is bounded by the number of lanes in the
+//     network, because a token already held in the chain fails TryLock.
+//   - Same counters. CountSend, CountRecv and ObserveDeliver fire on both
+//     paths.
+//
+// Fault injection (package faultnet) and the TCP transport always queue:
+// their endpoints are not DirectDispatchers. So does modelled latency
+// (ChanConfig.Latency), whose lanes' tokens are never free.
 //
 // # Buffer ownership
 //
@@ -35,6 +70,7 @@ package amnet
 import (
 	"container/heap"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -69,10 +105,22 @@ type Msg struct {
 }
 
 // Handler is the function type invoked for a delivered message. It runs on
-// the destination node's pump goroutine and must not block on network
-// events (it may send messages). The handler owns m.Payload; passing it
-// to Recycle when finished keeps the fabric's buffer pool warm.
+// whichever goroutine holds the destination lane's dispatch token — the
+// lane's pump, unless a TryHandler is registered too — and must not block
+// on network events (it may send messages). The handler owns m.Payload;
+// passing it to Recycle when finished keeps the fabric's buffer pool warm.
 type Handler func(Msg)
+
+// TryHandler is a Handler's non-blocking variant, run on the sender's
+// goroutine by a fabric that dispatches directly (see the package
+// comment). It either handles m exactly as the Handler would and returns
+// true, or returns false before any side effect, in which case m is
+// queued for the Handler. It must not block except on leaf locks that no
+// code path holds across a Send: the calling goroutine may hold locks of
+// its own, so anything a Handler would wait for — a lock the destination's
+// compute thread holds while it sends — a TryHandler must TryLock, and
+// decline when that fails.
+type TryHandler func(Msg) bool
 
 // Endpoint is one node's attachment to the network.
 type Endpoint interface {
@@ -119,6 +167,24 @@ type PayloadCopier interface {
 // runtime's collective handlers, which clone anything they retain.
 type MultiSender interface {
 	SendMulti(dsts []NodeID, m Msg)
+}
+
+// DirectDispatcher is implemented by endpoints that can run handlers
+// outside their pump: on a sender's goroutine (RegisterTry) and on the
+// node's own compute thread (Poll). A fault-injecting or socket
+// transport does not implement it, and a runtime that finds it missing
+// simply keeps to Register; an implementation may also never find a lane
+// free (the channel fabric under modelled latency), which costs the
+// caller a failed TryLock per call and nothing else.
+type DirectDispatcher interface {
+	// RegisterTry installs fn as handler id's non-blocking variant, under
+	// the same before-traffic rule as Register. The Handler must be
+	// registered as well: it serves every message that was queued.
+	RegisterTry(id HandlerID, fn TryHandler)
+	// Poll delivers, on the calling goroutine, whatever is queued in the
+	// lanes whose token is free, and returns without blocking. Only the
+	// node's compute thread may call it, holding no lock a handler takes.
+	Poll()
 }
 
 // PeerAware is implemented by endpoints that can detect the loss of a
@@ -176,7 +242,7 @@ func laneCount(lanes, nodes int) int {
 }
 
 // NewChanNetwork builds an in-process network of n endpoints connected by
-// unbounded mailboxes, one pump goroutine per node.
+// unbounded mailboxes, one pump goroutine per node and lane.
 func NewChanNetwork(cfg ChanConfig) (Network, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("amnet: invalid node count %d", cfg.Nodes)
@@ -192,6 +258,13 @@ func NewChanNetwork(cfg ChanConfig) (Network, error) {
 		}
 		for l := range ep.boxes {
 			ep.boxes[l] = newMailbox()
+			if cfg.Latency > 0 {
+				// Delivery under modelled latency belongs to the pump's
+				// delay queue alone, and this is the one place that says
+				// so: the lane's token is taken for good, so every sender
+				// and poller finds it busy and queues.
+				ep.boxes[l].token.Lock()
+			}
 		}
 		nw.eps[i] = ep
 	}
@@ -230,14 +303,15 @@ func (n *chanNetwork) Close() error {
 
 // chanEndpoint is one node's attachment: boxes holds one mailbox per
 // dispatch lane (a single element unless ChanConfig.Lanes sharded it),
-// each drained by its own pump goroutine. The handler table and stats
-// are shared across lanes — registration happens before traffic, and
-// trace.NetStats is atomic throughout.
+// each with its own dispatch token and pump goroutine. The handler
+// tables and stats are shared across lanes — registration happens before
+// traffic, and trace.NetStats is atomic throughout.
 type chanEndpoint struct {
 	id       NodeID
 	nw       *chanNetwork
 	boxes    []*mailbox
 	handlers [MaxHandlers]Handler
+	tries    [MaxHandlers]TryHandler
 	stats    trace.NetStats
 }
 
@@ -258,6 +332,14 @@ func (e *chanEndpoint) Register(id HandlerID, fn Handler) {
 	e.handlers[id] = fn
 }
 
+// RegisterTry implements DirectDispatcher.
+func (e *chanEndpoint) RegisterTry(id HandlerID, fn TryHandler) {
+	if int(id) >= MaxHandlers {
+		panic(fmt.Sprintf("amnet: handler id %d out of range", id))
+	}
+	e.tries[id] = fn
+}
+
 func (e *chanEndpoint) Send(m Msg) {
 	if int(m.Dst) < 0 || int(m.Dst) >= len(e.nw.eps) {
 		panic(fmt.Sprintf("amnet: send to invalid node %d", m.Dst))
@@ -265,11 +347,66 @@ func (e *chanEndpoint) Send(m Msg) {
 	m.Src = e.id
 	e.stats.CountSend(headerBytes + len(m.Payload))
 	dst := e.nw.eps[m.Dst]
-	var due time.Time
+	box := dst.laneFor(m.Src)
+	it := item{msg: m, sent: e.stats.SendStamp()}
 	if e.nw.cfg.Latency > 0 && m.Dst != m.Src {
-		due = time.Now().Add(e.nw.cfg.Latency)
+		it.due = time.Now().Add(e.nw.cfg.Latency)
 	}
-	dst.laneFor(m.Src).push(item{msg: m, due: due, sent: e.stats.SendStamp()})
+	if try := dst.tries[m.Handler]; try == nil || !dst.dispatchDirect(box, try, it) {
+		box.push(it)
+	}
+}
+
+// dispatchDirect runs the item's handler on the calling (sending) goroutine if
+// the lane is free, reporting whether it did; on false the caller queues
+// the message, so it is delivered exactly once either way.
+func (e *chanEndpoint) dispatchDirect(box *mailbox, try TryHandler, it item) (done bool) {
+	// TryLock only: the sender may hold locks and tokens of its own (it may
+	// itself be a directly dispatched handler), so it never waits for one.
+	// A held token means the pump or another sender is dispatching, and
+	// queueing behind it is what keeps the lane FIFO.
+	if !box.token.TryLock() {
+		return false
+	}
+	defer fatalOnPanic()
+	// FIFO: only an empty lane may be bypassed. Pops need the token, so
+	// anything already queued stays queued until we let go, and this
+	// message must go behind it.
+	if box.idle() {
+		size := headerBytes + len(it.msg.Payload)
+		if done = try(it.msg); done {
+			e.stats.ObserveDeliver(it.sent)
+			e.stats.CountRecv(uint16(it.msg.Handler), size)
+		}
+	}
+	box.token.Unlock()
+	return done
+}
+
+// Poll implements DirectDispatcher: the node's compute thread, about to
+// park, delivers its own backlog instead of waiting for the pump to be
+// scheduled. A lane whose token is taken is being dispatched already.
+func (e *chanEndpoint) Poll() {
+	defer fatalOnPanic()
+	for _, box := range e.boxes {
+		if box.token.TryLock() {
+			e.drain(box)
+			box.token.Unlock()
+		}
+	}
+}
+
+// fatalOnPanic is deferred wherever handlers run on a goroutine the
+// fabric does not own. A handler panic is a runtime bug and kills the
+// process when it happens on a pump; a caller up the borrowed stack (the
+// runtime's Run recovers application panics) must not be able to swallow
+// it and carry on with the token, and whatever the handler had locked,
+// still held. Re-raising on a fresh goroutine keeps it fatal.
+func fatalOnPanic() {
+	if r := recover(); r != nil {
+		go panic(fmt.Sprintf("amnet: handler panicked under direct dispatch: %v\n\n%s", r, debug.Stack()))
+		select {}
+	}
 }
 
 // SendMulti fans m out to each destination with the payload encoded
@@ -299,24 +436,48 @@ func (e *chanEndpoint) pump(wg *sync.WaitGroup, lane int) {
 	defer wg.Done()
 	box := e.boxes[lane]
 	if e.nw.cfg.Latency > 0 {
-		e.pumpDelayed(box)
+		e.pumpDelayed(box) // holds the lane's token from construction on
 		return
 	}
 	// Fast path: no modelled latency, so every item is deliverable the
 	// moment it is popped. Batches amortize the mailbox lock and wakeup
 	// over bursts.
-	var scratch []item
-	for {
-		batch, ok := box.popAll(scratch)
-		if !ok {
-			return
-		}
-		for i := range batch {
-			e.deliver(batch[i])
-			batch[i] = item{} // drop payload references promptly
-		}
-		scratch = batch
+	for e.serve(box) {
 	}
+}
+
+// serve is one turn of a lane's pump: deliver what is pending, or park
+// until something may be. It reports false once the box is closed and
+// drained.
+func (e *chanEndpoint) serve(box *mailbox) (live bool) {
+	// The token is taken before the pop and kept until the batch is
+	// delivered: a sender that finds the queue empty and the token free
+	// knows nothing of this lane's is in flight ahead of it. Close drains
+	// through here too, so it also waits out a direct dispatch still
+	// running on the lane.
+	box.token.Lock()
+	ok, closed := e.drain(box)
+	box.token.Unlock()
+	if !ok {
+		if closed {
+			return false
+		}
+		box.await(0)
+	}
+	return true
+}
+
+// drain pops everything pending in box and delivers it, reporting
+// whether there was anything and, if not, whether the box is closed. The
+// caller holds the box's token.
+func (e *chanEndpoint) drain(box *mailbox) (ok, closed bool) {
+	batch, ok, closed := box.tryPopAll(box.spare)
+	for i := range batch {
+		e.deliver(batch[i])
+		batch[i] = item{} // drop payload references promptly
+	}
+	box.spare = batch
+	return ok, closed
 }
 
 // pumpDelayed delivers each message at its own due time using a timer-

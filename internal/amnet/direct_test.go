@@ -1,0 +1,332 @@
+package amnet
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// The Handler and the TryHandler of one id are different functions, so a
+// test can tell the two paths apart: only direct dispatch ever calls the
+// TryHandler, and only a queued message reaches the Handler.
+
+// TestDirectDispatchMixedKeepsOrderAndSerializesLanes sends from several
+// concurrent senders to one node whose TryHandler declines part of the
+// traffic, so direct and queued deliveries interleave on every lane. Each
+// sender's messages must arrive in order, exactly once, and a lane must
+// never run two handlers at a time. The per-sender slots are plain memory:
+// under -race a second goroutine inside a lane is a reported race as well
+// as an occupancy failure.
+func TestDirectDispatchMixedKeepsOrderAndSerializesLanes(t *testing.T) {
+	const (
+		nodes     = 5
+		perSender = 4000
+	)
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	for _, lanes := range []int{1, 2} {
+		nw, err := NewChanNetwork(ChanConfig{Nodes: nodes, Lanes: lanes})
+		if err != nil {
+			t.Fatalf("lanes=%d: NewChanNetwork: %v", lanes, err)
+		}
+		eps := nw.Endpoints()
+		last := make([]uint64, nodes)
+		occupancy := make([]atomic.Int32, lanes)
+		var direct, queued, seen, overlaps, misorders atomic.Int64
+		done := make(chan struct{})
+		handle := func(m Msg, count *atomic.Int64) {
+			occ := &occupancy[int(m.Src)%lanes]
+			if occ.Add(1) != 1 {
+				overlaps.Add(1)
+			}
+			if m.A != last[m.Src]+1 {
+				misorders.Add(1)
+			}
+			last[m.Src] = m.A
+			occ.Add(-1)
+			count.Add(1)
+			if seen.Add(1) == perSender*(nodes-1) {
+				close(done)
+			}
+		}
+		eps[0].Register(9, func(m Msg) { handle(m, &queued) })
+		eps[0].(DirectDispatcher).RegisterTry(9, func(m Msg) bool {
+			if m.A%7 == 3 {
+				return false // declined before any side effect: the pump's
+			}
+			handle(m, &direct)
+			return true
+		})
+		var wg sync.WaitGroup
+		for src := 1; src < nodes; src++ {
+			wg.Add(1)
+			go func(src int) {
+				defer wg.Done()
+				for i := 1; i <= perSender; i++ {
+					eps[src].Send(Msg{Dst: 0, Handler: 9, A: uint64(i)})
+				}
+			}(src)
+		}
+		wg.Wait()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("lanes=%d: stalled at %d of %d", lanes, seen.Load(), perSender*(nodes-1))
+		}
+		nw.Close()
+		if n := overlaps.Load(); n != 0 {
+			t.Errorf("lanes=%d: %d handler runs overlapped another on the same lane", lanes, n)
+		}
+		if n := misorders.Load(); n != 0 {
+			t.Errorf("lanes=%d: %d messages arrived out of their sender's order", lanes, n)
+		}
+		for src := 1; src < nodes; src++ {
+			if last[src] != perSender {
+				t.Errorf("lanes=%d: sender %d delivered up to %d of %d", lanes, src, last[src], perSender)
+			}
+		}
+		if direct.Load() == 0 || queued.Load() == 0 {
+			t.Errorf("lanes=%d: want both paths exercised, got %d direct and %d queued",
+				lanes, direct.Load(), queued.Load())
+		}
+	}
+}
+
+// TestDeclinedTryHandlerGoesToThePumpOnceInOrder: a message its TryHandler
+// declines is offered to it once, reaches the Handler once, and keeps its
+// place among the sender's other messages.
+func TestDeclinedTryHandlerGoesToThePumpOnceInOrder(t *testing.T) {
+	const total = 300
+	nw, err := NewChanNetwork(ChanConfig{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	eps := nw.Endpoints()
+	var mu sync.Mutex
+	var order []uint64
+	offered := make(map[uint64]int)
+	viaPump := make(map[uint64]int)
+	done := make(chan struct{})
+	record := func(a uint64) {
+		order = append(order, a)
+		if len(order) == total {
+			close(done)
+		}
+	}
+	eps[1].Register(9, func(m Msg) {
+		mu.Lock()
+		viaPump[m.A]++
+		record(m.A)
+		mu.Unlock()
+	})
+	eps[1].(DirectDispatcher).RegisterTry(9, func(m Msg) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		offered[m.A]++
+		if m.A%3 == 0 {
+			return false
+		}
+		record(m.A)
+		return true
+	})
+	for i := uint64(0); i < total; i++ {
+		eps[0].Send(Msg{Dst: 1, Handler: 9, A: i})
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stalled")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, a := range order {
+		if a != uint64(i) {
+			t.Fatalf("delivery %d was message %d: order broken", i, a)
+		}
+	}
+	for a := uint64(0); a < total; a++ {
+		if offered[a] > 1 {
+			t.Errorf("message %d offered to the TryHandler %d times", a, offered[a])
+		}
+		if a%3 == 0 && viaPump[a] != 1 {
+			t.Errorf("declining message %d reached the Handler %d times, want 1", a, viaPump[a])
+		}
+	}
+}
+
+// TestLatencyNeverDispatchesDirectly: with modelled latency every message,
+// self-sends included, goes through the pump's delay queue.
+func TestLatencyNeverDispatchesDirectly(t *testing.T) {
+	nw, err := NewChanNetwork(ChanConfig{Nodes: 2, Latency: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	eps := nw.Endpoints()
+	var direct, queued atomic.Int64
+	done := make(chan struct{})
+	eps[1].Register(9, func(Msg) {
+		if queued.Add(1) == 20 {
+			close(done)
+		}
+	})
+	eps[1].(DirectDispatcher).RegisterTry(9, func(Msg) bool {
+		direct.Add(1)
+		return true
+	})
+	for i := 0; i < 10; i++ {
+		eps[0].Send(Msg{Dst: 1, Handler: 9})
+		eps[1].Send(Msg{Dst: 1, Handler: 9}) // latency-free, still queued
+		eps[1].(DirectDispatcher).Poll()     // a no-op: the delay queue is the pump's
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("stalled at %d of 20", queued.Load())
+	}
+	if n := direct.Load(); n != 0 {
+		t.Fatalf("%d messages dispatched directly under modelled latency", n)
+	}
+
+	// Nor may a poller pull a message ahead of its due time: the lane's
+	// token is never free, so Poll finds nothing to drain.
+	slow, err := NewChanNetwork(ChanConfig{Nodes: 2, Latency: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	eps = slow.Endpoints()
+	var early atomic.Int64
+	eps[1].Register(9, func(Msg) { early.Add(1) })
+	eps[0].Send(Msg{Dst: 1, Handler: 9})
+	for end := time.Now().Add(20 * time.Millisecond); time.Now().Before(end); {
+		eps[1].(DirectDispatcher).Poll()
+	}
+	if n := early.Load(); n != 0 {
+		t.Fatalf("Poll delivered %d delayed messages 180ms early", n)
+	}
+}
+
+// TestCloseWaitsOutDirectDispatchAndKeepsQueued: Close arriving while a
+// sender is inside a directly dispatched handler returns only after that
+// handler has, and the message queued behind it in the meantime is
+// delivered, not dropped.
+func TestCloseWaitsOutDirectDispatchAndKeepsQueued(t *testing.T) {
+	nw, err := NewChanNetwork(ChanConfig{Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eps := nw.Endpoints()
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var direct, queued atomic.Int64
+	eps[0].Register(9, func(Msg) { queued.Add(1) })
+	eps[0].(DirectDispatcher).RegisterTry(9, func(Msg) bool {
+		close(entered)
+		<-release // holds the lane's token; test scaffolding only
+		direct.Add(1)
+		return true
+	})
+	sent := make(chan struct{})
+	go func() {
+		eps[1].Send(Msg{Dst: 0, Handler: 9})
+		close(sent)
+	}()
+	<-entered
+	eps[2].Send(Msg{Dst: 0, Handler: 9}) // token taken: queued
+	closed := make(chan struct{})
+	go func() {
+		nw.Close()
+		close(closed)
+	}()
+	close(release)
+	for _, ch := range []chan struct{}{sent, closed} {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close or the dispatching Send hung")
+		}
+	}
+	if direct.Load() != 1 || queued.Load() != 1 {
+		t.Fatalf("got %d direct and %d queued deliveries, want 1 and 1", direct.Load(), queued.Load())
+	}
+}
+
+// TestPollSharesTheLaneWithThePump: a node polling its own endpoint while
+// its pump runs still sees every queued message exactly once and in order,
+// whichever of the two delivers it; and Poll skips a busy lane instead of
+// waiting for it.
+func TestPollSharesTheLaneWithThePump(t *testing.T) {
+	const total = 20000
+	nw, err := NewChanNetwork(ChanConfig{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	eps := nw.Endpoints()
+	var next uint64 // plain: the token must order the two consumers
+	var misorders atomic.Int64
+	parked, hold := make(chan struct{}), make(chan struct{})
+	eps[1].Register(9, func(m Msg) {
+		if m.A != next {
+			misorders.Add(1)
+		}
+		next++
+	})
+	eps[1].Register(10, func(Msg) { close(parked); <-hold })
+	end := make(chan struct{})
+	eps[1].Register(11, func(Msg) { close(end) })
+	poller := eps[1].(DirectDispatcher)
+
+	// A handler parked on the pump (nobody polls yet, so it is the pump's)
+	// keeps the token: Poll must come back.
+	eps[0].Send(Msg{Dst: 1, Handler: 10})
+	<-parked
+	polled := make(chan struct{})
+	go func() {
+		for i := 0; i < 100; i++ {
+			poller.Poll()
+		}
+		close(polled)
+	}()
+	select {
+	case <-polled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Poll blocked on a lane whose token was taken")
+	}
+	close(hold)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				poller.Poll()
+			}
+		}
+	}()
+	for i := uint64(0); i < total; i++ {
+		eps[0].Send(Msg{Dst: 1, Handler: 9, A: i})
+	}
+	close(stop)
+	wg.Wait()
+	// Whatever is still queued is the pump's; one more message behind it
+	// marks the end.
+	eps[0].Send(Msg{Dst: 1, Handler: 11})
+	select {
+	case <-end:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stalled")
+	}
+	if n := misorders.Load(); n != 0 || next != total {
+		t.Fatalf("%d of %d delivered, %d out of order between Poll and the pump", next, total, n)
+	}
+}

@@ -14,11 +14,12 @@ type item struct {
 	sent int64
 }
 
-// mailbox is an unbounded MPSC queue: many senders, one pump.
-// Unboundedness is load-bearing — see the package comment. The pump
-// drains in batches: popAll swaps the whole pending slice out under one
-// lock acquisition, so a burst of n messages costs the consumer one
-// lock/wake instead of n.
+// mailbox is one dispatch lane's unbounded queue: many senders, one
+// consumer at a time — whoever holds the dispatch token. Unboundedness
+// is load-bearing — see the package comment. The consumer drains in
+// batches: tryPopAll swaps the whole pending slice out under one lock
+// acquisition, so a burst of n messages costs it one lock/wake instead
+// of n.
 //
 // Wakeups use an edge-triggered capacity-1 channel rather than a
 // sync.Cond so the pump can wait for "new input or a delivery timer",
@@ -35,6 +36,16 @@ type mailbox struct {
 	notify chan struct{}
 	// done is closed by close(); it wakes consumers permanently.
 	done chan struct{}
+
+	// token is the lane's dispatch token: a goroutine runs this lane's
+	// handlers only while holding it. The pump takes it (blocking) before
+	// it pops and keeps it until the batch is delivered; a sender or a
+	// polling application thread may only TryLock it — see the package
+	// comment's direct-dispatch rules.
+	token sync.Mutex
+	// spare is the last drained batch, recycled as the pending slice at
+	// the next pop. Owned by the token holder.
+	spare []item
 }
 
 func newMailbox() *mailbox {
@@ -58,28 +69,20 @@ func (b *mailbox) push(it item) {
 	}
 }
 
-// popAll blocks until at least one item is pending, then swaps the whole
-// pending slice with `into` (reset to length zero) and returns it. It
-// reports ok=false only when the mailbox is closed and fully drained.
-// The caller owns the returned slice until it passes it back in.
-func (b *mailbox) popAll(into []item) (batch []item, ok bool) {
-	for {
-		batch, ok, closed := b.tryPopAll(into)
-		if ok {
-			return batch, true
-		}
-		if closed {
-			return batch, false
-		}
-		select {
-		case <-b.notify:
-		case <-b.done:
-		}
-	}
+// idle reports whether the mailbox is open with nothing pending. While
+// the caller holds the token nothing can be popped, so a false answer
+// stays false until it lets go.
+func (b *mailbox) idle() bool {
+	b.mu.Lock()
+	idle := len(b.q) == 0 && !b.closed
+	b.mu.Unlock()
+	return idle
 }
 
-// tryPopAll is the non-blocking variant: it returns the pending batch
-// (ok=true) or an empty slice, plus whether the mailbox is closed.
+// tryPopAll swaps the whole pending slice with `into` (reset to length
+// zero) and returns it (ok=true), or returns an empty slice plus whether
+// the mailbox is closed. It never blocks; consumers park in await. The
+// caller owns the returned slice until it passes it back in.
 func (b *mailbox) tryPopAll(into []item) (batch []item, ok, closed bool) {
 	b.mu.Lock()
 	if len(b.q) > 0 {

@@ -6,15 +6,25 @@ import (
 	"time"
 )
 
+// laneConsumer is a one-lane endpoint without a pump goroutine, so a test
+// can turn the pump's own loop body (serve) by hand and see every item
+// it delivers.
+func laneConsumer(onItem func(Msg)) (*chanEndpoint, *mailbox) {
+	b := newMailbox()
+	e := &chanEndpoint{boxes: []*mailbox{b}}
+	e.Register(0, onItem)
+	return e, b
+}
+
 func TestMailboxBatchedPop(t *testing.T) {
 	b := newMailbox()
 	const n = 100
 	for i := 0; i < n; i++ {
 		b.push(item{msg: Msg{A: uint64(i)}})
 	}
-	batch, ok := b.popAll(nil)
+	batch, ok, _ := b.tryPopAll(nil)
 	if !ok {
-		t.Fatal("popAll reported closed")
+		t.Fatal("tryPopAll found nothing")
 	}
 	if len(batch) != n {
 		t.Fatalf("batched pop returned %d items, want %d in one swap", len(batch), n)
@@ -27,11 +37,11 @@ func TestMailboxBatchedPop(t *testing.T) {
 	// The slice passed back in becomes the backing array for subsequent
 	// pushes, so the following round's batch reuses its capacity.
 	b.push(item{msg: Msg{A: 1}})
-	b.popAll(batch) // pending becomes batch[:0]
+	b.tryPopAll(batch) // pending becomes batch[:0]
 	b.push(item{msg: Msg{A: 2}})
-	again, ok := b.popAll(nil)
+	again, ok, _ := b.tryPopAll(nil)
 	if !ok || len(again) != 1 || again[0].msg.A != 2 {
-		t.Fatalf("popAll after recycle = %+v, ok=%v", again, ok)
+		t.Fatalf("tryPopAll after recycle = %+v, ok=%v", again, ok)
 	}
 	if cap(again) != cap(batch) {
 		t.Errorf("pending slice not recycled: cap %d, want %d", cap(again), cap(batch))
@@ -39,9 +49,17 @@ func TestMailboxBatchedPop(t *testing.T) {
 }
 
 func TestMailboxFIFOPerSenderUnderConcurrentPush(t *testing.T) {
-	b := newMailbox()
 	const senders = 8
 	const perSender = 2000
+	next := [senders]uint64{}
+	total := 0
+	e, b := laneConsumer(func(m Msg) {
+		if m.A != next[m.Src] {
+			t.Errorf("sender %d out of order: got %d, want %d", m.Src, m.A, next[m.Src])
+		}
+		next[m.Src] = m.A + 1
+		total++
+	})
 	var wg sync.WaitGroup
 	for s := 0; s < senders; s++ {
 		wg.Add(1)
@@ -56,23 +74,7 @@ func TestMailboxFIFOPerSenderUnderConcurrentPush(t *testing.T) {
 		wg.Wait()
 		b.close()
 	}()
-	next := [senders]uint64{}
-	total := 0
-	var scratch []item
-	for {
-		batch, ok := b.popAll(scratch)
-		for _, it := range batch {
-			s := it.msg.Src
-			if it.msg.A != next[s] {
-				t.Fatalf("sender %d out of order: got %d, want %d", s, it.msg.A, next[s])
-			}
-			next[s]++
-			total++
-		}
-		if !ok {
-			break
-		}
-		scratch = batch
+	for e.serve(b) {
 	}
 	if total != senders*perSender {
 		t.Fatalf("drained %d items, want %d", total, senders*perSender)
@@ -80,22 +82,22 @@ func TestMailboxFIFOPerSenderUnderConcurrentPush(t *testing.T) {
 }
 
 func TestMailboxCloseWhileNonEmptyDrains(t *testing.T) {
-	b := newMailbox()
+	got := 0
+	e, b := laneConsumer(func(Msg) { got++ })
 	for i := 0; i < 5; i++ {
 		b.push(item{msg: Msg{A: uint64(i)}})
 	}
 	b.close()
-	batch, ok := b.popAll(nil)
-	if !ok || len(batch) != 5 {
-		t.Fatalf("first pop after close = %d items, ok=%v; want 5, true", len(batch), ok)
+	if !e.serve(b) || got != 5 {
+		t.Fatalf("first turn after close delivered %d items; want 5 and a live lane", got)
 	}
-	if _, ok := b.popAll(nil); ok {
-		t.Fatal("drained mailbox still reports items after close")
+	if e.serve(b) {
+		t.Fatal("drained mailbox still live after close")
 	}
-	// Pushes after close are dropped, and pop stays terminal.
+	// Pushes after close are dropped, and the lane stays terminal.
 	b.push(item{msg: Msg{A: 99}})
-	if batch, ok := b.popAll(nil); ok {
-		t.Fatalf("push after close was queued: %d items", len(batch))
+	if e.serve(b) || got != 5 {
+		t.Fatalf("push after close was queued: %d items delivered", got)
 	}
 }
 
@@ -108,7 +110,7 @@ func TestMailboxAwaitTimer(t *testing.T) {
 	}
 	// A pending notification returns immediately.
 	b.push(item{})
-	b.popAll(nil)
+	b.tryPopAll(nil)
 	b.push(item{})
 	start = time.Now()
 	b.await(time.Second)

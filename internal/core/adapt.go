@@ -430,8 +430,18 @@ func (p *Proc) adaptTick(sp *Space) {
 
 	// This epoch is the status quo protocol's to account for: it feeds
 	// the per-barrier cost baseline the next switch will be judged by.
-	st.recent[st.recentN%len(st.recent)] = nanos / int64(epochLen)
-	st.recentN++
+	// Priced per barrier interval spanned: the state (and its clock) is
+	// created at the space's first barrier, so the first epoch spans one
+	// interval fewer than it counts barriers — and with EpochBarriers 1
+	// none, which prices nothing.
+	spans := int64(epochLen)
+	if st.epoch == 1 {
+		spans--
+	}
+	if spans > 0 {
+		st.recent[st.recentN%len(st.recent)] = nanos / spans
+		st.recentN++
+	}
 
 	if uint64(reads+writes) < cfg.MinOps {
 		st.streak = 0
@@ -488,7 +498,11 @@ func (p *Proc) adaptTick(sp *Space) {
 	for i := 0; i < n; i++ {
 		sum += st.recent[i]
 	}
-	st.baseCost = float64(sum) / float64(n)
+	if n == 0 {
+		st.baseProto = "" // no priced incumbent epoch, nothing to judge by
+	} else {
+		st.baseCost = float64(sum) / float64(n)
+	}
 	st.probeNanos = 0
 	st.probeBarriers = 0
 	st.probeCount = 0

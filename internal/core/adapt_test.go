@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -181,5 +182,34 @@ func TestAdaptRollback(t *testing.T) {
 	// must not have earned a third.
 	if st.Switches != 2 {
 		t.Errorf("switches = %d, want 2 (switch + rollback)", st.Switches)
+	}
+}
+
+// TestAdaptFirstEpochPricing: the controller's clock starts at the
+// space's first barrier, so with EpochBarriers 1 the first epoch spans
+// no barrier interval at all and must stay out of the cost baseline: a
+// ~0 ns entry would halve the bar the rollback probe compares against.
+func TestAdaptFirstEpochPricing(t *testing.T) {
+	cl, err := NewCluster(Options{
+		Procs: 2,
+		Adapt: &AdaptConfig{EpochBarriers: 1, MinOps: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	err = cl.Run(func(p *Proc) error {
+		sp := p.DefaultSpace()
+		for want := 0; want < 3; want++ {
+			p.Barrier(sp)
+			st := sp.adapt.Load()
+			if int(st.epoch) != want+1 || st.recentN != want {
+				return fmt.Errorf("after barrier %d: epoch %d with %d priced, want %d", want+1, st.epoch, st.recentN, want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

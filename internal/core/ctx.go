@@ -77,13 +77,22 @@ func (c *Ctx) RefreshFast(r *Region) { r.Space.refreshFast(r) }
 
 // NewWaiter allocates a waiter and returns its sequence number. The
 // application thread passes the number in a request message (field B by
-// convention) and calls Wait; the reply handler calls Complete.
+// convention) and calls Wait; the reply handler calls Complete. Waiters
+// are recycled through a per-processor free list: a sequence number is
+// never reused, so nothing addressed to a waiter's previous life can
+// reach it.
 func (c *Ctx) NewWaiter() uint64 {
 	p := c.p
 	p.wMu.Lock()
 	p.nextWaiter++
 	seq := p.nextWaiter
-	p.waiters[seq] = &waiter{ch: make(chan amnet.Msg, 1)}
+	var w *waiter
+	if n := len(p.freeWait); n > 0 {
+		w, p.freeWait = p.freeWait[n-1], p.freeWait[:n-1]
+	} else {
+		w = &waiter{ch: make(chan amnet.Msg, 1)}
+	}
+	p.waiters[seq] = w
 	p.wMu.Unlock()
 	return seq
 }
@@ -91,10 +100,17 @@ func (c *Ctx) NewWaiter() uint64 {
 // Wait blocks until Complete is called for seq, releasing the caller's
 // engine lock (if any) while blocked and reacquiring it before
 // returning. Only the application thread may call Wait. The waiter is
-// retired here, not in Complete: the pump may complete a waiter in the
+// retired here, not in Complete: a handler may complete a waiter in the
 // window between the application thread's NewWaiter and its Wait, and
 // the entry must still be present when Wait looks it up (the buffered
 // channel holds the already-delivered message).
+//
+// Before parking, Wait polls its own endpoint once (direct-dispatch
+// fabrics only): a reply or an invalidation ack that had to be queued —
+// the lane was busy, or its handler declined because this thread held the
+// engine — is delivered here, on the application thread, instead of
+// waiting for the pump to be scheduled. The engine is already released
+// and the thread holds no other lock, so it may run any handler.
 //
 // The wait is interruptible: when the transport declares a peer lost
 // (amnet.PeerAware) or Options.SyncTimeout elapses, Wait panics with a
@@ -114,12 +130,22 @@ func (c *Ctx) Wait(seq uint64) amnet.Msg {
 	if c.eng != nil {
 		c.eng.Unlock()
 	}
+	if p.direct != nil && len(w.ch) == 0 {
+		p.direct.Poll()
+	}
 	m := p.waitSync(w, seq)
 	if c.eng != nil {
 		c.eng.Lock()
 	}
+	// Only a Wait that succeeded recycles its waiter, and only with its
+	// channel empty (Complete sends under wMu, so the check is exact): with
+	// seq gone from the table nothing can send to it again. Failed waits
+	// go through retireWaiter and are left to the garbage collector.
 	p.wMu.Lock()
 	delete(p.waiters, seq)
+	if len(w.ch) == 0 {
+		p.freeWait = append(p.freeWait, w)
+	}
 	p.wMu.Unlock()
 	return m
 }

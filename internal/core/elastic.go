@@ -188,13 +188,11 @@ func (p *Proc) RestoreCheckpoint(ck *Checkpoint) error {
 			}
 			r.publishFast(0)
 		}
-		sp.Proto = info.New()
-		sp.ProtoName = name
+		sp.install(info)
 		sp.Epoch++
 		sp.PData = nil
 		sp.homeIn = 0
 		sp.regIn = nil
-		sp.fp, _ = sp.Proto.(FastPather)
 		p.rec.SetProtocol(sp.ID, name)
 		sp.Proto.InitSpace(sp.ctx, sp)
 		sp.eng.Unlock()

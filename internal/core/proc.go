@@ -12,41 +12,50 @@ import (
 
 // Proc is one logical processor's handle on the runtime. All methods are
 // called from the processor's single application thread (the SPMD model);
-// message handlers run on the processor's pump goroutine.
+// message handlers run on whichever goroutine holds the destination
+// lane's dispatch token (package amnet): the lane's pump, a sender
+// dispatching directly, or the application thread polling from Ctx.Wait.
 //
-// Concurrency model (see DESIGN.md for the full treatment). The former
+// Concurrency model (see DESIGN.md §5c for the full treatment). The former
 // per-processor runtime mutex is decomposed so a bracket hit never
 // contends with the coherence engine:
 //
 //   - Space.eng, one per space, is the engine lock: it protects the
-//     space's protocol instance, every protocol-owned region field
+//     space's protocol instance and every protocol-owned region field
 //     (State, Flags, PState, Dir coherence state) of the space's
-//     regions, and MapCount. Protocol routines and Deliver run under it.
+//     regions. Protocol routines and Deliver run under it. (MapCount is
+//     application-thread-private: only Map and Unmap touch it.)
 //   - regMu protects the region table and the allocation sequence.
-//   - wMu protects the waiter table.
+//   - wMu protects the waiter table and the waiter free list.
 //   - collMu protects the collective rendezvous maps (collGot,
 //     collWait), the collective state shared between the application
-//     thread and the pump. barGen and collSeq are
+//     thread and the handlers. barGen and collSeq are
 //     application-thread-private.
-//   - barMu protects node 0's barrier arrival table (barArr) and accMu
-//     node 0's reduction accumulators (collAcc). Both used to be
+//   - barMu protects the barrier arrival state (barArr, barTree) and
+//     accMu the reduction accumulators (collAcc). Both used to be
 //     pump-private; with sharded dispatch (Options.DispatchLanes,
 //     transport Lanes) handlers from different senders run concurrently,
 //     so the per-sender FIFO that lane keying preserves no longer
 //     implies whole-node handler serialization. The same goes for the
 //     region lock queue, guarded by Directory.lockMu. Completions are
 //     sent after the lock is released — a Send can block on transport
-//     backpressure, and arrival processing must not stall behind it.
+//     backpressure, or run the destination's handler then and there, and
+//     arrival processing must not stall behind it.
 //   - spaceMu serializes space creation; lookup reads the atomic
 //     spaces snapshot and never locks.
 //   - Region.hot is the lock-free fast path: brackets on a region whose
 //     protocol published a fast-path eligibility bit commit with one
 //     CAS and never take eng (see region.go).
 //
-// Lock ordering: eng → {regMu, wMu, collMu}; collMu → wMu. A handler
-// must never lock eng while holding regMu, and engine locks of two
-// spaces never nest. barMu, accMu and Directory.lockMu are leaves:
-// nothing is acquired under them.
+// Lock ordering: dispatch token → eng → {regMu, wMu, collMu}; collMu →
+// wMu. A handler must never lock eng while holding regMu, and engine
+// locks of two spaces never nest by blocking. regMu, wMu, collMu (with
+// wMu under it), barMu, accMu and Directory.lockMu are leaves: none is
+// ever held across a Send. That is what lets a handler run under direct
+// dispatch, on a sender's goroutine that may already hold an engine and
+// a chain of tokens: such a goroutine blocks only on those leaves and
+// takes every token and engine with TryLock (see registerHandlers and
+// Space.lockEngine), so nothing it waits for can be waiting for it.
 type Proc struct {
 	id  amnet.NodeID
 	cl  *Cluster
@@ -71,11 +80,14 @@ type Proc struct {
 	spaceFree []int
 	slotGen   []uint64
 
-	// wMu guards the waiter table and the retired tombstones (waiters
-	// whose Wait failed; late completions for them are dropped).
+	// wMu guards the waiter table, the retired tombstones (waiters whose
+	// Wait failed; late completions for them are dropped) and the free
+	// list of waiters whose Wait succeeded — their channels are known
+	// empty, so NewWaiter reuses them instead of allocating per miss.
 	wMu        sync.Mutex
 	waiters    map[uint64]*waiter
 	retired    map[uint64]struct{}
+	freeWait   []*waiter
 	nextWaiter uint64
 
 	// Barrier state. barGen counts this processor's barrier arrivals
@@ -107,6 +119,13 @@ type Proc struct {
 	collWait map[uint64]uint64
 	accMu    sync.Mutex
 	collAcc  map[uint64]*collAcc
+
+	// direct is the endpoint's direct-dispatch face: the in-process
+	// channel fabric has one, faultnet and tcpnet endpoints do not (nil).
+	// Whether a given send or poll actually dispatches is the fabric's
+	// call alone (under modelled latency it never does). Ctx.Wait polls
+	// it before parking.
+	direct amnet.DirectDispatcher
 
 	// fabricCopies is true when the endpoint's Send copies the payload
 	// before returning (amnet.PayloadCopier), letting the runtime pass
@@ -168,6 +187,7 @@ func newProc(c *Cluster, ep amnet.Endpoint) *Proc {
 	p.ctx = &Ctx{p: p}
 	p.downCh = make(chan struct{})
 	p.downPeer.Store(-1)
+	p.direct, _ = ep.(amnet.DirectDispatcher)
 	if pc, ok := ep.(amnet.PayloadCopier); ok && pc.CopiesPayloadOnSend() {
 		p.fabricCopies = true
 	}
@@ -314,14 +334,12 @@ func (p *Proc) addSpace(protoName string) *Space {
 		p.slotGen = append(p.slotGen, 0)
 	}
 	sp := &Space{
-		ID:        slot,
-		Gen:       p.slotGen[slot],
-		ProtoName: protoName,
-		Proto:     info.New(),
-		proc:      p,
+		ID:   slot,
+		Gen:  p.slotGen[slot],
+		proc: p,
 	}
 	sp.ctx = &Ctx{p: p, eng: &sp.eng}
-	sp.fp, _ = sp.Proto.(FastPather)
+	sp.install(info)
 	grown[slot] = sp
 	p.spaces.Store(&grown)
 	p.spaceMu.Unlock()
@@ -411,11 +429,16 @@ func (p *Proc) Map(id RegionID) *Region {
 		r = p.fetchRegion(id)
 	}
 	sp := r.Space
-	sp.eng.Lock()
 	r.MapCount++
-	sp.Proto.Map(sp.ctx, r)
-	sp.refreshFast(r)
-	sp.eng.Unlock()
+	// Null-point elimination: a protocol that declared its map hook null
+	// has nothing to run here, so the engine is not taken and the fast
+	// bits (a pure function of protocol state no hook changed) stand.
+	if !sp.null.Has(PointMap) {
+		sp.eng.Lock()
+		sp.Proto.Map(sp.ctx, r)
+		sp.refreshFast(r)
+		sp.eng.Unlock()
+	}
 	p.rec.End(trace.OpMap, sp.ID, t)
 	return r
 }
@@ -471,14 +494,16 @@ func (p *Proc) Unmap(r *Region) {
 	t := p.rec.Begin()
 	p.ops[trace.OpUnmap].Add(1)
 	sp := r.Space
-	sp.eng.Lock()
 	if r.MapCount <= 0 {
 		panic(fmt.Sprintf("core: proc %d: unmap of unmapped region %v", p.id, r.ID))
 	}
 	r.MapCount--
-	sp.Proto.Unmap(sp.ctx, r)
-	sp.refreshFast(r)
-	sp.eng.Unlock()
+	if !sp.null.Has(PointUnmap) { // null-point elimination, as in Map
+		sp.eng.Lock()
+		sp.Proto.Unmap(sp.ctx, r)
+		sp.refreshFast(r)
+		sp.eng.Unlock()
+	}
 	p.rec.End(trace.OpUnmap, sp.ID, t)
 }
 
@@ -685,11 +710,9 @@ func (p *Proc) ChangeProtocol(sp *Space, protoName string) error {
 			r.Dir.ResetCoherence()
 		}
 	}
-	sp.Proto = info.New()
-	sp.ProtoName = protoName
+	sp.install(info)
 	sp.Epoch++
 	sp.PData = nil
-	sp.fp, _ = sp.Proto.(FastPather)
 	p.rec.SetProtocol(sp.ID, protoName)
 	sp.Proto.InitSpace(sp.ctx, sp)
 	sp.eng.Unlock()
@@ -718,128 +741,182 @@ func (p *Proc) verifyCollective(tag string) error {
 	return nil
 }
 
-// registerHandlers installs the runtime's message handlers. Handlers run
-// on a pump goroutine — under sharded dispatch, handlers for different
-// senders run on different pumps concurrently; each takes only the lock
-// guarding the state it touches, so a directory transaction on one space
-// never serializes against brackets, collectives, or other spaces.
+// registerHandlers installs the runtime's message handlers. A handler
+// runs on whichever goroutine holds its lane's dispatch token: a pump, a
+// sender dispatching directly, or this processor's application thread
+// polling from Ctx.Wait (see package amnet). Under sharded dispatch
+// handlers for different senders also run concurrently; each takes only
+// the lock guarding the state it touches, so a directory transaction on
+// one space never serializes against brackets, collectives, or other
+// spaces.
+//
+// On a fabric with direct dispatch every handler below except hMigrate
+// also registers its non-blocking form. The audit
+// behind that: hComplete, hBarArrive, hLockReq, hUnlockMsg and hColl
+// touch only leaf locks (wMu, barMu, Directory.lockMu, accMu, and collMu,
+// under which only wMu is taken), none of which is held across a Send,
+// and they send their completions after unlocking — so they always
+// accept. hLookup, hProto and hProtoBatch need a space's engine lock,
+// which an application thread holds while it sends; they accept iff
+// TryLock gets it (lockEngine) and otherwise decline before touching
+// anything, leaving the message to the queue and a blocking Lock.
 func (p *Proc) registerHandlers() {
-	p.ep.Register(hComplete, func(m amnet.Msg) {
-		p.ctx.Complete(m.B, m)
-	})
-	p.ep.Register(hLookup, func(m amnet.Msg) {
-		p.regMu.RLock()
-		r := p.regions.Get(RegionID(m.A))
-		p.regMu.RUnlock()
-		if r == nil {
-			panic(fmt.Sprintf("core: proc %d: lookup of unknown region %v", p.id, RegionID(m.A)))
+	// always registers a handler that never declines; engine one that
+	// declines when try is set and it cannot get its space's engine.
+	always := func(id amnet.HandlerID, fn amnet.Handler) {
+		p.ep.Register(id, fn)
+		if p.direct != nil {
+			p.direct.RegisterTry(id, func(m amnet.Msg) bool { fn(m); return true })
 		}
-		// Size and Space are immutable after creation; Home is not
-		// (MigrateHome), so read it under the engine and carry it in the
-		// reply. Lookups are addressed to the region's original
-		// allocator, which always retains a view and updates its Home at
-		// every migration flip — so the requester materializes against
-		// the current home even when this node no longer is it.
-		sp := r.Space
-		sp.eng.Lock()
-		home := r.Home
-		sp.eng.Unlock()
-		p.ep.Send(amnet.Msg{Dst: m.Src, Handler: hComplete, A: uint64(r.Size), B: m.B, C: uint64(sp.ID), D: uint64(home)})
-	})
-	p.ep.Register(hBarArrive, func(m amnet.Msg) {
-		p.barrierArrive(m) // node-0 state under barMu
-	})
-	p.ep.Register(hLockReq, func(m amnet.Msg) {
-		p.lockRequest(m) // home directory state under Dir.lockMu
-	})
-	p.ep.Register(hUnlockMsg, func(m amnet.Msg) {
-		p.unlockRequest(m) // home directory state under Dir.lockMu
-	})
-	p.ep.Register(hColl, func(m amnet.Msg) {
+	}
+	engine := func(id amnet.HandlerID, fn func(m amnet.Msg, try bool) bool) {
+		p.ep.Register(id, func(m amnet.Msg) { fn(m, false) })
+		if p.direct != nil {
+			p.direct.RegisterTry(id, func(m amnet.Msg) bool { return fn(m, true) })
+		}
+	}
+	always(hComplete, func(m amnet.Msg) { p.ctx.Complete(m.B, m) })
+	engine(hLookup, p.lookupMsg)
+	always(hBarArrive, p.barrierArrive) // barrier state under barMu
+	always(hLockReq, p.lockRequest)     // home directory state under Dir.lockMu
+	always(hUnlockMsg, p.unlockRequest) // home directory state under Dir.lockMu
+	always(hColl, func(m amnet.Msg) {
 		p.collDeliver(m)
 		// collDeliver clones every payload it keeps (accumulator entries
 		// and buffered broadcast values), so the wire buffer is free.
 		amnet.Recycle(m.Payload)
 	})
-	p.ep.Register(hProto, func(m amnet.Msg) {
-		sp := p.space(int(m.D))
-		sp.eng.Lock()
-		p.regMu.RLock()
-		r := p.regions.Get(RegionID(m.A))
-		p.regMu.RUnlock()
-		if r != nil {
-			if r.Space != sp {
-				panic(fmt.Sprintf("core: proc %d: protocol message for %v names space %d, region is in %d",
-					p.id, r.ID, sp.ID, r.Space.ID))
-			}
-			// Withdraw the fast bits before Deliver examines the section
-			// counts: a concurrent fast bracket either committed before
-			// this point (and its count is visible below) or its CAS
-			// fails and it retries through the slow path behind eng.
-			r.disableFast()
-			if p.cl.migrate && r.IsHome() {
-				sp.countHomeIn(r.ID, 1)
-			}
+	engine(hProto, p.protoMsg)
+	engine(hProtoBatch, p.protoBatchMsg)
+	p.ep.Register(hMigrate, p.migrateMsg)
+}
+
+// lockEngine takes sp's engine lock for a message handler. A handler
+// dispatched directly (try) is on a borrowed goroutine that may hold
+// another processor's engine, so it must not wait: it gets the lock only
+// if it is free, and declines the message otherwise.
+func (sp *Space) lockEngine(try bool) bool {
+	if try {
+		return sp.eng.TryLock()
+	}
+	sp.eng.Lock()
+	return true
+}
+
+// lookupMsg serves a region metadata request at the region's allocator.
+func (p *Proc) lookupMsg(m amnet.Msg, try bool) bool {
+	p.regMu.RLock()
+	r := p.regions.Get(RegionID(m.A))
+	p.regMu.RUnlock()
+	if r == nil {
+		panic(fmt.Sprintf("core: proc %d: lookup of unknown region %v", p.id, RegionID(m.A)))
+	}
+	// Size and Space are immutable after creation; Home is not
+	// (MigrateHome), so read it under the engine and carry it in the
+	// reply. Lookups are addressed to the region's original
+	// allocator, which always retains a view and updates its Home at
+	// every migration flip — so the requester materializes against
+	// the current home even when this node no longer is it.
+	sp := r.Space
+	if !sp.lockEngine(try) {
+		return false
+	}
+	home := r.Home
+	sp.eng.Unlock()
+	p.ep.Send(amnet.Msg{Dst: m.Src, Handler: hComplete, A: uint64(r.Size), B: m.B, C: uint64(sp.ID), D: uint64(home)})
+	return true
+}
+
+// protoMsg hands one protocol message to its space's Deliver.
+func (p *Proc) protoMsg(m amnet.Msg, try bool) bool {
+	sp := p.space(int(m.D))
+	if !sp.lockEngine(try) {
+		return false
+	}
+	p.regMu.RLock()
+	r := p.regions.Get(RegionID(m.A))
+	p.regMu.RUnlock()
+	if r != nil {
+		if r.Space != sp {
+			panic(fmt.Sprintf("core: proc %d: protocol message for %v names space %d, region is in %d",
+				p.id, r.ID, sp.ID, r.Space.ID))
 		}
-		sp.Proto.Deliver(sp.ctx, sp, r, m)
-		if r != nil {
-			sp.refreshFast(r)
+		// Withdraw the fast bits before Deliver examines the section
+		// counts: a concurrent fast bracket either committed before
+		// this point (and its count is visible below) or its CAS
+		// fails and it retries through the slow path behind eng.
+		r.disableFast()
+		if p.cl.migrate && r.IsHome() {
+			sp.countHomeIn(r.ID, 1)
 		}
-		sp.eng.Unlock()
-		// Deliver implementations consume the payload synchronously
-		// (copy into region data, clone into deferred queues, or forward
-		// through Send, which also copies); the wire buffer is free.
-		amnet.Recycle(m.Payload)
-	})
-	p.ep.Register(hProtoBatch, func(m amnet.Msg) {
-		sp := p.space(int(m.D))
-		bd, ok := sp.Proto.(BatchDeliverer)
-		sp.eng.Lock()
-		if !ok {
-			panic(fmt.Sprintf("core: proc %d: aggregate frame for space %d, but protocol %q takes no batches",
-				p.id, sp.ID, sp.ProtoName))
-		}
-		recs := p.decodeBatch(sp, m)
-		if p.cl.migrate {
-			for _, rec := range recs {
-				if rec.R.IsHome() {
-					sp.countHomeIn(rec.R.ID, 1)
-				}
-			}
-		}
-		bd.DeliverBatch(sp.ctx, sp, m.Src, m.C, m.B, recs)
+	}
+	sp.Proto.Deliver(sp.ctx, sp, r, m)
+	if r != nil {
+		sp.refreshFast(r)
+	}
+	sp.eng.Unlock()
+	// Deliver implementations consume the payload synchronously
+	// (copy into region data, clone into deferred queues, or forward
+	// through Send, which also copies); the wire buffer is free.
+	amnet.Recycle(m.Payload)
+	return true
+}
+
+// protoBatchMsg hands one aggregated protocol frame to its space's
+// DeliverBatch.
+func (p *Proc) protoBatchMsg(m amnet.Msg, try bool) bool {
+	sp := p.space(int(m.D))
+	if !sp.lockEngine(try) {
+		return false
+	}
+	bd, ok := sp.Proto.(BatchDeliverer)
+	if !ok {
+		panic(fmt.Sprintf("core: proc %d: aggregate frame for space %d, but protocol %q takes no batches",
+			p.id, sp.ID, sp.ProtoName))
+	}
+	recs := p.decodeBatch(sp, m)
+	if p.cl.migrate {
 		for _, rec := range recs {
-			sp.refreshFast(rec.R)
+			if rec.R.IsHome() {
+				sp.countHomeIn(rec.R.ID, 1)
+			}
 		}
-		sp.eng.Unlock()
-		// DeliverBatch consumes record data synchronously, like Deliver.
-		amnet.Recycle(m.Payload)
+	}
+	bd.DeliverBatch(sp.ctx, sp, m.Src, m.C, m.B, recs)
+	for _, rec := range recs {
+		sp.refreshFast(rec.R)
+	}
+	sp.eng.Unlock()
+	// DeliverBatch consumes record data synchronously, like Deliver.
+	amnet.Recycle(m.Payload)
+	return true
+}
+
+// migrateMsg serves a MigrateHome pull: the incoming home asks the
+// current home for the authoritative data and lock ownership. Runs
+// between the flush barrier and the flip barrier, so no coherence traffic
+// races the copy; the engine lock still brackets it so the read is
+// ordered against any local slow-path bracket. Always queued: once per
+// migration is not worth a non-blocking form.
+func (p *Proc) migrateMsg(m amnet.Msg) {
+	sp := p.space(int(m.D))
+	sp.eng.Lock()
+	p.regMu.RLock()
+	r := p.regions.Get(RegionID(m.A))
+	p.regMu.RUnlock()
+	if r == nil || !r.IsHome() {
+		panic(fmt.Sprintf("core: proc %d: migrate pull for non-home region %v", p.id, RegionID(m.A)))
+	}
+	r.Dir.lockMu.Lock()
+	holder := r.Dir.LockHolder
+	r.Dir.lockMu.Unlock()
+	p.ep.Send(amnet.Msg{
+		Dst: m.Src, Handler: hComplete, B: m.B,
+		A:       uint64(int64(holder) + 1), // -1 (unheld) encodes as 0
+		C:       uint64(r.Size),
+		Payload: p.cloneForSend(r.Data),
 	})
-	p.ep.Register(hMigrate, func(m amnet.Msg) {
-		// A MigrateHome pull: the incoming home asks the current home for
-		// the authoritative data and lock ownership. Runs between the
-		// flush barrier and the flip barrier, so no coherence traffic
-		// races the copy; the engine lock still brackets it so the read
-		// is ordered against any local slow-path bracket.
-		sp := p.space(int(m.D))
-		sp.eng.Lock()
-		p.regMu.RLock()
-		r := p.regions.Get(RegionID(m.A))
-		p.regMu.RUnlock()
-		if r == nil || !r.IsHome() {
-			panic(fmt.Sprintf("core: proc %d: migrate pull for non-home region %v", p.id, RegionID(m.A)))
-		}
-		r.Dir.lockMu.Lock()
-		holder := r.Dir.LockHolder
-		r.Dir.lockMu.Unlock()
-		p.ep.Send(amnet.Msg{
-			Dst: m.Src, Handler: hComplete, B: m.B,
-			A:       uint64(int64(holder) + 1), // -1 (unheld) encodes as 0
-			C:       uint64(r.Size),
-			Payload: p.cloneForSend(r.Data),
-		})
-		sp.eng.Unlock()
-	})
+	sp.eng.Unlock()
 }
 
 // Space is a named allocation arena with an associated protocol: the
@@ -868,10 +945,10 @@ type Space struct {
 	proc *Proc
 
 	// eng is the space's engine lock: it serializes the protocol
-	// instance, the protocol-owned fields of the space's regions, and
-	// MapCount, between the application thread's slow-path operations
-	// and the pump's Deliver. ProtoName/Proto/Epoch/PData mutate only
-	// under it (by ChangeProtocol).
+	// instance and the protocol-owned fields of the space's regions
+	// between the application thread's slow-path operations and Deliver,
+	// on whichever goroutine dispatches it. ProtoName/Proto/Epoch/PData
+	// mutate only under it (by ChangeProtocol).
 	eng sync.Mutex
 	// ctx is the Ctx bound to eng: protocol routines of this space run
 	// with it so ctx.Wait releases the engine while blocked.
@@ -879,6 +956,11 @@ type Space struct {
 	// fp is the protocol's fast-path view, nil when the protocol does
 	// not implement FastPather.
 	fp FastPather
+	// null is the current protocol's registered Info.Null. Map and Unmap
+	// read it without the engine: like every protocol installation it
+	// is written by the application thread (space creation,
+	// ChangeProtocol, RestoreCheckpoint), the only thread that maps.
+	null PointSet
 	// adapt is the adaptive controller's per-space state, created at the
 	// space's first barrier when Options.Adapt is set. Atomic only so
 	// Proc.Snapshot can read the published stats concurrently; all other
@@ -896,6 +978,16 @@ type Space struct {
 	// dead is set by FreeSpace once the space has been flushed and its
 	// slot recycled; allocation and lookup paths check it lock-free.
 	dead atomic.Bool
+}
+
+// install makes info's protocol the space's: a fresh instance, its
+// fast-path view and its null points. Caller holds eng, or is creating
+// the space.
+func (sp *Space) install(info Info) {
+	sp.Proto = info.New()
+	sp.ProtoName = info.Name
+	sp.fp, _ = sp.Proto.(FastPather)
+	sp.null = info.Null
 }
 
 // Ref returns the space's generation-tagged identifier, the handle a

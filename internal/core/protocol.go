@@ -88,12 +88,15 @@ func (s PointSet) String() string {
 // created per (space, processor) pair, so instances may keep per-processor
 // state in their fields without synchronization: every method is invoked
 // with the owning space's engine lock held, either from the application
-// thread (access and synchronization points) or from the message pump
+// thread (access and synchronization points) or from a message handler
 // (Deliver). Brackets that commit on the lock-free fast path never enter
 // the protocol at all — see FastPather.
 //
 // Methods must not block except by ctx.Wait on a waiter they created, and
-// Deliver must never block at all (it runs on the message pump).
+// Deliver must never block at all: it runs wherever its message is
+// dispatched — on a pump, or on the channel fabric directly on the
+// sending goroutine, which may be another processor's application thread
+// holding that processor's engine.
 type Protocol interface {
 	// Name returns the protocol's registered name.
 	Name() string
@@ -140,8 +143,8 @@ type Protocol interface {
 
 	// Deliver handles a protocol message. r is the local region the
 	// message names, or nil if the region is not materialized here (the
-	// protocol may create it with ctx.EnsureRegion). Deliver runs on the
-	// message pump and must not block.
+	// protocol may create it with ctx.EnsureRegion). Deliver runs as a
+	// message handler and must not block.
 	Deliver(ctx *Ctx, sp *Space, r *Region, m amnet.Msg)
 }
 

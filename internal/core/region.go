@@ -31,8 +31,10 @@ type Region struct {
 	Space *Space
 
 	// MapCount is the number of outstanding maps; maintained by the
-	// runtime. Cached copies survive unmapping (CRL-style unmapped-region
-	// caching), so MapCount==0 does not imply the copy is invalid.
+	// runtime's Map and Unmap on the application thread, which alone
+	// touches it (no lock). Cached copies survive unmapping (CRL-style
+	// unmapped-region caching), so MapCount==0 does not imply the copy is
+	// invalid.
 	MapCount int
 
 	// hot packs the region's runtime-visible hot state into one atomic

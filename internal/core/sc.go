@@ -53,14 +53,16 @@ const (
 )
 
 // scInfo is the registry entry for the protocol. Sequential consistency
-// forbids compiler reordering, so Optimizable is false and no points are
-// declared null (Section 4.2).
+// forbids compiler reordering, so Optimizable is false (Section 4.2).
+// Its map and unmap hooks are Base's no-ops and are declared null, which
+// lets the runtime skip the engine at those points; every bracket point
+// does real work.
 func scInfo() Info {
 	return Info{
 		Name:        "sc",
 		New:         func() Protocol { return &SCProtocol{} },
 		Optimizable: false,
-		Null:        0,
+		Null:        PointSet(0).With(PointMap).With(PointUnmap),
 		Adapt:       AdaptHints{Adaptive: true, Pattern: PatternGeneral},
 	}
 }
@@ -177,7 +179,10 @@ func (s *SCProtocol) kick(ctx *Ctx, r *Region) {
 		if !canStart(r, req) {
 			return
 		}
-		d.Waiting = d.Waiting[1:]
+		// Pop by shifting down, not reslicing: the queue is a few entries
+		// at most, and keeping the backing array means the next request
+		// does not allocate.
+		d.Waiting = d.Waiting[:copy(d.Waiting, d.Waiting[1:])]
 		s.startReq(ctx, r, req)
 	}
 }
@@ -447,7 +452,7 @@ func (s *SCProtocol) handleFlush(ctx *Ctx, r *Region, m amnet.Msg) {
 //     queued clears eligibility because the end-of-section kick must
 //     run — the fast path skipping kick would strand waiters.
 //
-// The pump withdraws these bits before Deliver mutates the state and
+// The dispatcher withdraws these bits before Deliver mutates the state and
 // the runtime republishes after, so a bracket that raced the transition
 // either committed against a still-valid word or fell to the slow path.
 func (s *SCProtocol) FastBits(r *Region) FastBits {

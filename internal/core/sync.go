@@ -262,7 +262,7 @@ const (
 	collOpResult
 )
 
-// collDeliver handles a collective message on a pump goroutine. The
+// collDeliver handles a collective message. The
 // reduction accumulator is under accMu — with sharded dispatch,
 // contributions from different processors are handled concurrently —
 // and the combine plus result fan-out happen after accMu is released:

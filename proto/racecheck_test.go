@@ -67,8 +67,16 @@ func TestRaceCheckDetectsWriteRace(t *testing.T) {
 		// reduction, and each processor's reduction contribution is
 		// FIFO-ordered behind its section-open notification — so all
 		// opens reach the home before any close can be sent.
+		//
+		// The overlap under test is the protocol's, not Go's: only the
+		// non-home processors store, each into its own cached copy. A
+		// store by the home would land in the home copy while the others'
+		// opening fetches read it — a real data race, which the race
+		// detector rightly fails the test for.
 		p.StartWrite(r)
-		r.Data.SetInt64(0, int64(p.ID()))
+		if p.ID() != 0 {
+			r.Data.SetInt64(0, int64(p.ID()))
+		}
 		p.AllReduceInt64(core.OpSum, 1) // not a space barrier: sections stay open
 		p.EndWrite(r)
 		p.Barrier(sp)
