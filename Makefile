@@ -29,20 +29,21 @@ test:
 bench-test:
 	$(GO) test -C benchmark ./...
 
-# -cpu 1,4 runs each race test single-context and multicore: the
-# sharded-dispatch paths only interleave for real when the pumps have
-# more than one hardware context to run on.
+# -cpu 1,4 runs each race test single-context and multicore: direct
+# dispatch runs handlers on senders' goroutines and application threads
+# beside the pumps, and those only interleave for real with more than
+# one hardware context to run on.
 race:
 	$(GO) test -race -cpu 1,4 $(RACE_PKGS)
 
 # bench regenerates the committed benchmark artifacts: the bracket
-# overhead numbers and the fabric/bracket reports (each keeps its
-# embedded pre-optimization baseline for the before/after comparison).
+# overhead numbers and the bracket report (which keeps its embedded
+# pre-optimization baseline for the before/after comparison), plus the
+# collective and elastic reports. The fabric itself is measured by the
+# benchmark module's layer probes (benchmark/, make bench-compare).
 bench:
 	$(GO) test -bench BenchmarkBracket -benchmem -run '^$$' .
-	$(GO) run ./cmd/acebench -exp fabric -baseline BENCH_fabric.json -out BENCH_fabric.json
 	$(GO) run ./cmd/acebench -exp bracket -baseline BENCH_bracket.json -out BENCH_bracket.json
-	$(GO) run ./cmd/acebench -exp scale
 	$(GO) run ./cmd/acebench -exp coll
 	$(GO) run ./cmd/acebench -exp elastic
 
@@ -53,15 +54,13 @@ bench-compare:
 	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev>" >&2; exit 2; }
 	bash scripts/bench_compare.sh $(BASE)
 
-# bench-smoke runs the fabric benchmarks briefly so CI catches a stalled
-# or asserting fast path without paying for full measurements, plus one
-# small-scale pass of the adaptive-convergence experiment (the artifact
-# goes to a scratch path so the committed default-scale BENCH_adapt.json
-# is not clobbered; the run fails on any sc/adaptive checksum mismatch).
+# bench-smoke runs one small-scale pass of each artifact-writing
+# experiment so CI catches a stalled or asserting path without paying
+# for full measurements. Artifacts go to scratch paths so the committed
+# default-scale reports are not clobbered; the adaptive-convergence run
+# fails on any sc/adaptive checksum mismatch.
 bench-smoke:
-	$(GO) test -bench 'BenchmarkFabric' -benchtime=100ms -run '^$$' ./internal/bench
 	$(GO) run ./cmd/acebench -exp adapt -scale small -out /tmp/acebench_adapt_smoke.json
-	$(GO) run ./cmd/acebench -exp scale -procs 4 -scale small -out /tmp/acebench_scale_smoke.json
 	$(GO) run ./cmd/acebench -exp coll -procs 4 -scale small -out /tmp/acebench_coll_smoke.json
 	$(GO) run ./cmd/acebench -exp elastic -procs 4 -scale small -out /tmp/acebench_elastic_smoke.json
 	$(GO) run ./cmd/acebench -exp gate -gate-sessions 400 -gate-rooms 16 -out /tmp/acebench_gate_smoke.json
@@ -69,7 +68,7 @@ bench-smoke:
 # chaos-smoke is the protocol-conformance stress gate: the fixed-seed
 # protocol × fault-policy matrix (seeds 1..3) via the package tests,
 # the collective topology × aggregation cells (tree/star, agg on/off,
-# lane-overlap stress, star-vs-tree bit-identical reductions), the
+# star-vs-tree bit-identical reductions), the
 # elastic cells (checkpoint/kill/rejoin drills, MigrateHome
 # mid-workload, the broken-rejoin double), plus race-enabled cells: the
 # nastiest matrix policy, one rejoin drill, and the MigrateHome-vs-

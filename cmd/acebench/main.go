@@ -3,8 +3,6 @@
 //	acebench -exp fig7a   # Ace runtime vs CRL, sequentially consistent
 //	acebench -exp fig7b   # single protocol vs application-specific protocols
 //	acebench -exp table4  # compiler optimization levels vs hand-written code
-//	acebench -exp fabric  # message-fabric latency/throughput (BENCH_fabric.json)
-//	acebench -exp scale   # GOMAXPROCS scaling sweep, sharded dispatch (BENCH_scale.json)
 //	acebench -exp chaos   # protocol-conformance stress matrix under fault injection
 //	acebench -exp adapt   # adaptive controller vs sc and hand-picked protocols (BENCH_adapt.json)
 //	acebench -exp coll    # collective topologies + push aggregation traffic (BENCH_coll.json)
@@ -39,7 +37,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"github.com/acedsm/ace/internal/bench"
@@ -58,8 +55,8 @@ func main() {
 		app      = flag.String("app", "em3d", "benchmark for instrumented mode: "+strings.Join(bench.AppNames(), ", "))
 		custom   = flag.Bool("custom", false, "instrumented mode: use the application-specific protocol")
 		events   = flag.Int("events", 1<<16, "instrumented mode: per-processor event ring capacity for -trace")
-		out      = flag.String("out", "", "fabric/bracket experiment: output `file` (default BENCH_<exp>.json)")
-		baseline = flag.String("baseline", "", "fabric/bracket experiment: prior report to embed as the comparison baseline")
+		out      = flag.String("out", "", "artifact-writing experiments: output `file` (default BENCH_<exp>.json)")
+		baseline = flag.String("baseline", "", "bracket experiment: prior report to embed as the comparison baseline")
 
 		chaosProto  = flag.String("chaos-proto", "", "chaos experiment: replay a single protocol instead of the matrix")
 		chaosPolicy = flag.String("chaos-policy", "clean", "chaos experiment: fault policy for -chaos-proto ("+strings.Join(chaos.Policies(), ", ")+")")
@@ -103,12 +100,8 @@ func main() {
 		ok = runTable4(*procs)
 	case "ablation":
 		ok = runAblation(*procs)
-	case "fabric":
-		ok = runFabric(*procs, reportPath(*out, "BENCH_fabric.json"), *baseline)
 	case "bracket":
 		ok = runBracket(*procs, reportPath(*out, "BENCH_bracket.json"), *baseline)
-	case "scale":
-		ok = runScale(w, reportPath(*out, "BENCH_scale.json"))
 	case "adapt":
 		ok = runAdapt(w, *runs, reportPath(*out, "BENCH_adapt.json"))
 	case "chaos":
@@ -124,7 +117,7 @@ func main() {
 		ok = runFig7b(w, *runs) && ok
 		ok = runTable4(*procs) && ok
 	default:
-		fmt.Fprintf(os.Stderr, "acebench: unknown experiment %q (fig7a, fig7b, table4, ablation, fabric, bracket, scale, adapt, chaos, coll, elastic, gate, all)\n", *exp)
+		fmt.Fprintf(os.Stderr, "acebench: unknown experiment %q (fig7a, fig7b, table4, ablation, bracket, adapt, chaos, coll, elastic, gate, all)\n", *exp)
 		os.Exit(2)
 	}
 	if !ok {
@@ -349,86 +342,6 @@ func runBracket(procs int, out, baselinePath string) bool {
 		return false
 	}
 	fmt.Println(bench.FormatBracket(rep.Results, rep.Baseline))
-	fmt.Printf("wrote %s\n", out)
-	return true
-}
-
-// runScale sweeps GOMAXPROCS ∈ {1,2,4,8} over the throughput-shaped
-// measurements (fabric throughput on both transports, bracket
-// hit/churn, em3d) with the dispatch-lane count matched to the core
-// count, and writes the BENCH_scale.json artifact. The GOMAXPROCS=1
-// rows are the baseline — the speedup column of every other row is
-// relative to them.
-func runScale(w bench.Workloads, out string) bool {
-	const (
-		perSender = 40000
-		payload   = 16
-	)
-	fmt.Printf("=== Scale: GOMAXPROCS sweep %v, lanes matched to cores (%d procs, host has %d CPUs) ===\n",
-		bench.ScalePoints, w.Procs, runtime.NumCPU())
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scale: %v\n", err)
-		return false
-	}
-	rep, err := bench.WriteScaleReport(f, w, nil, perSender, payload)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scale: %v\n", err)
-		return false
-	}
-	fmt.Println(bench.FormatScale(rep.Results))
-	fmt.Printf("wrote %s\n", out)
-	return true
-}
-
-// runFabric measures the message fabric (roundtrip latency and many-to-
-// one throughput on both transports) and writes the BENCH_fabric.json
-// artifact. A prior report passed with -baseline is embedded so the
-// artifact documents the before/after delta.
-func runFabric(procs int, out, baselinePath string) bool {
-	const (
-		perSender = 40000
-		rounds    = 30000
-		payload   = 16
-	)
-	var base []bench.FabricResult
-	if baselinePath != "" {
-		raw, err := os.ReadFile(baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fabric: %v\n", err)
-			return false
-		}
-		var prior bench.FabricReport
-		if err := json.Unmarshal(raw, &prior); err != nil {
-			fmt.Fprintf(os.Stderr, "fabric: parsing %s: %v\n", baselinePath, err)
-			return false
-		}
-		// A report that already embeds the pre-fast-path baseline keeps
-		// it, so regenerating the artifact stays anchored to the original
-		// comparison point.
-		base = prior.Baseline
-		if base == nil {
-			base = prior.Results
-		}
-	}
-	fmt.Printf("=== Fabric: message latency and throughput (%d nodes, %d B payloads) ===\n", procs, payload)
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fabric: %v\n", err)
-		return false
-	}
-	rep, err := bench.WriteFabricReport(f, procs, perSender, rounds, payload, base)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fabric: %v\n", err)
-		return false
-	}
-	fmt.Println(bench.FormatFabric(rep.Results, rep.Baseline))
 	fmt.Printf("wrote %s\n", out)
 	return true
 }

@@ -5,22 +5,17 @@
 // handler on the destination node; the handler runs asynchronously to the
 // destination's compute thread, may examine the message and send further
 // messages (for example a reply), but must never block waiting for network
-// events. Each node's dispatch is split into lanes keyed by source node —
-// one unless the transport is told otherwise (see ChanConfig.Lanes) — and
-// a lane's handlers run one at a time, in arrival order, on whichever
-// goroutine holds the lane's dispatch token. With one lane, handlers on a
-// node are therefore serialized with respect to each other. With several,
-// all traffic from one sender still lands in one lane, preserving the
-// per-(sender, handler) FIFO contract, but handlers for messages from
-// different senders may run concurrently — handler code relying on
-// whole-node serialization must take lane count 1 or lock its state.
+// events. A node's handlers run one at a time, in arrival order, on
+// whichever goroutine holds the node's dispatch token, so handlers on a
+// node are serialized with respect to each other.
 //
-// Every lane has a pump goroutine that takes the token, pops what is
+// Every node has a pump goroutine that takes the token, pops what is
 // queued and delivers it. Mailboxes are unbounded, which preserves the
 // classic Active Messages liveness argument: a send never blocks, so a
 // handler can always complete, so every mailbox is eventually drained.
 // The pump drains the mailbox in batches (one lock acquisition per burst,
-// not per message); see mailbox.
+// not per message); see mailbox. The TCP transport receives into the
+// same mailbox and runs the same consumer loop, through Inbox.
 //
 // # Direct dispatch
 //
@@ -34,8 +29,8 @@
 // backlog before it parks. The rules that keep this equivalent to the
 // queued path:
 //
-//   - FIFO. A sender dispatches directly only while it holds the lane's
-//     token and the lane's queue is empty. The pump takes the token
+//   - FIFO. A sender dispatches directly only while it holds the node's
+//     token and the node's queue is empty. The pump takes the token
 //     before it pops and holds it until the batch is delivered, so while
 //     any goroutine is dispatching, every other sender queues, and nothing
 //     queued is ever overtaken. A TryHandler that declines (before any
@@ -46,14 +41,14 @@
 //     TryHandler may block only on leaf locks that no code path holds
 //     across a Send; anything else it must TryLock and decline on failure.
 //     A dispatch chain (a directly dispatched handler sends, and that send
-//     dispatches directly) is bounded by the number of lanes in the
+//     dispatches directly) is bounded by the number of nodes in the
 //     network, because a token already held in the chain fails TryLock.
 //   - Same counters. CountSend, CountRecv and ObserveDeliver fire on both
 //     paths.
 //
 // Fault injection (package faultnet) and the TCP transport always queue:
 // their endpoints are not DirectDispatchers. So does modelled latency
-// (ChanConfig.Latency), whose lanes' tokens are never free.
+// (ChanConfig.Latency), whose nodes' tokens are never free.
 //
 // # Buffer ownership
 //
@@ -105,8 +100,8 @@ type Msg struct {
 }
 
 // Handler is the function type invoked for a delivered message. It runs on
-// whichever goroutine holds the destination lane's dispatch token — the
-// lane's pump, unless a TryHandler is registered too — and must not block
+// whichever goroutine holds the destination node's dispatch token — the
+// node's pump, unless a TryHandler is registered too — and must not block
 // on network events (it may send messages). The handler owns m.Payload;
 // passing it to Recycle when finished keeps the fabric's buffer pool warm.
 type Handler func(Msg)
@@ -173,7 +168,7 @@ type MultiSender interface {
 // outside their pump: on a sender's goroutine (RegisterTry) and on the
 // node's own compute thread (Poll). A fault-injecting or socket
 // transport does not implement it, and a runtime that finds it missing
-// simply keeps to Register; an implementation may also never find a lane
+// simply keeps to Register; an implementation may also never find a token
 // free (the channel fabric under modelled latency), which costs the
 // caller a failed TryLock per call and nothing else.
 type DirectDispatcher interface {
@@ -181,8 +176,8 @@ type DirectDispatcher interface {
 	// the same before-traffic rule as Register. The Handler must be
 	// registered as well: it serves every message that was queued.
 	RegisterTry(id HandlerID, fn TryHandler)
-	// Poll delivers, on the calling goroutine, whatever is queued in the
-	// lanes whose token is free, and returns without blocking. Only the
+	// Poll delivers, on the calling goroutine, whatever is queued for the
+	// node if its token is free, and returns without blocking. Only the
 	// node's compute thread may call it, holding no lock a handler takes.
 	Poll()
 }
@@ -216,63 +211,30 @@ type ChanConfig struct {
 	// sent ε apart arrive ε apart, and latency-free traffic (self-sends)
 	// is not queued behind delayed messages.
 	Latency time.Duration
-	// Lanes shards each endpoint's dispatch into this many pump
-	// goroutines, keyed by source node (lane = src mod Lanes), so
-	// handlers for messages from different senders can run on different
-	// cores. All messages from one sender map to one lane, preserving
-	// the per-(sender, handler) FIFO contract; what is given up is
-	// whole-node handler serialization, so receivers must be safe for
-	// concurrent handlers from distinct senders. Zero or one means the
-	// classic single pump per node (bit-identical to the pre-sharding
-	// fabric); values above Nodes are clamped (extra lanes could never
-	// receive traffic).
-	Lanes int
-}
-
-// laneCount normalizes a configured lane count: 0 (unset) and 1 both
-// mean a single pump; more lanes than sources is pointless.
-func laneCount(lanes, nodes int) int {
-	if lanes < 1 {
-		return 1
-	}
-	if lanes > nodes {
-		return nodes
-	}
-	return lanes
 }
 
 // NewChanNetwork builds an in-process network of n endpoints connected by
-// unbounded mailboxes, one pump goroutine per node and lane.
+// unbounded mailboxes, one pump goroutine per node.
 func NewChanNetwork(cfg ChanConfig) (Network, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("amnet: invalid node count %d", cfg.Nodes)
 	}
-	lanes := laneCount(cfg.Lanes, cfg.Nodes)
 	nw := &chanNetwork{cfg: cfg}
 	nw.eps = make([]*chanEndpoint, cfg.Nodes)
 	for i := range nw.eps {
-		ep := &chanEndpoint{
-			id:    NodeID(i),
-			nw:    nw,
-			boxes: make([]*mailbox, lanes),
-		}
-		for l := range ep.boxes {
-			ep.boxes[l] = newMailbox()
-			if cfg.Latency > 0 {
-				// Delivery under modelled latency belongs to the pump's
-				// delay queue alone, and this is the one place that says
-				// so: the lane's token is taken for good, so every sender
-				// and poller finds it busy and queues.
-				ep.boxes[l].token.Lock()
-			}
+		ep := &chanEndpoint{id: NodeID(i), nw: nw, box: newMailbox()}
+		if cfg.Latency > 0 {
+			// Delivery under modelled latency belongs to the pump's
+			// delay queue alone, and this is the one place that says
+			// so: the node's token is taken for good, so every sender
+			// and poller finds it busy and queues.
+			ep.box.token.Lock()
 		}
 		nw.eps[i] = ep
 	}
 	for _, ep := range nw.eps {
-		for l := range ep.boxes {
-			nw.wg.Add(1)
-			go ep.pump(&nw.wg, l)
-		}
+		nw.wg.Add(1)
+		go ep.pump(&nw.wg)
 	}
 	return nw, nil
 }
@@ -293,32 +255,21 @@ func (n *chanNetwork) Endpoints() []Endpoint {
 
 func (n *chanNetwork) Close() error {
 	for _, ep := range n.eps {
-		for _, box := range ep.boxes {
-			box.close()
-		}
+		ep.box.close()
 	}
 	n.wg.Wait()
 	return nil
 }
 
-// chanEndpoint is one node's attachment: boxes holds one mailbox per
-// dispatch lane (a single element unless ChanConfig.Lanes sharded it),
-// each with its own dispatch token and pump goroutine. The handler
-// tables and stats are shared across lanes — registration happens before
-// traffic, and trace.NetStats is atomic throughout.
+// chanEndpoint is one node's attachment: box is its mailbox, with the
+// node's dispatch token, drained by its pump goroutine.
 type chanEndpoint struct {
 	id       NodeID
 	nw       *chanNetwork
-	boxes    []*mailbox
+	box      *mailbox
 	handlers [MaxHandlers]Handler
 	tries    [MaxHandlers]TryHandler
 	stats    trace.NetStats
-}
-
-// laneFor maps a source node to the mailbox its traffic lands in. Keying
-// by source keeps everything one sender emits in one FIFO lane.
-func (e *chanEndpoint) laneFor(src NodeID) *mailbox {
-	return e.boxes[int(src)%len(e.boxes)]
 }
 
 func (e *chanEndpoint) ID() NodeID { return e.id }
@@ -347,29 +298,29 @@ func (e *chanEndpoint) Send(m Msg) {
 	m.Src = e.id
 	e.stats.CountSend(headerBytes + len(m.Payload))
 	dst := e.nw.eps[m.Dst]
-	box := dst.laneFor(m.Src)
 	it := item{msg: m, sent: e.stats.SendStamp()}
 	if e.nw.cfg.Latency > 0 && m.Dst != m.Src {
 		it.due = time.Now().Add(e.nw.cfg.Latency)
 	}
-	if try := dst.tries[m.Handler]; try == nil || !dst.dispatchDirect(box, try, it) {
-		box.push(it)
+	if try := dst.tries[m.Handler]; try == nil || !dst.dispatchDirect(try, it) {
+		dst.box.push(it)
 	}
 }
 
 // dispatchDirect runs the item's handler on the calling (sending) goroutine if
-// the lane is free, reporting whether it did; on false the caller queues
+// the node is free, reporting whether it did; on false the caller queues
 // the message, so it is delivered exactly once either way.
-func (e *chanEndpoint) dispatchDirect(box *mailbox, try TryHandler, it item) (done bool) {
+func (e *chanEndpoint) dispatchDirect(try TryHandler, it item) (done bool) {
 	// TryLock only: the sender may hold locks and tokens of its own (it may
 	// itself be a directly dispatched handler), so it never waits for one.
 	// A held token means the pump or another sender is dispatching, and
-	// queueing behind it is what keeps the lane FIFO.
+	// queueing behind it is what keeps the node FIFO.
+	box := e.box
 	if !box.token.TryLock() {
 		return false
 	}
 	defer fatalOnPanic()
-	// FIFO: only an empty lane may be bypassed. Pops need the token, so
+	// FIFO: only an empty mailbox may be bypassed. Pops need the token, so
 	// anything already queued stays queued until we let go, and this
 	// message must go behind it.
 	if box.idle() {
@@ -385,14 +336,12 @@ func (e *chanEndpoint) dispatchDirect(box *mailbox, try TryHandler, it item) (do
 
 // Poll implements DirectDispatcher: the node's compute thread, about to
 // park, delivers its own backlog instead of waiting for the pump to be
-// scheduled. A lane whose token is taken is being dispatched already.
+// scheduled. A node whose token is taken is being dispatched already.
 func (e *chanEndpoint) Poll() {
 	defer fatalOnPanic()
-	for _, box := range e.boxes {
-		if box.token.TryLock() {
-			e.drain(box)
-			box.token.Unlock()
-		}
+	if e.box.token.TryLock() {
+		e.box.drain(e.deliver)
+		e.box.token.Unlock()
 	}
 }
 
@@ -432,52 +381,18 @@ func (e *chanEndpoint) SendMulti(dsts []NodeID, m Msg) {
 
 func (e *chanEndpoint) Stats() *trace.NetStats { return &e.stats }
 
-func (e *chanEndpoint) pump(wg *sync.WaitGroup, lane int) {
+func (e *chanEndpoint) pump(wg *sync.WaitGroup) {
 	defer wg.Done()
-	box := e.boxes[lane]
 	if e.nw.cfg.Latency > 0 {
-		e.pumpDelayed(box) // holds the lane's token from construction on
+		e.pumpDelayed() // holds the node's token from construction on
 		return
 	}
 	// Fast path: no modelled latency, so every item is deliverable the
 	// moment it is popped. Batches amortize the mailbox lock and wakeup
 	// over bursts.
-	for e.serve(box) {
+	deliver := e.deliver
+	for e.box.serve(deliver) {
 	}
-}
-
-// serve is one turn of a lane's pump: deliver what is pending, or park
-// until something may be. It reports false once the box is closed and
-// drained.
-func (e *chanEndpoint) serve(box *mailbox) (live bool) {
-	// The token is taken before the pop and kept until the batch is
-	// delivered: a sender that finds the queue empty and the token free
-	// knows nothing of this lane's is in flight ahead of it. Close drains
-	// through here too, so it also waits out a direct dispatch still
-	// running on the lane.
-	box.token.Lock()
-	ok, closed := e.drain(box)
-	box.token.Unlock()
-	if !ok {
-		if closed {
-			return false
-		}
-		box.await(0)
-	}
-	return true
-}
-
-// drain pops everything pending in box and delivers it, reporting
-// whether there was anything and, if not, whether the box is closed. The
-// caller holds the box's token.
-func (e *chanEndpoint) drain(box *mailbox) (ok, closed bool) {
-	batch, ok, closed := box.tryPopAll(box.spare)
-	for i := range batch {
-		e.deliver(batch[i])
-		batch[i] = item{} // drop payload references promptly
-	}
-	box.spare = batch
-	return ok, closed
 }
 
 // pumpDelayed delivers each message at its own due time using a timer-
@@ -487,7 +402,8 @@ func (e *chanEndpoint) drain(box *mailbox) (ok, closed bool) {
 // breaks due-time ties by arrival sequence, and latency-free pairs
 // (self-sends, whose due time is zero) can have no earlier message
 // waiting in the heap.
-func (e *chanEndpoint) pumpDelayed(box *mailbox) {
+func (e *chanEndpoint) pumpDelayed() {
+	box := e.box
 	var scratch []item
 	var dq delayQueue
 	var seq uint64
@@ -498,7 +414,7 @@ func (e *chanEndpoint) pumpDelayed(box *mailbox) {
 				// Close-then-drain: deliver what remains without
 				// waiting out the residual latency.
 				for dq.Len() > 0 {
-					e.deliver(heap.Pop(&dq).(delayed).item)
+					e.deliverItem(heap.Pop(&dq).(delayed).item)
 				}
 				return
 			}
@@ -514,7 +430,7 @@ func (e *chanEndpoint) pumpDelayed(box *mailbox) {
 		for i := range batch {
 			it := batch[i]
 			if it.due.IsZero() {
-				e.deliver(it)
+				e.deliverItem(it)
 			} else {
 				heap.Push(&dq, delayed{item: it, seq: seq})
 				seq++
@@ -524,17 +440,16 @@ func (e *chanEndpoint) pumpDelayed(box *mailbox) {
 		scratch = batch
 		now := time.Now()
 		for dq.Len() > 0 && !dq[0].due.After(now) {
-			e.deliver(heap.Pop(&dq).(delayed).item)
+			e.deliverItem(heap.Pop(&dq).(delayed).item)
 		}
 	}
 }
 
-func (e *chanEndpoint) deliver(it item) {
-	e.stats.ObserveDeliver(it.sent)
-	e.dispatch(it.msg)
-}
+func (e *chanEndpoint) deliverItem(it item) { e.deliver(it.msg, it.sent) }
 
-func (e *chanEndpoint) dispatch(m Msg) {
+// deliver runs m's handler; sent is m's send stamp on the trace clock.
+func (e *chanEndpoint) deliver(m Msg, sent int64) {
+	e.stats.ObserveDeliver(sent)
 	e.stats.CountRecv(uint16(m.Handler), headerBytes+len(m.Payload))
 	h := e.handlers[m.Handler]
 	if h == nil {

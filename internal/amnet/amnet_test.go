@@ -105,14 +105,25 @@ func TestChanNetworkHandlerMaySend(t *testing.T) {
 	}
 }
 
+// TestChanNetworkConcurrentSenders: several senders at once into one node
+// with no TryHandler, so every message takes the queued path. Each
+// sender's messages must arrive in order and exactly once; the per-sender
+// slots are plain memory, so under -race two handlers running at once on
+// the node are a reported race too.
 func TestChanNetworkConcurrentSenders(t *testing.T) {
 	nw := newTestNet(t, 4)
 	eps := nw.Endpoints()
-	var total atomic.Uint64
 	const perSender = 500
+	var last [4]uint64
+	var total atomic.Uint64
+	var misorders atomic.Int64
 	done := make(chan struct{})
 	eps[0].Register(5, func(m Msg) {
-		if total.Add(m.A) == 3*perSender*7 {
+		if m.A != last[m.Src]+1 {
+			misorders.Add(1)
+		}
+		last[m.Src] = m.A
+		if total.Add(1) == 3*perSender {
 			close(done)
 		}
 	})
@@ -121,8 +132,8 @@ func TestChanNetworkConcurrentSenders(t *testing.T) {
 		wg.Add(1)
 		go func(src int) {
 			defer wg.Done()
-			for i := 0; i < perSender; i++ {
-				eps[src].Send(Msg{Dst: 0, Handler: 5, A: 7})
+			for i := 1; i <= perSender; i++ {
+				eps[src].Send(Msg{Dst: 0, Handler: 5, A: uint64(i)})
 			}
 		}(src)
 	}
@@ -130,7 +141,10 @@ func TestChanNetworkConcurrentSenders(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatalf("sum %d, want %d", total.Load(), 3*perSender*7)
+		t.Fatalf("delivered %d, want %d", total.Load(), 3*perSender)
+	}
+	if n := misorders.Load(); n != 0 {
+		t.Fatalf("%d messages arrived out of their sender's order", n)
 	}
 }
 

@@ -14,11 +14,11 @@ import (
 
 // TestDirectDispatchMixedKeepsOrderAndSerializesLanes sends from several
 // concurrent senders to one node whose TryHandler declines part of the
-// traffic, so direct and queued deliveries interleave on every lane. Each
-// sender's messages must arrive in order, exactly once, and a lane must
-// never run two handlers at a time. The per-sender slots are plain memory:
-// under -race a second goroutine inside a lane is a reported race as well
-// as an occupancy failure.
+// traffic, so direct and queued deliveries interleave. Each sender's
+// messages must arrive in order, exactly once, and the node must never
+// run two handlers at a time. The per-sender slots are plain memory:
+// under -race a second goroutine inside the node is a reported race as
+// well as an occupancy failure.
 func TestDirectDispatchMixedKeepsOrderAndSerializesLanes(t *testing.T) {
 	const (
 		nodes     = 5
@@ -26,71 +26,67 @@ func TestDirectDispatchMixedKeepsOrderAndSerializesLanes(t *testing.T) {
 	)
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	for _, lanes := range []int{1, 2} {
-		nw, err := NewChanNetwork(ChanConfig{Nodes: nodes, Lanes: lanes})
-		if err != nil {
-			t.Fatalf("lanes=%d: NewChanNetwork: %v", lanes, err)
+	nw, err := NewChanNetwork(ChanConfig{Nodes: nodes})
+	if err != nil {
+		t.Fatalf("NewChanNetwork: %v", err)
+	}
+	eps := nw.Endpoints()
+	last := make([]uint64, nodes)
+	var occupancy atomic.Int32
+	var direct, queued, seen, overlaps, misorders atomic.Int64
+	done := make(chan struct{})
+	handle := func(m Msg, count *atomic.Int64) {
+		if occupancy.Add(1) != 1 {
+			overlaps.Add(1)
 		}
-		eps := nw.Endpoints()
-		last := make([]uint64, nodes)
-		occupancy := make([]atomic.Int32, lanes)
-		var direct, queued, seen, overlaps, misorders atomic.Int64
-		done := make(chan struct{})
-		handle := func(m Msg, count *atomic.Int64) {
-			occ := &occupancy[int(m.Src)%lanes]
-			if occ.Add(1) != 1 {
-				overlaps.Add(1)
+		if m.A != last[m.Src]+1 {
+			misorders.Add(1)
+		}
+		last[m.Src] = m.A
+		occupancy.Add(-1)
+		count.Add(1)
+		if seen.Add(1) == perSender*(nodes-1) {
+			close(done)
+		}
+	}
+	eps[0].Register(9, func(m Msg) { handle(m, &queued) })
+	eps[0].(DirectDispatcher).RegisterTry(9, func(m Msg) bool {
+		if m.A%7 == 3 {
+			return false // declined before any side effect: the pump's
+		}
+		handle(m, &direct)
+		return true
+	})
+	var wg sync.WaitGroup
+	for src := 1; src < nodes; src++ {
+		wg.Add(1)
+		go func(src int) {
+			defer wg.Done()
+			for i := 1; i <= perSender; i++ {
+				eps[src].Send(Msg{Dst: 0, Handler: 9, A: uint64(i)})
 			}
-			if m.A != last[m.Src]+1 {
-				misorders.Add(1)
-			}
-			last[m.Src] = m.A
-			occ.Add(-1)
-			count.Add(1)
-			if seen.Add(1) == perSender*(nodes-1) {
-				close(done)
-			}
+		}(src)
+	}
+	wg.Wait()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("stalled at %d of %d", seen.Load(), perSender*(nodes-1))
+	}
+	nw.Close()
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("%d handler runs overlapped another on the same node", n)
+	}
+	if n := misorders.Load(); n != 0 {
+		t.Errorf("%d messages arrived out of their sender's order", n)
+	}
+	for src := 1; src < nodes; src++ {
+		if last[src] != perSender {
+			t.Errorf("sender %d delivered up to %d of %d", src, last[src], perSender)
 		}
-		eps[0].Register(9, func(m Msg) { handle(m, &queued) })
-		eps[0].(DirectDispatcher).RegisterTry(9, func(m Msg) bool {
-			if m.A%7 == 3 {
-				return false // declined before any side effect: the pump's
-			}
-			handle(m, &direct)
-			return true
-		})
-		var wg sync.WaitGroup
-		for src := 1; src < nodes; src++ {
-			wg.Add(1)
-			go func(src int) {
-				defer wg.Done()
-				for i := 1; i <= perSender; i++ {
-					eps[src].Send(Msg{Dst: 0, Handler: 9, A: uint64(i)})
-				}
-			}(src)
-		}
-		wg.Wait()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("lanes=%d: stalled at %d of %d", lanes, seen.Load(), perSender*(nodes-1))
-		}
-		nw.Close()
-		if n := overlaps.Load(); n != 0 {
-			t.Errorf("lanes=%d: %d handler runs overlapped another on the same lane", lanes, n)
-		}
-		if n := misorders.Load(); n != 0 {
-			t.Errorf("lanes=%d: %d messages arrived out of their sender's order", lanes, n)
-		}
-		for src := 1; src < nodes; src++ {
-			if last[src] != perSender {
-				t.Errorf("lanes=%d: sender %d delivered up to %d of %d", lanes, src, last[src], perSender)
-			}
-		}
-		if direct.Load() == 0 || queued.Load() == 0 {
-			t.Errorf("lanes=%d: want both paths exercised, got %d direct and %d queued",
-				lanes, direct.Load(), queued.Load())
-		}
+	}
+	if direct.Load() == 0 || queued.Load() == 0 {
+		t.Errorf("want both paths exercised, got %d direct and %d queued", direct.Load(), queued.Load())
 	}
 }
 
@@ -191,7 +187,7 @@ func TestLatencyNeverDispatchesDirectly(t *testing.T) {
 		t.Fatalf("%d messages dispatched directly under modelled latency", n)
 	}
 
-	// Nor may a poller pull a message ahead of its due time: the lane's
+	// Nor may a poller pull a message ahead of its due time: the node's
 	// token is never free, so Poll finds nothing to drain.
 	slow, err := NewChanNetwork(ChanConfig{Nodes: 2, Latency: 200 * time.Millisecond})
 	if err != nil {
@@ -226,7 +222,7 @@ func TestCloseWaitsOutDirectDispatchAndKeepsQueued(t *testing.T) {
 	eps[0].Register(9, func(Msg) { queued.Add(1) })
 	eps[0].(DirectDispatcher).RegisterTry(9, func(Msg) bool {
 		close(entered)
-		<-release // holds the lane's token; test scaffolding only
+		<-release // holds the node's token; test scaffolding only
 		direct.Add(1)
 		return true
 	})
@@ -257,8 +253,8 @@ func TestCloseWaitsOutDirectDispatchAndKeepsQueued(t *testing.T) {
 
 // TestPollSharesTheLaneWithThePump: a node polling its own endpoint while
 // its pump runs still sees every queued message exactly once and in order,
-// whichever of the two delivers it; and Poll skips a busy lane instead of
-// waiting for it.
+// whichever of the two delivers it; and Poll skips a busy token instead
+// of waiting for it.
 func TestPollSharesTheLaneWithThePump(t *testing.T) {
 	const total = 20000
 	nw, err := NewChanNetwork(ChanConfig{Nodes: 2})
@@ -295,7 +291,7 @@ func TestPollSharesTheLaneWithThePump(t *testing.T) {
 	select {
 	case <-polled:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Poll blocked on a lane whose token was taken")
+		t.Fatal("Poll blocked on a token that was taken")
 	}
 	close(hold)
 

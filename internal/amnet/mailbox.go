@@ -14,7 +14,7 @@ type item struct {
 	sent int64
 }
 
-// mailbox is one dispatch lane's unbounded queue: many senders, one
+// mailbox is one node's unbounded inbound queue: many senders, one
 // consumer at a time — whoever holds the dispatch token. Unboundedness
 // is load-bearing — see the package comment. The consumer drains in
 // batches: tryPopAll swaps the whole pending slice out under one lock
@@ -37,7 +37,7 @@ type mailbox struct {
 	// done is closed by close(); it wakes consumers permanently.
 	done chan struct{}
 
-	// token is the lane's dispatch token: a goroutine runs this lane's
+	// token is the node's dispatch token: a goroutine runs this node's
 	// handlers only while holding it. The pump takes it (blocking) before
 	// it pops and keeps it until the batch is delivered; a sender or a
 	// polling application thread may only TryLock it — see the package
@@ -55,10 +55,13 @@ func newMailbox() *mailbox {
 	}
 }
 
+// push queues it. After close the item is dropped and its payload
+// recycled: the fabric owns a payload from Send until a handler gets it.
 func (b *mailbox) push(it item) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
+		Recycle(it.msg.Payload)
 		return
 	}
 	b.q = append(b.q, it)
@@ -96,6 +99,40 @@ func (b *mailbox) tryPopAll(into []item) (batch []item, ok, closed bool) {
 	return into[:0], false, closed
 }
 
+// serve is one turn of the consumer loop: deliver what is pending, or
+// park until something may be. It reports false once the mailbox is
+// closed and drained.
+func (b *mailbox) serve(deliver func(m Msg, sent int64)) (live bool) {
+	// The token is taken before the pop and kept until the batch is
+	// delivered: a sender that finds the queue empty and the token free
+	// knows nothing of this node's is in flight ahead of it. Close drains
+	// through here too, so it also waits out a direct dispatch still
+	// running on the node.
+	b.token.Lock()
+	ok, closed := b.drain(deliver)
+	b.token.Unlock()
+	if !ok {
+		if closed {
+			return false
+		}
+		b.await(0)
+	}
+	return true
+}
+
+// drain pops everything pending and hands it to deliver in order,
+// reporting whether there was anything and, if not, whether the mailbox
+// is closed. The caller holds the token.
+func (b *mailbox) drain(deliver func(m Msg, sent int64)) (ok, closed bool) {
+	batch, ok, closed := b.tryPopAll(b.spare)
+	for i := range batch {
+		deliver(batch[i].msg, batch[i].sent)
+		batch[i] = item{} // drop payload references promptly
+	}
+	b.spare = batch
+	return ok, closed
+}
+
 // await blocks until new input may be pending, the mailbox is closed, or
 // — when d > 0 — the timeout elapses.
 func (b *mailbox) await(d time.Duration) {
@@ -127,3 +164,29 @@ func (b *mailbox) close() {
 	b.mu.Unlock()
 	close(b.done)
 }
+
+// Inbox is a node's mailbox and consumer loop for a transport that
+// receives off the wire (tcpnet): its readers Push, and one pump
+// goroutine Serves. It is the channel fabric's own mailbox — unbounded,
+// popped in batches, drained after Close — without direct dispatch:
+// Serve is its only consumer.
+type Inbox struct{ box *mailbox }
+
+// NewInbox returns an open, empty inbox.
+func NewInbox() *Inbox { return &Inbox{box: newMailbox()} }
+
+// Push queues m, stamped sent on the trace clock, for Serve. It never
+// blocks. After Close, m is dropped and its payload recycled.
+func (in *Inbox) Push(m Msg, sent int64) { in.box.push(item{msg: m, sent: sent}) }
+
+// Serve hands each queued message to deliver, one at a time in push
+// order, parks while the inbox is empty, and returns once Close has been
+// called and everything pushed before it has been delivered.
+func (in *Inbox) Serve(deliver func(m Msg, sent int64)) {
+	for in.box.serve(deliver) {
+	}
+}
+
+// Close makes later pushes drop and lets Serve return once it has
+// drained what is queued.
+func (in *Inbox) Close() { in.box.close() }

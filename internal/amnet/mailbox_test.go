@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// laneConsumer is a one-lane endpoint without a pump goroutine, so a test
-// can turn the pump's own loop body (serve) by hand and see every item
-// it delivers.
-func laneConsumer(onItem func(Msg)) (*chanEndpoint, *mailbox) {
+// consumer is an endpoint without a pump goroutine, so a test can turn
+// the pump's own loop body (serve) by hand and see every item it
+// delivers.
+func consumer(onItem func(Msg)) (*chanEndpoint, *mailbox) {
 	b := newMailbox()
-	e := &chanEndpoint{boxes: []*mailbox{b}}
+	e := &chanEndpoint{box: b}
 	e.Register(0, onItem)
 	return e, b
 }
@@ -53,7 +53,7 @@ func TestMailboxFIFOPerSenderUnderConcurrentPush(t *testing.T) {
 	const perSender = 2000
 	next := [senders]uint64{}
 	total := 0
-	e, b := laneConsumer(func(m Msg) {
+	e, b := consumer(func(m Msg) {
 		if m.A != next[m.Src] {
 			t.Errorf("sender %d out of order: got %d, want %d", m.Src, m.A, next[m.Src])
 		}
@@ -74,7 +74,7 @@ func TestMailboxFIFOPerSenderUnderConcurrentPush(t *testing.T) {
 		wg.Wait()
 		b.close()
 	}()
-	for e.serve(b) {
+	for b.serve(e.deliver) {
 	}
 	if total != senders*perSender {
 		t.Fatalf("drained %d items, want %d", total, senders*perSender)
@@ -83,20 +83,20 @@ func TestMailboxFIFOPerSenderUnderConcurrentPush(t *testing.T) {
 
 func TestMailboxCloseWhileNonEmptyDrains(t *testing.T) {
 	got := 0
-	e, b := laneConsumer(func(Msg) { got++ })
+	e, b := consumer(func(Msg) { got++ })
 	for i := 0; i < 5; i++ {
 		b.push(item{msg: Msg{A: uint64(i)}})
 	}
 	b.close()
-	if !e.serve(b) || got != 5 {
-		t.Fatalf("first turn after close delivered %d items; want 5 and a live lane", got)
+	if !b.serve(e.deliver) || got != 5 {
+		t.Fatalf("first turn after close delivered %d items; want 5 and a live mailbox", got)
 	}
-	if e.serve(b) {
+	if b.serve(e.deliver) {
 		t.Fatal("drained mailbox still live after close")
 	}
-	// Pushes after close are dropped, and the lane stays terminal.
+	// Pushes after close are dropped, and the mailbox stays terminal.
 	b.push(item{msg: Msg{A: 99}})
-	if e.serve(b) || got != 5 {
+	if b.serve(e.deliver) || got != 5 {
 		t.Fatalf("push after close was queued: %d items delivered", got)
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// BenchmarkPoolParallel measures Alloc/Recycle under concurrent pumps —
-// the access pattern sharded dispatch creates, where several lanes
-// recycle delivered payloads while application threads allocate send
-// buffers. The pool is a per-size-class sync.Pool, which keeps
+// BenchmarkPoolParallel measures Alloc/Recycle from concurrent
+// goroutines — a cluster's access pattern, where every node's pump (or a
+// sender dispatching its handlers directly) recycles delivered payloads
+// while application threads allocate send buffers. The pool is a per-size-class sync.Pool, which keeps
 // per-P caches, so this should scale rather than serialize on a lock;
 // the benchmark exists to catch a regression toward one (run with
 // -cpu 1,4 to see the contention curve).

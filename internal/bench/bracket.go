@@ -123,18 +123,10 @@ const (
 // elapsed wall and application-thread CPU time, and the number of
 // updates shipped.
 func bracketHitChurn(procs int, window time.Duration) (int, time.Duration, time.Duration, int64, error) {
-	return bracketHitChurnOpts(core.Options{Procs: procs, Registry: proto.NewRegistry()}, window)
-}
-
-// bracketHitChurnOpts is the churn measurement body, parameterized on
-// the full cluster options so the scaling sweep can run it with sharded
-// dispatch (scale.go).
-func bracketHitChurnOpts(opts core.Options, window time.Duration) (int, time.Duration, time.Duration, int64, error) {
-	procs := opts.Procs
 	if procs < 3 {
 		return 0, 0, 0, 0, fmt.Errorf("bench: bracket churn needs >=3 procs, got %d", procs)
 	}
-	cl, err := core.NewCluster(opts)
+	cl, err := core.NewCluster(core.Options{Procs: procs, Registry: proto.NewRegistry()})
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -290,7 +282,7 @@ func bracketMiss(ops int) (time.Duration, error) {
 }
 
 // bracketReps is how many times each fixed-work bracket measurement
-// runs; the best run is reported (cf. fabricReps). The fixed-time
+// runs; the best run is reported. The fixed-time
 // hit/churn measurement runs churnReps times and reports the median.
 const (
 	bracketReps = 3

@@ -37,10 +37,6 @@ type Config struct {
 	Turns    int
 	Protocol string // required: a library protocol, or "broken"
 	Policy   string // named fault policy; see Policies
-	// Lanes shards each processor's dispatch across the given number of
-	// pump lanes (core.Options.DispatchLanes). Zero keeps the classic
-	// single pump; the conformance invariants must hold either way.
-	Lanes int
 	// Coll forces the collective topology: "star", "tree", or ""/"auto"
 	// for the size-based default (core.Options.Coll.Topology). The
 	// conformance invariants must hold on every topology.
@@ -200,7 +196,6 @@ func Run(cfg Config) Report {
 		Procs:           cfg.Procs,
 		Registry:        reg,
 		DefaultProtocol: defaultProto,
-		DispatchLanes:   cfg.Lanes,
 		Coll:            coll,
 		Faults:          pol,
 		Adapt:           adapt,

@@ -61,10 +61,11 @@ func TestCollTopologyCells(t *testing.T) {
 	}
 }
 
-// TestCollLanesOverlap: sharded dispatch races one barrier generation's
-// release wave against the next generation's arrivals on different
-// lanes; the conformance invariants must hold with the tree topology
-// and aggregation both active on top of that.
+// TestCollLanesOverlap: under lossy faults one barrier generation's
+// release wave races the next generation's arrivals — each node's
+// handlers against its application thread's own tree arrival — and the
+// conformance invariants must hold with the tree topology and
+// aggregation both active on top of that.
 func TestCollLanesOverlap(t *testing.T) {
 	for _, protocol := range []string{"staticupdate", "update"} {
 		protocol := protocol
@@ -77,7 +78,6 @@ func TestCollLanesOverlap(t *testing.T) {
 				Protocol: protocol,
 				Policy:   "lossy",
 				Coll:     "tree",
-				Lanes:    4,
 			})
 			if rep.Err != nil {
 				t.Fatal(FormatReport(rep))

@@ -81,7 +81,6 @@ func RunRejoin(cfg RejoinConfig) Report {
 		Procs:           cfg.Procs,
 		Registry:        reg,
 		DefaultProtocol: cfg.Protocol,
-		DispatchLanes:   cfg.Lanes,
 		Faults:          pol,
 		SyncTimeout:     2 * time.Minute,
 	})
@@ -334,7 +333,6 @@ func RunMigrate(cfg MigrateConfig) Report {
 		Procs:           cfg.Procs,
 		Registry:        reg,
 		DefaultProtocol: cfg.Protocol,
-		DispatchLanes:   cfg.Lanes,
 		Faults:          pol,
 		SyncTimeout:     2 * time.Minute,
 	})

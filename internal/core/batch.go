@@ -18,9 +18,7 @@ import (
 // Ordering: an aggregated frame travels as one active message, so the
 // per-(sender, handler) FIFO the fabric guarantees applies to the frame
 // exactly as it applied to the individual pushes — every region record
-// in it is ordered, as a unit, against the sender's other traffic. Lane
-// keying is by source node, so a frame and the per-region messages it
-// replaces always dispatch on the same lane of the destination.
+// in it is ordered, as a unit, against the sender's other traffic.
 //
 // Wire format of a frame payload: repeated records of
 // [region id u64][data size u32][data], little-endian. The message

@@ -41,19 +41,6 @@ type Options struct {
 	// is set.
 	Latency time.Duration
 
-	// DispatchLanes, for the default in-process network, shards each
-	// processor's dispatch into the given number of pump lanes keyed by
-	// source node, so handlers for messages from different senders run
-	// on different cores (amnet.ChanConfig.Lanes). Zero or one keeps the
-	// classic single pump per processor. The runtime's own handlers are
-	// safe under sharding: per-sender FIFO is preserved by lane keying,
-	// and the handler-touched state that used to be pump-private
-	// (barrier arrivals, reduction accumulators, region lock queues) is
-	// locked. Ignored when Transport is set — put the lane count in the
-	// transport's own config (amnet.ChanConfig.Lanes, tcpnet.Config.Lanes)
-	// instead.
-	DispatchLanes int
-
 	// Trace, if non-nil, enables the observability layer (package
 	// trace): per-space operation counters and latency histograms,
 	// network send→deliver latency sampling, and — when Trace.Events is
@@ -211,7 +198,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	tr := opts.Transport
 	own := true
 	if tr == nil {
-		tr = amnet.ChanConfig{Latency: opts.Latency, Lanes: opts.DispatchLanes}
+		tr = amnet.ChanConfig{Latency: opts.Latency}
 	} else if _, fixed := tr.(amnet.FixedTransport); fixed {
 		// A pre-built network stays caller-owned.
 		own = false

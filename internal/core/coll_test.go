@@ -202,13 +202,14 @@ func TestTreeRootNotSerialized(t *testing.T) {
 	}
 }
 
-// TestTreeBarrierLaneOverlapStress: with sharded dispatch, arrivals for
-// generation g+1 race the release wave of generation g on different
-// lanes; the per-generation keying must keep them straight, and the
-// state tables must drain to empty when the run ends.
+// TestTreeBarrierLaneOverlapStress: arrivals for generation g+1 — the
+// children's, handled under each node's dispatch token, and the node's
+// own, folded in on its application thread — race the release wave of
+// generation g; the per-generation keying must keep them straight, and
+// the state tables must drain to empty when the run ends.
 func TestTreeBarrierLaneOverlapStress(t *testing.T) {
 	const procs, rounds = 8, 200
-	cl, err := NewCluster(Options{Procs: procs, DispatchLanes: 4, Coll: CollConfig{Topology: CollTree}})
+	cl, err := NewCluster(Options{Procs: procs, Coll: CollConfig{Topology: CollTree}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func (c *Ctx) NewWaiter() uint64 {
 //
 // Before parking, Wait polls its own endpoint once (direct-dispatch
 // fabrics only): a reply or an invalidation ack that had to be queued —
-// the lane was busy, or its handler declined because this thread held the
+// the node's token was busy, or its handler declined because this thread held the
 // engine — is delivered here, on the application thread, instead of
 // waiting for the pump to be scheduled. The engine is already released
 // and the thread holds no other lock, so it may run any handler.

@@ -13,7 +13,7 @@ import (
 // Proc is one logical processor's handle on the runtime. All methods are
 // called from the processor's single application thread (the SPMD model);
 // message handlers run on whichever goroutine holds the destination
-// lane's dispatch token (package amnet): the lane's pump, a sender
+// node's dispatch token (package amnet): the node's pump, a sender
 // dispatching directly, or the application thread polling from Ctx.Wait.
 //
 // Concurrency model (see DESIGN.md §5c for the full treatment). The former
@@ -32,15 +32,19 @@ import (
 //     thread and the handlers. barGen and collSeq are
 //     application-thread-private.
 //   - barMu protects the barrier arrival state (barArr, barTree) and
-//     accMu the reduction accumulators (collAcc). Both used to be
-//     pump-private; with sharded dispatch (Options.DispatchLanes,
-//     transport Lanes) handlers from different senders run concurrently,
-//     so the per-sender FIFO that lane keying preserves no longer
-//     implies whole-node handler serialization. The same goes for the
-//     region lock queue, guarded by Directory.lockMu. Completions are
-//     sent after the lock is released — a Send can block on transport
-//     backpressure, or run the destination's handler then and there, and
-//     arrival processing must not stall behind it.
+//     accMu the reduction accumulators (collAcc); Directory.lockMu
+//     guards each home's region lock queue. The dispatch token
+//     serializes the handlers that use them, but not the other code
+//     that does, none of which holds it: on the tree topology the
+//     application thread folds its own barrier arrival and reduction
+//     contribution into barTree and collAcc directly; after a peer loss
+//     purgeSyncState clears all three from a goroutine of its own (or
+//     Cluster.Revive's caller); and FreeSpace, MigrateHome and
+//     RestoreCheckpoint read or reset lock queues on the application
+//     thread. Completions are sent after the lock is released — a Send
+//     can block on transport backpressure, or run the destination's
+//     handler then and there, and arrival processing must not stall
+//     behind it.
 //   - spaceMu serializes space creation; lookup reads the atomic
 //     spaces snapshot and never locks.
 //   - Region.hot is the lock-free fast path: brackets on a region whose
@@ -92,10 +96,9 @@ type Proc struct {
 
 	// Barrier state. barGen counts this processor's barrier arrivals
 	// (application thread only); barArr (node 0 on the star topology,
-	// under barMu) maps generation to arrivals so far — arrival handlers
-	// from different senders run concurrently under sharded dispatch.
-	// On the tree topology barTree (every node, under barMu) holds each
-	// generation's subtree arrival state instead.
+	// under barMu) maps generation to arrivals so far. On the tree
+	// topology barTree (every node, under barMu) holds each generation's
+	// subtree arrival state instead.
 	barGen  uint64
 	barMu   sync.Mutex
 	barArr  map[uint64][]PendingReq
@@ -742,11 +745,12 @@ func (p *Proc) verifyCollective(tag string) error {
 }
 
 // registerHandlers installs the runtime's message handlers. A handler
-// runs on whichever goroutine holds its lane's dispatch token: a pump, a
+// runs on whichever goroutine holds its node's dispatch token: a pump, a
 // sender dispatching directly, or this processor's application thread
-// polling from Ctx.Wait (see package amnet). Under sharded dispatch
-// handlers for different senders also run concurrently; each takes only
-// the lock guarding the state it touches, so a directory transaction on
+// polling from Ctx.Wait (see package amnet). The token keeps one
+// processor's handlers from running concurrently with each other, but
+// not with its application thread, so each takes the lock guarding the
+// state it touches — and only that one, so a directory transaction on
 // one space never serializes against brackets, collectives, or other
 // spaces.
 //

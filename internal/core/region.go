@@ -222,9 +222,10 @@ type Directory struct {
 	PData any
 
 	// Lock state, managed by the runtime's default region lock. Under
-	// lockMu, a leaf lock: with sharded dispatch, lock and unlock
-	// requests from different senders are handled concurrently, and
-	// nothing else is acquired while it is held.
+	// lockMu, a leaf lock: the lock and unlock handlers share it with the
+	// peer-down purge and the application thread's FreeSpace, MigrateHome
+	// and RestoreCheckpoint, and nothing else is acquired while it is
+	// held.
 	lockMu     sync.Mutex
 	LockHolder amnet.NodeID // -1 when free
 	LockQueue  []lockWaiter

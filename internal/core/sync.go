@@ -55,8 +55,9 @@ const (
 // barrierArrive handles a barrier message. On the star topology it runs
 // only at processor 0 and collects arrivals; on the tree every node
 // folds subtree arrivals into its own generation state and propagates.
-// State is under barMu: with sharded dispatch, arrivals from different
-// processors are handled concurrently. Sends go out after barMu is
+// State is under barMu, which the handler shares with the application
+// thread's own arrival on the tree (treeBarEvent) and with the peer-down
+// purge, neither of which holds the dispatch token. Sends go out after barMu is
 // released — Send can block on transport backpressure, and a late
 // arrival for the next generation must not queue behind it.
 func (p *Proc) barrierArrive(m amnet.Msg) {
@@ -144,9 +145,9 @@ func (p *Proc) purgeSyncState() {
 // (own=true, carrying its waiter seq) or a child subtree's — into the
 // generation's state and, when the subtree is complete, propagates: up
 // to the parent, or into the release wave at the root. Generations are
-// keyed independently because they overlap under sharded dispatch: a
-// child's arrival for generation g+1 can be handled while generation
-// g's release is still fanning out. Propagation happens outside barMu.
+// keyed independently because they overlap: a subtree already released
+// from generation g can arrive for g+1 while g's release wave is still
+// fanning out elsewhere in the tree. Propagation happens outside barMu.
 func (p *Proc) treeBarEvent(gen uint64, own bool, seq uint64) {
 	root := p.treeParent < 0
 	p.barMu.Lock()
@@ -194,9 +195,10 @@ func (p *Proc) treeBarRelease(gen, seq uint64) {
 
 // lockRequest handles a region lock request at the region's home. The
 // directory's lock fields (LockHolder, LockQueue) are under the
-// directory's lockMu: with sharded dispatch, requests from different
-// processors are handled concurrently. The grant is sent after lockMu
-// is released.
+// directory's lockMu, which the handler shares with the peer-down purge
+// and the application thread's FreeSpace, MigrateHome and
+// RestoreCheckpoint. The
+// grant is sent after lockMu is released.
 func (p *Proc) lockRequest(m amnet.Msg) {
 	p.regMu.RLock()
 	r := p.regions.Get(RegionID(m.A))
@@ -263,9 +265,9 @@ const (
 )
 
 // collDeliver handles a collective message. The
-// reduction accumulator is under accMu — with sharded dispatch,
-// contributions from different processors are handled concurrently —
-// and the combine plus result fan-out happen after accMu is released:
+// reduction accumulator is under accMu — shared with the application
+// thread's own contribution on the tree (treeContribute) and with the
+// peer-down purge — and the combine plus result fan-out happen after accMu is released:
 // the final contributor owns the accumulator once it is deleted from
 // the table, and Send can block on transport backpressure.
 // collArrived takes collMu itself.

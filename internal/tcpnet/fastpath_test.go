@@ -1,50 +1,101 @@
 package tcpnet
 
 import (
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/acedsm/ace/internal/amnet"
 )
 
-func TestQueueBatchedPop(t *testing.T) {
-	q := newQueue()
-	const n = 64
-	for i := 0; i < n; i++ {
-		q.push(frame{msg: amnet.Msg{A: uint64(i)}})
+// TestEndpointIsNotDirectDispatcher guards against method promotion
+// from the shared inbox: a tcpnet endpoint must keep every message on
+// its pump, so it must not offer amnet's direct-dispatch surface.
+func TestEndpointIsNotDirectDispatcher(t *testing.T) {
+	nw, err := New(Loopback(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	batch, ok := q.popAll(nil)
-	if !ok {
-		t.Fatal("popAll reported closed")
-	}
-	if len(batch) != n {
-		t.Fatalf("batched pop returned %d frames, want %d in one swap", len(batch), n)
-	}
-	for i, f := range batch {
-		if f.msg.A != uint64(i) {
-			t.Fatalf("out of order at %d: got %d", i, f.msg.A)
-		}
+	defer nw.Close()
+	if _, ok := nw.Endpoints()[0].(amnet.DirectDispatcher); ok {
+		t.Fatal("tcpnet endpoint implements amnet.DirectDispatcher")
 	}
 }
 
-func TestQueueCloseWhileNonEmptyDrains(t *testing.T) {
-	q := newQueue()
-	for i := 0; i < 3; i++ {
-		q.push(frame{msg: amnet.Msg{A: uint64(i)}})
+// TestFrameAfterCloseIsRecycled: a frame pushed into a node's inbox after
+// Close is dropped with its payload returned to the buffer pool, so the
+// next Alloc of that size class can hand the same buffer out again.
+// sync.Pool may drop a Put (it does so at random under -race), hence
+// the retries: one reuse proves the recycle.
+func TestFrameAfterCloseIsRecycled(t *testing.T) {
+	nw, err := New(Loopback(1))
+	if err != nil {
+		t.Fatal(err)
 	}
-	q.close()
-	batch, ok := q.popAll(nil)
-	if !ok || len(batch) != 3 {
-		t.Fatalf("pop after close = %d frames, ok=%v; want 3, true", len(batch), ok)
+	nw.Close()
+	inbox := nw.(*network).eps[0].inbox
+	const size = 40 << 10 // a size class no other traffic here uses
+	for trial := 0; trial < 64; trial++ {
+		p := amnet.Alloc(size)
+		inbox.Push(amnet.Msg{Handler: 9, Payload: p}, 0)
+		if q := amnet.Alloc(size); &q[0] == &p[0] {
+			return
+		}
 	}
-	if _, ok := q.popAll(batch); ok {
-		t.Fatal("drained queue still reports frames after close")
+	t.Fatal("payload of a frame pushed after Close never came back from the pool")
+}
+
+// TestCloseUnderLoadLeaksNoGoroutines closes a mesh while senders are
+// still flooding it: every pump, reader, writer, probe and accept loop
+// must be gone afterwards, as amnet's TestCloseLeaksNoPumpGoroutines
+// demands of the channel fabric.
+func TestCloseUnderLoadLeaksNoGoroutines(t *testing.T) {
+	for round := 0; round < 3; round++ {
+		nw, err := New(Loopback(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps := nw.Endpoints()
+		var delivered atomic.Int64
+		for _, ep := range eps {
+			ep.Register(9, func(m amnet.Msg) {
+				amnet.Recycle(m.Payload)
+				delivered.Add(1)
+			})
+		}
+		var wg sync.WaitGroup
+		for src := range eps {
+			wg.Add(1)
+			go func(src int) {
+				defer wg.Done()
+				payload := make([]byte, 64)
+				for i := 0; i < 20000; i++ {
+					eps[src].Send(amnet.Msg{Dst: amnet.NodeID(i % len(eps)), Handler: 9, Payload: payload})
+				}
+			}(src)
+		}
+		for delivered.Load() < 1000 {
+			time.Sleep(time.Millisecond)
+		}
+		if err := nw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
 	}
-	// Pushes after close are dropped.
-	q.push(frame{msg: amnet.Msg{A: 9}})
-	if _, ok := q.popAll(nil); ok {
-		t.Fatal("push after close was queued")
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		if !strings.Contains(stacks, "tcpnet.(*") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("tcpnet goroutines outlived Close:\n%s", stacks)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

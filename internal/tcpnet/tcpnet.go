@@ -17,12 +17,9 @@
 // (amnet.Alloc/Recycle); a delivered Msg.Payload is owned by the
 // handler per the fabric's ownership contract.
 //
-// Dispatch can be sharded across cores: Config.Lanes splits each local
-// node's inbound queue into N lanes keyed by source node, each drained
-// by its own pump goroutine. Per-(sender, handler) FIFO is preserved —
-// one sender's frames always land in one lane — but handlers for
-// different senders may run concurrently (see the amnet package comment
-// for the contract this demands from handler code).
+// The receive path is the channel fabric's: each local node's readers
+// push decoded frames into one amnet.Inbox, and the node's pump serves
+// them to the handlers one at a time, in arrival order.
 //
 // Connections are supervised. Every data frame carries a per-link
 // sequence number and stays journaled on the sender until the receiver
@@ -43,7 +40,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,16 +100,6 @@ type Config struct {
 	// connection and a dead one enters the normal reconnect→peer-down
 	// path. Default 1s.
 	ProbeInterval time.Duration
-
-	// Lanes shards each local node's dispatch into this many pump
-	// goroutines keyed by source node (lane = src mod Lanes), so
-	// handlers for frames from different senders can run on different
-	// cores. One sender's frames always land in one lane, preserving
-	// per-(sender, handler) FIFO; whole-node handler serialization is
-	// given up, so handler state must tolerate concurrent invocations
-	// from distinct senders. Zero or one means the classic single pump
-	// per node; values above Nodes are clamped.
-	Lanes int
 }
 
 func (c Config) withDefaults() Config {
@@ -137,12 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = time.Second
-	}
-	if c.Lanes < 1 {
-		c.Lanes = 1
-	}
-	if c.Nodes > 0 && c.Lanes > c.Nodes {
-		c.Lanes = c.Nodes
 	}
 	return c
 }
@@ -233,13 +213,10 @@ func Listen(cfg Config) (*Node, error) {
 		ep := &endpoint{
 			id:       amnet.NodeID(id),
 			nw:       nw,
-			boxes:    make([]*queue, nw.cfg.Lanes),
+			inbox:    amnet.NewInbox(),
 			links:    make([]recvLink, cfg.Nodes),
 			downSent: make(map[amnet.NodeID]bool),
 			inbound:  make(map[net.Conn]struct{}),
-		}
-		for k := range ep.boxes {
-			ep.boxes[k] = newQueue()
 		}
 		nw.eps[i] = ep
 		nw.byID[id] = ep
@@ -316,10 +293,8 @@ func (nd *Node) Connect(addrs []string) (amnet.Network, error) {
 	// bootstrap) may begin decoding and acking.
 	nw.wire()
 	for _, ep := range nw.eps {
-		for lane := range ep.boxes {
-			nw.pumpWG.Add(1)
-			go ep.pump(&nw.pumpWG, lane)
-		}
+		nw.pumpWG.Add(1)
+		go ep.pump(&nw.pumpWG)
 	}
 	return nw, nil
 }
@@ -464,7 +439,7 @@ func (n *network) KillLink(src, dst int) {
 
 // Close tears the mesh down in dependency order: stop accepting, drain
 // and close every sender (closing its connection unblocks the remote
-// reader), wait for readers, then close the mailboxes so the pumps
+// reader), wait for readers, then close the inboxes so the pumps
 // exit.
 func (n *network) Close() error {
 	n.closed.Store(true)
@@ -506,11 +481,8 @@ func (n *network) Close() error {
 		}
 	}
 	for _, ep := range n.eps {
-		if ep == nil {
-			continue
-		}
-		for _, box := range ep.boxes {
-			box.close()
+		if ep != nil {
+			ep.inbox.Close()
 		}
 	}
 	n.pumpWG.Wait()
@@ -1008,10 +980,9 @@ type endpoint struct {
 	id  amnet.NodeID
 	nw  *network
 	out []*sender
-	// boxes holds one inbound frame queue per dispatch lane (a single
-	// element unless Config.Lanes sharded it), each drained by its own
-	// pump. Readers push into the lane of the frame's source node.
-	boxes    []*queue
+	// inbox holds the frames every reader decoded for this node until the
+	// pump delivers them.
+	inbox    *amnet.Inbox
 	handlers [amnet.MaxHandlers]amnet.Handler
 	stats    trace.NetStats
 	readers  sync.WaitGroup
@@ -1131,11 +1102,11 @@ func (e *endpoint) sendAck(src amnet.NodeID, n uint64) {
 func (e *endpoint) Stats() *trace.NetStats { return &e.stats }
 
 // addReader starts a goroutine decoding frames from one incoming
-// connection into the node's queue. Reads are buffered, and each
+// connection into the node's inbox. Reads are buffered, and each
 // payload lands in a pooled buffer owned by the eventual handler.
 // The dedup horizon (recvLink) outlives the connection: a replacement
 // reader after a reconnect drops the replayed frames the old one
-// already delivered, and pushes under the link lock so the mailbox
+// already delivered, and pushes under the link lock so the inbox
 // keeps per-link sequence order even if old and new briefly overlap.
 func (e *endpoint) addReader(conn net.Conn, src amnet.NodeID) {
 	e.inboundMu.Lock()
@@ -1160,7 +1131,6 @@ func (e *endpoint) addReader(conn net.Conn, src amnet.NodeID) {
 		}
 		br := bufio.NewReaderSize(conn, 64<<10)
 		link := &e.links[src]
-		box := e.boxes[int(src)%len(e.boxes)]
 		ackEvery := e.nw.cfg.AckEvery
 		for {
 			f, err := readFrame(br)
@@ -1196,7 +1166,7 @@ func (e *endpoint) addReader(conn net.Conn, src amnet.NodeID) {
 				continue
 			}
 			link.seen = f.seq
-			box.push(f)
+			e.inbox.Push(f.msg, f.sent)
 			link.sinceAck++
 			ackNow := link.sinceAck >= ackEvery || br.Buffered() == 0
 			var ackSeq uint64
@@ -1261,35 +1231,25 @@ func decodeHeader(hdr *[frameHeader]byte) (frame, int, error) {
 	return f, int(total) - (frameHeader - 4), nil
 }
 
-// pump drains one lane's queue in batches and dispatches its handlers,
-// one at a time: one lock/wake per burst instead of per message. With a
-// single lane this serializes all handlers on the node; with sharding it
-// serializes each sender's handlers while different lanes run in
-// parallel.
-func (e *endpoint) pump(wg *sync.WaitGroup, lane int) {
+// pump delivers the node's inbound frames once Start releases it, one
+// handler at a time in arrival order, until Close has closed the inbox
+// and the backlog is drained.
+func (e *endpoint) pump(wg *sync.WaitGroup) {
 	defer wg.Done()
 	<-e.nw.started // hold dispatch until handler registration finishes
-	box := e.boxes[lane]
-	var scratch []frame
-	for {
-		batch, ok := box.popAll(scratch)
-		if !ok {
-			return
-		}
-		for i := range batch {
-			f := &batch[i]
-			e.stats.ObserveDeliver(f.sent)
-			m := f.msg
-			e.countRecv(m)
-			h := e.handlers[m.Handler]
-			if h == nil {
-				panic(fmt.Sprintf("tcpnet: node %d: no handler %d", e.id, m.Handler))
-			}
-			h(m)
-			batch[i] = frame{} // drop payload references promptly
-		}
-		scratch = batch
+	e.inbox.Serve(e.deliver)
+}
+
+// deliver runs m's handler; sent is m's send stamp on the sender's
+// trace clock.
+func (e *endpoint) deliver(m amnet.Msg, sent int64) {
+	e.stats.ObserveDeliver(sent)
+	e.countRecv(m)
+	h := e.handlers[m.Handler]
+	if h == nil {
+		panic(fmt.Sprintf("tcpnet: node %d: no handler %d", e.id, m.Handler))
 	}
+	h(m)
 }
 
 func (e *endpoint) countSend(m amnet.Msg) {
@@ -1307,77 +1267,4 @@ type frame struct {
 	msg  amnet.Msg
 	sent int64
 	seq  uint64
-}
-
-// queue is an unbounded MPSC mailbox (the no-deadlock property of the
-// fabric depends on sends never blocking on the receiver). The pump
-// drains it with popAll, one lock acquisition per burst.
-type queue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []frame
-	closed bool
-}
-
-func newQueue() *queue {
-	q := &queue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// deepWater is the pending depth past which push starts yielding the
-// processor after each frame. The mailbox must stay unbounded for the
-// runtime's deadlock-freedom argument (handlers may send while every
-// peer's queue is deep), so readers are never blocked — but on a
-// loaded scheduler the readers can otherwise starve the pump for long
-// stretches, ballooning the queue and defeating the buffer pool.
-// Gosched is only a hint: liveness is unaffected.
-const deepWater = 1024
-
-func (q *queue) push(f frame) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		amnet.Recycle(f.msg.Payload)
-		return
-	}
-	q.items = append(q.items, f)
-	deep := len(q.items) >= deepWater
-	q.mu.Unlock()
-	q.cond.Signal()
-	// The deep-water yield only helps when reader and pump compete for
-	// one hardware context (where the scheduler can starve the pump for
-	// whole timeslices); with real cores available the pump runs in
-	// parallel and yielding just throttles the reader. The GOMAXPROCS
-	// read is two atomic loads — cheap enough to pay per deep event, and
-	// it tracks runtime.GOMAXPROCS changes (the scaling harness sweeps
-	// it) instead of freezing the startup value.
-	if deep && runtime.GOMAXPROCS(0) == 1 {
-		runtime.Gosched()
-	}
-}
-
-// popAll blocks until at least one frame is pending, then swaps the
-// whole pending slice with `into` (reset to length zero) and returns it.
-// ok is false only when the queue is closed and fully drained. The
-// caller owns the returned slice until it passes it back in.
-func (q *queue) popAll(into []frame) (batch []frame, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.items) == 0 {
-		return into[:0], false
-	}
-	batch = q.items
-	q.items = into[:0]
-	return batch, true
-}
-
-func (q *queue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
 }
