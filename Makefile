@@ -10,9 +10,9 @@ GO ?= go
 # room drains all share the stats and send-queue paths.
 RACE_PKGS = ./internal/trace ./internal/core ./internal/amnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway
 
-.PHONY: ci vet build test bench-test race bench bench-compare bench-smoke bench-allocs chaos-smoke cluster-smoke gate-smoke
+.PHONY: ci vet build test bench-test race bench-compare bench-allocs chaos-smoke cluster-smoke gate-smoke
 
-ci: vet build test bench-test race bench-smoke bench-allocs chaos-smoke cluster-smoke gate-smoke
+ci: vet build test bench-test race bench-allocs chaos-smoke cluster-smoke gate-smoke
 
 vet:
 	$(GO) vet ./...
@@ -36,17 +36,6 @@ bench-test:
 race:
 	$(GO) test -race -cpu 1,4 $(RACE_PKGS)
 
-# bench regenerates the committed benchmark artifacts: the bracket
-# overhead numbers and the bracket report (which keeps its embedded
-# pre-optimization baseline for the before/after comparison), plus the
-# collective and elastic reports. The fabric itself is measured by the
-# benchmark module's layer probes (benchmark/, make bench-compare).
-bench:
-	$(GO) test -bench BenchmarkBracket -benchmem -run '^$$' .
-	$(GO) run ./cmd/acebench -exp bracket -baseline BENCH_bracket.json -out BENCH_bracket.json
-	$(GO) run ./cmd/acebench -exp coll
-	$(GO) run ./cmd/acebench -exp elastic
-
 # bench-compare measures this tree against BASE by alternating runs of the
 # two builds, workload by workload, and prints the benchmark's own
 # -compare verdicts (see scripts/bench_compare.sh for ROUNDS, SECS, SEED).
@@ -54,23 +43,12 @@ bench-compare:
 	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev>" >&2; exit 2; }
 	bash scripts/bench_compare.sh $(BASE)
 
-# bench-smoke runs one small-scale pass of each artifact-writing
-# experiment so CI catches a stalled or asserting path without paying
-# for full measurements. Artifacts go to scratch paths so the committed
-# default-scale reports are not clobbered; the adaptive-convergence run
-# fails on any sc/adaptive checksum mismatch.
-bench-smoke:
-	$(GO) run ./cmd/acebench -exp adapt -scale small -out /tmp/acebench_adapt_smoke.json
-	$(GO) run ./cmd/acebench -exp coll -procs 4 -scale small -out /tmp/acebench_coll_smoke.json
-	$(GO) run ./cmd/acebench -exp elastic -procs 4 -scale small -out /tmp/acebench_elastic_smoke.json
-	$(GO) run ./cmd/acebench -exp gate -gate-sessions 400 -gate-rooms 16 -out /tmp/acebench_gate_smoke.json
-
 # chaos-smoke is the protocol-conformance stress gate: the fixed-seed
 # protocol × fault-policy matrix (seeds 1..3) via the package tests,
-# the collective topology × aggregation cells (tree/star, agg on/off,
-# star-vs-tree bit-identical reductions), the
-# elastic cells (checkpoint/kill/rejoin drills, MigrateHome
-# mid-workload, the broken-rejoin double), plus race-enabled cells: the
+# the collective topology cells (tree/star, star-vs-tree bit-identical
+# reductions), the elastic cells (checkpoint/kill/rejoin drills,
+# MigrateHome mid-workload, the broken-rejoin double), plus race-enabled
+# cells: the
 # nastiest matrix policy, one rejoin drill, and the MigrateHome-vs-
 # bracket-fast-path stress. Fixed seeds keep it deterministic. The
 # space-churn cells cover the lifecycle itself: waves of collective

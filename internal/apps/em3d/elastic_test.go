@@ -11,7 +11,8 @@ import (
 )
 
 // runElastic executes RunElastic on a fresh cluster, collecting each
-// processor's latest saved checkpoint, and returns proc 0's result.
+// processor's latest saved checkpoint, and returns proc 0's result with
+// the cluster's message total in Msgs.
 func runElastic(t *testing.T, procs int, cfg em3d.Config, el em3d.ElasticConfig,
 	saved map[int]*core.Checkpoint) apputil.Result {
 	t.Helper()
@@ -52,6 +53,7 @@ func runElastic(t *testing.T, procs int, cfg em3d.Config, el em3d.ElasticConfig,
 	if err != nil {
 		t.Fatal(err)
 	}
+	res.Msgs = cl.Metrics().Net.MsgsSent
 	return res
 }
 
@@ -74,7 +76,8 @@ func TestElasticMatchesPlainRun(t *testing.T) {
 // claim in miniature: run to completion saving checkpoints, then start
 // a brand-new cluster, restore each processor's last checkpoint, replay
 // the remaining steps, and land on a bit-identical checksum — after a
-// round trip through the serialized checkpoint format.
+// round trip through the serialized checkpoint format — for fewer
+// messages than the full run (replay is bounded by the checkpoint).
 func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 	for _, protoName := range []string{"", "staticupdate", "update"} {
 		cfg := smallCfg()
@@ -98,6 +101,9 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 		got := runElastic(t, 4, cfg, em3d.ElasticConfig{Resume: &core.Checkpoint{}}, saved)
 		if got.Checksum != base.Checksum {
 			t.Errorf("proto %q: resumed checksum %v != full run %v", protoName, got.Checksum, base.Checksum)
+		}
+		if got.Msgs >= base.Msgs {
+			t.Errorf("proto %q: resumed run sent %d msgs, full run %d", protoName, got.Msgs, base.Msgs)
 		}
 	}
 }

@@ -94,3 +94,23 @@ func TestBadConfigs(t *testing.T) {
 		}
 	}
 }
+
+// TestPushAggregationCoalesces: barrier-time pushes bound for one
+// destination travel as one frame. Each record in a frame is a message
+// the per-region wire path would have sent (and acked) on its own, so
+// at least two records per frame means at least 2× fewer coherence
+// messages per step than that path.
+func TestPushAggregationCoalesces(t *testing.T) {
+	for _, protoName := range []string{"staticupdate", "update"} {
+		cfg := em3d.DefaultConfig()
+		cfg.Proto = protoName
+		o, err := bench.RunAceObserved(8, func(rt rtiface.RT) (apputil.Result, error) { return em3d.Run(rt, cfg) }, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := o.Metrics.Coll
+		if c.AggFrames == 0 || c.AggRegions < 2*c.AggFrames {
+			t.Errorf("%s: %d frames carried %d region records, want >= 2 per frame", protoName, c.AggFrames, c.AggRegions)
+		}
+	}
+}

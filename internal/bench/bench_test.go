@@ -6,6 +6,7 @@ import (
 	"github.com/acedsm/ace/internal/apps/apputil"
 	"github.com/acedsm/ace/internal/apps/bsc"
 	"github.com/acedsm/ace/internal/apps/tsp"
+	"github.com/acedsm/ace/internal/core"
 	"github.com/acedsm/ace/internal/rtiface"
 )
 
@@ -71,6 +72,38 @@ func TestFig7bTrafficShape(t *testing.T) {
 	// assert only that the custom run stays correct and bounded.
 	if r := byApp["tsp"]; r.Opt.Msgs == 0 {
 		t.Errorf("tsp: no traffic recorded for atomic counter run")
+	}
+}
+
+// TestAdaptiveMatchesSC: every fig-7b benchmark started on sc with the
+// online protocol controller enabled computes the controller-off
+// answer, and em3d — whose producer-consumer pattern is in the
+// controller's target set — gets switched at least once on the way.
+func TestAdaptiveMatchesSC(t *testing.T) {
+	w := WorkloadsFor(ScaleSmall, 4)
+	// Benchmark-length tuning: tens of barriers per run, so short
+	// epochs and eager switching; MinOps keeps idle phases from feeding
+	// the streak.
+	cfg := &core.AdaptConfig{EpochBarriers: 2, Hysteresis: 2, Cooldown: 1, MinOps: 8}
+	for _, a := range apps(w, false) {
+		sc, err := RunAce(w.Procs, a.fn)
+		if err != nil {
+			t.Fatalf("%s (sc): %v", a.name, err)
+		}
+		ad, err := RunAceAdaptive(w.Procs, a.fn, cfg)
+		if err != nil {
+			t.Fatalf("%s (adaptive): %v", a.name, err)
+		}
+		if !checksumsMatch(sc.Checksum, ad.Result.Checksum) {
+			t.Errorf("%s: adaptive checksum %v, sc %v", a.name, ad.Result.Checksum, sc.Checksum)
+		}
+		var switches uint64
+		for _, s := range ad.Metrics.Adapt {
+			switches += s.Switches
+		}
+		if a.name == "em3d" && switches == 0 {
+			t.Errorf("em3d: controller made no switch")
+		}
 	}
 }
 

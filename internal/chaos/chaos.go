@@ -41,10 +41,6 @@ type Config struct {
 	// for the size-based default (core.Options.Coll.Topology). The
 	// conformance invariants must hold on every topology.
 	Coll string
-	// NoAgg disables per-destination protocol push aggregation, pinning
-	// the update-family protocols to their per-region reference wire
-	// path (core.CollConfig.NoAggregation).
-	NoAgg bool
 }
 
 // Report is the outcome of one run. Err is nil on success; on failure
@@ -150,9 +146,6 @@ func Run(cfg Config) Report {
 	if cfg.Coll != "" {
 		replay += " -chaos-coll " + cfg.Coll
 	}
-	if cfg.NoAgg {
-		replay += " -chaos-noagg"
-	}
 	rep := Report{
 		Protocol: cfg.Protocol,
 		Policy:   cfg.Policy,
@@ -164,7 +157,7 @@ func Run(cfg Config) Report {
 		rep.Err = err
 		return rep
 	}
-	coll := core.CollConfig{NoAggregation: cfg.NoAgg}
+	var coll core.CollConfig
 	switch cfg.Coll {
 	case "", "auto":
 		coll.Topology = core.CollAuto

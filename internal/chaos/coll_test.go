@@ -9,28 +9,24 @@ import (
 	"github.com/acedsm/ace/internal/core"
 )
 
-// collCells are the topology/aggregation configurations the collective
-// conformance gate pins, alongside the matrix's default-auto runs: the
-// tree topology with and without push aggregation (above the star
-// cutoff, so the tree is actually forced into use by size too), and the
-// star explicitly forced with aggregation on (small cluster, so auto
-// would also pick star — the point is the aggregated push path on the
-// reference topology).
+// collCells are the topology configurations the collective conformance
+// gate pins, alongside the matrix's default-auto runs: the tree above the
+// star cutoff (so size alone would pick it too) and the star explicitly
+// forced on a small cluster (where auto would also pick it — the point
+// is the aggregated push path on the reference topology).
 var collCells = []struct {
 	name  string
 	coll  string
-	noAgg bool
 	procs int
 }{
-	{"tree+agg", "tree", false, 5},
-	{"tree+noagg", "tree", true, 5},
-	{"star+agg", "star", false, 4},
+	{"tree+agg", "tree", 5},
+	{"star+agg", "star", 4},
 }
 
 // TestCollTopologyCells runs the update-family protocols (the ones with
-// batched push paths) plus the plain-default writethrough through the
-// conformance schedule on every pinned topology/aggregation cell, under
-// the clean, lossy and partitioned policies.
+// batched push paths) plus writethrough through the conformance
+// schedule on every pinned topology cell, under the clean, lossy and
+// partitioned policies.
 func TestCollTopologyCells(t *testing.T) {
 	seeds := []int64{1, 2}
 	if testing.Short() {
@@ -49,7 +45,6 @@ func TestCollTopologyCells(t *testing.T) {
 							Protocol: protocol,
 							Policy:   policy,
 							Coll:     cell.coll,
-							NoAgg:    cell.noAgg,
 						})
 						if rep.Err != nil {
 							t.Fatal(FormatReport(rep))
@@ -64,7 +59,7 @@ func TestCollTopologyCells(t *testing.T) {
 // TestCollLanesOverlap: under lossy faults one barrier generation's
 // release wave races the next generation's arrivals — each node's
 // handlers against its application thread's own tree arrival — and the
-// conformance invariants must hold with the tree topology and
+// conformance invariants must hold with the tree topology and push
 // aggregation both active on top of that.
 func TestCollLanesOverlap(t *testing.T) {
 	for _, protocol := range []string{"staticupdate", "update"} {
@@ -96,13 +91,13 @@ func TestCollUnknownTopologyRejected(t *testing.T) {
 }
 
 // TestCollReplayCarriesFlags: the replay command of a topology-forced
-// run must reproduce the topology and aggregation setting.
+// run must reproduce the topology.
 func TestCollReplayCarriesFlags(t *testing.T) {
-	rep := Run(Config{Seed: 3, Protocol: "broken", Coll: "tree", NoAgg: true})
+	rep := Run(Config{Seed: 3, Protocol: "broken", Coll: "tree"})
 	if rep.Err == nil {
 		t.Fatal("broken protocol passed")
 	}
-	for _, want := range []string{"-chaos-coll tree", "-chaos-noagg", "-chaos-seed 3"} {
+	for _, want := range []string{"-chaos-coll tree", "-chaos-seed 3"} {
 		if !strings.Contains(rep.Replay, want) {
 			t.Errorf("replay %q missing %q", rep.Replay, want)
 		}

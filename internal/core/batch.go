@@ -47,12 +47,6 @@ func (c *Ctx) NewBatcher(sp *Space, verb uint64) *ProtoBatcher {
 	return &ProtoBatcher{sp: sp, verb: verb, bufs: make(map[amnet.NodeID]*batchBuf)}
 }
 
-// Aggregating reports whether the cluster runs with protocol push
-// aggregation enabled (Options.Coll.NoAggregation unset). Protocols
-// with batchable push paths consult it and pick the frame or the
-// per-region wire path; the answer is fixed for the cluster's lifetime.
-func (c *Ctx) Aggregating() bool { return c.p.cl.agg }
-
 // Add appends r's contents to the frame pending for dst.
 func (b *ProtoBatcher) Add(dst amnet.NodeID, r *Region) {
 	bb := b.bufs[dst]

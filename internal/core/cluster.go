@@ -75,10 +75,9 @@ type Options struct {
 	SyncTimeout time.Duration
 
 	// Coll tunes the collective substrate: the topology of the built-in
-	// collectives (barrier, all-reduce, broadcast) and the
-	// per-destination aggregation of protocol push traffic. The zero
-	// value selects automatically: star topology up to collStarMax
-	// processors, binomial tree above, aggregation on.
+	// collectives (barrier, all-reduce, broadcast). The zero value
+	// selects automatically: star topology up to collStarMax processors,
+	// binomial tree above.
 	Coll CollConfig
 }
 
@@ -87,12 +86,6 @@ type CollConfig struct {
 	// Topology selects the collective communication shape. CollAuto
 	// (the zero value) picks by cluster size.
 	Topology CollTopology
-	// NoAggregation disables per-destination coalescing of barrier-time
-	// protocol pushes (see ProtoBatcher): every push then travels as its
-	// own message, as the update-family protocols did before aggregation
-	// existed. It is the baseline switch for BENCH_coll's unaggregated
-	// rows and for conformance diffing.
-	NoAggregation bool
 }
 
 // CollTopology selects how the built-in collectives route.
@@ -139,11 +132,9 @@ type Cluster struct {
 	// maintain the per-home traffic counters the trigger consumes.
 	migrate bool
 
-	// collTree and agg are the resolved collective configuration:
-	// whether the built-in collectives route through the binomial tree,
-	// and whether protocol push aggregation is on.
+	// collTree is the resolved collective configuration: whether the
+	// built-in collectives route through the binomial tree.
 	collTree bool
-	agg      bool
 
 	// adapt is the normalized controller configuration (nil when
 	// adaptation is off); adaptTargets maps each advertised access
@@ -238,7 +229,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		}
 		return nil, fmt.Errorf("core: unknown collective topology %d", opts.Coll.Topology)
 	}
-	c.agg = !opts.Coll.NoAggregation
 	if opts.Adapt != nil {
 		c.adapt = opts.Adapt
 		c.adaptTargets = adaptTargetTable(reg)

@@ -119,12 +119,12 @@ func SelfInvalidate(ctx *core.Ctx, sp *core.Space) {
 // ---------------------------------------------------------------------
 
 // WriteThroughInfo returns the registry entry for the write-through
-// protocol: every completed write section ships the region home
-// asynchronously (split-phase, drained at barriers); readers pull on
-// demand and self-invalidate at barriers. It suits data with scattered
-// writers and phase-structured readers — a simpler cousin of the dynamic
-// update protocol for cases with few readers, where pushing updates to
-// sharers would waste bandwidth.
+// protocol: every completed write section ships the region home at the
+// next synchronization point (split-phase, drained at barriers); readers
+// pull on demand and self-invalidate at barriers. It suits data with
+// scattered writers and phase-structured readers — a simpler cousin of
+// the dynamic update protocol for cases with few readers, where pushing
+// updates to sharers would waste bandwidth.
 func WriteThroughInfo() core.Info {
 	return core.Info{
 		Name:        "writethrough",
@@ -140,22 +140,22 @@ func WriteThroughInfo() core.Info {
 // Protocol verbs.
 const (
 	wtFetch uint64 = iota + 1 // reader → home: pull contents
-	wtStore                   // writer → home: install contents (payload)
-	wtAck                     // home → writer: installed
+	wtStore                   // writer → home frame: install contents
+	wtAck                     // home → writer: frame installed
 )
 
 type writeThrough struct {
 	core.Base
 	fetch Fetcher
 	drain Drain
-	// Aggregated path (ctx.Aggregating()): EndWrite marks the region
-	// dirty and the store ships at the next synchronization point as one
-	// wtStore frame per home, each acknowledged once.
+	// EndWrite marks the region dirty and the store ships at the next
+	// synchronization point as one wtStore frame per home, each
+	// acknowledged once.
 	dirty []*core.Region
 	batch *core.ProtoBatcher
 }
 
-// wtFlagDirty marks a region on the aggregated path's dirty list.
+// wtFlagDirty marks a region on the dirty list.
 const wtFlagDirty = 1 << 0
 
 func newWriteThrough() *writeThrough {
@@ -182,28 +182,21 @@ func (w *writeThrough) StartWrite(ctx *core.Ctx, r *core.Region) {
 	r.State = duValid
 }
 
-// EndWrite ships the contents home, split-phase — immediately on the
-// per-region wire path, or deferred to the next synchronization point
-// on the aggregated path (stores bound for the same home coalesce into
-// one frame; mid-phase readers see the pre-write value, which the
-// protocol's barrier-scoped read validity permits).
+// EndWrite queues the contents for home, split-phase: the store ships at
+// the next synchronization point, coalesced with every other store bound
+// for the same home (mid-phase readers see the pre-write value, which
+// the protocol's barrier-scoped read validity permits).
 func (w *writeThrough) EndWrite(ctx *core.Ctx, r *core.Region) {
 	if r.IsHome() {
 		return
 	}
-	if ctx.Aggregating() {
-		if r.Flags&wtFlagDirty == 0 {
-			r.Flags |= wtFlagDirty
-			w.dirty = append(w.dirty, r)
-		}
-		return
+	if r.Flags&wtFlagDirty == 0 {
+		r.Flags |= wtFlagDirty
+		w.dirty = append(w.dirty, r)
 	}
-	w.drain.Add(1)
-	ctx.SendProto(r.Home, uint64(r.ID), 0, wtStore, uint64(r.Space.ID), r.Data)
 }
 
-// shipDirty flushes the aggregated path's dirty regions as one wtStore
-// frame per home.
+// shipDirty flushes the dirty regions as one wtStore frame per home.
 func (w *writeThrough) shipDirty(ctx *core.Ctx, sp *core.Space) {
 	if len(w.dirty) == 0 {
 		return
@@ -219,10 +212,9 @@ func (w *writeThrough) shipDirty(ctx *core.Ctx, sp *core.Space) {
 	w.drain.Add(w.batch.Flush(ctx, nil))
 }
 
-// DeliverBatch installs one writer's aggregated stores and acks the
-// frame once. Stores apply unconditionally, exactly like the per-region
-// wtStore path (last writer wins; the protocol does not defer at the
-// home).
+// DeliverBatch installs one writer's stores and acks the frame once.
+// Stores apply unconditionally (last writer wins; the protocol does not
+// defer at the home).
 func (w *writeThrough) DeliverBatch(ctx *core.Ctx, sp *core.Space, src amnet.NodeID, verb, tag uint64, recs []core.BatchRecord) {
 	if verb != wtStore {
 		panic(fmt.Sprintf("proto: writethrough: bad batch verb %d", verb))
@@ -264,8 +256,8 @@ func (w *writeThrough) MigrateRegion(ctx *core.Ctx, r *core.Region, oldHome, new
 
 // FastBits: every bracket routine early-returns at the home (stores land
 // there directly), so home brackets of both kinds are hit-eligible. A
-// remote copy supports fast reads once valid; remote writes always ship
-// a wtStore from EndWrite and stay on the slow path.
+// remote copy supports fast reads once valid; remote writes always put
+// the region on the dirty list from EndWrite and stay on the slow path.
 func (w *writeThrough) FastBits(r *core.Region) core.FastBits {
 	if r.IsHome() {
 		return core.FastRead | core.FastWrite
@@ -280,12 +272,6 @@ func (w *writeThrough) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Region, m 
 	switch m.C {
 	case wtFetch:
 		w.fetch.Serve(ctx, r, m)
-	case wtStore:
-		if r == nil || !r.IsHome() {
-			panic(fmt.Sprintf("proto: writethrough: store off-home for %v", core.RegionID(m.A)))
-		}
-		copy(r.Data, m.Payload)
-		ctx.SendProto(m.Src, m.A, 0, wtAck, m.D, nil)
 	case wtAck:
 		w.drain.Ack(ctx)
 	default:

@@ -10,11 +10,12 @@ import (
 // UpdateInfo returns the registry entry for the dynamic update protocol.
 //
 // Writers do not acquire exclusive ownership: a completed write section
-// ships the region's contents to the home, which applies them and forwards
-// the update to every registered sharer. Reads hit the continuously
-// updated local copy after a single cold fetch. A barrier drains the
-// processor's outstanding updates (each is acknowledged once every sharer
-// has applied it), so classic phase-parallel programs keep their meaning.
+// marks the region dirty, and the next barrier ships its contents to the
+// home, which applies them and forwards the update to every registered
+// sharer. Reads hit the continuously updated local copy after a single
+// cold fetch. A barrier drains the processor's outstanding updates (each
+// is acknowledged once every sharer has applied it), so classic
+// phase-parallel programs keep their meaning.
 //
 // The protocol assumes writes to a region do not race (one writer per
 // region at a time, e.g. by ownership convention or phase structure);
@@ -44,45 +45,37 @@ const (
 	duValid
 )
 
-// Protocol verbs.
+// Protocol verbs. duWrite and duPush travel only as aggregated frames
+// (DeliverBatch); their acks are space-level.
 const (
 	duRead    uint64 = iota + 1 // remote → home: register sharer, fetch data (B=seq)
-	duWrite                     // writer → home: apply and propagate (payload=data)
-	duPush                      // home → sharer: apply update (B=tag, payload=data)
-	duPushAck                   // sharer → home: update applied (B=tag)
-	duAck                       // home → writer: update fully propagated
+	duWrite                     // writer → home frame: apply and propagate
+	duPush                      // home → sharer frame: apply updates (B=tag)
+	duPushAck                   // sharer → home: push frame applied (B=tag)
+	duAck                       // home → writer: writer frame fully propagated
 )
 
 // updateProto is the per-(space, processor) instance.
 type updateProto struct {
 	core.Base
-	outstanding int    // updates/frames this processor has shipped but not had acknowledged
+	outstanding int    // frames this processor has shipped but not had acknowledged
 	drainSeq    uint64 // waiter blocked in Barrier/FlushSpace, 0 if none
 	nextTag     uint64
-	xacts       map[uint64]duXact // home side: in-flight per-region propagations by tag
 
-	// Aggregated path (ctx.Aggregating()): writes mark their region
-	// dirty (duFlagDirty) and ship at the next barrier as one duWrite
-	// frame per home; the home fans each inbound frame's updates out as
-	// one duPush frame per sharer. fxs maps a push frame's tag to the
-	// writer-frame transaction it belongs to.
+	// Writes mark their region dirty (duFlagDirty) and ship at the next
+	// barrier as one duWrite frame per home; the home fans each inbound
+	// frame's updates out as one duPush frame per sharer. fxs maps a push
+	// frame's tag to the writer-frame transaction it belongs to.
 	dirty []*core.Region
 	batch *core.ProtoBatcher // writer -> home duWrite frames
 	push  *core.ProtoBatcher // home -> sharer duPush frames
 	fxs   map[uint64]*duFrameXact
 }
 
-// duFlagDirty marks a region on the aggregated path's dirty list. A
-// Flags bit, not PState: a sharer that writes can simultaneously hold a
-// deferred inbound push there.
+// duFlagDirty marks a region on the dirty list. A Flags bit, not PState:
+// a sharer that writes can simultaneously hold a deferred inbound push
+// there.
 const duFlagDirty = 1 << 0
-
-// duXact tracks one per-region update propagation at the home
-// (unaggregated wire path).
-type duXact struct {
-	writer   amnet.NodeID
-	acksLeft int
-}
 
 // duFrameXact tracks one inbound writer frame at the home: regions not
 // yet applied (deferred under an open home section) plus propagated
@@ -98,8 +91,7 @@ type duFrameXact struct {
 // itself holds the region in an open section.
 type duHome struct {
 	pendingApply [][]byte          // update payloads awaiting application
-	applySrc     []amnet.NodeID    // their writers
-	applyFx      []*duFrameXact    // owning frame transaction, nil for per-region updates
+	applyFx      []*duFrameXact    // their writer frames' transactions
 	pendingReads []core.PendingReq // sharer fetches awaiting a quiet region
 }
 
@@ -107,8 +99,7 @@ type duHome struct {
 // local processor holds the region in an open section.
 type duPend struct {
 	payload []byte
-	tags    []uint64       // per-region pushes to ack (unaggregated wire path)
-	frames  []*duPushFrame // aggregated push frames this region holds up
+	frames  []*duPushFrame // push frames this region holds up
 }
 
 // duPushFrame tracks one partially-deferred inbound push frame on a
@@ -124,7 +115,6 @@ type duPushFrame struct {
 func (u *updateProto) Name() string { return "update" }
 
 func (u *updateProto) InitSpace(ctx *core.Ctx, sp *core.Space) {
-	u.xacts = make(map[uint64]duXact)
 	u.fxs = make(map[uint64]*duFrameXact)
 }
 
@@ -154,25 +144,16 @@ func (u *updateProto) EndRead(ctx *core.Ctx, r *core.Region) {
 	u.sectionEnd(ctx, r)
 }
 
+// EndWrite marks the region dirty; the write ships at the next barrier,
+// coalesced with every other write bound for the same home (shipDirty).
+// Mid-phase remote readers see the pre-write value — the protocol's
+// phase contract only validates reads across barriers, where the frame
+// has drained.
 func (u *updateProto) EndWrite(ctx *core.Ctx, r *core.Region) {
-	if ctx.Aggregating() {
-		// Mark dirty; the write ships at the next barrier, coalesced
-		// with every other write bound for the same home (shipDirty).
-		// Mid-phase remote readers see the pre-write value — the
-		// protocol's phase contract only validates reads across
-		// barriers, where the frame has drained.
-		if r.Flags&duFlagDirty == 0 {
-			r.Flags |= duFlagDirty
-			u.dirty = append(u.dirty, r)
-		}
-		u.sectionEnd(ctx, r)
-		return
+	if r.Flags&duFlagDirty == 0 {
+		r.Flags |= duFlagDirty
+		u.dirty = append(u.dirty, r)
 	}
-	// Ship the completed write to the home for application and
-	// propagation. The home is included via a self-send so deferral
-	// logic is uniform.
-	u.outstanding++
-	ctx.SendProto(r.Home, uint64(r.ID), 0, duWrite, uint64(r.Space.ID), r.Data)
 	u.sectionEnd(ctx, r)
 }
 
@@ -189,9 +170,6 @@ func (u *updateProto) sectionEnd(ctx *core.Ctx, r *core.Region) {
 		r.PState = nil
 		copy(r.Data, pend.payload)
 		r.State = duValid
-		for _, tag := range pend.tags {
-			ctx.SendProto(r.Home, uint64(r.ID), tag, duPushAck, uint64(r.Space.ID), nil)
-		}
 		for _, pf := range pend.frames {
 			pf.left--
 			if pf.left == 0 {
@@ -202,10 +180,9 @@ func (u *updateProto) sectionEnd(ctx *core.Ctx, r *core.Region) {
 }
 
 // homeDrain applies queued updates and serves queued fetches at the home
-// once the region is quiet. Deferred records of an aggregated writer
-// frame (applyFx non-nil) propagate under their frame's transaction;
-// the degenerate one-region push frames this produces are still correct
-// — deferral at the home is the rare path.
+// once the region is quiet. Each deferred record propagates under its
+// writer frame's transaction; the degenerate one-region push frames this
+// produces are still correct — deferral at the home is the rare path.
 func (u *updateProto) homeDrain(ctx *core.Ctx, r *core.Region) {
 	h, _ := r.Dir.PData.(*duHome)
 	if h == nil {
@@ -213,17 +190,14 @@ func (u *updateProto) homeDrain(ctx *core.Ctx, r *core.Region) {
 	}
 	sp := r.Space
 	for i, payload := range h.pendingApply {
-		if fx := h.applyFx[i]; fx != nil {
-			copy(r.Data, payload)
-			u.propagate(ctx, r, h.applySrc[i])
-			u.flushPush(ctx, sp, fx)
-			fx.regions--
-			u.frameDone(ctx, sp, fx)
-			continue
-		}
-		u.applyUpdate(ctx, r, h.applySrc[i], payload)
+		fx := h.applyFx[i]
+		copy(r.Data, payload)
+		u.propagate(ctx, r, fx.writer)
+		u.flushPush(ctx, sp, fx)
+		fx.regions--
+		u.frameDone(ctx, sp, fx)
 	}
-	h.pendingApply, h.applySrc, h.applyFx = nil, nil, nil
+	h.pendingApply, h.applyFx = nil, nil
 	reads := h.pendingReads
 	h.pendingReads = nil
 	for _, req := range reads {
@@ -232,34 +206,16 @@ func (u *updateProto) homeDrain(ctx *core.Ctx, r *core.Region) {
 	}
 }
 
-// applyUpdate installs an update at the home and propagates it to sharers.
-func (u *updateProto) applyUpdate(ctx *core.Ctx, r *core.Region, writer amnet.NodeID, payload []byte) {
-	copy(r.Data, payload)
-	targets := r.Dir.Sharers
-	targets.Remove(writer)
-	if targets.Empty() {
-		ctx.SendProto(writer, uint64(r.ID), 0, duAck, uint64(r.Space.ID), nil)
-		return
-	}
-	u.nextTag++
-	tag := u.nextTag
-	u.xacts[tag] = duXact{writer: writer, acksLeft: targets.Count()}
-	targets.ForEach(func(n amnet.NodeID) {
-		ctx.SendProto(n, uint64(r.ID), tag, duPush, uint64(r.Space.ID), payload)
-	})
-}
-
 func (u *updateProto) Barrier(ctx *core.Ctx, sp *core.Space) {
 	u.shipDirty(ctx, sp)
 	u.drain(ctx)
 	ctx.DefaultBarrier()
 }
 
-// shipDirty ships the aggregated path's dirty regions: one duWrite
-// frame per remote home (one duAck each), plus direct application for
-// regions homed here, whose sharer fan-out rides push frames bound to a
-// local writer-frame transaction. No-op when nothing is dirty (and
-// always on the unaggregated path, whose EndWrite ships immediately).
+// shipDirty ships the dirty regions: one duWrite frame per remote home
+// (one duAck each), plus direct application for regions homed here,
+// whose sharer fan-out rides push frames bound to a local writer-frame
+// transaction. No-op when nothing is dirty.
 func (u *updateProto) shipDirty(ctx *core.Ctx, sp *core.Space) {
 	if len(u.dirty) == 0 {
 		return
@@ -331,7 +287,7 @@ func (u *updateProto) frameDone(ctx *core.Ctx, sp *core.Space, fx *duFrameXact) 
 	u.ackOne(ctx)
 }
 
-// ackOne retires one outstanding update/frame, waking a blocked drain.
+// ackOne retires one outstanding frame, waking a blocked drain.
 func (u *updateProto) ackOne(ctx *core.Ctx) {
 	u.outstanding--
 	if u.outstanding == 0 && u.drainSeq != 0 {
@@ -341,7 +297,7 @@ func (u *updateProto) ackOne(ctx *core.Ctx) {
 	}
 }
 
-// DeliverBatch handles the two aggregated frame kinds. A duWrite frame
+// DeliverBatch handles the two frame kinds. A duWrite frame
 // is one writer's barrier-time batch for regions homed here: records
 // apply (or defer under an open home section) and propagate to sharers
 // as per-sharer duPush frames, all bound to one transaction whose
@@ -357,7 +313,6 @@ func (u *updateProto) DeliverBatch(ctx *core.Ctx, sp *core.Space, src amnet.Node
 			if r.InUse() {
 				h := homeState(r)
 				h.pendingApply = append(h.pendingApply, append([]byte(nil), rec.Data...))
-				h.applySrc = append(h.applySrc, src)
 				h.applyFx = append(h.applyFx, fx)
 				fx.regions++
 				continue
@@ -433,8 +388,8 @@ func (u *updateProto) MigrateRegion(ctx *core.Ctx, r *core.Region, oldHome, newH
 // matters when work was deferred during an open section — so a quiet
 // deferral queue makes read brackets free. On a sharer, StartRead is a
 // no-op once the copy is valid and EndRead only installs a deferred push
-// (PState non-nil). Writes are never eligible: every EndWrite ships a
-// duWrite, home included.
+// (PState non-nil). Writes are never eligible: every EndWrite puts the
+// region on the dirty list, home included.
 func (u *updateProto) FastBits(r *core.Region) core.FastBits {
 	if r.IsHome() {
 		if h, _ := r.Dir.PData.(*duHome); h != nil && (len(h.pendingApply) > 0 || len(h.pendingReads) > 0) {
@@ -450,8 +405,8 @@ func (u *updateProto) FastBits(r *core.Region) core.FastBits {
 
 func (u *updateProto) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Region, m amnet.Msg) {
 	if r == nil && m.C != duPushAck && m.C != duAck {
-		// Frame-level acks of the aggregated path are space-level (A=0):
-		// one duPushAck per push frame, one duAck per writer frame.
+		// Frame acks are space-level (A=0): one duPushAck per push frame,
+		// one duAck per writer frame.
 		panic(fmt.Sprintf("proto: update: proc %d: message %d for unknown region %v", ctx.ID(), m.C, core.RegionID(m.A)))
 	}
 	switch m.C {
@@ -463,47 +418,14 @@ func (u *updateProto) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Region, m a
 		}
 		r.Dir.Sharers.Add(m.Src)
 		ctx.SendComplete(m.Src, m.B, 0, r.Data)
-	case duWrite:
-		if r.InUse() {
-			h := homeState(r)
-			h.pendingApply = append(h.pendingApply, append([]byte(nil), m.Payload...))
-			h.applySrc = append(h.applySrc, m.Src)
-			h.applyFx = append(h.applyFx, nil)
-			return
-		}
-		u.applyUpdate(ctx, r, m.Src, m.Payload)
-	case duPush:
-		if r.InUse() {
-			pend, _ := r.PState.(*duPend)
-			if pend == nil {
-				pend = &duPend{}
-				r.PState = pend
-			}
-			pend.payload = append(pend.payload[:0], m.Payload...)
-			pend.tags = append(pend.tags, m.B)
-			return
-		}
-		copy(r.Data, m.Payload)
-		r.State = duValid
-		ctx.SendProto(m.Src, m.A, m.B, duPushAck, m.D, nil)
 	case duPushAck:
-		if fx, ok := u.fxs[m.B]; ok {
-			delete(u.fxs, m.B)
-			fx.await--
-			u.frameDone(ctx, sp, fx)
-			return
-		}
-		x, ok := u.xacts[m.B]
+		fx, ok := u.fxs[m.B]
 		if !ok {
 			panic(fmt.Sprintf("proto: update: proc %d: stray push ack tag %d", ctx.ID(), m.B))
 		}
-		x.acksLeft--
-		if x.acksLeft > 0 {
-			u.xacts[m.B] = x
-			return
-		}
-		delete(u.xacts, m.B)
-		ctx.SendProto(x.writer, m.A, 0, duAck, m.D, nil)
+		delete(u.fxs, m.B)
+		fx.await--
+		u.frameDone(ctx, sp, fx)
 	case duAck:
 		u.ackOne(ctx)
 	default:

@@ -39,27 +39,27 @@ func StaticUpdateInfo() core.Info {
 	}
 }
 
-// Protocol verbs.
+// Protocol verbs. suPush travels only as an aggregated frame
+// (DeliverBatch), acknowledged by one space-level suPushAck.
 const (
 	suRead    uint64 = iota + 1 // remote → home: register sharer, fetch (B=seq)
-	suPush                      // home → sharer: barrier-time update (payload)
-	suPushAck                   // sharer → home: push applied
+	suPush                      // home → sharer frame: barrier-time updates
+	suPushAck                   // sharer → home: push frame applied
 )
 
 // staticUpdateProto is the per-(space, processor) instance.
 type staticUpdateProto struct {
 	core.Base
 	dirty       []*core.Region // home regions written since the last barrier
-	outstanding int            // pushes/frames shipped, not yet acknowledged
+	outstanding int            // push frames shipped, not yet acknowledged
 	drainSeq    uint64
-	batch       *core.ProtoBatcher // aggregated barrier pushes (lazily created)
+	batch       *core.ProtoBatcher // barrier push frames (lazily created)
 }
 
 // suPend defers a push that arrived while the region was in a section.
 type suPend struct {
 	payload []byte
-	acks    int        // per-region pushes deferred (unaggregated wire path)
-	frames  []*suFrame // aggregated frames this region holds up
+	frames  []*suFrame // push frames this region holds up
 }
 
 // suFrame tracks one partially-deferred inbound push frame on a sharer:
@@ -120,9 +120,6 @@ func (s *staticUpdateProto) applyDeferred(ctx *core.Ctx, r *core.Region) {
 		r.PState = nil
 		copy(r.Data, pend.payload)
 		r.State = duValid
-		for i := 0; i < pend.acks; i++ {
-			ctx.SendProto(r.Home, uint64(r.ID), 0, suPushAck, uint64(r.Space.ID), nil)
-		}
 		for _, f := range pend.frames {
 			f.left--
 			if f.left == 0 {
@@ -133,36 +130,24 @@ func (s *staticUpdateProto) applyDeferred(ctx *core.Ctx, r *core.Region) {
 }
 
 // Barrier pushes every dirty region to its recorded sharers, waits for all
-// acknowledgements, and then performs the underlying barrier. With
-// aggregation on, pushes bound for the same sharer coalesce into one
-// frame with one ack (R dirty regions x S sharers collapse to at most S
-// messages); the per-region wire path below is the reference baseline.
+// acknowledgements, and then performs the underlying barrier. Pushes
+// bound for the same sharer coalesce into one frame with one ack (R
+// dirty regions x S sharers collapse to at most S messages).
 func (s *staticUpdateProto) Barrier(ctx *core.Ctx, sp *core.Space) {
-	if ctx.Aggregating() {
-		if s.batch == nil {
-			s.batch = ctx.NewBatcher(sp, suPush)
-		}
-		for _, r := range s.dirty {
-			r.PState = nil
-			r.Dir.Sharers.ForEach(func(n amnet.NodeID) { s.batch.Add(n, r) })
-		}
-		s.dirty = s.dirty[:0]
-		s.outstanding += s.batch.Flush(ctx, nil)
-	} else {
-		for _, r := range s.dirty {
-			r.PState = nil
-			r.Dir.Sharers.ForEach(func(n amnet.NodeID) {
-				s.outstanding++
-				ctx.SendProto(n, uint64(r.ID), 0, suPush, uint64(sp.ID), r.Data)
-			})
-		}
-		s.dirty = s.dirty[:0]
+	if s.batch == nil {
+		s.batch = ctx.NewBatcher(sp, suPush)
 	}
+	for _, r := range s.dirty {
+		r.PState = nil
+		r.Dir.Sharers.ForEach(func(n amnet.NodeID) { s.batch.Add(n, r) })
+	}
+	s.dirty = s.dirty[:0]
+	s.outstanding += s.batch.Flush(ctx, nil)
 	s.drain(ctx)
 	ctx.DefaultBarrier()
 }
 
-// DeliverBatch applies one aggregated barrier frame: every dirty region
+// DeliverBatch applies one barrier push frame: every dirty region
 // of one home that this sharer subscribes to, acknowledged with a
 // single space-level suPushAck once all records applied — immediately,
 // or at section end for records the local thread holds open (those
@@ -245,8 +230,8 @@ func (s *staticUpdateProto) FastBits(r *core.Region) core.FastBits {
 
 func (s *staticUpdateProto) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Region, m amnet.Msg) {
 	if r == nil && m.C != suPushAck {
-		// suPushAck may be space-level (A=0): the single ack of an
-		// aggregated frame. Everything else names a region.
+		// suPushAck is space-level (A=0): the single ack of a push
+		// frame. Everything else names a region.
 		panic(fmt.Sprintf("proto: staticupdate: proc %d: message %d for unknown region %v", ctx.ID(), m.C, core.RegionID(m.A)))
 	}
 	switch m.C {
@@ -258,20 +243,6 @@ func (s *staticUpdateProto) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Regio
 		}
 		r.Dir.Sharers.Add(m.Src)
 		ctx.SendComplete(m.Src, m.B, 0, r.Data)
-	case suPush:
-		if r.InUse() {
-			pend, _ := r.PState.(*suPend)
-			if pend == nil {
-				pend = &suPend{}
-				r.PState = pend
-			}
-			pend.payload = append(pend.payload[:0], m.Payload...)
-			pend.acks++
-			return
-		}
-		copy(r.Data, m.Payload)
-		r.State = duValid
-		ctx.SendProto(m.Src, m.A, 0, suPushAck, m.D, nil)
 	case suPushAck:
 		s.outstanding--
 		if s.outstanding == 0 && s.drainSeq != 0 {
