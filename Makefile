@@ -3,9 +3,9 @@ GO ?= go
 # Packages whose lock-free instrumentation paths must stay race-clean.
 # proto rides along for the adaptive-controller convergence tests: the
 # controller's counter snapshots and collective decisions run
-# concurrently with the bracket fast path. core and amnet also carry the
-# tree-collective and shared-payload fan-out paths (coll_test.go,
-# multisend_test.go); proto the aggregated push frames. gateway carries
+# concurrently with the bracket fast path. core also carries the
+# tree-collective paths (coll_test.go); proto the aggregated push
+# frames. gateway carries
 # the session fan-out: per-session writers, the coordinator, and the
 # room drains all share the stats and send-queue paths.
 RACE_PKGS = ./internal/trace ./internal/core ./internal/amnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway
@@ -45,8 +45,9 @@ bench-compare:
 
 # chaos-smoke is the protocol-conformance stress gate: the fixed-seed
 # protocol × fault-policy matrix (seeds 1..3) via the package tests,
-# the collective topology cells (tree/star, star-vs-tree bit-identical
-# reductions), the elastic cells (checkpoint/kill/rejoin drills,
+# the collective cells (a five-processor tree, overlapping barrier
+# generations) plus core's canonical-order reduction oracle, the
+# elastic cells (checkpoint/kill/rejoin drills,
 # MigrateHome mid-workload, the broken-rejoin double), plus race-enabled
 # cells: the
 # nastiest matrix policy, one rejoin drill, and the MigrateHome-vs-
@@ -56,7 +57,8 @@ bench-compare:
 # stale-ref and generation checks (plus a lossy cell under -race).
 chaos-smoke:
 	$(GO) test -run 'TestMatrixFixedSeeds|TestBrokenDoubleCaught' ./internal/chaos
-	$(GO) test -run 'TestColl|TestStarTreeReductionBitIdentical' ./internal/chaos
+	$(GO) test -run 'TestColl' ./internal/chaos
+	$(GO) test -run 'TestAllReduceCanonicalOrder' ./internal/core
 	$(GO) test -run 'TestRejoinFixedSeeds|TestBrokenRejoinCaught|TestMigrateFixedSeeds' ./internal/chaos
 	$(GO) test -run 'TestSpaceChurn' ./internal/chaos
 	$(GO) test -race -run 'TestMatrixFixedSeeds/^(update|adaptive)$$/lossy' ./internal/chaos
@@ -81,8 +83,12 @@ gate-smoke:
 	bash scripts/gate_smoke.sh
 
 # bench-allocs is the regression gate for the lock-free bracket fast
-# path: with tracing disabled a hit bracket must not allocate. The awk
-# exit status fails the target if allocs/op is ever nonzero.
+# path: with tracing disabled a hit bracket must not allocate. It fails
+# when go test fails, when no BenchmarkBracket/disabled result line is
+# printed, and when that line reports nonzero allocs/op.
 bench-allocs:
-	$(GO) test -bench 'BenchmarkBracket/disabled' -benchmem -benchtime=200ms -run '^$$' . | tee /dev/stderr \
-	| awk '/^BenchmarkBracket/ { if ($$(NF-1) + 0 != 0) { print "FAIL: bracket fast path allocates: " $$0; bad = 1 } } END { exit bad }' >/dev/null
+	@out=$$($(GO) test -bench 'BenchmarkBracket/disabled' -benchmem -benchtime=200ms -run '^$$' .); \
+	status=$$?; echo "$$out"; \
+	if [ $$status -ne 0 ]; then echo "FAIL: go test -bench exited $$status"; exit 1; fi; \
+	echo "$$out" | awk '/^BenchmarkBracket\/disabled/ { seen = 1; if ($$(NF-1) + 0 != 0) { print "FAIL: bracket fast path allocates: " $$0; bad = 1 } } \
+		END { if (!seen) { print "FAIL: no BenchmarkBracket/disabled result"; bad = 1 } exit bad }'

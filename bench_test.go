@@ -137,6 +137,48 @@ func BenchmarkBracket(b *testing.B) {
 	}
 }
 
+// BenchmarkCollectives measures one round of each built-in collective —
+// barrier, scalar all-reduce, broadcast from processor 0 — on the
+// binomial tree with default options. Every processor runs the same b.N
+// rounds; the timer starts when proc 0 leaves the opening barrier and
+// stops when the last processor finishes, so ns/op is the cluster's time
+// per round (broadcast rounds pipeline: the root never waits).
+func BenchmarkCollectives(b *testing.B) {
+	ops := []struct {
+		name string
+		fn   func(p *Proc)
+	}{
+		{"GlobalBarrier", func(p *Proc) { p.GlobalBarrier() }},
+		{"AllReduceInt64", func(p *Proc) { p.AllReduceInt64(OpSum, int64(p.ID())) }},
+		{"Broadcast", func(p *Proc) { p.Broadcast(0, []byte("12345678")) }},
+	}
+	for _, procs := range []int{4, 8} {
+		for _, op := range ops {
+			b.Run(fmt.Sprintf("%s/procs=%d", op.name, procs), func(b *testing.B) {
+				cl, err := NewCluster(Options{Procs: procs})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer cl.Close()
+				err = cl.Run(func(p *Proc) error {
+					p.GlobalBarrier()
+					if p.ID() == 0 {
+						b.ResetTimer()
+					}
+					for i := 0; i < b.N; i++ {
+						op.fn(p)
+					}
+					return nil
+				})
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkTable4 measures every compiler kernel at every optimization
 // level plus the hand-written version (Table 4).
 func BenchmarkTable4(b *testing.B) {

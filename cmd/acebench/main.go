@@ -10,8 +10,7 @@
 // The chaos experiment runs every library protocol through a seeded
 // region workload under each named fault policy and checks the
 // coherence invariants; a failure prints a replay command. Replaying a
-// single cell of the matrix (with -chaos-coll forcing the collective
-// topology of the failing run):
+// single cell of the matrix:
 //
 //	acebench -exp chaos -chaos-proto update -chaos-policy lossy -chaos-seed 7
 //
@@ -56,7 +55,6 @@ func main() {
 		chaosProto  = flag.String("chaos-proto", "", "chaos experiment: replay a single protocol instead of the matrix")
 		chaosPolicy = flag.String("chaos-policy", "clean", "chaos experiment: fault policy for -chaos-proto ("+strings.Join(chaos.Policies(), ", ")+")")
 		chaosSeed   = flag.Int64("chaos-seed", 1, "chaos experiment: base seed (single run: the seed; matrix: seed, seed+1, seed+2)")
-		chaosColl   = flag.String("chaos-coll", "", "chaos experiment: force the collective topology for -chaos-proto (star, tree; empty = auto)")
 	)
 	flag.Parse()
 
@@ -78,7 +76,7 @@ func main() {
 	case "ablation":
 		ok = runAblation(*procs)
 	case "chaos":
-		ok = runChaos(*chaosProto, *chaosPolicy, *chaosSeed, *procs, *chaosColl)
+		ok = runChaos(*chaosProto, *chaosPolicy, *chaosSeed, *procs)
 	case "all":
 		ok = runFig7a(w, *runs)
 		ok = runFig7b(w, *runs) && ok
@@ -94,11 +92,11 @@ func main() {
 
 // runChaos runs the protocol-conformance stress harness: a single
 // (protocol, policy, seed) cell when -chaos-proto is given (the replay
-// path printed by failing reports, including any forced collective
-// topology), the full matrix over three seeds otherwise.
-func runChaos(protoName, policy string, seed int64, procs int, coll string) bool {
+// path printed by failing reports), the full matrix over three seeds
+// otherwise.
+func runChaos(protoName, policy string, seed int64, procs int) bool {
 	if protoName != "" {
-		rep := chaos.Run(chaos.Config{Seed: seed, Procs: procs, Protocol: protoName, Policy: policy, Coll: coll})
+		rep := chaos.Run(chaos.Config{Seed: seed, Procs: procs, Protocol: protoName, Policy: policy})
 		fmt.Println(chaos.FormatReport(rep))
 		return rep.Err == nil
 	}

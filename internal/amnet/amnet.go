@@ -148,22 +148,6 @@ type PayloadCopier interface {
 	CopiesPayloadOnSend() bool
 }
 
-// MultiSender is implemented by endpoints that can fan one message out
-// to several destinations while materializing the payload only once.
-// Unlike Send, SendMulti does not consume the payload: it has finished
-// reading m.Payload by the time it returns (the in-process fabric
-// copies it once into a shared pool-exempt buffer; a transport that
-// copies on send encodes per-destination frames directly from it), so
-// the caller keeps ownership of its buffer. m.Dst is ignored.
-//
-// Because by-reference fabrics deliver the one shared buffer to every
-// destination, SendMulti is only correct for messages whose handlers
-// treat the payload as read-only before recycling it — true of the
-// runtime's collective handlers, which clone anything they retain.
-type MultiSender interface {
-	SendMulti(dsts []NodeID, m Msg)
-}
-
 // DirectDispatcher is implemented by endpoints that can run handlers
 // outside their pump: on a sender's goroutine (RegisterTry) and on the
 // node's own compute thread (Poll). A fault-injecting or socket
@@ -355,27 +339,6 @@ func fatalOnPanic() {
 	if r := recover(); r != nil {
 		go panic(fmt.Sprintf("amnet: handler panicked under direct dispatch: %v\n\n%s", r, debug.Stack()))
 		select {}
-	}
-}
-
-// SendMulti fans m out to each destination with the payload encoded
-// once: a single SharedAlloc copy travels to every receiver, and each
-// receiver's Recycle of it is a no-op (see MultiSender for the
-// read-only contract this relies on). The caller keeps m.Payload.
-func (e *chanEndpoint) SendMulti(dsts []NodeID, m Msg) {
-	if len(dsts) == 0 {
-		return
-	}
-	var shared []byte
-	if len(m.Payload) > 0 {
-		shared = SharedAlloc(len(m.Payload))
-		copy(shared, m.Payload)
-	}
-	for _, d := range dsts {
-		mm := m
-		mm.Dst = d
-		mm.Payload = shared
-		e.Send(mm)
 	}
 }
 

@@ -68,21 +68,6 @@ func Alloc(n int) []byte {
 	return b
 }
 
-// SharedAlloc returns a buffer of length n that Recycle will never take
-// back: its capacity is deliberately off-class (odd, while every pool
-// class is even), so recycling it is a no-op. Fan-out paths that hand
-// one buffer to several receivers use it — each receiver may
-// independently Recycle the payload it was delivered, and the first
-// recycle of a pooled buffer would re-issue memory the other receivers
-// are still reading. Receivers of a shared buffer must treat it as
-// read-only.
-func SharedAlloc(n int) []byte {
-	if n <= 0 {
-		return nil
-	}
-	return make([]byte, n, n|1)
-}
-
 // Recycle returns b to its size-class pool. Buffers whose capacity is
 // not exactly a pool class (including nil and buffers larger than the
 // biggest class) are ignored and left to the garbage collector.

@@ -37,10 +37,6 @@ type Config struct {
 	Turns    int
 	Protocol string // required: a library protocol, or "broken"
 	Policy   string // named fault policy; see Policies
-	// Coll forces the collective topology: "star", "tree", or ""/"auto"
-	// for the size-based default (core.Options.Coll.Topology). The
-	// conformance invariants must hold on every topology.
-	Coll string
 }
 
 // Report is the outcome of one run. Err is nil on success; on failure
@@ -141,32 +137,16 @@ func Run(cfg Config) Report {
 	if cfg.Policy == "" {
 		cfg.Policy = "clean"
 	}
-	replay := fmt.Sprintf("go run ./cmd/acebench -exp chaos -procs %d -chaos-proto %s -chaos-policy %s -chaos-seed %d",
-		cfg.Procs, cfg.Protocol, cfg.Policy, cfg.Seed)
-	if cfg.Coll != "" {
-		replay += " -chaos-coll " + cfg.Coll
-	}
 	rep := Report{
 		Protocol: cfg.Protocol,
 		Policy:   cfg.Policy,
 		Seed:     cfg.Seed,
-		Replay:   replay,
+		Replay: fmt.Sprintf("go run ./cmd/acebench -exp chaos -procs %d -chaos-proto %s -chaos-policy %s -chaos-seed %d",
+			cfg.Procs, cfg.Protocol, cfg.Policy, cfg.Seed),
 	}
 	pol, err := PolicyByName(cfg.Policy, cfg.Seed)
 	if err != nil {
 		rep.Err = err
-		return rep
-	}
-	var coll core.CollConfig
-	switch cfg.Coll {
-	case "", "auto":
-		coll.Topology = core.CollAuto
-	case "star":
-		coll.Topology = core.CollStar
-	case "tree":
-		coll.Topology = core.CollTree
-	default:
-		rep.Err = fmt.Errorf("chaos: unknown collective topology %q (have auto, star, tree)", cfg.Coll)
 		return rep
 	}
 	reg := proto.NewRegistry()
@@ -189,7 +169,6 @@ func Run(cfg Config) Report {
 		Procs:           cfg.Procs,
 		Registry:        reg,
 		DefaultProtocol: defaultProto,
-		Coll:            coll,
 		Faults:          pol,
 		Adapt:           adapt,
 		// A harness bug (or a protocol hang under faults) must fail

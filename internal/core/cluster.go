@@ -73,42 +73,7 @@ type Options struct {
 	// that exceeds it fails the processor's Run with an error matching
 	// ErrSyncStall instead of hanging. Zero means wait forever.
 	SyncTimeout time.Duration
-
-	// Coll tunes the collective substrate: the topology of the built-in
-	// collectives (barrier, all-reduce, broadcast). The zero value
-	// selects automatically: star topology up to collStarMax processors,
-	// binomial tree above.
-	Coll CollConfig
 }
-
-// CollConfig configures the collective substrate (Options.Coll).
-type CollConfig struct {
-	// Topology selects the collective communication shape. CollAuto
-	// (the zero value) picks by cluster size.
-	Topology CollTopology
-}
-
-// CollTopology selects how the built-in collectives route.
-type CollTopology int
-
-const (
-	// CollAuto picks by cluster size: star for Procs <= collStarMax,
-	// binomial tree above.
-	CollAuto CollTopology = iota
-	// CollStar is the original node-0 star: every arrival, contribution
-	// and result serializes at processor 0. Kept for small clusters
-	// (fewer hops when P is tiny) and as the reference implementation
-	// for conformance diffing against the tree.
-	CollStar
-	// CollTree routes collectives through a binomial tree rooted at
-	// processor 0: O(log P) latency and no root serialization.
-	CollTree
-)
-
-// collStarMax is the largest cluster the automatic topology keeps on
-// the star: below this size the tree saves no hops on the critical
-// path, and the star's one-hop arrival is simpler to reason about.
-const collStarMax = 4
 
 // Cluster is a set of logical processors sharing regions through the Ace
 // runtime. Create one with NewCluster, execute an SPMD program with Run,
@@ -131,10 +96,6 @@ type Cluster struct {
 	// (Adapt.MigrateFactor > 0): only then do the protocol handlers
 	// maintain the per-home traffic counters the trigger consumes.
 	migrate bool
-
-	// collTree is the resolved collective configuration: whether the
-	// built-in collectives route through the binomial tree.
-	collTree bool
 
 	// adapt is the normalized controller configuration (nil when
 	// adaptation is off); adaptTargets maps each advertised access
@@ -216,19 +177,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("core: network is %d nodes (%d local), cluster wants %d", total, len(eps), opts.Procs)
 	}
 	c := &Cluster{opts: opts, reg: reg, net: nw, ownNet: own, nodes: opts.Procs}
-	switch opts.Coll.Topology {
-	case CollAuto:
-		c.collTree = opts.Procs > collStarMax
-	case CollStar:
-		c.collTree = false
-	case CollTree:
-		c.collTree = true
-	default:
-		if own {
-			nw.Close()
-		}
-		return nil, fmt.Errorf("core: unknown collective topology %d", opts.Coll.Topology)
-	}
 	if opts.Adapt != nil {
 		c.adapt = opts.Adapt
 		c.adaptTargets = adaptTargetTable(reg)
@@ -343,7 +291,7 @@ func (c *Cluster) WriteTrace(w io.Writer) error {
 const (
 	hComplete   amnet.HandlerID = 1 // completes waiter m.B with the message
 	hLookup     amnet.HandlerID = 2 // region metadata request: A=id, B=seq
-	hBarArrive  amnet.HandlerID = 3 // barrier arrival at node 0: A=gen, B=seq
+	hBarArrive  amnet.HandlerID = 3 // tree barrier wave: A=gen, C=up/down
 	hLockReq    amnet.HandlerID = 4 // region lock request: A=id, B=seq
 	hUnlockMsg  amnet.HandlerID = 5 // region unlock: A=id
 	hColl       amnet.HandlerID = 6 // collective: A=tag, C=op, payload=value

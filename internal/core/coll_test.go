@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,11 +13,10 @@ import (
 	"github.com/acedsm/ace/internal/faultnet"
 )
 
-// runColl spins up a cluster with the given collective topology and
-// runs fn SPMD.
-func runColl(t *testing.T, n int, topo CollTopology, fn func(p *Proc) error) {
+// runColl spins up an n-processor cluster and runs fn SPMD.
+func runColl(t *testing.T, n int, fn func(p *Proc) error) {
 	t.Helper()
-	cl, err := NewCluster(Options{Procs: n, Coll: CollConfig{Topology: topo}})
+	cl, err := NewCluster(Options{Procs: n})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}
@@ -58,41 +58,15 @@ func TestTreeShape(t *testing.T) {
 	}
 }
 
-func TestTopologySelection(t *testing.T) {
-	for _, tc := range []struct {
-		procs int
-		topo  CollTopology
-		tree  bool
-	}{
-		{2, CollAuto, false},
-		{collStarMax, CollAuto, false},
-		{collStarMax + 1, CollAuto, true},
-		{8, CollStar, false},
-		{2, CollTree, true},
-	} {
-		cl, err := NewCluster(Options{Procs: tc.procs, Coll: CollConfig{Topology: tc.topo}})
-		if err != nil {
-			t.Fatalf("NewCluster(%d, %v): %v", tc.procs, tc.topo, err)
-		}
-		if cl.collTree != tc.tree {
-			t.Errorf("procs=%d topo=%v: collTree = %v, want %v", tc.procs, tc.topo, cl.collTree, tc.tree)
-		}
-		cl.Close()
-	}
-	if _, err := NewCluster(Options{Procs: 2, Coll: CollConfig{Topology: CollTopology(99)}}); err == nil {
-		t.Error("expected error for unknown collective topology")
-	}
-}
-
-// TestTreeCollectivesCorrect runs the full collective API on the tree
-// topology across sizes that exercise every tree shape: powers of two,
-// one-past, odd, and the trivial pair.
+// TestTreeCollectivesCorrect runs the full collective API across sizes
+// that exercise every tree shape: the lone root, the trivial pair,
+// powers of two, one-past, and odd.
 func TestTreeCollectivesCorrect(t *testing.T) {
-	for _, procs := range []int{2, 3, 5, 8, 9, 16} {
+	for _, procs := range []int{1, 2, 3, 4, 5, 8, 9, 16} {
 		procs := procs
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			t.Parallel()
-			runColl(t, procs, CollTree, func(p *Proc) error {
+			runColl(t, procs, func(p *Proc) error {
 				for round := 0; round < 3; round++ {
 					p.GlobalBarrier()
 					if got, want := p.AllReduceInt64(OpSum, int64(p.ID()+1)), int64(procs*(procs+1)/2); got != want {
@@ -132,56 +106,144 @@ func TestTreeCollectivesCorrect(t *testing.T) {
 	}
 }
 
-// TestStarTreeBitIdentical: the two topologies must produce the same
-// bits for the non-associative float sum, because both fold
-// contributions in the canonical binomial order.
-func TestStarTreeBitIdentical(t *testing.T) {
-	const procs = 8
-	contrib := func(id int) float64 {
-		// Values chosen so different association orders give different
-		// bits (verified: naive left-to-right vs pairwise differ).
-		return math.Sqrt(float64(id)+1) * math.Pow(10, float64(id%5-2))
+// reduce is the oracle for the tree's fold order: it combines the
+// per-rank contribution payloads with the operator in code in canonical
+// binomial-tree order, rank v's subtree as (own value, then each child
+// subtree in increasing rank), recursively from the root. Payloads are
+// equal-length vectors of 64-bit words and are consumed: the result
+// aliases vals[0].
+func reduce(code uint64, vals [][]byte) []byte {
+	return reduceSubtree(code, vals, 0)
+}
+
+// reduceSubtree combines the contributions of the subtree rooted at
+// rank v into vals[v] and returns it.
+func reduceSubtree(code uint64, vals [][]byte, v int) []byte {
+	acc := vals[v]
+	for _, k := range treeKidsOf(v, len(vals)) {
+		combineInto(code, acc, reduceSubtree(code, vals, k))
 	}
-	results := make(map[CollTopology][]uint64)
-	for _, topo := range []CollTopology{CollStar, CollTree} {
-		var got []uint64
-		cl, err := NewCluster(Options{Procs: procs, Coll: CollConfig{Topology: topo}})
-		if err != nil {
-			t.Fatal(err)
+	return acc
+}
+
+// TestAllReduceCanonicalOrder: every node folds its own value before its
+// children's partials, in increasing rank, so the result is the oracle's
+// canonical fold bit for bit — even for the float sum, where another
+// association order gives other bits — and never depends on which
+// partial arrived first.
+func TestAllReduceCanonicalOrder(t *testing.T) {
+	const rounds, width = 4, 5
+	// Rank- and round-dependent contributions spanning five decades, so
+	// the association order shows in the low bits of the sum.
+	contrib := func(id, round, i int) float64 {
+		return math.Sqrt(float64(id+1)) * math.Pow(10, float64((id+round+i)%5-2))
+	}
+	ivec := func(id, round int) []int64 {
+		v := make([]int64, width)
+		for i := range v {
+			v[i] = int64(math.Float64bits(contrib(id, round, i)))
 		}
-		err = cl.Run(func(p *Proc) error {
-			for round := 0; round < 4; round++ {
-				v := p.AllReduceFloat64(OpSum, contrib(p.ID()+round))
-				if p.ID() == 0 {
-					got = append(got, math.Float64bits(v))
+		return v
+	}
+	for _, procs := range []int{2, 3, 4, 5, 8, 16} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			wantF := make([]uint64, rounds)
+			wantI := make([][]byte, rounds)
+			for round := range wantF {
+				fvals := make([][]byte, procs)
+				ivals := make([][]byte, procs)
+				for id := range fvals {
+					fvals[id] = binary.LittleEndian.AppendUint64(nil, math.Float64bits(contrib(id, round, 0)))
+					for _, x := range ivec(id, round) {
+						ivals[id] = binary.LittleEndian.AppendUint64(ivals[id], uint64(x))
+					}
 				}
-				p.GlobalBarrier()
+				wantF[round] = binary.LittleEndian.Uint64(reduce(collOpSumF, fvals))
+				wantI[round] = reduce(collOpSumI, ivals)
 			}
-			return nil
+			runColl(t, procs, func(p *Proc) error {
+				for round := 0; round < rounds; round++ {
+					f := p.AllReduceFloat64(OpSum, contrib(p.ID(), round, 0))
+					if got := math.Float64bits(f); got != wantF[round] {
+						return fmt.Errorf("proc %d round %d: float sum bits %x, canonical fold %x", p.ID(), round, got, wantF[round])
+					}
+					for i, got := range p.AllReduceInt64s(OpSum, ivec(p.ID(), round)) {
+						if want := int64(binary.LittleEndian.Uint64(wantI[round][8*i:])); got != want {
+							return fmt.Errorf("proc %d round %d: vector[%d] = %d, canonical fold %d", p.ID(), round, i, got, want)
+						}
+					}
+				}
+				return nil
+			})
 		})
-		cl.Close()
-		if err != nil {
-			t.Fatalf("topo %v: %v", topo, err)
-		}
-		results[topo] = got
-	}
-	for i := range results[CollStar] {
-		if results[CollStar][i] != results[CollTree][i] {
-			t.Errorf("round %d: star bits %x != tree bits %x", i, results[CollStar][i], results[CollTree][i])
-		}
 	}
 }
 
-// TestTreeRootNotSerialized: on the tree, the root handles O(log P)
-// messages per reduction instead of O(P), asserted via the hop counters
-// (each node counts the messages it sends, so node 0's recv load is the
-// sum of everyone's sends to it; instead we check the root *sends* no
-// more than its tree degree per round, and that degree stays within the
-// binomial bound ceil(log2 P)+1 — star would send P per round).
+// TestAllReduceUnknownOpPanics: an op outside OpSum/OpMin/OpMax has no
+// wire code (code 0 is the broadcast's), so it must fail every
+// processor with a panic naming the op, before anything is sent.
+// SyncTimeout turns a hang into a failure rather than a stuck test.
+func TestAllReduceUnknownOpPanics(t *testing.T) {
+	const bad = ReduceOp(7)
+	for name, call := range map[string]func(p *Proc){
+		"AllReduceInt64":   func(p *Proc) { p.AllReduceInt64(bad, 1) },
+		"AllReduceInt64s":  func(p *Proc) { p.AllReduceInt64s(bad, []int64{1, 2}) },
+		"AllReduceFloat64": func(p *Proc) { p.AllReduceFloat64(bad, 1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			err := runBadCollective(t, call)
+			if err == nil || !strings.Contains(err.Error(), "AllReduce op 7") {
+				t.Fatalf("Run error = %v, want a panic naming op 7", err)
+			}
+		})
+	}
+}
+
+// TestBroadcastRootOutOfRangePanics: with a root outside [0, P) nobody
+// would send, so every processor must panic naming the root instead of
+// waiting.
+func TestBroadcastRootOutOfRangePanics(t *testing.T) {
+	for _, root := range []int{-1, 4} {
+		t.Run(fmt.Sprintf("root=%d", root), func(t *testing.T) {
+			err := runBadCollective(t, func(p *Proc) { p.Broadcast(root, []byte("x")) })
+			want := fmt.Sprintf("Broadcast root %d outside [0, 4)", root)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("Run error = %v, want a panic containing %q", err, want)
+			}
+		})
+	}
+}
+
+// runBadCollective runs call on every processor of a 4-processor cluster
+// whose waits time out, and returns Run's error.
+func runBadCollective(t *testing.T, call func(p *Proc)) error {
+	t.Helper()
+	cl, err := NewCluster(Options{Procs: 4, SyncTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	err = cl.Run(func(p *Proc) error {
+		call(p)
+		return nil
+	})
+	if errors.Is(err, ErrSyncStall) {
+		t.Fatalf("collective with a bad argument stalled: %v", err)
+	}
+	return err
+}
+
+// TestTreeRootNotSerialized: the root handles O(log P) messages per
+// reduction instead of O(P), asserted via the hop counters (each node
+// counts the messages it sends, so node 0's recv load is the sum of
+// everyone's sends to it; instead we check the root *sends* no more
+// than its tree degree per round, and that degree stays within the
+// binomial bound ceil(log2 P)+1 — a centralized root would send P per
+// round).
 func TestTreeRootNotSerialized(t *testing.T) {
 	for _, procs := range []int{5, 8, 16} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-			cl, err := NewCluster(Options{Procs: procs, Coll: CollConfig{Topology: CollTree}})
+			cl, err := NewCluster(Options{Procs: procs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +277,7 @@ func TestTreeRootNotSerialized(t *testing.T) {
 // the state tables must drain to empty when the run ends.
 func TestTreeBarrierLaneOverlapStress(t *testing.T) {
 	const procs, rounds = 8, 200
-	cl, err := NewCluster(Options{Procs: procs, Coll: CollConfig{Topology: CollTree}})
+	cl, err := NewCluster(Options{Procs: procs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +408,7 @@ func waitPurged(t *testing.T, what string, cond func() bool) {
 // collStateEmpty reports whether p holds no pending collective state.
 func collStateEmpty(p *Proc) bool {
 	p.barMu.Lock()
-	nbar := len(p.barArr) + len(p.barTree)
+	nbar := len(p.barTree)
 	p.barMu.Unlock()
 	p.accMu.Lock()
 	nacc := len(p.collAcc)
@@ -357,33 +419,21 @@ func collStateEmpty(p *Proc) bool {
 // TestPeerLossPurgesCollectiveState: killing a peer between arrival and
 // release must (a) fail the survivors' blocked collectives with
 // ErrPeerLost and (b) purge every pending barrier generation and
-// reduction partial, on both topologies.
+// reduction partial, at P = 3 and at P = 5.
 func TestPeerLossPurgesCollectiveState(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		topo  CollTopology
-		procs int
-	}{
-		{"star", CollStar, 3},
-		{"tree", CollTree, 5},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			inner, err := amnet.NewChanNetwork(amnet.ChanConfig{Nodes: tc.procs})
+	for _, procs := range []int{3, 5} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			inner, err := amnet.NewChanNetwork(amnet.ChanConfig{Nodes: procs})
 			if err != nil {
 				t.Fatal(err)
 			}
 			nw := faultnet.Wrap(inner, faultnet.Policy{})
-			cl, err := NewCluster(Options{
-				Procs:     tc.procs,
-				Transport: amnet.Fixed(nw),
-				Coll:      CollConfig{Topology: tc.topo},
-			})
+			cl, err := NewCluster(Options{Procs: procs, Transport: amnet.Fixed(nw)})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer cl.Close()
-			victim := tc.procs - 1
+			victim := procs - 1
 			err = cl.Run(func(p *Proc) error {
 				// A completed round first, so state tables have been
 				// exercised and drained once.
@@ -395,7 +445,7 @@ func TestPeerLossPurgesCollectiveState(t *testing.T) {
 					return nil
 				}
 				p.AllReduceInt64(OpSum, 1) // partials strand at interior nodes
-				p.GlobalBarrier()          // arrivals strand in barArr/barTree
+				p.GlobalBarrier()          // arrivals strand in barTree
 				return nil
 			})
 			if !errors.Is(err, ErrPeerLost) {

@@ -280,21 +280,16 @@ func (c *Ctx) Recycle(payload []byte) { amnet.Recycle(payload) }
 // DefaultBarrier blocks until every processor has entered a barrier. It is
 // the building block protocols compose their Barrier semantics from.
 // barGen is application-thread-private, so no lock is taken for the
-// generation tag. On the star topology the arrival goes to processor 0;
-// on the tree it folds into the local subtree state (treeBarEvent
-// climbs when the subtree completes).
+// generation tag. The arrival folds into the local subtree state
+// (treeBarEvent climbs when the subtree completes), and the release
+// wave coming back down the tree completes the waiter.
 func (c *Ctx) DefaultBarrier() {
 	p := c.p
 	p.barGen++
 	gen := p.barGen
 	seq := c.NewWaiter()
 	p.coll.CountBarrier()
-	if p.cl.collTree {
-		p.treeBarEvent(gen, true, seq)
-	} else {
-		p.coll.CountHops(1, 0)
-		p.ep.Send(amnet.Msg{Dst: 0, Handler: hBarArrive, A: gen, B: seq})
-	}
+	p.treeBarEvent(gen, true, seq)
 	c.Wait(seq)
 }
 

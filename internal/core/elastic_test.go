@@ -85,8 +85,7 @@ func TestMigrateHomeRace(t *testing.T) {
 	}
 }
 
-// TestRejoinVsTreeReduction: a five-processor cluster on the binomial
-// tree topology runs a stream of jitter-delayed AllReduce rounds with a
+// TestRejoinVsTreeReduction: a five-processor cluster runs a stream of jitter-delayed AllReduce rounds with a
 // collective checkpoint partway in; a victim is killed while peers are
 // skewed across in-flight reductions, the survivors fail typed, and the
 // revived cluster restores the checkpoint and re-reduces to the same
@@ -97,7 +96,6 @@ func TestRejoinVsTreeReduction(t *testing.T) {
 	victim := amnet.NodeID(procs - 1)
 	cl, err := NewCluster(Options{
 		Procs: procs,
-		Coll:  CollConfig{Topology: CollTree},
 		Faults: &faultnet.Policy{
 			Seed:   7,
 			Delay:  20 * time.Microsecond,

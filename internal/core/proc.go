@@ -31,17 +31,16 @@ import (
 //     collWait), the collective state shared between the application
 //     thread and the handlers. barGen and collSeq are
 //     application-thread-private.
-//   - barMu protects the barrier arrival state (barArr, barTree) and
-//     accMu the reduction accumulators (collAcc); Directory.lockMu
-//     guards each home's region lock queue. The dispatch token
-//     serializes the handlers that use them, but not the other code
-//     that does, none of which holds it: on the tree topology the
-//     application thread folds its own barrier arrival and reduction
-//     contribution into barTree and collAcc directly; after a peer loss
-//     purgeSyncState clears all three from a goroutine of its own (or
-//     Cluster.Revive's caller); and FreeSpace, MigrateHome and
-//     RestoreCheckpoint read or reset lock queues on the application
-//     thread. Completions are sent after the lock is released — a Send
+//   - barMu protects the barrier arrival state (barTree) and accMu the
+//     reduction accumulators (collAcc); Directory.lockMu guards each
+//     home's region lock queue. The dispatch token serializes the
+//     handlers that use them, but not the other code that does, none
+//     of which holds it: the application thread folds its own barrier
+//     arrival and reduction contribution into barTree and collAcc
+//     directly; after a peer loss purgeSyncState clears all three from
+//     a goroutine of its own (or Cluster.Revive's caller); and
+//     FreeSpace, MigrateHome and RestoreCheckpoint read or reset lock
+//     queues on the application thread. Completions are sent after the lock is released — a Send
 //     can block on transport backpressure, or run the destination's
 //     handler then and there, and arrival processing must not stall
 //     behind it.
@@ -95,16 +94,13 @@ type Proc struct {
 	nextWaiter uint64
 
 	// Barrier state. barGen counts this processor's barrier arrivals
-	// (application thread only); barArr (node 0 on the star topology,
-	// under barMu) maps generation to arrivals so far. On the tree
-	// topology barTree (every node, under barMu) holds each generation's
-	// subtree arrival state instead.
+	// (application thread only); barTree (under barMu) holds each open
+	// generation's subtree arrival state.
 	barGen  uint64
 	barMu   sync.Mutex
-	barArr  map[uint64][]PendingReq
 	barTree map[uint64]*treeBar
 
-	// Binomial-tree neighbors (tree topology only): treeParent is -1 at
+	// Binomial-tree neighbors of the collectives: treeParent is -1 at
 	// the root, and treeKids lists this rank's children in increasing
 	// rank order. Fixed at creation.
 	treeParent amnet.NodeID
@@ -113,9 +109,8 @@ type Proc struct {
 	// Collective state. collSeq tags collectives in program order
 	// (application thread only); collGot buffers payloads that arrive
 	// before the local thread asks and collWait maps tag to a waiter
-	// (both under collMu); collAcc (under accMu) accumulates reduction
-	// contributions — at node 0 on the star, at every interior node on
-	// the tree.
+	// (both under collMu); collAcc (under accMu) accumulates each open
+	// reduction's contributions from this node and its subtrees.
 	collMu   sync.Mutex
 	collSeq  uint64
 	collGot  map[uint64][]byte
@@ -169,12 +164,11 @@ type waiter struct{ ch chan amnet.Msg }
 
 // collAcc accumulates reduction contributions, slotted so the combining
 // order is deterministic (floating-point sums must not depend on
-// message arrival order): by source rank at the star root, by canonical
-// position (own value, then children in rank order) at a tree node.
+// message arrival order): own value first, then the children's subtree
+// partials in rank order.
 type collAcc struct {
-	vals   [][]byte
-	count  int
-	expect int
+	vals  [][]byte
+	count int
 }
 
 func newProc(c *Cluster, ep amnet.Endpoint) *Proc {
@@ -183,8 +177,10 @@ func newProc(c *Cluster, ep amnet.Endpoint) *Proc {
 		cl:       c,
 		ep:       ep,
 		waiters:  make(map[uint64]*waiter),
+		barTree:  make(map[uint64]*treeBar),
 		collGot:  make(map[uint64][]byte),
 		collWait: make(map[uint64]uint64),
+		collAcc:  make(map[uint64]*collAcc),
 		rec:      trace.NewRecorder(int(ep.ID()), c.opts.Trace),
 	}
 	p.ctx = &Ctx{p: p}
@@ -198,18 +194,11 @@ func newProc(c *Cluster, ep amnet.Endpoint) *Proc {
 		pa.SetPeerDownHandler(p.peerDown)
 	}
 	p.treeParent = -1
-	if c.collTree {
-		if p.id != 0 {
-			p.treeParent = amnet.NodeID(treeParentOf(int(p.id)))
-		}
-		for _, k := range treeKidsOf(int(p.id), c.nodes) {
-			p.treeKids = append(p.treeKids, amnet.NodeID(k))
-		}
-		p.barTree = make(map[uint64]*treeBar)
-		p.collAcc = make(map[uint64]*collAcc)
-	} else if p.id == 0 {
-		p.barArr = make(map[uint64][]PendingReq)
-		p.collAcc = make(map[uint64]*collAcc)
+	if p.id != 0 {
+		p.treeParent = amnet.NodeID(treeParentOf(int(p.id)))
+	}
+	for _, k := range treeKidsOf(int(p.id), c.nodes) {
+		p.treeKids = append(p.treeKids, amnet.NodeID(k))
 	}
 	p.registerHandlers()
 	// The default space (index 0) exists on every processor from the

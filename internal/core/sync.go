@@ -13,17 +13,14 @@ import (
 // (broadcast and all-reduce) applications use to distribute region ids
 // and combine scalars.
 //
-// Collectives route through one of two topologies (Options.Coll). The
-// star is the original reference implementation: every arrival,
-// contribution and result serializes at processor 0, which is simple
-// and fine for small P. The binomial tree removes the root bottleneck:
-// rank v's parent is v with its lowest set bit cleared, its children
-// are v+1, v+2, v+4, ... within its subtree, so every collective is one
-// reduce-up/fan-down round of O(log P) depth with no node touching more
-// than log P messages. Both topologies combine reduction contributions
-// in the same canonical order (see reduce), so their results are
-// bit-identical even for the non-associative float sum — the chaos
-// harness cross-checks this.
+// Collectives route through a binomial tree rooted at processor 0: rank
+// v's parent is v with its lowest set bit cleared, its children are
+// v+1, v+2, v+4, ... within its subtree, so every collective is one
+// reduce-up/fan-down round of O(log P) depth with no node sending more
+// than ⌈log₂ P⌉ messages per wave. Every node folds reduction
+// contributions in the same canonical order (own value, then each child
+// subtree in increasing rank), so a result's bits do not depend on
+// message timing, even for the non-associative float sum.
 
 // treeParentOf returns the binomial-tree parent of rank v (root 0): v
 // with its lowest set bit cleared.
@@ -45,65 +42,36 @@ func treeKidsOf(v, n int) []int {
 	return kids
 }
 
-// Barrier-arrival subtypes (field C of hBarArrive messages on the tree
-// topology; the star only ever sends arrivals).
+// Barrier-wave subtypes (field C of hBarArrive messages).
 const (
-	barArriveUp   uint64 = 0 // a subtree completed; sent child -> parent
-	barArriveDown uint64 = 1 // release wave; sent parent -> child
+	barWaveUp   uint64 = 0 // a subtree completed; sent child -> parent
+	barWaveDown uint64 = 1 // release wave; sent parent -> child
 )
 
-// barrierArrive handles a barrier message. On the star topology it runs
-// only at processor 0 and collects arrivals; on the tree every node
-// folds subtree arrivals into its own generation state and propagates.
-// State is under barMu, which the handler shares with the application
-// thread's own arrival on the tree (treeBarEvent) and with the peer-down
-// purge, neither of which holds the dispatch token. Sends go out after barMu is
-// released — Send can block on transport backpressure, and a late
-// arrival for the next generation must not queue behind it.
+// barrierArrive handles a barrier message: a child subtree's arrival
+// folds into this node's generation state and propagates, a release
+// completes the local waiter and continues down. State is under barMu,
+// which the handler shares with the application thread's own arrival
+// (treeBarEvent) and with the peer-down purge, neither of which holds
+// the dispatch token. Sends go out after barMu is released — Send can
+// block on transport backpressure, and a late arrival for the next
+// generation must not queue behind it.
 func (p *Proc) barrierArrive(m amnet.Msg) {
-	if p.cl.collTree {
-		if m.C == barArriveDown {
-			p.barMu.Lock()
-			tb := p.barTree[m.A]
-			delete(p.barTree, m.A)
-			p.barMu.Unlock()
-			if tb == nil {
-				// Only possible after a peer-down purge dropped the
-				// generation; the release wave dies here (the local
-				// waiter already failed with ErrPeerLost).
-				return
-			}
-			p.treeBarRelease(m.A, tb.seq)
-			return
-		}
+	if m.C != barWaveDown {
 		p.treeBarEvent(m.A, false, 0)
 		return
 	}
-	if p.id != 0 {
-		panic(fmt.Sprintf("core: proc %d received barrier arrival", p.id))
-	}
-	gen := m.A
-	var release []PendingReq
 	p.barMu.Lock()
-	if p.downPeer.Load() >= 0 {
-		// A peer is lost and the pending-barrier purge ran or is about
-		// to: drop the arrival rather than repopulate the table (the
-		// sender's Wait fails with ErrPeerLost).
-		p.barMu.Unlock()
+	tb := p.barTree[m.A]
+	delete(p.barTree, m.A)
+	p.barMu.Unlock()
+	if tb == nil {
+		// Only possible after a peer-down purge dropped the generation;
+		// the release wave dies here (the local waiter already failed
+		// with ErrPeerLost).
 		return
 	}
-	p.barArr[gen] = append(p.barArr[gen], PendingReq{Src: m.Src, Seq: m.B})
-	if len(p.barArr[gen]) == p.cl.Procs() {
-		release = p.barArr[gen]
-		delete(p.barArr, gen)
-	}
-	p.barMu.Unlock()
-	if release != nil {
-		p.coll.CountHops(len(release), 0)
-	}
-	for _, a := range release {
-		p.ep.Send(amnet.Msg{Dst: a.Src, Handler: hComplete, B: a.Seq})
-	}
+	p.treeBarRelease(m.A, tb.seq)
 }
 
 // treeBar is one generation's arrival state at one node of the
@@ -115,9 +83,9 @@ type treeBar struct {
 }
 
 // purgeSyncState drops every pending synchronization record after a
-// peer loss: barrier generations (star table and tree state), in-flight
-// reduction partials, and home-region lock queues. The blocked local
-// waits have already failed (or will fail) with ErrPeerLost via downCh;
+// peer loss: barrier generations, in-flight reduction partials, and
+// home-region lock queues. The blocked local waits have already failed
+// (or will fail) with ErrPeerLost via downCh;
 // without the purge their arrival records would strand in the tables,
 // and a late arrival from a surviving peer would repopulate them — the
 // arrival handlers drop messages once downPeer is set, checked under
@@ -125,7 +93,6 @@ type treeBar struct {
 // the holder may be alive, and the cluster is unusable regardless.
 func (p *Proc) purgeSyncState() {
 	p.barMu.Lock()
-	clear(p.barArr)
 	clear(p.barTree)
 	p.barMu.Unlock()
 	p.accMu.Lock()
@@ -152,8 +119,11 @@ func (p *Proc) treeBarEvent(gen uint64, own bool, seq uint64) {
 	root := p.treeParent < 0
 	p.barMu.Lock()
 	if p.downPeer.Load() >= 0 {
+		// A peer is lost and the purge ran or is about to: drop the
+		// arrival rather than repopulate the table (the waiters fail
+		// with ErrPeerLost).
 		p.barMu.Unlock()
-		return // purged; drop (see barrierArrive)
+		return
 	}
 	tb := p.barTree[gen]
 	if tb == nil {
@@ -177,7 +147,7 @@ func (p *Proc) treeBarEvent(gen uint64, own bool, seq uint64) {
 	}
 	if !root {
 		p.coll.CountHops(1, 0)
-		p.ep.Send(amnet.Msg{Dst: p.treeParent, Handler: hBarArrive, A: gen, C: barArriveUp})
+		p.ep.Send(amnet.Msg{Dst: p.treeParent, Handler: hBarArrive, A: gen, C: barWaveUp})
 		return
 	}
 	p.treeBarRelease(gen, tb.seq)
@@ -188,7 +158,7 @@ func (p *Proc) treeBarEvent(gen uint64, own bool, seq uint64) {
 func (p *Proc) treeBarRelease(gen, seq uint64) {
 	p.coll.CountHops(len(p.treeKids), 0)
 	for _, k := range p.treeKids {
-		p.ep.Send(amnet.Msg{Dst: k, Handler: hBarArrive, A: gen, C: barArriveDown})
+		p.ep.Send(amnet.Msg{Dst: k, Handler: hBarArrive, A: gen, C: barWaveDown})
 	}
 	p.ctx.Complete(seq, amnet.Msg{})
 }
@@ -264,80 +234,41 @@ const (
 	collOpResult
 )
 
-// collDeliver handles a collective message. The
-// reduction accumulator is under accMu — shared with the application
-// thread's own contribution on the tree (treeContribute) and with the
-// peer-down purge — and the combine plus result fan-out happen after accMu is released:
-// the final contributor owns the accumulator once it is deleted from
-// the table, and Send can block on transport backpressure.
-// collArrived takes collMu itself.
+// collDeliver handles a collective message: a broadcast or result wave
+// is forwarded down the tree before the local waiter wakes, so the
+// subtree's latency is not behind it; anything else is a child
+// subtree's reduction partial. collArrived takes collMu itself.
 func (p *Proc) collDeliver(m amnet.Msg) {
 	switch m.C {
 	case collOpBcast:
-		if p.cl.collTree {
-			p.bcastFan(int(m.D), m.A, m.Payload)
-		}
+		p.bcastFan(int(m.D), m.A, m.Payload)
 		p.collArrived(m.A, m.Payload)
 	case collOpResult:
-		if p.cl.collTree {
-			// Forward the result wave down before waking the local
-			// waiter, so the subtree's latency is not behind it.
-			p.sendFan(p.treeKids, amnet.Msg{Handler: hColl, A: m.A, C: collOpResult, Payload: m.Payload})
-		}
+		p.sendFan(p.treeKids, amnet.Msg{Handler: hColl, A: m.A, C: collOpResult, Payload: m.Payload})
 		p.collArrived(m.A, m.Payload)
 	default:
-		// A reduction contribution: a child subtree's partial on the
-		// tree, any processor's value at the star root.
-		if p.cl.collTree {
-			p.treeContribute(m.A, m.C, m.Src, m.Payload)
-			return
-		}
-		if p.id != 0 {
-			panic(fmt.Sprintf("core: proc %d received reduction contribution", p.id))
-		}
-		p.accMu.Lock()
-		if p.downPeer.Load() >= 0 {
-			p.accMu.Unlock()
-			return // purged; drop (see barrierArrive)
-		}
-		acc := p.collAcc[m.A]
-		if acc == nil {
-			acc = &collAcc{vals: make([][]byte, p.cl.Procs()), expect: p.cl.Procs()}
-			p.collAcc[m.A] = acc
-		}
-		acc.vals[m.Src] = clone(m.Payload)
-		acc.count++
-		done := acc.count == acc.expect
-		if done {
-			delete(p.collAcc, m.A)
-		}
-		p.accMu.Unlock()
-		if done {
-			result := reduce(m.C, acc.vals)
-			p.sendFan(p.allNodes(), amnet.Msg{Handler: hColl, A: m.A, C: collOpResult, Payload: result})
-			for _, v := range acc.vals {
-				amnet.Recycle(v) // result aliases vals[0]; sendFan copied
-			}
-		}
+		p.treeContribute(m.A, m.C, m.Src, m.Payload)
 	}
 }
 
 // treeContribute folds one reduction contribution — the local value or
-// a child subtree's partial — into the tag's accumulator. Slots follow
-// the canonical combine order (own value, then children in increasing
-// rank; see reduce), so combining a full accumulator left-to-right at
-// every level yields the same bits the star's canonical reduce does.
-// The finishing contributor owns the accumulator once it is deleted
-// from the table and combines outside accMu.
+// a child subtree's partial — into the tag's accumulator, under accMu,
+// which the handler shares with the application thread's own
+// contribution and with the peer-down purge. Slots follow the canonical
+// combine order (own value, then children in increasing rank), so
+// combining a full accumulator left-to-right at every level gives bits
+// that do not depend on arrival order. The finishing contributor owns
+// the accumulator once it is deleted from the table, and combines and
+// sends outside accMu: Send can block on transport backpressure.
 func (p *Proc) treeContribute(tag, code uint64, src amnet.NodeID, val []byte) {
 	p.accMu.Lock()
 	if p.downPeer.Load() >= 0 {
 		p.accMu.Unlock()
-		return // purged; drop (see barrierArrive)
+		return // purged; drop (see treeBarEvent)
 	}
 	acc := p.collAcc[tag]
 	if acc == nil {
-		acc = &collAcc{vals: make([][]byte, len(p.treeKids)+1), expect: len(p.treeKids) + 1}
+		acc = &collAcc{vals: make([][]byte, len(p.treeKids)+1)}
 		p.collAcc[tag] = acc
 	}
 	slot := 0
@@ -346,7 +277,7 @@ func (p *Proc) treeContribute(tag, code uint64, src amnet.NodeID, val []byte) {
 	}
 	acc.vals[slot] = clone(val)
 	acc.count++
-	done := acc.count == acc.expect
+	done := acc.count == len(acc.vals)
 	if done {
 		delete(p.collAcc, tag)
 	}
@@ -385,31 +316,12 @@ func (p *Proc) kidSlot(src amnet.NodeID) int {
 	panic(fmt.Sprintf("core: proc %d: contribution from %d, not a tree child", p.id, src))
 }
 
-// allNodes returns every node id, for the star root's result fan-out
-// (the root contributes and awaits like everyone else, so it addresses
-// itself too; the fabric handles self-sends).
-func (p *Proc) allNodes() []amnet.NodeID {
-	out := make([]amnet.NodeID, p.cl.Procs())
-	for i := range out {
-		out[i] = amnet.NodeID(i)
-	}
-	return out
-}
-
-// sendFan delivers one collective message to each destination,
-// materializing the payload once when the fabric can share it
-// (amnet.MultiSender) and falling back to per-destination sends with
-// the usual clone discipline otherwise. The caller keeps ownership of
-// m.Payload either way. Fan-out hops and bytes are counted here.
+// sendFan delivers one collective message to each destination, each
+// send with its own payload (cloneForSend), so the caller keeps
+// ownership of m.Payload and every receiver owns what it is delivered.
+// Fan-out hops and bytes are counted here.
 func (p *Proc) sendFan(dsts []amnet.NodeID, m amnet.Msg) {
-	if len(dsts) == 0 {
-		return
-	}
 	p.coll.CountHops(len(dsts), len(dsts)*len(m.Payload))
-	if ms, ok := p.ep.(amnet.MultiSender); ok {
-		ms.SendMulti(dsts, m)
-		return
-	}
 	for _, d := range dsts {
 		mm := m
 		mm.Dst = d
@@ -452,10 +364,13 @@ func (p *Proc) collAwait(tag uint64) []byte {
 // Broadcast distributes data from the root processor to all processors and
 // returns it. It is collective: every processor must call it in the same
 // program order. The root's data argument is the value broadcast; other
-// processors may pass nil. The payload is encoded once and shared across
-// the fan-out sends (amnet.MultiSender); on the tree topology each level
-// forwards to its own subtrees, so no node sends more than log P copies.
+// processors may pass nil. Each level of the tree forwards to its own
+// subtrees, so no node sends more than ⌈log₂ P⌉ copies. A root outside
+// [0, P) panics.
 func (p *Proc) Broadcast(root int, data []byte) []byte {
+	if root < 0 || root >= p.cl.Procs() {
+		panic(fmt.Sprintf("core: Broadcast root %d outside [0, %d)", root, p.cl.Procs()))
+	}
 	// collSeq is application-thread-private; no lock needed for the tag.
 	p.collSeq++
 	tag := p.collSeq
@@ -463,17 +378,7 @@ func (p *Proc) Broadcast(root int, data []byte) []byte {
 	if int(p.id) != root {
 		return p.collAwait(tag)
 	}
-	if p.cl.collTree {
-		p.bcastFan(root, tag, data)
-		return data
-	}
-	dsts := make([]amnet.NodeID, 0, p.cl.Procs()-1)
-	for n := 0; n < p.cl.Procs(); n++ {
-		if n != root {
-			dsts = append(dsts, amnet.NodeID(n))
-		}
-	}
-	p.sendFan(dsts, amnet.Msg{Handler: hColl, A: tag, C: collOpBcast, Payload: data})
+	p.bcastFan(root, tag, data)
 	return data
 }
 
@@ -485,9 +390,6 @@ func (p *Proc) bcastFan(root int, tag uint64, data []byte) {
 	n := p.cl.Procs()
 	vr := (int(p.id) - root + n) % n
 	kids := treeKidsOf(vr, n)
-	if len(kids) == 0 {
-		return
-	}
 	dsts := make([]amnet.NodeID, len(kids))
 	for i, k := range kids {
 		dsts[i] = amnet.NodeID((k + root) % n)
@@ -529,11 +431,32 @@ const (
 	OpMax
 )
 
+// reduceCode returns op's wire code in the int64 family, or with float
+// set in the float64 one. An op that is not OpSum, OpMin or OpMax
+// panics: every processor passes the same op, so all of them fail
+// before sending anything rather than combining under the wrong code.
+func reduceCode(op ReduceOp, float bool) uint64 {
+	var code uint64
+	switch op {
+	case OpSum:
+		code = collOpSumI
+	case OpMin:
+		code = collOpMinI
+	case OpMax:
+		code = collOpMaxI
+	default:
+		panic(fmt.Sprintf("core: AllReduce op %d is not OpSum, OpMin or OpMax", op))
+	}
+	if float {
+		code += collOpSumF - collOpSumI // same order in both families
+	}
+	return code
+}
+
 // AllReduceInt64 combines v across all processors with op and returns the
 // result on every processor. Collective.
 func (p *Proc) AllReduceInt64(op ReduceOp, v int64) int64 {
-	code := map[ReduceOp]uint64{OpSum: collOpSumI, OpMin: collOpMinI, OpMax: collOpMaxI}[op]
-	out := p.allReduce(code, uint64(v))
+	out := p.allReduce(reduceCode(op, false), uint64(v))
 	return int64(out)
 }
 
@@ -545,7 +468,7 @@ func (p *Proc) AllReduceInt64(op ReduceOp, v int64) int64 {
 // controller reduces seven counters per epoch) pay one round trip, not
 // seven. Collective.
 func (p *Proc) AllReduceInt64s(op ReduceOp, v []int64) []int64 {
-	code := map[ReduceOp]uint64{OpSum: collOpSumI, OpMin: collOpMinI, OpMax: collOpMaxI}[op]
+	code := reduceCode(op, false)
 	buf := make([]byte, 8*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(buf[i*8:], uint64(x))
@@ -560,10 +483,9 @@ func (p *Proc) AllReduceInt64s(op ReduceOp, v []int64) []int64 {
 
 // reduceRound runs one all-reduce round over a word-vector payload:
 // contribute the local value, block until the combined result arrives.
-// On the star the contribution goes to processor 0, which fans the
-// result to everyone; on the tree it folds into the local accumulator
-// and climbs (treeContribute sends the subtree partial up when the last
-// child reports, and the root starts the result wave down).
+// The contribution folds into the local accumulator and climbs
+// (treeContribute sends the subtree partial up when the last child
+// reports, and the root starts the result wave down).
 func (p *Proc) reduceRound(code uint64, buf []byte) []byte {
 	p.collSeq++
 	return p.reduceRoundTag(p.collSeq, code, buf)
@@ -575,20 +497,14 @@ func (p *Proc) reduceRound(code uint64, buf []byte) []byte {
 // uses a reserved out-of-band tag instead (see resyncAfterRevive).
 func (p *Proc) reduceRoundTag(tag, code uint64, buf []byte) []byte {
 	p.coll.CountReduce()
-	if p.cl.collTree {
-		p.treeContribute(tag, code, p.id, buf)
-	} else {
-		p.coll.CountHops(1, len(buf))
-		p.ep.Send(amnet.Msg{Dst: 0, Handler: hColl, A: tag, C: code, Payload: p.cloneForSend(buf)})
-	}
+	p.treeContribute(tag, code, p.id, buf)
 	return p.collAwait(tag)
 }
 
 // AllReduceFloat64 combines v across all processors with op and returns
 // the result on every processor. Collective.
 func (p *Proc) AllReduceFloat64(op ReduceOp, v float64) float64 {
-	code := map[ReduceOp]uint64{OpSum: collOpSumF, OpMin: collOpMinF, OpMax: collOpMaxF}[op]
-	out := p.allReduce(code, math.Float64bits(v))
+	out := p.allReduce(reduceCode(op, true), math.Float64bits(v))
 	return math.Float64frombits(out)
 }
 
@@ -597,30 +513,6 @@ func (p *Proc) allReduce(code uint64, word uint64) uint64 {
 	binary.LittleEndian.PutUint64(buf[:], word)
 	out := p.reduceRound(code, buf[:])
 	return binary.LittleEndian.Uint64(out)
-}
-
-// reduce combines the per-rank contribution payloads with the operator
-// encoded in code, walking them in canonical binomial-tree order: rank
-// v's subtree combines as (own value, then each child subtree in
-// increasing child order). That is exactly the order the tree topology
-// folds partials in at every level, so the star (which calls this at
-// the root with all P contributions) and the tree produce bit-identical
-// results even for the non-associative float sum. Payloads are vectors
-// of 64-bit words — the scalar collectives send one-word vectors — all
-// the same length. Contributions are consumed: the result aliases
-// vals[0].
-func reduce(code uint64, vals [][]byte) []byte {
-	return reduceSubtree(code, vals, 0)
-}
-
-// reduceSubtree combines the contributions of the subtree rooted at
-// rank v into vals[v] and returns it.
-func reduceSubtree(code uint64, vals [][]byte, v int) []byte {
-	acc := vals[v]
-	for _, k := range treeKidsOf(v, len(vals)) {
-		combineInto(code, acc, reduceSubtree(code, vals, k))
-	}
-	return acc
 }
 
 // combineInto folds src into dst element-wise with the operator in code.
