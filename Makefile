@@ -7,8 +7,9 @@ GO ?= go
 # tree-collective paths (coll_test.go); proto the aggregated push
 # frames. gateway carries
 # the session fan-out: per-session writers, the coordinator, and the
-# room drains all share the stats and send-queue paths.
-RACE_PKGS = ./internal/trace ./internal/core ./internal/amnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway
+# room drains all share the stats and send-queue paths. faultnet's
+# scheduler goroutine runs beside senders, Kill and Quiesce.
+RACE_PKGS = ./internal/trace ./internal/core ./internal/amnet ./internal/faultnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway
 
 .PHONY: ci vet build test bench-test race bench-compare bench-allocs chaos-smoke cluster-smoke gate-smoke
 

@@ -92,11 +92,13 @@
 //
 // # Failure model
 //
-// Options.Faults wraps the cluster's transport in a seeded
-// fault-injecting wire (delays, duplication, reordering, drops with
-// redelivery, partitions, a slow node) below a reliability layer, so a
-// correct program still computes correct results — useful for stress
-// testing protocols; injected faults are counted in Metrics.Net.Faults.
+// Options.Faults wraps the cluster's transport in a seeded model of a
+// faulty wire under a reliable transport (delays, reordering, drops
+// with redelivery, partitions, a slow node): delivery stays per-pair
+// FIFO and exactly-once and only its timing suffers, so a correct
+// program still computes correct results — useful for stress testing
+// protocols, and FaultPolicy{Delay: d} alone models a network latency
+// d. Injected faults are counted in Metrics.Net.Faults.
 // Options.SyncTimeout bounds every synchronization wait: a stalled
 // collective fails Run with an error matching ErrSyncStall, and a lost
 // peer (on transports that detect one, like the supervised TCP

@@ -180,7 +180,6 @@ func TestFailureModelThroughPublicAPI(t *testing.T) {
 			Seed:        5,
 			Delay:       50 * time.Microsecond,
 			Jitter:      100 * time.Microsecond,
-			DupProb:     0.2,
 			DropProb:    0.2,
 			ReorderProb: 0.2,
 		},

@@ -19,10 +19,10 @@
 //
 // # Direct dispatch
 //
-// On the in-process channel fabric with no modelled latency, the hop
-// through the mailbox and the pump's wake-up can be skipped (the CM-5's
-// Active Messages ran handlers on whichever thread polled; this is the
-// fabric-level form of the paper's direct-dispatch optimisation). A
+// On the in-process channel fabric, the hop through the mailbox and the
+// pump's wake-up can be skipped (the CM-5's Active Messages ran handlers
+// on whichever thread polled; this is the fabric-level form of the
+// paper's direct-dispatch optimisation). A
 // handler opts in by registering a TryHandler beside its Handler
 // (DirectDispatcher.RegisterTry); Send then runs it on the sender's own
 // goroutine, and Poll lets a node's compute thread deliver its own
@@ -46,9 +46,9 @@
 //   - Same counters. CountSend, CountRecv and ObserveDeliver fire on both
 //     paths.
 //
-// Fault injection (package faultnet) and the TCP transport always queue:
-// their endpoints are not DirectDispatchers. So does modelled latency
-// (ChanConfig.Latency), whose nodes' tokens are never free.
+// Fault injection (package faultnet, which also models wire latency) and
+// the TCP transport always queue: their endpoints are not
+// DirectDispatchers.
 //
 // # Buffer ownership
 //
@@ -63,11 +63,9 @@
 package amnet
 
 import (
-	"container/heap"
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"github.com/acedsm/ace/internal/trace"
 )
@@ -152,9 +150,7 @@ type PayloadCopier interface {
 // outside their pump: on a sender's goroutine (RegisterTry) and on the
 // node's own compute thread (Poll). A fault-injecting or socket
 // transport does not implement it, and a runtime that finds it missing
-// simply keeps to Register; an implementation may also never find a token
-// free (the channel fabric under modelled latency), which costs the
-// caller a failed TryLock per call and nothing else.
+// simply keeps to Register.
 type DirectDispatcher interface {
 	// RegisterTry installs fn as handler id's non-blocking variant, under
 	// the same before-traffic rule as Register. The Handler must be
@@ -189,12 +185,6 @@ type Network interface {
 type ChanConfig struct {
 	// Nodes is the number of endpoints to create.
 	Nodes int
-	// Latency, if nonzero, delays every inter-node message's delivery by
-	// the given duration after its send time, modelling a fixed network
-	// latency. Each message is delivered at its own due time: messages
-	// sent ε apart arrive ε apart, and latency-free traffic (self-sends)
-	// is not queued behind delayed messages.
-	Latency time.Duration
 }
 
 // NewChanNetwork builds an in-process network of n endpoints connected by
@@ -203,18 +193,9 @@ func NewChanNetwork(cfg ChanConfig) (Network, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("amnet: invalid node count %d", cfg.Nodes)
 	}
-	nw := &chanNetwork{cfg: cfg}
-	nw.eps = make([]*chanEndpoint, cfg.Nodes)
+	nw := &chanNetwork{eps: make([]*chanEndpoint, cfg.Nodes)}
 	for i := range nw.eps {
-		ep := &chanEndpoint{id: NodeID(i), nw: nw, box: newMailbox()}
-		if cfg.Latency > 0 {
-			// Delivery under modelled latency belongs to the pump's
-			// delay queue alone, and this is the one place that says
-			// so: the node's token is taken for good, so every sender
-			// and poller finds it busy and queues.
-			ep.box.token.Lock()
-		}
-		nw.eps[i] = ep
+		nw.eps[i] = &chanEndpoint{id: NodeID(i), nw: nw, box: newMailbox()}
 	}
 	for _, ep := range nw.eps {
 		nw.wg.Add(1)
@@ -224,7 +205,6 @@ func NewChanNetwork(cfg ChanConfig) (Network, error) {
 }
 
 type chanNetwork struct {
-	cfg ChanConfig
 	eps []*chanEndpoint
 	wg  sync.WaitGroup
 }
@@ -283,9 +263,6 @@ func (e *chanEndpoint) Send(m Msg) {
 	e.stats.CountSend(headerBytes + len(m.Payload))
 	dst := e.nw.eps[m.Dst]
 	it := item{msg: m, sent: e.stats.SendStamp()}
-	if e.nw.cfg.Latency > 0 && m.Dst != m.Src {
-		it.due = time.Now().Add(e.nw.cfg.Latency)
-	}
 	if try := dst.tries[m.Handler]; try == nil || !dst.dispatchDirect(try, it) {
 		dst.box.push(it)
 	}
@@ -346,69 +323,9 @@ func (e *chanEndpoint) Stats() *trace.NetStats { return &e.stats }
 
 func (e *chanEndpoint) pump(wg *sync.WaitGroup) {
 	defer wg.Done()
-	if e.nw.cfg.Latency > 0 {
-		e.pumpDelayed() // holds the node's token from construction on
-		return
-	}
-	// Fast path: no modelled latency, so every item is deliverable the
-	// moment it is popped. Batches amortize the mailbox lock and wakeup
-	// over bursts.
-	deliver := e.deliver
-	for e.box.serve(deliver) {
+	for e.box.serve(e.deliver) {
 	}
 }
-
-// pumpDelayed delivers each message at its own due time using a timer-
-// driven delay queue, so a delayed message never adds head-of-line
-// latency to traffic behind it. Per-pair FIFO is preserved: a pair's due
-// times are nondecreasing (fixed latency, monotone send times), the heap
-// breaks due-time ties by arrival sequence, and latency-free pairs
-// (self-sends, whose due time is zero) can have no earlier message
-// waiting in the heap.
-func (e *chanEndpoint) pumpDelayed() {
-	box := e.box
-	var scratch []item
-	var dq delayQueue
-	var seq uint64
-	for {
-		batch, ok, closed := box.tryPopAll(scratch)
-		if !ok {
-			if closed {
-				// Close-then-drain: deliver what remains without
-				// waiting out the residual latency.
-				for dq.Len() > 0 {
-					e.deliverItem(heap.Pop(&dq).(delayed).item)
-				}
-				return
-			}
-			if dq.Len() == 0 {
-				box.await(0)
-				continue
-			}
-			if d := time.Until(dq[0].due); d > 0 {
-				box.await(d)
-				continue
-			}
-		}
-		for i := range batch {
-			it := batch[i]
-			if it.due.IsZero() {
-				e.deliverItem(it)
-			} else {
-				heap.Push(&dq, delayed{item: it, seq: seq})
-				seq++
-			}
-			batch[i] = item{}
-		}
-		scratch = batch
-		now := time.Now()
-		for dq.Len() > 0 && !dq[0].due.After(now) {
-			e.deliverItem(heap.Pop(&dq).(delayed).item)
-		}
-	}
-}
-
-func (e *chanEndpoint) deliverItem(it item) { e.deliver(it.msg, it.sent) }
 
 // deliver runs m's handler; sent is m's send stamp on the trace clock.
 func (e *chanEndpoint) deliver(m Msg, sent int64) {
@@ -419,31 +336,4 @@ func (e *chanEndpoint) deliver(m Msg, sent int64) {
 		panic(fmt.Sprintf("amnet: node %d: no handler %d registered (msg from %d)", e.id, m.Handler, m.Src))
 	}
 	h(m)
-}
-
-// delayed is one entry in the delay queue; seq breaks due-time ties in
-// arrival order so equal-due messages from one sender keep FIFO.
-type delayed struct {
-	item
-	seq uint64
-}
-
-type delayQueue []delayed
-
-func (q delayQueue) Len() int { return len(q) }
-func (q delayQueue) Less(i, j int) bool {
-	if q[i].due.Equal(q[j].due) {
-		return q[i].seq < q[j].seq
-	}
-	return q[i].due.Before(q[j].due)
-}
-func (q delayQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *delayQueue) Push(x any)   { *q = append(*q, x.(delayed)) }
-func (q *delayQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = delayed{}
-	*q = old[:n-1]
-	return it
 }

@@ -194,27 +194,6 @@ func TestSnapshotArithmetic(t *testing.T) {
 	}
 }
 
-func TestLatencyInjection(t *testing.T) {
-	nw, err := NewChanNetwork(ChanConfig{Nodes: 2, Latency: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	eps := nw.Endpoints()
-	got := make(chan time.Time, 1)
-	eps[1].Register(1, func(m Msg) { got <- time.Now() })
-	start := time.Now()
-	eps[0].Send(Msg{Dst: 1, Handler: 1})
-	select {
-	case at := <-got:
-		if d := at.Sub(start); d < 25*time.Millisecond {
-			t.Fatalf("delivered after %v, want >= ~30ms", d)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("delivery timeout")
-	}
-}
-
 func TestInvalidNodeCount(t *testing.T) {
 	if _, err := NewChanNetwork(ChanConfig{Nodes: 0}); err == nil {
 		t.Fatal("expected error for zero nodes")

@@ -153,59 +153,6 @@ func TestDeclinedTryHandlerGoesToThePumpOnceInOrder(t *testing.T) {
 	}
 }
 
-// TestLatencyNeverDispatchesDirectly: with modelled latency every message,
-// self-sends included, goes through the pump's delay queue.
-func TestLatencyNeverDispatchesDirectly(t *testing.T) {
-	nw, err := NewChanNetwork(ChanConfig{Nodes: 2, Latency: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	eps := nw.Endpoints()
-	var direct, queued atomic.Int64
-	done := make(chan struct{})
-	eps[1].Register(9, func(Msg) {
-		if queued.Add(1) == 20 {
-			close(done)
-		}
-	})
-	eps[1].(DirectDispatcher).RegisterTry(9, func(Msg) bool {
-		direct.Add(1)
-		return true
-	})
-	for i := 0; i < 10; i++ {
-		eps[0].Send(Msg{Dst: 1, Handler: 9})
-		eps[1].Send(Msg{Dst: 1, Handler: 9}) // latency-free, still queued
-		eps[1].(DirectDispatcher).Poll()     // a no-op: the delay queue is the pump's
-	}
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("stalled at %d of 20", queued.Load())
-	}
-	if n := direct.Load(); n != 0 {
-		t.Fatalf("%d messages dispatched directly under modelled latency", n)
-	}
-
-	// Nor may a poller pull a message ahead of its due time: the node's
-	// token is never free, so Poll finds nothing to drain.
-	slow, err := NewChanNetwork(ChanConfig{Nodes: 2, Latency: 200 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer slow.Close()
-	eps = slow.Endpoints()
-	var early atomic.Int64
-	eps[1].Register(9, func(Msg) { early.Add(1) })
-	eps[0].Send(Msg{Dst: 1, Handler: 9})
-	for end := time.Now().Add(20 * time.Millisecond); time.Now().Before(end); {
-		eps[1].(DirectDispatcher).Poll()
-	}
-	if n := early.Load(); n != 0 {
-		t.Fatalf("Poll delivered %d delayed messages 180ms early", n)
-	}
-}
-
 // TestCloseWaitsOutDirectDispatchAndKeepsQueued: Close arriving while a
 // sender is inside a directly dispatched handler returns only after that
 // handler has, and the message queued behind it in the meantime is

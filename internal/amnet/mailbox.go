@@ -1,16 +1,11 @@
 package amnet
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
-// item is a queued message plus its earliest delivery time (zero for
-// immediate delivery) and, when latency sampling is on, its send stamp
-// on the trace clock.
+// item is a queued message plus, when latency sampling is on, its send
+// stamp on the trace clock.
 type item struct {
 	msg  Msg
-	due  time.Time
 	sent int64
 }
 
@@ -22,9 +17,8 @@ type item struct {
 // of n.
 //
 // Wakeups use an edge-triggered capacity-1 channel rather than a
-// sync.Cond so the pump can wait for "new input or a delivery timer",
-// which the latency-modelling pump needs (select over notify and a
-// time.Timer).
+// sync.Cond: the consumer parks holding no lock, a push signals after it
+// has released mu, and close wakes the consumer for good by closing done.
 type mailbox struct {
 	mu     sync.Mutex
 	q      []item
@@ -115,7 +109,7 @@ func (b *mailbox) serve(deliver func(m Msg, sent int64)) (live bool) {
 		if closed {
 			return false
 		}
-		b.await(0)
+		b.await()
 	}
 	return true
 }
@@ -133,22 +127,11 @@ func (b *mailbox) drain(deliver func(m Msg, sent int64)) (ok, closed bool) {
 	return ok, closed
 }
 
-// await blocks until new input may be pending, the mailbox is closed, or
-// — when d > 0 — the timeout elapses.
-func (b *mailbox) await(d time.Duration) {
-	if d <= 0 {
-		select {
-		case <-b.notify:
-		case <-b.done:
-		}
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+// await blocks until new input may be pending or the mailbox is closed.
+func (b *mailbox) await() {
 	select {
 	case <-b.notify:
 	case <-b.done:
-	case <-t.C:
 	}
 }
 

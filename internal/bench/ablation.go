@@ -9,6 +9,7 @@ import (
 	"github.com/acedsm/ace/internal/apps/em3d"
 	"github.com/acedsm/ace/internal/core"
 	"github.com/acedsm/ace/internal/crl"
+	"github.com/acedsm/ace/internal/faultnet"
 	"github.com/acedsm/ace/internal/rtiface"
 	"github.com/acedsm/ace/internal/stats"
 	"github.com/acedsm/ace/proto"
@@ -70,7 +71,13 @@ func LatencySweep(procs int, latencies []time.Duration) ([]LatencyPoint, error) 
 		runOne := func(protoName string) (apputil.Result, error) {
 			c := cfg
 			c.Proto = protoName
-			cl, err := core.NewCluster(core.Options{Procs: procs, Registry: proto.NewRegistry(), Latency: lat})
+			opts := core.Options{Procs: procs, Registry: proto.NewRegistry()}
+			if lat > 0 {
+				// At zero the cluster stays on the bare channel fabric and
+				// its direct-dispatch path.
+				opts.Faults = &faultnet.Policy{Delay: lat}
+			}
+			cl, err := core.NewCluster(opts)
 			if err != nil {
 				return apputil.Result{}, err
 			}

@@ -83,7 +83,6 @@ func PolicyByName(name string, seed int64) (*faultnet.Policy, error) {
 		return &faultnet.Policy{
 			Seed:        seed,
 			Delay:       50 * time.Microsecond,
-			DupProb:     0.15,
 			DropProb:    0.15,
 			ReorderProb: 0.15,
 		}, nil

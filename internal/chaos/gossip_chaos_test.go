@@ -111,9 +111,9 @@ func waitConverged(t *testing.T, agents []*gossip.Agent, within time.Duration) {
 
 // TestGossipUnderFaultPolicies: membership converges and a killed node
 // is detected dead, under every timing-perturbing fault policy. The
-// faultnet wrapper preserves delivery (drops are redelivered), so
-// gossip sees delay, duplication, reordering and partition windows —
-// the conditions its redundancy exists for.
+// faultnet wrapper preserves per-link order and delivery (drops are
+// redelivered), so gossip sees delay, jitter, redelivery stalls and
+// partition windows — the conditions its redundancy exists for.
 func TestGossipUnderFaultPolicies(t *testing.T) {
 	for _, policy := range []string{"jittery", "lossy", "partitioned"} {
 		policy := policy

@@ -36,11 +36,6 @@ type Options struct {
 	// deployment (see Join). Nil means an in-process channel network.
 	Transport amnet.Transport
 
-	// Latency, for the default in-process network, delays every
-	// inter-node message by the given duration. Ignored when Transport
-	// is set.
-	Latency time.Duration
-
 	// Trace, if non-nil, enables the observability layer (package
 	// trace): per-space operation counters and latency histograms,
 	// network send→deliver latency sampling, and — when Trace.Events is
@@ -50,11 +45,13 @@ type Options struct {
 
 	// Faults, if non-nil, wraps the transport (own or provided) in a
 	// fault-injecting layer (package faultnet): seeded per-link delay,
-	// duplication, reordering, drop-with-redelivery, partition windows
-	// and slow-receiver backpressure, all surfaced in Metrics. The
-	// wrapper preserves the fabric's FIFO/exactly-once contract; only
-	// timing is perturbed. When the network came through amnet.Fixed,
-	// the wrapper (and the wrapped network with it) is closed by Close.
+	// reordering, drop-with-redelivery, partition windows and
+	// slow-receiver backpressure, all surfaced in Metrics. The wrapper
+	// preserves the fabric's FIFO/exactly-once contract; only timing is
+	// perturbed, so &faultnet.Policy{Delay: d} is how a cluster models a
+	// fixed network latency d. When the network came through
+	// amnet.Fixed, the wrapper (and the wrapped network with it) is
+	// closed by Close.
 	Faults *faultnet.Policy
 
 	// Adapt, if non-nil, enables the online adaptive protocol controller:
@@ -150,7 +147,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	tr := opts.Transport
 	own := true
 	if tr == nil {
-		tr = amnet.ChanConfig{Latency: opts.Latency}
+		tr = amnet.ChanConfig{}
 	} else if _, fixed := tr.(amnet.FixedTransport); fixed {
 		// A pre-built network stays caller-owned.
 		own = false

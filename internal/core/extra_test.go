@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/acedsm/ace/internal/amnet"
+	"github.com/acedsm/ace/internal/faultnet"
 	"github.com/acedsm/ace/internal/trace"
 )
 
@@ -22,9 +23,9 @@ func TestNetworkSizeMismatch(t *testing.T) {
 	}
 }
 
-// TestLatencyOption: the built-in network honors the latency knob.
+// TestLatencyOption: a fault policy's fixed delay models network latency.
 func TestLatencyOption(t *testing.T) {
-	cl, err := NewCluster(Options{Procs: 2, Latency: 20 * time.Millisecond})
+	cl, err := NewCluster(Options{Procs: 2, Faults: &faultnet.Policy{Delay: 20 * time.Millisecond}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,6 @@ func TestFaultsOptionEndToEnd(t *testing.T) {
 			Seed:        11,
 			Delay:       50 * time.Microsecond,
 			Jitter:      100 * time.Microsecond,
-			DupProb:     0.15,
 			DropProb:    0.15,
 			ReorderProb: 0.15,
 		},

@@ -121,8 +121,7 @@ type Proc struct {
 	// direct is the endpoint's direct-dispatch face: the in-process
 	// channel fabric has one, faultnet and tcpnet endpoints do not (nil).
 	// Whether a given send or poll actually dispatches is the fabric's
-	// call alone (under modelled latency it never does). Ctx.Wait polls
-	// it before parking.
+	// call alone. Ctx.Wait polls it before parking.
 	direct amnet.DirectDispatcher
 
 	// fabricCopies is true when the endpoint's Send copies the payload

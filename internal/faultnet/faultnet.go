@@ -1,18 +1,17 @@
 // Package faultnet wraps any amnet.Network with seeded, deterministic
-// fault injection: per-link delay and jitter, wire duplication, message
-// reordering, bounded drop-with-redelivery, transient partition windows,
-// and slow-receiver backpressure.
+// wire timing: a fixed per-link delay and jitter, message reordering,
+// bounded drop-with-redelivery, transient partition windows, and
+// slow-receiver backpressure. It is also the one place a modelled network
+// latency lives: Policy{Delay: d} delays every inter-node message by d.
 //
 // The Ace coherence stack is built on the Active Messages fabric
 // contract — per-pair FIFO ordering and exactly-once eventual delivery —
-// so faultnet models an unreliable *wire* underneath a reliability
-// layer, the way a real transport (see tcpnet's journal and sequence
-// dedup) restores the contract over a lossy network. Every message gets
-// a per-link sequence number; wire faults perturb, duplicate, lose
-// (with bounded redelivery) or reorder transmissions; and a per-link
-// resequencer on the receive side suppresses duplicates and releases
-// messages in sequence order. What leaks through to the protocols is
-// exactly what a hardened transport leaks through: stretched and bursty
+// and a reliable transport over a lossy network (see tcpnet's journal
+// and sequence dedup) leaks only timing through it. So faultnet models
+// that timing directly: each message draws a due time from its link's
+// seeded fault stream, and a per-link release clock holds it until every
+// earlier message on the link is due as well. What reaches the protocols
+// is what a hardened transport leaks through: stretched and bursty
 // delivery timing, stalls across partition windows, and deep receiver
 // queues — the conditions the chaos harness (package chaos) drives the
 // protocol library through.
@@ -34,8 +33,8 @@ import (
 )
 
 // Policy configures the injected faults. The zero value injects
-// nothing; Wrap with a zero policy is a transparent (but still
-// resequenced) transport.
+// nothing; Wrap with a zero policy is a transparent (but still queued)
+// transport.
 type Policy struct {
 	// Seed seeds the per-link fault streams. Two networks wrapped with
 	// the same policy draw identical per-link fault decisions for the
@@ -47,18 +46,15 @@ type Policy struct {
 	Delay  time.Duration
 	Jitter time.Duration
 
-	// DupProb duplicates a transmission on the wire with the given
-	// probability; the receive-side dedup suppresses the extra copy.
-	DupProb float64
-
-	// DropProb loses a transmission with the given probability. The
-	// reliability layer redelivers it RedeliverAfter later (default
-	// 2ms), so delivery stays exactly-once and eventual.
+	// DropProb loses a transmission with the given probability. It is
+	// delivered RedeliverAfter later (default 2ms), as a reliable
+	// transport's retransmission would be, so delivery stays exactly-once
+	// and eventual.
 	DropProb float64
 
 	// ReorderProb holds a transmission back by ReorderLag (default 2ms)
 	// with the given probability, letting later messages on the link
-	// overtake it on the wire; the resequencer restores order.
+	// overtake it on the wire; the release clock holds them behind it.
 	ReorderProb float64
 
 	// RedeliverAfter is the redelivery lag for dropped transmissions
@@ -96,8 +92,8 @@ const (
 )
 
 // Wrap returns nw with p's faults injected on every inter-node link.
-// Closing the returned network drains pending deliveries (in sequence
-// order, ignoring residual fault delays) and closes nw.
+// Closing the returned network drains pending deliveries (in per-link
+// send order, ignoring residual fault delays) and closes nw.
 func Wrap(nw amnet.Network, p Policy) *Network {
 	if p.RedeliverAfter <= 0 {
 		p.RedeliverAfter = defaultRedeliver
@@ -113,11 +109,7 @@ func Wrap(nw amnet.Network, p Policy) *Network {
 		ep := &endpoint{nw: fn, inner: iep, wake: make(chan struct{}, 1)}
 		ep.links = make([]*link, len(inner))
 		for j := range ep.links {
-			ep.links[j] = &link{
-				rng:      rand.New(rand.NewSource(mix(p.Seed, i, j))),
-				expected: 1,
-				buffered: make(map[uint64]amnet.Msg),
-			}
+			ep.links[j] = &link{rng: rand.New(rand.NewSource(mix(p.Seed, i, j)))}
 		}
 		// A peer-aware inner transport (tcpnet) keeps its peer-down
 		// detection through the wrapper: its notifications forward into
@@ -217,9 +209,8 @@ func (n *Network) Revive(peer amnet.NodeID) {
 // been released or discarded, then a little longer so the releases
 // drain through the inner fabric's dispatch. After a Kill the
 // schedulers converge quickly — every due attempt involving the dead
-// peer is discarded after resequencing (so sequence gaps cannot wedge a
-// link) — which makes Quiesce the fence between "the old run's traffic
-// is gone" and reviving the cluster.
+// peer is discarded at release — which makes Quiesce the fence between
+// "the old run's traffic is gone" and reviving the cluster.
 func (n *Network) Quiesce() {
 	settled := 0
 	for settled < 2 {
@@ -258,21 +249,28 @@ func (n *Network) partitionedUntil(a, b amnet.NodeID, now time.Duration) (time.D
 	return 0, false
 }
 
-// attempt is one wire transmission of a message: the seq-th message on
-// the src endpoint's link to dst, deliverable at due.
+// attempt is one wire transmission of a message, the seq-th sent by its
+// endpoint, deliverable at due.
 type attempt struct {
-	dst amnet.NodeID
 	seq uint64
 	msg amnet.Msg
 	due time.Time
 }
 
+// attemptHeap orders attempts by due time, then by send order: a link's
+// due times never decrease (see link.last), so its messages pop in the
+// order they were sent.
 type attemptHeap []attempt
 
-func (h attemptHeap) Len() int           { return len(h) }
-func (h attemptHeap) Less(i, j int) bool { return h[i].due.Before(h[j].due) }
-func (h attemptHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *attemptHeap) Push(x any)        { *h = append(*h, x.(attempt)) }
+func (h attemptHeap) Len() int { return len(h) }
+func (h attemptHeap) Less(i, j int) bool {
+	if h[i].due.Equal(h[j].due) {
+		return h[i].seq < h[j].seq
+	}
+	return h[i].due.Before(h[j].due)
+}
+func (h attemptHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *attemptHeap) Push(x any)   { *h = append(*h, x.(attempt)) }
 func (h *attemptHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -282,30 +280,30 @@ func (h *attemptHeap) Pop() any {
 	return it
 }
 
-// link is the per-(src,dst) fault stream and resequencer. All fields
+// link is the per-(src,dst) fault stream and release clock. All fields
 // are guarded by the owning endpoint's mu.
 type link struct {
-	rng     *rand.Rand
-	nextSeq uint64
-
-	// Resequencer: expected is the next sequence to release; buffered
-	// holds messages that arrived (on the simulated wire) out of order.
-	expected uint64
-	buffered map[uint64]amnet.Msg
+	rng *rand.Rand
+	// last is the due time of the link's latest message. No message is
+	// due before it, so a message the wire holds back (a drop, a
+	// reorder, a partition) holds back every later one on the link as
+	// well, and none is released ahead of an earlier one.
+	last time.Time
 }
 
 // endpoint wraps one inner endpoint. Send runs the fault model and
-// schedules wire transmissions; the run goroutine releases them through
-// the per-link resequencer into the inner endpoint at their due times.
+// schedules wire transmissions; the run goroutine releases them into the
+// inner endpoint at their due times.
 type endpoint struct {
 	nw    *Network
 	inner amnet.Endpoint
 	links []*link
 
-	mu     sync.Mutex
-	heap   attemptHeap
-	closed bool
-	downFn func(peer amnet.NodeID)
+	mu      sync.Mutex
+	heap    attemptHeap
+	nextSeq uint64
+	closed  bool
+	downFn  func(peer amnet.NodeID)
 	// downPending buffers peer-down notifications (from the inner
 	// transport or Kill) that arrive before a handler is registered.
 	downPending []amnet.NodeID
@@ -349,7 +347,7 @@ func (e *endpoint) firePeerDown(peer amnet.NodeID) {
 }
 
 // Send runs the fault model for one message and schedules its wire
-// transmission(s). It never blocks. Self-sends bypass the fault model
+// transmission. It never blocks. Self-sends bypass the fault model
 // entirely (the wire is not involved).
 //
 // The caller's payload-ownership contract is the fabric's: faultnet
@@ -377,9 +375,6 @@ func (e *endpoint) Send(m amnet.Msg) {
 		return
 	}
 	l := e.links[m.Dst]
-	l.nextSeq++
-	seq := l.nextSeq
-
 	due := now
 	if p.Delay > 0 {
 		due = due.Add(p.Delay)
@@ -392,8 +387,8 @@ func (e *endpoint) Send(m amnet.Msg) {
 		}
 	}
 	if healAt, part := e.nw.partitionedUntil(m.Src, m.Dst, elapsed); part {
-		// The wire eats the transmission; the reliability layer
-		// redelivers once the window heals.
+		// The wire eats the transmission; it is redelivered once the
+		// window heals.
 		due = e.nw.start.Add(healAt + p.RedeliverAfter)
 		stats.CountFault(trace.FaultPartition)
 	} else if p.DropProb > 0 && l.rng.Float64() < p.DropProb {
@@ -408,13 +403,12 @@ func (e *endpoint) Send(m amnet.Msg) {
 		due = due.Add(p.SlowDelay)
 		stats.CountFault(trace.FaultSlow)
 	}
-	heap.Push(&e.heap, attempt{dst: m.Dst, seq: seq, msg: m, due: due})
-	if p.DupProb > 0 && l.rng.Float64() < p.DupProb {
-		// A second copy of the same transmission, slightly later; the
-		// resequencer suppresses it on arrival.
-		heap.Push(&e.heap, attempt{dst: m.Dst, seq: seq, msg: m, due: due.Add(time.Millisecond)})
-		stats.CountFault(trace.FaultDup)
+	if due.Before(l.last) {
+		due = l.last
 	}
+	l.last = due
+	e.nextSeq++
+	heap.Push(&e.heap, attempt{seq: e.nextSeq, msg: m, due: due})
 	e.mu.Unlock()
 	select {
 	case e.wake <- struct{}{}:
@@ -422,9 +416,9 @@ func (e *endpoint) Send(m amnet.Msg) {
 	}
 }
 
-// run is the wire scheduler: it releases due attempts through the
-// per-link resequencer into the inner endpoint. One goroutine per
-// endpoint, so releases on a link are totally ordered.
+// run is the wire scheduler: it releases due attempts into the inner
+// endpoint in heap order. One goroutine per endpoint, so releases on a
+// link are totally ordered.
 func (e *endpoint) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	timer := time.NewTimer(time.Hour)
@@ -469,8 +463,7 @@ func (e *endpoint) run(wg *sync.WaitGroup) {
 		}
 		release = release[:0]
 		for len(e.heap) > 0 && (e.closed || !e.heap[0].due.After(now)) {
-			a := heap.Pop(&e.heap).(attempt)
-			release = e.links[a.dst].resequence(a, e.inner.Stats(), release)
+			release = append(release, heap.Pop(&e.heap).(attempt).msg)
 		}
 		e.mu.Unlock()
 		for i := range release {
@@ -482,37 +475,6 @@ func (e *endpoint) run(wg *sync.WaitGroup) {
 			e.inner.Send(m)
 			release[i] = amnet.Msg{}
 		}
-	}
-}
-
-// resequence feeds one wire arrival through the link's reliability
-// layer, appending any messages that become releasable (in sequence
-// order) to out. Duplicates — wire dups and already-released
-// redeliveries — are suppressed and counted. Caller holds the owning
-// endpoint's mu.
-func (l *link) resequence(a attempt, stats *trace.NetStats, out []amnet.Msg) []amnet.Msg {
-	if a.seq < l.expected {
-		stats.CountFault(trace.FaultWireDup)
-		return out
-	}
-	if a.seq > l.expected {
-		if _, dup := l.buffered[a.seq]; dup {
-			stats.CountFault(trace.FaultWireDup)
-			return out
-		}
-		l.buffered[a.seq] = a.msg
-		return out
-	}
-	out = append(out, a.msg)
-	l.expected++
-	for {
-		m, ok := l.buffered[l.expected]
-		if !ok {
-			return out
-		}
-		delete(l.buffered, l.expected)
-		out = append(out, m)
-		l.expected++
 	}
 }
 

@@ -17,7 +17,6 @@ func aggressive(seed int64) Policy {
 		Seed:        seed,
 		Delay:       200 * time.Microsecond,
 		Jitter:      300 * time.Microsecond,
-		DupProb:     0.2,
 		DropProb:    0.2,
 		ReorderProb: 0.2,
 		SlowNode:    1,
@@ -83,7 +82,7 @@ func TestFabricContractUnderFaults(t *testing.T) {
 	for _, ep := range eps {
 		faults = faults.Add(ep.Stats().Snapshot().Faults)
 	}
-	for _, k := range []trace.FaultKind{trace.FaultDelay, trace.FaultDup, trace.FaultDrop, trace.FaultReorder, trace.FaultSlow, trace.FaultWireDup} {
+	for _, k := range []trace.FaultKind{trace.FaultDelay, trace.FaultDrop, trace.FaultReorder, trace.FaultSlow} {
 		if faults.Get(k) == 0 {
 			t.Errorf("fault kind %v never injected (counts %v)", k, faults)
 		}

@@ -16,8 +16,6 @@ const (
 	// FaultDelay: a message's wire transit was stretched by the
 	// configured delay/jitter.
 	FaultDelay FaultKind = iota
-	// FaultDup: the wire carried a second copy of the message.
-	FaultDup
 	// FaultReorder: the message was held back so a later message on the
 	// same link could overtake it on the wire.
 	FaultReorder
@@ -29,15 +27,11 @@ const (
 	FaultPartition
 	// FaultSlow: delivery was stretched by slow-receiver backpressure.
 	FaultSlow
-	// FaultWireDup: a duplicate or already-delivered copy was suppressed
-	// by the receive-side dedup (the counterpart of FaultDup and of
-	// redelivered drops).
-	FaultWireDup
 	NumFaultKinds
 )
 
 var faultNames = [NumFaultKinds]string{
-	"delay", "dup", "reorder", "drop", "partition", "slow", "wiredup",
+	"delay", "reorder", "drop", "partition", "slow",
 }
 
 func (k FaultKind) String() string {

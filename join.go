@@ -97,8 +97,7 @@ type NodeConfig struct {
 
 	// Options carries the runtime options the cluster-wide program
 	// agrees on: Registry, DefaultProtocol, Trace, Adapt, SyncTimeout.
-	// Procs, Transport, Latency and Faults are managed by Join and
-	// ignored.
+	// Procs, Transport and Faults are managed by Join and ignored.
 	Options Options
 }
 
@@ -257,7 +256,6 @@ func Join(cfg NodeConfig) (*Cluster, error) {
 
 	opts := cfg.Options
 	opts.Procs = cfg.Nodes
-	opts.Latency = 0
 	opts.Faults = nil
 	opts.Transport = amnet.TransportFunc(func(int) (amnet.Network, error) { return nw, nil })
 	if opts.Registry == nil {

@@ -33,7 +33,6 @@ func faultPolicyFor(name string, seed int64) *faultnet.Policy {
 		return &faultnet.Policy{
 			Seed:        seed,
 			Delay:       50 * time.Microsecond,
-			DupProb:     0.15,
 			DropProb:    0.15,
 			ReorderProb: 0.15,
 		}
