@@ -84,12 +84,14 @@ gate-smoke:
 	bash scripts/gate_smoke.sh
 
 # bench-allocs is the regression gate for the lock-free bracket fast
-# path: with tracing disabled a hit bracket must not allocate. It fails
-# when go test fails, when no BenchmarkBracket/disabled result line is
-# printed, and when that line reports nonzero allocs/op.
+# path: a hit bracket must not allocate, whether it is only counted
+# (disabled) or also timed (metrics). It fails when go test fails, when
+# either BenchmarkBracket result line is missing, and when either
+# reports nonzero allocs/op.
 bench-allocs:
-	@out=$$($(GO) test -bench 'BenchmarkBracket/disabled' -benchmem -benchtime=200ms -run '^$$' .); \
+	@out=$$($(GO) test -bench 'BenchmarkBracket/(disabled|metrics)$$' -benchmem -benchtime=200ms -run '^$$' .); \
 	status=$$?; echo "$$out"; \
 	if [ $$status -ne 0 ]; then echo "FAIL: go test -bench exited $$status"; exit 1; fi; \
-	echo "$$out" | awk '/^BenchmarkBracket\/disabled/ { seen = 1; if ($$(NF-1) + 0 != 0) { print "FAIL: bracket fast path allocates: " $$0; bad = 1 } } \
-		END { if (!seen) { print "FAIL: no BenchmarkBracket/disabled result"; bad = 1 } exit bad }'
+	echo "$$out" | awk '$$1 ~ /^BenchmarkBracket\/(disabled|metrics)(-[0-9]+)?$$/ { split($$1, n, /[\/-]/); seen[n[2]] = 1; \
+			if ($$(NF-1) + 0 != 0) { print "FAIL: bracket fast path allocates: " $$0; bad = 1 } } \
+		END { for (i = split("disabled metrics", want, " "); i > 0; i--) if (!(want[i] in seen)) { print "FAIL: no BenchmarkBracket/" want[i] " result"; bad = 1 } exit bad }'

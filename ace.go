@@ -69,13 +69,15 @@
 //
 // # Observability
 //
-// Setting Options.Trace enables the runtime's observability layer:
-// per-space operation counters and latency histograms, network traffic
-// counters with send→deliver latency sampling, and (when TraceConfig
-// .Events is positive) a bounded per-processor event ring exported as
-// Chrome trace_event JSON. Snapshots are read with Proc.Snapshot (one
-// processor) or Cluster.Metrics (whole cluster), and the event trace is
-// written with Cluster.WriteTrace:
+// The runtime always counts: per-space operation, fast-path hit and
+// remote-miss counters, and network traffic counters. Options.Trace
+// adds the rest of the observability layer: TraceConfig.Metrics times
+// every operation into per-space latency histograms and samples
+// send→deliver latency, and a positive TraceConfig.Events keeps a
+// bounded per-processor event ring exported as Chrome trace_event JSON.
+// Snapshots are read with Proc.Snapshot (one processor) or
+// Cluster.Metrics (whole cluster), and the event trace is written with
+// Cluster.WriteTrace:
 //
 //	cl, _ := ace.NewCluster(ace.Options{
 //		Procs: 8,
@@ -87,8 +89,8 @@
 //	f, _ := os.Create("trace.json")    // chrome://tracing / Perfetto
 //	cl.WriteTrace(f)
 //
-// With Options.Trace nil the instrumentation is disabled and a bracketed
-// operation costs one atomic load and one branch — no allocation.
+// With Options.Trace nil a bracketed operation is counted but not timed:
+// one atomic add (two on a fast-path hit), no clock read, no allocation.
 //
 // # Failure model
 //

@@ -100,9 +100,11 @@ func BenchmarkFig7b(b *testing.B) {
 	}
 }
 
-// BenchmarkBracket measures the cost a StartRead/EndRead pair adds under
-// each observability mode. The disabled mode is the regression guard for
-// the near-zero-cost claim: it must report 0 B/op.
+// BenchmarkBracket measures the cost of a StartRead/EndRead hit pair under
+// each observability mode: disabled (Trace nil: counted, not timed),
+// metrics (also timed) and events (also kept in the ring). make
+// bench-allocs requires the disabled and metrics modes to report 0
+// allocs/op.
 func BenchmarkBracket(b *testing.B) {
 	modes := []struct {
 		name string

@@ -21,7 +21,7 @@ func main() {
 	var (
 		level     = flag.String("level", "", "optimization level: base, LI, LI+MC, LI+MC+DC (default: all)")
 		dumpConf  = flag.Bool("config", false, "print the protocol system configuration file")
-		countOnly = flag.Bool("counts", false, "print only static annotation counts")
+		statsOnly = flag.Bool("counts", false, "print only static annotation counts")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -67,7 +67,7 @@ func main() {
 		}
 		counts := compiler.AnnotationCounts(out)
 		fmt.Printf("\n// ===== level %s: static annotations %v =====\n", name, counts)
-		if *countOnly {
+		if *statsOnly {
 			continue
 		}
 		for _, f := range sortedFuncs(out) {

@@ -182,15 +182,11 @@ func TestStatsCounting(t *testing.T) {
 }
 
 func TestSnapshotArithmetic(t *testing.T) {
-	a := trace.NetSnapshot{MsgsSent: 10, BytesSent: 100, MsgsRecv: 5, BytesRecv: 50}
-	b := trace.NetSnapshot{MsgsSent: 4, BytesSent: 40, MsgsRecv: 2, BytesRecv: 20}
-	d := a.Sub(b)
-	if d.MsgsSent != 6 || d.BytesSent != 60 || d.MsgsRecv != 3 || d.BytesRecv != 30 {
-		t.Fatalf("Sub = %+v", d)
-	}
-	s := d.Add(b)
-	if s != a {
-		t.Fatalf("Add = %+v, want %+v", s, a)
+	a := trace.NetSnapshot{MsgsSent: 6, BytesSent: 60, MsgsRecv: 3, BytesRecv: 30, SendQueueDepth: 1, SendQueueHW: 9}
+	b := trace.NetSnapshot{MsgsSent: 4, BytesSent: 40, MsgsRecv: 2, BytesRecv: 20, SendQueueDepth: 2, SendQueueHW: 5}
+	want := trace.NetSnapshot{MsgsSent: 10, BytesSent: 100, MsgsRecv: 5, BytesRecv: 50, SendQueueDepth: 3, SendQueueHW: 9}
+	if s := a.Add(b); s != want {
+		t.Fatalf("Add = %+v, want %+v", s, want)
 	}
 }
 

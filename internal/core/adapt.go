@@ -300,7 +300,10 @@ func (p *Proc) adaptTick(sp *Space) {
 	if !ok {
 		return
 	}
-	delta := cur.Sub(st.prev)
+	// The epoch's deltas of the counts the controller reads. The
+	// counters never reset, so the plain miss difference is exact.
+	ops := cur.Ops.Sub(st.prev.Ops)
+	readMisses := cur.RemoteReadMisses - st.prev.RemoteReadMisses
 	st.prev = cur
 	now := time.Now()
 	epochNanos := now.Sub(st.lastTick).Nanoseconds()
@@ -312,17 +315,17 @@ func (p *Proc) adaptTick(sp *Space) {
 	// deltas differ; the aggregates — and everything derived from them —
 	// are identical on every processor.
 	var wf, rf int64
-	if delta.Ops[trace.OpStartWrite] > 0 {
+	if ops[trace.OpStartWrite] > 0 {
 		wf = 1
 	}
-	if delta.Ops[trace.OpStartRead] > 0 {
+	if ops[trace.OpStartRead] > 0 {
 		rf = 1
 	}
 	feats := []int64{
-		int64(delta.Ops[trace.OpStartRead]),
-		int64(delta.Ops[trace.OpStartWrite]),
-		int64(delta.Ops[trace.OpLock]),
-		int64(delta.RemoteReadMisses),
+		int64(ops[trace.OpStartRead]),
+		int64(ops[trace.OpStartWrite]),
+		int64(ops[trace.OpLock]),
+		int64(readMisses),
 		wf,
 		rf,
 		// Cumulative on purpose: home-writes-only targets are eligible

@@ -35,7 +35,6 @@ func (p *Proc) GMallocE(sp *Space, size int) (RegionID, error) {
 		return 0, &StaleSpaceError{Ref: sp.Ref()}
 	}
 	t := p.rec.Begin()
-	p.ops[trace.OpGMalloc].Add(1)
 	p.regMu.Lock()
 	p.nextSeq++
 	id := memory.MakeID(int32(p.id), p.nextSeq)
@@ -63,7 +62,6 @@ func (p *Proc) GMallocE(sp *Space, size int) (RegionID, error) {
 // StartRead or StartWrite.
 func (p *Proc) Map(id RegionID) *Region {
 	t := p.rec.Begin()
-	p.ops[trace.OpMap].Add(1)
 	p.regMu.RLock()
 	r := p.regions.Get(id)
 	p.regMu.RUnlock()
@@ -134,7 +132,6 @@ func (p *Proc) materializeAt(id RegionID, size int, sp *Space, home amnet.NodeID
 // under coherence (CRL-style unmapped-region caching).
 func (p *Proc) Unmap(r *Region) {
 	t := p.rec.Begin()
-	p.ops[trace.OpUnmap].Add(1)
 	sp := r.Space
 	if r.MapCount <= 0 {
 		panic(fmt.Sprintf("core: proc %d: unmap of unmapped region %v", p.id, r.ID))
@@ -159,9 +156,7 @@ func (p *Proc) Unmap(r *Region) {
 // engine-locked slow path.
 func (p *Proc) StartRead(r *Region) {
 	t := p.rec.Begin()
-	p.ops[trace.OpStartRead].Add(1)
 	if r.tryFastStart(rwFastRead, rwReaderShift) {
-		p.fastOps[trace.OpStartRead].Add(1)
 		p.rec.FastHit(trace.OpStartRead, r.Space.ID)
 		p.rec.End(trace.OpStartRead, r.Space.ID, t)
 		return
@@ -181,9 +176,7 @@ func (p *Proc) StartRead(r *Region) {
 // EndRead closes a read section on r.
 func (p *Proc) EndRead(r *Region) {
 	t := p.rec.Begin()
-	p.ops[trace.OpEndRead].Add(1)
 	if r.tryFastEnd(rwFastRead, rwReaderShift) {
-		p.fastOps[trace.OpEndRead].Add(1)
 		p.rec.FastHit(trace.OpEndRead, r.Space.ID)
 		p.rec.End(trace.OpEndRead, r.Space.ID, t)
 		return
@@ -205,9 +198,7 @@ func (p *Proc) EndRead(r *Region) {
 // on FastWrite.
 func (p *Proc) StartWrite(r *Region) {
 	t := p.rec.Begin()
-	p.ops[trace.OpStartWrite].Add(1)
 	if r.tryFastStart(rwFastWrite, rwWriterShift) {
-		p.fastOps[trace.OpStartWrite].Add(1)
 		p.rec.FastHit(trace.OpStartWrite, r.Space.ID)
 		p.rec.End(trace.OpStartWrite, r.Space.ID, t)
 		return
@@ -227,9 +218,7 @@ func (p *Proc) StartWrite(r *Region) {
 // EndWrite closes a write section on r.
 func (p *Proc) EndWrite(r *Region) {
 	t := p.rec.Begin()
-	p.ops[trace.OpEndWrite].Add(1)
 	if r.tryFastEnd(rwFastWrite, rwWriterShift) {
-		p.fastOps[trace.OpEndWrite].Add(1)
 		p.rec.FastHit(trace.OpEndWrite, r.Space.ID)
 		p.rec.End(trace.OpEndWrite, r.Space.ID, t)
 		return
@@ -252,7 +241,6 @@ func (p *Proc) EndWrite(r *Region) {
 // space here, after the barrier completes and the engine is released.
 func (p *Proc) Barrier(sp *Space) {
 	t := p.rec.Begin()
-	p.ops[trace.OpBarrier].Add(1)
 	sp.eng.Lock()
 	sp.Proto.Barrier(sp.ctx, sp)
 	sp.eng.Unlock()
@@ -276,7 +264,6 @@ func (p *Proc) GlobalBarrier() {
 // protocol.
 func (p *Proc) Lock(r *Region) {
 	t := p.rec.Begin()
-	p.ops[trace.OpLock].Add(1)
 	sp := r.Space
 	sp.eng.Lock()
 	sp.Proto.Lock(sp.ctx, r)
@@ -287,7 +274,6 @@ func (p *Proc) Lock(r *Region) {
 // Unlock releases the region lock.
 func (p *Proc) Unlock(r *Region) {
 	t := p.rec.Begin()
-	p.ops[trace.OpUnlock].Add(1)
 	sp := r.Space
 	sp.eng.Lock()
 	sp.Proto.Unlock(sp.ctx, r)
@@ -326,9 +312,7 @@ func (p *Proc) DropCopy(r *Region) bool {
 // StartReadBare opens a read section without bookkeeping.
 func (p *Proc) StartReadBare(r *Region) {
 	t := p.rec.Begin()
-	p.ops[trace.OpStartRead].Add(1)
 	if r.fastEligible(rwFastRead) {
-		p.fastOps[trace.OpStartRead].Add(1)
 		p.rec.FastHit(trace.OpStartRead, r.Space.ID)
 		p.rec.End(trace.OpStartRead, r.Space.ID, t)
 		return
@@ -347,9 +331,7 @@ func (p *Proc) StartReadBare(r *Region) {
 // EndReadBare closes a read section without bookkeeping.
 func (p *Proc) EndReadBare(r *Region) {
 	t := p.rec.Begin()
-	p.ops[trace.OpEndRead].Add(1)
 	if r.fastEligible(rwFastRead) {
-		p.fastOps[trace.OpEndRead].Add(1)
 		p.rec.FastHit(trace.OpEndRead, r.Space.ID)
 		p.rec.End(trace.OpEndRead, r.Space.ID, t)
 		return
@@ -365,9 +347,7 @@ func (p *Proc) EndReadBare(r *Region) {
 // StartWriteBare opens a write section without bookkeeping.
 func (p *Proc) StartWriteBare(r *Region) {
 	t := p.rec.Begin()
-	p.ops[trace.OpStartWrite].Add(1)
 	if r.fastEligible(rwFastWrite) {
-		p.fastOps[trace.OpStartWrite].Add(1)
 		p.rec.FastHit(trace.OpStartWrite, r.Space.ID)
 		p.rec.End(trace.OpStartWrite, r.Space.ID, t)
 		return
@@ -386,9 +366,7 @@ func (p *Proc) StartWriteBare(r *Region) {
 // EndWriteBare closes a write section without bookkeeping.
 func (p *Proc) EndWriteBare(r *Region) {
 	t := p.rec.Begin()
-	p.ops[trace.OpEndWrite].Add(1)
 	if r.fastEligible(rwFastWrite) {
-		p.fastOps[trace.OpEndWrite].Add(1)
 		p.rec.FastHit(trace.OpEndWrite, r.Space.ID)
 		p.rec.End(trace.OpEndWrite, r.Space.ID, t)
 		return

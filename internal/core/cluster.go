@@ -36,11 +36,12 @@ type Options struct {
 	// deployment (see Join). Nil means an in-process channel network.
 	Transport amnet.Transport
 
-	// Trace, if non-nil, enables the observability layer (package
-	// trace): per-space operation counters and latency histograms,
-	// network send→deliver latency sampling, and — when Trace.Events is
-	// positive — per-processor event rings exported by WriteTrace. Nil
-	// disables instrumentation at near-zero cost.
+	// Trace selects what the observability layer (package trace) records
+	// beyond the per-space operation, fast-hit and remote-miss counters,
+	// which are always on: Trace.Metrics adds per-space latency
+	// histograms and network send→deliver latency sampling, and a
+	// positive Trace.Events per-processor event rings exported by
+	// WriteTrace. Nil counts only: no clock reads, no allocation.
 	Trace *trace.Config
 
 	// Faults, if non-nil, wraps the transport (own or provided) in a
@@ -58,11 +59,8 @@ type Options struct {
 	// at barrier points the runtime classifies each adaptable space's
 	// access pattern from the trace counters and switches the space to
 	// the registered protocol matching the pattern (via the collective
-	// ChangeProtocol). Setting Adapt forces the counters-only tier of
-	// the observability layer on (Trace.Counters) — the controller
-	// consumes counts, and the full tier's clock reads would tax the
-	// very application the controller is speeding up. See AdaptConfig
-	// for tuning and AdaptHints for how protocols opt in.
+	// ChangeProtocol). See AdaptConfig for tuning and AdaptHints for how
+	// protocols opt in.
 	Adapt *AdaptConfig
 
 	// SyncTimeout, when positive, bounds every blocking synchronization
@@ -131,18 +129,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.Adapt != nil {
 		ac := opts.Adapt.withDefaults()
 		opts.Adapt = &ac
-		// The controller reads the per-space counters every epoch; force
-		// the counters-only tier of the observability layer on (copying
-		// the caller's config rather than mutating it). Counters, not
-		// full Metrics: the latency histograms and clock reads of the
-		// full tier cost more than the hand-tuned protocols the
-		// controller is chasing, and it only consumes counts.
-		tc := trace.Config{Counters: true}
-		if opts.Trace != nil {
-			tc = *opts.Trace
-			tc.Counters = true
-		}
-		opts.Trace = &tc
 	}
 	tr := opts.Transport
 	own := true
@@ -254,11 +240,11 @@ func (c *Cluster) Close() error {
 }
 
 // Metrics aggregates the observability snapshot across the local
-// processors:
-// per-space operation counts and latency histograms (populated when
-// Options.Trace enabled them) plus network traffic counters (always
-// live). Call it only while the cluster is quiescent (before Run, after
-// Run, or inside a barrier) for a consistent view.
+// processors: per-space operation, fast-hit and remote-miss counts and
+// network traffic counters (always live), plus latency histograms
+// (populated when Options.Trace enabled them). Call it only while the
+// cluster is quiescent (before Run, after Run, or inside a barrier) for
+// a consistent view.
 func (c *Cluster) Metrics() trace.Metrics {
 	var m trace.Metrics
 	for _, p := range c.procs {

@@ -479,7 +479,7 @@ func TestChangeProtocolFlushes(t *testing.T) {
 }
 
 func TestOpStatsCounted(t *testing.T) {
-	cl, err := NewCluster(Options{Procs: 2, Trace: &trace.Config{Counters: true}})
+	cl, err := NewCluster(Options{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

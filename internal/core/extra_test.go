@@ -161,9 +161,10 @@ func TestUnmapTooMany(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshot: per-proc op counters are visible through Snapshot().
+// TestStatsSnapshot: per-proc op counters are visible through Snapshot(),
+// with no Trace config.
 func TestStatsSnapshot(t *testing.T) {
-	cl, err := NewCluster(Options{Procs: 1, Trace: &trace.Config{Counters: true}})
+	cl, err := NewCluster(Options{Procs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

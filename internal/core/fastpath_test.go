@@ -62,12 +62,12 @@ func TestFastPathStressSiblingInvalidation(t *testing.T) {
 		// Quiescent epilogue: with no traffic in flight the home's
 		// directory settles, so all but the first of these brackets must
 		// commit on the fast path.
-		before := p.FastHits()[trace.OpStartRead]
+		before := p.Snapshot().FastOps[trace.OpStartRead]
 		for i := 0; i < 100; i++ {
 			p.StartRead(regs[me])
 			p.EndRead(regs[me])
 		}
-		if hits := p.FastHits()[trace.OpStartRead] - before; hits < 99 {
+		if hits := p.Snapshot().FastOps[trace.OpStartRead] - before; hits < 99 {
 			return fmt.Errorf("proc %d: %d/100 quiescent brackets hit the fast path, want >= 99", me, hits)
 		}
 		p.GlobalBarrier()
@@ -126,54 +126,82 @@ func TestFastPathStressChangeProtocol(t *testing.T) {
 	})
 }
 
-// TestFastHitCounters checks the bookkeeping around fast hits: every hit
-// is still counted as an operation, the hit counts are a subset of the
-// operation counts, and the observability layer's FastOps agree with the
-// runtime's own counters.
+// TestFastHitCounters checks the one-counter contract: the same
+// deterministic program counts the same per-space operations, fast hits
+// and remote misses whether or not its brackets are timed. Every hit is
+// still counted as an operation, and on a quiescent home region nearly
+// every bracket is a hit.
 func TestFastHitCounters(t *testing.T) {
-	cl, err := NewCluster(Options{Procs: 1, Trace: &trace.Config{Metrics: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
 	const k = 1000
-	err = cl.Run(func(p *Proc) error {
-		r := p.Map(p.GMalloc(p.DefaultSpace(), 16))
-		for i := 0; i < k; i++ {
-			p.StartRead(r)
-			p.StartRead(r) // nested sections exercise counts > 1
-			p.EndRead(r)
-			p.EndRead(r)
+	spaces := func(cfg *trace.Config) []trace.SpaceMetrics {
+		cl, err := NewCluster(Options{Procs: 1, Trace: cfg})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := 0; i < k; i++ {
-			p.StartWrite(r)
-			r.Data.SetInt64(0, int64(i))
-			p.EndWrite(r)
-		}
-		st := p.Snapshot().Ops
-		if st.Get(trace.OpStartRead) != 2*k || st.Get(trace.OpEndRead) != 2*k ||
-			st.Get(trace.OpStartWrite) != k || st.Get(trace.OpEndWrite) != k {
-			return fmt.Errorf("op counts: %+v", st)
-		}
-		fast := p.FastHits()
-		if fast[trace.OpStartRead] > st.Get(trace.OpStartRead) || fast[trace.OpEndRead] > st.Get(trace.OpEndRead) {
-			return fmt.Errorf("fast hits exceed op counts: %v vs %+v", fast, st)
-		}
-		// A single-proc home region is permanently quiescent: at most the
-		// first bracket of each kind takes the slow path.
-		if fast[trace.OpStartRead] < 2*k-1 || fast[trace.OpEndRead] < 2*k-1 ||
-			fast[trace.OpStartWrite] < k-1 || fast[trace.OpEndWrite] < k-1 {
-			return fmt.Errorf("fast hits %v, want near-total on a quiescent home region", fast)
-		}
-		m := p.Snapshot()
-		for op := trace.Op(0); op < trace.NumOps; op++ {
-			if m.FastOps[op] != fast[op] {
-				return fmt.Errorf("metrics FastOps[%v] = %d, runtime counter %d", op, m.FastOps[op], fast[op])
+		defer cl.Close()
+		err = cl.Run(func(p *Proc) error {
+			sp, err := p.NewSpace("sc")
+			if err != nil {
+				return err
 			}
+			r := p.Map(p.GMalloc(p.DefaultSpace(), 16))
+			for i := 0; i < k; i++ {
+				p.StartRead(r)
+				p.StartRead(r) // nested sections exercise counts > 1
+				p.EndRead(r)
+				p.EndRead(r)
+			}
+			for i := 0; i < k; i++ {
+				p.StartWrite(r)
+				r.Data.SetInt64(0, int64(i))
+				p.EndWrite(r)
+			}
+			p.Lock(r)
+			p.Unlock(r)
+			p.Unmap(r)
+			p.Barrier(sp)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		return cl.Metrics().Spaces
+	}
+	untimed := spaces(nil)
+	timed := spaces(&trace.Config{Metrics: true})
+	if len(untimed) != 2 || len(timed) != 2 {
+		t.Fatalf("spaces: untimed %d, timed %d, want 2", len(untimed), len(timed))
+	}
+	for i := range timed {
+		u, m := untimed[i], timed[i]
+		if u.Ops != m.Ops || u.FastOps != m.FastOps ||
+			u.RemoteReadMisses != m.RemoteReadMisses || u.RemoteWriteMisses != m.RemoteWriteMisses {
+			t.Errorf("space %d: untimed counts %+v/%+v/%d/%d, timed %+v/%+v/%d/%d", i,
+				u.Ops, u.FastOps, u.RemoteReadMisses, u.RemoteWriteMisses,
+				m.Ops, m.FastOps, m.RemoteReadMisses, m.RemoteWriteMisses)
+		}
+		if got, want := m.Latency[trace.OpStartRead].Count, m.Ops[trace.OpStartRead]; got != want {
+			t.Errorf("space %d: timed start_read latency count %d, want %d", i, got, want)
+		}
+		if u.Latency[trace.OpStartRead].Count != 0 {
+			t.Errorf("space %d: untimed run recorded latency", i)
+		}
+	}
+	ops, fast := untimed[0].Ops, untimed[0].FastOps
+	if ops[trace.OpStartRead] != 2*k || ops[trace.OpEndRead] != 2*k ||
+		ops[trace.OpStartWrite] != k || ops[trace.OpEndWrite] != k ||
+		ops[trace.OpLock] != 1 || ops[trace.OpUnmap] != 1 || untimed[1].Ops[trace.OpBarrier] != 1 {
+		t.Fatalf("op counts: %+v / %+v", ops, untimed[1].Ops)
+	}
+	// A single-proc home region is permanently quiescent: at most the
+	// first bracket of each kind takes the slow path.
+	if fast[trace.OpStartRead] < 2*k-1 || fast[trace.OpEndRead] < 2*k-1 ||
+		fast[trace.OpStartWrite] < k-1 || fast[trace.OpEndWrite] < k-1 {
+		t.Errorf("fast hits %v, want near-total on a quiescent home region", fast)
+	}
+	for op := trace.Op(0); op < trace.NumOps; op++ {
+		if fast[op] > ops[op] {
+			t.Errorf("%v: %d fast hits exceed %d ops", op, fast[op], ops[op])
+		}
 	}
 }

@@ -134,7 +134,6 @@ func (p *Proc) FreeSpace(sp *Space) error {
 		return err
 	}
 	t := p.rec.Begin()
-	p.ops[trace.OpFreeSpace].Add(1)
 	p.ctx.DefaultBarrier()
 	sp.eng.Lock()
 	sp.Proto.FlushSpace(sp.ctx, sp)

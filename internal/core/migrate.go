@@ -50,7 +50,6 @@ func (p *Proc) MigrateHome(sp *Space, id RegionID, newHome amnet.NodeID) error {
 	// Migrations are recorded under the change-protocol op: both are
 	// whole-space reconfiguration collectives with the same flush cost.
 	t := p.rec.Begin()
-	p.ops[trace.OpChangeProtocol].Add(1)
 	p.ctx.DefaultBarrier()
 	sp.eng.Lock()
 	sp.Proto.FlushSpace(sp.ctx, sp)

@@ -98,55 +98,82 @@ func TestMetricsParityWithOpStats(t *testing.T) {
 	}
 }
 
-// TestSnapshotDuringRun reads metrics concurrently with the processors'
-// execution; under -race this checks the snapshot path against the
-// bracket hot path.
+// TestSnapshotDuringRun reads Cluster.Metrics and every Proc.Snapshot
+// concurrently with the processors' hit and miss brackets, untraced (the
+// always-on counters alone) and traced; under -race this checks both
+// snapshot paths against the bracket hot paths.
 func TestSnapshotDuringRun(t *testing.T) {
-	cl, err := NewCluster(Options{Procs: 4, Trace: &trace.Config{Metrics: true, Events: 128}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	stop := make(chan struct{})
-	var reader sync.WaitGroup
-	reader.Add(1)
-	go func() {
-		defer reader.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				_ = cl.Metrics()
-				_ = cl.TraceEvents()
+	const procs, rounds = 4, 200
+	for _, tc := range []struct {
+		name string
+		cfg  *trace.Config
+	}{
+		{"untraced", nil},
+		{"traced", &trace.Config{Metrics: true, Events: 128}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := NewCluster(Options{Procs: procs, Trace: tc.cfg})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}()
-	err = cl.Run(func(p *Proc) error {
-		var id RegionID
-		if p.ID() == 0 {
-			id = p.GMalloc(p.DefaultSpace(), 8)
-		}
-		id = p.BroadcastID(0, id)
-		r := p.Map(id)
-		for i := 0; i < 200; i++ {
-			p.StartWrite(r)
-			p.EndWrite(r)
-			p.StartRead(r)
-			p.EndRead(r)
-		}
-		p.GlobalBarrier()
-		return nil
-	})
-	close(stop)
-	reader.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cl.Metrics().Ops.Get(trace.OpStartWrite); got != 4*200 {
-		t.Errorf("start_write = %d, want %d", got, 4*200)
-	}
-	if len(cl.TraceEvents()) == 0 {
-		t.Error("no events retained")
+			defer cl.Close()
+			stop := make(chan struct{})
+			var reader sync.WaitGroup
+			reader.Add(1)
+			go func() {
+				defer reader.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						_ = cl.Metrics()
+						for _, p := range cl.Local() {
+							_ = p.Snapshot()
+						}
+						_ = cl.TraceEvents()
+					}
+				}
+			}()
+			err = cl.Run(func(p *Proc) error {
+				mine := p.Map(p.GMalloc(p.DefaultSpace(), 8))
+				var id RegionID
+				if p.ID() == 0 {
+					id = p.GMalloc(p.DefaultSpace(), 8)
+				}
+				id = p.BroadcastID(0, id)
+				r := p.Map(id)
+				for i := 0; i < rounds; i++ {
+					p.StartWrite(r) // contended: misses
+					p.EndWrite(r)
+					p.StartRead(r)
+					p.EndRead(r)
+					p.StartRead(mine) // private home region: hits
+					p.EndRead(mine)
+				}
+				p.GlobalBarrier()
+				return nil
+			})
+			close(stop)
+			reader.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := cl.Metrics()
+			if got := m.Ops.Get(trace.OpStartWrite); got != procs*rounds {
+				t.Errorf("start_write = %d, want %d", got, procs*rounds)
+			}
+			// Only the first bracket on each private region misses the
+			// fast path.
+			if got := m.FastOps.Get(trace.OpStartRead); got < procs*(rounds-1) {
+				t.Errorf("fast start_read = %d, want >= %d", got, procs*(rounds-1))
+			}
+			if m.Spaces[0].RemoteWriteMisses == 0 {
+				t.Error("no remote write misses counted")
+			}
+			if tc.cfg != nil && len(cl.TraceEvents()) == 0 {
+				t.Error("no events retained")
+			}
+		})
 	}
 }

@@ -144,18 +144,12 @@ type Proc struct {
 	downPeer    atomic.Int32
 	reviveEpoch uint64
 
-	// ops counts runtime primitive invocations; fastOps the subset that
-	// completed on the lock-free bracket fast path. Indexed by trace.Op.
-	// Only the application thread increments them, so the atomic adds
-	// are uncontended; atomics make Stats/FastHits safe to read
-	// concurrently.
-	ops     [trace.NumOps]atomic.Uint64
-	fastOps [trace.NumOps]atomic.Uint64
-
 	// coll counts collective rounds, hops and bytes plus aggregated
 	// protocol frames (always on, lock-free; see trace.CollStats).
 	coll trace.CollStats
 
+	// rec holds the operation, fast-hit and remote-miss counters (always
+	// on) and, when Options.Trace asks, latencies and the event ring.
 	rec *trace.Recorder
 }
 
@@ -261,22 +255,12 @@ func (p *Proc) space(id int) *Space {
 	return sp
 }
 
-// FastHits returns how many invocations of each operation completed on
-// the lock-free bracket fast path (always a subset of the counts in
-// Stats/Snapshot).
-func (p *Proc) FastHits() trace.OpCounts {
-	var c trace.OpCounts
-	for i := range c {
-		c[i] = p.fastOps[i].Load()
-	}
-	return c
-}
-
 // Snapshot returns this processor's observability snapshot: per-space
-// operation counts and latency histograms (populated when Options.Trace
-// enabled metrics) plus this endpoint's traffic counters (always live).
-// It may be called concurrently with the processor's execution; the ops
-// half is then a momentary view.
+// operation, fast-hit and remote-miss counts (always live), latency
+// histograms (populated when Options.Trace enabled metrics), and this
+// endpoint's traffic counters (always live). It may be called
+// concurrently with the processor's execution; the ops half is then a
+// momentary view.
 func (p *Proc) Snapshot() trace.Metrics {
 	m := p.rec.Snapshot()
 	if sps := p.spaces.Load(); sps != nil {

@@ -183,7 +183,6 @@ func (p *Proc) ChangeProtocol(sp *Space, protoName string) error {
 		return err
 	}
 	t := p.rec.Begin()
-	p.ops[trace.OpChangeProtocol].Add(1)
 	p.ctx.DefaultBarrier()
 	sp.eng.Lock()
 	sp.Proto.FlushSpace(sp.ctx, sp)

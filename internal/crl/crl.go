@@ -85,8 +85,8 @@ func (c *Cluster) Run(fn func(p *Proc) error) error {
 func (c *Cluster) Close() error { return c.inner.Close() }
 
 // Metrics aggregates the observability snapshot across all processors
-// (quiescent clusters only). CRL does not expose Options.Trace, so only
-// the network half is populated.
+// (quiescent clusters only): operation and network counts. CRL does not
+// expose Options.Trace, so the latency histograms stay empty.
 func (c *Cluster) Metrics() trace.Metrics { return c.inner.Metrics() }
 
 // Region is a CRL region handle: rgn_map's return value.

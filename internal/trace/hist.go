@@ -67,31 +67,6 @@ func (s Histogram) Add(o Histogram) Histogram {
 	return s
 }
 
-// Sub returns the bucket-wise difference s - o (for interval deltas of
-// monotonic snapshots). Each field saturates at zero: when snapshots
-// straddle a counter reset (e.g. the ChangeProtocol epoch rollover) the
-// older snapshot can exceed the newer one, and an unsigned wraparound
-// would make Quantile/Mean nonsense. Count is recomputed from the
-// clamped buckets so the delta stays internally consistent.
-func (s Histogram) Sub(o Histogram) Histogram {
-	if s.SumNS >= o.SumNS {
-		s.SumNS -= o.SumNS
-	} else {
-		s.SumNS = 0
-	}
-	var count uint64
-	for i := range s.Buckets {
-		if s.Buckets[i] >= o.Buckets[i] {
-			s.Buckets[i] -= o.Buckets[i]
-		} else {
-			s.Buckets[i] = 0
-		}
-		count += s.Buckets[i]
-	}
-	s.Count = count
-	return s
-}
-
 // Mean returns the mean observed duration (0 when empty).
 func (s Histogram) Mean() time.Duration {
 	if s.Count == 0 {

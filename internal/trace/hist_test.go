@@ -1,103 +1,10 @@
 package trace
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-func histOf(ns ...int64) Histogram {
-	var h hist
-	for _, d := range ns {
-		h.observe(d)
-	}
-	return h.snapshot()
-}
-
-// TestHistogramSubClampsAcrossReset: Sub computes interval deltas of
-// monotonic snapshots, but a counter reset (e.g. the ChangeProtocol
-// epoch rollover) can make the newer snapshot smaller than the older
-// one. The difference must clamp at zero instead of wrapping the uint64
-// counters into astronomically large values that poison Quantile/Mean —
-// the adaptive controller's epoch deltas are computed exactly this way.
-func TestHistogramSubClampsAcrossReset(t *testing.T) {
-	tests := []struct {
-		name string
-		s, o Histogram
-		want Histogram
-	}{
-		{
-			name: "plain monotonic delta",
-			s:    histOf(1, 1, 100, 100, 5000),
-			o:    histOf(1, 100),
-			want: histOf(1, 100, 5000),
-		},
-		{
-			name: "identical snapshots",
-			s:    histOf(7, 7, 7),
-			o:    histOf(7, 7, 7),
-			want: Histogram{},
-		},
-		{
-			name: "full reset: newer snapshot empty",
-			s:    Histogram{},
-			o:    histOf(1, 100, 5000),
-			want: Histogram{},
-		},
-		{
-			// The sum underflow clamps to zero (the true value is
-			// unrecoverable after a reset); the surviving bucket keeps
-			// the delta usable for Quantile.
-			name: "reset then a few new observations",
-			s:    histOf(30),
-			o:    histOf(1, 1, 100, 5000),
-			want: func() Histogram {
-				var h Histogram
-				h.Count = 1
-				h.Buckets[bucketOf(30)] = 1
-				return h
-			}(),
-		},
-		{
-			// Count is recomputed from the clamped buckets, keeping the
-			// snapshot internally consistent.
-			name: "partial underflow: one bucket shrank",
-			s:    histOf(1, 5000, 5000),
-			o:    histOf(1, 1, 5000),
-			want: func() Histogram {
-				var h Histogram
-				h.Count = 1
-				h.SumNS = 4999
-				h.Buckets[bucketOf(5000)] = 1
-				return h
-			}(),
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got := tt.s.Sub(tt.o)
-			if got != tt.want {
-				t.Errorf("Sub:\n got %+v\nwant %+v", got, tt.want)
-			}
-			if got.Count == 0 {
-				if m := got.Mean(); m != 0 {
-					t.Errorf("Mean of empty delta = %v, want 0", m)
-				}
-				return
-			}
-			// A sane delta never reports a quantile above the top
-			// bucket of the minuend or a mean beyond its sum.
-			if q := got.Quantile(0.99); q < 0 || q > time.Duration(bucketHigh(HistBuckets-1)) {
-				t.Errorf("Quantile(0.99) = %v out of range", q)
-			}
-			if got.SumNS > tt.s.SumNS {
-				t.Errorf("delta SumNS %d exceeds minuend SumNS %d", got.SumNS, tt.s.SumNS)
-			}
-		})
-	}
-}
-
-// TestOpCountsSubClampsAcrossReset: same clamping contract for the
-// per-operation counter vector.
+// TestOpCountsSubClampsAcrossReset: OpCounts.Sub computes interval
+// deltas of monotonic snapshots and clamps at zero instead of wrapping
+// when the older snapshot is larger.
 func TestOpCountsSubClampsAcrossReset(t *testing.T) {
 	var s, o OpCounts
 	s[OpStartRead] = 10

@@ -76,29 +76,6 @@ func (m SpaceMetrics) merge(o SpaceMetrics) SpaceMetrics {
 	return m
 }
 
-// Sub returns the element-wise delta m - o of two snapshots of the same
-// space, saturating at zero (see OpCounts.Sub and Histogram.Sub): the
-// adaptive controller's per-epoch feature vector. The protocol name is
-// taken from the newer snapshot.
-func (m SpaceMetrics) Sub(o SpaceMetrics) SpaceMetrics {
-	m.Ops = m.Ops.Sub(o.Ops)
-	m.FastOps = m.FastOps.Sub(o.FastOps)
-	for i := range m.Latency {
-		m.Latency[i] = m.Latency[i].Sub(o.Latency[i])
-	}
-	if m.RemoteReadMisses >= o.RemoteReadMisses {
-		m.RemoteReadMisses -= o.RemoteReadMisses
-	} else {
-		m.RemoteReadMisses = 0
-	}
-	if m.RemoteWriteMisses >= o.RemoteWriteMisses {
-		m.RemoteWriteMisses -= o.RemoteWriteMisses
-	} else {
-		m.RemoteWriteMisses = 0
-	}
-	return m
-}
-
 // AdaptStats is one space's adaptive-controller state, surfaced through
 // Metrics.Adapt when Options.Adapt is set. The controller runs the same
 // deterministic decision sequence on every processor, so per-processor

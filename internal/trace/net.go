@@ -70,14 +70,6 @@ func (c FaultCounts) Add(o FaultCounts) FaultCounts {
 	return c
 }
 
-// Sub returns the element-wise difference c - o.
-func (c FaultCounts) Sub(o FaultCounts) FaultCounts {
-	for i := range c {
-		c[i] -= o[i]
-	}
-	return c
-}
-
 // NetStats is one network endpoint's traffic telemetry: message and byte
 // counters for both directions, a per-handler receive breakdown, and a
 // sampled send→deliver latency histogram. All updates are atomic; the
@@ -240,9 +232,8 @@ type NetSnapshot struct {
 	Retransmits, DupFramesDropped uint64
 
 	// Send-queue telemetry (transports with bounded per-connection send
-	// queues). SendQueueDepth and SendQueueHW are gauges: Sub keeps the
-	// minuend's values (a delta of a gauge is meaningless) and Add takes
-	// the sum of depths but the max of high-waters.
+	// queues). SendQueueDepth and SendQueueHW are gauges: Add takes the
+	// sum of depths but the max of high-waters.
 	SendQueueDepth  int64
 	SendQueueHW     uint64
 	SendQueueStalls uint64
@@ -254,26 +245,6 @@ type NetSnapshot struct {
 	// Deliver is the sampled send→deliver latency distribution of
 	// messages received by this endpoint.
 	Deliver Histogram
-}
-
-// Sub returns the element-wise difference s - o.
-func (s NetSnapshot) Sub(o NetSnapshot) NetSnapshot {
-	return NetSnapshot{
-		MsgsSent:         s.MsgsSent - o.MsgsSent,
-		BytesSent:        s.BytesSent - o.BytesSent,
-		MsgsRecv:         s.MsgsRecv - o.MsgsRecv,
-		BytesRecv:        s.BytesRecv - o.BytesRecv,
-		Flushes:          s.Flushes - o.Flushes,
-		Reconnects:       s.Reconnects - o.Reconnects,
-		Backoffs:         s.Backoffs - o.Backoffs,
-		Retransmits:      s.Retransmits - o.Retransmits,
-		DupFramesDropped: s.DupFramesDropped - o.DupFramesDropped,
-		SendQueueDepth:   s.SendQueueDepth,
-		SendQueueHW:      s.SendQueueHW,
-		SendQueueStalls:  s.SendQueueStalls - o.SendQueueStalls,
-		Faults:           s.Faults.Sub(o.Faults),
-		Deliver:          s.Deliver.Sub(o.Deliver),
-	}
 }
 
 // Add returns the element-wise sum s + o.

@@ -5,18 +5,22 @@
 //
 // Three surfaces:
 //
-//   - Recorder: per-processor monotonic counters and latency histograms
-//     for every protocol invocation point (Map, Unmap, StartRead, ...,
-//     Barrier, Lock, Unlock), keyed by space and protocol name.
+//   - Recorder: per-processor monotonic counters, always on, and
+//     optional latency histograms for every protocol invocation point
+//     (Map, Unmap, StartRead, ..., Barrier, Lock, Unlock), keyed by space
+//     and protocol name. Its counters are the runtime's only operation
+//     counters: the adaptive controller and the public snapshots read
+//     the same ones.
 //   - NetStats: per-endpoint message/byte counters with per-handler
 //     breakdown and sampled send→deliver latency.
 //   - A bounded per-processor event ring exported as Chrome trace_event
 //     JSON, so a whole run can be inspected in chrome://tracing or
 //     Perfetto (see WriteChromeTrace).
 //
-// All hot-path entry points are nil-safe, allocation-free, and guarded
-// by an atomic enable flag: with instrumentation disabled a bracket
-// costs one atomic load and one branch.
+// All hot-path entry points are allocation-free. Config chooses only
+// what is recorded beyond the counts: an untimed bracket costs one
+// atomic counter add (two on a fast-path hit) and no clock read; a timed
+// one adds two clock reads and a histogram update.
 //
 // Snapshots (Metrics, NetSnapshot, Histogram) are plain values safe to
 // copy, compare and aggregate; live state (Recorder, NetStats) is
@@ -63,22 +67,14 @@ func (o Op) String() string {
 	return "invalid_op"
 }
 
-// Config selects what the observability layer records. A nil *Config
-// anywhere in the API means "disabled".
+// Config selects what the observability layer records beyond the
+// per-space operation and miss counters, which are always on. A nil
+// *Config anywhere in the API means "count only".
 type Config struct {
-	// Metrics enables per-space operation counters and latency
-	// histograms, and send→deliver latency sampling on the network
-	// endpoints.
+	// Metrics times every bracketed operation into per-space latency
+	// histograms, and turns on send→deliver latency sampling on the
+	// network endpoints.
 	Metrics bool
-
-	// Counters enables the cheap tier of Metrics: per-space operation
-	// and miss counters without latency histograms, timestamps, or
-	// network latency sampling. A counted bracket costs two atomic adds
-	// and no clock reads, so the tier is safe to leave on under
-	// benchmarks — it exists for the adaptive controller, which needs
-	// the counts at every barrier but must not tax the application it
-	// is trying to speed up. Implied by Metrics.
-	Counters bool
 
 	// Events, when positive, is the per-processor event ring capacity:
 	// the last Events bracketed operations per processor are retained
@@ -127,60 +123,40 @@ type spaceCounters struct {
 	rmWrite atomic.Uint64
 }
 
-// Recorder collects one processor's operation metrics and events. The
-// zero value and the nil pointer are valid, permanently disabled
-// recorders. Begin/End are safe to call from any goroutine; AddSpace and
+// Recorder collects one processor's operation counts and, when timing,
+// latencies and events. The zero value is a valid untimed recorder.
+// Begin/End are safe to call from any goroutine; AddSpace and
 // SetProtocol must be externally ordered with respect to End calls that
 // name the space (the runtime guarantees this: spaces are created before
 // they are used).
 type Recorder struct {
-	proc    int32
-	enabled atomic.Bool
-	timing  atomic.Bool // latency histograms + timestamps (full Metrics tier)
-	spaces  atomic.Pointer[[]*spaceCounters]
+	proc   int32
+	timing bool // latency histograms + timestamps; fixed at construction
+	spaces atomic.Pointer[[]*spaceCounters]
 
-	evOn   atomic.Bool
 	mu     sync.Mutex // guards the ring and space growth
-	events []Event
+	events []Event    // the ring; nil when event tracing is off
 	evNext uint64
 }
 
-// NewRecorder creates the recorder for processor proc under cfg. A nil
-// or all-zero cfg yields a disabled recorder that still tracks space
-// names (so enabling later via Enable observes a correct space table).
+// NewRecorder creates the recorder for processor proc under cfg. Every
+// recorder counts; cfg.Metrics or a positive cfg.Events also times, and
+// cfg.Events sizes the event ring. A nil cfg counts only.
 func NewRecorder(proc int, cfg *Config) *Recorder {
 	r := &Recorder{proc: int32(proc)}
-	if cfg != nil && (cfg.Metrics || cfg.Counters || cfg.Events > 0) {
-		r.enabled.Store(true)
-		r.timing.Store(cfg.Metrics || cfg.Events > 0)
+	if cfg != nil {
+		r.timing = cfg.Metrics || cfg.Events > 0
 		if cfg.Events > 0 {
 			r.events = make([]Event, cfg.Events)
-			r.evOn.Store(true)
 		}
 	}
 	return r
 }
 
-// Enable switches metric collection on or off at runtime, at the tier
-// the recorder was configured with (a counters-only recorder re-enables
-// as counters-only).
-func (r *Recorder) Enable(on bool) {
-	if r == nil {
-		return
-	}
-	r.enabled.Store(on)
-}
-
-// Enabled reports whether the recorder is collecting.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled.Load() }
-
 // AddSpace registers space id with the given protocol name. Spaces are
 // dense, created in id order; AddSpace is idempotent for already-known
 // ids.
 func (r *Recorder) AddSpace(id int, proto string) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var cur []*spaceCounters
@@ -204,43 +180,28 @@ func (r *Recorder) AddSpace(id int, proto string) {
 
 // SetProtocol records that space id switched to the named protocol.
 func (r *Recorder) SetProtocol(id int, proto string) {
-	if r == nil {
-		return
-	}
 	if p := r.spaces.Load(); p != nil && id >= 0 && id < len(*p) {
 		(*p)[id].proto.Store(&proto)
 	}
 }
 
-// countOnly is Begin's token for the counters-only tier: the bracket is
-// counted but not timed. Now() is nanoseconds since process start, so a
-// negative value can never be a real timestamp.
-const countOnly int64 = -1
-
-// Begin opens a bracketed operation, returning a timestamp token to pass
-// to End. It returns 0 when the recorder is disabled, which makes the
-// matching End a single branch, and the countOnly token when only
-// counters are collected — the token is what keeps clock reads off the
-// counters-only hot path. Zero-allocation.
+// Begin opens a bracketed operation, returning a token to pass to End:
+// a timestamp when the recorder times, and 0 ("count only") when it
+// does not, which keeps clock reads off the untimed hot path.
+// Zero-allocation.
 func (r *Recorder) Begin() int64 {
-	if r == nil || !r.enabled.Load() {
+	if !r.timing {
 		return 0
-	}
-	if !r.timing.Load() {
-		return countOnly
 	}
 	return Now()
 }
 
 // End closes a bracketed operation started at begin, attributing it to
-// op on the given space (-1 for no space). A zero begin (disabled
-// recorder) returns immediately; a countOnly begin increments the
-// operation counter and nothing else. Zero-allocation.
+// op on the given space (-1 for no space). It always counts the
+// operation; a nonzero begin also records its latency and, with the
+// event ring on, an event. Zero-allocation.
 func (r *Recorder) End(op Op, space int, begin int64) {
 	if begin == 0 {
-		return
-	}
-	if begin == countOnly {
 		if p := r.spaces.Load(); p != nil && space >= 0 && space < len(*p) {
 			(*p)[space].ops[op].Add(1)
 		}
@@ -258,7 +219,7 @@ func (r *Recorder) End(op Op, space int, begin int64) {
 		sc.lat[op].observe(d)
 		proto = *sc.proto.Load()
 	}
-	if r.evOn.Load() {
+	if r.events != nil {
 		r.pushEvent(Event{TS: begin, Dur: d, Proc: r.proc, Space: int32(space), Op: op, Proto: proto})
 	}
 }
@@ -266,11 +227,8 @@ func (r *Recorder) End(op Op, space int, begin int64) {
 // FastHit counts an invocation of op on space that completed on the
 // runtime's lock-free bracket fast path. Callers also record the
 // operation itself through Begin/End; FastHit only marks the subset.
-// Zero-allocation; a single branch when the recorder is disabled.
+// Zero-allocation.
 func (r *Recorder) FastHit(op Op, space int) {
-	if r == nil || !r.enabled.Load() {
-		return
-	}
 	if p := r.spaces.Load(); p != nil && space >= 0 && space < len(*p) {
 		(*p)[space].fast[op].Add(1)
 	}
@@ -278,12 +236,8 @@ func (r *Recorder) FastHit(op Op, space int) {
 
 // RemoteMiss counts a bracket open (OpStartRead or OpStartWrite) on
 // space that had to reach a remote home for data or permission — the
-// slow-path analogue of a cache miss. Nil-safe, zero-allocation, one
-// branch when disabled.
+// slow-path analogue of a cache miss. Zero-allocation.
 func (r *Recorder) RemoteMiss(op Op, space int) {
-	if r == nil || !r.enabled.Load() {
-		return
-	}
 	if p := r.spaces.Load(); p != nil && space >= 0 && space < len(*p) {
 		sc := (*p)[space]
 		if op == OpStartWrite {
@@ -295,12 +249,9 @@ func (r *Recorder) RemoteMiss(op Op, space int) {
 }
 
 // SpaceSnapshot returns one space's metrics (ok=false for an unknown
-// space or a nil recorder). The adaptive controller diffs consecutive
-// snapshots with SpaceMetrics.Sub to get per-epoch deltas.
+// space). The adaptive controller diffs consecutive snapshots of the
+// counts it reads to get per-epoch deltas.
 func (r *Recorder) SpaceSnapshot(id int) (SpaceMetrics, bool) {
-	if r == nil {
-		return SpaceMetrics{}, false
-	}
 	p := r.spaces.Load()
 	if p == nil || id < 0 || id >= len(*p) {
 		return SpaceMetrics{}, false
@@ -331,9 +282,6 @@ func (r *Recorder) pushEvent(ev Event) {
 
 // Events returns the retained events, oldest first.
 func (r *Recorder) Events() []Event {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := uint64(len(r.events))
@@ -358,9 +306,6 @@ func (r *Recorder) Events() []Event {
 // fill it in.
 func (r *Recorder) Snapshot() Metrics {
 	var m Metrics
-	if r == nil {
-		return m
-	}
 	p := r.spaces.Load()
 	if p == nil {
 		return m

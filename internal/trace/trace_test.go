@@ -8,32 +8,6 @@ import (
 	"time"
 )
 
-func TestNilAndDisabledRecorder(t *testing.T) {
-	var nilRec *Recorder
-	if nilRec.Begin() != 0 {
-		t.Error("nil recorder Begin != 0")
-	}
-	nilRec.End(OpMap, 0, nilRec.Begin()) // must not panic
-	nilRec.AddSpace(0, "sc")
-	nilRec.SetProtocol(0, "update")
-	if nilRec.Enabled() {
-		t.Error("nil recorder reports enabled")
-	}
-	if m := nilRec.Snapshot(); m.Ops.Total() != 0 {
-		t.Error("nil recorder counted something")
-	}
-	if evs := nilRec.Events(); evs != nil {
-		t.Error("nil recorder has events")
-	}
-
-	off := NewRecorder(0, nil)
-	off.AddSpace(0, "sc")
-	off.End(OpMap, 0, off.Begin())
-	if got := off.Snapshot().Ops.Get(OpMap); got != 0 {
-		t.Errorf("disabled recorder counted %d maps", got)
-	}
-}
-
 func TestRecorderCountsAndLatency(t *testing.T) {
 	r := NewRecorder(3, &Config{Metrics: true})
 	r.AddSpace(0, "sc")
@@ -68,33 +42,44 @@ func TestRecorderCountsAndLatency(t *testing.T) {
 	}
 }
 
-// TestRecorderCountersOnly: the cheap tier counts brackets and misses
-// without touching the clock — Begin returns the countOnly token and the
-// latency histograms stay empty. The adaptive controller runs on this
-// tier, so the counts it consumes must still be exact.
+// TestRecorderCountersOnly: an untimed recorder (nil or zero config)
+// still counts every bracket, fast hit and remote miss exactly — the
+// adaptive controller and the public snapshots read these counts — but
+// never reads the clock (Begin returns 0) and records no latency or
+// events.
 func TestRecorderCountersOnly(t *testing.T) {
-	r := NewRecorder(0, &Config{Counters: true})
-	r.AddSpace(0, "sc")
-	if tok := r.Begin(); tok != countOnly {
-		t.Errorf("Begin = %d, want countOnly", tok)
-	}
-	for i := 0; i < 7; i++ {
-		r.End(OpStartWrite, 0, r.Begin())
-	}
-	r.RemoteMiss(OpStartWrite, 0)
-	r.FastHit(OpStartWrite, 0)
-	m := r.Snapshot()
-	if got := m.Ops.Get(OpStartWrite); got != 7 {
-		t.Errorf("start_write = %d, want 7", got)
-	}
-	if got := m.Spaces[0].RemoteWriteMisses; got != 1 {
-		t.Errorf("remote write misses = %d, want 1", got)
-	}
-	if got := m.FastOps.Get(OpStartWrite); got != 1 {
-		t.Errorf("fast start_write = %d, want 1", got)
-	}
-	if h := m.OpLatency[OpStartWrite]; h.Count != 0 || h.SumNS != 0 {
-		t.Errorf("counters-only tier recorded latency: count=%d sum=%d", h.Count, h.SumNS)
+	for _, cfg := range []*Config{nil, {}} {
+		r := NewRecorder(0, cfg)
+		r.AddSpace(0, "sc")
+		if tok := r.Begin(); tok != 0 {
+			t.Errorf("cfg %+v: Begin = %d, want 0", cfg, tok)
+		}
+		for i := 0; i < 7; i++ {
+			r.End(OpStartWrite, 0, r.Begin())
+		}
+		r.End(OpMap, -1, r.Begin()) // no space: not attributed
+		r.RemoteMiss(OpStartWrite, 0)
+		r.RemoteMiss(OpStartRead, 0)
+		r.FastHit(OpStartWrite, 0)
+		m := r.Snapshot()
+		if got := m.Ops.Get(OpStartWrite); got != 7 {
+			t.Errorf("cfg %+v: start_write = %d, want 7", cfg, got)
+		}
+		if got := m.Ops.Total(); got != 7 {
+			t.Errorf("cfg %+v: total = %d, want 7", cfg, got)
+		}
+		if sm := m.Spaces[0]; sm.RemoteWriteMisses != 1 || sm.RemoteReadMisses != 1 {
+			t.Errorf("cfg %+v: remote misses read %d write %d, want 1 and 1", cfg, sm.RemoteReadMisses, sm.RemoteWriteMisses)
+		}
+		if got := m.FastOps.Get(OpStartWrite); got != 1 {
+			t.Errorf("cfg %+v: fast start_write = %d, want 1", cfg, got)
+		}
+		if h := m.OpLatency[OpStartWrite]; h.Count != 0 || h.SumNS != 0 {
+			t.Errorf("cfg %+v: untimed recorder recorded latency: count=%d sum=%d", cfg, h.Count, h.SumNS)
+		}
+		if evs := r.Events(); evs != nil {
+			t.Errorf("cfg %+v: untimed recorder kept %d events", cfg, len(evs))
+		}
 	}
 }
 
@@ -160,11 +145,13 @@ func TestEventRingWrap(t *testing.T) {
 }
 
 func TestZeroAllocationBrackets(t *testing.T) {
-	off := NewRecorder(0, nil)
+	untimed := NewRecorder(0, nil)
+	untimed.AddSpace(0, "sc")
 	if n := testing.AllocsPerRun(100, func() {
-		off.End(OpStartWrite, 0, off.Begin())
+		untimed.End(OpStartWrite, 0, untimed.Begin())
+		untimed.FastHit(OpStartWrite, 0)
 	}); n != 0 {
-		t.Errorf("disabled bracket allocates %v times", n)
+		t.Errorf("untimed bracket allocates %v times", n)
 	}
 	on := NewRecorder(0, &Config{Metrics: true})
 	on.AddSpace(0, "sc")
@@ -205,13 +192,9 @@ func TestHistogram(t *testing.T) {
 	if q := s.Quantile(0); q != 0 {
 		t.Errorf("p0 = %v, want 0", q)
 	}
-	// Add/Sub round-trip.
 	sum := s.Add(s)
-	if sum.Count != 8 {
-		t.Errorf("Add count = %d", sum.Count)
-	}
-	if back := sum.Sub(s); back != s {
-		t.Error("Sub does not invert Add")
+	if sum.Count != 8 || sum.SumNS != 2002 || sum.Buckets[10] != 2 {
+		t.Errorf("Add: %+v", sum)
 	}
 	if (Histogram{}).Mean() != 0 || (Histogram{}).Quantile(0.5) != 0 {
 		t.Error("empty histogram stats nonzero")
