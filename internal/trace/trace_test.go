@@ -8,6 +8,37 @@ import (
 	"time"
 )
 
+// TestNilAndDisabledRecorder: the zero-value Recorder and one built from
+// a nil config are valid untimed recorders. Before any space is
+// registered they count nothing and every entry point is a safe no-op;
+// once a space is added they count it without reading the clock.
+func TestNilAndDisabledRecorder(t *testing.T) {
+	for name, r := range map[string]*Recorder{"zero": {}, "nil config": NewRecorder(0, nil)} {
+		if tok := r.Begin(); tok != 0 {
+			t.Errorf("%s: Begin = %d, want 0", name, tok)
+		}
+		r.End(OpMap, 0, r.Begin()) // unknown space: must not panic
+		r.FastHit(OpStartRead, 0)
+		r.RemoteMiss(OpStartRead, 0)
+		r.SetProtocol(0, "update")
+		if m := r.Snapshot(); m.Ops.Total() != 0 || m.Spaces != nil {
+			t.Errorf("%s: recorder with no spaces counted %d ops over %d spaces", name, m.Ops.Total(), len(m.Spaces))
+		}
+		if _, ok := r.SpaceSnapshot(0); ok {
+			t.Errorf("%s: SpaceSnapshot of an unregistered space reported ok", name)
+		}
+		if evs := r.Events(); evs != nil {
+			t.Errorf("%s: recorder has %d events", name, len(evs))
+		}
+
+		r.AddSpace(0, "sc")
+		r.End(OpMap, 0, r.Begin())
+		if got := r.Snapshot().Ops.Get(OpMap); got != 1 {
+			t.Errorf("%s: untimed recorder counted %d maps, want 1", name, got)
+		}
+	}
+}
+
 func TestRecorderCountsAndLatency(t *testing.T) {
 	r := NewRecorder(3, &Config{Metrics: true})
 	r.AddSpace(0, "sc")
