@@ -51,8 +51,9 @@ bench-compare:
 # elastic cells (checkpoint/kill/rejoin drills,
 # MigrateHome mid-workload, the broken-rejoin double), plus race-enabled
 # cells: the
-# nastiest matrix policy, one rejoin drill, and the MigrateHome-vs-
-# bracket-fast-path stress. Fixed seeds keep it deterministic. The
+# nastiest matrix policy, one rejoin drill, the MigrateHome-vs-
+# bracket-fast-path stress, and the no-stale-fast-bit check after every
+# space-wide reset. Fixed seeds keep it deterministic. The
 # space-churn cells cover the lifecycle itself: waves of collective
 # NewSpace/FreeSpace under every fault policy, with bounded-table,
 # stale-ref and generation checks (plus a lossy cell under -race).
@@ -66,7 +67,7 @@ chaos-smoke:
 	$(GO) test -race -run 'TestCollTopologyCells/update/tree\+agg/lossy' ./internal/chaos
 	$(GO) test -race -run 'TestRejoinFixedSeeds/update/jittery' ./internal/chaos
 	$(GO) test -race -run 'TestSpaceChurnFixedSeeds/update/lossy' ./internal/chaos
-	$(GO) test -race -run 'TestMigrateHomeRace|TestRejoinVsTreeReduction' ./internal/core
+	$(GO) test -race -run 'TestMigrateHomeRace|TestRejoinVsTreeReduction|TestResetWithdrawsFastBits' ./internal/core
 
 # cluster-smoke is the multi-process deployment gate: 4 real acenode
 # processes assemble over gossip + TCP on loopback, run em3d (checksum

@@ -60,8 +60,8 @@ func (t *traceProto) StartWrite(ctx *ace.Ctx, r *ace.Region) {
 }
 
 func (t *traceProto) Barrier(ctx *ace.Ctx, sp *ace.Space) {
-	ctx.ForEachRegion(func(r *ace.Region) {
-		if r.Space == sp && !r.IsHome() {
+	ctx.ForEachRegion(sp, func(r *ace.Region) {
+		if !r.IsHome() {
 			r.State = 0
 		}
 	})

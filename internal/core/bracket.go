@@ -49,6 +49,7 @@ func (p *Proc) GMallocE(sp *Space, size int) (RegionID, error) {
 	p.regions.Put(id, r)
 	p.regMu.Unlock()
 	sp.eng.Lock()
+	sp.regions = append(sp.regions, r)
 	sp.Proto.RegionCreated(sp.ctx, r)
 	sp.refreshFast(r)
 	sp.eng.Unlock()
@@ -123,6 +124,7 @@ func (p *Proc) materializeAt(id RegionID, size int, sp *Space, home amnet.NodeID
 	}
 	p.regions.Put(id, r)
 	p.regMu.Unlock()
+	sp.regions = append(sp.regions, r)
 	sp.Proto.RegionCreated(sp.ctx, r)
 	sp.refreshFast(r)
 	return r

@@ -498,16 +498,15 @@ func TestPeerLossPurgesLockQueue(t *testing.T) {
 	home := cl.procs[0]
 	waitPurged(t, "lock queue", func() bool {
 		empty := true
-		for _, r := range home.regionList() {
-			if r.Dir == nil {
-				continue
+		home.regMu.RLock()
+		home.regions.ForEach(func(_ RegionID, r *Region) {
+			if r.Dir != nil {
+				if _, queued := r.Dir.lockState(); queued != 0 {
+					empty = false
+				}
 			}
-			r.Dir.lockMu.Lock()
-			if len(r.Dir.LockQueue) != 0 {
-				empty = false
-			}
-			r.Dir.lockMu.Unlock()
-		}
+		})
+		home.regMu.RUnlock()
 		return empty
 	})
 }

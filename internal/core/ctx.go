@@ -49,10 +49,13 @@ func (c *Ctx) EnsureRegion(id RegionID, size, spaceID int) *Region {
 	return c.p.materialize(id, size, c.p.space(spaceID))
 }
 
-// ForEachRegion visits every locally known region. The visited set is a
-// snapshot: regions materialized during the iteration may be missed.
-func (c *Ctx) ForEachRegion(fn func(*Region)) {
-	for _, r := range c.p.regionList() {
+// ForEachRegion visits every region of sp this processor has a view of,
+// in creation order. The caller holds sp's engine lock, as every
+// protocol hook does. The visited set is a snapshot: regions
+// materialized during the iteration (while fn waits with the engine
+// released) are not visited.
+func (c *Ctx) ForEachRegion(sp *Space, fn func(*Region)) {
+	for _, r := range sp.regions {
 		fn(r)
 	}
 }

@@ -57,36 +57,24 @@ type Checkpoint struct {
 
 // Checkpoint takes a collective snapshot of every space. All
 // processors must call it at the same program point with the same app
-// cursor (verified). The sequence mirrors ChangeProtocol's safety
-// argument: a barrier fences in-flight brackets, FlushSpace drives
-// every region to the base state (authoritative data at the home, no
-// dirty cached copies), a second barrier fences the flush traffic, and
-// only then — with no coherence message in flight anywhere — is the
-// home data copied. A final barrier holds every processor until all
-// snapshots are done, so no post-checkpoint write can race a copy.
+// cursor (verified). The sequence is ChangeProtocol's reset path:
+// flushToBase drives every live space to the base state (authoritative
+// data at the home, no dirty cached copies, nothing in flight), and only
+// then is the home data copied. A final barrier holds every processor
+// until all snapshots are done, so no post-checkpoint write can race a
+// copy.
 func (p *Proc) Checkpoint(app uint64) (*Checkpoint, error) {
 	if err := p.verifyCollective(fmt.Sprintf("ckpt:%d", app)); err != nil {
 		return nil, err
 	}
-	p.ctx.DefaultBarrier()
 	sps := *p.spaces.Load()
+	live := make([]*Space, 0, len(sps))
 	for _, sp := range sps {
-		if sp == nil {
-			continue // freed slot awaiting reuse
+		if sp != nil { // nil: a freed slot awaiting reuse
+			live = append(live, sp)
 		}
-		sp.eng.Lock()
-		sp.Proto.FlushSpace(sp.ctx, sp)
-		// The flush invalidated cached copies space-wide; withdraw every
-		// region's fast bits so no bracket keeps fast-hitting a flushed
-		// copy (the protocol republishes lazily, as after ChangeProtocol).
-		for _, r := range p.regionList() {
-			if r.Space == sp {
-				r.publishFast(0)
-			}
-		}
-		sp.eng.Unlock()
 	}
-	p.ctx.DefaultBarrier()
+	p.flushToBase(live...)
 
 	ck := &Checkpoint{
 		Rank:    int(p.id),
@@ -94,19 +82,16 @@ func (p *Proc) Checkpoint(app uint64) (*Checkpoint, error) {
 		Gen:     p.barGen,
 		CollSeq: p.collSeq,
 		App:     app,
-		Protos:  make([]string, len(sps)),
+		Protos:  make([]string, len(sps)), // a freed slot's entry stays ""
 	}
 	p.regMu.RLock()
 	ck.NextSeq = p.nextSeq
 	p.regMu.RUnlock()
-	for i, sp := range sps {
-		if sp == nil {
-			continue // freed slot: Protos[i] stays "", no regions to record
-		}
+	for _, sp := range live {
 		sp.eng.Lock()
-		ck.Protos[i] = sp.ProtoName
-		for _, r := range p.regionList() {
-			if r.Space != sp || !r.IsHome() {
+		ck.Protos[sp.ID] = sp.ProtoName
+		for _, r := range sp.regions {
+			if !r.IsHome() {
 				continue
 			}
 			data := make([]byte, r.Size)
@@ -171,30 +156,17 @@ func (p *Proc) RestoreCheckpoint(ck *Checkpoint) error {
 			return fmt.Errorf("core: checkpoint protocol %q not registered", name)
 		}
 		sp.eng.Lock()
-		for _, r := range p.regionList() {
-			if r.Space != sp {
-				continue
-			}
-			r.disableFast()
-			r.State = 0
-			r.Flags = 0
-			r.PState = nil
+		for _, r := range sp.regions {
+			resetRegion(r)
+			// A lost peer may have died holding or awaiting the lock.
 			if r.Dir != nil {
-				r.Dir.ResetCoherence()
 				r.Dir.lockMu.Lock()
 				r.Dir.LockHolder = -1
 				r.Dir.LockQueue = nil
 				r.Dir.lockMu.Unlock()
 			}
-			r.publishFast(0)
 		}
-		sp.install(info)
-		sp.Epoch++
-		sp.PData = nil
-		sp.homeIn = 0
-		sp.regIn = nil
-		p.rec.SetProtocol(sp.ID, name)
-		sp.Proto.InitSpace(sp.ctx, sp)
+		p.reinstall(sp, info)
 		sp.eng.Unlock()
 	}
 	for _, cr := range ck.Regions {

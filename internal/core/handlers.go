@@ -173,9 +173,7 @@ func (p *Proc) migrateMsg(m amnet.Msg) {
 	if r == nil || !r.IsHome() {
 		panic(fmt.Sprintf("core: proc %d: migrate pull for non-home region %v", p.id, RegionID(m.A)))
 	}
-	r.Dir.lockMu.Lock()
-	holder := r.Dir.LockHolder
-	r.Dir.lockMu.Unlock()
+	holder, _ := r.Dir.lockState()
 	p.ep.Send(amnet.Msg{
 		Dst: m.Src, Handler: hComplete, B: m.B,
 		A:       uint64(int64(holder) + 1), // -1 (unheld) encodes as 0

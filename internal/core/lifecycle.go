@@ -109,16 +109,81 @@ func (p *Proc) LiveSpaces() int {
 	return n
 }
 
+// flushToBase drives every space in sps to the base state: a barrier
+// fences in-flight brackets, each space's protocol flushes (authoritative
+// data at the home, no cached copies), and a second barrier fences the
+// flush traffic. Only then — with nothing in flight anywhere — is every
+// region's fast-path eligibility withdrawn, so no bracket keeps
+// fast-hitting a flushed copy; the protocol republishes lazily as
+// brackets take the slow path. The per-home traffic counters are zeroed
+// with it, so the flush's own traffic is not read as application signal.
+// Every space-wide reset (ChangeProtocol, FreeSpace, MigrateHome,
+// Checkpoint) starts here. Collective; the caller holds no engine.
+func (p *Proc) flushToBase(sps ...*Space) {
+	p.ctx.DefaultBarrier()
+	for _, sp := range sps {
+		sp.eng.Lock()
+		sp.Proto.FlushSpace(sp.ctx, sp)
+		sp.eng.Unlock()
+	}
+	p.ctx.DefaultBarrier()
+	for _, sp := range sps {
+		sp.eng.Lock()
+		for _, r := range sp.regions {
+			r.publishFast(0)
+		}
+		sp.homeIn, sp.regIn = 0, nil
+		sp.eng.Unlock()
+	}
+}
+
+// resetRegion returns r's protocol-owned state to the base state: fast
+// bits withdrawn, State, Flags and PState zeroed, and the directory's
+// coherence fields reset (lock state is the caller's concern). Caller
+// holds r's space engine.
+func resetRegion(r *Region) {
+	r.State, r.Flags, r.PState = 0, 0, nil
+	r.publishFast(0)
+	if r.Dir != nil {
+		r.Dir.ResetCoherence()
+	}
+}
+
+// assertQuiescent panics unless r's directory, if r is homed here, is
+// idle: no transaction in progress, no queued coherence request and no
+// queued lock waiter. It holds at any collective after flushToBase,
+// because every processor is inside the collective. Caller holds r's
+// space engine.
+func (p *Proc) assertQuiescent(op string, r *Region) {
+	d := r.Dir
+	if d == nil {
+		return
+	}
+	if _, queued := d.lockState(); d.Busy || len(d.Waiting) != 0 || queued != 0 {
+		panic(fmt.Sprintf("core: proc %d: %s with busy directory on %v", p.id, op, r.ID))
+	}
+}
+
+// reinstall starts info's protocol on sp from the base state: a fresh
+// instance, a new epoch, no protocol data and no per-home traffic, then
+// the protocol's InitSpace. Caller holds sp.eng, and every region of sp
+// has been through resetRegion.
+func (p *Proc) reinstall(sp *Space, info Info) {
+	sp.install(info)
+	sp.Epoch++
+	sp.PData = nil
+	sp.homeIn, sp.regIn = 0, nil
+	p.rec.SetProtocol(sp.ID, info.Name)
+	sp.Proto.InitSpace(sp.ctx, sp)
+}
+
 // FreeSpace destroys sp and recycles its table slot. It is a collective
 // operation: every processor must call it, in the same program order,
-// for the same space. The destruction follows the ChangeProtocol flush
-// discipline — barrier, flush every region of the space to the base
-// state (authoritative data at the home, no cached copies, no coherence
-// traffic in flight), barrier — and then goes further than a protocol
-// change: the fast bits are withdrawn for good, every region of the
-// space is deleted from the region table, and the table slot is nilled
-// with its generation bumped, so the next NewSpace may recycle it under
-// a fresh SpaceRef.
+// for the same space. The space is first driven to the base state
+// (flushToBase, as for a protocol change), and then goes further than a
+// protocol change: every region of the space is deleted from the region
+// table, and the table slot is nilled with its generation bumped, so the
+// next NewSpace may recycle it under a fresh SpaceRef.
 //
 // The caller must have quiesced the space: no open sections, no held
 // region locks, no processor still using its regions. The default space
@@ -134,43 +199,29 @@ func (p *Proc) FreeSpace(sp *Space) error {
 		return err
 	}
 	t := p.rec.Begin()
-	p.ctx.DefaultBarrier()
+	p.flushToBase(sp)
+	// A region still inside a bracket, holding queued coherence work, or
+	// with the region lock held means the caller broke the quiescence
+	// contract.
 	sp.eng.Lock()
-	sp.Proto.FlushSpace(sp.ctx, sp)
-	sp.eng.Unlock()
-	p.ctx.DefaultBarrier()
-	// All data is home-valid and no coherence traffic is in flight.
-	// Withdraw the fast bits and collect the space's regions; a region
-	// still inside a bracket, holding queued coherence work, or with the
-	// region lock held means the caller broke the quiescence contract.
-	sp.eng.Lock()
-	var purged []RegionID
-	for _, r := range p.regionList() {
-		if r.Space != sp {
-			continue
-		}
-		r.publishFast(0)
+	purged := sp.regions
+	for _, r := range purged {
 		if r.InUse() {
 			panic(fmt.Sprintf("core: proc %d: FreeSpace with open sections on %v", p.id, r.ID))
 		}
+		p.assertQuiescent("FreeSpace", r)
 		if r.Dir != nil {
-			if len(r.Dir.Waiting) != 0 || r.Dir.Busy {
-				panic(fmt.Sprintf("core: proc %d: FreeSpace with busy directory on %v", p.id, r.ID))
-			}
-			r.Dir.lockMu.Lock()
-			held := r.Dir.LockHolder >= 0 || len(r.Dir.LockQueue) != 0
-			r.Dir.lockMu.Unlock()
-			if held {
+			if holder, _ := r.Dir.lockState(); holder >= 0 {
 				panic(fmt.Sprintf("core: proc %d: FreeSpace with held region lock on %v", p.id, r.ID))
 			}
 		}
-		purged = append(purged, r.ID)
 	}
+	sp.regions = nil
 	sp.dead.Store(true)
 	sp.eng.Unlock()
 	p.regMu.Lock()
-	for _, id := range purged {
-		p.regions.Delete(id)
+	for _, r := range purged {
+		p.regions.Delete(r.ID)
 	}
 	p.regMu.Unlock()
 	// Recycle the slot: nil it in a fresh snapshot, bump the slot

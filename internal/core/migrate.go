@@ -22,13 +22,12 @@ type HomeMigrator interface {
 }
 
 // MigrateHome reassigns region id's home to newHome. It is a collective
-// operation modeled on ChangeProtocol's flush discipline: a barrier
-// fences in-flight brackets, the space flushes to the base state
-// (authoritative data at the current home, no dirty copies), a second
-// barrier fences the flush traffic, the new home pulls the data and
+// operation on ChangeProtocol's reset path: flushToBase drives the space
+// to the base state (authoritative data at the current home, no dirty
+// copies, every fast bit withdrawn), the new home pulls the data and
 // lock ownership from the old one, and then every processor flips its
-// view — directory moves, fast-path bits withdrawn and republished,
-// cached state reset so the next access re-fetches from the new home.
+// view — resetRegion, the directory moves, the fast bits republish — so
+// the next access re-fetches from the new home.
 // Barriers are the only safe migration points for the same reason they
 // are the only safe protocol-change points: between the flush barrier
 // and the release barrier no coherence message is in flight anywhere,
@@ -50,21 +49,7 @@ func (p *Proc) MigrateHome(sp *Space, id RegionID, newHome amnet.NodeID) error {
 	// Migrations are recorded under the change-protocol op: both are
 	// whole-space reconfiguration collectives with the same flush cost.
 	t := p.rec.Begin()
-	p.ctx.DefaultBarrier()
-	sp.eng.Lock()
-	sp.Proto.FlushSpace(sp.ctx, sp)
-	// The flush invalidated cached copies space-wide, so every region's
-	// fast bits must be withdrawn — not just the migrating one — or a
-	// bracket could keep fast-hitting a flushed copy. The protocol
-	// republishes lazily as brackets take the slow path, exactly as
-	// after ChangeProtocol.
-	for _, r := range p.regionList() {
-		if r.Space == sp {
-			r.publishFast(0)
-		}
-	}
-	sp.eng.Unlock()
-	p.ctx.DefaultBarrier()
+	p.flushToBase(sp)
 
 	// Agree on the current home. Only the home has a directory; every
 	// other processor (including ones that never saw id) contributes -1.
@@ -106,32 +91,21 @@ func (p *Proc) MigrateHome(sp *Space, id RegionID, newHome amnet.NodeID) error {
 	// protocol-owned state to base, exactly as a protocol change would.
 	sp.eng.Lock()
 	if r != nil {
-		r.disableFast()
+		p.assertQuiescent("MigrateHome", r)
+		resetRegion(r)
 		if p.id == oldHome {
-			d := r.Dir
-			d.lockMu.Lock()
-			queued := len(d.LockQueue)
-			d.lockMu.Unlock()
-			if d.Busy || len(d.Waiting) != 0 || queued != 0 {
-				panic(fmt.Sprintf("core: proc %d: MigrateHome of %v with busy directory", p.id, r.ID))
-			}
 			r.Dir = nil
 		}
-		if p.id == newHome && r.Dir == nil {
-			d := NewDirectory()
-			d.LockHolder = holder
-			r.Dir = d
+		if p.id == newHome {
+			r.Dir = NewDirectory()
+			r.Dir.LockHolder = holder
 		}
 		r.Home = newHome
-		r.State = 0
-		r.Flags = 0
-		r.PState = nil
 		if hm, ok := sp.Proto.(HomeMigrator); ok {
 			hm.MigrateRegion(sp.ctx, r, oldHome, newHome)
 		}
 		sp.refreshFast(r)
 	}
-	delete(sp.regIn, id)
 	sp.eng.Unlock()
 	p.ctx.DefaultBarrier()
 	p.rec.End(trace.OpChangeProtocol, sp.ID, t)

@@ -38,9 +38,10 @@ import (
 //     of which holds it: the application thread folds its own barrier
 //     arrival and reduction contribution into barTree and collAcc
 //     directly; after a peer loss purgeSyncState clears all three from
-//     a goroutine of its own (or Cluster.Revive's caller); and
-//     FreeSpace, MigrateHome and RestoreCheckpoint read or reset lock
-//     queues on the application thread. Completions are sent after the lock is released — a Send
+//     a goroutine of its own (or Cluster.Revive's caller); and the
+//     space-wide resets (ChangeProtocol, FreeSpace, MigrateHome,
+//     RestoreCheckpoint) read or reset lock queues on the application
+//     thread. Completions are sent after the lock is released — a Send
 //     can block on transport backpressure, or run the destination's
 //     handler then and there, and arrival processing must not stall
 //     behind it.
@@ -51,10 +52,11 @@ import (
 //     CAS and never take eng (see region.go).
 //
 // Lock ordering: dispatch token → eng → {regMu, wMu, collMu}; collMu →
-// wMu. A handler must never lock eng while holding regMu, and engine
-// locks of two spaces never nest by blocking. regMu, wMu, collMu (with
-// wMu under it), barMu, accMu and Directory.lockMu are leaves: none is
-// ever held across a Send. That is what lets a handler run under direct
+// wMu; regMu → Directory.lockMu (purgeSyncState). A handler must never
+// lock eng while holding regMu, and engine locks of two spaces never
+// nest by blocking. regMu, wMu, collMu (with wMu under it), barMu,
+// accMu and Directory.lockMu are leaves: none is ever held across a
+// Send. That is what lets a handler run under direct
 // dispatch, on a sender's goroutine that may already hold an engine and
 // a chain of tokens: such a goroutine blocks only on those leaves and
 // takes every token and engine with TryLock (see registerHandlers and
@@ -278,16 +280,6 @@ func (p *Proc) Snapshot() trace.Metrics {
 	m.Net = p.ep.Stats().Snapshot()
 	m.Coll = p.coll.Snapshot()
 	return m
-}
-
-// regionList snapshots the region table under regMu so callers can
-// iterate without holding the table lock across protocol callbacks.
-func (p *Proc) regionList() []*Region {
-	p.regMu.RLock()
-	out := make([]*Region, 0, p.regions.Len())
-	p.regions.ForEach(func(_ RegionID, r *Region) { out = append(out, r) })
-	p.regMu.RUnlock()
-	return out
 }
 
 // verifyCollective checks that every processor reached the same collective

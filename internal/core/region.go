@@ -223,9 +223,8 @@ type Directory struct {
 
 	// Lock state, managed by the runtime's default region lock. Under
 	// lockMu, a leaf lock: the lock and unlock handlers share it with the
-	// peer-down purge and the application thread's FreeSpace, MigrateHome
-	// and RestoreCheckpoint, and nothing else is acquired while it is
-	// held.
+	// peer-down purge and the application thread's space-wide resets,
+	// and nothing else is acquired while it is held.
 	lockMu     sync.Mutex
 	LockHolder amnet.NodeID // -1 when free
 	LockQueue  []lockWaiter
@@ -245,6 +244,13 @@ func (d *Directory) ResetCoherence() {
 	d.Waiting = nil
 	d.PendingAcks = 0
 	d.PData = nil
+}
+
+// lockState reads the region lock's holder and queue length.
+func (d *Directory) lockState() (holder amnet.NodeID, queued int) {
+	d.lockMu.Lock()
+	defer d.lockMu.Unlock()
+	return d.LockHolder, len(d.LockQueue)
 }
 
 // PendingReq is a queued coherence request at the home: either a remote

@@ -495,8 +495,8 @@ func (s *SCProtocol) DropCopy(ctx *Ctx, r *Region) bool {
 // semantics, Section 3.1).
 func (s *SCProtocol) FlushSpace(ctx *Ctx, sp *Space) {
 	var dirty []*Region
-	ctx.ForEachRegion(func(r *Region) {
-		if r.Space != sp || r.IsHome() {
+	ctx.ForEachRegion(sp, func(r *Region) {
+		if r.IsHome() {
 			return
 		}
 		if r.InUse() {

@@ -39,6 +39,10 @@ type Space struct {
 	// on whichever goroutine dispatches it. ProtoName/Proto/Epoch/PData
 	// mutate only under it (by ChangeProtocol).
 	eng sync.Mutex
+	// regions is every region of the space this processor has a view
+	// of, in creation order. Append-only under eng (GMallocE and
+	// materializeAt add to it); FreeSpace drops it with the space.
+	regions []*Region
 	// ctx is the Ctx bound to eng: protocol routines of this space run
 	// with it so ctx.Wait releases the engine while blocked.
 	ctx *Ctx
@@ -183,36 +187,13 @@ func (p *Proc) ChangeProtocol(sp *Space, protoName string) error {
 		return err
 	}
 	t := p.rec.Begin()
-	p.ctx.DefaultBarrier()
+	p.flushToBase(sp)
 	sp.eng.Lock()
-	sp.Proto.FlushSpace(sp.ctx, sp)
-	sp.eng.Unlock()
-	p.ctx.DefaultBarrier()
-	// All data is now home-valid and no coherence traffic is in flight:
-	// reset protocol-owned state. Withdrawing the fast bits here covers
-	// any left stale by the flush; the new protocol republishes lazily
-	// as brackets take the slow path.
-	sp.eng.Lock()
-	for _, r := range p.regionList() {
-		if r.Space != sp {
-			continue
-		}
-		r.State = 0
-		r.Flags = 0
-		r.PState = nil
-		r.publishFast(0)
-		if r.Dir != nil {
-			if len(r.Dir.Waiting) != 0 || r.Dir.Busy {
-				panic(fmt.Sprintf("core: proc %d: ChangeProtocol with busy directory on %v", p.id, r.ID))
-			}
-			r.Dir.ResetCoherence()
-		}
+	for _, r := range sp.regions {
+		p.assertQuiescent("ChangeProtocol", r)
+		resetRegion(r)
 	}
-	sp.install(info)
-	sp.Epoch++
-	sp.PData = nil
-	p.rec.SetProtocol(sp.ID, protoName)
-	sp.Proto.InitSpace(sp.ctx, sp)
+	p.reinstall(sp, info)
 	sp.eng.Unlock()
 	p.ctx.DefaultBarrier()
 	p.rec.End(trace.OpChangeProtocol, sp.ID, t)

@@ -98,14 +98,15 @@ func (p *Proc) purgeSyncState() {
 	p.accMu.Lock()
 	clear(p.collAcc)
 	p.accMu.Unlock()
-	for _, r := range p.regionList() {
-		if r.Dir == nil {
-			continue
+	p.regMu.RLock()
+	p.regions.ForEach(func(_ RegionID, r *Region) {
+		if r.Dir != nil {
+			r.Dir.lockMu.Lock()
+			r.Dir.LockQueue = nil
+			r.Dir.lockMu.Unlock()
 		}
-		r.Dir.lockMu.Lock()
-		r.Dir.LockQueue = nil
-		r.Dir.lockMu.Unlock()
-	}
+	})
+	p.regMu.RUnlock()
 }
 
 // treeBarEvent folds one arrival event — the local application thread's
@@ -166,9 +167,8 @@ func (p *Proc) treeBarRelease(gen, seq uint64) {
 // lockRequest handles a region lock request at the region's home. The
 // directory's lock fields (LockHolder, LockQueue) are under the
 // directory's lockMu, which the handler shares with the peer-down purge
-// and the application thread's FreeSpace, MigrateHome and
-// RestoreCheckpoint. The
-// grant is sent after lockMu is released.
+// and the application thread's space-wide resets. The grant is sent
+// after lockMu is released.
 func (p *Proc) lockRequest(m amnet.Msg) {
 	p.regMu.RLock()
 	r := p.regions.Get(RegionID(m.A))

@@ -61,14 +61,16 @@ type Config struct {
 	// DropBudget is how many consecutive drops a SlowDrop session
 	// survives before it is closed. Default 64.
 	DropBudget int
-	// Quantum is the most ops one drain applies before the room yields
-	// to other rooms on the same home processor. Default 32.
-	Quantum int
-	// BarrierEvery is how many drains a room goes between collective
-	// space barriers (the adaptive controller's evaluation points).
-	// Default 16.
-	BarrierEvery int
 }
+
+const (
+	// quantum is the most ops one drain applies before the room yields
+	// to other rooms on the same home processor.
+	quantum = 32
+	// barrierEvery is how many drains a room goes between collective
+	// space barriers (the adaptive controller's evaluation points).
+	barrierEvery = 16
+)
 
 func (c Config) withDefaults() Config {
 	if c.Procs <= 0 {
@@ -85,12 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DropBudget <= 0 {
 		c.DropBudget = 64
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 32
-	}
-	if c.BarrierEvery <= 0 {
-		c.BarrierEvery = 16
 	}
 	return c
 }
@@ -395,7 +391,7 @@ func (g *Gateway) dispatchDrain(rm *room) {
 		return
 	}
 	g.ctl[rm.home] <- ctlCmd{kind: ctlDrain, room: rm}
-	if rm.drains++; rm.drains >= g.cfg.BarrierEvery {
+	if rm.drains++; rm.drains >= barrierEvery {
 		rm.drains = 0
 		g.collective(ctlCmd{kind: ctlBarrier, room: rm})
 	}
@@ -503,8 +499,8 @@ func (g *Gateway) doCreate(p *core.Proc, rm *room) {
 func (g *Gateway) drain(p *core.Proc, rm *room) {
 	rm.mu.Lock()
 	n := len(rm.ops)
-	if n > g.cfg.Quantum {
-		n = g.cfg.Quantum
+	if n > quantum {
+		n = quantum
 	}
 	batch := rm.ops[:n:n]
 	rm.ops = rm.ops[n:]

@@ -73,10 +73,6 @@ type Config struct {
 	// accept side's wait for the hello frame. Default 2s.
 	DialTimeout time.Duration
 
-	// WriteTimeout bounds each batch write; an expired deadline is a
-	// connection failure and triggers reconnection. Default 10s.
-	WriteTimeout time.Duration
-
 	// BackoffBase is the first reconnect backoff; each attempt doubles
 	// it up to BackoffMax, plus up to 100% jitter. Defaults 5ms / 500ms.
 	BackoffBase time.Duration
@@ -90,24 +86,27 @@ type Config struct {
 	// AckEvery is the receive-side ack cadence in data frames; an ack
 	// is also sent whenever the reader drains its buffer. Default 64.
 	AckEvery int
+}
 
-	// ProbeInterval is the cadence of the ack-stall probe. When a
+const (
+	// writeTimeout bounds each batch write; an expired deadline is a
+	// connection failure and triggers reconnection.
+	writeTimeout = 10 * time.Second
+
+	// probeInterval is the cadence of the ack-stall probe. When a
 	// sender's journal is non-empty but its queue is empty, the writer
 	// is idle — if the connection silently died in that state nothing
 	// would ever touch it again, leaving producers blocked on
 	// backpressure forever with the peer never declared down. The probe
 	// enqueues a harmless control frame so the writer exercises the
 	// connection and a dead one enters the normal reconnect→peer-down
-	// path. Default 1s.
-	ProbeInterval time.Duration
-}
+	// path.
+	probeInterval = time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 5 * time.Millisecond
@@ -120,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AckEvery <= 0 {
 		c.AckEvery = 64
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = time.Second
 	}
 	return c
 }
@@ -557,7 +553,7 @@ func newSender(ep *endpoint, peer amnet.NodeID, addr string, conn net.Conn) *sen
 // producers.
 func (s *sender) probeLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
-	t := time.NewTicker(s.ep.nw.cfg.ProbeInterval)
+	t := time.NewTicker(probeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -713,9 +709,7 @@ func (s *sender) run(wg *sync.WaitGroup, stats *trace.NetStats) {
 		batch, s.queue = s.queue, batch[:0]
 		s.mu.Unlock()
 		s.notFull.Broadcast()
-		if d := s.ep.nw.cfg.WriteTimeout; d > 0 {
-			conn.SetWriteDeadline(time.Now().Add(d))
-		}
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		err := s.writeBatch(conn, bw, batch, stats)
 		batch = batch[:0]
 		if err == nil {
@@ -841,9 +835,7 @@ func (s *sender) reconnect(stats *trace.NetStats) (net.Conn, *bufio.Writer, bool
 		conn, err := net.DialTimeout("tcp", s.addr, cfg.DialTimeout)
 		if err == nil {
 			tuneConn(conn)
-			if cfg.WriteTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-			}
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if _, err = conn.Write(s.hello[:]); err != nil {
 				conn.Close()
 			}
@@ -857,7 +849,7 @@ func (s *sender) reconnect(stats *trace.NetStats) (net.Conn, *bufio.Writer, bool
 		}
 		bw := bufio.NewWriterSize(conn, 64<<10)
 		// Adopt the connection and snapshot the journal under the lock,
-		// then replay outside it: a replay can take up to WriteTimeout,
+		// then replay outside it: a replay can take up to writeTimeout,
 		// and holding the lock that long would stall enqueue and — via
 		// the reader's ack path — the receive path for this peer. The
 		// queue is dropped (its data frames are journaled; its control
@@ -882,9 +874,7 @@ func (s *sender) reconnect(stats *trace.NetStats) (net.Conn, *bufio.Writer, bool
 		snap := append([][]byte(nil), s.journal...)
 		s.replaying = true
 		s.mu.Unlock()
-		if cfg.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
-		}
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		werr := error(nil)
 		for _, f := range snap {
 			if werr == nil {

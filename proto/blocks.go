@@ -106,8 +106,8 @@ func (d *Drain) Wait(ctx *core.Ctx) {
 // any Deliver, so the runtime will not withdraw them for us (see
 // core.FastPather).
 func SelfInvalidate(ctx *core.Ctx, sp *core.Space) {
-	ctx.ForEachRegion(func(r *core.Region) {
-		if r.Space == sp && !r.IsHome() {
+	ctx.ForEachRegion(sp, func(r *core.Region) {
+		if !r.IsHome() {
 			ctx.DisableFast(r)
 			r.State = 0
 		}

@@ -68,8 +68,8 @@ func (h *homeWriteProto) StartRead(ctx *core.Ctx, r *core.Region) {
 // writers are home-local, so everything a post-barrier read fetches from a
 // home is the phase's final value.
 func (h *homeWriteProto) Barrier(ctx *core.Ctx, sp *core.Space) {
-	ctx.ForEachRegion(func(r *core.Region) {
-		if r.Space == sp && !r.IsHome() {
+	ctx.ForEachRegion(sp, func(r *core.Region) {
+		if !r.IsHome() {
 			ctx.DisableFast(r)
 			r.State = duInvalid
 		}

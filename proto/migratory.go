@@ -202,8 +202,8 @@ func (m *migratoryProto) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Region, 
 
 func (m *migratoryProto) FlushSpace(ctx *core.Ctx, sp *core.Space) {
 	var owned []*core.Region
-	ctx.ForEachRegion(func(r *core.Region) {
-		if r.Space != sp || r.IsHome() {
+	ctx.ForEachRegion(sp, func(r *core.Region) {
+		if r.IsHome() {
 			return
 		}
 		if r.State == mgOwned {

@@ -128,8 +128,8 @@ func (p *pipelineProto) Barrier(ctx *core.Ctx, sp *core.Space) {
 		p.drainSeq = ctx.NewWaiter()
 		ctx.Wait(p.drainSeq)
 	}
-	ctx.ForEachRegion(func(r *core.Region) {
-		if r.Space == sp && !r.IsHome() {
+	ctx.ForEachRegion(sp, func(r *core.Region) {
+		if !r.IsHome() {
 			ctx.DisableFast(r)
 			r.State = duInvalid
 		}
