@@ -57,6 +57,10 @@ bench-compare:
 # space-churn cells cover the lifecycle itself: waves of collective
 # NewSpace/FreeSpace under every fault policy, with bounded-table,
 # stale-ref and generation checks (plus a lossy cell under -race).
+# The adaptive controller reads no clock, so its fault cells must land
+# on the same protocol at the same epoch under every policy; repeating
+# them under -race at one and four CPUs keeps timing out of its
+# decisions.
 chaos-smoke:
 	$(GO) test -run 'TestMatrixFixedSeeds|TestBrokenDoubleCaught' ./internal/chaos
 	$(GO) test -run 'TestColl' ./internal/chaos
@@ -68,6 +72,7 @@ chaos-smoke:
 	$(GO) test -race -run 'TestRejoinFixedSeeds/update/jittery' ./internal/chaos
 	$(GO) test -race -run 'TestSpaceChurnFixedSeeds/update/lossy' ./internal/chaos
 	$(GO) test -race -run 'TestMigrateHomeRace|TestRejoinVsTreeReduction|TestResetWithdrawsFastBits' ./internal/core
+	$(GO) test -race -cpu 1,4 -count=5 -run 'TestAdaptiveControllerUnderFaults' ./proto
 
 # cluster-smoke is the multi-process deployment gate: 4 real acenode
 # processes assemble over gossip + TCP on loopback, run em3d (checksum

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"github.com/acedsm/ace/internal/amnet"
 	"github.com/acedsm/ace/internal/trace"
@@ -21,23 +20,21 @@ const (
 	PatternHomeWrite        = "home-write"
 )
 
-// probeEpochs is the length of a switch's probation window: the number
-// of post-cooldown epochs whose mean duration prices the freshly
-// installed protocol against the pre-switch per-epoch baseline.
-const probeEpochs = 2
-
 // The controller's monitoring collective is an extra cluster-wide
 // synchronization round every epoch — real money on a converged space
 // that will never switch again. After stableEpochs consecutive epochs
 // that gave the controller nothing to do, the epoch length doubles, up
 // to maxEpochStretch times the configured EpochBarriers; any signal
-// snaps it back. Both windows of a switch measurement (pre-switch
-// baseline, post-switch probe) run at the configured length, so their
-// per-epoch costs stay comparable.
+// snaps it back.
 const (
 	stableEpochs    = 3
 	maxEpochStretch = 8
 )
+
+// minMigrateMsgs is the minimum cluster-wide home-bound message count
+// per epoch before the re-homing trigger fires; quieter epochs carry no
+// placement signal.
+const minMigrateMsgs = 64
 
 // AdaptHints is a protocol's declaration to the adaptive controller, part
 // of its registry Info. The zero value opts the protocol out entirely:
@@ -67,9 +64,10 @@ type AdaptHints struct {
 // (Options.Adapt). The controller observes each adaptable space's access
 // pattern through the trace counters and, at barrier points, switches
 // the space to the registered protocol matching the pattern. All
-// decisions are made from cluster-wide aggregates reduced with the
-// runtime's collectives, so every processor takes the same decision at
-// the same barrier and the underlying ChangeProtocol stays collective.
+// decisions are made from counted cluster-wide aggregates reduced with
+// the runtime's collectives — the controller reads no clock — so every
+// processor takes the same decision at the same barrier and the
+// underlying ChangeProtocol stays collective.
 type AdaptConfig struct {
 	// EpochBarriers is the number of barriers on a space forming one
 	// observation epoch; the controller evaluates once per epoch.
@@ -90,27 +88,15 @@ type AdaptConfig struct {
 	// per epoch for the epoch to carry signal; quieter epochs decay the
 	// hysteresis streak instead of feeding it. Default 64.
 	MinOps uint64
-	// RollbackMargin is the slack factor a switch is granted before the
-	// controller reverses it: the first few epochs after the cooldown
-	// are the probation window, and if their mean cost per barrier
-	// (cluster-wide processor-nanoseconds, quiet epochs included)
-	// exceeds the incumbent's recent-epoch baseline times this factor,
-	// the controller switches back and stops targeting that pattern on
-	// the space for the rest of the run. Default 1.25; negative disables
-	// rollback.
-	RollbackMargin float64
 
 	// MigrateFactor enables traffic-driven region re-homing: when one
 	// processor's share of a space's home-bound protocol traffic in an
-	// epoch exceeds this factor times the per-processor mean, the
+	// epoch exceeds this factor times the per-processor mean (and the
+	// epoch carried at least 64 such messages cluster-wide), the
 	// controller migrates that home's hottest region to the least loaded
 	// processor (MigrateHome). Zero (the default) disables re-homing
 	// entirely — the traffic counters are not even maintained.
 	MigrateFactor float64
-	// MinMigrateMsgs is the minimum cluster-wide home-bound message
-	// count per epoch before the re-homing trigger fires; quieter epochs
-	// carry no placement signal. Default 64.
-	MinMigrateMsgs uint64
 }
 
 func (c AdaptConfig) withDefaults() AdaptConfig {
@@ -128,16 +114,8 @@ func (c AdaptConfig) withDefaults() AdaptConfig {
 	if c.MinOps == 0 {
 		c.MinOps = 64
 	}
-	if c.RollbackMargin == 0 {
-		c.RollbackMargin = 1.25
-	} else if c.RollbackMargin < 0 {
-		c.RollbackMargin = 0
-	}
 	if c.MigrateFactor < 0 {
 		c.MigrateFactor = 0
-	}
-	if c.MinMigrateMsgs == 0 {
-		c.MinMigrateMsgs = 64
 	}
 	return c
 }
@@ -167,40 +145,16 @@ func adaptTargetTable(reg *Registry) map[string]string {
 // that feeds a decision is derived from cluster-wide aggregates, so the
 // states on all processors evolve in lockstep.
 type adaptState struct {
-	prev     trace.SpaceMetrics // counter snapshot at the last epoch boundary
-	barriers int                // barriers since the last epoch boundary
-	epoch    uint64
-	pattern  string // most recent classification
-	target   string // protocol the current mismatch streak points at
-	streak   int    // consecutive epochs pointing at target
-	cooldown int    // epochs left before evaluation resumes
-	switches uint64
-	lastSw   uint64
-
-	lastTick time.Time // this processor's clock at the last epoch boundary
-
-	// A switch is measured on both sides. recent is a ring of the
-	// incumbent protocol's last few epochs, each priced per barrier
-	// (cluster-wide processor-nanoseconds over the epoch's barrier
-	// count, so cadence-stretched epochs weigh the same as base ones);
-	// its mean at switch time becomes baseCost, and baseProto holds the
-	// protocol to restore. Then the new protocol is on probation: after
-	// the cooldown, probeEpochs epochs are priced the same way — loud or
-	// quiet, wall time is wall time in a bulk-synchronous program — and
-	// a mean above baseCost × RollbackMargin restores baseProto.
-	// Patterns whose switch regressed land in cooled and are never
-	// targeted on this space again.
-	recent        [probeEpochs * 2]int64
-	recentN       int
-	baseProto     string
-	basePattern   string
-	baseCost      float64
-	probeNanos    int64
-	probeBarriers int64
-	probeCount    int
-	cooled        map[string]bool
-	rollbacks     uint64
-	migrations    uint64
+	prev       trace.SpaceMetrics // counter snapshot at the last epoch boundary
+	barriers   int                // barriers since the last epoch boundary
+	epoch      uint64
+	pattern    string // most recent classification
+	target     string // protocol the current mismatch streak points at
+	streak     int    // consecutive epochs pointing at target
+	cooldown   int    // epochs left before evaluation resumes
+	switches   uint64
+	lastSw     uint64
+	migrations uint64
 
 	// Monitoring-cadence backoff (see stableEpochs): stable counts
 	// consecutive do-nothing epochs, epochLen is the current barriers-
@@ -245,7 +199,7 @@ func (sp *Space) adaptState() *adaptState {
 	if st := sp.adapt.Load(); st != nil {
 		return st
 	}
-	st := &adaptState{lastTick: time.Now()}
+	st := &adaptState{}
 	if cur, ok := sp.proc.rec.SpaceSnapshot(sp.ID); ok {
 		st.prev = cur
 	}
@@ -260,7 +214,6 @@ func (st *adaptState) publish(sp *Space) {
 		Pattern:         st.pattern,
 		Epochs:          st.epoch,
 		Switches:        st.switches,
-		Rollbacks:       st.rollbacks,
 		Migrations:      st.migrations,
 		LastSwitchEpoch: st.lastSw,
 	}
@@ -305,9 +258,6 @@ func (p *Proc) adaptTick(sp *Space) {
 	ops := cur.Ops.Sub(st.prev.Ops)
 	readMisses := cur.RemoteReadMisses - st.prev.RemoteReadMisses
 	st.prev = cur
-	now := time.Now()
-	epochNanos := now.Sub(st.lastTick).Nanoseconds()
-	st.lastTick = now
 
 	// The cluster-wide feature vector for this epoch, combined in a
 	// single collective round (the tick runs at barrier frequency, so
@@ -335,10 +285,6 @@ func (p *Proc) adaptTick(sp *Space) {
 		// the slow path (fast bits start withdrawn), which is where
 		// misses are counted.
 		int64(cur.RemoteWriteMisses),
-		// Processor-nanoseconds spent in the epoch; with the op counts
-		// it prices the installed protocol, so a switch can be judged
-		// against its pre-switch baseline (and reversed).
-		epochNanos,
 	}
 	if p.cl.migrate {
 		// Per-home traffic vector, one slot per processor: each
@@ -356,7 +302,7 @@ func (p *Proc) adaptTick(sp *Space) {
 	agg := p.AllReduceInt64s(OpSum, feats)
 	reads, writes, locks := agg[0], agg[1], agg[2]
 	remoteReads, nWriters, nReaders := agg[3], agg[4], agg[5]
-	remoteWritesEver, nanos := agg[6], agg[7]
+	remoteWritesEver := agg[6]
 
 	if st.cooldown > 0 {
 		st.cooldown--
@@ -366,58 +312,12 @@ func (p *Proc) adaptTick(sp *Space) {
 		return
 	}
 
-	// Probation: the first probeEpochs epochs after the cooldown price
-	// the freshly installed protocol — per barrier, and with quiet
-	// epochs included, because barriers delimit the program's work units
-	// and a protocol that stretches them costs wall time whether or not
-	// the brackets were busy. A mean above the pre-switch baseline (with
-	// margin) means the classifier was wrong about this space — switch
-	// back and stop chasing the pattern that misled it. Like the
-	// decision aggregates, cost is cluster-wide, so every processor
-	// reverses (or confirms) in the same collective round.
-	if st.baseProto != "" && cfg.RollbackMargin > 0 {
-		st.wake()
-		st.probeNanos += nanos
-		st.probeBarriers += int64(epochLen)
-		st.probeCount++
-		if st.probeCount < probeEpochs {
-			st.publish(sp)
-			return
-		}
-		cost := float64(st.probeNanos) / float64(st.probeBarriers)
-		if cost > st.baseCost*cfg.RollbackMargin {
-			restore := st.baseProto
-			if st.cooled == nil {
-				st.cooled = make(map[string]bool)
-			}
-			st.cooled[st.basePattern] = true
-			st.baseProto = ""
-			st.rollbacks++
-			st.switches++
-			st.lastSw = st.epoch
-			st.cooldown = cfg.Cooldown
-			st.streak = 0
-			st.target = ""
-			if err := p.ChangeProtocol(sp, restore); err != nil {
-				panic(fmt.Sprintf("core: proc %d: adaptive rollback of space %d to %q failed: %v",
-					p.id, sp.ID, restore, err))
-			}
-			if cur, ok := p.rec.SpaceSnapshot(sp.ID); ok {
-				st.prev = cur
-			}
-			st.lastTick = time.Now()
-			st.publish(sp)
-			return
-		}
-		st.baseProto = "" // probation passed; the switch stands
-	}
-
 	// Placement: with re-homing enabled, a sufficiently skewed per-home
 	// traffic vector triggers a MigrateHome before (and instead of) this
-	// epoch's protocol evaluation. Runs only outside cooldown and
-	// probation — both gates above are lockstep decisions, so every
-	// processor reaches (or skips) the migration collective together.
-	if p.cl.migrate && p.adaptMigrate(sp, st, agg[8:], cfg) {
+	// epoch's protocol evaluation. Runs only outside cooldown — a
+	// lockstep decision, so every processor reaches (or skips) the
+	// migration collective together.
+	if p.cl.migrate && p.adaptMigrate(sp, st, agg[7:], cfg) {
 		st.streak = 0
 		st.target = ""
 		st.wake()
@@ -426,24 +326,8 @@ func (p *Proc) adaptTick(sp *Space) {
 		if cur, ok := p.rec.SpaceSnapshot(sp.ID); ok {
 			st.prev = cur
 		}
-		st.lastTick = time.Now()
 		st.publish(sp)
 		return
-	}
-
-	// This epoch is the status quo protocol's to account for: it feeds
-	// the per-barrier cost baseline the next switch will be judged by.
-	// Priced per barrier interval spanned: the state (and its clock) is
-	// created at the space's first barrier, so the first epoch spans one
-	// interval fewer than it counts barriers — and with EpochBarriers 1
-	// none, which prices nothing.
-	spans := int64(epochLen)
-	if st.epoch == 1 {
-		spans--
-	}
-	if spans > 0 {
-		st.recent[st.recentN%len(st.recent)] = nanos / spans
-		st.recentN++
 	}
 
 	if uint64(reads+writes) < cfg.MinOps {
@@ -456,9 +340,6 @@ func (p *Proc) adaptTick(sp *Space) {
 	st.pattern = classifyPattern(reads, writes, locks, remoteReads,
 		nReaders, nWriters, remoteWritesEver == 0, info.Adapt.Pattern)
 	target, ok := p.cl.adaptTargets[st.pattern]
-	if ok && st.cooled[st.pattern] {
-		ok = false // a switch for this pattern already regressed here
-	}
 	if ok {
 		tinfo, _ := p.cl.reg.Lookup(target)
 		if tinfo.Adapt.HomeWritesOnly && remoteWritesEver != 0 {
@@ -488,27 +369,6 @@ func (p *Proc) adaptTick(sp *Space) {
 	st.cooldown = cfg.Cooldown
 	st.switches++
 	st.lastSw = st.epoch
-	// Arm probation: remember where we came from and what the incumbent's
-	// recent epochs cost per barrier, so the post-cooldown probe window
-	// can judge the switch.
-	st.baseProto = sp.ProtoName
-	st.basePattern = st.pattern
-	n := st.recentN
-	if n > len(st.recent) {
-		n = len(st.recent)
-	}
-	var sum int64
-	for i := 0; i < n; i++ {
-		sum += st.recent[i]
-	}
-	if n == 0 {
-		st.baseProto = "" // no priced incumbent epoch, nothing to judge by
-	} else {
-		st.baseCost = float64(sum) / float64(n)
-	}
-	st.probeNanos = 0
-	st.probeBarriers = 0
-	st.probeCount = 0
 	if err := p.ChangeProtocol(sp, target); err != nil {
 		// Unreachable unless the lockstep invariant above is broken:
 		// the target was looked up, and verifyCollective can only
@@ -521,7 +381,6 @@ func (p *Proc) adaptTick(sp *Space) {
 	if cur, ok := p.rec.SpaceSnapshot(sp.ID); ok {
 		st.prev = cur
 	}
-	st.lastTick = time.Now()
 	st.publish(sp)
 }
 
@@ -548,7 +407,7 @@ func (p *Proc) adaptMigrate(sp *Space, st *adaptState, loads []int64, cfg *Adapt
 			cold = i
 		}
 	}
-	if total < int64(cfg.MinMigrateMsgs) || hot == cold {
+	if total < minMigrateMsgs || hot == cold {
 		return false
 	}
 	mean := float64(total) / float64(len(loads))

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"testing"
-	"time"
-)
+import "testing"
 
 // namedBase is a no-op protocol with a name, for registry tests.
 type namedBase struct {
@@ -85,131 +81,14 @@ func TestAdaptTargetTable(t *testing.T) {
 }
 
 // TestAdaptConfigDefaults pins withDefaults, including the negative-
-// cooldown and negative-margin escape hatches.
+// cooldown and negative-factor escape hatches.
 func TestAdaptConfigDefaults(t *testing.T) {
 	d := AdaptConfig{}.withDefaults()
-	if d.EpochBarriers != 4 || d.Hysteresis != 3 || d.Cooldown != 2 || d.MinOps != 64 || d.RollbackMargin != 1.25 {
+	if d.EpochBarriers != 4 || d.Hysteresis != 3 || d.Cooldown != 2 || d.MinOps != 64 || d.MigrateFactor != 0 {
 		t.Fatalf("zero-value defaults = %+v", d)
 	}
-	e := AdaptConfig{EpochBarriers: 1, Hysteresis: 1, Cooldown: -1, MinOps: 1, RollbackMargin: -1}.withDefaults()
-	if e.EpochBarriers != 1 || e.Hysteresis != 1 || e.Cooldown != 0 || e.MinOps != 1 || e.RollbackMargin != 0 {
+	e := AdaptConfig{EpochBarriers: 1, Hysteresis: 1, Cooldown: -1, MinOps: 1, MigrateFactor: -1}.withDefaults()
+	if e.EpochBarriers != 1 || e.Hysteresis != 1 || e.Cooldown != 0 || e.MinOps != 1 || e.MigrateFactor != 0 {
 		t.Fatalf("explicit config normalized to %+v", e)
-	}
-}
-
-// slugProto is sequentially consistent with an artificial per-write
-// stall: an adaptation target that is strictly worse than what it
-// replaces, for exercising the controller's rollback path.
-type slugProto struct {
-	SCProtocol
-	stall time.Duration
-}
-
-func (s *slugProto) Name() string { return "slug" }
-func (s *slugProto) StartWrite(ctx *Ctx, r *Region) {
-	time.Sleep(s.stall)
-	s.SCProtocol.StartWrite(ctx, r)
-}
-
-// TestAdaptRollback: the classifier points the controller at a protocol
-// that turns out slower than the one it replaced. The probation epoch
-// after the switch must reverse it — back to the original protocol —
-// and the misleading pattern must stay retired: later epochs with the
-// same signature may not re-switch.
-func TestAdaptRollback(t *testing.T) {
-	const stall = 50 * time.Millisecond
-	reg := NewRegistry()
-	reg.MustRegister(Info{
-		Name:  "slug",
-		New:   func() Protocol { return &slugProto{stall: stall} },
-		Adapt: AdaptHints{Adaptive: true, Pattern: PatternMigratory},
-	})
-	cl, err := NewCluster(Options{
-		Procs:    2,
-		Registry: reg,
-		Adapt: &AdaptConfig{
-			EpochBarriers: 1,
-			Hysteresis:    1,
-			Cooldown:      -1, // probation epoch immediately follows the switch
-			MinOps:        1,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	const epochs = 6
-	err = cl.Run(func(p *Proc) error {
-		sp := p.DefaultSpace()
-		id := p.BroadcastID(0, func() RegionID {
-			if p.ID() != 0 {
-				return 0
-			}
-			return p.GMalloc(sp, 8)
-		}())
-		r := p.Map(id)
-		// Every epoch is lock-mediated writing — the migratory
-		// signature — so the controller switches to slug, pays for it,
-		// rolls back, and must then resist the identical signal.
-		for range [epochs]struct{}{} {
-			p.Lock(r)
-			p.StartWrite(r)
-			r.Data.SetInt64(0, r.Data.Int64(0)+1)
-			p.EndWrite(r)
-			p.Unlock(r)
-			p.Barrier(sp)
-		}
-		p.Unmap(r)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	adapt := cl.Metrics().Adapt
-	if len(adapt) != 1 {
-		t.Fatalf("adapt stats for %d spaces, want 1", len(adapt))
-	}
-	st := adapt[0]
-	if st.Protocol != "sc" {
-		t.Errorf("final protocol %q, want rollback to %q", st.Protocol, "sc")
-	}
-	if st.Rollbacks != 1 {
-		t.Errorf("rollbacks = %d, want 1", st.Rollbacks)
-	}
-	// Exactly one forward switch and its reversal: the retired pattern
-	// must not have earned a third.
-	if st.Switches != 2 {
-		t.Errorf("switches = %d, want 2 (switch + rollback)", st.Switches)
-	}
-}
-
-// TestAdaptFirstEpochPricing: the controller's clock starts at the
-// space's first barrier, so with EpochBarriers 1 the first epoch spans
-// no barrier interval at all and must stay out of the cost baseline: a
-// ~0 ns entry would halve the bar the rollback probe compares against.
-func TestAdaptFirstEpochPricing(t *testing.T) {
-	cl, err := NewCluster(Options{
-		Procs: 2,
-		Adapt: &AdaptConfig{EpochBarriers: 1, MinOps: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	err = cl.Run(func(p *Proc) error {
-		sp := p.DefaultSpace()
-		for want := 0; want < 3; want++ {
-			p.Barrier(sp)
-			st := sp.adapt.Load()
-			if int(st.epoch) != want+1 || st.recentN != want {
-				return fmt.Errorf("after barrier %d: epoch %d with %d priced, want %d", want+1, st.epoch, st.recentN, want)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -398,12 +398,17 @@ func (g *Gateway) dispatchDrain(rm *room) {
 }
 
 // enqueueOp appends one client op to the room's bounded queue and
-// marks the room ready. A full queue or a dead room drops the op.
+// marks the room ready. An op from a session that is not a member, a
+// full queue or a dead room drops the op; the non-member is told why.
 func (g *Gateway) enqueueOp(rm *room, op roomOp) {
 	rm.mu.Lock()
-	if rm.dead || len(rm.ops) >= g.cfg.OpQueue {
+	_, member := rm.members[op.sess]
+	if !member || rm.dead || len(rm.ops) >= g.cfg.OpQueue {
 		rm.mu.Unlock()
 		g.stats.OpsDropped.Add(1)
+		if !member {
+			op.sess.sendFrame(Frame{Kind: EvError, Room: rm.name, Msg: "not joined"})
+		}
 		return
 	}
 	rm.ops = append(rm.ops, op)

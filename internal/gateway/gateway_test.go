@@ -188,6 +188,46 @@ func TestBroadcastDeltas(t *testing.T) {
 	}
 }
 
+// TestOpsFromNonMemberDropped: a session that never joined a room may
+// not write it or read it. Its ops are dropped, counted, and answered
+// with EvError, and the members' state is untouched.
+func TestOpsFromNonMemberDropped(t *testing.T) {
+	g, srv := startGateway(t, Config{Procs: 2})
+	member, outsider := dial(t, srv), dial(t, srv)
+	defer member.Close()
+	defer outsider.Close()
+
+	if _, _, err := member.Join("r"); err != nil {
+		t.Fatalf("member join: %v", err)
+	}
+	dropped := g.Stats().Snapshot().OpsDropped
+	if err := outsider.Set("r", 2, 99); err != nil {
+		t.Fatalf("outsider set: %v", err)
+	}
+	if err := outsider.Send(Frame{Kind: OpGet, Room: "r"}); err != nil {
+		t.Fatalf("outsider get: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		f, err := outsider.Recv()
+		if err != nil {
+			t.Fatalf("outsider recv %d: %v", i, err)
+		}
+		if f.Kind != EvError || f.Room != "r" || f.Msg != "not joined" {
+			t.Fatalf("outsider op %d answered with %+v, want EvError \"not joined\"", i, f)
+		}
+	}
+	state, err := member.Get("r")
+	if err != nil {
+		t.Fatalf("member get: %v", err)
+	}
+	if state[2] != 0 {
+		t.Fatalf("member reads cell 2 = %d, written by a session outside the room", state[2])
+	}
+	if got := g.Stats().Snapshot().OpsDropped - dropped; got != 2 {
+		t.Fatalf("OpsDropped grew by %d, want 2", got)
+	}
+}
+
 // TestRoomChurnBounded is the gateway-level churn test: rooms created
 // and destroyed in waves leave the space table bounded by the wave
 // width, and the generation of a recycled slot advances.

@@ -77,9 +77,10 @@ func (m SpaceMetrics) merge(o SpaceMetrics) SpaceMetrics {
 }
 
 // AdaptStats is one space's adaptive-controller state, surfaced through
-// Metrics.Adapt when Options.Adapt is set. The controller runs the same
-// deterministic decision sequence on every processor, so per-processor
-// snapshots agree; aggregation keeps the furthest-evolved one.
+// Metrics.Adapt when Options.Adapt is set. The controller decides from
+// counted cluster-wide aggregates only, so it runs the same decision
+// sequence on every processor and per-processor snapshots agree;
+// aggregation keeps the furthest-evolved one.
 type AdaptStats struct {
 	// Space is the space id.
 	Space int
@@ -90,12 +91,8 @@ type AdaptStats struct {
 	Pattern string
 	// Epochs counts adaptation evaluations (controller barriers).
 	Epochs uint64
-	// Switches counts controller-initiated ChangeProtocol calls,
-	// rollbacks included.
+	// Switches counts controller-initiated ChangeProtocol calls.
 	Switches uint64
-	// Rollbacks counts the subset of Switches that reversed a switch
-	// whose probation epoch cost more than the pre-switch baseline.
-	Rollbacks uint64
 	// Migrations counts controller-initiated MigrateHome calls (region
 	// re-homing driven by the per-home traffic skew trigger).
 	Migrations uint64

@@ -14,12 +14,8 @@ import (
 // separated by barriers pass epochBarriers=2 so one epoch always covers
 // a full iteration (a 1-barrier epoch would alternate between
 // writes-only and reads-only classifications and never build a streak).
-// Rollback is disabled: these tests assert classification, and at
-// microsecond epoch lengths (worse under -race instrumentation) the
-// wall-time probe is noise that would legitimately reverse a correct
-// switch; pricing has its own test in internal/core.
 func aggressiveAdapt(epochBarriers int) *core.AdaptConfig {
-	return &core.AdaptConfig{EpochBarriers: epochBarriers, Hysteresis: 2, Cooldown: 1, MinOps: 1, RollbackMargin: -1}
+	return &core.AdaptConfig{EpochBarriers: epochBarriers, Hysteresis: 2, Cooldown: 1, MinOps: 1}
 }
 
 // runAdaptive executes an SPMD body on an adaptive cluster and returns
@@ -264,11 +260,10 @@ func TestAdaptMigratesHotHome(t *testing.T) {
 		Procs:    procs,
 		Registry: proto.NewRegistry(),
 		Adapt: &core.AdaptConfig{
-			EpochBarriers:  2,
-			Cooldown:       -1, // no initial quiet period
-			MinOps:         1,
-			MigrateFactor:  2,
-			MinMigrateMsgs: 8,
+			EpochBarriers: 2,
+			Cooldown:      -1, // no initial quiet period
+			MinOps:        1,
+			MigrateFactor: 2,
 		},
 	})
 	if err != nil {
