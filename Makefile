@@ -11,9 +11,9 @@ GO ?= go
 # scheduler goroutine runs beside senders, Kill and Quiesce.
 RACE_PKGS = ./internal/trace ./internal/core ./internal/amnet ./internal/faultnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway
 
-.PHONY: ci vet build test bench-test race bench-compare bench-allocs chaos-smoke cluster-smoke gate-smoke
+.PHONY: ci vet build test bench-test race fuzz-smoke bench-compare bench-allocs chaos-smoke cluster-smoke gate-smoke
 
-ci: vet build test bench-test race bench-allocs chaos-smoke cluster-smoke gate-smoke
+ci: vet build test bench-test race fuzz-smoke bench-allocs chaos-smoke cluster-smoke gate-smoke
 
 vet:
 	$(GO) vet ./...
@@ -36,6 +36,13 @@ bench-test:
 # one hardware context to run on.
 race:
 	$(GO) test -race -cpu 1,4 $(RACE_PKGS)
+
+# fuzz-smoke mutates past the checked-in seeds of the two decoders that
+# take hostile input: tcpnet's frame reader and the gateway's websocket
+# frame decoder, ten seconds each.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/tcpnet
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 10s ./internal/gateway
 
 # bench-compare measures this tree against BASE by alternating runs of the
 # two builds, workload by workload, and prints the benchmark's own

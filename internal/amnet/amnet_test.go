@@ -182,9 +182,9 @@ func TestStatsCounting(t *testing.T) {
 }
 
 func TestSnapshotArithmetic(t *testing.T) {
-	a := trace.NetSnapshot{MsgsSent: 6, BytesSent: 60, MsgsRecv: 3, BytesRecv: 30, SendQueueDepth: 1, SendQueueHW: 9}
-	b := trace.NetSnapshot{MsgsSent: 4, BytesSent: 40, MsgsRecv: 2, BytesRecv: 20, SendQueueDepth: 2, SendQueueHW: 5}
-	want := trace.NetSnapshot{MsgsSent: 10, BytesSent: 100, MsgsRecv: 5, BytesRecv: 50, SendQueueDepth: 3, SendQueueHW: 9}
+	a := trace.NetSnapshot{MsgsSent: 6, BytesSent: 60, MsgsRecv: 3, BytesRecv: 30, Flushes: 2, Retransmits: 1}
+	b := trace.NetSnapshot{MsgsSent: 4, BytesSent: 40, MsgsRecv: 2, BytesRecv: 20, Flushes: 3, DupFramesDropped: 1}
+	want := trace.NetSnapshot{MsgsSent: 10, BytesSent: 100, MsgsRecv: 5, BytesRecv: 50, Flushes: 5, Retransmits: 1, DupFramesDropped: 1}
 	if s := a.Add(b); s != want {
 		t.Fatalf("Add = %+v, want %+v", s, want)
 	}

@@ -12,7 +12,7 @@ import (
 // region, sharer) pair at every barrier; a ProtoBatcher coalesces all
 // pushes bound for the same destination into one multi-region frame
 // with a single ack, turning R x S tiny messages into at most S frames
-// per barrier — and handing the transport's vectored-write path real
+// per barrier — and handing the transport's coalescing writer real
 // batch sizes.
 //
 // Ordering: an aggregated frame travels as one active message, so the

@@ -11,15 +11,17 @@ import (
 	"github.com/acedsm/ace/internal/core"
 )
 
-// encodeTestFrame builds a well-formed frame for seeding the fuzzer.
+// testMsg and testStamp are the envelope every encodeTestFrame frame
+// carries: distinct values in every header field, so a decoder that
+// mixes two fields up cannot round-trip them.
+var testMsg = amnet.Msg{Dst: 1, Src: 2, Handler: 7, A: 0xdeadbeef, B: 0xb0b, C: 0xc0c0, D: 1<<63 | 0xd}
+
+const testStamp = 0x5eed_0000_1234
+
+// encodeTestFrame builds a well-formed frame with Send's encoder.
 func encodeTestFrame(seq uint64, payload []byte) []byte {
 	buf := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(buf)-4))
-	binary.LittleEndian.PutUint32(buf[4:], 1)
-	binary.LittleEndian.PutUint32(buf[8:], 0)
-	binary.LittleEndian.PutUint16(buf[12:], 7)
-	binary.LittleEndian.PutUint64(buf[14:], 0xdeadbeef)
-	binary.LittleEndian.PutUint64(buf[seqOff:], seq)
+	putHeader(buf, &testMsg, testStamp, seq)
 	copy(buf[frameHeader:], payload)
 	return buf
 }
@@ -132,19 +134,22 @@ func TestReadFrameRoundTrip(t *testing.T) {
 	payload := []byte("round trip payload")
 	stream := append(encodeTestFrame(3, payload), encodeTestFrame(4, nil)...)
 	br := bufio.NewReader(bytes.NewReader(stream))
-	f1, err := readFrame(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f1.seq != 3 || f1.msg.A != 0xdeadbeef || string(f1.msg.Payload) != string(payload) {
-		t.Fatalf("bad first frame: %+v", f1)
-	}
-	f2, err := readFrame(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f2.seq != 4 || f2.msg.Payload != nil {
-		t.Fatalf("bad second frame: %+v", f2)
+	for _, want := range []struct {
+		seq     uint64
+		payload []byte
+	}{{3, payload}, {4, nil}} {
+		f, err := readFrame(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := f.msg
+		if f.seq != want.seq || f.sent != testStamp || string(m.Payload) != string(want.payload) || (m.Payload == nil) != (want.payload == nil) {
+			t.Fatalf("frame seq %d: got seq %d, stamp %#x, payload %q", want.seq, f.seq, f.sent, m.Payload)
+		}
+		w := testMsg
+		if m.Dst != w.Dst || m.Src != w.Src || m.Handler != w.Handler || m.A != w.A || m.B != w.B || m.C != w.C || m.D != w.D {
+			t.Fatalf("frame seq %d: envelope %+v, want %+v", want.seq, m, w)
+		}
 	}
 	if _, err := readFrame(br); err != io.EOF {
 		t.Fatalf("stream end = %v, want io.EOF", err)

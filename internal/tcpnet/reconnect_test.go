@@ -19,10 +19,7 @@ import (
 // every frame delivered exactly once, in order, with reconnect,
 // backoff and retransmit events visible in the counters.
 func TestKillLinkReconnectsWithoutLossOrDup(t *testing.T) {
-	nwi, err := New(Config{Nodes: 2,
-		BackoffBase: time.Millisecond,
-		AckEvery:    256, // widen the received-but-unacked window the replay dedups
-	})
+	nwi, err := New(Loopback(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,12 +101,7 @@ func TestReplayedFramesDeduped(t *testing.T) {
 	}
 	rawFrame := func(a, seq uint64) []byte {
 		buf := make([]byte, frameHeader)
-		binary.LittleEndian.PutUint32(buf[0:], frameHeader-4)
-		binary.LittleEndian.PutUint32(buf[4:], 1)
-		binary.LittleEndian.PutUint32(buf[8:], 0)
-		binary.LittleEndian.PutUint16(buf[12:], 7)
-		binary.LittleEndian.PutUint64(buf[14:], a)
-		binary.LittleEndian.PutUint64(buf[seqOff:], seq)
+		putHeader(buf, &amnet.Msg{Dst: 1, Src: 0, Handler: 7, A: a}, 0, seq)
 		return buf
 	}
 	for _, sa := range [][2]uint64{{1, 1}, {2, 2}, {3, 3}, {2, 2}, {3, 3}, {4, 4}} {
@@ -147,7 +139,7 @@ func TestReplayedFramesDeduped(t *testing.T) {
 // dies mid-run: the runtime on top must not notice (no lost or
 // duplicated coherence messages).
 func TestKillLinkUnderCluster(t *testing.T) {
-	nwi, err := New(Config{Nodes: 2, BackoffBase: time.Millisecond})
+	nwi, err := New(Loopback(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +199,7 @@ var errRounds = errors.New("counter diverged across reconnect")
 // reconnect budget to expire into a peer-down notification instead of
 // an unbounded retry loop.
 func TestUnreachablePeerDeclaredDown(t *testing.T) {
-	nwi, err := New(Config{Nodes: 2,
-		DialTimeout: 100 * time.Millisecond,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		MaxAttempts: 3,
-	})
+	nwi, err := New(Loopback(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,46 +228,24 @@ func TestUnreachablePeerDeclaredDown(t *testing.T) {
 	eps[0].Send(amnet.Msg{Dst: 1, Handler: 7})
 }
 
-// TestBlockedEnqueueUnblocksOnPeerDown reproduces the enqueue hang: a
-// sender whose journal sits at maxPending fully written but unacked has
-// an idle writer (queue empty, parked on notEmpty), so nothing ever
-// touches the connection again after the peer dies — the reconnect
-// budget is never consumed, peerLost is never reached, and a producer
-// blocked in enqueue on notFull hangs forever instead of the peer being
-// declared down and the send failing out. The ack-stall probe must
-// drive the writer onto the dead connection so the existing
-// reconnect→peerLost path runs and its notFull broadcast frees the
-// producer.
-func TestBlockedEnqueueUnblocksOnPeerDown(t *testing.T) {
-	nwi, err := New(Config{Nodes: 2,
-		DialTimeout: 100 * time.Millisecond,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		MaxAttempts: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nwi.Close()
-	nw := nwi.(*network)
+// blockProducer drives node 0's sender to node 1 into the stalled
+// state: node 1's acks are silenced (they ride its own 1→0 sender, so
+// closing node 0's listener and severing that link stops every ack
+// while 0→1 data keeps flowing), the journal fills to maxPending with
+// frames that are delivered but never acknowledged, and the writer goes
+// idle. A further Send must then block on backpressure; it runs on its
+// own goroutine, and the returned channel closes when it returns.
+func blockProducer(t *testing.T, nw *network) <-chan struct{} {
+	t.Helper()
 	eps := nw.Endpoints()
-	downs := make(chan amnet.NodeID, 1)
-	eps[0].(amnet.PeerAware).SetPeerDownHandler(func(peer amnet.NodeID) { downs <- peer })
 	var delivered atomic.Uint64
 	eps[1].Register(7, func(m amnet.Msg) { delivered.Add(1) })
-
-	// Silence the ack path first: acks from node 1 ride its own 1→0
-	// sender, so closing node 0's listener and severing that link stops
-	// every ack while 0→1 data keeps flowing — the journal fills with
-	// frames that are written but never acknowledged.
 	nw.listeners[0].Close()
 	nw.KillLink(1, 0)
 
 	for i := 0; i < maxPending; i++ {
 		eps[0].Send(amnet.Msg{Dst: 1, Handler: 7, A: uint64(i)})
 	}
-	// Wait until every frame is delivered and the writer has gone idle
-	// with the journal at capacity.
 	s := nw.eps[0].out[1]
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -307,6 +272,29 @@ func TestBlockedEnqueueUnblocksOnPeerDown(t *testing.T) {
 		t.Fatal("send did not block with the journal at maxPending")
 	default:
 	}
+	return sendDone
+}
+
+// TestBlockedEnqueueUnblocksOnPeerDown reproduces the enqueue hang: a
+// sender whose journal sits at maxPending fully written but unacked has
+// an idle writer (queue empty, parked on notEmpty), so nothing ever
+// touches the connection again after the peer dies — the reconnect
+// budget is never consumed, peerLost is never reached, and a producer
+// blocked in enqueue on notFull hangs forever instead of the peer being
+// declared down and the send failing out. The ack-stall probe must
+// drive the writer onto the dead connection so the existing
+// reconnect→peerLost path runs and its notFull broadcast frees the
+// producer.
+func TestBlockedEnqueueUnblocksOnPeerDown(t *testing.T) {
+	nwi, err := New(Loopback(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nwi.Close()
+	nw := nwi.(*network)
+	downs := make(chan amnet.NodeID, 1)
+	nw.eps[0].SetPeerDownHandler(func(peer amnet.NodeID) { downs <- peer })
+	sendDone := blockProducer(t, nw)
 
 	// Now the peer dies for good. The blocked producer must be released
 	// by the peer-down path, not left hanging.
@@ -328,13 +316,59 @@ func TestBlockedEnqueueUnblocksOnPeerDown(t *testing.T) {
 	}
 }
 
+// TestDeclarePeerDownReleasesBlockedSender drives the failure
+// detector's path: DeclarePeerDown on a peer whose link is stalled at
+// maxPending must release the blocked producer and fire the peer-down
+// handler exactly once; repeating the call and naming an out-of-range
+// id are no-ops, and a later Send to the peer is dropped at once.
+func TestDeclarePeerDownReleasesBlockedSender(t *testing.T) {
+	nwi, err := New(Loopback(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nwi.Close()
+	nw := nwi.(*network)
+	var downs atomic.Int32
+	nw.eps[0].SetPeerDownHandler(func(peer amnet.NodeID) {
+		if peer != 1 {
+			t.Errorf("peer down for %d, want 1", peer)
+		}
+		downs.Add(1)
+	})
+	sendDone := blockProducer(t, nw)
+
+	nw.DeclarePeerDown(1)
+	select {
+	case <-sendDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("enqueue still blocked after DeclarePeerDown")
+	}
+	nw.DeclarePeerDown(1)
+	nw.DeclarePeerDown(-1)
+	nw.DeclarePeerDown(2)
+	if n := downs.Load(); n != 1 {
+		t.Fatalf("peer-down handler fired %d times, want 1", n)
+	}
+
+	dropped := make(chan struct{})
+	go func() {
+		nw.eps[0].Send(amnet.Msg{Dst: 1, Handler: 7})
+		close(dropped)
+	}()
+	select {
+	case <-dropped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Send to a declared-down peer blocked")
+	}
+}
+
 // TestAckNeverJournaledIgnored pins the ack guard: a cumulative ack for
 // a sequence number beyond anything this sender ever journaled (a
 // corrupt or hostile peer) must be ignored — accepting it would recycle
 // in-flight journal frames (use-after-free via the buffer pool) and
 // wedge the link by making every genuine ack look stale.
 func TestAckNeverJournaledIgnored(t *testing.T) {
-	s := &sender{ep: &endpoint{}} // ack updates the endpoint's queue gauge
+	s := &sender{}
 	s.notEmpty = sync.NewCond(&s.mu)
 	s.notFull = sync.NewCond(&s.mu)
 	for i := uint64(1); i <= 3; i++ {
@@ -355,4 +389,48 @@ func TestAckNeverJournaledIgnored(t *testing.T) {
 		t.Fatalf("surviving journal frame has seq %d, want 3", got)
 	}
 	amnet.Recycle(s.journal[0])
+}
+
+// TestPeerLostLeavesJournalToWriter declares a peer down while the
+// writer is stuck mid-batch on a socket nobody reads. The frames of
+// that batch are still the writer's to read, so peerLost must not hand
+// them back to the buffer pool: the writer releases the journal when it
+// exits. Under -race, a journal frame recycled early and reused by the
+// next Alloc shows up as a data race with the writer.
+func TestPeerLostLeavesJournalToWriter(t *testing.T) {
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	ep := &endpoint{nw: &network{}, downSent: make(map[amnet.NodeID]bool)}
+	s := newSender(ep, 1, "", conn)
+	// Queue the frames before the writer starts so it takes them as one
+	// batch; two of them overflow its 64 KiB buffer, so it blocks in a
+	// socket write with frames of the batch still unread.
+	const size = 40 << 10
+	for i := 0; i < 4; i++ {
+		s.enqueue(amnet.Alloc(size))
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go s.run(&wg)
+	for {
+		s.mu.Lock()
+		taken := len(s.queue) == 0
+		s.mu.Unlock()
+		if taken {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.peerLost()
+	reused := make([][]byte, 4)
+	for i := range reused {
+		reused[i] = amnet.Alloc(size)
+		putHeader(reused[i], &amnet.Msg{}, 0, 0)
+	}
+	wg.Wait()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.journal) != 0 {
+		t.Fatalf("writer exited leaving %d journal frames", len(s.journal))
+	}
 }

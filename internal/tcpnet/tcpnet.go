@@ -7,13 +7,11 @@
 //
 // The send path is coalescing: Send encodes the frame into a pooled
 // buffer and hands it to a per-connection writer goroutine, which drains
-// its queue in batches and flushes only when the queue goes empty — a
-// burst of n messages costs one flush syscall, a lone message still
-// flushes immediately, so throughput is gained without a latency tax.
-// Small batches are copied through a buffered writer; batches past a
-// byte threshold go to the kernel as one vectored write (net.Buffers /
-// writev) straight from the pooled frames, skipping the copy entirely.
-// Frame and payload buffers come from the amnet buffer pool
+// its queue in batches through one buffered writer and flushes only when
+// the queue goes empty — a burst of n messages costs one flush syscall
+// per 64 KiB, a lone message still flushes immediately, so throughput is
+// gained without a latency tax. Frame and payload buffers come from the
+// amnet buffer pool
 // (amnet.Alloc/Recycle); a delivered Msg.Payload is owned by the
 // handler per the fabric's ownership contract.
 //
@@ -27,9 +25,10 @@
 // broken connection is redialed with exponential backoff and jitter,
 // the journal is retransmitted, and the receiver drops the frames it
 // already delivered — so a transient connection loss costs latency, not
-// the fabric contract. A peer that stays unreachable past the reconnect
-// budget is declared down through amnet.PeerAware, turning would-be
-// hangs into typed errors upstream. Reconnects, backoffs, retransmits
+// the fabric contract. A peer that stays unreachable past maxAttempts
+// reconnects is declared down through amnet.PeerAware, turning would-be
+// hangs into typed errors upstream. Supervision is fixed by the
+// constants below, not configured. Reconnects, backoffs, retransmits
 // and duplicate drops are all counted in the endpoint Stats.
 package tcpnet
 
@@ -38,6 +37,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -48,11 +48,10 @@ import (
 	"github.com/acedsm/ace/internal/trace"
 )
 
-// Config describes the transport: the cluster topology (total node
-// count, addresses, which nodes this process hosts) plus connection
-// supervision tuning. It satisfies amnet.Transport, so a Config is
-// assigned directly to Options.Transport; Loopback is the in-process
-// preset. The zero value of every supervision field means its default.
+// Config describes the transport's cluster topology: the total node
+// count, the addresses, and which nodes this process hosts. It
+// satisfies amnet.Transport, so a Config is assigned directly to
+// Options.Transport; Loopback is the in-process preset.
 type Config struct {
 	// Nodes is the total number of logical nodes in the cluster. Zero is
 	// filled in by Connect with the cluster's processor count.
@@ -68,65 +67,39 @@ type Config struct {
 	// loopback port), a mailbox and a dispatch pump. Empty means all
 	// Nodes are local — the single-process mesh.
 	Local []int
-
-	// DialTimeout bounds each dial (initial and reconnect) and the
-	// accept side's wait for the hello frame. Default 2s.
-	DialTimeout time.Duration
-
-	// BackoffBase is the first reconnect backoff; each attempt doubles
-	// it up to BackoffMax, plus up to 100% jitter. Defaults 5ms / 500ms.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-
-	// MaxAttempts is the number of consecutive failed reconnect
-	// attempts after which the peer is declared down (amnet.PeerAware).
-	// Default 8.
-	MaxAttempts int
-
-	// AckEvery is the receive-side ack cadence in data frames; an ack
-	// is also sent whenever the reader drains its buffer. Default 64.
-	AckEvery int
 }
 
+// Connection supervision.
 const (
+	// dialTimeout bounds each dial (initial and reconnect) and the
+	// accept side's wait for the hello frame.
+	dialTimeout = 2 * time.Second
+
+	// backoffBase is the first retry backoff; each attempt doubles it up
+	// to backoffMax, plus up to 100% jitter.
+	backoffBase = 5 * time.Millisecond
+	backoffMax  = 500 * time.Millisecond
+
+	// maxAttempts is the number of consecutive failed dials (or
+	// reconnect attempts) after which a dial fails (or the peer is
+	// declared down through amnet.PeerAware).
+	maxAttempts = 8
+
+	// ackEvery is the receive-side ack cadence in data frames; an ack is
+	// also sent whenever the reader drains its buffer.
+	ackEvery = 64
+
 	// writeTimeout bounds each batch write; an expired deadline is a
 	// connection failure and triggers reconnection.
 	writeTimeout = 10 * time.Second
 
-	// probeInterval is the cadence of the ack-stall probe. When a
-	// sender's journal is non-empty but its queue is empty, the writer
-	// is idle — if the connection silently died in that state nothing
-	// would ever touch it again, leaving producers blocked on
-	// backpressure forever with the peer never declared down. The probe
-	// enqueues a harmless control frame so the writer exercises the
-	// connection and a dead one enters the normal reconnect→peer-down
-	// path.
+	// probeInterval is the cadence of the ack-stall probe (see
+	// network.probeLoop).
 	probeInterval = time.Second
 )
 
-func (c Config) withDefaults() Config {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 5 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 500 * time.Millisecond
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 8
-	}
-	if c.AckEvery <= 0 {
-		c.AckEvery = 64
-	}
-	return c
-}
-
 // Loopback is the in-process preset: an n-node full TCP mesh on
-// ephemeral 127.0.0.1 ports with default supervision — what test and
-// benchmark clusters run on. Tune supervision by setting fields on the
-// returned Config.
+// ephemeral 127.0.0.1 ports — what test and benchmark clusters run on.
 func Loopback(n int) Config { return Config{Nodes: n} }
 
 // Connect implements amnet.Transport: a Config is assigned directly to
@@ -182,7 +155,6 @@ func Listen(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("tcpnet: no local nodes")
 	}
 	nw := &network{
-		cfg:       cfg.withDefaults(),
 		nodes:     cfg.Nodes,
 		local:     local,
 		eps:       make([]*endpoint, len(local)),
@@ -190,6 +162,7 @@ func Listen(cfg Config) (*Node, error) {
 		listeners: make([]net.Listener, len(local)),
 		started:   make(chan struct{}),
 		wired:     make(chan struct{}),
+		quit:      make(chan struct{}),
 	}
 	for i, id := range local {
 		if id < 0 || id >= cfg.Nodes || nw.byID[id] != nil {
@@ -266,7 +239,7 @@ func (nd *Node) Connect(addrs []string) (amnet.Network, error) {
 	for _, ep := range nw.eps {
 		ep.out = make([]*sender, nw.nodes)
 		for j := 0; j < nw.nodes; j++ {
-			conn, err := nw.dialInitial(addrs[j])
+			conn, err := dialInitial(addrs[j])
 			if err != nil {
 				nw.Close()
 				return nil, err
@@ -279,11 +252,12 @@ func (nd *Node) Connect(addrs []string) (amnet.Network, error) {
 				return nil, err
 			}
 			ep.out[j] = s
-			nw.sendWG.Add(2)
-			go s.run(&nw.sendWG, &ep.stats)
-			go s.probeLoop(&nw.sendWG)
+			nw.sendWG.Add(1)
+			go s.run(&nw.sendWG)
 		}
 	}
+	nw.sendWG.Add(1)
+	go nw.probeLoop()
 	// Sender tables exist for every local endpoint; inbound readers
 	// parked on the wire gate (a peer that connected faster than our
 	// bootstrap) may begin decoding and acking.
@@ -307,22 +281,27 @@ func (nd *Node) Close() error {
 // dialInitial dials a peer with retry: in a multi-process bootstrap the
 // peers bind before they advertise, but a dial can still race a loaded
 // accept queue, and one transient refusal must not fail the whole
-// mesh. The budget mirrors reconnect's.
-func (n *network) dialInitial(addr string) (net.Conn, error) {
-	backoff := n.cfg.BackoffBase
+// mesh. The budget is reconnect's.
+func dialInitial(addr string) (net.Conn, error) {
+	step := backoffBase
 	for attempt := 1; ; attempt++ {
-		conn, err := net.DialTimeout("tcp", addr, n.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err == nil {
 			return conn, nil
 		}
-		if attempt >= n.cfg.MaxAttempts {
+		if attempt >= maxAttempts {
 			return nil, fmt.Errorf("tcpnet: dial %s: %w", addr, err)
 		}
-		time.Sleep(backoff + time.Duration(rand.Int63n(int64(backoff))))
-		if backoff *= 2; backoff > n.cfg.BackoffMax {
-			backoff = n.cfg.BackoffMax
-		}
+		step = backoff(step)
 	}
+}
+
+// backoff is the one retry pause of dialInitial and reconnect: it sleeps
+// step plus up to 100% jitter and returns the next step, doubled up to
+// backoffMax.
+func backoff(step time.Duration) time.Duration {
+	time.Sleep(step + time.Duration(rand.Int63n(int64(step))))
+	return min(2*step, backoffMax)
 }
 
 // tuneConn shapes a mesh connection for the coalescing writer: Nagle is
@@ -340,7 +319,6 @@ func tuneConn(conn net.Conn) {
 }
 
 type network struct {
-	cfg       Config
 	nodes     int         // total cluster size
 	local     []int       // node ids hosted here, in Config.Local order
 	eps       []*endpoint // parallel to local
@@ -351,8 +329,9 @@ type network struct {
 	startOnce sync.Once
 	wired     chan struct{} // closed by Connect: sender tables exist
 	wireOnce  sync.Once
+	quit      chan struct{} // closed by Close: the probe loop exits
 	acceptWG  sync.WaitGroup
-	sendWG    sync.WaitGroup
+	sendWG    sync.WaitGroup // writers and the probe loop
 	pumpWG    sync.WaitGroup
 	closed    atomic.Bool
 }
@@ -379,8 +358,8 @@ func (n *network) wire() { n.wireOnce.Do(func() { close(n.wired) }) }
 // DeclarePeerDown forces the supervised senders to peer as lost, as if
 // their reconnect budgets were exhausted: the gossip layer's suspicion
 // verdict feeding the same amnet.PeerAware path the transport uses for
-// its own failures. Idempotent; a no-op for a local or already-lost
-// peer's healthy links is avoided by the per-endpoint downSent guard.
+// its own failures. Idempotent: each endpoint's peer-down handler fires
+// at most once per peer. An out-of-range id is ignored.
 func (n *network) DeclarePeerDown(peer amnet.NodeID) {
 	if int(peer) < 0 || int(peer) >= n.nodes {
 		return
@@ -409,7 +388,7 @@ func (n *network) acceptLoop(j int) {
 			return // listener closed
 		}
 		tuneConn(conn)
-		conn.SetReadDeadline(time.Now().Add(n.cfg.DialTimeout))
+		conn.SetReadDeadline(time.Now().Add(dialTimeout))
 		var hello [4]byte
 		if _, err := io.ReadFull(conn, hello[:]); err != nil {
 			conn.Close()
@@ -438,7 +417,9 @@ func (n *network) KillLink(src, dst int) {
 // reader), wait for readers, then close the inboxes so the pumps
 // exit.
 func (n *network) Close() error {
-	n.closed.Store(true)
+	if !n.closed.Swap(true) {
+		close(n.quit)
+	}
 	n.Start() // release gated pumps so they can drain and exit
 	n.wire()  // release parked readers so they can exit
 	for _, l := range n.listeners {
@@ -510,8 +491,8 @@ type sender struct {
 	nextSeq  uint64   // last assigned data sequence number (0 = control)
 	acked    uint64   // highest cumulative ack received
 	// replaying is set while reconnect writes a journal snapshot outside
-	// the lock; ack() then only records the ack and defers recycling to
-	// releaseAcked, so snapshot frames stay valid through the replay.
+	// the lock; ack() then only records the ack and leaves the release to
+	// the end of the replay, so snapshot frames stay valid through it.
 	replaying bool
 	closed    bool
 
@@ -519,53 +500,45 @@ type sender struct {
 	peer  amnet.NodeID
 	addr  string
 	hello [4]byte
-
-	// iov is the writer's reusable iovec for the vectored write path:
-	// net.Buffers.WriteTo consumes its slice (re-slicing entries as the
-	// kernel accepts bytes), so writeBatch hands it a scratch copy of
-	// the batch rather than the batch itself — the journal keeps its own
-	// references, and batch entries stay intact for the recycle sweep.
-	iov net.Buffers
-
-	// stop ends the ack-stall probe goroutine; closed once the sender
-	// shuts down (close or peerLost).
-	stop     chan struct{}
-	stopOnce sync.Once
 }
 
 func newSender(ep *endpoint, peer amnet.NodeID, addr string, conn net.Conn) *sender {
-	s := &sender{conn: conn, ep: ep, peer: peer, addr: addr, stop: make(chan struct{})}
+	s := &sender{conn: conn, ep: ep, peer: peer, addr: addr}
 	binary.LittleEndian.PutUint32(s.hello[:], uint32(ep.id))
 	s.notEmpty = sync.NewCond(&s.mu)
 	s.notFull = sync.NewCond(&s.mu)
 	return s
 }
 
-// probeLoop is the ack-stall watchdog: while the journal holds unacked
-// frames and the queue is empty, the writer is parked — if the
-// connection died in that state nothing would ever write to it again,
-// so the reconnect budget would never be consumed and producers blocked
-// on backpressure would hang forever with the peer never declared
-// down. Enqueueing a no-op control frame (a stale ack the peer
-// ignores) forces the writer through a write: on a live connection it
-// is invisible, on a dead one it triggers the normal
-// reconnect→peerLost path, whose notFull broadcast frees the
-// producers.
-func (s *sender) probeLoop(wg *sync.WaitGroup) {
-	defer wg.Done()
+// probeLoop is the ack-stall watchdog, one per network: while a
+// sender's journal holds unacked frames and its queue is empty, its
+// writer is parked — if the connection died in that state nothing would
+// ever write to it again, so the reconnect budget would never be
+// consumed and producers blocked on backpressure would hang forever
+// with the peer never declared down. Every probeInterval each such
+// sender gets a no-op control frame (a stale ack the peer ignores),
+// forcing its writer through a write: on a live connection it is
+// invisible, on a dead one it triggers the normal reconnect→peerLost
+// path, which frees the producers.
+func (n *network) probeLoop() {
+	defer n.sendWG.Done()
 	t := time.NewTicker(probeInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.stop:
+		case <-n.quit:
 			return
 		case <-t.C:
 		}
-		s.mu.Lock()
-		stalled := !s.closed && len(s.journal) > 0 && len(s.queue) == 0
-		s.mu.Unlock()
-		if stalled {
-			s.ep.sendAck(s.peer, 0)
+		for _, ep := range n.eps {
+			for _, s := range ep.out {
+				s.mu.Lock()
+				stalled := !s.closed && len(s.journal) > 0 && len(s.queue) == 0
+				s.mu.Unlock()
+				if stalled {
+					ep.sendAck(s.peer, 0)
+				}
+			}
 		}
 	}
 }
@@ -576,13 +549,8 @@ func (s *sender) probeLoop(wg *sync.WaitGroup) {
 // messages may be dropped).
 func (s *sender) enqueue(frame []byte) {
 	s.mu.Lock()
-	if len(s.journal) >= maxPending && !s.closed {
-		// Count the stall before parking: a gateway watching NetStats must
-		// see the backpressure while the producer is blocked, not after.
-		s.ep.stats.CountSendQueueStall()
-		for len(s.journal) >= maxPending && !s.closed {
-			s.notFull.Wait()
-		}
+	for len(s.journal) >= maxPending && !s.closed {
+		s.notFull.Wait()
 	}
 	if s.closed {
 		s.mu.Unlock()
@@ -593,10 +561,7 @@ func (s *sender) enqueue(frame []byte) {
 	binary.LittleEndian.PutUint64(frame[seqOff:], s.nextSeq)
 	s.queue = append(s.queue, frame)
 	s.journal = append(s.journal, frame)
-	depth := len(s.journal)
 	s.mu.Unlock()
-	s.ep.stats.AddSendQueueDepth(1)
-	s.ep.stats.ObserveSendQueue(depth)
 	s.notEmpty.Signal()
 }
 
@@ -618,27 +583,27 @@ func (s *sender) enqueueControl(frame []byte) {
 // ack processes a cumulative acknowledgment: every journaled frame with
 // seq ≤ n is released. Monotonic — stale acks (reordered across a
 // reconnect) are ignored. During a journal replay only the ack level is
-// recorded; releaseAcked recycles the covered frames afterwards.
+// recorded; the replay releases the covered frames when it ends.
 func (s *sender) ack(n uint64) {
 	s.mu.Lock()
-	if n <= s.acked {
-		s.mu.Unlock()
-		return
-	}
-	if n > s.nextSeq {
-		// An ack for a sequence never journaled here can only come from
-		// a corrupt or hostile peer. Accepting it would recycle
-		// in-flight journal frames (a use-after-free through the buffer
-		// pool) and pin acked above every genuine ack, wedging the
-		// link's backpressure forever.
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	// An ack for a sequence never journaled here (n > nextSeq) can only
+	// come from a corrupt or hostile peer. Accepting it would recycle
+	// in-flight journal frames (a use-after-free through the buffer
+	// pool) and pin acked above every genuine ack, wedging the link's
+	// backpressure forever.
+	if n <= s.acked || n > s.nextSeq {
 		return
 	}
 	s.acked = n
-	if s.replaying {
-		s.mu.Unlock()
-		return
+	if !s.replaying {
+		s.release(n)
 	}
+}
+
+// release recycles the journal prefix with seq ≤ n and wakes the
+// producers blocked on backpressure. The caller holds s.mu.
+func (s *sender) release(n uint64) {
 	i := 0
 	for i < len(s.journal) && seqOf(s.journal[i]) <= n {
 		amnet.Recycle(s.journal[i])
@@ -647,12 +612,25 @@ func (s *sender) ack(n uint64) {
 	}
 	if i > 0 {
 		s.journal = s.journal[i:]
-	}
-	s.mu.Unlock()
-	if i > 0 {
-		s.ep.stats.AddSendQueueDepth(-i)
 		s.notFull.Broadcast()
 	}
+}
+
+// dropQueue empties the queue, recycling its control frames (its data
+// frames are the journal's), and returns how many data frames it held.
+// The caller holds s.mu.
+func (s *sender) dropQueue() int {
+	data := 0
+	for i, f := range s.queue {
+		if seqOf(f) == 0 {
+			amnet.Recycle(f)
+		} else {
+			data++
+		}
+		s.queue[i] = nil
+	}
+	s.queue = s.queue[:0]
+	return data
 }
 
 // close asks the writer to flush what is queued and shut the connection
@@ -661,7 +639,6 @@ func (s *sender) close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
-	s.stopOnce.Do(func() { close(s.stop) })
 	s.notEmpty.Signal()
 	s.notFull.Broadcast()
 }
@@ -685,15 +662,21 @@ func (s *sender) shuttingDown() bool {
 }
 
 // run is the writer goroutine: it swaps the whole queue out under one
-// lock, writes the batch (copied through the buffered writer when
-// small, handed to writev when large), and flushes only once the queue
-// is empty — so bursts coalesce into single syscalls while a lone frame
-// still goes out immediately. A write failure outside shutdown enters
-// the reconnect loop instead of crashing.
-func (s *sender) run(wg *sync.WaitGroup, stats *trace.NetStats) {
+// lock, copies the batch into the buffered writer, and flushes only
+// once the queue is empty — so bursts coalesce into single syscalls
+// while a lone frame still goes out immediately. A write failure
+// outside shutdown enters the reconnect loop instead of crashing.
+func (s *sender) run(wg *sync.WaitGroup) {
 	defer wg.Done()
+	// The writer may be reading any journal frame up to the moment it
+	// exits, so only its exit releases the journal of a shut-down sender.
+	defer func() {
+		s.mu.Lock()
+		s.release(math.MaxUint64)
+		s.mu.Unlock()
+	}()
 	conn := s.conn
-	bw := bufio.NewWriterSize(conn, 64<<10)
+	bw := s.newWriter(conn)
 	var batch [][]byte
 	for {
 		s.mu.Lock()
@@ -708,22 +691,16 @@ func (s *sender) run(wg *sync.WaitGroup, stats *trace.NetStats) {
 		}
 		batch, s.queue = s.queue, batch[:0]
 		s.mu.Unlock()
-		s.notFull.Broadcast()
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		err := s.writeBatch(conn, bw, batch, stats)
-		batch = batch[:0]
+		err := writeBatch(bw, batch)
 		if err == nil {
 			// Flush only when no more frames are waiting; otherwise loop
-			// around and extend the batch. After a vectored batch the
-			// buffered writer is empty and there is nothing to flush (the
-			// writev already counted itself).
+			// around and extend the batch.
 			s.mu.Lock()
 			empty := len(s.queue) == 0
 			s.mu.Unlock()
-			if empty && bw.Buffered() > 0 {
-				if err = bw.Flush(); err == nil {
-					stats.CountFlush()
-				}
+			if empty {
+				err = bw.Flush()
 			}
 		}
 		if err != nil {
@@ -732,7 +709,7 @@ func (s *sender) run(wg *sync.WaitGroup, stats *trace.NetStats) {
 				return
 			}
 			var ok bool
-			conn, bw, ok = s.reconnect(stats)
+			conn, bw, ok = s.reconnect()
 			if !ok {
 				return
 			}
@@ -740,65 +717,30 @@ func (s *sender) run(wg *sync.WaitGroup, stats *trace.NetStats) {
 	}
 }
 
-// The writer switches from copying frames through the buffered writer
-// to handing them to the kernel as one vectored write when a batch
-// clears both thresholds: enough total bytes that a dedicated syscall
-// pays (writevMinBytes — below it the buffered writer also keeps
-// coalescing consecutive tiny batches into one flush syscall, which
-// writev, a syscall per batch, gives up), and enough bytes per frame
-// that the copy it saves outweighs the kernel's per-iovec processing
-// (writevMinFrame). The second gate is what keeps small-message bursts
-// on bufio: a coalesced batch of hundreds of ~100 B frames easily
-// tops 16 KB, but memcpying 100 B costs far less than an iovec entry,
-// and routing such batches through writev measured ~10-15% slower.
-// Large update payloads are the writev case: a burst of 16 KB frames
-// moves megabytes through memory twice on the bufio path and once on
-// the writev path. See DESIGN.md §11 for the measured crossover.
-const (
-	writevMinBytes = 16 << 10
-	writevMinFrame = 2 << 10 // mean frame size, total/len(batch)
-)
+// newWriter buffers conn for the writer goroutine. Every write that
+// reaches the socket counts one Flushes — including those bufio makes
+// mid-Write when a batch overflows its 64 KiB buffer.
+func (s *sender) newWriter(conn net.Conn) *bufio.Writer {
+	return bufio.NewWriterSize(socketWriter{conn, &s.ep.stats.Flushes}, 64<<10)
+}
 
-// writeBatch writes one batch: small batches stream into the buffered
-// writer (flushed later, when the queue goes empty), large ones bypass
-// it as a single net.Buffers vectored write straight from the pooled
-// frames — zero copies, one (counted) kernel handoff. Any bytes still
-// sitting in the buffered writer are flushed first so frame order on
-// the wire is preserved. Control frames are recycled here (written or
-// not — a lost ack regenerates); data frames stay journaled until
-// acked. On error the remaining frames are skipped: the journal replay
-// during reconnect covers them.
-func (s *sender) writeBatch(conn net.Conn, bw *bufio.Writer, batch [][]byte, stats *trace.NetStats) error {
+// socketWriter counts each Write into the socket.
+type socketWriter struct {
+	conn    net.Conn
+	flushes *atomic.Uint64
+}
+
+func (w socketWriter) Write(p []byte) (int, error) {
+	w.flushes.Add(1)
+	return w.conn.Write(p)
+}
+
+// writeBatch copies one batch into the buffered writer. Control frames
+// are recycled here (written or not — a lost ack regenerates); data
+// frames stay journaled until acked. On error the remaining frames are
+// skipped: the journal replay during reconnect covers them.
+func writeBatch(bw *bufio.Writer, batch [][]byte) error {
 	var err error
-	total := 0
-	for _, f := range batch {
-		total += len(f)
-	}
-	if total >= writevMinBytes && total >= len(batch)*writevMinFrame {
-		if bw.Buffered() > 0 {
-			if err = bw.Flush(); err == nil {
-				stats.CountFlush()
-			}
-		}
-		if err == nil {
-			s.iov = append(s.iov[:0], batch...)
-			_, err = s.iov.WriteTo(conn)
-			for i := range s.iov {
-				s.iov[i] = nil // drop frame references; WriteTo may have kept tails
-			}
-			s.iov = s.iov[:0]
-			if err == nil {
-				stats.CountFlush()
-			}
-		}
-		for i, f := range batch {
-			if seqOf(f) == 0 {
-				amnet.Recycle(f)
-			}
-			batch[i] = nil
-		}
-		return err
-	}
 	for i, f := range batch {
 		if err == nil {
 			_, err = bw.Write(f)
@@ -811,149 +753,99 @@ func (s *sender) writeBatch(conn net.Conn, bw *bufio.Writer, batch [][]byte, sta
 	return err
 }
 
-// reconnect redials the peer with exponential backoff and jitter,
-// resends the hello, and replays the journal on the fresh connection
-// (the receiver drops what it already delivered). After MaxAttempts
+// reconnect redials the peer with exponential backoff and jitter and
+// resumes the link on the fresh connection. After maxAttempts
 // consecutive failures the peer is declared down and the sender shuts
 // itself off.
-func (s *sender) reconnect(stats *trace.NetStats) (net.Conn, *bufio.Writer, bool) {
+func (s *sender) reconnect() (net.Conn, *bufio.Writer, bool) {
 	s.killConn()
-	cfg := s.ep.nw.cfg
-	backoff := cfg.BackoffBase
+	stats := &s.ep.stats
+	step := backoffBase
 	for attempt := 1; ; attempt++ {
 		if s.shuttingDown() {
 			return nil, nil, false
 		}
-		time.Sleep(backoff + time.Duration(rand.Int63n(int64(backoff))))
+		step = backoff(step)
 		stats.Backoffs.Add(1)
-		if backoff *= 2; backoff > cfg.BackoffMax {
-			backoff = cfg.BackoffMax
-		}
 		if s.shuttingDown() {
 			return nil, nil, false
 		}
-		conn, err := net.DialTimeout("tcp", s.addr, cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", s.addr, dialTimeout)
 		if err == nil {
-			tuneConn(conn)
-			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			if _, err = conn.Write(s.hello[:]); err != nil {
-				conn.Close()
+			var bw *bufio.Writer
+			if bw, err = s.resume(conn); err == nil {
+				stats.Reconnects.Add(1)
+				return conn, bw, true
 			}
-		}
-		if err != nil {
-			if attempt >= cfg.MaxAttempts {
-				s.peerLost()
-				return nil, nil, false
-			}
-			continue
-		}
-		bw := bufio.NewWriterSize(conn, 64<<10)
-		// Adopt the connection and snapshot the journal under the lock,
-		// then replay outside it: a replay can take up to writeTimeout,
-		// and holding the lock that long would stall enqueue and — via
-		// the reader's ack path — the receive path for this peer. The
-		// queue is dropped (its data frames are journaled; its control
-		// frames are stale); frames enqueued during the replay land
-		// behind the snapshot in the queue, preserving seq order. The
-		// replaying flag keeps concurrent acks from recycling snapshot
-		// frames mid-write; killConn still interrupts a stuck replay
-		// because the new connection is already adopted.
-		s.mu.Lock()
-		s.conn = conn
-		fresh := 0
-		for i, f := range s.queue {
-			if seqOf(f) == 0 {
-				amnet.Recycle(f)
-			} else {
-				fresh++
-			}
-			s.queue[i] = nil
-		}
-		s.queue = s.queue[:0]
-		retrans := len(s.journal) - fresh
-		snap := append([][]byte(nil), s.journal...)
-		s.replaying = true
-		s.mu.Unlock()
-		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		werr := error(nil)
-		for _, f := range snap {
-			if werr == nil {
-				_, werr = bw.Write(f)
-			}
-		}
-		if werr == nil {
-			werr = bw.Flush()
-		}
-		s.releaseAcked()
-		if werr != nil {
 			conn.Close()
-			if attempt >= cfg.MaxAttempts {
-				s.peerLost()
-				return nil, nil, false
-			}
-			continue
 		}
-		if retrans > 0 {
-			stats.Retransmits.Add(uint64(retrans))
+		if attempt >= maxAttempts {
+			s.peerLost()
+			return nil, nil, false
 		}
-		stats.Reconnects.Add(1)
-		return conn, bw, true
 	}
 }
 
-// releaseAcked ends a journal replay: it recycles the journal prefix
-// covered by acks that arrived while the replay held no lock, and
-// reopens normal ack processing.
-func (s *sender) releaseAcked() {
+// resume adopts a freshly dialed connection: it resends the hello and
+// replays the journal (the receiver drops what it already delivered).
+// The journal is snapshotted under the lock and replayed outside it: a
+// replay can take up to writeTimeout, and holding the lock that long
+// would stall enqueue and — via the reader's ack path — the receive
+// path for this peer. The queue is dropped (its data frames are
+// journaled; its control frames are stale); frames enqueued during the
+// replay land behind the snapshot in the queue, preserving seq order.
+// The replaying flag keeps concurrent acks from recycling snapshot
+// frames mid-write; killConn still interrupts a stuck replay because
+// the new connection is already adopted.
+func (s *sender) resume(conn net.Conn) (*bufio.Writer, error) {
+	tuneConn(conn)
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	if _, err := conn.Write(s.hello[:]); err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
-	n := s.acked
-	i := 0
-	for i < len(s.journal) && seqOf(s.journal[i]) <= n {
-		amnet.Recycle(s.journal[i])
-		s.journal[i] = nil
-		i++
-	}
-	if i > 0 {
-		s.journal = s.journal[i:]
-	}
-	s.replaying = false
+	s.conn = conn
+	retrans := len(s.journal) - s.dropQueue()
+	snap := append([][]byte(nil), s.journal...)
+	s.replaying = true
 	s.mu.Unlock()
-	if i > 0 {
-		s.ep.stats.AddSendQueueDepth(-i)
-		s.notFull.Broadcast()
+
+	bw := s.newWriter(conn)
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	err := writeBatch(bw, snap)
+	if err == nil {
+		err = bw.Flush()
 	}
+
+	s.mu.Lock()
+	s.replaying = false
+	s.release(s.acked) // the acks that arrived during the replay
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	if retrans > 0 {
+		s.ep.stats.Retransmits.Add(uint64(retrans))
+	}
+	return bw, nil
 }
 
 // peerLost shuts the sender down after an exhausted reconnect budget
-// and notifies the endpoint's peer-down handler: graceful degradation
-// instead of a hang (the runtime turns it into ErrPeerLost).
+// (or DeclarePeerDown) and notifies the endpoint's peer-down handler:
+// graceful degradation instead of a hang (the runtime turns it into
+// ErrPeerLost). Blocked producers wake and drop their frames; the
+// journal is released when the writer exits.
 func (s *sender) peerLost() {
 	s.mu.Lock()
 	s.closed = true
-	for i, f := range s.queue {
-		if seqOf(f) == 0 {
-			amnet.Recycle(f) // data frames are recycled via the journal
-		}
-		s.queue[i] = nil
-	}
-	s.queue = nil
-	dropped := len(s.journal)
-	for i, f := range s.journal {
-		amnet.Recycle(f)
-		s.journal[i] = nil
-	}
-	s.journal = nil
+	s.dropQueue()
 	s.mu.Unlock()
-	if dropped > 0 {
-		s.ep.stats.AddSendQueueDepth(-dropped)
-	}
-	s.stopOnce.Do(func() { close(s.stop) })
+	s.notFull.Broadcast()
 	// Wake or interrupt the writer: when the declaration is external
-	// (DeclarePeerDown) the writer may be parked on the queue or blocked
+	// (DeclarePeerDown) it may be parked on the queue or blocked
 	// mid-write; on the writer's own path both are no-ops.
 	s.notEmpty.Signal()
 	s.killConn()
-	s.notFull.Broadcast()
 	s.ep.firePeerDown(s.peer)
 }
 
@@ -1058,15 +950,7 @@ func (e *endpoint) Send(m amnet.Msg) {
 	e.nw.Start() // a local send implies local handlers are registered
 	e.countSend(m)
 	buf := amnet.Alloc(frameHeader + len(m.Payload))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(buf)-4))
-	binary.LittleEndian.PutUint32(buf[4:], uint32(m.Dst))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(m.Src))
-	binary.LittleEndian.PutUint16(buf[12:], uint16(m.Handler))
-	binary.LittleEndian.PutUint64(buf[14:], m.A)
-	binary.LittleEndian.PutUint64(buf[22:], m.B)
-	binary.LittleEndian.PutUint64(buf[30:], m.C)
-	binary.LittleEndian.PutUint64(buf[38:], m.D)
-	binary.LittleEndian.PutUint64(buf[46:], uint64(e.stats.SendStamp()))
+	putHeader(buf, &m, e.stats.SendStamp(), 0)
 	copy(buf[frameHeader:], m.Payload)
 	e.out[m.Dst].enqueue(buf) // assigns seq under the sender lock
 }
@@ -1076,17 +960,24 @@ func (e *endpoint) Send(m amnet.Msg) {
 // bound and the traffic counters.
 func (e *endpoint) sendAck(src amnet.NodeID, n uint64) {
 	buf := amnet.Alloc(frameHeader)
-	binary.LittleEndian.PutUint32(buf[0:], frameHeader-4)
-	binary.LittleEndian.PutUint32(buf[4:], uint32(src))
-	binary.LittleEndian.PutUint32(buf[8:], uint32(e.id))
-	binary.LittleEndian.PutUint16(buf[12:], 0)
-	binary.LittleEndian.PutUint64(buf[14:], n)
-	binary.LittleEndian.PutUint64(buf[22:], 0)
-	binary.LittleEndian.PutUint64(buf[30:], 0)
-	binary.LittleEndian.PutUint64(buf[38:], 0)
-	binary.LittleEndian.PutUint64(buf[46:], 0)
-	binary.LittleEndian.PutUint64(buf[seqOff:], 0)
+	putHeader(buf, &amnet.Msg{Dst: src, Src: e.id, A: n}, 0, 0)
 	e.out[src].enqueueControl(buf)
+}
+
+// putHeader encodes the frame header of m into buf, which holds the
+// whole frame (header and payload): the one encoder of the frame layout
+// above.
+func putHeader(buf []byte, m *amnet.Msg, stamp int64, seq uint64) {
+	binary.LittleEndian.PutUint32(buf[0:], uint32(len(buf)-4))
+	binary.LittleEndian.PutUint32(buf[4:], uint32(m.Dst))
+	binary.LittleEndian.PutUint32(buf[8:], uint32(m.Src))
+	binary.LittleEndian.PutUint16(buf[12:], uint16(m.Handler))
+	binary.LittleEndian.PutUint64(buf[14:], m.A)
+	binary.LittleEndian.PutUint64(buf[22:], m.B)
+	binary.LittleEndian.PutUint64(buf[30:], m.C)
+	binary.LittleEndian.PutUint64(buf[38:], m.D)
+	binary.LittleEndian.PutUint64(buf[46:], uint64(stamp))
+	binary.LittleEndian.PutUint64(buf[seqOff:], seq)
 }
 
 func (e *endpoint) Stats() *trace.NetStats { return &e.stats }
@@ -1121,7 +1012,6 @@ func (e *endpoint) addReader(conn net.Conn, src amnet.NodeID) {
 		}
 		br := bufio.NewReaderSize(conn, 64<<10)
 		link := &e.links[src]
-		ackEvery := e.nw.cfg.AckEvery
 		for {
 			f, err := readFrame(br)
 			if err != nil {

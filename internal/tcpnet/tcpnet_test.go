@@ -256,3 +256,40 @@ func TestStatsExactUnderConcurrentBurst(t *testing.T) {
 	t.Logf("coalescing factor: %d msgs / %d flushes = %.1f msgs/flush",
 		sentMsgs, flushes, float64(sentMsgs)/float64(flushes))
 }
+
+// TestFlushesCountEveryWrite checks Flushes counts every write into the
+// socket, including those bufio makes mid-Write once a batch overflows
+// its 64 KiB buffer: a burst of 1 KiB-payload messages well past that
+// buffer needs at least one write per 64 KiB on the wire, and never
+// more writes than messages.
+func TestFlushesCountEveryWrite(t *testing.T) {
+	nw, err := New(Loopback(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	eps := nw.Endpoints()
+	const n = 2048 // > 2 MiB of 1 KiB payloads
+	done := make(chan struct{})
+	seen := 0
+	eps[1].Register(5, func(m amnet.Msg) {
+		amnet.Recycle(m.Payload)
+		if seen++; seen == n {
+			close(done)
+		}
+	})
+	payload := make([]byte, 1<<10)
+	for i := 0; i < n; i++ {
+		eps[0].Send(amnet.Msg{Dst: 1, Handler: 5, Payload: payload})
+	}
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("only %d of %d delivered", seen, n)
+	}
+	s := eps[0].Stats().Snapshot()
+	if minWrites := (s.BytesSent + 64<<10 - 1) / (64 << 10); s.Flushes < minWrites || s.Flushes > s.MsgsSent {
+		t.Fatalf("Flushes = %d for %d bytes in %d messages, want in [%d, %d]",
+			s.Flushes, s.BytesSent, s.MsgsSent, minWrites, s.MsgsSent)
+	}
+}

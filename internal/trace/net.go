@@ -82,10 +82,10 @@ type NetStats struct {
 	MsgsRecv  atomic.Uint64
 	BytesRecv atomic.Uint64
 
-	// Flushes counts write-coalescing flushes on transports that batch
-	// frames into buffered writes (one flush hands one batch to the
-	// kernel). MsgsSent/Flushes is the mean coalescing factor; the
-	// per-message counters above stay exact regardless of batching.
+	// Flushes counts write calls into the socket on transports that
+	// batch frames into buffered writes. MsgsSent/Flushes is the mean
+	// coalescing factor; the per-message counters above stay exact
+	// regardless of batching.
 	Flushes atomic.Uint64
 
 	// PerHandler counts messages received per handler id.
@@ -106,43 +106,9 @@ type NetStats struct {
 	// wrapped by a fault-injecting transport (package faultnet).
 	Faults [NumFaultKinds]atomic.Uint64
 
-	// Send-queue telemetry on transports with bounded per-connection
-	// send queues (the supervised TCP transport's unacked journal).
-	// SendQueueDepth is a live gauge of frames currently queued across
-	// this endpoint's connections; SendQueueHighWater the deepest any
-	// single connection's queue has been; SendQueueStalls counts
-	// enqueues that blocked because a connection's queue was full — the
-	// backpressure a gateway tier must observe instead of silently
-	// hanging behind it.
-	SendQueueDepth     atomic.Int64
-	SendQueueHighWater atomic.Uint64
-	SendQueueStalls    atomic.Uint64
-
 	sampling atomic.Bool
 	deliver  hist
 }
-
-// AddSendQueueDepth moves the live send-queue gauge by delta (positive
-// on enqueue, negative when acks or a teardown release frames).
-func (s *NetStats) AddSendQueueDepth(delta int) {
-	s.SendQueueDepth.Add(int64(delta))
-}
-
-// ObserveSendQueue folds one connection's current queue depth into the
-// high-water mark.
-func (s *NetStats) ObserveSendQueue(depth int) {
-	d := uint64(depth)
-	for {
-		cur := s.SendQueueHighWater.Load()
-		if d <= cur || s.SendQueueHighWater.CompareAndSwap(cur, d) {
-			return
-		}
-	}
-}
-
-// CountSendQueueStall records one enqueue that blocked on a full
-// per-connection send queue.
-func (s *NetStats) CountSendQueueStall() { s.SendQueueStalls.Add(1) }
 
 // CountFault records one injected fault of the given kind.
 func (s *NetStats) CountFault(k FaultKind) {
@@ -166,9 +132,6 @@ func (s *NetStats) CountRecv(handler uint16, wire int) {
 		s.PerHandler[handler].Add(1)
 	}
 }
-
-// CountFlush records one coalesced write of a batch of frames.
-func (s *NetStats) CountFlush() { s.Flushes.Add(1) }
 
 // EnableLatencySampling switches send→deliver latency sampling on or
 // off. Off (the default) makes SendStamp free apart from one atomic
@@ -210,9 +173,6 @@ func (s *NetStats) Snapshot() NetSnapshot {
 		Backoffs:         s.Backoffs.Load(),
 		Retransmits:      s.Retransmits.Load(),
 		DupFramesDropped: s.DupFramesDropped.Load(),
-		SendQueueDepth:   s.SendQueueDepth.Load(),
-		SendQueueHW:      s.SendQueueHighWater.Load(),
-		SendQueueStalls:  s.SendQueueStalls.Load(),
 		Deliver:          s.deliver.snapshot(),
 	}
 	for i := range snap.Faults {
@@ -230,13 +190,6 @@ type NetSnapshot struct {
 	// Connection-supervision counters (transports with reconnect).
 	Reconnects, Backoffs          uint64
 	Retransmits, DupFramesDropped uint64
-
-	// Send-queue telemetry (transports with bounded per-connection send
-	// queues). SendQueueDepth and SendQueueHW are gauges: Add takes the
-	// sum of depths but the max of high-waters.
-	SendQueueDepth  int64
-	SendQueueHW     uint64
-	SendQueueStalls uint64
 
 	// Faults counts injected transport faults per kind (package
 	// faultnet); all zero on unwrapped transports.
@@ -259,9 +212,6 @@ func (s NetSnapshot) Add(o NetSnapshot) NetSnapshot {
 		Backoffs:         s.Backoffs + o.Backoffs,
 		Retransmits:      s.Retransmits + o.Retransmits,
 		DupFramesDropped: s.DupFramesDropped + o.DupFramesDropped,
-		SendQueueDepth:   s.SendQueueDepth + o.SendQueueDepth,
-		SendQueueHW:      max(s.SendQueueHW, o.SendQueueHW),
-		SendQueueStalls:  s.SendQueueStalls + o.SendQueueStalls,
 		Faults:           s.Faults.Add(o.Faults),
 		Deliver:          s.Deliver.Add(o.Deliver),
 	}

@@ -19,7 +19,9 @@ import (
 // NodeConfig describes one OS process's share of a multi-process
 // cluster: which logical processors it hosts, how its gossip layer
 // finds the other processes, and the runtime options every process
-// must agree on. See Join.
+// must agree on. The data plane's connection supervision (timeouts,
+// backoff, reconnect budget) is fixed by package tcpnet and is not
+// configured here. See Join.
 type NodeConfig struct {
 	// Nodes is the total number of logical processors in the cluster,
 	// summed across every process.
@@ -90,11 +92,6 @@ type NodeConfig struct {
 	// not block.
 	OnResurrect func(member int)
 
-	// Net tunes the data-plane transport's connection supervision
-	// (timeouts, backoff, reconnect budget). Topology fields (Nodes,
-	// Addrs, Local) are managed by Join and ignored here.
-	Net tcpnet.Config
-
 	// Options carries the runtime options the cluster-wide program
 	// agrees on: Registry, DefaultProtocol, Trace, Adapt, SyncTimeout.
 	// Procs, Transport and Faults are managed by Join and ignored.
@@ -150,11 +147,7 @@ func Join(cfg NodeConfig) (*Cluster, error) {
 	}
 
 	// Phase 1a: bind the data-plane listeners to learn our addresses.
-	tc := cfg.Net
-	tc.Nodes = cfg.Nodes
-	tc.Addrs = nil
-	tc.Local = append([]int(nil), cfg.Local...)
-	nd, err := tcpnet.Listen(tc)
+	nd, err := tcpnet.Listen(tcpnet.Config{Nodes: cfg.Nodes, Local: append([]int(nil), cfg.Local...)})
 	if err != nil {
 		return nil, err
 	}
