@@ -67,7 +67,8 @@ bench-compare:
 # The adaptive controller reads no clock, so its fault cells must land
 # on the same protocol at the same epoch under every policy; repeating
 # them under -race at one and four CPUs keeps timing out of its
-# decisions.
+# decisions. The tree-round engine's peer-loss purge, overlapping
+# rounds and handler-vs-application-thread folding repeat the same way.
 chaos-smoke:
 	$(GO) test -run 'TestMatrixFixedSeeds|TestBrokenDoubleCaught' ./internal/chaos
 	$(GO) test -run 'TestColl' ./internal/chaos
@@ -79,6 +80,7 @@ chaos-smoke:
 	$(GO) test -race -run 'TestRejoinFixedSeeds/update/jittery' ./internal/chaos
 	$(GO) test -race -run 'TestSpaceChurnFixedSeeds/update/lossy' ./internal/chaos
 	$(GO) test -race -run 'TestMigrateHomeRace|TestRejoinVsTreeReduction|TestResetWithdrawsFastBits' ./internal/core
+	$(GO) test -race -cpu 1,4 -count=5 -run 'TestPeerLossPurgesCollectiveState|TestTreeBarrierLaneOverlapStress|TestDispatchSyncStress' ./internal/core
 	$(GO) test -race -cpu 1,4 -count=5 -run 'TestAdaptiveControllerUnderFaults' ./proto
 
 # cluster-smoke is the multi-process deployment gate: 4 real acenode
@@ -96,15 +98,17 @@ cluster-smoke:
 gate-smoke:
 	bash scripts/gate_smoke.sh
 
-# bench-allocs is the regression gate for the lock-free bracket fast
-# path: a hit bracket must not allocate, whether it is only counted
-# (disabled) or also timed (metrics). It fails when go test fails, when
-# either BenchmarkBracket result line is missing, and when either
-# reports nonzero allocs/op.
+# bench-allocs is the regression gate for the two paths that must not
+# allocate: a hit bracket, whether it is only counted (disabled) or also
+# timed (metrics), and a barrier round, whose tree-round state is reused
+# from a free list. It fails when go test fails, when any of the three
+# result lines is missing, and when any reports nonzero allocs/op.
 bench-allocs:
-	@out=$$($(GO) test -bench 'BenchmarkBracket/(disabled|metrics)$$' -benchmem -benchtime=200ms -run '^$$' .); \
+	@out=$$($(GO) test -bench 'BenchmarkBracket/(disabled|metrics)$$|BenchmarkCollectives/GlobalBarrier/procs=4$$' -benchmem -benchtime=200ms -run '^$$' .); \
 	status=$$?; echo "$$out"; \
 	if [ $$status -ne 0 ]; then echo "FAIL: go test -bench exited $$status"; exit 1; fi; \
-	echo "$$out" | awk '$$1 ~ /^BenchmarkBracket\/(disabled|metrics)(-[0-9]+)?$$/ { split($$1, n, /[\/-]/); seen[n[2]] = 1; \
-			if ($$(NF-1) + 0 != 0) { print "FAIL: bracket fast path allocates: " $$0; bad = 1 } } \
-		END { for (i = split("disabled metrics", want, " "); i > 0; i--) if (!(want[i] in seen)) { print "FAIL: no BenchmarkBracket/" want[i] " result"; bad = 1 } exit bad }'
+	echo "$$out" | awk '{ name = $$1; sub(/-[0-9]+$$/, "", name) } \
+		name ~ /^(BenchmarkBracket\/(disabled|metrics)|BenchmarkCollectives\/GlobalBarrier\/procs=4)$$/ { seen[name] = 1; \
+			if ($$(NF-1) + 0 != 0) { print "FAIL: allocates: " $$0; bad = 1 } } \
+		END { n = split("BenchmarkBracket/disabled BenchmarkBracket/metrics BenchmarkCollectives/GlobalBarrier/procs=4", want, " "); \
+			for (i = 1; i <= n; i++) if (!(want[i] in seen)) { print "FAIL: no " want[i] " result"; bad = 1 } exit bad }'

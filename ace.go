@@ -300,8 +300,11 @@ func NewCluster(opts Options) (*Cluster, error) {
 // whole protocol library.
 func NewRegistry() *Registry { return proto.NewRegistry() }
 
-// EncodeCheckpoint serializes a checkpoint to its stable wire/file
-// format (see DESIGN.md §13).
+// EncodeCheckpoint serializes a checkpoint to its versioned wire/file
+// format, ACK2: a header with the collective, allocation and
+// application cursors, the per-space protocol names, then the home
+// regions (see DESIGN.md §13). Files in the older ACK1 layout are
+// rejected by DecodeCheckpoint.
 func EncodeCheckpoint(ck *Checkpoint) []byte { return core.EncodeCheckpoint(ck) }
 
 // DecodeCheckpoint is EncodeCheckpoint's inverse; it validates the

@@ -80,7 +80,7 @@ type NodeID int32
 type HandlerID uint16
 
 // MaxHandlers bounds the handler table size on every endpoint.
-const MaxHandlers = trace.MaxHandlers
+const MaxHandlers = 256
 
 // Msg is a single active message. A, B, C and D are small scalar arguments
 // (typically a region id, a waiter sequence number, and auxiliary values);
@@ -288,7 +288,7 @@ func (e *chanEndpoint) dispatchDirect(try TryHandler, it item) (done bool) {
 		size := headerBytes + len(it.msg.Payload)
 		if done = try(it.msg); done {
 			e.stats.ObserveDeliver(it.sent)
-			e.stats.CountRecv(uint16(it.msg.Handler), size)
+			e.stats.CountRecv(size)
 		}
 	}
 	box.token.Unlock()
@@ -330,7 +330,7 @@ func (e *chanEndpoint) pump(wg *sync.WaitGroup) {
 // deliver runs m's handler; sent is m's send stamp on the trace clock.
 func (e *chanEndpoint) deliver(m Msg, sent int64) {
 	e.stats.ObserveDeliver(sent)
-	e.stats.CountRecv(uint16(m.Handler), headerBytes+len(m.Payload))
+	e.stats.CountRecv(headerBytes + len(m.Payload))
 	h := e.handlers[m.Handler]
 	if h == nil {
 		panic(fmt.Sprintf("amnet: node %d: no handler %d registered (msg from %d)", e.id, m.Handler, m.Src))

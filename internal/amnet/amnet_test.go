@@ -176,8 +176,8 @@ func TestStatsCounting(t *testing.T) {
 	if s0.BytesSent != wantBytes {
 		t.Errorf("BytesSent = %d, want %d", s0.BytesSent, wantBytes)
 	}
-	if got := eps[1].Stats().PerHandler[6].Load(); got != 3 {
-		t.Errorf("PerHandler[6] = %d, want 3", got)
+	if s1.BytesRecv != wantBytes {
+		t.Errorf("BytesRecv = %d, want %d", s1.BytesRecv, wantBytes)
 	}
 }
 

@@ -270,14 +270,14 @@ func (c *Cluster) WriteTrace(w io.Writer) error {
 	return trace.WriteChromeTrace(w, c.TraceEvents(), c.Procs())
 }
 
-// The handler identifiers reserved by the runtime.
+// The handler identifiers reserved by the runtime. Id 3 is retired, not
+// reused, so the other ids keep their wire values.
 const (
 	hComplete   amnet.HandlerID = 1 // completes waiter m.B with the message
 	hLookup     amnet.HandlerID = 2 // region metadata request: A=id, B=seq
-	hBarArrive  amnet.HandlerID = 3 // tree barrier wave: A=gen, C=up/down
 	hLockReq    amnet.HandlerID = 4 // region lock request: A=id, B=seq
 	hUnlockMsg  amnet.HandlerID = 5 // region unlock: A=id
-	hColl       amnet.HandlerID = 6 // collective: A=tag, C=op, payload=value
+	hColl       amnet.HandlerID = 6 // collective: A=tag, C=op (barrier, reduction, result, broadcast), payload=value
 	hProto      amnet.HandlerID = 7 // protocol message: A=region, B=seq, C=verb, D=space
 	hProtoBatch amnet.HandlerID = 8 // aggregated protocol frame: A=records, B=tag, C=verb, D=space
 	hMigrate    amnet.HandlerID = 9 // MigrateHome pull at the old home: A=region, B=seq, D=space

@@ -234,47 +234,60 @@ func runBadCollective(t *testing.T, call func(p *Proc)) error {
 }
 
 // TestTreeRootNotSerialized: the root handles O(log P) messages per
-// reduction instead of O(P), asserted via the hop counters (each node
-// counts the messages it sends, so node 0's recv load is the sum of
-// everyone's sends to it; instead we check the root *sends* no more
-// than its tree degree per round, and that degree stays within the
+// reduction or barrier instead of O(P), asserted via the hop counters
+// (each node counts the messages it sends, so node 0's recv load is the
+// sum of everyone's sends to it; instead we check the root *sends* no
+// more than its tree degree per round, and that degree stays within the
 // binomial bound ceil(log2 P)+1 — a centralized root would send P per
 // round).
 func TestTreeRootNotSerialized(t *testing.T) {
+	ops := []struct {
+		name string
+		fn   func(p *Proc)
+	}{
+		{"AllReduceInt64", func(p *Proc) { p.AllReduceInt64(OpSum, 1) }},
+		{"GlobalBarrier", func(p *Proc) { p.GlobalBarrier() }},
+	}
 	for _, procs := range []int{5, 8, 16} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-			cl, err := NewCluster(Options{Procs: procs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			const rounds = 10
-			if err := cl.Run(func(p *Proc) error {
-				for i := 0; i < rounds; i++ {
-					p.AllReduceInt64(OpSum, 1)
-				}
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			// One partial recv per child and a result fan to each child
-			// per round: the root's own sends are its degree per round.
-			perRound := float64(cl.procs[0].coll.Snapshot().Hops) / rounds
-			if kids := len(cl.procs[0].treeKids); perRound > float64(kids)+0.01 {
-				t.Errorf("root sends %.1f msgs/round, want <= %d (tree degree)", perRound, kids)
-			}
-			if bound := math.Ceil(math.Log2(float64(procs))) + 1; perRound > bound {
-				t.Errorf("root sends %.1f msgs/round, above the log bound %.0f", perRound, bound)
+			for _, op := range ops {
+				t.Run(op.name, func(t *testing.T) {
+					cl, err := NewCluster(Options{Procs: procs})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer cl.Close()
+					const rounds = 10
+					if err := cl.Run(func(p *Proc) error {
+						for i := 0; i < rounds; i++ {
+							op.fn(p)
+						}
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					// One partial recv per child and a result fan to each
+					// child per round: the root's own sends are its degree
+					// per round.
+					perRound := float64(cl.procs[0].coll.Snapshot().Hops) / rounds
+					if kids := len(cl.procs[0].treeKids); perRound > float64(kids)+0.01 {
+						t.Errorf("root sends %.1f msgs/round, want <= %d (tree degree)", perRound, kids)
+					}
+					if bound := math.Ceil(math.Log2(float64(procs))) + 1; perRound > bound {
+						t.Errorf("root sends %.1f msgs/round, above the log bound %.0f", perRound, bound)
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestTreeBarrierLaneOverlapStress: arrivals for generation g+1 — the
+// TestTreeBarrierLaneOverlapStress: arrivals for round g+1 — the
 // children's, handled under each node's dispatch token, and the node's
-// own, folded in on its application thread — race the release wave of
-// generation g; the per-generation keying must keep them straight, and
-// the state tables must drain to empty when the run ends.
+// own, folded in on its application thread — race the result wave of
+// round g; the per-round keying must keep them straight, and the round
+// table and the broadcast rendezvous maps must drain to empty when the
+// run ends.
 func TestTreeBarrierLaneOverlapStress(t *testing.T) {
 	const procs, rounds = 8, 200
 	cl, err := NewCluster(Options{Procs: procs})
@@ -286,10 +299,12 @@ func TestTreeBarrierLaneOverlapStress(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			p.GlobalBarrier()
 			if i%10 == 0 {
-				// Mix in reductions so hColl and hBarArrive interleave.
+				// Mix in reductions and broadcasts so payload rounds and
+				// the rendezvous interleave with barrier rounds.
 				if got := p.AllReduceInt64(OpSum, 1); got != procs {
 					return fmt.Errorf("sum = %d", got)
 				}
+				p.BroadcastID(i%procs, RegionID(i))
 			}
 		}
 		return nil
@@ -297,14 +312,8 @@ func TestTreeBarrierLaneOverlapStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range cl.procs {
-		p.barMu.Lock()
-		nbar := len(p.barTree)
-		p.barMu.Unlock()
-		p.accMu.Lock()
-		nacc := len(p.collAcc)
-		p.accMu.Unlock()
-		if nbar != 0 || nacc != 0 {
-			t.Errorf("proc %d: %d barrier generations, %d reduce partials leaked", p.id, nbar, nacc)
+		if !collStateEmpty(p) {
+			t.Errorf("proc %d: collective state leaked", p.id)
 		}
 	}
 }
@@ -405,55 +414,69 @@ func waitPurged(t *testing.T, what string, cond func() bool) {
 	t.Errorf("%s not purged after peer loss", what)
 }
 
-// collStateEmpty reports whether p holds no pending collective state.
+// collStateEmpty reports whether p holds no pending collective state:
+// no open tree round and nothing in the broadcast rendezvous.
 func collStateEmpty(p *Proc) bool {
-	p.barMu.Lock()
-	nbar := len(p.barTree)
-	p.barMu.Unlock()
-	p.accMu.Lock()
-	nacc := len(p.collAcc)
-	p.accMu.Unlock()
-	return nbar == 0 && nacc == 0
+	p.treeMu.Lock()
+	nrounds := len(p.rounds)
+	p.treeMu.Unlock()
+	p.collMu.Lock()
+	nbcast := len(p.collGot) + len(p.collWait)
+	p.collMu.Unlock()
+	return nrounds == 0 && nbcast == 0
 }
 
 // TestPeerLossPurgesCollectiveState: killing a peer between arrival and
 // release must (a) fail the survivors' blocked collectives with
-// ErrPeerLost and (b) purge every pending barrier generation and
-// reduction partial, at P = 3 and at P = 5.
+// ErrPeerLost and (b) purge every pending round and broadcast
+// rendezvous entry, at P = 3 and at P = 5 — whether the survivors block
+// in tree rounds or in a broadcast rooted at the victim.
 func TestPeerLossPurgesCollectiveState(t *testing.T) {
+	survivors := map[string]func(p *Proc, victim int){
+		"rounds": func(p *Proc, _ int) {
+			p.AllReduceInt64(OpSum, 1) // partials strand at interior nodes
+			p.GlobalBarrier()          // arrivals strand in rounds
+		},
+		"broadcast": func(p *Proc, victim int) {
+			p.Broadcast(victim, nil) // waiters strand in collWait
+		},
+	}
 	for _, procs := range []int{3, 5} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-			inner, err := amnet.NewChanNetwork(amnet.ChanConfig{Nodes: procs})
-			if err != nil {
-				t.Fatal(err)
-			}
-			nw := faultnet.Wrap(inner, faultnet.Policy{})
-			cl, err := NewCluster(Options{Procs: procs, Transport: amnet.Fixed(nw)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			victim := procs - 1
-			err = cl.Run(func(p *Proc) error {
-				// A completed round first, so state tables have been
-				// exercised and drained once.
-				p.AllReduceInt64(OpSum, 1)
-				if p.ID() == victim {
-					// Die between the survivors' arrival and the release:
-					// never contribute to the next round.
-					nw.Kill(amnet.NodeID(victim))
-					return nil
-				}
-				p.AllReduceInt64(OpSum, 1) // partials strand at interior nodes
-				p.GlobalBarrier()          // arrivals strand in barTree
-				return nil
-			})
-			if !errors.Is(err, ErrPeerLost) {
-				t.Fatalf("Run error = %v, want ErrPeerLost", err)
-			}
-			for _, p := range cl.procs {
-				p := p
-				waitPurged(t, fmt.Sprintf("proc %d collective state", p.id), func() bool { return collStateEmpty(p) })
+			for name, survive := range survivors {
+				t.Run(name, func(t *testing.T) {
+					inner, err := amnet.NewChanNetwork(amnet.ChanConfig{Nodes: procs})
+					if err != nil {
+						t.Fatal(err)
+					}
+					nw := faultnet.Wrap(inner, faultnet.Policy{})
+					cl, err := NewCluster(Options{Procs: procs, Transport: amnet.Fixed(nw)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer cl.Close()
+					victim := procs - 1
+					err = cl.Run(func(p *Proc) error {
+						// A completed round first, so state tables have been
+						// exercised and drained once.
+						p.AllReduceInt64(OpSum, 1)
+						if p.ID() == victim {
+							// Die between the survivors' arrival and the release:
+							// never enter the next collective.
+							nw.Kill(amnet.NodeID(victim))
+							return nil
+						}
+						survive(p, victim)
+						return nil
+					})
+					if !errors.Is(err, ErrPeerLost) {
+						t.Fatalf("Run error = %v, want ErrPeerLost", err)
+					}
+					for _, p := range cl.procs {
+						p := p
+						waitPurged(t, fmt.Sprintf("proc %d collective state", p.id), func() bool { return collStateEmpty(p) })
+					}
+				})
 			}
 		})
 	}

@@ -281,19 +281,16 @@ func (c *Ctx) SendComplete(dst amnet.NodeID, seq, a uint64, payload []byte) {
 func (c *Ctx) Recycle(payload []byte) { amnet.Recycle(payload) }
 
 // DefaultBarrier blocks until every processor has entered a barrier. It is
-// the building block protocols compose their Barrier semantics from.
-// barGen is application-thread-private, so no lock is taken for the
-// generation tag. The arrival folds into the local subtree state
-// (treeBarEvent climbs when the subtree completes), and the release
-// wave coming back down the tree completes the waiter.
+// the building block protocols compose their Barrier semantics from: a
+// tree round with no payload, tagged by the same program-order cursor
+// (collSeq, application-thread-private) as every other collective. The
+// arrival climbs once the local subtree has arrived, and the result wave
+// coming back down the tree releases the waiter.
 func (c *Ctx) DefaultBarrier() {
 	p := c.p
-	p.barGen++
-	gen := p.barGen
-	seq := c.NewWaiter()
+	p.collSeq++
 	p.coll.CountBarrier()
-	p.treeBarEvent(gen, true, seq)
-	c.Wait(seq)
+	c.treeRun(p.collSeq, collOpBarrier, nil)
 }
 
 // DefaultLock acquires the home-based queue lock on r.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/acedsm/ace/internal/amnet"
 	"github.com/acedsm/ace/internal/faultnet"
 )
 
@@ -16,13 +17,13 @@ import (
 // after ErrPeerLost.
 //
 // The recovery model is coordinated rollback plus re-execution. A
-// barrier generation cannot be replayed by one processor alone — its
-// peers' arrival records for completed generations are gone — so after
+// collective round cannot be replayed by one processor alone — its
+// peers' records of completed rounds are gone — so after
 // a peer loss every processor rolls back to the last collective
 // checkpoint and re-executes the program from its cursor. Execution is
 // deterministic (the SPMD programs the harness runs derive all values
 // from seeds), so the re-executed run converges to bit-identical state,
-// and the work replayed is bounded by the checkpoint generation, not
+// and the work replayed is bounded by the checkpoint's cursors, not
 // the full history.
 
 // CheckpointRegion is one home region's snapshot inside a Checkpoint.
@@ -35,15 +36,13 @@ type CheckpointRegion struct {
 
 // Checkpoint is one processor's collectively-taken snapshot: the data
 // of every region homed here, the per-space protocol bindings, and the
-// cursors (barrier generation, collective sequence, allocation
-// sequence, application step) that version it. Checkpoints taken by
-// the same Proc.Checkpoint call on different processors share Gen and
-// App, which is what makes a set of per-rank checkpoint files a
-// consistent cut.
+// cursors (collective sequence, allocation sequence, application step)
+// that version it. Checkpoints taken by the same Proc.Checkpoint call
+// on different processors share CollSeq and App, which is what makes a
+// set of per-rank checkpoint files a consistent cut.
 type Checkpoint struct {
 	Rank    int    // processor that took the snapshot
 	Procs   int    // cluster size at snapshot time
-	Gen     uint64 // barrier generation at the snapshot barrier
 	CollSeq uint64 // collective sequence at snapshot time
 	NextSeq uint64 // region allocation cursor
 	App     uint64 // application-defined cursor (e.g. the step count)
@@ -79,7 +78,6 @@ func (p *Proc) Checkpoint(app uint64) (*Checkpoint, error) {
 	ck := &Checkpoint{
 		Rank:    int(p.id),
 		Procs:   p.cl.Procs(),
-		Gen:     p.barGen,
 		CollSeq: p.collSeq,
 		App:     app,
 		Protos:  make([]string, len(sps)), // a freed slot's entry stays ""
@@ -112,7 +110,7 @@ func (p *Proc) Checkpoint(app uint64) (*Checkpoint, error) {
 // protocol change would), each space's protocol is re-instantiated to
 // the recorded binding, and the home-region data is copied back in.
 // The caller orchestrates the collective discipline: all processors
-// restore checkpoints of the same Gen/App before any resumes
+// restore checkpoints of the same CollSeq/App before any resumes
 // execution, with no traffic in flight (a fresh bootstrap, or after
 // Cluster.Revive).
 //
@@ -193,18 +191,20 @@ func (p *Proc) RestoreCheckpoint(ck *Checkpoint) error {
 	return nil
 }
 
-// ckptMagic versions the checkpoint wire format.
-const ckptMagic uint32 = 0x41434b31 // "ACK1"
+// ckptMagic versions the checkpoint wire format. It changes with every
+// layout change, so a file in an older layout (ACK1) fails the magic
+// check rather than being misparsed.
+const ckptMagic uint32 = 0x41434b32 // "ACK2"
 
 // EncodeCheckpoint renders ck in the versioned binary checkpoint
 // format (little-endian):
 //
 //	magic u32, procs u32, rank u32, spaces u32,
-//	gen u64, collseq u64, nextseq u64, app u64,
+//	collseq u64, nextseq u64, app u64,
 //	per space: nameLen u32 + name bytes,
 //	nregions u32, per region: id u64, space u32, size u32, data bytes.
 func EncodeCheckpoint(ck *Checkpoint) []byte {
-	size := 4*4 + 4*8
+	size := 4*4 + 3*8
 	for _, name := range ck.Protos {
 		size += 4 + len(name)
 	}
@@ -219,7 +219,6 @@ func EncodeCheckpoint(ck *Checkpoint) []byte {
 	u32(uint32(ck.Procs))
 	u32(uint32(ck.Rank))
 	u32(uint32(len(ck.Protos)))
-	u64(ck.Gen)
 	u64(ck.CollSeq)
 	u64(ck.NextSeq)
 	u64(ck.App)
@@ -283,9 +282,6 @@ func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("core: implausible checkpoint header: procs %d rank %d spaces %d", procs, rank, nspaces)
 	}
 	ck.Procs, ck.Rank = int(procs), int(rank)
-	if ck.Gen, err = u64(); err != nil {
-		return nil, err
-	}
 	if ck.CollSeq, err = u64(); err != nil {
 		return nil, err
 	}
@@ -410,6 +406,7 @@ func (p *Proc) revive(epoch uint64) {
 	p.downMu.Unlock()
 	p.reviveEpoch = epoch
 
+	// Cluster.Revive purged the rounds and broadcast maps just before.
 	p.wMu.Lock()
 	seqs := make([]uint64, 0, len(p.waiters))
 	for seq := range p.waiters {
@@ -419,31 +416,27 @@ func (p *Proc) revive(epoch uint64) {
 	for _, seq := range seqs {
 		p.retireWaiter(seq)
 	}
-	p.collMu.Lock()
-	clear(p.collGot)
-	clear(p.collWait)
-	p.collMu.Unlock()
 }
 
 // resyncTagBase is the reserved out-of-band collective tag space for
-// post-revive resynchronization. Program-order tags (barGen, collSeq)
-// are small counters; a resync tag has bit 62 set, so it can never
+// post-revive resynchronization. Program-order tags (collSeq) are
+// small counters; a resync tag has bit 62 set, so it can never
 // collide with a stale in-flight tag from before the kill.
 const resyncTagBase = uint64(1) << 62
 
 // resyncAfterRevive aligns the collective cursors across processors
 // after a revive. Survivors crashed at different points, so their
-// barGen/collSeq disagree; everyone adopts the maximum, which makes
+// collSeq cursors disagree; everyone adopts the maximum, which makes
 // every re-executed collective's tag strictly greater than any stale
 // tag still buffered in the fabric — stale arrivals strand in dead
 // table entries instead of completing live rendezvous. The reduce
 // itself cannot use a program-order tag (the cursors disagree), so it
 // runs in the reserved resync tag space, keyed by the revive epoch.
 func (p *Proc) resyncAfterRevive() {
-	var buf [16]byte
-	binary.LittleEndian.PutUint64(buf[0:], p.barGen)
-	binary.LittleEndian.PutUint64(buf[8:], p.collSeq)
-	out := p.reduceRoundTag(resyncTagBase+p.reviveEpoch, collOpMaxI, buf[:])
-	p.barGen = binary.LittleEndian.Uint64(out)
-	p.collSeq = binary.LittleEndian.Uint64(out[8:])
+	buf := amnet.Alloc(8)
+	binary.LittleEndian.PutUint64(buf, p.collSeq)
+	p.coll.CountReduce()
+	out := p.ctx.treeRun(resyncTagBase+p.reviveEpoch, collOpMaxI, buf)
+	p.collSeq = binary.LittleEndian.Uint64(out)
+	amnet.Recycle(out)
 }

@@ -18,14 +18,14 @@ import (
 //
 // On a fabric with direct dispatch every handler below except hMigrate
 // also registers its non-blocking form. The audit
-// behind that: hComplete, hBarArrive, hLockReq, hUnlockMsg and hColl
-// touch only leaf locks (wMu, barMu, Directory.lockMu, accMu, and collMu,
-// under which only wMu is taken), none of which is held across a Send,
-// and they send their completions after unlocking — so they always
-// accept. hLookup, hProto and hProtoBatch need a space's engine lock,
-// which an application thread holds while it sends; they accept iff
-// TryLock gets it (lockEngine) and otherwise decline before touching
-// anything, leaving the message to the queue and a blocking Lock.
+// behind that: hComplete, hLockReq, hUnlockMsg and hColl touch only leaf
+// locks (wMu, Directory.lockMu, treeMu, and collMu, under which only wMu
+// is taken), none of which is held across a Send, and they send their
+// completions after unlocking — so they always accept. hLookup, hProto
+// and hProtoBatch need a space's engine lock, which an application
+// thread holds while it sends; they accept iff TryLock gets it
+// (lockEngine) and otherwise decline before touching anything, leaving
+// the message to the queue and a blocking Lock.
 func (p *Proc) registerHandlers() {
 	// always registers a handler that never declines; engine one that
 	// declines when try is set and it cannot get its space's engine.
@@ -43,15 +43,9 @@ func (p *Proc) registerHandlers() {
 	}
 	always(hComplete, func(m amnet.Msg) { p.ctx.Complete(m.B, m) })
 	engine(hLookup, p.lookupMsg)
-	always(hBarArrive, p.barrierArrive) // barrier state under barMu
 	always(hLockReq, p.lockRequest)     // home directory state under Dir.lockMu
 	always(hUnlockMsg, p.unlockRequest) // home directory state under Dir.lockMu
-	always(hColl, func(m amnet.Msg) {
-		p.collDeliver(m)
-		// collDeliver clones every payload it keeps (accumulator entries
-		// and buffered broadcast values), so the wire buffer is free.
-		amnet.Recycle(m.Payload)
-	})
+	always(hColl, p.collDeliver)        // tree rounds under treeMu, broadcasts under collMu
 	engine(hProto, p.protoMsg)
 	engine(hProtoBatch, p.protoBatchMsg)
 	p.ep.Register(hMigrate, p.migrateMsg)

@@ -27,24 +27,23 @@ import (
 //     application-thread-private: only Map and Unmap touch it.)
 //   - regMu protects the region table and the allocation sequence.
 //   - wMu protects the waiter table and the waiter free list.
-//   - collMu protects the collective rendezvous maps (collGot,
-//     collWait), the collective state shared between the application
-//     thread and the handlers. barGen and collSeq are
-//     application-thread-private.
-//   - barMu protects the barrier arrival state (barTree) and accMu the
-//     reduction accumulators (collAcc); Directory.lockMu guards each
-//     home's region lock queue. The dispatch token serializes the
-//     handlers that use them, but not the other code that does, none
-//     of which holds it: the application thread folds its own barrier
-//     arrival and reduction contribution into barTree and collAcc
-//     directly; after a peer loss purgeSyncState clears all three from
-//     a goroutine of its own (or Cluster.Revive's caller); and the
-//     space-wide resets (ChangeProtocol, FreeSpace, MigrateHome,
-//     RestoreCheckpoint) read or reset lock queues on the application
-//     thread. Completions are sent after the lock is released — a Send
-//     can block on transport backpressure, or run the destination's
-//     handler then and there, and arrival processing must not stall
-//     behind it.
+//   - collMu protects the broadcast rendezvous maps (collGot,
+//     collWait), the broadcast state shared between the application
+//     thread and the handlers. collSeq is application-thread-private.
+//   - treeMu protects the tree-round table (rounds) and its free list,
+//     the state of every barrier and all-reduce; Directory.lockMu
+//     guards each home's region lock queue. The dispatch token
+//     serializes the handlers that use them, but not the other code
+//     that does, none of which holds it: the application thread folds
+//     its own round contribution into rounds directly; after a peer
+//     loss purgeSyncState clears rounds, the broadcast maps and the
+//     lock queues from a goroutine of its own (or Cluster.Revive's
+//     caller); and the space-wide resets (ChangeProtocol, FreeSpace,
+//     MigrateHome, RestoreCheckpoint) read or reset lock queues on the
+//     application thread. Completions are sent after the lock is
+//     released — a Send can block on transport backpressure, or run
+//     the destination's handler then and there, and arrival processing
+//     must not stall behind it.
 //   - spaceMu serializes space creation; lookup reads the atomic
 //     spaces snapshot and never locks.
 //   - Region.hot is the lock-free fast path: brackets on a region whose
@@ -54,11 +53,10 @@ import (
 // Lock ordering: dispatch token → eng → {regMu, wMu, collMu}; collMu →
 // wMu; regMu → Directory.lockMu (purgeSyncState). A handler must never
 // lock eng while holding regMu, and engine locks of two spaces never
-// nest by blocking. regMu, wMu, collMu (with wMu under it), barMu,
-// accMu and Directory.lockMu are leaves: none is ever held across a
-// Send. That is what lets a handler run under direct
-// dispatch, on a sender's goroutine that may already hold an engine and
-// a chain of tokens: such a goroutine blocks only on those leaves and
+// nest by blocking. regMu, wMu, collMu (with wMu under it), treeMu
+// and Directory.lockMu are leaves: none is ever held across a Send.
+// That is what lets a handler run under direct dispatch, on a sender's
+// goroutine that may already hold an engine and a chain of tokens: such a goroutine blocks only on those leaves and
 // takes every token and engine with TryLock (see registerHandlers and
 // Space.lockEngine), so nothing it waits for can be waiting for it.
 type Proc struct {
@@ -95,30 +93,26 @@ type Proc struct {
 	freeWait   []*waiter
 	nextWaiter uint64
 
-	// Barrier state. barGen counts this processor's barrier arrivals
-	// (application thread only); barTree (under barMu) holds each open
-	// generation's subtree arrival state.
-	barGen  uint64
-	barMu   sync.Mutex
-	barTree map[uint64]*treeBar
-
 	// Binomial-tree neighbors of the collectives: treeParent is -1 at
 	// the root, and treeKids lists this rank's children in increasing
 	// rank order. Fixed at creation.
 	treeParent amnet.NodeID
 	treeKids   []amnet.NodeID
 
-	// Collective state. collSeq tags collectives in program order
-	// (application thread only); collGot buffers payloads that arrive
-	// before the local thread asks and collWait maps tag to a waiter
-	// (both under collMu); collAcc (under accMu) accumulates each open
-	// reduction's contributions from this node and its subtrees.
-	collMu   sync.Mutex
-	collSeq  uint64
-	collGot  map[uint64][]byte
-	collWait map[uint64]uint64
-	accMu    sync.Mutex
-	collAcc  map[uint64]*collAcc
+	// Collective state. collSeq tags every collective in program order
+	// (application thread only). rounds (under treeMu) holds each open
+	// barrier or all-reduce round's state at this node, and roundFree
+	// the reset rounds reused by the next ones, so a round allocates
+	// nothing once the list is warm. collGot buffers broadcast payloads
+	// that arrive before the local thread asks and collWait maps tag to
+	// a waiter (both under collMu).
+	collSeq   uint64
+	treeMu    sync.Mutex
+	rounds    map[uint64]*treeRound
+	roundFree []*treeRound
+	collMu    sync.Mutex
+	collGot   map[uint64][]byte
+	collWait  map[uint64]uint64
 
 	// direct is the endpoint's direct-dispatch face: the in-process
 	// channel fabric has one, faultnet and tcpnet endpoints do not (nil).
@@ -157,25 +151,15 @@ type Proc struct {
 
 type waiter struct{ ch chan amnet.Msg }
 
-// collAcc accumulates reduction contributions, slotted so the combining
-// order is deterministic (floating-point sums must not depend on
-// message arrival order): own value first, then the children's subtree
-// partials in rank order.
-type collAcc struct {
-	vals  [][]byte
-	count int
-}
-
 func newProc(c *Cluster, ep amnet.Endpoint) *Proc {
 	p := &Proc{
 		id:       ep.ID(),
 		cl:       c,
 		ep:       ep,
 		waiters:  make(map[uint64]*waiter),
-		barTree:  make(map[uint64]*treeBar),
+		rounds:   make(map[uint64]*treeRound),
 		collGot:  make(map[uint64][]byte),
 		collWait: make(map[uint64]uint64),
-		collAcc:  make(map[uint64]*collAcc),
 		rec:      trace.NewRecorder(int(ep.ID()), c.opts.Trace),
 	}
 	p.ctx = &Ctx{p: p}

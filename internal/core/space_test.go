@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -211,9 +213,17 @@ func TestCheckpointSkipsFreedSlots(t *testing.T) {
 		if ck.Protos[sp.ID] != "" {
 			return fmt.Errorf("freed slot recorded as %q", ck.Protos[sp.ID])
 		}
-		ck2, err := DecodeCheckpoint(EncodeCheckpoint(ck))
+		buf := EncodeCheckpoint(ck)
+		ck2, err := DecodeCheckpoint(buf)
 		if err != nil {
 			return err
+		}
+		// A file in the retired ACK1 layout (which carried a barrier
+		// generation) must be refused, not misparsed.
+		old := append([]byte(nil), buf...)
+		binary.LittleEndian.PutUint32(old, 0x41434b31) // "ACK1"
+		if _, err := DecodeCheckpoint(old); err == nil || !strings.Contains(err.Error(), "bad checkpoint magic") {
+			return fmt.Errorf("ACK1 checkpoint decoded: err=%v", err)
 		}
 		if err := p.RestoreCheckpoint(ck2); err != nil {
 			return err

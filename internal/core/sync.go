@@ -15,12 +15,15 @@ import (
 //
 // Collectives route through a binomial tree rooted at processor 0: rank
 // v's parent is v with its lowest set bit cleared, its children are
-// v+1, v+2, v+4, ... within its subtree, so every collective is one
-// reduce-up/fan-down round of O(log P) depth with no node sending more
-// than ⌈log₂ P⌉ messages per wave. Every node folds reduction
-// contributions in the same canonical order (own value, then each child
-// subtree in increasing rank), so a result's bits do not depend on
-// message timing, even for the non-associative float sum.
+// v+1, v+2, v+4, ... within its subtree. Barriers and all-reduces are
+// one engine: a tree round, a reduce-up/fan-down of O(log P) depth with
+// no node sending more than ⌈log₂ P⌉ messages per wave. A barrier is a
+// round with no payload. Every node folds contributions in the same
+// canonical order (own value, then each child subtree in increasing
+// rank), so a result's bits do not depend on message timing, even for
+// the non-associative float sum. Broadcast fans down its own tree,
+// relabeled so that its root sits at rank 0, and meets the local thread
+// in a rendezvous (collGot/collWait).
 
 // treeParentOf returns the binomial-tree parent of rank v (root 0): v
 // with its lowest set bit cleared.
@@ -42,62 +45,26 @@ func treeKidsOf(v, n int) []int {
 	return kids
 }
 
-// Barrier-wave subtypes (field C of hBarArrive messages).
-const (
-	barWaveUp   uint64 = 0 // a subtree completed; sent child -> parent
-	barWaveDown uint64 = 1 // release wave; sent parent -> child
-)
-
-// barrierArrive handles a barrier message: a child subtree's arrival
-// folds into this node's generation state and propagates, a release
-// completes the local waiter and continues down. State is under barMu,
-// which the handler shares with the application thread's own arrival
-// (treeBarEvent) and with the peer-down purge, neither of which holds
-// the dispatch token. Sends go out after barMu is released — Send can
-// block on transport backpressure, and a late arrival for the next
-// generation must not queue behind it.
-func (p *Proc) barrierArrive(m amnet.Msg) {
-	if m.C != barWaveDown {
-		p.treeBarEvent(m.A, false, 0)
-		return
-	}
-	p.barMu.Lock()
-	tb := p.barTree[m.A]
-	delete(p.barTree, m.A)
-	p.barMu.Unlock()
-	if tb == nil {
-		// Only possible after a peer-down purge dropped the generation;
-		// the release wave dies here (the local waiter already failed
-		// with ErrPeerLost).
-		return
-	}
-	p.treeBarRelease(m.A, tb.seq)
-}
-
-// treeBar is one generation's arrival state at one node of the
-// collective tree (under barMu).
-type treeBar struct {
-	kids int    // child subtrees that completed
-	own  bool   // the local application thread arrived
-	seq  uint64 // local waiter, completed by the release wave
-}
-
 // purgeSyncState drops every pending synchronization record after a
-// peer loss: barrier generations, in-flight reduction partials, and
+// peer loss: open tree rounds, buffered or awaited broadcasts, and
 // home-region lock queues. The blocked local waits have already failed
-// (or will fail) with ErrPeerLost via downCh;
-// without the purge their arrival records would strand in the tables,
-// and a late arrival from a surviving peer would repopulate them — the
-// arrival handlers drop messages once downPeer is set, checked under
-// the same locks, so the tables stay empty. LockHolder is left as is:
-// the holder may be alive, and the cluster is unusable regardless.
+// (or will fail) with ErrPeerLost via downCh; without the purge their
+// records would strand in the tables, and a late arrival from a
+// surviving peer would repopulate them — the arrival paths drop
+// messages once downPeer is set, checked under the same locks, so the
+// tables stay empty. LockHolder is left as is: the holder may be alive,
+// and the cluster is unusable regardless.
 func (p *Proc) purgeSyncState() {
-	p.barMu.Lock()
-	clear(p.barTree)
-	p.barMu.Unlock()
-	p.accMu.Lock()
-	clear(p.collAcc)
-	p.accMu.Unlock()
+	p.treeMu.Lock()
+	clear(p.rounds)
+	p.treeMu.Unlock()
+	p.collMu.Lock()
+	for _, v := range p.collGot {
+		amnet.Recycle(v)
+	}
+	clear(p.collGot)
+	clear(p.collWait)
+	p.collMu.Unlock()
 	p.regMu.RLock()
 	p.regions.ForEach(func(_ RegionID, r *Region) {
 		if r.Dir != nil {
@@ -107,61 +74,6 @@ func (p *Proc) purgeSyncState() {
 		}
 	})
 	p.regMu.RUnlock()
-}
-
-// treeBarEvent folds one arrival event — the local application thread's
-// (own=true, carrying its waiter seq) or a child subtree's — into the
-// generation's state and, when the subtree is complete, propagates: up
-// to the parent, or into the release wave at the root. Generations are
-// keyed independently because they overlap: a subtree already released
-// from generation g can arrive for g+1 while g's release wave is still
-// fanning out elsewhere in the tree. Propagation happens outside barMu.
-func (p *Proc) treeBarEvent(gen uint64, own bool, seq uint64) {
-	root := p.treeParent < 0
-	p.barMu.Lock()
-	if p.downPeer.Load() >= 0 {
-		// A peer is lost and the purge ran or is about to: drop the
-		// arrival rather than repopulate the table (the waiters fail
-		// with ErrPeerLost).
-		p.barMu.Unlock()
-		return
-	}
-	tb := p.barTree[gen]
-	if tb == nil {
-		tb = &treeBar{}
-		p.barTree[gen] = tb
-	}
-	if own {
-		tb.own, tb.seq = true, seq
-	} else {
-		tb.kids++
-	}
-	ready := tb.own && tb.kids == len(p.treeKids)
-	if ready && root {
-		// The root releases immediately; interior nodes keep the entry
-		// until the release wave returns (it carries their waiter seq).
-		delete(p.barTree, gen)
-	}
-	p.barMu.Unlock()
-	if !ready {
-		return
-	}
-	if !root {
-		p.coll.CountHops(1, 0)
-		p.ep.Send(amnet.Msg{Dst: p.treeParent, Handler: hBarArrive, A: gen, C: barWaveUp})
-		return
-	}
-	p.treeBarRelease(gen, tb.seq)
-}
-
-// treeBarRelease fans the release wave to this node's subtrees and
-// completes the local waiter.
-func (p *Proc) treeBarRelease(gen, seq uint64) {
-	p.coll.CountHops(len(p.treeKids), 0)
-	for _, k := range p.treeKids {
-		p.ep.Send(amnet.Msg{Dst: k, Handler: hBarArrive, A: gen, C: barWaveDown})
-	}
-	p.ctx.Complete(seq, amnet.Msg{})
 }
 
 // lockRequest handles a region lock request at the region's home. The
@@ -222,7 +134,9 @@ func (p *Proc) unlockRequest(m amnet.Msg) {
 	p.ep.Send(amnet.Msg{Dst: next.src, Handler: hComplete, B: next.seq})
 }
 
-// Collective operation codes (field C of hColl messages).
+// Collective operation codes (field C of hColl messages). A tree
+// round's up-wave carries its combining code — collOpBarrier for a
+// barrier, which has no payload — and its down-wave collOpResult.
 const (
 	collOpBcast uint64 = iota
 	collOpSumI
@@ -232,78 +146,145 @@ const (
 	collOpMinF
 	collOpMaxF
 	collOpResult
+	collOpBarrier
 )
 
-// collDeliver handles a collective message: a broadcast or result wave
-// is forwarded down the tree before the local waiter wakes, so the
-// subtree's latency is not behind it; anything else is a child
-// subtree's reduction partial. collArrived takes collMu itself.
+// collDeliver handles a collective message and owns its payload: a
+// broadcast is forwarded down its tree before the local waiter wakes,
+// so the subtree's latency is not behind it; a result wave ends a tree
+// round; anything else is a child subtree's contribution to one.
 func (p *Proc) collDeliver(m amnet.Msg) {
 	switch m.C {
 	case collOpBcast:
 		p.bcastFan(int(m.D), m.A, m.Payload)
 		p.collArrived(m.A, m.Payload)
 	case collOpResult:
-		p.sendFan(p.treeKids, amnet.Msg{Handler: hColl, A: m.A, C: collOpResult, Payload: m.Payload})
-		p.collArrived(m.A, m.Payload)
+		p.treeMu.Lock()
+		rd := p.rounds[m.A]
+		delete(p.rounds, m.A)
+		var seq uint64
+		if rd != nil {
+			seq = rd.seq
+			p.roundFree = append(p.roundFree, rd)
+		}
+		p.treeMu.Unlock()
+		if rd == nil {
+			// Only possible after a peer-down purge dropped the round; the
+			// result wave dies here (the local waiter failed with
+			// ErrPeerLost).
+			amnet.Recycle(m.Payload)
+			return
+		}
+		p.treeRelease(m.A, seq, m.Payload)
 	default:
-		p.treeContribute(m.A, m.C, m.Src, m.Payload)
+		p.treeFold(m.A, m.C, m.Src, m.Payload, 0)
 	}
 }
 
-// treeContribute folds one reduction contribution — the local value or
-// a child subtree's partial — into the tag's accumulator, under accMu,
-// which the handler shares with the application thread's own
-// contribution and with the peer-down purge. Slots follow the canonical
-// combine order (own value, then children in increasing rank), so
-// combining a full accumulator left-to-right at every level gives bits
-// that do not depend on arrival order. The finishing contributor owns
-// the accumulator once it is deleted from the table, and combines and
-// sends outside accMu: Send can block on transport backpressure.
-func (p *Proc) treeContribute(tag, code uint64, src amnet.NodeID, val []byte) {
-	p.accMu.Lock()
+// treeRound is one open round's state at one node of the collective
+// tree (under treeMu): the local waiter, the contributions folded so
+// far, and one payload slot per contributor in canonical combine order
+// — own value first, then each child subtree's partial in increasing
+// rank — so combining left to right at every level gives bits that do
+// not depend on arrival order. A barrier's slots stay nil. A complete
+// round is reset at once (only seq stays meaningful), so the round that
+// leaves the table goes straight onto the free list (roundFree).
+type treeRound struct {
+	seq   uint64
+	count int
+	vals  [][]byte
+}
+
+// treeRun runs one tree round on the application thread: fold the local
+// contribution (buf, which the engine takes) and block until the result
+// wave returns the combined payload. The wait releases c's engine lock,
+// if any, as every Ctx.Wait does. Collectives tag rounds with collSeq;
+// the post-revive resynchronization passes a reserved tag instead (see
+// resyncAfterRevive).
+func (c *Ctx) treeRun(tag, code uint64, buf []byte) []byte {
+	seq := c.NewWaiter()
+	c.p.treeFold(tag, code, c.p.id, buf, seq)
+	return c.Wait(seq).Payload
+}
+
+// treeFold folds one contribution to round tag — the local application
+// thread's (src == p.id, carrying its waiter seq) or a child subtree's —
+// and, once the subtree is complete, combines it and propagates: up to
+// the parent, or into the result wave at the root. Registering the local
+// waiter here is safe: the result cannot reach this node before its
+// subtree partial, which holds the local value, has climbed to the root.
+// Rounds are keyed by tag because they overlap: a subtree already
+// released from one round can contribute to the next while the first
+// round's result is still fanning out elsewhere. val is owned by the
+// engine from here on. Sends go out after treeMu is released — Send can
+// block on transport backpressure, or run the destination's handler then
+// and there.
+func (p *Proc) treeFold(tag, code uint64, src amnet.NodeID, val []byte, seq uint64) {
+	p.treeMu.Lock()
 	if p.downPeer.Load() >= 0 {
-		p.accMu.Unlock()
-		return // purged; drop (see treeBarEvent)
-	}
-	acc := p.collAcc[tag]
-	if acc == nil {
-		acc = &collAcc{vals: make([][]byte, len(p.treeKids)+1)}
-		p.collAcc[tag] = acc
-	}
-	slot := 0
-	if src != p.id {
-		slot = 1 + p.kidSlot(src)
-	}
-	acc.vals[slot] = clone(val)
-	acc.count++
-	done := acc.count == len(acc.vals)
-	if done {
-		delete(p.collAcc, tag)
-	}
-	p.accMu.Unlock()
-	if !done {
+		// A peer is lost and the purge ran or is about to: drop the
+		// contribution rather than repopulate the table (the local
+		// waiter fails with ErrPeerLost).
+		p.treeMu.Unlock()
+		amnet.Recycle(val)
 		return
 	}
-	part := acc.vals[0]
-	for _, v := range acc.vals[1:] {
+	rd := p.rounds[tag]
+	if rd == nil {
+		if n := len(p.roundFree); n > 0 {
+			rd, p.roundFree = p.roundFree[n-1], p.roundFree[:n-1]
+		} else {
+			rd = &treeRound{vals: make([][]byte, len(p.treeKids)+1)}
+		}
+		p.rounds[tag] = rd
+	}
+	slot := 0
+	if src == p.id {
+		rd.seq = seq
+	} else {
+		slot = 1 + p.kidSlot(src)
+	}
+	rd.vals[slot] = val
+	rd.count++
+	if rd.count < len(rd.vals) {
+		p.treeMu.Unlock()
+		return
+	}
+	part := rd.vals[0]
+	for _, v := range rd.vals[1:] {
 		combineInto(code, part, v)
 		amnet.Recycle(v)
 	}
-	if p.treeParent >= 0 {
-		p.coll.CountHops(1, len(part))
-		// part is a pooled clone this node owns; on a by-reference
-		// fabric ownership passes to the parent's handler, on a copying
-		// fabric Send is done with it when it returns.
-		p.ep.Send(amnet.Msg{Dst: p.treeParent, Handler: hColl, A: tag, C: code, Payload: part})
-		if p.fabricCopies {
-			amnet.Recycle(part)
-		}
+	clear(rd.vals)
+	rd.count = 0
+	root := p.treeParent < 0
+	if root {
+		// The root releases at once; an interior node keeps the round
+		// until the result wave returns (it carries the waiter seq).
+		delete(p.rounds, tag)
+		seq = rd.seq
+		p.roundFree = append(p.roundFree, rd)
+	}
+	p.treeMu.Unlock()
+	if root {
+		p.treeRelease(tag, seq, part)
 		return
 	}
-	p.sendFan(p.treeKids, amnet.Msg{Handler: hColl, A: tag, C: collOpResult, Payload: part})
-	p.collArrived(tag, part)
-	amnet.Recycle(part)
+	p.coll.CountHops(1, len(part))
+	// part is a pooled buffer this node owns; on a by-reference fabric
+	// ownership passes to the parent's handler, on a copying fabric Send
+	// is done with it when it returns.
+	p.ep.Send(amnet.Msg{Dst: p.treeParent, Handler: hColl, A: tag, C: code, Payload: part})
+	if p.fabricCopies {
+		amnet.Recycle(part)
+	}
+}
+
+// treeRelease fans a round's result to this node's subtrees and hands
+// it to the local waiter, which owns res from then on.
+func (p *Proc) treeRelease(tag, seq uint64, res []byte) {
+	p.sendFan(p.treeKids, amnet.Msg{Handler: hColl, A: tag, C: collOpResult, Payload: res})
+	p.ctx.Complete(seq, amnet.Msg{Payload: res})
 }
 
 // kidSlot returns src's index among this node's tree children.
@@ -330,23 +311,30 @@ func (p *Proc) sendFan(dsts []amnet.NodeID, m amnet.Msg) {
 	}
 }
 
-// collArrived records a collective payload for tag, waking a waiter if one
-// is registered.
+// collArrived hands a broadcast payload for tag to its waiter, or
+// buffers it until the local thread asks. It owns payload; after a peer
+// loss it drops it instead (see purgeSyncState).
 func (p *Proc) collArrived(tag uint64, payload []byte) {
 	p.collMu.Lock()
+	if p.downPeer.Load() >= 0 {
+		p.collMu.Unlock()
+		amnet.Recycle(payload)
+		return
+	}
 	if seq, ok := p.collWait[tag]; ok {
 		delete(p.collWait, tag)
 		p.collMu.Unlock()
-		p.ctx.Complete(seq, amnet.Msg{Payload: clone(payload)})
+		p.ctx.Complete(seq, amnet.Msg{Payload: payload})
 		return
 	}
-	p.collGot[tag] = clone(payload)
+	p.collGot[tag] = payload
 	p.collMu.Unlock()
 }
 
-// collAwait blocks until the payload for tag arrives. The registration
-// (check collGot, else record a waiter in collWait) happens atomically
-// under collMu, which is released before blocking.
+// collAwait blocks until the broadcast payload for tag arrives. The
+// registration (check collGot, else record a waiter in collWait) happens
+// atomically under collMu, which is released before blocking. After a
+// peer loss nothing is recorded: the wait fails with ErrPeerLost.
 func (p *Proc) collAwait(tag uint64) []byte {
 	p.collMu.Lock()
 	if v, ok := p.collGot[tag]; ok {
@@ -355,10 +343,11 @@ func (p *Proc) collAwait(tag uint64) []byte {
 		return v
 	}
 	seq := p.ctx.NewWaiter()
-	p.collWait[tag] = seq
+	if p.downPeer.Load() < 0 {
+		p.collWait[tag] = seq
+	}
 	p.collMu.Unlock()
-	m := p.ctx.Wait(seq)
-	return m.Payload
+	return p.ctx.Wait(seq).Payload
 }
 
 // Broadcast distributes data from the root processor to all processors and
@@ -456,8 +445,7 @@ func reduceCode(op ReduceOp, float bool) uint64 {
 // AllReduceInt64 combines v across all processors with op and returns the
 // result on every processor. Collective.
 func (p *Proc) AllReduceInt64(op ReduceOp, v int64) int64 {
-	out := p.allReduce(reduceCode(op, false), uint64(v))
-	return int64(out)
+	return int64(p.allReduce(reduceCode(op, false), uint64(v)))
 }
 
 // AllReduceInt64s combines each element of v across all processors with
@@ -469,7 +457,7 @@ func (p *Proc) AllReduceInt64(op ReduceOp, v int64) int64 {
 // seven. Collective.
 func (p *Proc) AllReduceInt64s(op ReduceOp, v []int64) []int64 {
 	code := reduceCode(op, false)
-	buf := make([]byte, 8*len(v))
+	buf := amnet.Alloc(8 * len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(buf[i*8:], uint64(x))
 	}
@@ -478,41 +466,31 @@ func (p *Proc) AllReduceInt64s(op ReduceOp, v []int64) []int64 {
 	for i := range res {
 		res[i] = int64(binary.LittleEndian.Uint64(out[i*8:]))
 	}
+	amnet.Recycle(out)
 	return res
 }
 
-// reduceRound runs one all-reduce round over a word-vector payload:
-// contribute the local value, block until the combined result arrives.
-// The contribution folds into the local accumulator and climbs
-// (treeContribute sends the subtree partial up when the last child
-// reports, and the root starts the result wave down).
+// reduceRound runs one all-reduce round over a word-vector payload,
+// which the engine takes, and returns the pooled result.
 func (p *Proc) reduceRound(code uint64, buf []byte) []byte {
 	p.collSeq++
-	return p.reduceRoundTag(p.collSeq, code, buf)
-}
-
-// reduceRoundTag is reduceRound with a caller-chosen tag. Program-order
-// collectives tag with collSeq; the post-revive resynchronization round
-// cannot (the cursors it is aligning disagree across processors) and
-// uses a reserved out-of-band tag instead (see resyncAfterRevive).
-func (p *Proc) reduceRoundTag(tag, code uint64, buf []byte) []byte {
 	p.coll.CountReduce()
-	p.treeContribute(tag, code, p.id, buf)
-	return p.collAwait(tag)
+	return p.ctx.treeRun(p.collSeq, code, buf)
 }
 
 // AllReduceFloat64 combines v across all processors with op and returns
 // the result on every processor. Collective.
 func (p *Proc) AllReduceFloat64(op ReduceOp, v float64) float64 {
-	out := p.allReduce(reduceCode(op, true), math.Float64bits(v))
-	return math.Float64frombits(out)
+	return math.Float64frombits(p.allReduce(reduceCode(op, true), math.Float64bits(v)))
 }
 
 func (p *Proc) allReduce(code uint64, word uint64) uint64 {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], word)
-	out := p.reduceRound(code, buf[:])
-	return binary.LittleEndian.Uint64(out)
+	buf := amnet.Alloc(8)
+	binary.LittleEndian.PutUint64(buf, word)
+	out := p.reduceRound(code, buf)
+	res := binary.LittleEndian.Uint64(out)
+	amnet.Recycle(out)
+	return res
 }
 
 // combineInto folds src into dst element-wise with the operator in code.

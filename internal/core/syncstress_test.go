@@ -9,10 +9,10 @@ import (
 // state: barrier arrivals, lock requests and reduction contributions from
 // six processors reach node 0 (and each home) on its pump and, under
 // direct dispatch, on the senders' goroutines, while every application
-// thread folds its own tree arrival and contribution into the same
-// tables (six processors take the tree topology). Under -race this is
-// the proof barMu, accMu and Directory.lockMu cover them; the
-// lock-protected counter and the reduction results check the semantics.
+// thread folds its own round contribution into the same table (six
+// processors take the tree topology). Under -race this is the proof
+// treeMu and Directory.lockMu cover them; the lock-protected counter
+// and the reduction results check the semantics.
 func TestDispatchSyncStress(t *testing.T) {
 	const (
 		procs = 6
@@ -32,7 +32,7 @@ func TestDispatchSyncStress(t *testing.T) {
 		r := p.Map(id)
 		for i := 0; i < iters; i++ {
 			// All-reduce: every proc contributes, and each interior
-			// node's collAcc takes its children's partials beside its
+			// node's round takes its children's partials beside its
 			// own application thread's value.
 			want := int64(procs * i)
 			if got := p.AllReduceInt64(OpSum, int64(i)); got != want {

@@ -62,9 +62,9 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(append(encodeTestFrame(1, []byte("a")), encodeTestFrame(2, []byte("b"))...))
 	// A frame carrying a real encoded checkpoint: rejoin ships these
 	// over the fabric verbatim, so the corpus should mutate from the
-	// ACK1 layout (magic, cursors, proto names, region table).
+	// ACK2 layout (magic, cursors, proto names, region table).
 	ckpt := core.EncodeCheckpoint(&core.Checkpoint{
-		Rank: 1, Procs: 4, Gen: 9, CollSeq: 12, NextSeq: 3, App: 2,
+		Rank: 1, Procs: 4, CollSeq: 12, NextSeq: 3, App: 2,
 		Protos: []string{"sc", "update"},
 		Regions: []core.CheckpointRegion{
 			{ID: 1, Space: 0, Size: 8, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}},

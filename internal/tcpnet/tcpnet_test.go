@@ -177,9 +177,6 @@ func TestStatsMatchTraffic(t *testing.T) {
 	if recv.BytesRecv != wantBytes {
 		t.Errorf("BytesRecv = %d, want %d", recv.BytesRecv, wantBytes)
 	}
-	if got := eps[1].Stats().PerHandler[5].Load(); got != n {
-		t.Errorf("PerHandler[5] = %d, want %d", got, n)
-	}
 	// Sampling was enabled on the sender: the receiver observed the
 	// stamped frames.
 	if recv.Deliver.Count != n {

@@ -2,11 +2,6 @@ package trace
 
 import "sync/atomic"
 
-// MaxHandlers bounds the per-handler receive breakdown; it matches the
-// network fabric's handler-table size (amnet.MaxHandlers is defined as
-// this constant).
-const MaxHandlers = 256
-
 // FaultKind names one class of injected transport fault (see package
 // faultnet). The kinds index FaultCounts.
 type FaultKind uint8
@@ -71,11 +66,10 @@ func (c FaultCounts) Add(o FaultCounts) FaultCounts {
 }
 
 // NetStats is one network endpoint's traffic telemetry: message and byte
-// counters for both directions, a per-handler receive breakdown, and a
-// sampled send→deliver latency histogram. All updates are atomic; the
-// struct may be read while the network is live, but a consistent
-// snapshot requires the network to be quiescent (for example, inside a
-// barrier).
+// counters for both directions and a sampled send→deliver latency
+// histogram. All updates are atomic; the struct may be read while the
+// network is live, but a consistent snapshot requires the network to be
+// quiescent (for example, inside a barrier).
 type NetStats struct {
 	MsgsSent  atomic.Uint64
 	BytesSent atomic.Uint64
@@ -87,9 +81,6 @@ type NetStats struct {
 	// coalescing factor; the per-message counters above stay exact
 	// regardless of batching.
 	Flushes atomic.Uint64
-
-	// PerHandler counts messages received per handler id.
-	PerHandler [MaxHandlers]atomic.Uint64
 
 	// Reconnects counts connection re-establishments on transports with
 	// connection supervision; Backoffs counts the backoff sleeps taken
@@ -123,14 +114,10 @@ func (s *NetStats) CountSend(wire int) {
 	s.BytesSent.Add(uint64(wire))
 }
 
-// CountRecv records one received message of the given wire footprint,
-// destined for the given handler.
-func (s *NetStats) CountRecv(handler uint16, wire int) {
+// CountRecv records one received message of the given wire footprint.
+func (s *NetStats) CountRecv(wire int) {
 	s.MsgsRecv.Add(1)
 	s.BytesRecv.Add(uint64(wire))
-	if int(handler) < MaxHandlers {
-		s.PerHandler[handler].Add(1)
-	}
 }
 
 // EnableLatencySampling switches send→deliver latency sampling on or

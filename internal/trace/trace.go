@@ -11,8 +11,8 @@
 //     and protocol name. Its counters are the runtime's only operation
 //     counters: the adaptive controller and the public snapshots read
 //     the same ones.
-//   - NetStats: per-endpoint message/byte counters with per-handler
-//     breakdown and sampled send→deliver latency.
+//   - NetStats: per-endpoint message/byte counters and sampled
+//     send→deliver latency.
 //   - A bounded per-processor event ring exported as Chrome trace_event
 //     JSON, so a whole run can be inspected in chrome://tracing or
 //     Perfetto (see WriteChromeTrace).
