@@ -5,11 +5,12 @@ GO ?= go
 # controller's counter snapshots and collective decisions run
 # concurrently with the bracket fast path. core also carries the
 # tree-collective paths (coll_test.go); proto the aggregated push
-# frames. gateway carries
+# frames. memory's region table serves lock-free lookups beside its
+# writers. gateway carries
 # the session fan-out: per-session writers, the coordinator, and the
 # room drains all share the stats and send-queue paths. faultnet's
 # scheduler goroutine runs beside senders, Kill and Quiesce.
-RACE_PKGS = ./internal/trace ./internal/core ./internal/amnet ./internal/faultnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway
+RACE_PKGS = ./internal/trace ./internal/core ./internal/memory ./internal/amnet ./internal/faultnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway
 
 .PHONY: ci vet build test bench-test race fuzz-smoke bench-compare bench-allocs chaos-smoke cluster-smoke gate-smoke
 
@@ -98,17 +99,18 @@ cluster-smoke:
 gate-smoke:
 	bash scripts/gate_smoke.sh
 
-# bench-allocs is the regression gate for the two paths that must not
+# bench-allocs is the regression gate for the paths that must not
 # allocate: a hit bracket, whether it is only counted (disabled) or also
-# timed (metrics), and a barrier round, whose tree-round state is reused
-# from a free list. It fails when go test fails, when any of the three
-# result lines is missing, and when any reports nonzero allocs/op.
+# timed (metrics), the same hit between a Map and an Unmap (mapped), and
+# a barrier round, whose tree-round state is reused from a free list. It
+# fails when go test fails, when any of the four result lines is
+# missing, and when any reports nonzero allocs/op.
 bench-allocs:
-	@out=$$($(GO) test -bench 'BenchmarkBracket/(disabled|metrics)$$|BenchmarkCollectives/GlobalBarrier/procs=4$$' -benchmem -benchtime=200ms -run '^$$' .); \
+	@out=$$($(GO) test -bench 'BenchmarkBracket/(disabled|metrics|mapped)$$|BenchmarkCollectives/GlobalBarrier/procs=4$$' -benchmem -benchtime=200ms -run '^$$' .); \
 	status=$$?; echo "$$out"; \
 	if [ $$status -ne 0 ]; then echo "FAIL: go test -bench exited $$status"; exit 1; fi; \
 	echo "$$out" | awk '{ name = $$1; sub(/-[0-9]+$$/, "", name) } \
-		name ~ /^(BenchmarkBracket\/(disabled|metrics)|BenchmarkCollectives\/GlobalBarrier\/procs=4)$$/ { seen[name] = 1; \
+		name ~ /^(BenchmarkBracket\/(disabled|metrics|mapped)|BenchmarkCollectives\/GlobalBarrier\/procs=4)$$/ { seen[name] = 1; \
 			if ($$(NF-1) + 0 != 0) { print "FAIL: allocates: " $$0; bad = 1 } } \
-		END { n = split("BenchmarkBracket/disabled BenchmarkBracket/metrics BenchmarkCollectives/GlobalBarrier/procs=4", want, " "); \
+		END { n = split("BenchmarkBracket/disabled BenchmarkBracket/metrics BenchmarkBracket/mapped BenchmarkCollectives/GlobalBarrier/procs=4", want, " "); \
 			for (i = 1; i <= n; i++) if (!(want[i] in seen)) { print "FAIL: no " want[i] " result"; bad = 1 } exit bad }'

@@ -75,9 +75,9 @@
 // every operation into per-space latency histograms and samples
 // send→deliver latency, and a positive TraceConfig.Events keeps a
 // bounded per-processor event ring exported as Chrome trace_event JSON.
-// Snapshots are read with Proc.Snapshot (one processor) or
-// Cluster.Metrics (whole cluster), and the event trace is written with
-// Cluster.WriteTrace:
+// Snapshots are read with Proc.Snapshot (one processor, on its own
+// application thread) or Cluster.Metrics (whole cluster, from any
+// goroutine), and the event trace is written with Cluster.WriteTrace:
 //
 //	cl, _ := ace.NewCluster(ace.Options{
 //		Procs: 8,

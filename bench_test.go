@@ -102,17 +102,20 @@ func BenchmarkFig7b(b *testing.B) {
 
 // BenchmarkBracket measures the cost of a StartRead/EndRead hit pair under
 // each observability mode: disabled (Trace nil: counted, not timed),
-// metrics (also timed) and events (also kept in the ring). make
-// bench-allocs requires the disabled and metrics modes to report 0
-// allocs/op.
+// metrics (also timed) and events (also kept in the ring). mapped is
+// disabled with a Map and an Unmap around every pair, em3d's per-edge
+// pattern. make bench-allocs requires the disabled, metrics and mapped
+// cases to report 0 allocs/op.
 func BenchmarkBracket(b *testing.B) {
 	modes := []struct {
-		name string
-		cfg  *TraceConfig
+		name   string
+		cfg    *TraceConfig
+		mapped bool
 	}{
-		{"disabled", nil},
-		{"metrics", &TraceConfig{Metrics: true}},
-		{"events", &TraceConfig{Metrics: true, Events: 4096}},
+		{"disabled", nil, false},
+		{"metrics", &TraceConfig{Metrics: true}, false},
+		{"events", &TraceConfig{Metrics: true, Events: 4096}, false},
+		{"mapped", nil, true},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
@@ -126,6 +129,15 @@ func BenchmarkBracket(b *testing.B) {
 				r := p.Map(id)
 				b.ReportAllocs()
 				b.ResetTimer()
+				if m.mapped {
+					for i := 0; i < b.N; i++ {
+						r := p.Map(id)
+						p.StartRead(r)
+						p.EndRead(r)
+						p.Unmap(r)
+					}
+					return nil
+				}
 				for i := 0; i < b.N; i++ {
 					p.StartRead(r)
 					p.EndRead(r)

@@ -288,7 +288,7 @@ func (e *chanEndpoint) dispatchDirect(try TryHandler, it item) (done bool) {
 		size := headerBytes + len(it.msg.Payload)
 		if done = try(it.msg); done {
 			e.stats.ObserveDeliver(it.sent)
-			e.stats.CountRecv(size)
+			e.stats.CountRecv(trace.RecvDirect, size)
 		}
 	}
 	box.token.Unlock()
@@ -301,7 +301,7 @@ func (e *chanEndpoint) dispatchDirect(try TryHandler, it item) (done bool) {
 func (e *chanEndpoint) Poll() {
 	defer fatalOnPanic()
 	if e.box.token.TryLock() {
-		e.box.drain(e.deliver)
+		e.box.drain(e.polled)
 		e.box.token.Unlock()
 	}
 }
@@ -323,14 +323,20 @@ func (e *chanEndpoint) Stats() *trace.NetStats { return &e.stats }
 
 func (e *chanEndpoint) pump(wg *sync.WaitGroup) {
 	defer wg.Done()
-	for e.box.serve(e.deliver) {
+	for e.box.serve(e.pumped) {
 	}
 }
 
-// deliver runs m's handler; sent is m's send stamp on the trace clock.
-func (e *chanEndpoint) deliver(m Msg, sent int64) {
+// pumped and polled deliver a queued message on the node's pump and on
+// its polling application thread; sent is m's send stamp on the trace
+// clock.
+func (e *chanEndpoint) pumped(m Msg, sent int64) { e.deliver(m, sent, trace.RecvPumped) }
+func (e *chanEndpoint) polled(m Msg, sent int64) { e.deliver(m, sent, trace.RecvPolled) }
+
+// deliver runs m's handler, counting it against path.
+func (e *chanEndpoint) deliver(m Msg, sent int64, path trace.RecvPath) {
 	e.stats.ObserveDeliver(sent)
-	e.stats.CountRecv(headerBytes + len(m.Payload))
+	e.stats.CountRecv(path, headerBytes+len(m.Payload))
 	h := e.handlers[m.Handler]
 	if h == nil {
 		panic(fmt.Sprintf("amnet: node %d: no handler %d registered (msg from %d)", e.id, m.Handler, m.Src))

@@ -88,6 +88,12 @@ func TestDirectDispatchMixedKeepsOrderAndSerializesLanes(t *testing.T) {
 	if direct.Load() == 0 || queued.Load() == 0 {
 		t.Errorf("want both paths exercised, got %d direct and %d queued", direct.Load(), queued.Load())
 	}
+	// Nobody polls here: every queued message is the pump's.
+	s := eps[0].Stats().Snapshot()
+	if s.RecvDirect != uint64(direct.Load()) || s.RecvPumped != uint64(queued.Load()) || s.RecvPolled != 0 {
+		t.Errorf("receive paths %d direct, %d polled, %d pumped; handlers saw %d direct, %d queued",
+			s.RecvDirect, s.RecvPolled, s.RecvPumped, direct.Load(), queued.Load())
+	}
 }
 
 // TestDeclinedTryHandlerGoesToThePumpOnceInOrder: a message its TryHandler
@@ -271,5 +277,10 @@ func TestPollSharesTheLaneWithThePump(t *testing.T) {
 	}
 	if n := misorders.Load(); n != 0 || next != total {
 		t.Fatalf("%d of %d delivered, %d out of order between Poll and the pump", next, total, n)
+	}
+	// No TryHandler is registered: every message was polled or pumped.
+	if s := eps[1].Stats().Snapshot(); s.RecvDirect != 0 || s.RecvPolled+s.RecvPumped != total+2 || s.MsgsRecv != total+2 {
+		t.Errorf("receive paths %d direct, %d polled, %d pumped, %d in all; want %d polled or pumped",
+			s.RecvDirect, s.RecvPolled, s.RecvPumped, s.MsgsRecv, total+2)
 	}
 }

@@ -74,7 +74,7 @@ func TestMailboxFIFOPerSenderUnderConcurrentPush(t *testing.T) {
 		wg.Wait()
 		b.close()
 	}()
-	for b.serve(e.deliver) {
+	for b.serve(e.pumped) {
 	}
 	if total != senders*perSender {
 		t.Fatalf("drained %d items, want %d", total, senders*perSender)
@@ -88,15 +88,15 @@ func TestMailboxCloseWhileNonEmptyDrains(t *testing.T) {
 		b.push(item{msg: Msg{A: uint64(i)}})
 	}
 	b.close()
-	if !b.serve(e.deliver) || got != 5 {
+	if !b.serve(e.pumped) || got != 5 {
 		t.Fatalf("first turn after close delivered %d items; want 5 and a live mailbox", got)
 	}
-	if b.serve(e.deliver) {
+	if b.serve(e.pumped) {
 		t.Fatal("drained mailbox still live after close")
 	}
 	// Pushes after close are dropped, and the mailbox stays terminal.
 	b.push(item{msg: Msg{A: 99}})
-	if b.serve(e.deliver) || got != 5 {
+	if b.serve(e.pumped) || got != 5 {
 		t.Fatalf("push after close was queued: %d items delivered", got)
 	}
 }

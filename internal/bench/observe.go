@@ -48,6 +48,8 @@ func FormatMetrics(m trace.Metrics) string {
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "network: %d msgs / %d bytes sent, %d msgs / %d bytes received\n",
 		m.Net.MsgsSent, m.Net.BytesSent, m.Net.MsgsRecv, m.Net.BytesRecv)
+	fmt.Fprintf(&b, "delivery: %d direct, %d polled, %d pumped; %d waits parked\n",
+		m.Net.RecvDirect, m.Net.RecvPolled, m.Net.RecvPumped, m.Net.WaitsParked)
 	if c := m.Coll; c.Barriers+c.Reduces+c.Bcasts+c.AggFrames > 0 {
 		fmt.Fprintf(&b, "collectives: %d barriers, %d reduces, %d bcasts (thread entries); %d msgs / %d bytes on the wire\n",
 			c.Barriers, c.Reduces, c.Bcasts, c.Hops, c.Bytes)

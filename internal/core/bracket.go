@@ -53,7 +53,7 @@ func (p *Proc) GMallocE(sp *Space, size int) (RegionID, error) {
 	sp.Proto.RegionCreated(sp.ctx, r)
 	sp.refreshFast(r)
 	sp.eng.Unlock()
-	p.rec.End(trace.OpGMalloc, sp.ID, t)
+	sp.done(trace.OpGMalloc, t)
 	return id, nil
 }
 
@@ -63,10 +63,9 @@ func (p *Proc) GMallocE(sp *Space, size int) (RegionID, error) {
 // StartRead or StartWrite.
 func (p *Proc) Map(id RegionID) *Region {
 	t := p.rec.Begin()
-	p.regMu.RLock()
 	r := p.regions.Get(id)
-	p.regMu.RUnlock()
-	if r == nil {
+	slow := r == nil
+	if slow {
 		r = p.fetchRegion(id)
 	}
 	sp := r.Space
@@ -79,8 +78,13 @@ func (p *Proc) Map(id RegionID) *Region {
 		sp.Proto.Map(sp.ctx, r)
 		sp.refreshFast(r)
 		sp.eng.Unlock()
+		slow = true
 	}
-	p.rec.End(trace.OpMap, sp.ID, t)
+	if slow {
+		sp.done(trace.OpMap, t)
+	} else {
+		sp.count(trace.OpMap, t)
+	}
 	return r
 }
 
@@ -139,13 +143,15 @@ func (p *Proc) Unmap(r *Region) {
 		panic(fmt.Sprintf("core: proc %d: unmap of unmapped region %v", p.id, r.ID))
 	}
 	r.MapCount--
-	if !sp.null.Has(PointUnmap) { // null-point elimination, as in Map
-		sp.eng.Lock()
-		sp.Proto.Unmap(sp.ctx, r)
-		sp.refreshFast(r)
-		sp.eng.Unlock()
+	if sp.null.Has(PointUnmap) { // null-point elimination, as in Map
+		sp.count(trace.OpUnmap, t)
+		return
 	}
-	p.rec.End(trace.OpUnmap, sp.ID, t)
+	sp.eng.Lock()
+	sp.Proto.Unmap(sp.ctx, r)
+	sp.refreshFast(r)
+	sp.eng.Unlock()
+	sp.done(trace.OpUnmap, t)
 }
 
 // StartRead opens a read section on r. On return r.Data is valid for
@@ -159,8 +165,7 @@ func (p *Proc) Unmap(r *Region) {
 func (p *Proc) StartRead(r *Region) {
 	t := p.rec.Begin()
 	if r.tryFastStart(rwFastRead, rwReaderShift) {
-		p.rec.FastHit(trace.OpStartRead, r.Space.ID)
-		p.rec.End(trace.OpStartRead, r.Space.ID, t)
+		r.Space.hit(trace.OpStartRead, t)
 		return
 	}
 	sp := r.Space
@@ -172,15 +177,14 @@ func (p *Proc) StartRead(r *Region) {
 	if !r.IsHome() {
 		p.rec.RemoteMiss(trace.OpStartRead, sp.ID)
 	}
-	p.rec.End(trace.OpStartRead, sp.ID, t)
+	sp.done(trace.OpStartRead, t)
 }
 
 // EndRead closes a read section on r.
 func (p *Proc) EndRead(r *Region) {
 	t := p.rec.Begin()
 	if r.tryFastEnd(rwFastRead, rwReaderShift) {
-		p.rec.FastHit(trace.OpEndRead, r.Space.ID)
-		p.rec.End(trace.OpEndRead, r.Space.ID, t)
+		r.Space.hit(trace.OpEndRead, t)
 		return
 	}
 	sp := r.Space
@@ -192,7 +196,7 @@ func (p *Proc) EndRead(r *Region) {
 	sp.Proto.EndRead(sp.ctx, r)
 	sp.refreshFast(r)
 	sp.eng.Unlock()
-	p.rec.End(trace.OpEndRead, sp.ID, t)
+	sp.done(trace.OpEndRead, t)
 }
 
 // StartWrite opens a write section on r. On return r.Data is valid for
@@ -201,8 +205,7 @@ func (p *Proc) EndRead(r *Region) {
 func (p *Proc) StartWrite(r *Region) {
 	t := p.rec.Begin()
 	if r.tryFastStart(rwFastWrite, rwWriterShift) {
-		p.rec.FastHit(trace.OpStartWrite, r.Space.ID)
-		p.rec.End(trace.OpStartWrite, r.Space.ID, t)
+		r.Space.hit(trace.OpStartWrite, t)
 		return
 	}
 	sp := r.Space
@@ -214,15 +217,14 @@ func (p *Proc) StartWrite(r *Region) {
 	if !r.IsHome() {
 		p.rec.RemoteMiss(trace.OpStartWrite, sp.ID)
 	}
-	p.rec.End(trace.OpStartWrite, sp.ID, t)
+	sp.done(trace.OpStartWrite, t)
 }
 
 // EndWrite closes a write section on r.
 func (p *Proc) EndWrite(r *Region) {
 	t := p.rec.Begin()
 	if r.tryFastEnd(rwFastWrite, rwWriterShift) {
-		p.rec.FastHit(trace.OpEndWrite, r.Space.ID)
-		p.rec.End(trace.OpEndWrite, r.Space.ID, t)
+		r.Space.hit(trace.OpEndWrite, t)
 		return
 	}
 	sp := r.Space
@@ -234,7 +236,7 @@ func (p *Proc) EndWrite(r *Region) {
 	sp.Proto.EndWrite(sp.ctx, r)
 	sp.refreshFast(r)
 	sp.eng.Unlock()
-	p.rec.End(trace.OpEndWrite, sp.ID, t)
+	sp.done(trace.OpEndWrite, t)
 }
 
 // Barrier executes a barrier with the semantics of sp's protocol (for
@@ -246,7 +248,7 @@ func (p *Proc) Barrier(sp *Space) {
 	sp.eng.Lock()
 	sp.Proto.Barrier(sp.ctx, sp)
 	sp.eng.Unlock()
-	p.rec.End(trace.OpBarrier, sp.ID, t)
+	sp.done(trace.OpBarrier, t)
 	if p.cl.adapt != nil {
 		p.adaptTick(sp)
 	}
@@ -270,7 +272,7 @@ func (p *Proc) Lock(r *Region) {
 	sp.eng.Lock()
 	sp.Proto.Lock(sp.ctx, r)
 	sp.eng.Unlock()
-	p.rec.End(trace.OpLock, sp.ID, t)
+	sp.done(trace.OpLock, t)
 }
 
 // Unlock releases the region lock.
@@ -280,7 +282,7 @@ func (p *Proc) Unlock(r *Region) {
 	sp.eng.Lock()
 	sp.Proto.Unlock(sp.ctx, r)
 	sp.eng.Unlock()
-	p.rec.End(trace.OpUnlock, sp.ID, t)
+	sp.done(trace.OpUnlock, t)
 }
 
 // DropCopy asks r's protocol to discard the local cached copy if safe,
@@ -315,8 +317,7 @@ func (p *Proc) DropCopy(r *Region) bool {
 func (p *Proc) StartReadBare(r *Region) {
 	t := p.rec.Begin()
 	if r.fastEligible(rwFastRead) {
-		p.rec.FastHit(trace.OpStartRead, r.Space.ID)
-		p.rec.End(trace.OpStartRead, r.Space.ID, t)
+		r.Space.hit(trace.OpStartRead, t)
 		return
 	}
 	sp := r.Space
@@ -327,15 +328,14 @@ func (p *Proc) StartReadBare(r *Region) {
 	if !r.IsHome() {
 		p.rec.RemoteMiss(trace.OpStartRead, sp.ID)
 	}
-	p.rec.End(trace.OpStartRead, sp.ID, t)
+	sp.done(trace.OpStartRead, t)
 }
 
 // EndReadBare closes a read section without bookkeeping.
 func (p *Proc) EndReadBare(r *Region) {
 	t := p.rec.Begin()
 	if r.fastEligible(rwFastRead) {
-		p.rec.FastHit(trace.OpEndRead, r.Space.ID)
-		p.rec.End(trace.OpEndRead, r.Space.ID, t)
+		r.Space.hit(trace.OpEndRead, t)
 		return
 	}
 	sp := r.Space
@@ -343,15 +343,14 @@ func (p *Proc) EndReadBare(r *Region) {
 	sp.Proto.EndRead(sp.ctx, r)
 	sp.refreshFast(r)
 	sp.eng.Unlock()
-	p.rec.End(trace.OpEndRead, sp.ID, t)
+	sp.done(trace.OpEndRead, t)
 }
 
 // StartWriteBare opens a write section without bookkeeping.
 func (p *Proc) StartWriteBare(r *Region) {
 	t := p.rec.Begin()
 	if r.fastEligible(rwFastWrite) {
-		p.rec.FastHit(trace.OpStartWrite, r.Space.ID)
-		p.rec.End(trace.OpStartWrite, r.Space.ID, t)
+		r.Space.hit(trace.OpStartWrite, t)
 		return
 	}
 	sp := r.Space
@@ -362,15 +361,14 @@ func (p *Proc) StartWriteBare(r *Region) {
 	if !r.IsHome() {
 		p.rec.RemoteMiss(trace.OpStartWrite, sp.ID)
 	}
-	p.rec.End(trace.OpStartWrite, sp.ID, t)
+	sp.done(trace.OpStartWrite, t)
 }
 
 // EndWriteBare closes a write section without bookkeeping.
 func (p *Proc) EndWriteBare(r *Region) {
 	t := p.rec.Begin()
 	if r.fastEligible(rwFastWrite) {
-		p.rec.FastHit(trace.OpEndWrite, r.Space.ID)
-		p.rec.End(trace.OpEndWrite, r.Space.ID, t)
+		r.Space.hit(trace.OpEndWrite, t)
 		return
 	}
 	sp := r.Space
@@ -378,5 +376,5 @@ func (p *Proc) EndWriteBare(r *Region) {
 	sp.Proto.EndWrite(sp.ctx, r)
 	sp.refreshFast(r)
 	sp.eng.Unlock()
-	p.rec.End(trace.OpEndWrite, sp.ID, t)
+	sp.done(trace.OpEndWrite, t)
 }

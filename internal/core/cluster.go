@@ -219,7 +219,11 @@ func (c *Cluster) Run(fn func(p *Proc) error) error {
 					errs[i] = fmt.Errorf("core: proc %d panicked: %v\n%s", i, r, debug.Stack())
 				}
 			}()
+			// The thread's last act: fold its tallies, so counts are
+			// exact once Run returns (a panic skips it, and the run
+			// has failed anyway).
 			errs[i] = fn(p)
+			p.fold()
 		}(i, p)
 	}
 	wg.Wait()
@@ -241,14 +245,17 @@ func (c *Cluster) Close() error {
 
 // Metrics aggregates the observability snapshot across the local
 // processors: per-space operation, fast-hit and remote-miss counts and
-// network traffic counters (always live), plus latency histograms
-// (populated when Options.Trace enabled them). Call it only while the
-// cluster is quiescent (before Run, after Run, or inside a barrier) for
-// a consistent view.
+// network traffic counters, plus latency histograms (populated when
+// Options.Trace enabled them). Any goroutine may call it. It is exact
+// while the cluster is quiescent (before and after Run); during a run
+// each processor's counts of each space lag its application thread by
+// fewer than foldEvery lock-free operations, which the thread tallies
+// privately and folds in at every slow path, every Barrier and every
+// foldEvery operations.
 func (c *Cluster) Metrics() trace.Metrics {
 	var m trace.Metrics
 	for _, p := range c.procs {
-		m = m.Add(p.Snapshot())
+		m = m.Add(p.snapshot())
 	}
 	return m
 }

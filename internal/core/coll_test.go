@@ -521,7 +521,7 @@ func TestPeerLossPurgesLockQueue(t *testing.T) {
 	home := cl.procs[0]
 	waitPurged(t, "lock queue", func() bool {
 		empty := true
-		home.regMu.RLock()
+		home.regMu.Lock()
 		home.regions.ForEach(func(_ RegionID, r *Region) {
 			if r.Dir != nil {
 				if _, queued := r.Dir.lockState(); queued != 0 {
@@ -529,7 +529,7 @@ func TestPeerLossPurgesLockQueue(t *testing.T) {
 				}
 			}
 		})
-		home.regMu.RUnlock()
+		home.regMu.Unlock()
 		return empty
 	})
 }

@@ -4,15 +4,18 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/acedsm/ace/internal/trace"
 )
 
 // run spins up a cluster of n procs, runs fn SPMD, and fails the test on
-// any error.
+// any error. The generous SyncTimeout makes a processor that returns an
+// error early fail its peers' pending barriers too, so the error
+// surfaces in seconds instead of as a hang until go test's timeout.
 func run(t *testing.T, n int, fn func(p *Proc) error) {
 	t.Helper()
-	cl, err := NewCluster(Options{Procs: n})
+	cl, err := NewCluster(Options{Procs: n, SyncTimeout: 60 * time.Second})
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)
 	}

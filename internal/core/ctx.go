@@ -31,9 +31,7 @@ func (c *Ctx) Procs() int { return c.p.cl.Procs() }
 
 // Region returns the local view of id, or nil if not materialized here.
 func (c *Ctx) Region(id RegionID) *Region {
-	c.p.regMu.RLock()
 	r := c.p.regions.Get(id)
-	c.p.regMu.RUnlock()
 	return r
 }
 
@@ -113,7 +111,9 @@ func (c *Ctx) NewWaiter() uint64 {
 // the node's token was busy, or its handler declined because this thread held the
 // engine — is delivered here, on the application thread, instead of
 // waiting for the pump to be scheduled. The engine is already released
-// and the thread holds no other lock, so it may run any handler.
+// and the thread holds no other lock, so it may run any handler. A wait
+// whose reply is still missing then blocks, counted in the endpoint's
+// NetStats.WaitsParked.
 //
 // The wait is interruptible: when the transport declares a peer lost
 // (amnet.PeerAware) or Options.SyncTimeout elapses, Wait panics with a
@@ -135,6 +135,9 @@ func (c *Ctx) Wait(seq uint64) amnet.Msg {
 	}
 	if p.direct != nil && len(w.ch) == 0 {
 		p.direct.Poll()
+	}
+	if len(w.ch) == 0 {
+		p.ep.Stats().WaitsParked.Add(1)
 	}
 	m := p.waitSync(w, seq)
 	if c.eng != nil {
@@ -158,7 +161,7 @@ func (c *Ctx) Wait(seq uint64) amnet.Msg {
 // raced in ahead of a failure signal still wins.
 func (p *Proc) waitSync(w *waiter, seq uint64) amnet.Msg {
 	if d := p.cl.opts.SyncTimeout; d > 0 {
-		t := time.NewTimer(d)
+		t := p.armStall(d)
 		defer t.Stop()
 		select {
 		case m := <-w.ch:
@@ -188,6 +191,24 @@ func (p *Proc) waitSync(w *waiter, seq uint64) amnet.Msg {
 	}
 	p.retireWaiter(seq)
 	panic(&PeerLostError{Local: int(p.id), Peer: int(p.downPeer.Load())})
+}
+
+// armStall arms the application thread's stall timer for one wait of d.
+// The timer is reused across waits, so a timed wait allocates nothing;
+// a tick left over from an earlier wait is drained first.
+func (p *Proc) armStall(d time.Duration) *time.Timer {
+	if p.stall == nil {
+		p.stall = time.NewTimer(d)
+		return p.stall
+	}
+	if !p.stall.Stop() {
+		select {
+		case <-p.stall.C:
+		default:
+		}
+	}
+	p.stall.Reset(d)
+	return p.stall
 }
 
 // retireWaiter removes a waiter whose Wait is failing, leaving a

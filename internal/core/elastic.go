@@ -82,9 +82,9 @@ func (p *Proc) Checkpoint(app uint64) (*Checkpoint, error) {
 		App:     app,
 		Protos:  make([]string, len(sps)), // a freed slot's entry stays ""
 	}
-	p.regMu.RLock()
+	p.regMu.Lock()
 	ck.NextSeq = p.nextSeq
-	p.regMu.RUnlock()
+	p.regMu.Unlock()
 	for _, sp := range live {
 		sp.eng.Lock()
 		ck.Protos[sp.ID] = sp.ProtoName

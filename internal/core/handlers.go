@@ -65,9 +65,7 @@ func (sp *Space) lockEngine(try bool) bool {
 
 // lookupMsg serves a region metadata request at the region's allocator.
 func (p *Proc) lookupMsg(m amnet.Msg, try bool) bool {
-	p.regMu.RLock()
 	r := p.regions.Get(RegionID(m.A))
-	p.regMu.RUnlock()
 	if r == nil {
 		panic(fmt.Sprintf("core: proc %d: lookup of unknown region %v", p.id, RegionID(m.A)))
 	}
@@ -93,9 +91,7 @@ func (p *Proc) protoMsg(m amnet.Msg, try bool) bool {
 	if !sp.lockEngine(try) {
 		return false
 	}
-	p.regMu.RLock()
 	r := p.regions.Get(RegionID(m.A))
-	p.regMu.RUnlock()
 	if r != nil {
 		if r.Space != sp {
 			panic(fmt.Sprintf("core: proc %d: protocol message for %v names space %d, region is in %d",
@@ -161,9 +157,7 @@ func (p *Proc) protoBatchMsg(m amnet.Msg, try bool) bool {
 func (p *Proc) migrateMsg(m amnet.Msg) {
 	sp := p.space(int(m.D))
 	sp.eng.Lock()
-	p.regMu.RLock()
 	r := p.regions.Get(RegionID(m.A))
-	p.regMu.RUnlock()
 	if r == nil || !r.IsHome() {
 		panic(fmt.Sprintf("core: proc %d: migrate pull for non-home region %v", p.id, RegionID(m.A)))
 	}

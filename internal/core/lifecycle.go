@@ -236,7 +236,7 @@ func (p *Proc) FreeSpace(sp *Space) error {
 	p.slotGen[sp.ID]++
 	p.spaceFree = insertSortedInt(p.spaceFree, sp.ID)
 	p.spaceMu.Unlock()
-	p.rec.End(trace.OpFreeSpace, sp.ID, t)
+	sp.done(trace.OpFreeSpace, t)
 	// Leave together: nobody returns (and can start reusing the slot)
 	// before every processor has finished recycling.
 	p.ctx.DefaultBarrier()

@@ -108,6 +108,6 @@ func (p *Proc) MigrateHome(sp *Space, id RegionID, newHome amnet.NodeID) error {
 	}
 	sp.eng.Unlock()
 	p.ctx.DefaultBarrier()
-	p.rec.End(trace.OpChangeProtocol, sp.ID, t)
+	sp.done(trace.OpChangeProtocol, t)
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/acedsm/ace/internal/trace"
@@ -98,10 +99,11 @@ func TestMetricsParityWithOpStats(t *testing.T) {
 	}
 }
 
-// TestSnapshotDuringRun reads Cluster.Metrics and every Proc.Snapshot
-// concurrently with the processors' hit and miss brackets, untraced (the
-// always-on counters alone) and traced; under -race this checks both
-// snapshot paths against the bracket hot paths.
+// TestSnapshotDuringRun reads Cluster.Metrics concurrently with the
+// processors' hit and miss brackets, untraced (the always-on counters
+// alone) and traced; under -race this checks the any-goroutine scrape
+// against the bracket hot paths and the application threads' folds.
+// (Proc.Snapshot folds, so it belongs to the application thread.)
 func TestSnapshotDuringRun(t *testing.T) {
 	const procs, rounds = 4, 200
 	for _, tc := range []struct {
@@ -128,9 +130,6 @@ func TestSnapshotDuringRun(t *testing.T) {
 						return
 					default:
 						_ = cl.Metrics()
-						for _, p := range cl.Local() {
-							_ = p.Snapshot()
-						}
 						_ = cl.TraceEvents()
 					}
 				}
@@ -163,6 +162,11 @@ func TestSnapshotDuringRun(t *testing.T) {
 			if got := m.Ops.Get(trace.OpStartWrite); got != procs*rounds {
 				t.Errorf("start_write = %d, want %d", got, procs*rounds)
 			}
+			// Mostly hits, counted in the threads' tallies: exact once
+			// Run has returned.
+			if got := m.Ops.Get(trace.OpEndRead); got != 2*procs*rounds {
+				t.Errorf("end_read = %d, want %d", got, 2*procs*rounds)
+			}
 			// Only the first bracket on each private region misses the
 			// fast path.
 			if got := m.FastOps.Get(trace.OpStartRead); got < procs*(rounds-1) {
@@ -175,5 +179,79 @@ func TestSnapshotDuringRun(t *testing.T) {
 				t.Error("no events retained")
 			}
 		})
+	}
+}
+
+// TestMetricsFreshDuringHits runs many times foldEvery hit brackets with
+// no slow path between them while another goroutine scrapes
+// Cluster.Metrics. The application thread tallies those hits privately,
+// so a scrape may lag, but never by foldEvery operations or more, and
+// the scraped counts never go backwards. After Run they are exact.
+func TestMetricsFreshDuringHits(t *testing.T) {
+	const pairs = 20*foldEvery + 100 // not a whole number of folds: Run must fold the rest
+	cl, err := NewCluster(Options{Procs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	total := func(m trace.Metrics) (ops, fast uint64) {
+		return m.Spaces[0].Ops.Total(), m.Spaces[0].FastOps.Total()
+	}
+	var base, baseFast uint64
+	var done atomic.Uint64 // bracket pairs the thread has completed
+	errc := make(chan error, 1)
+	stop := make(chan struct{})
+	var scraper sync.WaitGroup
+	err = cl.Run(func(p *Proc) error {
+		r := p.Map(p.GMalloc(p.DefaultSpace(), 8))
+		p.StartRead(r) // the first bracket may take the slow path
+		p.EndRead(r)
+		base, baseFast = total(p.Snapshot())
+		scraper.Add(1)
+		go func() {
+			defer scraper.Done()
+			var last uint64
+			for {
+				select {
+				case <-stop:
+					errc <- nil
+					return
+				default:
+				}
+				lo := done.Load()
+				got, _ := total(cl.Metrics())
+				hi := done.Load()
+				switch {
+				case got < last:
+					errc <- fmt.Errorf("scraped ops went back from %d to %d", last, got)
+					return
+				case got+foldEvery <= base+2*lo:
+					errc <- fmt.Errorf("scraped %d ops after %d completed: %d or more behind", got-base, 2*lo, foldEvery)
+					return
+				case got > base+2*(hi+1):
+					errc <- fmt.Errorf("scraped %d ops, only %d started", got-base, 2*(hi+1))
+					return
+				}
+				last = got
+			}
+		}()
+		for i := uint64(1); i <= pairs; i++ {
+			p.StartRead(r)
+			p.EndRead(r)
+			done.Store(i)
+		}
+		return nil
+	})
+	close(stop)
+	scraper.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	ops, fast := total(cl.Metrics())
+	if ops != base+2*pairs || fast != baseFast+2*pairs {
+		t.Fatalf("after Run: %d ops, %d fast; want %d and %d", ops-base, fast-baseFast, 2*pairs, 2*pairs)
 	}
 }

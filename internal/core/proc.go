@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/acedsm/ace/internal/amnet"
 	"github.com/acedsm/ace/internal/memory"
@@ -25,7 +26,9 @@ import (
 //     (State, Flags, PState, Dir coherence state) of the space's
 //     regions. Protocol routines and Deliver run under it. (MapCount is
 //     application-thread-private: only Map and Unmap touch it.)
-//   - regMu protects the region table and the allocation sequence.
+//   - regMu serializes the region table's writers and guards the
+//     allocation sequence. Lookups (Map, the handlers, Ctx.Region)
+//     read the table lock-free.
 //   - wMu protects the waiter table and the waiter free list.
 //   - collMu protects the broadcast rendezvous maps (collGot,
 //     collWait), the broadcast state shared between the application
@@ -65,9 +68,11 @@ type Proc struct {
 	ep  amnet.Endpoint
 	ctx *Ctx // proc-level ctx: no engine lock (collectives, lookups)
 
-	// regMu guards the region table and the allocation sequence.
-	regMu   sync.RWMutex
-	regions memory.Table[*Region]
+	// regMu serializes the region table's writers (Put, Delete,
+	// ForEach) and guards the allocation sequence. Lookups take no
+	// lock: memory.Table.Get is an atomic load.
+	regMu   sync.Mutex
+	regions memory.Table[Region]
 	nextSeq uint64
 
 	// spaceMu serializes space creation and destruction. The table
@@ -92,6 +97,11 @@ type Proc struct {
 	retired    map[uint64]struct{}
 	freeWait   []*waiter
 	nextWaiter uint64
+
+	// stall is the SyncTimeout timer of the application thread's waits
+	// (nil until the first), re-armed by each one. Application thread
+	// only.
+	stall *time.Timer
 
 	// Binomial-tree neighbors of the collectives: treeParent is -1 at
 	// the root, and treeKids lists this rank's children in increasing
@@ -242,12 +252,29 @@ func (p *Proc) space(id int) *Space {
 }
 
 // Snapshot returns this processor's observability snapshot: per-space
-// operation, fast-hit and remote-miss counts (always live), latency
-// histograms (populated when Options.Trace enabled metrics), and this
-// endpoint's traffic counters (always live). It may be called
-// concurrently with the processor's execution; the ops half is then a
-// momentary view.
+// operation, fast-hit and remote-miss counts, latency histograms
+// (populated when Options.Trace enabled metrics), and this endpoint's
+// traffic counters. Like every Proc method it runs on the processor's
+// application thread, which first folds its pending operation tallies,
+// so the counts are exact. Another goroutine reads Cluster.Metrics.
 func (p *Proc) Snapshot() trace.Metrics {
+	p.fold()
+	return p.snapshot()
+}
+
+// fold adds every space's pending operation tally to the recorder.
+// Application thread only.
+func (p *Proc) fold() {
+	for _, sp := range *p.spaces.Load() {
+		if sp != nil {
+			sp.fold()
+		}
+	}
+}
+
+// snapshot is Snapshot without the fold: safe from any goroutine, and
+// behind the application thread by at most its unfolded tallies.
+func (p *Proc) snapshot() trace.Metrics {
 	m := p.rec.Snapshot()
 	if sps := p.spaces.Load(); sps != nil {
 		for _, sp := range *sps {

@@ -71,6 +71,66 @@ type Space struct {
 	// dead is set by FreeSpace once the space has been flushed and its
 	// slot recycled; allocation and lookup paths check it lock-free.
 	dead atomic.Bool
+
+	// tally holds the untimed operations that took no lock (fast-path
+	// hits, Map and Unmap of null hooks) not yet added to the recorder.
+	// Application-thread private, so counting them is a plain increment.
+	tally opTally
+}
+
+// foldEvery is how many untimed lock-free operations a space's tally
+// holds before the application thread folds it into the recorder. It
+// bounds how far a concurrent Cluster.Metrics scrape can lag behind.
+const foldEvery = 1024
+
+// opTally is a space's plain count of operations awaiting a fold: ops
+// counts them all, fast the fast-path hits among them, n their total.
+type opTally struct {
+	ops, fast trace.OpCounts
+	n         int
+}
+
+// hit records a fast-path completion of op begun at t (the recorder's
+// Begin token). Application thread only, like count.
+func (sp *Space) hit(op trace.Op, t int64) {
+	if t != 0 {
+		sp.proc.rec.FastHit(op, sp.ID)
+		sp.proc.rec.End(op, sp.ID, t)
+		return
+	}
+	sp.tally.fast[op]++
+	sp.count(op, t)
+}
+
+// count records op begun at t on a path that took no lock. Untimed, it
+// only bumps the tally, folding every foldEvery operations; a timed op
+// goes to the recorder directly.
+func (sp *Space) count(op trace.Op, t int64) {
+	if t != 0 {
+		sp.proc.rec.End(op, sp.ID, t)
+		return
+	}
+	sp.tally.ops[op]++
+	if sp.tally.n++; sp.tally.n == foldEvery {
+		sp.fold()
+	}
+}
+
+// done records op begun at t on a slow path and folds the tally, so the
+// recorder is exact whenever the application thread leaves one.
+func (sp *Space) done(op trace.Op, t int64) {
+	sp.proc.rec.End(op, sp.ID, t)
+	sp.fold()
+}
+
+// fold adds the tally to the recorder's counters and clears it. Only
+// the application thread may fold: the tally is its private state.
+func (sp *Space) fold() {
+	if sp.tally.n == 0 {
+		return
+	}
+	sp.proc.rec.Fold(sp.ID, &sp.tally.ops, &sp.tally.fast)
+	sp.tally = opTally{}
 }
 
 // install makes info's protocol the space's: a fresh instance, its
@@ -196,6 +256,6 @@ func (p *Proc) ChangeProtocol(sp *Space, protoName string) error {
 	p.reinstall(sp, info)
 	sp.eng.Unlock()
 	p.ctx.DefaultBarrier()
-	p.rec.End(trace.OpChangeProtocol, sp.ID, t)
+	sp.done(trace.OpChangeProtocol, t)
 	return nil
 }

@@ -65,7 +65,7 @@ func (p *Proc) purgeSyncState() {
 	clear(p.collGot)
 	clear(p.collWait)
 	p.collMu.Unlock()
-	p.regMu.RLock()
+	p.regMu.Lock()
 	p.regions.ForEach(func(_ RegionID, r *Region) {
 		if r.Dir != nil {
 			r.Dir.lockMu.Lock()
@@ -73,7 +73,7 @@ func (p *Proc) purgeSyncState() {
 			r.Dir.lockMu.Unlock()
 		}
 	})
-	p.regMu.RUnlock()
+	p.regMu.Unlock()
 }
 
 // lockRequest handles a region lock request at the region's home. The
@@ -82,9 +82,7 @@ func (p *Proc) purgeSyncState() {
 // and the application thread's space-wide resets. The grant is sent
 // after lockMu is released.
 func (p *Proc) lockRequest(m amnet.Msg) {
-	p.regMu.RLock()
 	r := p.regions.Get(RegionID(m.A))
-	p.regMu.RUnlock()
 	if r == nil || !r.IsHome() {
 		panic(fmt.Sprintf("core: proc %d: lock request for non-home region %v", p.id, RegionID(m.A)))
 	}
@@ -109,9 +107,7 @@ func (p *Proc) lockRequest(m amnet.Msg) {
 // unlockRequest handles a region unlock at the region's home. Same
 // lockMu discipline as lockRequest.
 func (p *Proc) unlockRequest(m amnet.Msg) {
-	p.regMu.RLock()
 	r := p.regions.Get(RegionID(m.A))
-	p.regMu.RUnlock()
 	if r == nil || !r.IsHome() {
 		panic(fmt.Sprintf("core: proc %d: unlock for non-home region %v", p.id, RegionID(m.A)))
 	}

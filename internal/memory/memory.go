@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // RegionID uniquely names a shared region. The top 24 bits hold the home
@@ -53,81 +54,104 @@ func (id RegionID) String() string {
 }
 
 // Table is a per-processor two-level region table mapping RegionID to a
-// value of type V (a pointer type in practice; the zero V means "absent").
-// Lookup is two array indexing operations; no hashing. The zero Table is
-// ready to use. Table is not safe for concurrent use; callers synchronize
-// externally (the per-proc runtime mutex).
-type Table[V comparable] struct {
-	byHome [][]V
-	count  int
+// *T (nil means "absent"): one row per home node, indexed by sequence
+// number. Lookup is two array indexing operations; no hashing.
+//
+// Get is lock-free and safe concurrently with everything else: every
+// level is an atomic pointer (a plain load on amd64), and a level that
+// must grow is copied and republished rather than resized in place, so a
+// reader always indexes a complete slice. Put, Delete, Len and ForEach
+// must be serialized by the caller (the writers' mutex); a Get racing a
+// writer sees the entry either before or after the write. The zero Table
+// is ready to use.
+type Table[T any] struct {
+	homes atomic.Pointer[[]*tableRow[T]]
+	count int
 }
 
-// Get returns the value for id, or the zero V if absent.
-func (t *Table[V]) Get(id RegionID) V {
-	var zero V
-	h := int(id.Home())
-	if h >= len(t.byHome) {
-		return zero
-	}
-	row := t.byHome[h]
-	s := id.Seq()
-	if s >= uint64(len(row)) {
-		return zero
-	}
-	return row[s]
+// tableRow is one home's slots. The slice pointer is set when the row
+// is created, so readers never find it nil; growing the row publishes a
+// fresh, larger slice with the live entries copied in.
+type tableRow[T any] struct {
+	slots atomic.Pointer[[]atomic.Pointer[T]]
 }
 
-// Put stores v for id, growing the table as needed.
-func (t *Table[V]) Put(id RegionID, v V) {
-	h := int(id.Home())
-	for h >= len(t.byHome) {
-		t.byHome = append(t.byHome, nil)
+// Get returns the value for id, or nil if absent.
+func (t *Table[T]) Get(id RegionID) *T {
+	h, s := uint64(id)>>seqBits, uint64(id)&(1<<seqBits-1)
+	if homes := t.homes.Load(); homes != nil && h < uint64(len(*homes)) {
+		if slots := *(*homes)[h].slots.Load(); s < uint64(len(slots)) {
+			return slots[s].Load()
+		}
 	}
-	row := t.byHome[h]
-	s := id.Seq()
-	if s >= uint64(len(row)) {
-		grown := make([]V, max(int(s)+1, 2*len(row), 8))
-		copy(grown, row)
-		row = grown
-		t.byHome[h] = row
+	return nil
+}
+
+// Put stores v for id, growing the table as needed. A nil v deletes.
+func (t *Table[T]) Put(id RegionID, v *T) {
+	if v == nil && t.Get(id) == nil {
+		return // nothing to delete: do not grow for it
 	}
-	var zero V
-	if row[s] == zero && v != zero {
+	switch old := t.cell(id).Swap(v); {
+	case old == nil && v != nil:
 		t.count++
-	} else if row[s] != zero && v == zero {
+	case old != nil && v == nil:
 		t.count--
 	}
-	row[s] = v
+}
+
+// cell returns id's slot, growing the table to make room: a short home
+// level or row is replaced by a larger copy, published only once it
+// holds every live entry.
+func (t *Table[T]) cell(id RegionID) *atomic.Pointer[T] {
+	h := int(id.Home())
+	var homes []*tableRow[T]
+	if p := t.homes.Load(); p != nil {
+		homes = *p
+	}
+	if h >= len(homes) {
+		// Every new home gets its row now: cells of a published home
+		// slice are never written again.
+		grown := make([]*tableRow[T], h+1)
+		copy(grown, homes)
+		for i := len(homes); i <= h; i++ {
+			grown[i] = new(tableRow[T])
+			grown[i].slots.Store(new([]atomic.Pointer[T]))
+		}
+		homes = grown
+		t.homes.Store(&homes)
+	}
+	row := homes[h]
+	slots := *row.slots.Load()
+	s := id.Seq()
+	if s >= uint64(len(slots)) {
+		grown := make([]atomic.Pointer[T], max(int(s)+1, 2*len(slots), 8))
+		for i := range slots {
+			grown[i].Store(slots[i].Load())
+		}
+		slots = grown
+		row.slots.Store(&slots)
+	}
+	return &slots[s]
 }
 
 // Delete removes the entry for id, if present.
-func (t *Table[V]) Delete(id RegionID) {
-	var zero V
-	h := int(id.Home())
-	if h >= len(t.byHome) {
+func (t *Table[T]) Delete(id RegionID) { t.Put(id, nil) }
+
+// Len returns the number of entries.
+func (t *Table[T]) Len() int { return t.count }
+
+// ForEach calls fn for every entry. Mutating the table during iteration
+// is not allowed.
+func (t *Table[T]) ForEach(fn func(RegionID, *T)) {
+	homes := t.homes.Load()
+	if homes == nil {
 		return
 	}
-	row := t.byHome[h]
-	s := id.Seq()
-	if s >= uint64(len(row)) {
-		return
-	}
-	if row[s] != zero {
-		t.count--
-	}
-	row[s] = zero
-}
-
-// Len returns the number of non-zero entries.
-func (t *Table[V]) Len() int { return t.count }
-
-// ForEach calls fn for every non-zero entry. Mutating the table during
-// iteration is not allowed.
-func (t *Table[V]) ForEach(fn func(RegionID, V)) {
-	var zero V
-	for h, row := range t.byHome {
-		for s, v := range row {
-			if v != zero {
+	for h, row := range *homes {
+		slots := *row.slots.Load()
+		for s := range slots {
+			if v := slots[s].Load(); v != nil {
 				fn(MakeID(int32(h), uint64(s)), v)
 			}
 		}

@@ -1,7 +1,9 @@
 package memory
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -63,7 +65,7 @@ func TestRegionIDString(t *testing.T) {
 }
 
 func TestTableBasic(t *testing.T) {
-	var tb Table[*int]
+	var tb Table[int]
 	a, b := new(int), new(int)
 	*a, *b = 1, 2
 
@@ -107,7 +109,7 @@ func TestTableBasic(t *testing.T) {
 }
 
 func TestTableForEach(t *testing.T) {
-	var tb Table[*int]
+	var tb Table[int]
 	want := map[RegionID]*int{
 		MakeID(0, 1): new(int),
 		MakeID(0, 2): new(int),
@@ -131,7 +133,7 @@ func TestTableForEach(t *testing.T) {
 func TestTablePutGetProperty(t *testing.T) {
 	// Whatever sequence of Puts happens, Get returns the last value put.
 	f := func(homes []uint8, seqs []uint16) bool {
-		var tb Table[*int]
+		var tb Table[int]
 		last := map[RegionID]*int{}
 		n := min(len(homes), len(seqs))
 		for i := 0; i < n; i++ {
@@ -152,6 +154,75 @@ func TestTablePutGetProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTableConcurrentGet runs lock-free readers against one serialized
+// writer that puts, deletes and keeps growing rows and the home level.
+// A reader may see an entry before or after a write, but never a torn
+// slot: whatever Get returns for an id is nil or the value stored for
+// that id. Run under -race it checks the copy-on-grow publication.
+func TestTableConcurrentGet(t *testing.T) {
+	const (
+		homes   = 6
+		perHome = 300
+		readers = 4
+	)
+	var tb Table[RegionID]
+	val := func(id RegionID) *RegionID { v := id; return &v }
+	done := make(chan struct{})
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				id := MakeID(int32((i+g)%homes), uint64(i%perHome)+1)
+				if v := tb.Get(id); v != nil && *v != id {
+					errs <- fmt.Errorf("Get(%v) = %v", id, *v)
+					return
+				}
+			}
+		}(g)
+	}
+	// The writer fills homes in turn, so both the home level and every
+	// row grow while readers run; every third entry is deleted again.
+	for s := 1; s <= perHome; s++ {
+		for h := 0; h < homes; h++ {
+			id := MakeID(int32(h), uint64(s))
+			tb.Put(id, val(id))
+			if s%3 == 0 {
+				tb.Delete(id)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if want := homes * (perHome - perHome/3); tb.Len() != want {
+		t.Fatalf("Len = %d, want %d", tb.Len(), want)
+	}
+	for h := 0; h < homes; h++ {
+		for s := 1; s <= perHome; s++ {
+			id := MakeID(int32(h), uint64(s))
+			v := tb.Get(id)
+			if s%3 == 0 {
+				if v != nil {
+					t.Fatalf("deleted %v still present", id)
+				}
+			} else if v == nil || *v != id {
+				t.Fatalf("Get(%v) = %v after the writer finished", id, v)
+			}
+		}
 	}
 }
 

@@ -1137,7 +1137,7 @@ func (e *endpoint) countSend(m amnet.Msg) {
 }
 
 func (e *endpoint) countRecv(m amnet.Msg) {
-	e.stats.CountRecv(frameHeader + len(m.Payload))
+	e.stats.CountRecv(trace.RecvPumped, frameHeader+len(m.Payload))
 }
 
 // frame is a decoded message plus its sender's trace-clock stamp (0 when

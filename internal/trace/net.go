@@ -65,6 +65,22 @@ func (c FaultCounts) Add(o FaultCounts) FaultCounts {
 	return c
 }
 
+// RecvPath names the goroutine a received message's handler ran on.
+type RecvPath uint8
+
+// The delivery paths.
+const (
+	// RecvDirect: the sender's goroutine, dispatching directly (see
+	// package amnet).
+	RecvDirect RecvPath = iota
+	// RecvPolled: the node's own application thread, polling its
+	// mailbox before it parks in a wait.
+	RecvPolled
+	// RecvPumped: the node's pump goroutine.
+	RecvPumped
+	NumRecvPaths
+)
+
 // NetStats is one network endpoint's traffic telemetry: message and byte
 // counters for both directions and a sampled send→deliver latency
 // histogram. All updates are atomic; the struct may be read while the
@@ -73,8 +89,14 @@ func (c FaultCounts) Add(o FaultCounts) FaultCounts {
 type NetStats struct {
 	MsgsSent  atomic.Uint64
 	BytesSent atomic.Uint64
-	MsgsRecv  atomic.Uint64
+	// Recv counts received messages by delivery path; their sum is the
+	// snapshot's MsgsRecv.
+	Recv      [NumRecvPaths]atomic.Uint64
 	BytesRecv atomic.Uint64
+
+	// WaitsParked counts the runtime's synchronization waits that found
+	// their reply still missing after polling and blocked.
+	WaitsParked atomic.Uint64
 
 	// Flushes counts write calls into the socket on transports that
 	// batch frames into buffered writes. MsgsSent/Flushes is the mean
@@ -114,9 +136,10 @@ func (s *NetStats) CountSend(wire int) {
 	s.BytesSent.Add(uint64(wire))
 }
 
-// CountRecv records one received message of the given wire footprint.
-func (s *NetStats) CountRecv(wire int) {
-	s.MsgsRecv.Add(1)
+// CountRecv records one message of the given wire footprint received
+// along path.
+func (s *NetStats) CountRecv(path RecvPath, wire int) {
+	s.Recv[path].Add(1)
 	s.BytesRecv.Add(uint64(wire))
 }
 
@@ -153,8 +176,8 @@ func (s *NetStats) Snapshot() NetSnapshot {
 	snap := NetSnapshot{
 		MsgsSent:         s.MsgsSent.Load(),
 		BytesSent:        s.BytesSent.Load(),
-		MsgsRecv:         s.MsgsRecv.Load(),
 		BytesRecv:        s.BytesRecv.Load(),
+		WaitsParked:      s.WaitsParked.Load(),
 		Flushes:          s.Flushes.Load(),
 		Reconnects:       s.Reconnects.Load(),
 		Backoffs:         s.Backoffs.Load(),
@@ -165,6 +188,10 @@ func (s *NetStats) Snapshot() NetSnapshot {
 	for i := range snap.Faults {
 		snap.Faults[i] = s.Faults[i].Load()
 	}
+	snap.RecvDirect = s.Recv[RecvDirect].Load()
+	snap.RecvPolled = s.Recv[RecvPolled].Load()
+	snap.RecvPumped = s.Recv[RecvPumped].Load()
+	snap.MsgsRecv = snap.RecvDirect + snap.RecvPolled + snap.RecvPumped
 	return snap
 }
 
@@ -173,6 +200,11 @@ type NetSnapshot struct {
 	MsgsSent, BytesSent uint64
 	MsgsRecv, BytesRecv uint64
 	Flushes             uint64
+
+	// MsgsRecv by delivery path (see RecvPath): they sum to MsgsRecv.
+	RecvDirect, RecvPolled, RecvPumped uint64
+	// WaitsParked counts synchronization waits that blocked.
+	WaitsParked uint64
 
 	// Connection-supervision counters (transports with reconnect).
 	Reconnects, Backoffs          uint64
@@ -195,6 +227,10 @@ func (s NetSnapshot) Add(o NetSnapshot) NetSnapshot {
 		MsgsRecv:         s.MsgsRecv + o.MsgsRecv,
 		BytesRecv:        s.BytesRecv + o.BytesRecv,
 		Flushes:          s.Flushes + o.Flushes,
+		RecvDirect:       s.RecvDirect + o.RecvDirect,
+		RecvPolled:       s.RecvPolled + o.RecvPolled,
+		RecvPumped:       s.RecvPumped + o.RecvPumped,
+		WaitsParked:      s.WaitsParked + o.WaitsParked,
 		Reconnects:       s.Reconnects + o.Reconnects,
 		Backoffs:         s.Backoffs + o.Backoffs,
 		Retransmits:      s.Retransmits + o.Retransmits,

@@ -18,9 +18,12 @@
 //     Perfetto (see WriteChromeTrace).
 //
 // All hot-path entry points are allocation-free. Config chooses only
-// what is recorded beyond the counts: an untimed bracket costs one
-// atomic counter add (two on a fast-path hit) and no clock read; a timed
-// one adds two clock reads and a histogram update.
+// what is recorded beyond the counts: an untimed End is one atomic
+// counter add and no clock read; a timed one adds two clock reads and a
+// histogram update. A caller that owns a space's operations on one
+// goroutine can skip End for the untimed ones altogether: it tallies
+// them in plain memory and adds the tally with Fold now and then (the
+// runtime does this for bracket hits).
 //
 // Snapshots (Metrics, NetSnapshot, Histogram) are plain values safe to
 // copy, compare and aggregate; live state (Recorder, NetStats) is
@@ -231,6 +234,29 @@ func (r *Recorder) End(op Op, space int, begin int64) {
 func (r *Recorder) FastHit(op Op, space int) {
 	if p := r.spaces.Load(); p != nil && space >= 0 && space < len(*p) {
 		(*p)[space].fast[op].Add(1)
+	}
+}
+
+// Fold adds counts tallied outside the recorder to space's counters:
+// ops counts operations, fast the subset that hit the fast path. A
+// caller that owns a space's untimed operations (one application
+// thread) tallies them in plain memory and folds now and then, instead
+// of paying End's atomic add per operation. Zero-allocation.
+func (r *Recorder) Fold(space int, ops, fast *OpCounts) {
+	p := r.spaces.Load()
+	if p == nil || space < 0 || space >= len(*p) {
+		return
+	}
+	sc := (*p)[space]
+	for op, n := range ops {
+		if n != 0 {
+			sc.ops[op].Add(n)
+		}
+	}
+	for op, n := range fast {
+		if n != 0 {
+			sc.fast[op].Add(n)
+		}
 	}
 }
 

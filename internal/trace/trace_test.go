@@ -194,7 +194,7 @@ func TestZeroAllocationBrackets(t *testing.T) {
 	var ns NetStats
 	if n := testing.AllocsPerRun(100, func() {
 		ns.CountSend(64)
-		ns.CountRecv(64)
+		ns.CountRecv(RecvPumped, 64)
 		ns.ObserveDeliver(ns.SendStamp())
 	}); n != 0 {
 		t.Errorf("net counters allocate %v times", n)
@@ -236,10 +236,16 @@ func TestNetStats(t *testing.T) {
 	var s NetStats
 	s.CountSend(100)
 	s.CountSend(50)
-	s.CountRecv(100)
+	s.CountRecv(RecvDirect, 100)
+	s.CountRecv(RecvPolled, 10)
+	s.CountRecv(RecvPumped, 20)
+	s.CountRecv(RecvPumped, 30)
 	snap := s.Snapshot()
-	if snap.MsgsSent != 2 || snap.BytesSent != 150 || snap.MsgsRecv != 1 || snap.BytesRecv != 100 {
+	if snap.MsgsSent != 2 || snap.BytesSent != 150 || snap.MsgsRecv != 4 || snap.BytesRecv != 160 {
 		t.Errorf("snapshot: %+v", snap)
+	}
+	if snap.RecvDirect != 1 || snap.RecvPolled != 1 || snap.RecvPumped != 2 {
+		t.Errorf("receive paths: %+v", snap)
 	}
 	// Sampling off: stamps are zero and observations ignored.
 	if s.SendStamp() != 0 {
