@@ -258,3 +258,75 @@ func TestUpdateLateJoiner(t *testing.T) {
 		return nil
 	})
 }
+
+// TestDirtyWritesSurviveCollectives: a home write still on the dirty
+// list when a space-wide collective runs must reach its sharers — the
+// collective's FlushSpace ships it — and must not leave the region
+// marked so that later writes are never pushed. Checkpoint flushes every
+// space; MigrateHome of a different region flushes the whole space too.
+func TestDirtyWritesSurviveCollectives(t *testing.T) {
+	collectives := []struct {
+		name string
+		run  func(p *core.Proc, sp *core.Space, other core.RegionID) error
+	}{
+		{"checkpoint", func(p *core.Proc, sp *core.Space, other core.RegionID) error {
+			_, err := p.Checkpoint(1)
+			return err
+		}},
+		{"migrate_other", func(p *core.Proc, sp *core.Space, other core.RegionID) error {
+			return p.MigrateHome(sp, other, 1)
+		}},
+	}
+	for _, proto := range []string{"staticupdate", "update", "writethrough"} {
+		for _, c := range collectives {
+			t.Run(proto+"/"+c.name, func(t *testing.T) {
+				run(t, 2, proto, func(p *core.Proc) error {
+					sp := p.DefaultSpace()
+					var id, other core.RegionID
+					if p.ID() == 0 {
+						id = p.GMalloc(sp, 8)
+						other = p.GMalloc(sp, 8)
+					}
+					id = p.BroadcastID(0, id)
+					other = p.BroadcastID(0, other)
+					r := p.Map(id)
+					write := func(v int64) {
+						if p.ID() == 0 {
+							p.StartWrite(r)
+							r.Data.SetInt64(0, v)
+							p.EndWrite(r)
+						}
+					}
+					check := func(want int64) error {
+						if p.ID() == 1 {
+							p.StartRead(r)
+							got := r.Data.Int64(0)
+							p.EndRead(r)
+							if got != want {
+								return fmt.Errorf("sharer read %d, want %d", got, want)
+							}
+						}
+						p.Barrier(sp)
+						return nil
+					}
+					write(1)
+					p.Barrier(sp)
+					if err := check(1); err != nil {
+						return err
+					}
+					write(2)
+					if err := c.run(p, sp, other); err != nil {
+						return err
+					}
+					p.Barrier(sp)
+					if err := check(2); err != nil {
+						return err
+					}
+					write(3)
+					p.Barrier(sp)
+					return check(3)
+				})
+			})
+		}
+	}
+}
