@@ -12,9 +12,9 @@ GO ?= go
 # scheduler goroutine runs beside senders, Kill and Quiesce.
 RACE_PKGS = ./internal/trace ./internal/core ./internal/memory ./internal/amnet ./internal/faultnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway
 
-.PHONY: ci vet build test bench-test race fuzz-smoke bench-compare bench-allocs chaos-smoke cluster-smoke gate-smoke
+.PHONY: ci vet build test bench-test race fuzz-smoke bench-compare bench-allocs chaos-smoke cluster-smoke gate-smoke examples-smoke
 
-ci: vet build test bench-test race fuzz-smoke bench-allocs chaos-smoke cluster-smoke gate-smoke
+ci: vet build test bench-test race fuzz-smoke bench-allocs chaos-smoke cluster-smoke gate-smoke examples-smoke
 
 vet:
 	$(GO) vet ./...
@@ -114,3 +114,16 @@ bench-allocs:
 			if ($$(NF-1) + 0 != 0) { print "FAIL: allocates: " $$0; bad = 1 } } \
 		END { n = split("BenchmarkBracket/disabled BenchmarkBracket/metrics BenchmarkBracket/mapped BenchmarkCollectives/GlobalBarrier/procs=4", want, " "); \
 			for (i = 1; i <= n; i++) if (!(want[i] in seen)) { print "FAIL: no " want[i] " result"; bad = 1 } exit bad }'
+
+# examples-smoke runs two public-API examples end to end: customproto, a
+# protocol built from the proto package's building blocks, must end with
+# its success line, and quickstart must count every increment under
+# both protocols.
+examples-smoke:
+	@out=$$($(GO) run ./examples/customproto 2>&1); status=$$?; echo "$$out"; \
+	if [ $$status -ne 0 ] || [ "$$(echo "$$out" | tail -n 1)" != "custom protocol ran correctly" ]; then \
+		echo "FAIL: examples/customproto"; exit 1; fi
+	@out=$$($(GO) run ./examples/quickstart 2>&1); status=$$?; echo "$$out"; \
+	if [ $$status -ne 0 ] || ! echo "$$out" | grep -q 'counter = 400 (want 400)' || \
+		! echo "$$out" | grep -q 'counter = 800 (want 800)'; then \
+		echo "FAIL: examples/quickstart"; exit 1; fi

@@ -9,7 +9,9 @@
 //
 // Protocols receive full access control: hooks before and after reads and
 // writes and at synchronization points, with ctx.* providing the messaging
-// and waiter substrate (Section 3.2).
+// and waiter substrate (Section 3.2). The protocol library's building
+// blocks (package proto, blocks.go) package the common mechanisms on top
+// of it; this protocol is built from two of them.
 //
 // Run: go run ./examples/customproto
 package main
@@ -22,6 +24,7 @@ import (
 
 	"github.com/acedsm/ace"
 	"github.com/acedsm/ace/internal/amnet"
+	"github.com/acedsm/ace/proto"
 )
 
 // traceProto is a simple custom protocol: a verified-fetch protocol for
@@ -29,9 +32,12 @@ import (
 // accesses; writes must be home-local (it is a read-mostly protocol);
 // barriers self-invalidate cached copies so each phase re-reads fresh
 // data. It demonstrates the pieces a protocol designer combines: local
-// state, one message verb, a waiter, and per-space instance fields.
+// state, per-space instance fields, and two building blocks — a
+// proto.Fetcher for the one message verb (Pull on the reader, Serve at
+// the home) and proto.SelfInvalidate at barriers.
 type traceProto struct {
 	ace.Base
+	fetch                  proto.Fetcher
 	reads, writes, fetches atomic.Int64
 }
 
@@ -39,17 +45,15 @@ const verbFetch = 1
 
 func (t *traceProto) Name() string { return "trace" }
 
+// StartRead pulls a copy from the home unless it holds a valid one;
+// a pull that fetched leaves the copy's State changed.
 func (t *traceProto) StartRead(ctx *ace.Ctx, r *ace.Region) {
 	t.reads.Add(1)
-	if r.IsHome() || r.State == 1 {
-		return
+	before := r.State
+	t.fetch.Pull(ctx, r)
+	if r.State != before {
+		t.fetches.Add(1)
 	}
-	t.fetches.Add(1)
-	seq := ctx.NewWaiter()
-	ctx.SendProto(r.Home, uint64(r.ID), seq, verbFetch, uint64(r.Space.ID), nil)
-	m := ctx.Wait(seq)
-	copy(r.Data, m.Payload)
-	r.State = 1
 }
 
 func (t *traceProto) StartWrite(ctx *ace.Ctx, r *ace.Region) {
@@ -60,18 +64,14 @@ func (t *traceProto) StartWrite(ctx *ace.Ctx, r *ace.Region) {
 }
 
 func (t *traceProto) Barrier(ctx *ace.Ctx, sp *ace.Space) {
-	ctx.ForEachRegion(sp, func(r *ace.Region) {
-		if !r.IsHome() {
-			r.State = 0
-		}
-	})
+	proto.SelfInvalidate(ctx, sp)
 	ctx.DefaultBarrier()
 }
 
 func (t *traceProto) Deliver(ctx *ace.Ctx, sp *ace.Space, r *ace.Region, m amnet.Msg) {
 	switch m.C {
 	case verbFetch:
-		ctx.SendComplete(m.Src, m.B, 0, r.Data)
+		t.fetch.Serve(ctx, r, m)
 	default:
 		panic(fmt.Sprintf("trace protocol: bad verb %d", m.C))
 	}
@@ -83,7 +83,7 @@ func main() {
 	reg := ace.NewRegistry()
 	info := ace.Info{
 		Name:        "trace",
-		New:         func() ace.Protocol { return &traceProto{} },
+		New:         func() ace.Protocol { return &traceProto{fetch: proto.Fetcher{Verb: verbFetch}} },
 		Optimizable: true,
 		Null: ace.PointSet(0).
 			With(ace.PointMap).

@@ -23,7 +23,7 @@ import (
 func AtomicInfo() core.Info {
 	return core.Info{
 		Name:        "atomic",
-		New:         func() core.Protocol { return &atomicProto{} },
+		New:         func() core.Protocol { return newAtomic() },
 		Optimizable: false, // RMW sections are ordering-sensitive
 		Null: core.PointSet(0).
 			With(core.PointMap).
@@ -46,23 +46,24 @@ type atHome struct {
 	waiting []core.PendingReq
 }
 
+// atomicProto's drain counts the releases this processor has shipped
+// but the home has not yet processed.
 type atomicProto struct {
 	core.Base
-	outstanding int
-	drainSeq    uint64
+	acq   Fetcher // atAcq: queue for the region and fetch it
+	get   Fetcher // atGet: fetch a snapshot
+	drain Drain
+}
+
+func newAtomic() *atomicProto {
+	return &atomicProto{acq: Fetcher{Verb: atAcq}, get: Fetcher{Verb: atGet}}
 }
 
 func (a *atomicProto) Name() string { return "atomic" }
 
-func (a *atomicProto) RegionCreated(ctx *core.Ctx, r *core.Region) {
-	if r.IsHome() {
-		r.Dir.PData = &atHome{holder: -1}
-	}
-}
-
 // atHomeState returns the home-side queue, creating it lazily (regions
-// can enter the protocol through ChangeProtocol, which resets directory
-// state).
+// can also enter the protocol through ChangeProtocol, which resets
+// directory state).
 func atHomeState(r *core.Region) *atHome {
 	h, _ := r.Dir.PData.(*atHome)
 	if h == nil {
@@ -82,18 +83,14 @@ func (a *atomicProto) StartWrite(ctx *core.Ctx, r *core.Region) {
 			h.holder = ctx.ID()
 			return // the home copy is authoritative
 		}
+		// Queue behind the holder; the home copy is authoritative
+		// again once release hands the queue here.
 		seq := ctx.NewWaiter()
 		h.waiting = append(h.waiting, core.PendingReq{Src: ctx.ID(), Seq: seq})
-		m := ctx.Wait(seq)
-		copy(r.Data, m.Payload)
-		ctx.Recycle(m.Payload)
+		ctx.Wait(seq)
 		return
 	}
-	seq := ctx.NewWaiter()
-	ctx.SendProto(r.Home, uint64(r.ID), seq, atAcq, uint64(r.Space.ID), nil)
-	m := ctx.Wait(seq)
-	copy(r.Data, m.Payload)
-	ctx.Recycle(m.Payload)
+	a.acq.Fetch(ctx, r)
 }
 
 // EndWrite ships the contents back and releases the queue asynchronously;
@@ -103,7 +100,7 @@ func (a *atomicProto) EndWrite(ctx *core.Ctx, r *core.Region) {
 		a.release(ctx, r, ctx.ID())
 		return
 	}
-	a.outstanding++
+	a.drain.Add(1)
 	ctx.SendProto(r.Home, uint64(r.ID), 0, atRel, uint64(r.Space.ID), r.Data)
 }
 
@@ -123,7 +120,7 @@ func (a *atomicProto) release(ctx *core.Ctx, r *core.Region, from amnet.NodeID) 
 	h.waiting = h.waiting[1:]
 	h.holder = next.Src
 	if next.Src == ctx.ID() {
-		ctx.Complete(next.Seq, amnet.Msg{Payload: append([]byte(nil), r.Data...)})
+		ctx.Complete(next.Seq, amnet.Msg{})
 		return
 	}
 	ctx.SendComplete(next.Src, next.Seq, 0, r.Data)
@@ -131,31 +128,18 @@ func (a *atomicProto) release(ctx *core.Ctx, r *core.Region, from amnet.NodeID) 
 
 // StartRead fetches a fresh snapshot from the home.
 func (a *atomicProto) StartRead(ctx *core.Ctx, r *core.Region) {
-	if r.IsHome() {
-		return
+	if !r.IsHome() {
+		a.get.Fetch(ctx, r)
 	}
-	seq := ctx.NewWaiter()
-	ctx.SendProto(r.Home, uint64(r.ID), seq, atGet, uint64(r.Space.ID), nil)
-	m := ctx.Wait(seq)
-	copy(r.Data, m.Payload)
-	ctx.Recycle(m.Payload)
 }
 
 func (a *atomicProto) Barrier(ctx *core.Ctx, sp *core.Space) {
-	a.drain(ctx)
+	a.drain.Wait(ctx)
 	ctx.DefaultBarrier()
 }
 
 func (a *atomicProto) FlushSpace(ctx *core.Ctx, sp *core.Space) {
-	a.drain(ctx)
-}
-
-func (a *atomicProto) drain(ctx *core.Ctx) {
-	if a.outstanding == 0 {
-		return
-	}
-	a.drainSeq = ctx.NewWaiter()
-	ctx.Wait(a.drainSeq)
+	a.drain.Wait(ctx)
 }
 
 // FastBits: only home reads are hit-eligible — home StartRead returns
@@ -179,7 +163,7 @@ func (a *atomicProto) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Region, m a
 		h := atHomeState(r)
 		if h.holder < 0 {
 			h.holder = m.Src
-			ctx.SendComplete(m.Src, m.B, 0, r.Data)
+			a.acq.Serve(ctx, r, m)
 			return
 		}
 		h.waiting = append(h.waiting, core.PendingReq{Src: m.Src, Seq: m.B})
@@ -188,14 +172,9 @@ func (a *atomicProto) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Region, m a
 		ctx.SendProto(m.Src, m.A, 0, atRelAck, m.D, nil)
 		a.release(ctx, r, m.Src)
 	case atRelAck:
-		a.outstanding--
-		if a.outstanding == 0 && a.drainSeq != 0 {
-			seq := a.drainSeq
-			a.drainSeq = 0
-			ctx.Complete(seq, amnet.Msg{})
-		}
+		a.drain.Ack(ctx)
 	case atGet:
-		ctx.SendComplete(m.Src, m.B, 0, r.Data)
+		a.get.Serve(ctx, r, m)
 	default:
 		panic(fmt.Sprintf("proto: atomic: bad verb %d", m.C))
 	}

@@ -11,60 +11,103 @@ import (
 // paper's Section 6 ("Protocol development would also be facilitated by
 // the creation of a library of protocol building blocks ... We are
 // currently attempting to isolate the primitives needed for such a
-// library."). The blocks isolate the three mechanisms every protocol in
-// this library is built from:
+// library."). The protocols in this package are built from five blocks,
+// so each coherence mechanism is written once:
 //
 //   - Fetcher: a request/reply fetch of a region's contents from its
-//     home, optionally registering the requester in the home's sharer
-//     set;
+//     home, and the home side that serves it — optionally registering
+//     the requester as a sharer, and deferring while the home writes;
 //   - Drain: an outstanding-acknowledgement counter a processor can block
 //     on, the substrate of every split-phase (pipelined) operation;
-//   - SelfInvalidator: dropping locally cached copies of a space at a
+//   - DirtyList: the regions written since the last synchronization
+//     point, shipped there and kept consistent across a home migration;
+//   - PushSink: the sharer side of a barrier-time push frame, deferring
+//     records for regions the local thread holds open and acknowledging
+//     the frame once;
+//   - SelfInvalidate: dropping locally cached copies of a space at a
 //     synchronization point.
 //
-// The writethrough protocol below is written entirely from these blocks;
-// the hand-written protocols in this package predate the block library
-// and spell the same patterns out longhand.
+// What no two protocols share stays in the protocol: pipeline's
+// whole-message deferral at the home, atomic's home queue, migratory's
+// ownership transfer and update's writer-frame transaction.
 
-// Fetcher serves and issues whole-region fetches over a pair of verbs.
-// Embed one per protocol and give it two verb numbers from the protocol's
-// verb space.
+// Local cache states shared by the pull-based protocols. A region
+// starts (and is reset by the runtime to) stInvalid.
+const (
+	stInvalid int32 = iota
+	stValid
+)
+
+// Fetcher issues and serves whole-region fetches over one protocol verb:
+// the requester sends Verb with a waiter in B, and the home replies with
+// a completion carrying the region contents. Keep one per fetch verb.
 type Fetcher struct {
-	// ReqVerb and the implicit completion path define the wire protocol:
-	// requester sends ReqVerb with a waiter in B; the home replies with a
-	// completion carrying the region contents.
-	ReqVerb uint64
-	// RegisterSharer controls whether the home records the requester in
-	// the region's directory sharer set (update-family protocols want
-	// this; pull-only protocols do not).
-	RegisterSharer bool
+	Verb uint64
 }
 
-// Fetch blocks until the region's home contents are installed locally.
-// Call from StartRead/StartWrite hooks (application thread).
+// Fetch makes one round trip to r's home, installs the reply in r.Data
+// and recycles the payload. Call from the application thread.
 func (f *Fetcher) Fetch(ctx *core.Ctx, r *core.Region) {
 	seq := ctx.NewWaiter()
-	ctx.SendProto(r.Home, uint64(r.ID), seq, f.ReqVerb, uint64(r.Space.ID), nil)
+	ctx.SendProto(r.Home, uint64(r.ID), seq, f.Verb, uint64(r.Space.ID), nil)
 	m := ctx.Wait(seq)
 	copy(r.Data, m.Payload)
 	ctx.Recycle(m.Payload)
 }
 
-// Serve handles the home side of a fetch; call from Deliver when m.C ==
-// ReqVerb.
+// Pull makes r readable: nothing at the home or on a valid copy,
+// otherwise a Fetch that leaves the copy stValid.
+func (f *Fetcher) Pull(ctx *core.Ctx, r *core.Region) {
+	if r.IsHome() || r.State == stValid {
+		return
+	}
+	f.Fetch(ctx, r)
+	r.State = stValid
+}
+
+// Serve replies to a fetch at the home; call from Deliver when m.C ==
+// Verb.
 func (f *Fetcher) Serve(ctx *core.Ctx, r *core.Region, m amnet.Msg) {
-	if r == nil || !r.IsHome() {
-		panic(fmt.Sprintf("proto: fetch served off-home for %v", core.RegionID(m.A)))
-	}
-	if f.RegisterSharer {
-		r.Dir.Sharers.Add(m.Src)
-	}
+	f.mustHome(r, m)
 	ctx.SendComplete(m.Src, m.B, 0, r.Data)
 }
 
+// ServeSharer is Serve for the push protocols: the requester joins r's
+// sharer set. While the home itself holds r in a write section the
+// contents are mid-update, so the request queues on r.Dir.Waiting until
+// ServeDeferred.
+func (f *Fetcher) ServeSharer(ctx *core.Ctx, r *core.Region, m amnet.Msg) {
+	f.mustHome(r, m)
+	if r.Writers() > 0 {
+		r.Dir.Waiting = append(r.Dir.Waiting, core.PendingReq{Src: m.Src, Seq: m.B})
+		return
+	}
+	r.Dir.Sharers.Add(m.Src)
+	ctx.SendComplete(m.Src, m.B, 0, r.Data)
+}
+
+func (f *Fetcher) mustHome(r *core.Region, m amnet.Msg) {
+	if r == nil || !r.IsHome() {
+		panic(fmt.Sprintf("proto: fetch verb %d served off-home for %v", f.Verb, core.RegionID(m.A)))
+	}
+}
+
+// ServeDeferred answers the fetches ServeSharer queued, once the home's
+// last write section on r has closed.
+func (f *Fetcher) ServeDeferred(ctx *core.Ctx, r *core.Region) {
+	if r.Writers() > 0 || len(r.Dir.Waiting) == 0 {
+		return
+	}
+	for _, req := range r.Dir.Waiting {
+		r.Dir.Sharers.Add(req.Src)
+		ctx.SendComplete(req.Src, req.Seq, 0, r.Data)
+	}
+	r.Dir.Waiting = nil
+}
+
 // Drain counts outstanding acknowledgements and lets the application
-// thread block until they all arrive — the split-phase substrate used by
-// the pipeline, update and static update protocols' barriers.
+// thread block until they all arrive — the split-phase substrate of
+// every protocol that ships work ahead of a barrier.
 type Drain struct {
 	outstanding int
 	waitSeq     uint64
@@ -99,182 +142,131 @@ func (d *Drain) Wait(ctx *core.Ctx) {
 	ctx.Wait(d.waitSeq)
 }
 
+// flagDirty is the Region.Flags bit marking a region on a DirtyList. A
+// Flags bit, not PState: a sharer that writes can hold a deferred
+// inbound push in PState at the same time.
+const flagDirty uint32 = 1 << 0
+
+// DirtyList collects the regions written since the last synchronization
+// point, each once. Embedding it makes the protocol a core.HomeMigrator.
+type DirtyList struct {
+	regions []*core.Region
+}
+
+// Mark puts r on the list unless it is already there.
+func (d *DirtyList) Mark(r *core.Region) {
+	if r.Flags&flagDirty == 0 {
+		r.Flags |= flagDirty
+		d.regions = append(d.regions, r)
+	}
+}
+
+// Take empties the list and returns its regions, marks cleared. The
+// slice is valid until the next Mark.
+func (d *DirtyList) Take() []*core.Region {
+	rs := d.regions
+	for _, r := range rs {
+		r.Flags &^= flagDirty
+	}
+	d.regions = rs[:0]
+	return rs
+}
+
+// MigrateRegion (core.HomeMigrator) drops r from the list if the
+// pre-flip flush somehow left it there: a stale entry would ship the
+// next synchronization point's data to or from a home that moved away.
+// Directory state needs no action — the runtime's base-state reset
+// cleared it on both homes, and readers re-register at the new one.
+func (d *DirtyList) MigrateRegion(ctx *core.Ctx, r *core.Region, oldHome, newHome amnet.NodeID) {
+	for i, x := range d.regions {
+		if x == r {
+			d.regions = append(d.regions[:i], d.regions[i+1:]...)
+			return
+		}
+	}
+}
+
+// PushSink applies inbound push frames on a sharer. Each frame is
+// acknowledged by one AckVerb message echoing the frame's tag in B.
+// Records for regions the local thread holds in an open section are
+// deferred in PState and installed by Settle when the section closes;
+// the frame's ack goes out after its last deferred record.
+type PushSink struct {
+	AckVerb uint64
+}
+
+// pushPend is a push deferred while its region was in a section.
+type pushPend struct {
+	payload []byte
+	frames  []*pushFrame // push frames this region holds up
+}
+
+// pushFrame tracks one partially deferred inbound push frame.
+type pushFrame struct {
+	src   amnet.NodeID
+	space uint64
+	tag   uint64
+	left  int
+}
+
+// Apply installs one push frame's records (call from DeliverBatch) and
+// acknowledges it, unless a record had to be deferred.
+func (s *PushSink) Apply(ctx *core.Ctx, sp *core.Space, src amnet.NodeID, tag uint64, recs []core.BatchRecord) {
+	var pf *pushFrame
+	for _, rec := range recs {
+		r := rec.R
+		if !r.InUse() {
+			copy(r.Data, rec.Data)
+			r.State = stValid
+			continue
+		}
+		if pf == nil {
+			pf = &pushFrame{src: src, space: uint64(sp.ID), tag: tag}
+		}
+		pf.left++
+		pend, _ := r.PState.(*pushPend)
+		if pend == nil {
+			pend = &pushPend{}
+			r.PState = pend
+		}
+		pend.payload = append(pend.payload[:0], rec.Data...)
+		pend.frames = append(pend.frames, pf)
+	}
+	if pf == nil {
+		ctx.SendProto(src, 0, tag, s.AckVerb, uint64(sp.ID), nil)
+	}
+}
+
+// Settle installs r's deferred push once its last section has closed,
+// acknowledging each frame whose last deferred record this was. Call
+// from the end-section hooks.
+func (s *PushSink) Settle(ctx *core.Ctx, r *core.Region) {
+	pend, _ := r.PState.(*pushPend)
+	if pend == nil || r.InUse() {
+		return
+	}
+	r.PState = nil
+	copy(r.Data, pend.payload)
+	r.State = stValid
+	for _, pf := range pend.frames {
+		pf.left--
+		if pf.left == 0 {
+			ctx.SendProto(pf.src, 0, pf.tag, s.AckVerb, pf.space, nil)
+		}
+	}
+}
+
 // SelfInvalidate drops every locally cached (non-home) copy in the space
-// by resetting its protocol state to zero. Protocols whose readers
-// re-fetch on state zero call this at barriers. Each copy's fast-path
-// bits are withdrawn first: this is a bulk coherence mutation outside
-// any Deliver, so the runtime will not withdraw them for us (see
+// by resetting its protocol state to stInvalid. Protocols whose readers
+// re-fetch on an invalid copy call this at barriers. Each copy's
+// fast-path bits are withdrawn first: this is a bulk coherence mutation
+// outside any Deliver, so the runtime will not withdraw them for us (see
 // core.FastPather).
 func SelfInvalidate(ctx *core.Ctx, sp *core.Space) {
 	ctx.ForEachRegion(sp, func(r *core.Region) {
 		if !r.IsHome() {
 			ctx.DisableFast(r)
-			r.State = 0
+			r.State = stInvalid
 		}
 	})
-}
-
-// ---------------------------------------------------------------------
-// writethrough: a protocol composed from the blocks.
-// ---------------------------------------------------------------------
-
-// WriteThroughInfo returns the registry entry for the write-through
-// protocol: every completed write section ships the region home at the
-// next synchronization point (split-phase, drained at barriers); readers
-// pull on demand and self-invalidate at barriers. It suits data with
-// scattered writers and phase-structured readers — a simpler cousin of
-// the dynamic update protocol for cases with few readers, where pushing
-// updates to sharers would waste bandwidth.
-func WriteThroughInfo() core.Info {
-	return core.Info{
-		Name:        "writethrough",
-		New:         func() core.Protocol { return newWriteThrough() },
-		Optimizable: true,
-		Null: core.PointSet(0).
-			With(core.PointMap).
-			With(core.PointUnmap).
-			With(core.PointEndRead),
-	}
-}
-
-// Protocol verbs.
-const (
-	wtFetch uint64 = iota + 1 // reader → home: pull contents
-	wtStore                   // writer → home frame: install contents
-	wtAck                     // home → writer: frame installed
-)
-
-type writeThrough struct {
-	core.Base
-	fetch Fetcher
-	drain Drain
-	// EndWrite marks the region dirty and the store ships at the next
-	// synchronization point as one wtStore frame per home, each
-	// acknowledged once.
-	dirty []*core.Region
-	batch *core.ProtoBatcher
-}
-
-// wtFlagDirty marks a region on the dirty list.
-const wtFlagDirty = 1 << 0
-
-func newWriteThrough() *writeThrough {
-	return &writeThrough{fetch: Fetcher{ReqVerb: wtFetch}}
-}
-
-func (w *writeThrough) Name() string { return "writethrough" }
-
-func (w *writeThrough) StartRead(ctx *core.Ctx, r *core.Region) {
-	if r.IsHome() || r.State == duValid {
-		return
-	}
-	w.fetch.Fetch(ctx, r)
-	r.State = duValid
-}
-
-// StartWrite fetches current contents so partial-region writes are sound
-// (a writer may touch a few slots only).
-func (w *writeThrough) StartWrite(ctx *core.Ctx, r *core.Region) {
-	if r.IsHome() || r.State == duValid {
-		return
-	}
-	w.fetch.Fetch(ctx, r)
-	r.State = duValid
-}
-
-// EndWrite queues the contents for home, split-phase: the store ships at
-// the next synchronization point, coalesced with every other store bound
-// for the same home (mid-phase readers see the pre-write value, which
-// the protocol's barrier-scoped read validity permits).
-func (w *writeThrough) EndWrite(ctx *core.Ctx, r *core.Region) {
-	if r.IsHome() {
-		return
-	}
-	if r.Flags&wtFlagDirty == 0 {
-		r.Flags |= wtFlagDirty
-		w.dirty = append(w.dirty, r)
-	}
-}
-
-// shipDirty flushes the dirty regions as one wtStore frame per home.
-func (w *writeThrough) shipDirty(ctx *core.Ctx, sp *core.Space) {
-	if len(w.dirty) == 0 {
-		return
-	}
-	if w.batch == nil {
-		w.batch = ctx.NewBatcher(sp, wtStore)
-	}
-	for _, r := range w.dirty {
-		r.Flags &^= wtFlagDirty
-		w.batch.Add(r.Home, r)
-	}
-	w.dirty = w.dirty[:0]
-	w.drain.Add(w.batch.Flush(ctx, nil))
-}
-
-// DeliverBatch installs one writer's stores and acks the frame once.
-// Stores apply unconditionally (last writer wins; the protocol does not
-// defer at the home).
-func (w *writeThrough) DeliverBatch(ctx *core.Ctx, sp *core.Space, src amnet.NodeID, verb, tag uint64, recs []core.BatchRecord) {
-	if verb != wtStore {
-		panic(fmt.Sprintf("proto: writethrough: bad batch verb %d", verb))
-	}
-	for _, rec := range recs {
-		if !rec.R.IsHome() {
-			panic(fmt.Sprintf("proto: writethrough: batched store off-home for %v", rec.R.ID))
-		}
-		copy(rec.R.Data, rec.Data)
-	}
-	ctx.SendProto(src, 0, 0, wtAck, uint64(sp.ID), nil)
-}
-
-// Barrier ships dirty stores, drains them, self-invalidates, and
-// synchronizes.
-func (w *writeThrough) Barrier(ctx *core.Ctx, sp *core.Space) {
-	w.shipDirty(ctx, sp)
-	w.drain.Wait(ctx)
-	SelfInvalidate(ctx, sp)
-	ctx.DefaultBarrier()
-}
-
-func (w *writeThrough) FlushSpace(ctx *core.Ctx, sp *core.Space) {
-	w.shipDirty(ctx, sp)
-	w.drain.Wait(ctx)
-}
-
-// MigrateRegion (core.HomeMigrator) drops r from the dirty list if the
-// pre-flip flush somehow left it there: a stale entry would ship the
-// next synchronization point's wtStore to a home that moved away.
-func (w *writeThrough) MigrateRegion(ctx *core.Ctx, r *core.Region, oldHome, newHome amnet.NodeID) {
-	for i, d := range w.dirty {
-		if d == r {
-			w.dirty = append(w.dirty[:i], w.dirty[i+1:]...)
-			break
-		}
-	}
-}
-
-// FastBits: every bracket routine early-returns at the home (stores land
-// there directly), so home brackets of both kinds are hit-eligible. A
-// remote copy supports fast reads once valid; remote writes always put
-// the region on the dirty list from EndWrite and stay on the slow path.
-func (w *writeThrough) FastBits(r *core.Region) core.FastBits {
-	if r.IsHome() {
-		return core.FastRead | core.FastWrite
-	}
-	if r.State == duValid {
-		return core.FastRead
-	}
-	return 0
-}
-
-func (w *writeThrough) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Region, m amnet.Msg) {
-	switch m.C {
-	case wtFetch:
-		w.fetch.Serve(ctx, r, m)
-	case wtAck:
-		w.drain.Ack(ctx)
-	default:
-		panic(fmt.Sprintf("proto: writethrough: bad verb %d", m.C))
-	}
 }

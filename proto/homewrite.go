@@ -22,7 +22,7 @@ import (
 func HomeWriteInfo() core.Info {
 	return core.Info{
 		Name:        "homewrite",
-		New:         func() core.Protocol { return &homeWriteProto{} },
+		New:         func() core.Protocol { return &homeWriteProto{fetch: Fetcher{Verb: hwRead}} },
 		Optimizable: true,
 		Adapt: core.AdaptHints{
 			Adaptive:       true,
@@ -41,7 +41,10 @@ func HomeWriteInfo() core.Info {
 // Protocol verbs.
 const hwRead uint64 = 1 // remote → home: fetch (B=seq)
 
-type homeWriteProto struct{ core.Base }
+type homeWriteProto struct {
+	core.Base
+	fetch Fetcher
+}
 
 func (h *homeWriteProto) Name() string { return "homewrite" }
 
@@ -51,29 +54,14 @@ func (h *homeWriteProto) StartWrite(ctx *core.Ctx, r *core.Region) {
 	}
 }
 
-func (h *homeWriteProto) StartRead(ctx *core.Ctx, r *core.Region) {
-	if r.IsHome() || r.State == duValid {
-		return
-	}
-	seq := ctx.NewWaiter()
-	ctx.SendProto(r.Home, uint64(r.ID), seq, hwRead, uint64(r.Space.ID), nil)
-	m := ctx.Wait(seq)
-	copy(r.Data, m.Payload)
-	ctx.Recycle(m.Payload)
-	r.State = duValid
-}
+func (h *homeWriteProto) StartRead(ctx *core.Ctx, r *core.Region) { h.fetch.Pull(ctx, r) }
 
 // Barrier drops this processor's cached read copies and synchronizes.
 // Invalidating before arrival suffices: the copies are purely local, and
 // writers are home-local, so everything a post-barrier read fetches from a
 // home is the phase's final value.
 func (h *homeWriteProto) Barrier(ctx *core.Ctx, sp *core.Space) {
-	ctx.ForEachRegion(sp, func(r *core.Region) {
-		if !r.IsHome() {
-			ctx.DisableFast(r)
-			r.State = duInvalid
-		}
-	})
+	SelfInvalidate(ctx, sp)
 	ctx.DefaultBarrier()
 }
 
@@ -86,23 +74,20 @@ func (h *homeWriteProto) FastBits(r *core.Region) core.FastBits {
 	if r.IsHome() {
 		return core.FastRead | core.FastWrite
 	}
-	if r.State == duValid {
+	if r.State == stValid {
 		return core.FastRead
 	}
 	return 0
 }
 
 func (h *homeWriteProto) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Region, m amnet.Msg) {
-	if r == nil {
-		panic(fmt.Sprintf("proto: homewrite: proc %d: message %d for unknown region %v", ctx.ID(), m.C, core.RegionID(m.A)))
-	}
 	switch m.C {
 	case hwRead:
 		// Reply immediately: the protocol's phase discipline (writes in
 		// one phase, reads after the barrier) means no read overlaps a
 		// write section in a correct program, so end_write can stay a
 		// true null handler.
-		ctx.SendComplete(m.Src, m.B, 0, r.Data)
+		h.fetch.Serve(ctx, r, m)
 	default:
 		panic(fmt.Sprintf("proto: homewrite: bad verb %d", m.C))
 	}

@@ -21,7 +21,7 @@ import (
 func MigratoryInfo() core.Info {
 	return core.Info{
 		Name:        "migratory",
-		New:         func() core.Protocol { return &migratoryProto{} },
+		New:         func() core.Protocol { return &migratoryProto{fetch: Fetcher{Verb: mgReq}} },
 		Optimizable: false, // exclusive access ordering is semantically visible
 		Adapt:       core.AdaptHints{Adaptive: true, Pattern: core.PatternMigratory},
 		Null: core.PointSet(0).
@@ -58,7 +58,10 @@ const (
 	mgkHome
 )
 
-type migratoryProto struct{ core.Base }
+type migratoryProto struct {
+	core.Base
+	fetch Fetcher // mgReq: acquire ownership and the contents
+}
 
 func (m *migratoryProto) Name() string { return "migratory" }
 
@@ -81,11 +84,7 @@ func (m *migratoryProto) acquire(ctx *core.Ctx, r *core.Region) {
 		return
 	}
 	r.Flags |= mgFlagFetching
-	seq := ctx.NewWaiter()
-	ctx.SendProto(r.Home, uint64(r.ID), seq, mgReq, uint64(r.Space.ID), nil)
-	reply := ctx.Wait(seq)
-	copy(r.Data, reply.Payload)
-	ctx.Recycle(reply.Payload)
+	m.fetch.Fetch(ctx, r)
 	r.State = mgOwned
 	r.Flags &^= mgFlagFetching
 }

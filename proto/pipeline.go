@@ -23,7 +23,7 @@ import (
 func PipelineInfo() core.Info {
 	return core.Info{
 		Name:        "pipeline",
-		New:         func() core.Protocol { return &pipelineProto{} },
+		New:         func() core.Protocol { return &pipelineProto{fetch: Fetcher{Verb: ppRead}} },
 		Optimizable: true,
 		Null: core.PointSet(0).
 			With(core.PointMap).
@@ -39,10 +39,12 @@ const (
 	ppAck                    // home → writer: contribution combined
 )
 
+// pipelineProto's drain counts the contributions this processor has
+// shipped but the home has not yet combined.
 type pipelineProto struct {
 	core.Base
-	outstanding int
-	drainSeq    uint64
+	fetch Fetcher
+	drain Drain
 }
 
 // ppHome is the home-side per-region state: the authoritative bytes saved
@@ -55,17 +57,7 @@ type ppHome struct {
 
 func (p *pipelineProto) Name() string { return "pipeline" }
 
-func (p *pipelineProto) StartRead(ctx *core.Ctx, r *core.Region) {
-	if r.IsHome() || r.State == duValid {
-		return
-	}
-	seq := ctx.NewWaiter()
-	ctx.SendProto(r.Home, uint64(r.ID), seq, ppRead, uint64(r.Space.ID), nil)
-	m := ctx.Wait(seq)
-	copy(r.Data, m.Payload)
-	ctx.Recycle(m.Payload)
-	r.State = duValid
-}
+func (p *pipelineProto) StartRead(ctx *core.Ctx, r *core.Region) { p.fetch.Pull(ctx, r) }
 
 // StartWrite gives the section a zero-initialized scratch copy everywhere:
 // a write section's stores are contributions, combined additively at the
@@ -81,7 +73,7 @@ func (p *pipelineProto) StartWrite(ctx *core.Ctx, r *core.Region) {
 		return
 	}
 	clear(r.Data)
-	r.State = duInvalid // the scratch is not a readable copy
+	r.State = stInvalid // the scratch is not a readable copy
 }
 
 func (p *pipelineProto) EndWrite(ctx *core.Ctx, r *core.Region) {
@@ -104,7 +96,7 @@ func (p *pipelineProto) EndWrite(ctx *core.Ctx, r *core.Region) {
 		}
 		return
 	}
-	p.outstanding++
+	p.drain.Add(1)
 	ctx.SendProto(r.Home, uint64(r.ID), 0, ppAdd, uint64(r.Space.ID), r.Data)
 }
 
@@ -124,24 +116,13 @@ func ppHomeState(r *core.Region) *ppHome {
 // drains its own contributions before arriving, so post-barrier re-reads
 // observe the fully combined values.
 func (p *pipelineProto) Barrier(ctx *core.Ctx, sp *core.Space) {
-	if p.outstanding > 0 {
-		p.drainSeq = ctx.NewWaiter()
-		ctx.Wait(p.drainSeq)
-	}
-	ctx.ForEachRegion(sp, func(r *core.Region) {
-		if !r.IsHome() {
-			ctx.DisableFast(r)
-			r.State = duInvalid
-		}
-	})
+	p.drain.Wait(ctx)
+	SelfInvalidate(ctx, sp)
 	ctx.DefaultBarrier()
 }
 
 func (p *pipelineProto) FlushSpace(ctx *core.Ctx, sp *core.Space) {
-	if p.outstanding > 0 {
-		p.drainSeq = ctx.NewWaiter()
-		ctx.Wait(p.drainSeq)
-	}
+	p.drain.Wait(ctx)
 }
 
 // FastBits: read brackets are free at the home (StartRead and EndRead are
@@ -150,7 +131,7 @@ func (p *pipelineProto) FlushSpace(ctx *core.Ctx, sp *core.Space) {
 // never eligible: StartWrite swaps in scratch contents and EndWrite
 // combines or ships the contribution, on every processor.
 func (p *pipelineProto) FastBits(r *core.Region) core.FastBits {
-	if r.IsHome() || r.State == duValid {
+	if r.IsHome() || r.State == stValid {
 		return core.FastRead
 	}
 	return 0
@@ -170,7 +151,7 @@ func (p *pipelineProto) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Region, m
 			return
 		}
 		if m.C == ppRead {
-			ctx.SendComplete(m.Src, m.B, 0, r.Data)
+			p.fetch.Serve(ctx, r, m)
 			return
 		}
 		// Element-wise float64 combine into the authoritative copy.
@@ -181,12 +162,7 @@ func (p *pipelineProto) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Region, m
 		}
 		ctx.SendProto(m.Src, m.A, 0, ppAck, m.D, nil)
 	case ppAck:
-		p.outstanding--
-		if p.outstanding == 0 && p.drainSeq != 0 {
-			seq := p.drainSeq
-			p.drainSeq = 0
-			ctx.Complete(seq, amnet.Msg{})
-		}
+		p.drain.Ack(ctx)
 	default:
 		panic(fmt.Sprintf("proto: pipeline: bad verb %d", m.C))
 	}

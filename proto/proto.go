@@ -28,12 +28,15 @@
 //     readers pull on demand and self-invalidate at barriers (Blocked
 //     Sparse Cholesky).
 //   - "writethrough": completed write sections ship the region home
-//     split-phase; readers pull and self-invalidate at barriers. Built
-//     entirely from the protocol building blocks of Section 6 (see
-//     blocks.go).
+//     split-phase; readers pull and self-invalidate at barriers.
 //   - "racecheck": a data-race checking protocol in the spirit of Larus
 //     et al.'s LCM — the paper's Section 2.1 example of why full access
 //     control matters (handlers both before and after accesses).
+//
+// The protocols are assembled from the protocol building blocks the
+// paper's Section 6 proposes (blocks.go): Fetcher, Drain, DirtyList,
+// PushSink and SelfInvalidate. Each coherence mechanism is written once
+// there; a protocol file holds only what is particular to it.
 //
 // Each protocol's registry entry declares whether the compiler may
 // optimize its calls and which invocation points are null handlers, as in

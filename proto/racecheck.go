@@ -64,7 +64,7 @@ type raceCheck struct {
 }
 
 func newRaceCheck() *raceCheck {
-	return &raceCheck{fetch: Fetcher{ReqVerb: rcFetch}}
+	return &raceCheck{fetch: Fetcher{Verb: rcFetch}}
 }
 
 func (rc *raceCheck) Name() string { return "racecheck" }
@@ -82,10 +82,7 @@ func RaceViolations(sp *core.Space) int64 {
 }
 
 func (rc *raceCheck) StartRead(ctx *core.Ctx, r *core.Region) {
-	if !r.IsHome() && r.State != duValid {
-		rc.fetch.Fetch(ctx, r)
-		r.State = duValid
-	}
+	rc.fetch.Pull(ctx, r)
 	rc.drain.Add(1) // notifications are acknowledged via section close
 	ctx.SendProto(r.Home, uint64(r.ID), 0, rcOpen, uint64(r.Space.ID), nil)
 }
@@ -95,10 +92,7 @@ func (rc *raceCheck) EndRead(ctx *core.Ctx, r *core.Region) {
 }
 
 func (rc *raceCheck) StartWrite(ctx *core.Ctx, r *core.Region) {
-	if !r.IsHome() && r.State != duValid {
-		rc.fetch.Fetch(ctx, r)
-		r.State = duValid
-	}
+	rc.fetch.Pull(ctx, r)
 	rc.drain.Add(1)
 	ctx.SendProto(r.Home, uint64(r.ID), 1, rcOpen, uint64(r.Space.ID), nil)
 }

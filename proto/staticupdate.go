@@ -24,7 +24,7 @@ import (
 func StaticUpdateInfo() core.Info {
 	return core.Info{
 		Name:        "staticupdate",
-		New:         func() core.Protocol { return &staticUpdateProto{} },
+		New:         func() core.Protocol { return newStaticUpdate() },
 		Optimizable: true,
 		Adapt: core.AdaptHints{
 			Adaptive:       true,
@@ -47,42 +47,24 @@ const (
 	suPushAck                   // sharer → home: push frame applied
 )
 
-// staticUpdateProto is the per-(space, processor) instance.
+// staticUpdateProto is the per-(space, processor) instance. Its dirty
+// list holds the home regions written since the last barrier.
 type staticUpdateProto struct {
 	core.Base
-	dirty       []*core.Region // home regions written since the last barrier
-	outstanding int            // push frames shipped, not yet acknowledged
-	drainSeq    uint64
-	batch       *core.ProtoBatcher // barrier push frames (lazily created)
+	DirtyList
+	fetch Fetcher
+	sink  PushSink
+	drain Drain
+	batch *core.ProtoBatcher // barrier push frames (lazily created)
 }
 
-// suPend defers a push that arrived while the region was in a section.
-type suPend struct {
-	payload []byte
-	frames  []*suFrame // push frames this region holds up
-}
-
-// suFrame tracks one partially-deferred inbound push frame on a sharer:
-// the frame's single ack goes out once every deferred record applied.
-type suFrame struct {
-	src   amnet.NodeID
-	space uint64
-	left  int
+func newStaticUpdate() *staticUpdateProto {
+	return &staticUpdateProto{fetch: Fetcher{Verb: suRead}, sink: PushSink{AckVerb: suPushAck}}
 }
 
 func (s *staticUpdateProto) Name() string { return "staticupdate" }
 
-func (s *staticUpdateProto) StartRead(ctx *core.Ctx, r *core.Region) {
-	if r.IsHome() || r.State == duValid {
-		return
-	}
-	seq := ctx.NewWaiter()
-	ctx.SendProto(r.Home, uint64(r.ID), seq, suRead, uint64(r.Space.ID), nil)
-	m := ctx.Wait(seq)
-	copy(r.Data, m.Payload)
-	ctx.Recycle(m.Payload)
-	r.State = duValid
-}
+func (s *staticUpdateProto) StartRead(ctx *core.Ctx, r *core.Region) { s.fetch.Pull(ctx, r) }
 
 func (s *staticUpdateProto) StartWrite(ctx *core.Ctx, r *core.Region) {
 	if !r.IsHome() {
@@ -90,171 +72,66 @@ func (s *staticUpdateProto) StartWrite(ctx *core.Ctx, r *core.Region) {
 	}
 }
 
+// EndWrite marks the region dirty and serves sharer fetches that
+// arrived during the write section.
 func (s *staticUpdateProto) EndWrite(ctx *core.Ctx, r *core.Region) {
-	if r.PState == nil {
-		r.PState = markerDirty
-		s.dirty = append(s.dirty, r)
-	}
-	if r.Writers() == 0 {
-		// Serve sharer fetches that arrived during the write section.
-		if q, ok := r.Dir.PData.([]core.PendingReq); ok && len(q) > 0 {
-			r.Dir.PData = nil
-			for _, req := range q {
-				r.Dir.Sharers.Add(req.Src)
-				ctx.SendComplete(req.Src, req.Seq, 0, r.Data)
-			}
-		}
-	}
+	s.Mark(r)
+	s.fetch.ServeDeferred(ctx, r)
 }
 
-func (s *staticUpdateProto) EndRead(ctx *core.Ctx, r *core.Region) {
-	s.applyDeferred(ctx, r)
-}
+func (s *staticUpdateProto) EndRead(ctx *core.Ctx, r *core.Region) { s.sink.Settle(ctx, r) }
 
-// applyDeferred installs a push deferred while the region was in use.
-func (s *staticUpdateProto) applyDeferred(ctx *core.Ctx, r *core.Region) {
-	if r.InUse() || r.IsHome() {
-		return
-	}
-	if pend, ok := r.PState.(*suPend); ok && pend != nil {
-		r.PState = nil
-		copy(r.Data, pend.payload)
-		r.State = duValid
-		for _, f := range pend.frames {
-			f.left--
-			if f.left == 0 {
-				ctx.SendProto(f.src, 0, 0, suPushAck, f.space, nil)
-			}
-		}
-	}
-}
-
-// Barrier pushes every dirty region to its recorded sharers, waits for all
-// acknowledgements, and then performs the underlying barrier. Pushes
-// bound for the same sharer coalesce into one frame with one ack (R
-// dirty regions x S sharers collapse to at most S messages).
-func (s *staticUpdateProto) Barrier(ctx *core.Ctx, sp *core.Space) {
+// FlushSpace pushes every dirty region to its recorded sharers and
+// waits for all acknowledgements. Pushes bound for the same sharer
+// coalesce into one frame with one ack (R dirty regions x S sharers
+// collapse to at most S messages).
+func (s *staticUpdateProto) FlushSpace(ctx *core.Ctx, sp *core.Space) {
 	if s.batch == nil {
 		s.batch = ctx.NewBatcher(sp, suPush)
 	}
-	for _, r := range s.dirty {
-		r.PState = nil
+	for _, r := range s.Take() {
 		r.Dir.Sharers.ForEach(func(n amnet.NodeID) { s.batch.Add(n, r) })
 	}
-	s.dirty = s.dirty[:0]
-	s.outstanding += s.batch.Flush(ctx, nil)
-	s.drain(ctx)
+	s.drain.Add(s.batch.Flush(ctx, nil))
+	s.drain.Wait(ctx)
+}
+
+// Barrier pushes and drains, then performs the underlying barrier.
+func (s *staticUpdateProto) Barrier(ctx *core.Ctx, sp *core.Space) {
+	s.FlushSpace(ctx, sp)
 	ctx.DefaultBarrier()
 }
 
-// DeliverBatch applies one barrier push frame: every dirty region
-// of one home that this sharer subscribes to, acknowledged with a
-// single space-level suPushAck once all records applied — immediately,
-// or at section end for records the local thread holds open (those
-// defer through suPend with a shared per-frame countdown).
+// DeliverBatch applies one barrier push frame: every dirty region of
+// one home that this sharer subscribes to.
 func (s *staticUpdateProto) DeliverBatch(ctx *core.Ctx, sp *core.Space, src amnet.NodeID, verb, tag uint64, recs []core.BatchRecord) {
 	if verb != suPush {
 		panic(fmt.Sprintf("proto: staticupdate: bad batch verb %d", verb))
 	}
-	var frame *suFrame
-	for _, rec := range recs {
-		r := rec.R
-		if r.InUse() {
-			if frame == nil {
-				frame = &suFrame{src: src, space: uint64(sp.ID)}
-			}
-			frame.left++
-			pend, _ := r.PState.(*suPend)
-			if pend == nil {
-				pend = &suPend{}
-				r.PState = pend
-			}
-			pend.payload = append(pend.payload[:0], rec.Data...)
-			pend.frames = append(pend.frames, frame)
-			continue
-		}
-		copy(r.Data, rec.Data)
-		r.State = duValid
-	}
-	if frame == nil {
-		ctx.SendProto(src, 0, 0, suPushAck, uint64(sp.ID), nil)
-	}
-}
-
-func (s *staticUpdateProto) drain(ctx *core.Ctx) {
-	if s.outstanding == 0 {
-		return
-	}
-	s.drainSeq = ctx.NewWaiter()
-	ctx.Wait(s.drainSeq)
-}
-
-func (s *staticUpdateProto) FlushSpace(ctx *core.Ctx, sp *core.Space) {
-	// Writes are home-local, so homes are authoritative; just forget the
-	// dirty list and make sure no pushes are in flight.
-	s.dirty = nil
-	s.drain(ctx)
-}
-
-// MigrateRegion (core.HomeMigrator) drops r from the dirty list if the
-// pre-flip flush somehow left it there: after the flip this processor
-// may no longer be r's home, and a barrier push from a stale entry
-// would address a directory that moved away. Sharer state needs no
-// action — it lives in the directory the runtime reassigned, and the
-// flip's base-state reset makes every reader re-fetch from the new
-// home (re-registering there as it does).
-func (s *staticUpdateProto) MigrateRegion(ctx *core.Ctx, r *core.Region, oldHome, newHome amnet.NodeID) {
-	for i, d := range s.dirty {
-		if d == r {
-			s.dirty = append(s.dirty[:i], s.dirty[i+1:]...)
-			break
-		}
-	}
+	s.sink.Apply(ctx, sp, src, tag, recs)
 }
 
 // FastBits: reads are hit-eligible at the home unconditionally (home
-// StartRead returns immediately and home EndRead's applyDeferred bails on
-// IsHome) and on a sharer whose copy is valid with no deferred push
-// (EndRead must install a pending suPend). Writes are never eligible:
-// EndWrite is load-bearing at the home — dirty-list bookkeeping plus
-// serving fetches deferred during the section — and remote writes panic.
+// StartRead returns immediately and home EndRead has no deferred push
+// to settle) and on a sharer whose copy is valid with no deferred push
+// (EndRead must settle it). Writes are never eligible: EndWrite is
+// load-bearing at the home — dirty-list bookkeeping plus serving
+// fetches deferred during the section — and remote writes panic.
 func (s *staticUpdateProto) FastBits(r *core.Region) core.FastBits {
-	if r.IsHome() {
-		return core.FastRead
-	}
-	if r.State == duValid && r.PState == nil {
+	if r.IsHome() || r.State == stValid && r.PState == nil {
 		return core.FastRead
 	}
 	return 0
 }
 
 func (s *staticUpdateProto) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Region, m amnet.Msg) {
-	if r == nil && m.C != suPushAck {
-		// suPushAck is space-level (A=0): the single ack of a push
-		// frame. Everything else names a region.
-		panic(fmt.Sprintf("proto: staticupdate: proc %d: message %d for unknown region %v", ctx.ID(), m.C, core.RegionID(m.A)))
-	}
 	switch m.C {
 	case suRead:
-		if r.Writers() > 0 {
-			q, _ := r.Dir.PData.([]core.PendingReq)
-			r.Dir.PData = append(q, core.PendingReq{Src: m.Src, Seq: m.B})
-			return
-		}
-		r.Dir.Sharers.Add(m.Src)
-		ctx.SendComplete(m.Src, m.B, 0, r.Data)
+		s.fetch.ServeSharer(ctx, r, m)
 	case suPushAck:
-		s.outstanding--
-		if s.outstanding == 0 && s.drainSeq != 0 {
-			seq := s.drainSeq
-			s.drainSeq = 0
-			ctx.Complete(seq, amnet.Msg{})
-		}
+		// Space-level (A=0): the single ack of a push frame.
+		s.drain.Ack(ctx)
 	default:
 		panic(fmt.Sprintf("proto: staticupdate: bad verb %d", m.C))
 	}
 }
-
-// markerDirty is a sentinel stored in Region.PState on home regions that
-// are on the dirty list.
-var markerDirty = new(struct{})
