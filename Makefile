@@ -32,9 +32,9 @@ bench-test:
 	$(GO) test -C benchmark ./...
 
 # -cpu 1,4 runs each race test single-context and multicore: direct
-# dispatch runs handlers on senders' goroutines and application threads
-# beside the pumps, and those only interleave for real with more than
-# one hardware context to run on.
+# dispatch runs handlers on senders' goroutines, tcpnet readers and
+# application threads beside the pumps, and those only interleave for
+# real with more than one hardware context to run on.
 race:
 	$(GO) test -race -cpu 1,4 $(RACE_PKGS)
 
@@ -69,7 +69,9 @@ bench-compare:
 # on the same protocol at the same epoch under every policy; repeating
 # them under -race at one and four CPUs keeps timing out of its
 # decisions. The tree-round engine's peer-loss purge, overlapping
-# rounds and handler-vs-application-thread folding repeat the same way.
+# rounds and handler-vs-application-thread folding repeat the same way,
+# as do tcpnet's reconnect under a live cluster, its readers' direct
+# dispatch against a full journal, and acks riding data frames.
 chaos-smoke:
 	$(GO) test -run 'TestMatrixFixedSeeds|TestBrokenDoubleCaught' ./internal/chaos
 	$(GO) test -run 'TestColl' ./internal/chaos
@@ -83,6 +85,7 @@ chaos-smoke:
 	$(GO) test -race -run 'TestMigrateHomeRace|TestRejoinVsTreeReduction|TestResetWithdrawsFastBits' ./internal/core
 	$(GO) test -race -cpu 1,4 -count=5 -run 'TestPeerLossPurgesCollectiveState|TestTreeBarrierLaneOverlapStress|TestDispatchSyncStress' ./internal/core
 	$(GO) test -race -cpu 1,4 -count=5 -run 'TestAdaptiveControllerUnderFaults' ./proto
+	$(GO) test -race -cpu 1,4 -count=5 -run 'TestKillLinkUnderCluster|TestReaderDispatchNeverWaitsOnJournal|TestAcksRideDataFrames' ./internal/tcpnet
 
 # cluster-smoke is the multi-process deployment gate: 4 real acenode
 # processes assemble over gossip + TCP on loopback, run em3d (checksum

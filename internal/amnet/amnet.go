@@ -19,36 +19,40 @@
 //
 // # Direct dispatch
 //
-// On the in-process channel fabric, the hop through the mailbox and the
-// pump's wake-up can be skipped (the CM-5's Active Messages ran handlers
-// on whichever thread polled; this is the fabric-level form of the
-// paper's direct-dispatch optimisation). A
-// handler opts in by registering a TryHandler beside its Handler
-// (DirectDispatcher.RegisterTry); Send then runs it on the sender's own
-// goroutine, and Poll lets a node's compute thread deliver its own
-// backlog before it parks. The rules that keep this equivalent to the
-// queued path:
+// The hop through the mailbox and the pump's wake-up can be skipped (the
+// CM-5's Active Messages ran handlers on whichever thread polled; this
+// is the fabric-level form of the paper's direct-dispatch
+// optimisation). A handler opts in by registering a TryHandler beside
+// its Handler (DirectDispatcher.RegisterTry). The channel fabric's Send
+// then runs it on the sender's own goroutine; the TCP transport's
+// connection readers run it on theirs, as the frame comes off the
+// wire. Poll lets a node's compute thread deliver its own backlog before
+// it parks. Both transports run the one implementation (the mailbox's,
+// reached through Inbox by tcpnet). The rules that keep this equivalent
+// to the queued path:
 //
-//   - FIFO. A sender dispatches directly only while it holds the node's
-//     token and the node's queue is empty. The pump takes the token
-//     before it pops and holds it until the batch is delivered, so while
-//     any goroutine is dispatching, every other sender queues, and nothing
-//     queued is ever overtaken. A TryHandler that declines (before any
-//     side effect) leaves the message to be queued like any other.
+//   - FIFO. A goroutine dispatches directly only while it holds the
+//     node's token and the node's queue is empty. The pump takes the
+//     token before it pops and holds it until the batch is delivered, so
+//     while any goroutine is dispatching, every other one queues, and
+//     nothing queued is ever overtaken. A TryHandler that declines
+//     (before any side effect) leaves the message to be queued like any
+//     other.
 //   - No deadlock by construction. Only the pump blocks on a token, and it
 //     holds nothing when it does. A goroutine running handlers it does not
-//     own — a sender, a poller — acquires tokens only with TryLock, and a
-//     TryHandler may block only on leaf locks that no code path holds
-//     across a Send; anything else it must TryLock and decline on failure.
-//     A dispatch chain (a directly dispatched handler sends, and that send
-//     dispatches directly) is bounded by the number of nodes in the
-//     network, because a token already held in the chain fails TryLock.
-//   - Same counters. CountSend, CountRecv and ObserveDeliver fire on both
-//     paths.
+//     own — a sender, a reader, a poller — acquires tokens only with
+//     TryLock, and a TryHandler may block only on leaf locks that no code
+//     path holds across a Send; anything else it must TryLock and decline
+//     on failure. A dispatch chain (a directly dispatched handler sends,
+//     and that send dispatches directly) is bounded by the number of
+//     nodes in the network, because a token already held in the chain
+//     fails TryLock. A transport whose Send can wait (tcpnet's journal
+//     bound) must not make a token holder wait: see Inbox.Busy.
+//   - Same counters. CountSend, CountRecv and ObserveDeliver fire on every
+//     path.
 //
-// Fault injection (package faultnet, which also models wire latency) and
-// the TCP transport always queue: their endpoints are not
-// DirectDispatchers.
+// Fault injection (package faultnet, which also models wire latency)
+// always queues: its endpoints are not DirectDispatchers.
 //
 // # Buffer ownership
 //
@@ -104,8 +108,9 @@ type Msg struct {
 // passing it to Recycle when finished keeps the fabric's buffer pool warm.
 type Handler func(Msg)
 
-// TryHandler is a Handler's non-blocking variant, run on the sender's
-// goroutine by a fabric that dispatches directly (see the package
+// TryHandler is a Handler's non-blocking variant, run on the goroutine
+// that hands the message over — the sender's, or a socket reader's — by
+// a fabric that dispatches directly (see the package
 // comment). It either handles m exactly as the Handler would and returns
 // true, or returns false before any side effect, in which case m is
 // queued for the Handler. It must not block except on leaf locks that no
@@ -147,10 +152,10 @@ type PayloadCopier interface {
 }
 
 // DirectDispatcher is implemented by endpoints that can run handlers
-// outside their pump: on a sender's goroutine (RegisterTry) and on the
-// node's own compute thread (Poll). A fault-injecting or socket
-// transport does not implement it, and a runtime that finds it missing
-// simply keeps to Register.
+// outside their pump: on the goroutine that hands the message over — a
+// sender's, or a socket reader's — (RegisterTry) and on the node's own
+// compute thread (Poll). A fault-injecting transport does not implement
+// it, and a runtime that finds it missing simply keeps to Register.
 type DirectDispatcher interface {
 	// RegisterTry installs fn as handler id's non-blocking variant, under
 	// the same before-traffic rule as Register. The Handler must be
@@ -260,51 +265,19 @@ func (e *chanEndpoint) Send(m Msg) {
 		panic(fmt.Sprintf("amnet: send to invalid node %d", m.Dst))
 	}
 	m.Src = e.id
-	e.stats.CountSend(headerBytes + len(m.Payload))
+	size := headerBytes + len(m.Payload)
+	e.stats.CountSend(size)
 	dst := e.nw.eps[m.Dst]
 	it := item{msg: m, sent: e.stats.SendStamp()}
-	if try := dst.tries[m.Handler]; try == nil || !dst.dispatchDirect(try, it) {
+	if try := dst.tries[m.Handler]; try == nil || !dst.box.dispatchDirect(try, it, &dst.stats, size) {
 		dst.box.push(it)
 	}
 }
 
-// dispatchDirect runs the item's handler on the calling (sending) goroutine if
-// the node is free, reporting whether it did; on false the caller queues
-// the message, so it is delivered exactly once either way.
-func (e *chanEndpoint) dispatchDirect(try TryHandler, it item) (done bool) {
-	// TryLock only: the sender may hold locks and tokens of its own (it may
-	// itself be a directly dispatched handler), so it never waits for one.
-	// A held token means the pump or another sender is dispatching, and
-	// queueing behind it is what keeps the node FIFO.
-	box := e.box
-	if !box.token.TryLock() {
-		return false
-	}
-	defer fatalOnPanic()
-	// FIFO: only an empty mailbox may be bypassed. Pops need the token, so
-	// anything already queued stays queued until we let go, and this
-	// message must go behind it.
-	if box.idle() {
-		size := headerBytes + len(it.msg.Payload)
-		if done = try(it.msg); done {
-			e.stats.ObserveDeliver(it.sent)
-			e.stats.CountRecv(trace.RecvDirect, size)
-		}
-	}
-	box.token.Unlock()
-	return done
-}
-
 // Poll implements DirectDispatcher: the node's compute thread, about to
 // park, delivers its own backlog instead of waiting for the pump to be
-// scheduled. A node whose token is taken is being dispatched already.
-func (e *chanEndpoint) Poll() {
-	defer fatalOnPanic()
-	if e.box.token.TryLock() {
-		e.box.drain(e.polled)
-		e.box.token.Unlock()
-	}
-}
+// scheduled.
+func (e *chanEndpoint) Poll() { e.box.poll(e.polled) }
 
 // fatalOnPanic is deferred wherever handlers run on a goroutine the
 // fabric does not own. A handler panic is a runtime bug and kills the

@@ -1,6 +1,10 @@
 package amnet
 
-import "sync"
+import (
+	"sync"
+
+	"github.com/acedsm/ace/internal/trace"
+)
 
 // item is a queued message plus, when latency sampling is on, its send
 // stamp on the trace clock.
@@ -127,6 +131,53 @@ func (b *mailbox) drain(deliver func(m Msg, sent int64)) (ok, closed bool) {
 	return ok, closed
 }
 
+// dispatchDirect runs try on the item on the calling goroutine if the
+// node is free, reporting whether it did; on false the caller queues
+// the message, so it is delivered exactly once either way. A direct
+// delivery is counted in stats as size received bytes.
+func (b *mailbox) dispatchDirect(try TryHandler, it item, stats *trace.NetStats, size int) (done bool) {
+	// TryLock only: the caller may hold locks and tokens of its own (it
+	// may itself be a directly dispatched handler), so it never waits for
+	// one. A held token means the pump or another goroutine is
+	// dispatching, and queueing behind it is what keeps the node FIFO.
+	if !b.token.TryLock() {
+		return false
+	}
+	defer fatalOnPanic()
+	// FIFO: only an empty mailbox may be bypassed. Pops need the token, so
+	// anything already queued stays queued until we let go, and this
+	// message must go behind it.
+	if b.idle() {
+		if done = try(it.msg); done {
+			stats.ObserveDeliver(it.sent)
+			stats.CountRecv(trace.RecvDirect, size)
+		}
+	}
+	b.token.Unlock()
+	return done
+}
+
+// poll delivers the backlog on the calling goroutine if the token is
+// free, and returns at once if it is not: a node whose token is taken
+// is being dispatched already.
+func (b *mailbox) poll(deliver func(m Msg, sent int64)) {
+	defer fatalOnPanic()
+	if b.token.TryLock() {
+		b.drain(deliver)
+		b.token.Unlock()
+	}
+}
+
+// busy reports whether some goroutine — the caller included — holds the
+// node's token.
+func (b *mailbox) busy() bool {
+	if b.token.TryLock() {
+		b.token.Unlock()
+		return false
+	}
+	return true
+}
+
 // await blocks until new input may be pending or the mailbox is closed.
 func (b *mailbox) await() {
 	select {
@@ -149,10 +200,11 @@ func (b *mailbox) close() {
 }
 
 // Inbox is a node's mailbox and consumer loop for a transport that
-// receives off the wire (tcpnet): its readers Push, and one pump
-// goroutine Serves. It is the channel fabric's own mailbox — unbounded,
-// popped in batches, drained after Close — without direct dispatch:
-// Serve is its only consumer.
+// receives off the wire (tcpnet): its readers Push or DispatchDirect,
+// one pump goroutine Serves, and the node's compute thread may Poll. It
+// is the channel fabric's own mailbox — unbounded, popped in batches,
+// drained after Close — with the same token and the same
+// direct-dispatch code.
 type Inbox struct{ box *mailbox }
 
 // NewInbox returns an open, empty inbox.
@@ -161,6 +213,24 @@ func NewInbox() *Inbox { return &Inbox{box: newMailbox()} }
 // Push queues m, stamped sent on the trace clock, for Serve. It never
 // blocks. After Close, m is dropped and its payload recycled.
 func (in *Inbox) Push(m Msg, sent int64) { in.box.push(item{msg: m, sent: sent}) }
+
+// DispatchDirect runs try on m on the calling goroutine if the node's
+// token is free and nothing is queued, counting the delivery in stats
+// as direct with size bytes, and reports whether try accepted m. On
+// false the caller Pushes m. The package comment's direct-dispatch
+// rules bind the caller.
+func (in *Inbox) DispatchDirect(try TryHandler, m Msg, sent int64, stats *trace.NetStats, size int) bool {
+	return in.box.dispatchDirect(try, item{msg: m, sent: sent}, stats, size)
+}
+
+// Poll hands what is queued to deliver on the calling goroutine if the
+// node's token is free, and returns without blocking (see
+// DirectDispatcher.Poll).
+func (in *Inbox) Poll(deliver func(m Msg, sent int64)) { in.box.poll(deliver) }
+
+// Busy reports whether some goroutine, the caller included, holds the
+// node's dispatch token: a pump, a poller or a direct dispatcher.
+func (in *Inbox) Busy() bool { return in.box.busy() }
 
 // Serve hands each queued message to deliver, one at a time in push
 // order, parks while the inbox is empty, and returns once Close has been

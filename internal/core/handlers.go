@@ -8,13 +8,13 @@ import (
 
 // registerHandlers installs the runtime's message handlers. A handler
 // runs on whichever goroutine holds its node's dispatch token: a pump, a
-// sender dispatching directly, or this processor's application thread
-// polling from Ctx.Wait (see package amnet). The token keeps one
-// processor's handlers from running concurrently with each other, but
-// not with its application thread, so each takes the lock guarding the
-// state it touches — and only that one, so a directory transaction on
-// one space never serializes against brackets, collectives, or other
-// spaces.
+// sender or a connection reader dispatching directly, or this
+// processor's application thread polling from Ctx.Wait (see package
+// amnet). The token keeps one processor's handlers from running
+// concurrently with each other, but not with its application thread, so
+// each takes the lock guarding the state it touches — and only that one,
+// so a directory transaction on one space never serializes against
+// brackets, collectives, or other spaces.
 //
 // On a fabric with direct dispatch every handler below except hMigrate
 // also registers its non-blocking form. The audit

@@ -14,8 +14,9 @@ import (
 // Proc is one logical processor's handle on the runtime. All methods are
 // called from the processor's single application thread (the SPMD model);
 // message handlers run on whichever goroutine holds the destination
-// node's dispatch token (package amnet): the node's pump, a sender
-// dispatching directly, or the application thread polling from Ctx.Wait.
+// node's dispatch token (package amnet): the node's pump, a sender or a
+// tcpnet connection reader dispatching directly, or the application
+// thread polling from Ctx.Wait.
 //
 // Concurrency model (see DESIGN.md §5c for the full treatment). The former
 // per-processor runtime mutex is decomposed so a bracket hit never
@@ -124,8 +125,8 @@ type Proc struct {
 	collGot   map[uint64][]byte
 	collWait  map[uint64]uint64
 
-	// direct is the endpoint's direct-dispatch face: the in-process
-	// channel fabric has one, faultnet and tcpnet endpoints do not (nil).
+	// direct is the endpoint's direct-dispatch face: the channel fabric
+	// and tcpnet endpoints have one, a faultnet endpoint does not (nil).
 	// Whether a given send or poll actually dispatches is the fabric's
 	// call alone. Ctx.Wait polls it before parking.
 	direct amnet.DirectDispatcher

@@ -11,17 +11,17 @@ import (
 	"github.com/acedsm/ace/internal/amnet"
 )
 
-// TestEndpointIsNotDirectDispatcher guards against method promotion
-// from the shared inbox: a tcpnet endpoint must keep every message on
-// its pump, so it must not offer amnet's direct-dispatch surface.
-func TestEndpointIsNotDirectDispatcher(t *testing.T) {
+// TestEndpointIsDirectDispatcher: a tcpnet endpoint offers amnet's
+// direct-dispatch surface, so the runtime registers its TryHandlers for
+// the readers to run and polls the inbox from Wait.
+func TestEndpointIsDirectDispatcher(t *testing.T) {
 	nw, err := New(Loopback(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nw.Close()
-	if _, ok := nw.Endpoints()[0].(amnet.DirectDispatcher); ok {
-		t.Fatal("tcpnet endpoint implements amnet.DirectDispatcher")
+	if _, ok := nw.Endpoints()[0].(amnet.DirectDispatcher); !ok {
+		t.Fatal("tcpnet endpoint does not implement amnet.DirectDispatcher")
 	}
 }
 

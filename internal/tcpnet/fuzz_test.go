@@ -11,17 +11,22 @@ import (
 	"github.com/acedsm/ace/internal/core"
 )
 
-// testMsg and testStamp are the envelope every encodeTestFrame frame
-// carries: distinct values in every header field, so a decoder that
-// mixes two fields up cannot round-trip them.
+// testMsg, testStamp and testAck are the envelope every
+// encodeTestFrame frame carries: distinct values in every header field,
+// so a decoder that mixes two fields up cannot round-trip them.
 var testMsg = amnet.Msg{Dst: 1, Src: 2, Handler: 7, A: 0xdeadbeef, B: 0xb0b, C: 0xc0c0, D: 1<<63 | 0xd}
 
-const testStamp = 0x5eed_0000_1234
+const (
+	testStamp = 0x5eed_0000_1234
+	testAck   = 0xacc_0000_0042
+)
 
-// encodeTestFrame builds a well-formed frame with Send's encoder.
+// encodeTestFrame builds a well-formed frame with Send's encoder and
+// stamps its ack as the writer would.
 func encodeTestFrame(seq uint64, payload []byte) []byte {
 	buf := make([]byte, frameHeader+len(payload))
 	putHeader(buf, &testMsg, testStamp, seq)
+	binary.LittleEndian.PutUint64(buf[ackOff:], testAck)
 	copy(buf[frameHeader:], payload)
 	return buf
 }
@@ -38,8 +43,13 @@ func FuzzReadFrame(f *testing.F) {
 	// the decoder passes it through, and the sender's ack() must treat
 	// it as a no-op (see TestAckNeverJournaledIgnored).
 	bogusAck := encodeTestFrame(0, nil)
-	binary.LittleEndian.PutUint64(bogusAck[14:], ^uint64(0))
+	binary.LittleEndian.PutUint64(bogusAck[ackOff:], ^uint64(0))
 	f.Add(bogusAck)
+	// The same bogus ack riding a data frame's header: the frame is
+	// delivered and its ack dropped (see TestHostileAckOnDataFrameIgnored).
+	bogusDataAck := encodeTestFrame(1, []byte("x"))
+	binary.LittleEndian.PutUint64(bogusDataAck[ackOff:], ^uint64(0))
+	f.Add(bogusDataAck)
 	f.Add(encodeTestFrame(1, nil)[:10])
 	f.Add([]byte{})
 	f.Add([]byte("garbage that is definitely not a frame header at all.."))
@@ -143,8 +153,8 @@ func TestReadFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := f.msg
-		if f.seq != want.seq || f.sent != testStamp || string(m.Payload) != string(want.payload) || (m.Payload == nil) != (want.payload == nil) {
-			t.Fatalf("frame seq %d: got seq %d, stamp %#x, payload %q", want.seq, f.seq, f.sent, m.Payload)
+		if f.seq != want.seq || f.sent != testStamp || f.ack != testAck || string(m.Payload) != string(want.payload) || (m.Payload == nil) != (want.payload == nil) {
+			t.Fatalf("frame seq %d: got seq %d, stamp %#x, ack %#x, payload %q", want.seq, f.seq, f.sent, f.ack, m.Payload)
 		}
 		w := testMsg
 		if m.Dst != w.Dst || m.Src != w.Src || m.Handler != w.Handler || m.A != w.A || m.B != w.B || m.C != w.C || m.D != w.D {

@@ -362,6 +362,140 @@ func TestDeclarePeerDownReleasesBlockedSender(t *testing.T) {
 	}
 }
 
+// TestReaderDispatchNeverWaitsOnJournal pins the rule that keeps reader
+// dispatch deadlock-free: a goroutine holding the node's token never
+// waits on the journal bound. Node 0's link to node 1 is held at
+// maxPending with node 1's acks silenced (blockProducer). A frame node 0
+// sends itself is then dispatched on node 0's reader, and its handler
+// replies into the full link. The reply must go out past the bound — a
+// reader waiting there could be the very one that has to read the ack —
+// and the reader must go on to deliver the next frame.
+func TestReaderDispatchNeverWaitsOnJournal(t *testing.T) {
+	nwi, err := New(Loopback(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nwi.Close()
+	nw := nwi.(*network)
+	ep := nw.eps[0]
+	delivered := make(chan uint64, 2)
+	handle := func(m amnet.Msg) {
+		if m.A == 1 {
+			ep.Send(amnet.Msg{Dst: 1, Handler: 7, A: 1}) // into the full link
+		}
+		delivered <- m.A
+	}
+	ep.Register(8, handle)
+	ep.RegisterTry(8, func(m amnet.Msg) bool { handle(m); return true })
+	blockProducer(t, nw)
+
+	ep.Send(amnet.Msg{Dst: 0, Handler: 8, A: 1})
+	ep.Send(amnet.Msg{Dst: 0, Handler: 8, A: 2})
+	for want := uint64(1); want <= 2; want++ {
+		select {
+		case a := <-delivered:
+			if a != want {
+				t.Fatalf("delivered %d, want %d", a, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("frame %d never delivered: the handler before it waited on the journal bound", want)
+		}
+	}
+	if d := ep.Stats().Snapshot().RecvDirect; d != 2 {
+		t.Errorf("RecvDirect = %d, want 2: the frames did not run on the reader", d)
+	}
+	s := ep.out[1]
+	s.mu.Lock()
+	n := len(s.journal)
+	s.mu.Unlock()
+	if n <= maxPending {
+		t.Errorf("journal holds %d frames, want the reply past the bound of %d", n, maxPending)
+	}
+}
+
+// TestHostileAckOnDataFrameIgnored is TestAckNeverJournaledIgnored at
+// the reader: a data frame whose header acks a sequence number the
+// reverse sender never journaled is delivered, and its ack changes
+// nothing — the journal keeps its frames and acked stays put — while a
+// genuine ack on the next frame still releases them.
+func TestHostileAckOnDataFrameIgnored(t *testing.T) {
+	nwi, err := New(Loopback(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nwi.Close()
+	nw := nwi.(*network)
+	eps := nw.Endpoints()
+	got := make(chan uint64, 2)
+	eps[1].Register(7, func(m amnet.Msg) { got <- m.A })
+	var back atomic.Int32
+	eps[0].Register(7, func(m amnet.Msg) { back.Add(1) })
+	nw.Start()
+
+	// A raw connection to node 1 introducing itself as node 0. Its first
+	// frame, acking nothing, is delivered while node 1 still listens:
+	// the connection has been accepted.
+	conn, err := net.Dial("tcp", nw.addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var hello [4]byte
+	if _, err := conn.Write(hello[:]); err != nil {
+		t.Fatal(err)
+	}
+	deliver := func(seq, ack uint64) {
+		t.Helper()
+		buf := make([]byte, frameHeader)
+		putHeader(buf, &amnet.Msg{Dst: 1, Src: 0, Handler: 7, A: seq}, 0, seq)
+		binary.LittleEndian.PutUint64(buf[ackOff:], ack)
+		if _, err := conn.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case a := <-got:
+			if a != seq {
+				t.Fatalf("delivered frame %d, want %d", a, seq)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("frame %d not delivered", seq)
+		}
+	}
+	deliver(1, 0)
+
+	// Silence node 0's acks to node 1 (they ride node 0's sender, which
+	// can no longer reach node 1), then leave three frames unacked in
+	// node 1's journal to node 0.
+	nw.listeners[1].Close()
+	nw.KillLink(0, 1)
+	for i := 0; i < 3; i++ {
+		eps[1].Send(amnet.Msg{Dst: 0, Handler: 7})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for back.Load() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("node 0 got %d of 3 frames", back.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s := nw.eps[1].out[0]
+	journal := func() (int, uint64) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.journal), s.acked
+	}
+
+	// The reader handles a frame's ack before delivering the frame.
+	deliver(2, ^uint64(0))
+	if n, acked := journal(); n != 3 || acked != 0 {
+		t.Fatalf("bogus ack accepted: journal %d frames, acked %d", n, acked)
+	}
+	deliver(3, 2)
+	if n, acked := journal(); n != 1 || acked != 2 {
+		t.Fatalf("genuine ack after the bogus one: journal %d frames, acked %d", n, acked)
+	}
+}
+
 // TestAckNeverJournaledIgnored pins the ack guard: a cumulative ack for
 // a sequence number beyond anything this sender ever journaled (a
 // corrupt or hostile peer) must be ignored — accepting it would recycle
@@ -400,7 +534,7 @@ func TestAckNeverJournaledIgnored(t *testing.T) {
 func TestPeerLostLeavesJournalToWriter(t *testing.T) {
 	conn, peer := net.Pipe()
 	defer peer.Close()
-	ep := &endpoint{nw: &network{}, downSent: make(map[amnet.NodeID]bool)}
+	ep := &endpoint{nw: &network{}, links: make([]recvLink, 2), downSent: make(map[amnet.NodeID]bool)}
 	s := newSender(ep, 1, "", conn)
 	// Queue the frames before the writer starts so it takes them as one
 	// batch; two of them overflow its 64 KiB buffer, so it blocks in a

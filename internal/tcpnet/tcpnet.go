@@ -15,14 +15,20 @@
 // (amnet.Alloc/Recycle); a delivered Msg.Payload is owned by the
 // handler per the fabric's ownership contract.
 //
-// The receive path is the channel fabric's: each local node's readers
-// push decoded frames into one amnet.Inbox, and the node's pump serves
-// them to the handlers one at a time, in arrival order.
+// The receive path is the channel fabric's, direct dispatch included:
+// the endpoint is an amnet.DirectDispatcher. A connection's reader runs
+// a frame's TryHandler on its own goroutine when the node's token is
+// free and nothing is queued; otherwise it pushes the frame into the
+// node's amnet.Inbox, where the pump (or the compute thread polling
+// from its wait) serves it, one handler at a time in arrival order.
 //
 // Connections are supervised. Every data frame carries a per-link
 // sequence number and stays journaled on the sender until the receiver
-// acknowledges it (cumulative acks ride back as control frames); a
-// broken connection is redialed with exponential backoff and jitter,
+// acknowledges it. Acks are cumulative and ride in the header of every
+// frame going the other way; a standalone ack frame goes out only when
+// ackEvery data frames met no reverse traffic, on a duplicate, or from
+// the once-a-second probe. A broken connection is redialed with
+// exponential backoff and jitter,
 // the journal is retransmitted, and the receiver drops the frames it
 // already delivered — so a transient connection loss costs latency, not
 // the fabric contract. A peer that stays unreachable past maxAttempts
@@ -85,15 +91,18 @@ const (
 	// declared down through amnet.PeerAware).
 	maxAttempts = 8
 
-	// ackEvery is the receive-side ack cadence in data frames; an ack is
-	// also sent whenever the reader drains its buffer.
+	// ackEvery is the receive-side ack cadence: a reader sends a
+	// standalone ack once it has delivered ackEvery data frames that no
+	// outgoing frame's header has acknowledged, and re-acks every
+	// ackEvery duplicates. The probe acks whatever is left within
+	// probeInterval.
 	ackEvery = 64
 
 	// writeTimeout bounds each batch write; an expired deadline is a
 	// connection failure and triggers reconnection.
 	writeTimeout = 10 * time.Second
 
-	// probeInterval is the cadence of the ack-stall probe (see
+	// probeInterval is the cadence of the ack probe (see
 	// network.probeLoop).
 	probeInterval = time.Second
 )
@@ -326,6 +335,7 @@ type network struct {
 	listeners []net.Listener
 	addrs     []string
 	started   chan struct{} // closed by Start: dispatch may begin
+	live      atomic.Bool   // set by Start, before started closes: readers may dispatch directly
 	startOnce sync.Once
 	wired     chan struct{} // closed by Connect: sender tables exist
 	wireOnce  sync.Once
@@ -344,10 +354,16 @@ func (n *network) Endpoints() []amnet.Endpoint {
 	return out
 }
 
-// Start implements amnet.Starter: it releases the dispatch pumps, held
-// back so a fast peer's frames cannot reach an empty handler table.
-// Incoming frames queue (and are acked) meanwhile, so nothing is lost.
-func (n *network) Start() { n.startOnce.Do(func() { close(n.started) }) }
+// Start implements amnet.Starter: it releases the dispatch pumps and the
+// readers' direct dispatch, held back so a fast peer's frames cannot
+// reach an empty handler table. Incoming frames queue (and are acked)
+// meanwhile, so nothing is lost.
+func (n *network) Start() {
+	n.startOnce.Do(func() {
+		n.live.Store(true)
+		close(n.started)
+	})
+}
 
 // wire releases inbound readers: before Connect builds the sender
 // tables, a reader delivering frames would have no reverse link to ack
@@ -468,10 +484,14 @@ func (n *network) Close() error {
 
 // maxPending bounds a sender's unacknowledged journal (which includes
 // the not-yet-written queue). Enqueueing past the bound blocks until
-// acks drain it — backpressure against a slow or absent receiver. The
-// wait is bounded by network round-trips, not by remote handler
-// progress (acks come from the peer's reader goroutine), so the
-// fabric's deadlock-freedom argument is unaffected.
+// acks drain it — backpressure against a slow or absent receiver — but
+// only while the node's dispatch token is free: a goroutine holding it
+// (the pump, a polling compute thread, a reader dispatching directly)
+// appends past the bound instead, by at most one handler's sends. A
+// reader running a handler that waited here could be the very reader
+// that must read the ack. So nothing that waits here runs handlers, the
+// readers never wait here, and the wait is bounded by network round
+// trips, not by remote handler progress.
 const maxPending = 4096
 
 // sender owns one outgoing link: Send enqueues encoded frames, the
@@ -487,7 +507,7 @@ type sender struct {
 	notFull  *sync.Cond // producers wait: journal below maxPending or closed
 	conn     net.Conn
 	queue    [][]byte // frames not yet handed to the writer
-	journal  [][]byte // data frames not yet acked, in seq order (superset of queue's data frames)
+	journal  [][]byte // data frames not yet acked: seqs nextSeq-len+1..nextSeq (superset of queue's data frames)
 	nextSeq  uint64   // last assigned data sequence number (0 = control)
 	acked    uint64   // highest cumulative ack received
 	// replaying is set while reconnect writes a journal snapshot outside
@@ -510,16 +530,19 @@ func newSender(ep *endpoint, peer amnet.NodeID, addr string, conn net.Conn) *sen
 	return s
 }
 
-// probeLoop is the ack-stall watchdog, one per network: while a
-// sender's journal holds unacked frames and its queue is empty, its
-// writer is parked — if the connection died in that state nothing would
-// ever write to it again, so the reconnect budget would never be
-// consumed and producers blocked on backpressure would hang forever
-// with the peer never declared down. Every probeInterval each such
-// sender gets a no-op control frame (a stale ack the peer ignores),
-// forcing its writer through a write: on a live connection it is
-// invisible, on a dead one it triggers the normal reconnect→peerLost
-// path, which frees the producers.
+// probeLoop is the ack probe, one per network, with two jobs. It
+// delivers the acks the cadence left owed: a link whose delivered
+// horizon is ahead of the last ack written back gets a standalone ack,
+// so an idle peer's journal is released within probeInterval. And it is
+// the ack-stall watchdog: while a sender's journal holds unacked frames
+// and its queue is empty, its writer is parked — if the connection died
+// in that state nothing would ever write to it again, so the reconnect
+// budget would never be consumed and producers blocked on backpressure
+// would hang forever with the peer never declared down. Every
+// probeInterval each such sender gets an ack frame too, forcing its
+// writer through a write: on a live connection it is one more ack, on a
+// dead one it triggers the normal reconnect→peerLost path, which frees
+// the producers.
 func (n *network) probeLoop() {
 	defer n.sendWG.Done()
 	t := time.NewTicker(probeInterval)
@@ -531,12 +554,12 @@ func (n *network) probeLoop() {
 		case <-t.C:
 		}
 		for _, ep := range n.eps {
-			for _, s := range ep.out {
+			for j, s := range ep.out {
 				s.mu.Lock()
 				stalled := !s.closed && len(s.journal) > 0 && len(s.queue) == 0
 				s.mu.Unlock()
-				if stalled {
-					ep.sendAck(s.peer, 0)
+				if l := &ep.links[j]; stalled || l.seen.Load() > l.told.Load() {
+					ep.sendAck(s.peer)
 				}
 			}
 		}
@@ -544,12 +567,13 @@ func (n *network) probeLoop() {
 }
 
 // enqueue appends one encoded data frame, assigning its sequence number
-// and journaling it, blocking while the unacked journal is at capacity.
-// After close, frames are dropped (Network.Close documents that queued
-// messages may be dropped).
+// and journaling it. While the unacked journal is at capacity it blocks,
+// unless the node's token is held (see maxPending). After close, frames
+// are dropped (Network.Close documents that queued messages may be
+// dropped).
 func (s *sender) enqueue(frame []byte) {
 	s.mu.Lock()
-	for len(s.journal) >= maxPending && !s.closed {
+	for len(s.journal) >= maxPending && !s.closed && !s.ep.inbox.Busy() {
 		s.notFull.Wait()
 	}
 	if s.closed {
@@ -602,18 +626,22 @@ func (s *sender) ack(n uint64) {
 }
 
 // release recycles the journal prefix with seq ≤ n and wakes the
-// producers blocked on backpressure. The caller holds s.mu.
+// producers blocked on backpressure. The journal's seqs are contiguous
+// and end at nextSeq, so the prefix is counted, not read: the writer may
+// be stamping an ack into any frame still journaled. The caller holds
+// s.mu.
 func (s *sender) release(n uint64) {
-	i := 0
-	for i < len(s.journal) && seqOf(s.journal[i]) <= n {
+	before := s.nextSeq - uint64(len(s.journal)) // seq just before journal[0]
+	if n <= before || len(s.journal) == 0 {
+		return
+	}
+	k := int(min(n, s.nextSeq) - before)
+	for i := range s.journal[:k] {
 		amnet.Recycle(s.journal[i])
 		s.journal[i] = nil
-		i++
 	}
-	if i > 0 {
-		s.journal = s.journal[i:]
-		s.notFull.Broadcast()
-	}
+	s.journal = s.journal[k:]
+	s.notFull.Broadcast()
 }
 
 // dropQueue empties the queue, recycling its control frames (its data
@@ -692,7 +720,7 @@ func (s *sender) run(wg *sync.WaitGroup) {
 		batch, s.queue = s.queue, batch[:0]
 		s.mu.Unlock()
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		err := writeBatch(bw, batch)
+		err := s.writeBatch(bw, batch)
 		if err == nil {
 			// Flush only when no more frames are waiting; otherwise loop
 			// around and extend the batch.
@@ -735,20 +763,30 @@ func (w socketWriter) Write(p []byte) (int, error) {
 	return w.conn.Write(p)
 }
 
-// writeBatch copies one batch into the buffered writer. Control frames
-// are recycled here (written or not — a lost ack regenerates); data
-// frames stay journaled until acked. On error the remaining frames are
-// skipped: the journal replay during reconnect covers them.
-func writeBatch(bw *bufio.Writer, batch [][]byte) error {
+// writeBatch copies one batch into the buffered writer, stamping every
+// frame with the cumulative ack of the reverse link — everything this
+// endpoint has delivered from the peer — and recording it as told.
+// Control frames are recycled here (written or not — a lost ack
+// regenerates); data frames stay journaled until acked. On error the
+// remaining frames are skipped: the journal replay during reconnect
+// covers them.
+func (s *sender) writeBatch(bw *bufio.Writer, batch [][]byte) error {
+	link := &s.ep.links[s.peer]
+	ack := link.seen.Load()
 	var err error
 	for i, f := range batch {
+		control := seqOf(f) == 0 // read first: once written, an acked data frame may be recycled
 		if err == nil {
+			binary.LittleEndian.PutUint64(f[ackOff:], ack)
 			_, err = bw.Write(f)
 		}
-		if seqOf(f) == 0 {
+		if control {
 			amnet.Recycle(f)
 		}
 		batch[i] = nil
+	}
+	if err == nil && len(batch) > 0 {
+		link.told.Store(ack)
 	}
 	return err
 }
@@ -809,10 +847,14 @@ func (s *sender) resume(conn net.Conn) (*bufio.Writer, error) {
 	snap := append([][]byte(nil), s.journal...)
 	s.replaying = true
 	s.mu.Unlock()
+	// Acks stamped on the old connection may have died with it: owe the
+	// peer the whole horizon again, so the probe re-acks it if the
+	// replay below carries none.
+	s.ep.links[s.peer].told.Store(0)
 
 	bw := s.newWriter(conn)
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	err := writeBatch(bw, snap)
+	err := s.writeBatch(bw, snap)
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -851,11 +893,16 @@ func (s *sender) peerLost() {
 
 // recvLink is the receive-side state of one incoming link. It lives on
 // the endpoint, not the connection, so the dedup horizon survives
-// reconnects — exactly what makes journal replay safe.
+// reconnects — exactly what makes journal replay safe. mu serializes the
+// link's readers (an old and a new one may briefly overlap) through
+// dedup and delivery; the writer of the reverse link reads seen and
+// writes told without it.
 type recvLink struct {
-	mu       sync.Mutex
-	seen     uint64 // highest data seq delivered from this src
-	sinceAck int    // data frames since the last ack went out
+	mu     sync.Mutex
+	seen   atomic.Uint64 // highest data seq delivered from this src; stored under mu
+	told   atomic.Uint64 // the ack the reverse link's writer last stamped on a frame
+	queued uint64        // seen when the reader last queued a standalone ack (under mu)
+	dups   int           // duplicates dropped since the last re-ack (under mu)
 }
 
 type endpoint struct {
@@ -863,9 +910,10 @@ type endpoint struct {
 	nw  *network
 	out []*sender
 	// inbox holds the frames every reader decoded for this node until the
-	// pump delivers them.
+	// pump (or a poll) delivers them, and the node's dispatch token.
 	inbox    *amnet.Inbox
 	handlers [amnet.MaxHandlers]amnet.Handler
+	tries    [amnet.MaxHandlers]amnet.TryHandler
 	stats    trace.NetStats
 	readers  sync.WaitGroup
 	links    []recvLink
@@ -889,6 +937,24 @@ func (e *endpoint) Register(id amnet.HandlerID, fn amnet.Handler) {
 		panic(fmt.Sprintf("tcpnet: handler id %d out of range", id))
 	}
 	e.handlers[id] = fn
+}
+
+// RegisterTry implements amnet.DirectDispatcher: the readers run fn on
+// their own goroutine once Start has released dispatch.
+func (e *endpoint) RegisterTry(id amnet.HandlerID, fn amnet.TryHandler) {
+	if int(id) >= amnet.MaxHandlers {
+		panic(fmt.Sprintf("tcpnet: handler id %d out of range", id))
+	}
+	e.tries[id] = fn
+}
+
+// Poll implements amnet.DirectDispatcher: the node's compute thread
+// delivers what the readers queued, if the node's token is free. Before
+// Start it delivers nothing, as the pump does.
+func (e *endpoint) Poll() {
+	if e.nw.live.Load() {
+		e.inbox.Poll(e.polled)
+	}
 }
 
 // CopiesPayloadOnSend reports that Send copies the payload into the
@@ -916,14 +982,18 @@ func (e *endpoint) firePeerDown(peer amnet.NodeID) {
 }
 
 // frame layout: [u32 total][i32 dst][i32 src][u16 handler][4 × u64]
-// [i64 send stamp][u64 seq][payload]. The send stamp is on the sender's
-// trace clock (0 when latency sampling is off); it is meaningful because
-// this network's nodes share one process. seq is the per-link data
-// sequence number; 0 marks a control frame (cumulative ack in A),
-// which is consumed by the reader and never dispatched or counted.
+// [i64 send stamp][u64 seq][u64 ack][payload]. The send stamp is on the
+// sender's trace clock (0 when latency sampling is off); it is
+// meaningful because this network's nodes share one process. seq is the
+// per-link data sequence number; 0 marks a control frame, a standalone
+// ack, which is consumed by the reader and never dispatched or counted.
+// ack, on every frame, is the cumulative ack of the reverse link: the
+// highest seq the frame's sender has delivered from its receiver,
+// stamped by the writer as the frame goes out.
 const (
-	frameHeader = 4 + 4 + 4 + 2 + 32 + 8 + 8
-	seqOff      = frameHeader - 8
+	frameHeader = 4 + 4 + 4 + 2 + 32 + 8 + 8 + 8
+	seqOff      = frameHeader - 16
+	ackOff      = frameHeader - 8
 
 	// maxFramePayload bounds a frame's payload; the decoder rejects
 	// anything larger before allocating, so a corrupt or hostile length
@@ -955,18 +1025,18 @@ func (e *endpoint) Send(m amnet.Msg) {
 	e.out[m.Dst].enqueue(buf) // assigns seq under the sender lock
 }
 
-// sendAck emits a cumulative ack (control frame, seq 0) for everything
-// received from src so far. Acks bypass the journal, the backpressure
-// bound and the traffic counters.
-func (e *endpoint) sendAck(src amnet.NodeID, n uint64) {
+// sendAck emits a standalone ack (control frame, seq 0) to src; the
+// writer stamps it with everything received from src by then. Acks
+// bypass the journal, the backpressure bound and the traffic counters.
+func (e *endpoint) sendAck(src amnet.NodeID) {
 	buf := amnet.Alloc(frameHeader)
-	putHeader(buf, &amnet.Msg{Dst: src, Src: e.id, A: n}, 0, 0)
+	putHeader(buf, &amnet.Msg{Dst: src, Src: e.id}, 0, 0)
 	e.out[src].enqueueControl(buf)
 }
 
 // putHeader encodes the frame header of m into buf, which holds the
 // whole frame (header and payload): the one encoder of the frame layout
-// above.
+// above. The ack word is left zero for the writer to stamp.
 func putHeader(buf []byte, m *amnet.Msg, stamp int64, seq uint64) {
 	binary.LittleEndian.PutUint32(buf[0:], uint32(len(buf)-4))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(m.Dst))
@@ -978,17 +1048,18 @@ func putHeader(buf []byte, m *amnet.Msg, stamp int64, seq uint64) {
 	binary.LittleEndian.PutUint64(buf[38:], m.D)
 	binary.LittleEndian.PutUint64(buf[46:], uint64(stamp))
 	binary.LittleEndian.PutUint64(buf[seqOff:], seq)
+	binary.LittleEndian.PutUint64(buf[ackOff:], 0)
 }
 
 func (e *endpoint) Stats() *trace.NetStats { return &e.stats }
 
 // addReader starts a goroutine decoding frames from one incoming
-// connection into the node's inbox. Reads are buffered, and each
-// payload lands in a pooled buffer owned by the eventual handler.
-// The dedup horizon (recvLink) outlives the connection: a replacement
-// reader after a reconnect drops the replayed frames the old one
-// already delivered, and pushes under the link lock so the inbox
-// keeps per-link sequence order even if old and new briefly overlap.
+// connection. Reads are buffered, and each payload lands in a pooled
+// buffer owned by the eventual handler. The dedup horizon (recvLink)
+// outlives the connection: a replacement reader after a reconnect drops
+// the replayed frames the old one already delivered, and delivers under
+// the link lock so the node keeps per-link sequence order even if old
+// and new briefly overlap.
 func (e *endpoint) addReader(conn net.Conn, src amnet.NodeID) {
 	e.inboundMu.Lock()
 	e.inbound[conn] = struct{}{}
@@ -1011,55 +1082,73 @@ func (e *endpoint) addReader(conn net.Conn, src amnet.NodeID) {
 			return // closed without ever connecting
 		}
 		br := bufio.NewReaderSize(conn, 64<<10)
-		link := &e.links[src]
+		link, rev := &e.links[src], e.out[src]
 		for {
 			f, err := readFrame(br)
 			if err != nil {
 				return // connection closed or stream corrupt
 			}
-			if f.seq == 0 { // control: cumulative ack for our reverse sender
+			// Every frame acks our reverse sender; ack() judges the value.
+			rev.ack(f.ack)
+			if f.seq == 0 { // control: a standalone ack, consumed above
 				amnet.Recycle(f.msg.Payload)
-				e.out[src].ack(f.msg.A)
 				continue
 			}
-			link.mu.Lock()
-			if f.seq <= link.seen {
-				// A duplicate means the sender is replaying frames whose
-				// ack it never saw (it died with the old connection).
-				// Re-ack the dedup horizon on the usual cadence: dropping
-				// dups silently would leave a journal that is already at
-				// the backpressure bound permanently full — no new data
-				// frame could ever flow to earn a fresh ack.
-				link.sinceAck++
-				reack := link.sinceAck >= ackEvery || br.Buffered() == 0
-				var reackSeq uint64
-				if reack {
-					link.sinceAck = 0
-					reackSeq = link.seen
-				}
-				link.mu.Unlock()
-				e.stats.DupFramesDropped.Add(1)
-				amnet.Recycle(f.msg.Payload)
-				if reack {
-					e.sendAck(src, reackSeq)
-				}
-				continue
-			}
-			link.seen = f.seq
-			e.inbox.Push(f.msg, f.sent)
-			link.sinceAck++
-			ackNow := link.sinceAck >= ackEvery || br.Buffered() == 0
-			var ackSeq uint64
-			if ackNow {
-				link.sinceAck = 0
-				ackSeq = link.seen
-			}
-			link.mu.Unlock()
-			if ackNow {
-				e.sendAck(src, ackSeq)
-			}
+			e.receive(link, src, f)
 		}
 	}()
+}
+
+// receive delivers one data frame read from src, dropping it if it is a
+// duplicate, and sends a standalone ack when the link has delivered
+// ackEvery frames that no outgoing frame or queued ack has covered.
+func (e *endpoint) receive(link *recvLink, src amnet.NodeID, f frame) {
+	link.mu.Lock()
+	if f.seq <= link.seen.Load() {
+		// A duplicate means the sender is replaying frames whose ack it
+		// never saw (it died with the old connection). Re-ack the dedup
+		// horizon on the usual cadence: dropping dups silently would
+		// leave a journal that is already at the backpressure bound
+		// permanently full — no new data frame could ever flow to earn a
+		// fresh ack.
+		link.dups++
+		reack := link.dups >= ackEvery
+		if reack {
+			link.dups = 0
+		}
+		link.mu.Unlock()
+		e.stats.DupFramesDropped.Add(1)
+		amnet.Recycle(f.msg.Payload)
+		if reack {
+			e.sendAck(src)
+		}
+		return
+	}
+	link.seen.Store(f.seq)
+	e.dispatch(f.msg, f.sent)
+	ackNow := f.seq-max(link.told.Load(), link.queued) >= ackEvery
+	if ackNow {
+		link.queued = f.seq
+	}
+	link.mu.Unlock()
+	if ackNow {
+		e.sendAck(src)
+	}
+}
+
+// dispatch runs m's TryHandler on the calling reader if dispatch is live
+// and the node is free (amnet.Inbox.DispatchDirect), and queues m for the
+// pump otherwise. The reader then holds the node's token, so the
+// handler's sends never wait on a journal bound (see maxPending). The
+// handler tables are read only once Start has published them.
+func (e *endpoint) dispatch(m amnet.Msg, sent int64) {
+	if e.nw.live.Load() {
+		if try := e.tries[m.Handler]; try != nil &&
+			e.inbox.DispatchDirect(try, m, sent, &e.stats, frameHeader+len(m.Payload)) {
+			return
+		}
+	}
+	e.inbox.Push(m, sent)
 }
 
 // readFrame decodes one length-prefixed frame from the stream. It
@@ -1107,6 +1196,7 @@ func decodeHeader(hdr *[frameHeader]byte) (frame, int, error) {
 		},
 		sent: int64(binary.LittleEndian.Uint64(hdr[46:])),
 		seq:  binary.LittleEndian.Uint64(hdr[seqOff:]),
+		ack:  binary.LittleEndian.Uint64(hdr[ackOff:]),
 	}
 	return f, int(total) - (frameHeader - 4), nil
 }
@@ -1117,14 +1207,19 @@ func decodeHeader(hdr *[frameHeader]byte) (frame, int, error) {
 func (e *endpoint) pump(wg *sync.WaitGroup) {
 	defer wg.Done()
 	<-e.nw.started // hold dispatch until handler registration finishes
-	e.inbox.Serve(e.deliver)
+	e.inbox.Serve(e.pumped)
 }
 
-// deliver runs m's handler; sent is m's send stamp on the sender's
+// pumped and polled deliver a queued message on the node's pump and on
+// its polling compute thread; sent is m's send stamp on the sender's
 // trace clock.
-func (e *endpoint) deliver(m amnet.Msg, sent int64) {
+func (e *endpoint) pumped(m amnet.Msg, sent int64) { e.deliver(m, sent, trace.RecvPumped) }
+func (e *endpoint) polled(m amnet.Msg, sent int64) { e.deliver(m, sent, trace.RecvPolled) }
+
+// deliver runs m's handler, counting it against path.
+func (e *endpoint) deliver(m amnet.Msg, sent int64, path trace.RecvPath) {
 	e.stats.ObserveDeliver(sent)
-	e.countRecv(m)
+	e.stats.CountRecv(path, frameHeader+len(m.Payload))
 	h := e.handlers[m.Handler]
 	if h == nil {
 		panic(fmt.Sprintf("tcpnet: node %d: no handler %d", e.id, m.Handler))
@@ -1136,15 +1231,13 @@ func (e *endpoint) countSend(m amnet.Msg) {
 	e.stats.CountSend(frameHeader + len(m.Payload))
 }
 
-func (e *endpoint) countRecv(m amnet.Msg) {
-	e.stats.CountRecv(trace.RecvPumped, frameHeader+len(m.Payload))
-}
-
 // frame is a decoded message plus its sender's trace-clock stamp (0 when
-// latency sampling was off at the sender) and its link sequence number
-// (0 for control frames).
+// latency sampling was off at the sender), its link sequence number (0
+// for control frames) and the cumulative ack it carries for the reverse
+// link.
 type frame struct {
 	msg  amnet.Msg
 	sent int64
 	seq  uint64
+	ack  uint64
 }

@@ -290,3 +290,43 @@ func TestFlushesCountEveryWrite(t *testing.T) {
 			s.Flushes, s.BytesSent, s.MsgsSent, minWrites, s.MsgsSent)
 	}
 }
+
+// TestAcksRideDataFrames runs a strict ping-pong, where every frame has
+// a reply going the other way: each ack rides that reply's header, so
+// the wire carries one socket write per message, and a standalone ack
+// goes out at most once per ackEvery frames (plus the odd probe tick).
+func TestAcksRideDataFrames(t *testing.T) {
+	nw, err := New(Loopback(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	eps := nw.Endpoints()
+	pong := make(chan uint64, 1)
+	eps[1].Register(1, func(m amnet.Msg) { eps[1].Send(amnet.Msg{Dst: 0, Handler: 2, A: m.A}) })
+	eps[0].Register(2, func(m amnet.Msg) { pong <- m.A })
+	const rounds = 500
+	for i := uint64(0); i < rounds; i++ {
+		eps[0].Send(amnet.Msg{Dst: 1, Handler: 1, A: i})
+		select {
+		case a := <-pong:
+			if a != i {
+				t.Fatalf("round %d: pong %d", i, a)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: no pong", i)
+		}
+	}
+	var msgs, flushes uint64
+	for _, ep := range eps {
+		s := ep.Stats().Snapshot()
+		msgs += s.MsgsSent
+		flushes += s.Flushes
+	}
+	if msgs != 2*rounds {
+		t.Fatalf("MsgsSent = %d, want %d", msgs, 2*rounds)
+	}
+	if limit := msgs + msgs/ackEvery + 4; flushes > limit {
+		t.Fatalf("%d socket writes for %d messages, want at most %d: acks are not riding the replies", flushes, msgs, limit)
+	}
+}

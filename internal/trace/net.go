@@ -70,8 +70,9 @@ type RecvPath uint8
 
 // The delivery paths.
 const (
-	// RecvDirect: the sender's goroutine, dispatching directly (see
-	// package amnet).
+	// RecvDirect: the goroutine that handed the message over,
+	// dispatching directly — a sender's on the channel fabric, a
+	// connection reader's on tcpnet (see package amnet).
 	RecvDirect RecvPath = iota
 	// RecvPolled: the node's own application thread, polling its
 	// mailbox before it parks in a wait.
