@@ -12,9 +12,9 @@ GO ?= go
 # scheduler goroutine runs beside senders, Kill and Quiesce.
 RACE_PKGS = ./internal/trace ./internal/core ./internal/memory ./internal/amnet ./internal/faultnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway
 
-.PHONY: ci vet build test bench-test race fuzz-smoke bench-compare bench-allocs chaos-smoke cluster-smoke gate-smoke examples-smoke
+.PHONY: ci vet build test bench-test race fuzz-smoke bench-compare bench-allocs chaos-smoke cluster-smoke gate-smoke examples-smoke paper-smoke
 
-ci: vet build test bench-test race fuzz-smoke bench-allocs chaos-smoke cluster-smoke gate-smoke examples-smoke
+ci: vet build test bench-test race fuzz-smoke bench-allocs chaos-smoke cluster-smoke gate-smoke examples-smoke paper-smoke
 
 vet:
 	$(GO) vet ./...
@@ -118,10 +118,11 @@ bench-allocs:
 		END { n = split("BenchmarkBracket/disabled BenchmarkBracket/metrics BenchmarkBracket/mapped BenchmarkCollectives/GlobalBarrier/procs=4", want, " "); \
 			for (i = 1; i <= n; i++) if (!(want[i] in seen)) { print "FAIL: no " want[i] " result"; bad = 1 } exit bad }'
 
-# examples-smoke runs two public-API examples end to end: customproto, a
+# examples-smoke runs three examples end to end: customproto, a
 # protocol built from the proto package's building blocks, must end with
-# its success line, and quickstart must count every increment under
-# both protocols.
+# its success line; quickstart must count every increment under both
+# protocols; and em3d, the Section 3.3 walkthrough, must compute the
+# identical result under sc, dynamic update and static update.
 examples-smoke:
 	@out=$$($(GO) run ./examples/customproto 2>&1); status=$$?; echo "$$out"; \
 	if [ $$status -ne 0 ] || [ "$$(echo "$$out" | tail -n 1)" != "custom protocol ran correctly" ]; then \
@@ -130,3 +131,12 @@ examples-smoke:
 	if [ $$status -ne 0 ] || ! echo "$$out" | grep -q 'counter = 400 (want 400)' || \
 		! echo "$$out" | grep -q 'counter = 800 (want 800)'; then \
 		echo "FAIL: examples/quickstart"; exit 1; fi
+	@out=$$($(GO) run ./examples/em3d 2>&1); status=$$?; echo "$$out"; \
+	if [ $$status -ne 0 ] || [ "$$(echo "$$out" | tail -n 1)" != "all protocols computed identical results" ]; then \
+		echo "FAIL: examples/em3d"; exit 1; fi
+
+# paper-smoke runs every paper-scale evaluation benchmark once (Figure
+# 7a, Figure 7b, Table 4), so the commands EXPERIMENTS.md regenerates
+# its tables with keep building and running.
+paper-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkFig7a|BenchmarkFig7b|BenchmarkTable4' -benchtime 1x .

@@ -1,103 +1,72 @@
 package ace
 
-// The benchmark harness for the paper's evaluation artifacts, one
-// testing.B target per figure and table:
+// The harness for the paper's evaluation artifacts, one testing.B target
+// per figure and table, at paper scale on 8 processors:
 //
-//	go test -bench BenchmarkFig7a  -benchmem .   # Figure 7a rows
-//	go test -bench BenchmarkFig7b  -benchmem .   # Figure 7b rows
-//	go test -bench BenchmarkTable4 -benchmem .   # Table 4 cells
+//	go test -run '^$' -bench 'BenchmarkFig7a|BenchmarkFig7b|BenchmarkTable4' -count 3 .
 //
-// Each sub-benchmark executes one full benchmark run (setup plus the
-// timed phase) per iteration; the paper-style tables with iteration-level
-// timing, traffic and speedups come from `go run ./cmd/acebench`.
+// Each sub-benchmark executes one full run (setup plus the timed phase)
+// per iteration. Figure 7's rows report ns/iter, the paper's comparable
+// time (per iteration for the iterative benchmarks, total otherwise),
+// and msgs/op; Table 4's cells report ns/kernel and calls/op. The
+// message and call shapes are pinned by count at small scale in
+// internal/bench's tests; these benchmarks regenerate the wall-clock
+// cells.
 
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/acedsm/ace/internal/apps/apputil"
-	"github.com/acedsm/ace/internal/apps/barneshut"
-	"github.com/acedsm/ace/internal/apps/bsc"
-	"github.com/acedsm/ace/internal/apps/em3d"
-	"github.com/acedsm/ace/internal/apps/tsp"
-	"github.com/acedsm/ace/internal/apps/water"
 	"github.com/acedsm/ace/internal/bench"
 	"github.com/acedsm/ace/internal/compiler"
-	"github.com/acedsm/ace/internal/rtiface"
 	"github.com/acedsm/ace/internal/table4"
 	"github.com/acedsm/ace/proto"
 )
 
+// benchProcs is the processor count EXPERIMENTS.md records.
 const benchProcs = 8
 
-// benchApps enumerates the five benchmarks with laptop-scale inputs.
-// custom=true selects each benchmark's application-specific protocols
-// (the Figure 7b configuration).
-func benchApps(custom bool) map[string]bench.AppFunc {
-	e := em3d.Config{Nodes: 128, Degree: 8, PctRemote: 20, Steps: 5, Seed: 42}
-	b := barneshut.Config{Bodies: 128, Steps: 3, Theta: 1.0, Eps: 0.5, DT: 0.025, Seed: 17}
-	w := water.Config{Molecules: 48, Steps: 3, DT: 0.001, Seed: 5}
-	t := tsp.Config{Cities: 9, Seed: 7}
-	c := bsc.Config{Blocks: 8, BlockSize: 12, Bandwidth: 3, Seed: 3}
-	if custom {
-		e.Proto = "staticupdate"
-		b.Proto = "update"
-		w.PhaseProtocols = true
-		t.CounterProto = "atomic"
-		c.Proto = "homewrite"
-	}
-	return map[string]bench.AppFunc{
-		"barnes-hut": func(rt rtiface.RT) (apputil.Result, error) { return barneshut.Run(rt, b) },
-		"bsc":        func(rt rtiface.RT) (apputil.Result, error) { return bsc.Run(rt, c) },
-		"em3d":       func(rt rtiface.RT) (apputil.Result, error) { return em3d.Run(rt, e) },
-		"tsp":        func(rt rtiface.RT) (apputil.Result, error) { return tsp.Run(rt, t) },
-		"water":      func(rt rtiface.RT) (apputil.Result, error) { return water.Run(rt, w) },
-	}
-}
-
-// BenchmarkFig7a measures every benchmark on the CRL baseline and the Ace
-// runtime under the sequentially consistent protocol (Figure 7a).
+// BenchmarkFig7a measures every benchmark at paper scale on the CRL
+// baseline and the Ace runtime under the sequentially consistent
+// protocol (Figure 7a).
 func BenchmarkFig7a(b *testing.B) {
-	for name, app := range benchApps(false) {
-		b.Run(name+"/crl", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunCRL(benchProcs, app); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name+"/ace", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunAce(benchProcs, app); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for _, app := range bench.Apps(bench.WorkloadsFor(bench.ScalePaper, benchProcs), false) {
+		b.Run(app.Name+"/crl", func(b *testing.B) { benchApp(b, bench.RunCRL, app.Run) })
+		b.Run(app.Name+"/ace", func(b *testing.B) { benchApp(b, bench.RunAce, app.Run) })
 	}
 }
 
-// BenchmarkFig7b measures every benchmark on Ace under the sequentially
-// consistent protocol and under its application-specific protocols
-// (Figure 7b).
+// BenchmarkFig7b measures every benchmark at paper scale on Ace under
+// the sequentially consistent protocol and under its
+// application-specific protocols (Figure 7b).
 func BenchmarkFig7b(b *testing.B) {
-	sc := benchApps(false)
-	custom := benchApps(true)
-	for name := range sc {
-		b.Run(name+"/sc", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunAce(benchProcs, sc[name]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(name+"/custom", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunAce(benchProcs, custom[name]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	w := bench.WorkloadsFor(bench.ScalePaper, benchProcs)
+	custom := bench.Apps(w, true)
+	for i, app := range bench.Apps(w, false) {
+		b.Run(app.Name+"/sc", func(b *testing.B) { benchApp(b, bench.RunAce, app.Run) })
+		b.Run(app.Name+"/custom", func(b *testing.B) { benchApp(b, bench.RunAce, custom[i].Run) })
 	}
+}
+
+// benchApp runs app once per iteration (setup plus the timed phase) and
+// reports the paper's time per run — per iteration for the iterative
+// benchmarks, total otherwise (bench.TimeOf) — and the cluster messages
+// each run sent.
+func benchApp(b *testing.B, run func(int, bench.AppFunc) (apputil.Result, error), app bench.AppFunc) {
+	var timed time.Duration
+	var msgs uint64
+	for i := 0; i < b.N; i++ {
+		r, err := run(benchProcs, app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		timed += bench.TimeOf(r)
+		msgs += r.Msgs
+	}
+	b.ReportMetric(float64(timed)/float64(b.N), "ns/iter")
+	b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
 }
 
 // BenchmarkBracket measures the cost of a StartRead/EndRead hit pair under
@@ -194,13 +163,11 @@ func BenchmarkCollectives(b *testing.B) {
 }
 
 // BenchmarkTable4 measures every compiler kernel at every optimization
-// level plus the hand-written version (Table 4).
+// level plus the hand-written version (Table 4), with the default kernel
+// inputs at benchProcs. It reports the timed kernel phase and, for the
+// compiled levels, the annotation calls executed on all processors.
 func BenchmarkTable4(b *testing.B) {
-	cfg := table4.Config{
-		N: 64, Degree: 5, Steps: 3,
-		Blocks: 6, BlockSize: 6, Band: 2,
-		Jobs: 12, Cities: 8,
-	}
+	cfg := table4.DefaultConfig()
 	decls := proto.NewRegistry().Decls()
 	for _, k := range table4.Kernels() {
 		prog := k.Build(cfg)
@@ -210,19 +177,32 @@ func BenchmarkTable4(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Run(fmt.Sprintf("%s/%s", k.Name, lvl), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := bench.RunKernelVM(4, k, cfg, compiled); err != nil {
-						b.Fatal(err)
-					}
-				}
+				benchKernel(b, func() (bench.Table4Result, error) {
+					return bench.RunKernelVM(benchProcs, k, cfg, compiled)
+				})
 			})
 		}
 		b.Run(k.Name+"/hand", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bench.RunKernelHand(4, k, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchKernel(b, func() (bench.Table4Result, error) {
+				return bench.RunKernelHand(benchProcs, k, cfg)
+			})
 		})
 	}
+}
+
+// benchKernel runs one Table 4 cell per iteration and reports its timed
+// kernel phase and annotation calls (zero for the hand version).
+func benchKernel(b *testing.B, run func() (bench.Table4Result, error)) {
+	var timed time.Duration
+	var calls uint64
+	for i := 0; i < b.N; i++ {
+		r, err := run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		timed += r.Time
+		calls += r.Calls
+	}
+	b.ReportMetric(float64(timed)/float64(b.N), "ns/kernel")
+	b.ReportMetric(float64(calls)/float64(b.N), "calls/op")
 }

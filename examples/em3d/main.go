@@ -44,16 +44,16 @@ func main() {
 		cfg.Nodes, cfg.Nodes, cfg.Degree, cfg.PctRemote, cfg.Steps, procs)
 
 	sc := run("")
-	fmt.Printf("%-22s %10v/iter  %8d msgs   checksum %.6f\n",
+	fmt.Printf("%-22s %10v/iter  %8d msgs   checksum %g\n",
 		"sequentially consist.", sc.TimePerIter.Round(time.Microsecond), sc.Msgs, sc.Checksum)
 
 	dyn := run("update")
-	fmt.Printf("%-22s %10v/iter  %8d msgs   checksum %.6f   speedup %.2fx\n",
+	fmt.Printf("%-22s %10v/iter  %8d msgs   checksum %g   speedup %.2fx\n",
 		"dynamic update", dyn.TimePerIter.Round(time.Microsecond), dyn.Msgs, dyn.Checksum,
 		float64(sc.TimePerIter)/float64(dyn.TimePerIter))
 
 	static := run("staticupdate")
-	fmt.Printf("%-22s %10v/iter  %8d msgs   checksum %.6f   speedup %.2fx\n",
+	fmt.Printf("%-22s %10v/iter  %8d msgs   checksum %g   speedup %.2fx\n",
 		"static update", static.TimePerIter.Round(time.Microsecond), static.Msgs, static.Checksum,
 		float64(sc.TimePerIter)/float64(static.TimePerIter))
 

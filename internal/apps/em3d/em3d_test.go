@@ -104,7 +104,7 @@ func TestPushAggregationCoalesces(t *testing.T) {
 	for _, protoName := range []string{"staticupdate", "update"} {
 		cfg := em3d.DefaultConfig()
 		cfg.Proto = protoName
-		o, err := bench.RunAceObserved(8, func(rt rtiface.RT) (apputil.Result, error) { return em3d.Run(rt, cfg) }, nil)
+		o, err := bench.RunAceObserved(8, func(rt rtiface.RT) (apputil.Result, error) { return em3d.Run(rt, cfg) })
 		if err != nil {
 			t.Fatal(err)
 		}

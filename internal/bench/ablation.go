@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/acedsm/ace/internal/apps/apputil"
@@ -11,7 +10,6 @@ import (
 	"github.com/acedsm/ace/internal/crl"
 	"github.com/acedsm/ace/internal/faultnet"
 	"github.com/acedsm/ace/internal/rtiface"
-	"github.com/acedsm/ace/internal/stats"
 	"github.com/acedsm/ace/proto"
 )
 
@@ -179,43 +177,4 @@ func GranularitySweep(procs int, totalWords int, sizes []int) ([]GranularityPoin
 		cl.Close()
 	}
 	return out, nil
-}
-
-// Ablations runs all three sweeps and renders them.
-func Ablations(procs int) (string, error) {
-	var sb strings.Builder
-	urc, err := URCSweep(procs, []int{8, 32, 128, 512})
-	if err != nil {
-		return "", err
-	}
-	t1 := stats.NewTable("URC capacity", "messages (em3d on crl)")
-	for _, c := range []int{8, 32, 128, 512} {
-		t1.AddRow(c, urc[c])
-	}
-	sb.WriteString("--- CRL unmapped-region cache capacity (eviction forces re-fetches) ---\n")
-	sb.WriteString(t1.String())
-
-	lats, err := LatencySweep(procs, []time.Duration{0, 20 * time.Microsecond, 100 * time.Microsecond})
-	if err != nil {
-		return "", err
-	}
-	t2 := stats.NewTable("injected latency", "sc/iter", "staticupdate/iter", "speedup")
-	for _, pt := range lats {
-		t2.AddRow(pt.Latency.String(), pt.SC.Round(time.Microsecond).String(),
-			pt.Update.Round(time.Microsecond).String(), pt.Speedup)
-	}
-	sb.WriteString("\n--- network latency vs custom-protocol speedup (em3d) ---\n")
-	sb.WriteString(t2.String())
-
-	grans, err := GranularitySweep(procs, 4096, []int{1, 16, 256, 4096})
-	if err != nil {
-		return "", err
-	}
-	t3 := stats.NewTable("region size (words)", "messages", "time")
-	for _, pt := range grans {
-		t3.AddRow(pt.Words, pt.Msgs, pt.Time.Round(time.Millisecond).String())
-	}
-	sb.WriteString("\n--- user-specified granularity as bulk transfer (fixed data volume) ---\n")
-	sb.WriteString(t3.String())
-	return sb.String(), nil
 }

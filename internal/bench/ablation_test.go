@@ -10,6 +10,7 @@ func TestURCSweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("messages by URC capacity: %v", msgs)
 	// Larger caches can only reduce re-fetch traffic.
 	if msgs[4] < msgs[64] || msgs[64] < msgs[1024] {
 		t.Fatalf("messages not monotone in capacity: %v", msgs)
@@ -24,6 +25,7 @@ func TestGranularitySweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("by region size: %+v", pts)
 	// Same data volume, bigger regions, fewer messages (Section 2.3's
 	// bulk-transfer argument).
 	for i := 1; i < len(pts); i++ {
@@ -44,6 +46,7 @@ func TestLatencySweepShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("by injected latency: %+v", pts)
 	// At high injected latency, the static update protocol's advantage
 	// must be larger than at zero latency (the paper's premise: update
 	// protocols remove synchronous round trips).

@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"fmt"
+	"math"
 	"time"
 
 	"github.com/acedsm/ace/internal/apps/apputil"
@@ -11,18 +11,17 @@ import (
 	"github.com/acedsm/ace/internal/apps/tsp"
 	"github.com/acedsm/ace/internal/apps/water"
 	"github.com/acedsm/ace/internal/rtiface"
-	"github.com/acedsm/ace/internal/stats"
 )
 
-// Scale selects workload sizes. "small" keeps unit tests fast; "default"
-// is laptop-scale; "paper" approaches the paper's inputs (Table 3).
+// Scale selects workload sizes. "small" is the scale the count gates
+// pin; "paper" approaches the paper's inputs (Table 3) and is what the
+// root benchmarks run.
 type Scale string
 
 // The available scales.
 const (
-	ScaleSmall   Scale = "small"
-	ScaleDefault Scale = "default"
-	ScalePaper   Scale = "paper"
+	ScaleSmall Scale = "small"
+	ScalePaper Scale = "paper"
 )
 
 // Workloads holds the per-benchmark configurations for one experiment run.
@@ -67,20 +66,16 @@ func WorkloadsFor(scale Scale, procs int) Workloads {
 	return w
 }
 
-// Row is one benchmark's outcome in a two-system comparison.
-type Row struct {
-	App      string
-	Base     apputil.Result // CRL (fig 7a) or Ace/sc (fig 7b)
-	Opt      apputil.Result // Ace (fig 7a) or Ace/custom (fig 7b)
-	Speedup  float64        // Base.Time / Opt.Time
-	Checksum bool           // checksums agree
+// NamedApp is one of the five benchmarks bound to a workload set.
+type NamedApp struct {
+	Name string
+	Run  AppFunc
 }
 
-// apps enumerates the benchmark closures for a workload set.
-func apps(w Workloads, custom bool) []struct {
-	name string
-	fn   AppFunc
-} {
+// Apps returns the five benchmarks of the paper's evaluation, in name
+// order. custom selects each benchmark's application-specific protocols
+// (the Figure 7b configuration) instead of sequential consistency.
+func Apps(w Workloads, custom bool) []NamedApp {
 	e, t, b, wa, c := w.EM3D, w.TSP, w.BarnesHut, w.Water, w.BSC
 	if custom {
 		e.Proto = "staticupdate"
@@ -89,10 +84,7 @@ func apps(w Workloads, custom bool) []struct {
 		wa.PhaseProtocols = true
 		c.Proto = "homewrite"
 	}
-	return []struct {
-		name string
-		fn   AppFunc
-	}{
+	return []NamedApp{
 		{"barnes-hut", func(rt rtiface.RT) (apputil.Result, error) { return barneshut.Run(rt, b) }},
 		{"bsc", func(rt rtiface.RT) (apputil.Result, error) { return bsc.Run(rt, c) }},
 		{"em3d", func(rt rtiface.RT) (apputil.Result, error) { return em3d.Run(rt, e) }},
@@ -101,111 +93,13 @@ func apps(w Workloads, custom bool) []struct {
 	}
 }
 
-// App returns the named benchmark closure for a workload set (custom
-// selects the application-specific protocols instead of sequential
-// consistency), reporting ok=false for an unknown name.
-func App(w Workloads, name string, custom bool) (AppFunc, bool) {
-	for _, a := range apps(w, custom) {
-		if a.name == name {
-			return a.fn, true
-		}
-	}
-	return nil, false
-}
-
-// AppNames lists the benchmark names accepted by App.
-func AppNames() []string {
-	var names []string
-	for _, a := range apps(Workloads{}, false) {
-		names = append(names, a.name)
-	}
-	return names
-}
-
-// timeOf returns the comparable time for a result: per-iteration time for
+// TimeOf returns the comparable time for a result: per-iteration time for
 // the iterative benchmarks, total time otherwise (Section 5.1).
-func timeOf(r apputil.Result) time.Duration {
+func TimeOf(r apputil.Result) time.Duration {
 	if r.TimePerIter > 0 {
 		return r.TimePerIter
 	}
 	return r.Total
-}
-
-// Fig7a runs every benchmark on both runtimes under the sequentially
-// consistent protocol: the paper's Figure 7a.
-func Fig7a(w Workloads) ([]Row, error) {
-	var rows []Row
-	for _, a := range apps(w, false) {
-		crlRes, err := RunCRL(w.Procs, a.fn)
-		if err != nil {
-			return nil, fmt.Errorf("fig7a %s (crl): %w", a.name, err)
-		}
-		aceRes, err := RunAce(w.Procs, a.fn)
-		if err != nil {
-			return nil, fmt.Errorf("fig7a %s (ace): %w", a.name, err)
-		}
-		rows = append(rows, Row{
-			App:      a.name,
-			Base:     crlRes,
-			Opt:      aceRes,
-			Speedup:  ratio(timeOf(crlRes), timeOf(aceRes)),
-			Checksum: checksumsMatch(crlRes.Checksum, aceRes.Checksum),
-		})
-	}
-	return rows, nil
-}
-
-// Fig7b runs every benchmark on Ace under the sequentially consistent
-// protocol and under its application-specific protocol: the paper's
-// Figure 7b.
-func Fig7b(w Workloads) ([]Row, error) {
-	sc := apps(w, false)
-	custom := apps(w, true)
-	var rows []Row
-	for i := range sc {
-		scRes, err := RunAce(w.Procs, sc[i].fn)
-		if err != nil {
-			return nil, fmt.Errorf("fig7b %s (sc): %w", sc[i].name, err)
-		}
-		cuRes, err := RunAce(w.Procs, custom[i].fn)
-		if err != nil {
-			return nil, fmt.Errorf("fig7b %s (custom): %w", sc[i].name, err)
-		}
-		rows = append(rows, Row{
-			App:      sc[i].name,
-			Base:     scRes,
-			Opt:      cuRes,
-			Speedup:  ratio(timeOf(scRes), timeOf(cuRes)),
-			Checksum: checksumsMatch(scRes.Checksum, cuRes.Checksum),
-		})
-	}
-	return rows, nil
-}
-
-// FormatRows renders comparison rows as a table, labelling the base and
-// optimized columns.
-func FormatRows(rows []Row, baseLabel, optLabel string) string {
-	t := stats.NewTable("benchmark", baseLabel, optLabel, "speedup",
-		baseLabel+" msgs", optLabel+" msgs", "checksum")
-	for _, r := range rows {
-		check := "ok"
-		if !r.Checksum {
-			check = "MISMATCH"
-		}
-		t.AddRow(r.App,
-			timeOf(r.Base).Round(time.Microsecond).String(),
-			timeOf(r.Opt).Round(time.Microsecond).String(),
-			r.Speedup,
-			r.Base.Msgs, r.Opt.Msgs, check)
-	}
-	return t.String()
-}
-
-func ratio(a, b time.Duration) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
 }
 
 // checksumsMatch compares checksums with a relative tolerance: protocols
@@ -213,17 +107,6 @@ func ratio(a, b time.Duration) float64 {
 // at the home in arrival order), so bit-exact equality is not required,
 // but agreement to 1e-6 relative is.
 func checksumsMatch(a, b float64) bool {
-	diff := a - b
-	if diff < 0 {
-		diff = -diff
-	}
-	mag := max(abs(a), abs(b), 1e-9)
-	return diff/mag < 1e-6
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	mag := max(math.Abs(a), math.Abs(b), 1e-9)
+	return math.Abs(a-b)/mag < 1e-6
 }

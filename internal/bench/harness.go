@@ -1,6 +1,10 @@
-// Package bench is the experiment harness: it runs the five benchmarks on
-// the Ace and CRL runtimes under the protocol configurations of the
-// paper's evaluation and regenerates Figure 7a, Figure 7b and Table 4.
+// Package bench runs the five benchmarks on the Ace and CRL runtimes
+// under the protocol configurations of the paper's evaluation, and the
+// compiler kernels at every optimization level. Its tests pin the shapes
+// of Figure 7a, Figure 7b and Table 4 by message and annotation-call
+// count at a fixed scale; the root package's BenchmarkFig7a,
+// BenchmarkFig7b and BenchmarkTable4 regenerate their wall-clock cells
+// at paper scale.
 package bench
 
 import (
@@ -19,26 +23,24 @@ import (
 type AppFunc func(rt rtiface.RT) (apputil.Result, error)
 
 // Observed is the outcome of an instrumented run: the benchmark result
-// plus the cluster-wide observability snapshot and (when the trace
-// config retained events) the event log.
+// plus the cluster-wide observability snapshot.
 type Observed struct {
 	Result  apputil.Result
 	Metrics trace.Metrics
-	Events  []trace.Event
 }
 
 // RunAce executes app on a fresh Ace cluster of procs processors and
 // returns processor 0's result with cluster traffic totals filled in.
 func RunAce(procs int, app AppFunc) (apputil.Result, error) {
-	o, err := RunAceObserved(procs, app, nil)
+	o, err := RunAceObserved(procs, app)
 	return o.Result, err
 }
 
-// RunAceObserved executes app on a fresh Ace cluster with the given
-// trace configuration (nil runs uninstrumented) and returns processor
-// 0's result together with the cluster metrics and retained events.
-func RunAceObserved(procs int, app AppFunc, cfg *trace.Config) (Observed, error) {
-	return runAceCluster(core.Options{Procs: procs, Registry: proto.NewRegistry(), Trace: cfg}, app)
+// RunAceObserved executes app on a fresh Ace cluster and returns
+// processor 0's result together with the cluster metrics (the always-on
+// counters; latencies stay untimed).
+func RunAceObserved(procs int, app AppFunc) (Observed, error) {
+	return runAceCluster(core.Options{Procs: procs, Registry: proto.NewRegistry()}, app)
 }
 
 // RunAceAdaptive executes app on a fresh Ace cluster with the online
@@ -72,7 +74,6 @@ func runAceCluster(opts core.Options, app AppFunc) (Observed, error) {
 		return o, err
 	}
 	o.Metrics = cl.Metrics()
-	o.Events = cl.TraceEvents()
 	o.Result.Msgs = o.Metrics.Net.MsgsSent
 	o.Result.Bytes = o.Metrics.Net.BytesSent
 	return o, nil

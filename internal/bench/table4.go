@@ -3,14 +3,12 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/acedsm/ace/internal/compiler"
 	"github.com/acedsm/ace/internal/core"
 	"github.com/acedsm/ace/internal/ir"
-	"github.com/acedsm/ace/internal/stats"
 	"github.com/acedsm/ace/internal/table4"
 	"github.com/acedsm/ace/internal/vm"
 	"github.com/acedsm/ace/proto"
@@ -168,55 +166,4 @@ func RunKernelHand(procs int, k table4.Kernel, cfg table4.Config) (Table4Result,
 		return nil
 	})
 	return res, err
-}
-
-// Table4 runs the whole experiment and renders the paper-style table:
-// rows are optimization levels, columns benchmarks.
-func Table4(procs int) (string, error) {
-	results, err := RunTable4(procs, table4.DefaultConfig())
-	if err != nil {
-		return "", err
-	}
-	kernels := make([]string, 0, len(results))
-	for name := range results {
-		kernels = append(kernels, name)
-	}
-	sort.Strings(kernels)
-
-	var sb strings.Builder
-	times := stats.NewTable(append([]string{"Optimization"}, kernels...)...)
-	levels := []string{"base", "LI", "LI+MC", "LI+MC+DC", "hand"}
-	labels := map[string]string{
-		"base": "Base case", "LI": "Loop Invariance (LI)",
-		"LI+MC": "LI + Merging Calls (MC)", "LI+MC+DC": "LI + MC + Direct Calls",
-		"hand": "Hand-optimized",
-	}
-	for _, lvl := range levels {
-		row := []any{labels[lvl]}
-		for _, kn := range kernels {
-			for _, r := range results[kn] {
-				if r.Level == lvl {
-					row = append(row, r.Time.Round(time.Microsecond).String())
-				}
-			}
-		}
-		times.AddRow(row...)
-	}
-	sb.WriteString(times.String())
-
-	sb.WriteString("\nAnnotation calls executed (all processors):\n")
-	calls := stats.NewTable(append([]string{"Optimization"}, kernels...)...)
-	for _, lvl := range levels[:4] {
-		row := []any{labels[lvl]}
-		for _, kn := range kernels {
-			for _, r := range results[kn] {
-				if r.Level == lvl {
-					row = append(row, r.Calls)
-				}
-			}
-		}
-		calls.AddRow(row...)
-	}
-	sb.WriteString(calls.String())
-	return sb.String(), nil
 }

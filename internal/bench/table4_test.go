@@ -6,9 +6,26 @@ import (
 	"github.com/acedsm/ace/internal/table4"
 )
 
+// table4Calls pins the annotation calls executed (all processors) by
+// every kernel at base, LI, LI+MC and LI+MC+DC for the configuration
+// below at 2 procs — the mechanism behind each row of the paper's
+// Table 4.
+var table4Calls = map[string][4]uint64{
+	"barnes-hut": {95184, 89160, 22170, 8522},
+	"bsc":        {17694, 252, 201, 90},
+	"em3d":       {12672, 4728, 4728, 3112},
+	"tsp":        {2700, 120, 118, 98},
+	"water":      {198000, 6108, 2244, 1580},
+}
+
 // TestTable4SmallAllKernels runs the whole Table 4 experiment at a small
 // scale: every kernel at every optimization level plus the hand version,
-// with checksum agreement enforced by RunTable4 itself.
+// with checksum agreement enforced by RunTable4 itself, and pins each
+// level's annotation-call count. The pins carry the paper's per-pass
+// story: LI removes almost every BSC call, MC collapses Barnes-Hut's and
+// Water's sections, DC deletes EM3D's null-handler calls, and TSP's
+// counter and bound calls, declared non-optimizable, survive every
+// level.
 func TestTable4SmallAllKernels(t *testing.T) {
 	cfg := table4.Config{
 		N: 48, Degree: 4, Steps: 3,
@@ -19,48 +36,18 @@ func TestTable4SmallAllKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 5 {
-		t.Fatalf("got %d kernels", len(results))
+	if len(results) != len(table4Calls) {
+		t.Fatalf("got %d kernels, want %d", len(results), len(table4Calls))
 	}
-	for name, rows := range results {
+	for name, want := range table4Calls {
+		rows := results[name]
 		if len(rows) != 5 {
 			t.Fatalf("%s: %d rows", name, len(rows))
 		}
-		// Executed annotation calls must decrease monotonically (weakly)
-		// through base → LI → LI+MC, and LI+MC+DC must beat LI.
-		base, li, mc, dc := rows[0].Calls, rows[1].Calls, rows[2].Calls, rows[3].Calls
-		if li > base || mc > li {
-			t.Errorf("%s: calls not monotone: base=%d li=%d mc=%d", name, base, li, mc)
+		for i, w := range want {
+			if rows[i].Calls != w {
+				t.Errorf("%s %s: %d annotation calls, want %d", name, rows[i].Level, rows[i].Calls, w)
+			}
 		}
-		if dc > mc {
-			t.Errorf("%s: DC increased executed calls: mc=%d dc=%d", name, mc, dc)
-		}
-		if base == 0 {
-			t.Errorf("%s: no annotation calls recorded", name)
-		}
-	}
-	// Per-benchmark shape assertions from the paper's Table 4:
-	// LI's largest effect is BSC; MC matters most for barnes-hut and
-	// water; DC removes calls for em3d (null handlers in the kernel).
-	ratio := func(name string, a, b int) float64 {
-		return float64(results[name][a].Calls) / float64(max(results[name][b].Calls, 1))
-	}
-	if r := ratio("bsc", 0, 1); r < 10 {
-		t.Errorf("bsc: LI should eliminate most calls (base/LI = %.1f)", r)
-	}
-	if r := ratio("barnes-hut", 1, 2); r < 2 {
-		t.Errorf("barnes-hut: MC should collapse sections (LI/MC = %.1f)", r)
-	}
-	if r := ratio("water", 1, 2); r < 1.5 {
-		t.Errorf("water: MC should collapse sections (LI/MC = %.1f)", r)
-	}
-	if results["em3d"][3].Calls >= results["em3d"][2].Calls {
-		t.Errorf("em3d: DC should delete null-handler calls: mc=%d dc=%d",
-			results["em3d"][2].Calls, results["em3d"][3].Calls)
-	}
-	// TSP's counter and bound calls are non-optimizable and must survive
-	// every level.
-	if results["tsp"][3].Calls == 0 {
-		t.Errorf("tsp: non-optimizable calls must survive DC")
 	}
 }

@@ -17,7 +17,6 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -140,8 +139,8 @@ func Run(cfg Config) Report {
 		Protocol: cfg.Protocol,
 		Policy:   cfg.Policy,
 		Seed:     cfg.Seed,
-		Replay: fmt.Sprintf("go run ./cmd/acebench -exp chaos -procs %d -chaos-proto %s -chaos-policy %s -chaos-seed %d",
-			cfg.Procs, cfg.Protocol, cfg.Policy, cfg.Seed),
+		Replay: fmt.Sprintf("go test ./internal/chaos -run 'TestMatrixFixedSeeds/%s/%s' (seed %d)",
+			cfg.Protocol, cfg.Policy, cfg.Seed),
 	}
 	pol, err := PolicyByName(cfg.Policy, cfg.Seed)
 	if err != nil {
@@ -625,23 +624,6 @@ func additiveWorker(cfg Config) func(p *core.Proc) error {
 	}
 }
 
-// RunMatrix runs the whole protocol × policy grid for each seed and
-// returns the failing reports (nil means everything held).
-func RunMatrix(seeds []int64, procs int) []Report {
-	var failed []Report
-	for _, protocol := range Protocols() {
-		for _, policy := range Policies() {
-			for _, seed := range seeds {
-				rep := Run(Config{Seed: seed, Procs: procs, Protocol: protocol, Policy: policy})
-				if rep.Err != nil {
-					failed = append(failed, rep)
-				}
-			}
-		}
-	}
-	return failed
-}
-
 // FormatReport renders a failing report with its replay line.
 func FormatReport(rep Report) string {
 	if rep.Err == nil {
@@ -650,13 +632,4 @@ func FormatReport(rep Report) string {
 	}
 	return fmt.Sprintf("chaos %s/%s seed %d: FAIL\n  %v\n  replay: %s",
 		rep.Protocol, rep.Policy, rep.Seed, rep.Err, rep.Replay)
-}
-
-// Errs joins the errors of the given reports.
-func Errs(reps []Report) error {
-	var errs []error
-	for _, r := range reps {
-		errs = append(errs, r.Err)
-	}
-	return errors.Join(errs...)
 }

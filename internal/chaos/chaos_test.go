@@ -51,8 +51,8 @@ func TestBrokenDoubleCaughtDeterministically(t *testing.T) {
 	if first.Err == nil {
 		t.Fatal("broken protocol passed the conformance harness")
 	}
-	if !strings.Contains(first.Replay, "-chaos-proto broken") ||
-		!strings.Contains(first.Replay, "-chaos-seed 1") {
+	if !strings.Contains(first.Replay, "-run 'TestMatrixFixedSeeds/broken/clean'") ||
+		!strings.Contains(first.Replay, "(seed 1)") {
 		t.Fatalf("replay command does not identify the run: %q", first.Replay)
 	}
 	second := Run(Config{Seed: 1, Protocol: "broken"})

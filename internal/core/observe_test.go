@@ -10,8 +10,11 @@ import (
 )
 
 // TestMetricsParityWithOpStats runs a workload touching every
-// instrumented primitive and checks the new per-space metrics agree with
-// the legacy OpStats counters on the same run.
+// instrumented primitive and checks the cluster metrics against the
+// exact counts the workload implies, each latency histogram against its
+// operation count, and the per-processor snapshots against the cluster
+// aggregate. (The name survives from the removed per-layer counters it
+// was first checked against.)
 func TestMetricsParityWithOpStats(t *testing.T) {
 	cl, err := NewCluster(Options{Procs: 4, Trace: &trace.Config{Metrics: true}})
 	if err != nil {

@@ -1,7 +1,6 @@
 // Package trace is the Ace runtime's unified observability layer: one
 // subsystem holding the counters, latency histograms and event traces
-// that were previously scattered across core.OpStats, amnet.Stats and
-// ad-hoc bench counters.
+// of every layer, from the protocol brackets to the transports.
 //
 // Three surfaces:
 //
@@ -36,8 +35,8 @@ import (
 	"time"
 )
 
-// Op names an instrumented runtime primitive. The first eleven mirror
-// the legacy core.OpStats fields one for one.
+// Op names an instrumented runtime primitive: the eleven protocol
+// invocation points of Figures 3-4 and Table 2, then FreeSpace.
 type Op uint8
 
 // The instrumented operations.
