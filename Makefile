@@ -107,7 +107,11 @@ gate-smoke:
 # timed (metrics), the same hit between a Map and an Unmap (mapped), and
 # a barrier round, whose tree-round state is reused from a free list. It
 # fails when go test fails, when any of the four result lines is
-# missing, and when any reports nonzero allocs/op.
+# missing, and when any reports nonzero allocs/op. Then it runs the
+# allocation pins that are tests — a remote sc read miss, a staticupdate
+# barrier push round and a tcpnet round trip — and fails unless each
+# one ran and passed.
+ALLOC_PINS := TestRemoteReadMissDoesNotAllocate|TestStaticUpdatePushDoesNotAllocate|TestRoundTripDoesNotAllocate
 bench-allocs:
 	@out=$$($(GO) test -bench 'BenchmarkBracket/(disabled|metrics|mapped)$$|BenchmarkCollectives/GlobalBarrier/procs=4$$' -benchmem -benchtime=200ms -run '^$$' .); \
 	status=$$?; echo "$$out"; \
@@ -117,6 +121,10 @@ bench-allocs:
 			if ($$(NF-1) + 0 != 0) { print "FAIL: allocates: " $$0; bad = 1 } } \
 		END { n = split("BenchmarkBracket/disabled BenchmarkBracket/metrics BenchmarkBracket/mapped BenchmarkCollectives/GlobalBarrier/procs=4", want, " "); \
 			for (i = 1; i <= n; i++) if (!(want[i] in seen)) { print "FAIL: no " want[i] " result"; bad = 1 } exit bad }'
+	@out=$$($(GO) test -count=1 -v -run '^($(ALLOC_PINS))$$' ./internal/core ./proto ./internal/tcpnet); \
+	status=$$?; echo "$$out" | grep -E '^(--- |ok|FAIL)'; \
+	if [ $$status -ne 0 ]; then echo "FAIL: allocation pins exited $$status"; exit 1; fi; \
+	for t in $$(echo '$(ALLOC_PINS)' | tr '|' ' '); do echo "$$out" | grep -q -- "--- PASS: $$t " || { echo "FAIL: $$t did not pass"; exit 1; }; done
 
 # examples-smoke runs three examples end to end: customproto, a
 # protocol built from the proto package's building blocks, must end with

@@ -117,9 +117,10 @@ type BatchDeliverer interface {
 // decodeBatch splits an aggregate frame into per-region records,
 // materializing regions unknown here and withdrawing each region's
 // fast bits before the protocol examines section counts (the same
-// discipline as the hProto handler). Caller holds sp's engine lock.
+// discipline as the hProto handler). The records live in sp's scratch
+// slice, valid until the next frame. Caller holds sp's engine lock.
 func (p *Proc) decodeBatch(sp *Space, m amnet.Msg) []BatchRecord {
-	recs := make([]BatchRecord, 0, m.A)
+	recs := sp.batchRecs[:0]
 	buf := m.Payload
 	for len(buf) >= 12 {
 		id := RegionID(binary.LittleEndian.Uint64(buf))
@@ -138,6 +139,7 @@ func (p *Proc) decodeBatch(sp *Space, m amnet.Msg) []BatchRecord {
 		recs = append(recs, BatchRecord{R: r, Data: buf[:size:size]})
 		buf = buf[size:]
 	}
+	sp.batchRecs = recs
 	if len(recs) != int(m.A) || len(buf) != 0 {
 		panic(fmt.Sprintf("core: proc %d: malformed aggregate frame from %d: %d records decoded, header says %d, %d bytes left",
 			p.id, m.Src, len(recs), m.A, len(buf)))

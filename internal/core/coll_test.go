@@ -415,15 +415,11 @@ func waitPurged(t *testing.T, what string, cond func() bool) {
 }
 
 // collStateEmpty reports whether p holds no pending collective state:
-// no open tree round and nothing in the broadcast rendezvous.
+// no open round, tree or broadcast.
 func collStateEmpty(p *Proc) bool {
 	p.treeMu.Lock()
-	nrounds := len(p.rounds)
-	p.treeMu.Unlock()
-	p.collMu.Lock()
-	nbcast := len(p.collGot) + len(p.collWait)
-	p.collMu.Unlock()
-	return nrounds == 0 && nbcast == 0
+	defer p.treeMu.Unlock()
+	return len(p.rounds) == 0
 }
 
 // TestPeerLossPurgesCollectiveState: killing a peer between arrival and
@@ -438,7 +434,7 @@ func TestPeerLossPurgesCollectiveState(t *testing.T) {
 			p.GlobalBarrier()          // arrivals strand in rounds
 		},
 		"broadcast": func(p *Proc, victim int) {
-			p.Broadcast(victim, nil) // waiters strand in collWait
+			p.Broadcast(victim, nil) // waiters strand in rounds
 		},
 	}
 	for _, procs := range []int{3, 5} {

@@ -76,35 +76,29 @@ func (c *Ctx) DisableFast(r *Region) { r.disableFast() }
 // mutations disabled the fast path with DisableFast.
 func (c *Ctx) RefreshFast(r *Region) { r.Space.refreshFast(r) }
 
-// NewWaiter allocates a waiter and returns its sequence number. The
-// application thread passes the number in a request message (field B by
-// convention) and calls Wait; the reply handler calls Complete. Waiters
-// are recycled through a per-processor free list: a sequence number is
-// never reused, so nothing addressed to a waiter's previous life can
-// reach it.
+// NewWaiter arms the processor's waiter slot and returns the wait's
+// sequence number. The application thread passes the number in a
+// request message (field B by convention) and calls Wait; the reply
+// handler calls Complete. Only the application thread may call it, and
+// an SPMD thread blocks on at most one reply at a time, so there is one
+// slot: arming it while a wait is pending is a bug and panics. A
+// sequence number is never reused, so nothing addressed to an earlier
+// wait can complete this one.
 func (c *Ctx) NewWaiter() uint64 {
 	p := c.p
-	p.wMu.Lock()
-	p.nextWaiter++
-	seq := p.nextWaiter
-	var w *waiter
-	if n := len(p.freeWait); n > 0 {
-		w, p.freeWait = p.freeWait[n-1], p.freeWait[:n-1]
-	} else {
-		w = &waiter{ch: make(chan amnet.Msg, 1)}
+	if s := p.waitSeq.Load(); s != 0 || len(p.waitCh) != 0 {
+		panic(fmt.Sprintf("core: proc %d: NewWaiter while waiter %d is pending", p.id, p.nextWaiter))
 	}
-	p.waiters[seq] = w
-	p.wMu.Unlock()
-	return seq
+	p.nextWaiter++
+	p.waitSeq.Store(p.nextWaiter)
+	return p.nextWaiter
 }
 
 // Wait blocks until Complete is called for seq, releasing the caller's
 // engine lock (if any) while blocked and reacquiring it before
-// returning. Only the application thread may call Wait. The waiter is
-// retired here, not in Complete: a handler may complete a waiter in the
-// window between the application thread's NewWaiter and its Wait, and
-// the entry must still be present when Wait looks it up (the buffered
-// channel holds the already-delivered message).
+// returning. Only the application thread may call Wait, for the seq its
+// last NewWaiter returned. A handler may complete the wait in the window
+// between NewWaiter and Wait; the slot's channel holds the message.
 //
 // Before parking, Wait polls its own endpoint once (direct-dispatch
 // fabrics only): a reply or an invalidation ack that had to be queued —
@@ -124,73 +118,68 @@ func (c *Ctx) NewWaiter() uint64 {
 // afterwards.
 func (c *Ctx) Wait(seq uint64) amnet.Msg {
 	p := c.p
-	p.wMu.Lock()
-	w := p.waiters[seq]
-	p.wMu.Unlock()
-	if w == nil {
+	if seq == 0 || seq != p.nextWaiter {
 		panic(fmt.Sprintf("core: proc %d: wait on unknown waiter %d", p.id, seq))
 	}
 	if c.eng != nil {
 		c.eng.Unlock()
 	}
-	if p.direct != nil && len(w.ch) == 0 {
+	if p.direct != nil && len(p.waitCh) == 0 {
 		p.direct.Poll()
 	}
-	if len(w.ch) == 0 {
+	if len(p.waitCh) == 0 {
 		p.ep.Stats().WaitsParked.Add(1)
 	}
-	m := p.waitSync(w, seq)
+	m := p.waitSync(seq)
 	if c.eng != nil {
 		c.eng.Lock()
 	}
-	// Only a Wait that succeeded recycles its waiter, and only with its
-	// channel empty (Complete sends under wMu, so the check is exact): with
-	// seq gone from the table nothing can send to it again. Failed waits
-	// go through retireWaiter and are left to the garbage collector.
-	p.wMu.Lock()
-	delete(p.waiters, seq)
-	if len(w.ch) == 0 {
-		p.freeWait = append(p.freeWait, w)
-	}
-	p.wMu.Unlock()
 	return m
 }
 
-// waitSync blocks on the waiter's channel, the peer-down signal, and —
-// when configured — the synchronization timeout. A completion that
-// raced in ahead of a failure signal still wins.
-func (p *Proc) waitSync(w *waiter, seq uint64) amnet.Msg {
+// waitSync blocks on the waiter slot, the peer-down signal, and — when
+// configured — the synchronization timeout. A completion that raced in
+// ahead of a failure signal still wins.
+func (p *Proc) waitSync(seq uint64) amnet.Msg {
+	var fail error
 	if d := p.cl.opts.SyncTimeout; d > 0 {
 		t := p.armStall(d)
 		defer t.Stop()
 		select {
-		case m := <-w.ch:
+		case m := <-p.waitCh:
 			return m
 		case <-p.downCh:
 		case <-t.C:
-			select {
-			case m := <-w.ch:
-				return m
-			default:
-			}
-			p.retireWaiter(seq)
-			panic(&SyncStallError{Local: int(p.id), After: d})
+			fail = &SyncStallError{Local: int(p.id), After: d}
 		}
 	} else {
 		select {
-		case m := <-w.ch:
+		case m := <-p.waitCh:
 			return m
 		case <-p.downCh:
 		}
 	}
-	// Peer down. Drain a completion that raced in, else fail typed.
-	select {
-	case m := <-w.ch:
-		return m
-	default:
+	if fail == nil {
+		fail = &PeerLostError{Local: int(p.id), Peer: int(p.downPeer.Load())}
 	}
-	p.retireWaiter(seq)
-	panic(&PeerLostError{Local: int(p.id), Peer: int(p.downPeer.Load())})
+	if m, ok := p.abandonWait(seq); ok {
+		return m
+	}
+	panic(fail)
+}
+
+// abandonWait ends the failing wait seq: it raises the watermark, then
+// claims the seq. If a completion claimed it first, its message is in
+// the channel or about to be, and it wins: abandonWait returns it with
+// ok set. Once the claim is abandonWait's, a completion finds the seq
+// disarmed and the watermark at or above it, and is dropped — so a
+// failed wait strands nothing in the slot.
+func (p *Proc) abandonWait(seq uint64) (m amnet.Msg, ok bool) {
+	p.staleSeq.Store(seq)
+	if p.waitSeq.CompareAndSwap(seq, 0) {
+		return amnet.Msg{}, false
+	}
+	return <-p.waitCh, true
 }
 
 // armStall arms the application thread's stall timer for one wait of d.
@@ -211,64 +200,29 @@ func (p *Proc) armStall(d time.Duration) *time.Timer {
 	return p.stall
 }
 
-// retireWaiter removes a waiter whose Wait is failing, leaving a
-// tombstone so a completion arriving after the failure (a slow but
-// alive peer answering just past the stall timeout) does not hit the
-// unknown-waiter panic in Complete — the late message is dropped
-// instead. Tombstones are never reclaimed: retirement only happens on
-// the failure paths, after which the cluster is unusable.
-func (p *Proc) retireWaiter(seq uint64) {
-	p.wMu.Lock()
-	if w := p.waiters[seq]; w != nil {
-		// Drop a completion that slipped in between the caller's final
-		// drain and this retirement — once the waiter is retired nobody
-		// will ever read the channel again.
-		select {
-		case m := <-w.ch:
-			amnet.Recycle(m.Payload)
-		default:
-		}
-	}
-	delete(p.waiters, seq)
-	if p.retired == nil {
-		p.retired = make(map[uint64]struct{})
-	}
-	p.retired[seq] = struct{}{}
-	p.wMu.Unlock()
-}
-
-// Complete finishes the waiter seq, handing it m. It is typically called
+// Complete finishes the wait seq, handing it m. It is typically called
 // from a Deliver handler (for locally served requests it may also be
 // called from the application thread). Complete never blocks. A
-// completion for a retired waiter (one whose Wait already failed with
-// ErrSyncStall or ErrPeerLost) is dropped and its payload recycled;
-// completing a waiter that never existed is a protocol bug and panics.
+// completion for an abandoned wait (one whose Wait already failed with
+// ErrSyncStall or ErrPeerLost, or that Revive disarmed) is dropped and
+// its payload recycled; completing a wait that was never armed is a
+// protocol bug and panics.
 func (c *Ctx) Complete(seq uint64, m amnet.Msg) {
 	p := c.p
-	p.wMu.Lock()
-	w := p.waiters[seq]
-	if w == nil {
-		_, retired := p.retired[seq]
-		p.wMu.Unlock()
-		if retired {
+	if seq != 0 {
+		if p.waitSeq.CompareAndSwap(seq, 0) {
+			// The claim makes this the wait's one completion, and the
+			// channel is empty while a wait is armed: the send never
+			// blocks.
+			p.waitCh <- m
+			return
+		}
+		if seq <= p.staleSeq.Load() {
 			amnet.Recycle(m.Payload)
 			return
 		}
-		panic(fmt.Sprintf("core: proc %d: complete of unknown waiter %d", p.id, seq))
 	}
-	// Deliver while still holding wMu: retireWaiter runs under the same
-	// lock, so the waiter cannot be retired between the lookup above and
-	// the send — delivering after unlocking stranded the message (and
-	// leaked its pooled payload) in an abandoned channel when Wait
-	// failed at just the wrong moment. The channel is buffered for the
-	// one completion a waiter expects, so the send never blocks a live
-	// waiter; the fallback keeps the never-blocks contract regardless.
-	select {
-	case w.ch <- m:
-	default:
-		amnet.Recycle(m.Payload)
-	}
-	p.wMu.Unlock()
+	panic(fmt.Sprintf("core: proc %d: complete of unknown waiter %d", p.id, seq))
 }
 
 // SendProto sends a protocol message. A names the region (0 for space-

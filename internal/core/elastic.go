@@ -350,10 +350,9 @@ func (c *Cluster) FaultNet() *faultnet.Network {
 
 // Revive resets every local processor's peer-loss state after a
 // simulated kill, so the cluster can Resume: the down latch re-arms,
-// purged synchronization tables are re-cleared, and every outstanding
-// waiter is retired (its seq is never reused — nextWaiter is
-// monotonic — so a stale completion still in flight strands
-// harmlessly).
+// purged synchronization tables are re-cleared, and the waiter slot is
+// disarmed with every seq issued so far marked stale (seqs are never
+// reused, so a completion for one still in flight is dropped).
 //
 // Only in-process clusters (all processors local) can revive; a
 // multi-process deployment recovers by tearing down and re-Joining at
@@ -406,15 +405,15 @@ func (p *Proc) revive(epoch uint64) {
 	p.downMu.Unlock()
 	p.reviveEpoch = epoch
 
-	// Cluster.Revive purged the rounds and broadcast maps just before.
-	p.wMu.Lock()
-	seqs := make([]uint64, 0, len(p.waiters))
-	for seq := range p.waiters {
-		seqs = append(seqs, seq)
-	}
-	p.wMu.Unlock()
-	for _, seq := range seqs {
-		p.retireWaiter(seq)
+	// Cluster.Revive purged the round table just before. The transport
+	// is quiesced, so no completion is mid-delivery: disarm the slot and
+	// drop a completion a failed run left in it.
+	p.staleSeq.Store(p.nextWaiter)
+	p.waitSeq.Store(0)
+	select {
+	case m := <-p.waitCh:
+		amnet.Recycle(m.Payload)
+	default:
 	}
 }
 

@@ -2,9 +2,8 @@ package core
 
 import (
 	"errors"
-	"runtime"
+	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,22 +163,14 @@ func (s *stale) Error() string {
 	return "stale read"
 }
 
-// TestCompleteRetireRaceNoStrandedCompletion: Complete used to publish
-// the message to the waiter's channel after dropping p.wMu, so a waiter
-// retired between the lookup and the send (Wait failing with
-// ErrSyncStall/ErrPeerLost at just the wrong moment) received the
-// completion into an abandoned channel: the message — and its pooled
-// payload — was stranded instead of being dropped and recycled.
-//
-// The schedule is made deterministic (the window is a few nanoseconds,
-// unhittable by chance on one CPU): the waiter's cap-1 channel is
-// pre-filled, so the racing Complete passes its waiter lookup and then
-// parks exactly inside the window, between the lookup and the delivery.
-// The main goroutine then runs waitSync's failure path — one last
-// non-blocking drain, then retirement — and the drain releases the
-// parked Complete straight into the just-retired waiter. The assertion
-// is the invariant the fix establishes: once retireWaiter returns, no
-// completion can remain in (or later enter) the waiter's channel.
+// TestCompleteRetireRaceNoStrandedCompletion: a failed wait strands no
+// completion. Complete and a failing Wait (abandonWait, its failure
+// path) both claim the waiter slot's seq with one compare-and-swap, so
+// the two orders are the whole story and each runs deterministically
+// here: a completion that claims first is handed to the failing wait,
+// which returns it instead of failing; once the wait has claimed, a
+// later completion is dropped below the watermark. Either way the slot
+// ends disarmed with its channel empty, and the next NewWaiter arms it.
 func TestCompleteRetireRaceNoStrandedCompletion(t *testing.T) {
 	cl, err := NewCluster(Options{Procs: 1})
 	if err != nil {
@@ -190,45 +181,33 @@ func TestCompleteRetireRaceNoStrandedCompletion(t *testing.T) {
 	ctx := &Ctx{p: p}
 	for i := 0; i < 200; i++ {
 		seq := ctx.NewWaiter()
-		p.wMu.Lock()
-		w := p.waiters[seq]
-		p.wMu.Unlock()
-		w.ch <- amnet.Msg{} // occupy the buffer slot
-		done := make(chan struct{})
-		go func() {
+		completeFirst := i%2 == 0
+		if completeFirst {
 			ctx.Complete(seq, amnet.Msg{B: seq, Payload: amnet.Alloc(16)})
-			close(done)
-		}()
-		// Let the completer run up to its delivery (or, post-fix, all
-		// the way through its non-blocking fallback).
-		for j := 0; j < 100; j++ {
-			select {
-			case <-done:
-				j = 100
-			default:
-				runtime.Gosched()
+		}
+		m, ok := p.abandonWait(seq)
+		if ok != completeFirst {
+			t.Fatalf("iteration %d: abandonWait delivered=%v, want %v", i, ok, completeFirst)
+		}
+		if ok {
+			if m.B != seq {
+				t.Fatalf("iteration %d: got completion %d, want %d", i, m.B, seq)
 			}
+			amnet.Recycle(m.Payload)
+		} else {
+			ctx.Complete(seq, amnet.Msg{B: seq, Payload: amnet.Alloc(16)}) // dropped
 		}
-		// waitSync's failure path: final non-blocking drain, then
-		// retirement.
-		select {
-		case <-w.ch:
-		default:
-		}
-		p.retireWaiter(seq)
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("Complete still blocked after retirement")
-		}
-		if n := len(w.ch); n != 0 {
-			t.Fatalf("iteration %d: completion stranded in a retired waiter's channel", i)
+		if n, armed := len(p.waitCh), p.waitSeq.Load(); n != 0 || armed != 0 {
+			t.Fatalf("iteration %d: slot left with %d queued, armed %d", i, n, armed)
 		}
 	}
 }
 
-// TestCompleteRetireConcurrentStress: the same pairing without the
-// deterministic schedule, for the race detector's benefit.
+// TestCompleteRetireConcurrentStress: the same pairing with the two
+// claims racing on their own goroutines, for the race detector's
+// benefit. Exactly one side wins: the failing wait receives the
+// completion, or the completion is dropped; nothing is left in the
+// slot.
 func TestCompleteRetireConcurrentStress(t *testing.T) {
 	cl, err := NewCluster(Options{Procs: 1})
 	if err != nil {
@@ -239,11 +218,7 @@ func TestCompleteRetireConcurrentStress(t *testing.T) {
 	ctx := &Ctx{p: p}
 	for i := 0; i < 2000; i++ {
 		seq := ctx.NewWaiter()
-		p.wMu.Lock()
-		w := p.waiters[seq]
-		p.wMu.Unlock()
 		var wg sync.WaitGroup
-		var delivered atomic.Bool
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
@@ -251,21 +226,96 @@ func TestCompleteRetireConcurrentStress(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			select {
-			case m := <-w.ch:
-				delivered.Store(true)
+			if m, ok := p.abandonWait(seq); ok {
 				amnet.Recycle(m.Payload)
-				return
-			default:
 			}
-			p.retireWaiter(seq)
 		}()
 		wg.Wait()
-		if !delivered.Load() && len(w.ch) != 0 {
-			t.Fatalf("iteration %d: completion stranded in a retired waiter's channel", i)
+		if n := len(p.waitCh); n != 0 {
+			t.Fatalf("iteration %d: completion stranded in the waiter slot", i)
 		}
-		p.wMu.Lock()
-		delete(p.waiters, seq)
-		p.wMu.Unlock()
+	}
+}
+
+// TestSecondNewWaiterPanics: an application thread has one waiter slot,
+// so arming it while a wait is pending — armed, or completed but not yet
+// waited — panics.
+func TestSecondNewWaiterPanics(t *testing.T) {
+	cl, err := NewCluster(Options{Procs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := cl.procs[0].ctx
+	mustPanic := func(what string) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("NewWaiter %s did not panic", what)
+			}
+		}()
+		ctx.NewWaiter()
+	}
+	seq := ctx.NewWaiter()
+	mustPanic("with a wait armed")
+	ctx.Complete(seq, amnet.Msg{})
+	mustPanic("with a completion not yet waited")
+	ctx.Wait(seq)
+	seq = ctx.NewWaiter() // the slot is free again
+	ctx.Complete(seq, amnet.Msg{})
+	ctx.Wait(seq)
+}
+
+// TestReviveDropsStaleCompletions: Revive disarms the waiter slot a
+// failed run left armed and marks every seq issued so far stale, so a
+// completion for one of them that arrives afterwards is dropped, a
+// completion already sitting in the slot is discarded, and the resumed
+// run waits normally. A completion for a seq never issued still panics.
+func TestReviveDropsStaleCompletions(t *testing.T) {
+	cl, err := NewCluster(Options{Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	armed := make([]uint64, 2)
+	err = cl.Run(func(p *Proc) error {
+		p.GlobalBarrier()
+		// Leave the slot as a failed run can: armed and never waited
+		// (proc 0), or completed and never waited (proc 1).
+		armed[p.ID()] = p.ctx.NewWaiter()
+		if p.ID() == 1 {
+			p.ctx.Complete(armed[1], amnet.Msg{Payload: amnet.Alloc(16)})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Revive(); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range cl.procs {
+		if n, s := len(p.waitCh), p.waitSeq.Load(); n != 0 || s != 0 {
+			t.Fatalf("proc %d: after Revive the slot holds %d completions, armed %d", i, n, s)
+		}
+		p.ctx.Complete(armed[i], amnet.Msg{Payload: amnet.Alloc(16)}) // stale: dropped
+		p.ctx.Complete(armed[i]-1, amnet.Msg{})                       // older still: dropped
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("proc %d: completion for a never-issued seq did not panic", i)
+				}
+			}()
+			p.ctx.Complete(armed[i]+1, amnet.Msg{})
+		}()
+	}
+	err = cl.Resume(func(p *Proc) error {
+		if got := p.AllReduceInt64(OpSum, 1); got != 2 {
+			return fmt.Errorf("proc %d: sum %d after Revive, want 2", p.ID(), got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -18,9 +18,9 @@ import (
 //
 // On a fabric with direct dispatch every handler below except hMigrate
 // also registers its non-blocking form. The audit
-// behind that: hComplete, hLockReq, hUnlockMsg and hColl touch only leaf
-// locks (wMu, Directory.lockMu, treeMu, and collMu, under which only wMu
-// is taken), none of which is held across a Send, and they send their
+// behind that: hComplete claims the waiter slot lock-free, and hLockReq,
+// hUnlockMsg and hColl touch only the leaf locks Directory.lockMu and
+// treeMu, neither of which is held across a Send, and send their
 // completions after unlocking — so they always accept. hLookup, hProto
 // and hProtoBatch need a space's engine lock, which an application
 // thread holds while it sends; they accept iff TryLock gets it
@@ -45,7 +45,7 @@ func (p *Proc) registerHandlers() {
 	engine(hLookup, p.lookupMsg)
 	always(hLockReq, p.lockRequest)     // home directory state under Dir.lockMu
 	always(hUnlockMsg, p.unlockRequest) // home directory state under Dir.lockMu
-	always(hColl, p.collDeliver)        // tree rounds under treeMu, broadcasts under collMu
+	always(hColl, p.collDeliver)        // rounds and broadcasts under treeMu
 	engine(hProto, p.protoMsg)
 	engine(hProtoBatch, p.protoBatchMsg)
 	p.ep.Register(hMigrate, p.migrateMsg)

@@ -30,39 +30,40 @@ import (
 //   - regMu serializes the region table's writers and guards the
 //     allocation sequence. Lookups (Map, the handlers, Ctx.Region)
 //     read the table lock-free.
-//   - wMu protects the waiter table and the waiter free list.
-//   - collMu protects the broadcast rendezvous maps (collGot,
-//     collWait), the broadcast state shared between the application
-//     thread and the handlers. collSeq is application-thread-private.
-//   - treeMu protects the tree-round table (rounds) and its free list,
-//     the state of every barrier and all-reduce; Directory.lockMu
+//   - The waiter slot (waitSeq, waitCh) is the application thread's one
+//     reply rendezvous, claimed lock-free: Complete and a failing Wait
+//     each take its armed seq with one compare-and-swap (see
+//     Ctx.NewWaiter).
+//   - treeMu protects the round table (rounds) and its free list, the
+//     state of every barrier, all-reduce and broadcast; Directory.lockMu
 //     guards each home's region lock queue. The dispatch token
 //     serializes the handlers that use them, but not the other code
 //     that does, none of which holds it: the application thread folds
-//     its own round contribution into rounds directly; after a peer
-//     loss purgeSyncState clears rounds, the broadcast maps and the
-//     lock queues from a goroutine of its own (or Cluster.Revive's
-//     caller); and the space-wide resets (ChangeProtocol, FreeSpace,
-//     MigrateHome, RestoreCheckpoint) read or reset lock queues on the
-//     application thread. Completions are sent after the lock is
-//     released — a Send can block on transport backpressure, or run
-//     the destination's handler then and there, and arrival processing
-//     must not stall behind it.
+//     its own round contribution into rounds directly and meets a
+//     broadcast there; after a peer loss purgeSyncState clears rounds
+//     and the lock queues from a goroutine of its own (or
+//     Cluster.Revive's caller); and the space-wide resets
+//     (ChangeProtocol, FreeSpace, MigrateHome, RestoreCheckpoint) read
+//     or reset lock queues on the application thread. Completions are
+//     sent after the lock is released — a Send can block on transport
+//     backpressure, or run the destination's handler then and there,
+//     and arrival processing must not stall behind it.
 //   - spaceMu serializes space creation; lookup reads the atomic
 //     spaces snapshot and never locks.
 //   - Region.hot is the lock-free fast path: brackets on a region whose
 //     protocol published a fast-path eligibility bit commit with one
 //     CAS and never take eng (see region.go).
 //
-// Lock ordering: dispatch token → eng → {regMu, wMu, collMu}; collMu →
-// wMu; regMu → Directory.lockMu (purgeSyncState). A handler must never
-// lock eng while holding regMu, and engine locks of two spaces never
-// nest by blocking. regMu, wMu, collMu (with wMu under it), treeMu
-// and Directory.lockMu are leaves: none is ever held across a Send.
-// That is what lets a handler run under direct dispatch, on a sender's
-// goroutine that may already hold an engine and a chain of tokens: such a goroutine blocks only on those leaves and
-// takes every token and engine with TryLock (see registerHandlers and
-// Space.lockEngine), so nothing it waits for can be waiting for it.
+// Lock ordering: dispatch token → eng → {regMu, treeMu}; regMu →
+// Directory.lockMu (purgeSyncState). A handler must never lock eng
+// while holding regMu, and engine locks of two spaces never nest by
+// blocking. regMu, treeMu and Directory.lockMu are leaves: none is
+// ever held across a Send. That is what lets a handler run under
+// direct dispatch, on a sender's goroutine that may already hold an
+// engine and a chain of tokens: such a goroutine blocks only on those
+// leaves and takes every token and engine with TryLock (see
+// registerHandlers and Space.lockEngine), so nothing it waits for can
+// be waiting for it.
 type Proc struct {
 	id  amnet.NodeID
 	cl  *Cluster
@@ -89,14 +90,18 @@ type Proc struct {
 	spaceFree []int
 	slotGen   []uint64
 
-	// wMu guards the waiter table, the retired tombstones (waiters whose
-	// Wait failed; late completions for them are dropped) and the free
-	// list of waiters whose Wait succeeded — their channels are known
-	// empty, so NewWaiter reuses them instead of allocating per miss.
-	wMu        sync.Mutex
-	waiters    map[uint64]*waiter
-	retired    map[uint64]struct{}
-	freeWait   []*waiter
+	// The waiter slot. An SPMD application thread blocks on at most one
+	// reply at a time, so it has one slot: waitSeq holds the armed wait's
+	// seq (0 when none), and whoever claims it from there with a
+	// compare-and-swap — Complete, or a failing Wait — alone decides the
+	// wait's fate. waitCh (capacity one) carries a claimed completion's
+	// message to Wait. staleSeq is the watermark of abandoned waits
+	// (failed, or disarmed by Revive): a completion at or below it is
+	// dropped. nextWaiter, the last seq issued, is application-thread
+	// private.
+	waitSeq    atomic.Uint64
+	waitCh     chan amnet.Msg
+	staleSeq   atomic.Uint64
 	nextWaiter uint64
 
 	// stall is the SyncTimeout timer of the application thread's waits
@@ -112,18 +117,13 @@ type Proc struct {
 
 	// Collective state. collSeq tags every collective in program order
 	// (application thread only). rounds (under treeMu) holds each open
-	// barrier or all-reduce round's state at this node, and roundFree
-	// the reset rounds reused by the next ones, so a round allocates
-	// nothing once the list is warm. collGot buffers broadcast payloads
-	// that arrive before the local thread asks and collWait maps tag to
-	// a waiter (both under collMu).
+	// barrier, all-reduce or broadcast round's state at this node, and
+	// roundFree the reset rounds reused by the next ones, so a round
+	// allocates nothing once the list is warm.
 	collSeq   uint64
 	treeMu    sync.Mutex
 	rounds    map[uint64]*treeRound
 	roundFree []*treeRound
-	collMu    sync.Mutex
-	collGot   map[uint64][]byte
-	collWait  map[uint64]uint64
 
 	// direct is the endpoint's direct-dispatch face: the channel fabric
 	// and tcpnet endpoints have one, a faultnet endpoint does not (nil).
@@ -160,18 +160,14 @@ type Proc struct {
 	rec *trace.Recorder
 }
 
-type waiter struct{ ch chan amnet.Msg }
-
 func newProc(c *Cluster, ep amnet.Endpoint) *Proc {
 	p := &Proc{
-		id:       ep.ID(),
-		cl:       c,
-		ep:       ep,
-		waiters:  make(map[uint64]*waiter),
-		rounds:   make(map[uint64]*treeRound),
-		collGot:  make(map[uint64][]byte),
-		collWait: make(map[uint64]uint64),
-		rec:      trace.NewRecorder(int(ep.ID()), c.opts.Trace),
+		id:     ep.ID(),
+		cl:     c,
+		ep:     ep,
+		waitCh: make(chan amnet.Msg, 1),
+		rounds: make(map[uint64]*treeRound),
+		rec:    trace.NewRecorder(int(ep.ID()), c.opts.Trace),
 	}
 	p.ctx = &Ctx{p: p}
 	p.downCh = make(chan struct{})

@@ -43,6 +43,11 @@ type Space struct {
 	// of, in creation order. Append-only under eng (GMallocE and
 	// materializeAt add to it); FreeSpace drops it with the space.
 	regions []*Region
+	// batchRecs is decodeBatch's scratch, reused for every aggregate
+	// frame under eng. DeliverBatch runs to completion under the engine
+	// (a handler never waits), so one frame's records are done with
+	// before the next frame's are decoded.
+	batchRecs []BatchRecord
 	// ctx is the Ctx bound to eng: protocol routines of this space run
 	// with it so ctx.Wait releases the engine while blocked.
 	ctx *Ctx

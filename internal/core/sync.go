@@ -23,7 +23,8 @@ import (
 // rank), so a result's bits do not depend on message timing, even for
 // the non-associative float sum. Broadcast fans down its own tree,
 // relabeled so that its root sits at rank 0, and meets the local thread
-// in a rendezvous (collGot/collWait).
+// in a round of the same table: whichever of payload and thread comes
+// first waits there for the other.
 
 // treeParentOf returns the binomial-tree parent of rank v (root 0): v
 // with its lowest set bit cleared.
@@ -46,25 +47,23 @@ func treeKidsOf(v, n int) []int {
 }
 
 // purgeSyncState drops every pending synchronization record after a
-// peer loss: open tree rounds, buffered or awaited broadcasts, and
-// home-region lock queues. The blocked local waits have already failed
-// (or will fail) with ErrPeerLost via downCh; without the purge their
-// records would strand in the tables, and a late arrival from a
-// surviving peer would repopulate them — the arrival paths drop
-// messages once downPeer is set, checked under the same locks, so the
-// tables stay empty. LockHolder is left as is: the holder may be alive,
+// peer loss: open rounds (tree rounds and buffered or awaited
+// broadcasts alike) and home-region lock queues. The blocked local
+// waits have already failed (or will fail) with ErrPeerLost via downCh;
+// without the purge their records would strand in the tables, and a
+// late arrival from a surviving peer would repopulate them — the
+// arrival paths drop messages once downPeer is set, checked under the
+// same locks, so the tables stay empty. LockHolder is left as is: the holder may be alive,
 // and the cluster is unusable regardless.
 func (p *Proc) purgeSyncState() {
 	p.treeMu.Lock()
+	for _, rd := range p.rounds {
+		for _, v := range rd.vals {
+			amnet.Recycle(v)
+		}
+	}
 	clear(p.rounds)
 	p.treeMu.Unlock()
-	p.collMu.Lock()
-	for _, v := range p.collGot {
-		amnet.Recycle(v)
-	}
-	clear(p.collGot)
-	clear(p.collWait)
-	p.collMu.Unlock()
 	p.regMu.Lock()
 	p.regions.ForEach(func(_ RegionID, r *Region) {
 		if r.Dir != nil {
@@ -153,15 +152,14 @@ func (p *Proc) collDeliver(m amnet.Msg) {
 	switch m.C {
 	case collOpBcast:
 		p.bcastFan(int(m.D), m.A, m.Payload)
-		p.collArrived(m.A, m.Payload)
+		p.bcastArrived(m.A, m.Payload)
 	case collOpResult:
 		p.treeMu.Lock()
 		rd := p.rounds[m.A]
-		delete(p.rounds, m.A)
 		var seq uint64
 		if rd != nil {
 			seq = rd.seq
-			p.roundFree = append(p.roundFree, rd)
+			p.closeRound(m.A, rd)
 		}
 		p.treeMu.Unlock()
 		if rd == nil {
@@ -184,11 +182,35 @@ func (p *Proc) collDeliver(m amnet.Msg) {
 // rank — so combining left to right at every level gives bits that do
 // not depend on arrival order. A barrier's slots stay nil. A complete
 // round is reset at once (only seq stays meaningful), so the round that
-// leaves the table goes straight onto the free list (roundFree).
+// leaves the table goes straight onto the free list (roundFree). A
+// broadcast round holds either the waiter seq of a thread that asked
+// first or, in vals[0], a payload that arrived first.
 type treeRound struct {
 	seq   uint64
 	count int
 	vals  [][]byte
+}
+
+// openRound returns round tag, opening it — from the free list when it
+// can — if it is not in the table yet. The caller holds treeMu.
+func (p *Proc) openRound(tag uint64) *treeRound {
+	rd := p.rounds[tag]
+	if rd == nil {
+		if n := len(p.roundFree); n > 0 {
+			rd, p.roundFree = p.roundFree[n-1], p.roundFree[:n-1]
+		} else {
+			rd = &treeRound{vals: make([][]byte, len(p.treeKids)+1)}
+		}
+		p.rounds[tag] = rd
+	}
+	return rd
+}
+
+// closeRound removes the reset round rd from the table and frees it.
+// The caller holds treeMu.
+func (p *Proc) closeRound(tag uint64, rd *treeRound) {
+	delete(p.rounds, tag)
+	p.roundFree = append(p.roundFree, rd)
 }
 
 // treeRun runs one tree round on the application thread: fold the local
@@ -225,15 +247,7 @@ func (p *Proc) treeFold(tag, code uint64, src amnet.NodeID, val []byte, seq uint
 		amnet.Recycle(val)
 		return
 	}
-	rd := p.rounds[tag]
-	if rd == nil {
-		if n := len(p.roundFree); n > 0 {
-			rd, p.roundFree = p.roundFree[n-1], p.roundFree[:n-1]
-		} else {
-			rd = &treeRound{vals: make([][]byte, len(p.treeKids)+1)}
-		}
-		p.rounds[tag] = rd
-	}
+	rd := p.openRound(tag)
 	slot := 0
 	if src == p.id {
 		rd.seq = seq
@@ -257,9 +271,8 @@ func (p *Proc) treeFold(tag, code uint64, src amnet.NodeID, val []byte, seq uint
 	if root {
 		// The root releases at once; an interior node keeps the round
 		// until the result wave returns (it carries the waiter seq).
-		delete(p.rounds, tag)
 		seq = rd.seq
-		p.roundFree = append(p.roundFree, rd)
+		p.closeRound(tag, rd)
 	}
 	p.treeMu.Unlock()
 	if root {
@@ -307,42 +320,47 @@ func (p *Proc) sendFan(dsts []amnet.NodeID, m amnet.Msg) {
 	}
 }
 
-// collArrived hands a broadcast payload for tag to its waiter, or
-// buffers it until the local thread asks. It owns payload; after a peer
-// loss it drops it instead (see purgeSyncState).
-func (p *Proc) collArrived(tag uint64, payload []byte) {
-	p.collMu.Lock()
+// bcastArrived hands a broadcast payload for tag to the local thread:
+// to its waiter if the thread asked first, else into the round, where it
+// waits for the thread to ask. It owns payload; after a peer loss it
+// drops it instead (see purgeSyncState).
+func (p *Proc) bcastArrived(tag uint64, payload []byte) {
+	p.treeMu.Lock()
 	if p.downPeer.Load() >= 0 {
-		p.collMu.Unlock()
+		p.treeMu.Unlock()
 		amnet.Recycle(payload)
 		return
 	}
-	if seq, ok := p.collWait[tag]; ok {
-		delete(p.collWait, tag)
-		p.collMu.Unlock()
+	if rd := p.rounds[tag]; rd != nil {
+		seq := rd.seq
+		p.closeRound(tag, rd)
+		p.treeMu.Unlock()
 		p.ctx.Complete(seq, amnet.Msg{Payload: payload})
 		return
 	}
-	p.collGot[tag] = payload
-	p.collMu.Unlock()
+	p.openRound(tag).vals[0] = payload
+	p.treeMu.Unlock()
 }
 
-// collAwait blocks until the broadcast payload for tag arrives. The
-// registration (check collGot, else record a waiter in collWait) happens
-// atomically under collMu, which is released before blocking. After a
-// peer loss nothing is recorded: the wait fails with ErrPeerLost.
-func (p *Proc) collAwait(tag uint64) []byte {
-	p.collMu.Lock()
-	if v, ok := p.collGot[tag]; ok {
-		delete(p.collGot, tag)
-		p.collMu.Unlock()
+// bcastAwait returns the broadcast payload for tag, blocking until it
+// arrives: a payload already in the round is taken, else the thread
+// leaves its waiter seq there. treeMu is released before blocking.
+// After a peer loss nothing is recorded: the wait fails with
+// ErrPeerLost.
+func (p *Proc) bcastAwait(tag uint64) []byte {
+	p.treeMu.Lock()
+	if rd := p.rounds[tag]; rd != nil {
+		v := rd.vals[0]
+		rd.vals[0] = nil
+		p.closeRound(tag, rd)
+		p.treeMu.Unlock()
 		return v
 	}
 	seq := p.ctx.NewWaiter()
 	if p.downPeer.Load() < 0 {
-		p.collWait[tag] = seq
+		p.openRound(tag).seq = seq
 	}
-	p.collMu.Unlock()
+	p.treeMu.Unlock()
 	return p.ctx.Wait(seq).Payload
 }
 
@@ -361,7 +379,7 @@ func (p *Proc) Broadcast(root int, data []byte) []byte {
 	tag := p.collSeq
 	p.coll.CountBcast()
 	if int(p.id) != root {
-		return p.collAwait(tag)
+		return p.bcastAwait(tag)
 	}
 	p.bcastFan(root, tag, data)
 	return data

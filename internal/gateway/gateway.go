@@ -123,8 +123,7 @@ type room struct {
 	// after the create completes.
 	sps []*core.Space
 	ref core.SpaceRef // generation-tagged id, identical on every proc
-	rid core.RegionID // room state region, homed at home
-	reg *core.Region  // home processor's mapped view (home only)
+	reg *core.Region  // home processor's mapped view of the room state region
 
 	mu      sync.Mutex
 	members map[*session]struct{}
@@ -470,7 +469,8 @@ func (g *Gateway) procLoop(p *core.Proc) error {
 // doCreate is the per-processor half of room creation: collective
 // NewSpace, then the home allocates the state region (through the
 // error-returning allocator — the size is a constant here, but the
-// boundary stays panic-free) and shares its id.
+// boundary stays panic-free). Only the home ever touches the region, so
+// its id is not shared.
 func (g *Gateway) doCreate(p *core.Proc, rm *room) {
 	me := p.ID()
 	sp, err := p.NewSpace(g.cfg.Protocol)
@@ -478,22 +478,15 @@ func (g *Gateway) doCreate(p *core.Proc, rm *room) {
 		return // collective mismatch: Run is about to fail anyway
 	}
 	rm.sps[me] = sp // recorded before any failure so cleanup can free it
-	var id core.RegionID
-	if me == rm.home {
-		id, err = p.GMallocE(sp, RoomStateBytes)
-		if err != nil {
-			id = 0
-		}
+	if me != rm.home {
+		return
 	}
-	id = p.BroadcastID(rm.home, id)
-	if id == 0 {
-		return // allocation failed; rm.reg stays nil and create fails
+	id, err := p.GMallocE(sp, RoomStateBytes)
+	if err != nil {
+		return // rm.reg stays nil and create fails
 	}
-	if me == rm.home {
-		rm.ref = sp.Ref()
-		rm.rid = id
-		rm.reg = p.Map(id)
-	}
+	rm.ref = sp.Ref()
+	rm.reg = p.Map(id)
 }
 
 // drain applies up to one quantum of the room's queued ops through

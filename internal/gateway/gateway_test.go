@@ -162,6 +162,31 @@ func TestJoinApplyLeave(t *testing.T) {
 	}
 }
 
+// TestRoomCreateCostsOneBroadcast: creating a room costs exactly the
+// one broadcast of its collective NewSpace (counted once per processor)
+// and no other collective round — the home allocates the room's region
+// and nobody else needs its id.
+func TestRoomCreateCostsOneBroadcast(t *testing.T) {
+	const procs = 3
+	g, srv := startGateway(t, Config{Procs: procs})
+	c := dial(t, srv)
+	defer c.Close()
+	for i := 0; i < procs; i++ {
+		name := fmt.Sprintf("room-%d", i)
+		before := g.cl.Metrics().Coll
+		if _, _, err := c.Join(name); err != nil {
+			t.Fatalf("join %s: %v", name, err)
+		}
+		after := g.cl.Metrics().Coll
+		if d := after.Bcasts - before.Bcasts; d != procs {
+			t.Errorf("%s: creation took %d broadcast participations, want %d (one broadcast)", name, d, procs)
+		}
+		if d := after.Barriers + after.Reduces - before.Barriers - before.Reduces; d != 0 {
+			t.Errorf("%s: creation took %d barrier or reduce participations, want 0", name, d)
+		}
+	}
+}
+
 // TestBroadcastDeltas: a second member of the room observes the
 // writer's deltas.
 func TestBroadcastDeltas(t *testing.T) {

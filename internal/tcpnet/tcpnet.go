@@ -508,6 +508,7 @@ type sender struct {
 	conn     net.Conn
 	queue    [][]byte // frames not yet handed to the writer
 	journal  [][]byte // data frames not yet acked: seqs nextSeq-len+1..nextSeq (superset of queue's data frames)
+	jarr     [][]byte // journal's whole backing array, so release can slide the journal back to its front
 	nextSeq  uint64   // last assigned data sequence number (0 = control)
 	acked    uint64   // highest cumulative ack received
 	// replaying is set while reconnect writes a journal snapshot outside
@@ -584,7 +585,11 @@ func (s *sender) enqueue(frame []byte) {
 	s.nextSeq++
 	binary.LittleEndian.PutUint64(frame[seqOff:], s.nextSeq)
 	s.queue = append(s.queue, frame)
+	grow := len(s.journal) == cap(s.journal)
 	s.journal = append(s.journal, frame)
+	if grow {
+		s.jarr = s.journal[:cap(s.journal)]
+	}
 	s.mu.Unlock()
 	s.notEmpty.Signal()
 }
@@ -628,7 +633,11 @@ func (s *sender) ack(n uint64) {
 // release recycles the journal prefix with seq ≤ n and wakes the
 // producers blocked on backpressure. The journal's seqs are contiguous
 // and end at nextSeq, so the prefix is counted, not read: the writer may
-// be stamping an ack into any frame still journaled. The caller holds
+// be stamping an ack into any frame still journaled. Releasing from the
+// front costs the journal's array its front capacity, so once the lost
+// front is as long as what is left, the rest slides back to the start:
+// each slide copies no more frames than were released since the last,
+// and enqueue keeps appending into the same array. The caller holds
 // s.mu.
 func (s *sender) release(n uint64) {
 	before := s.nextSeq - uint64(len(s.journal)) // seq just before journal[0]
@@ -641,6 +650,11 @@ func (s *sender) release(n uint64) {
 		s.journal[i] = nil
 	}
 	s.journal = s.journal[k:]
+	if off := cap(s.jarr) - cap(s.journal); off >= len(s.journal) {
+		m := copy(s.jarr, s.journal)
+		clear(s.jarr[m : off+m])
+		s.journal = s.jarr[:m]
+	}
 	s.notFull.Broadcast()
 }
 
@@ -1154,16 +1168,24 @@ func (e *endpoint) dispatch(m amnet.Msg, sent int64) {
 // readFrame decodes one length-prefixed frame from the stream. It
 // validates the length prefix before allocating, so truncated, corrupt
 // or hostile input yields an error — never a panic or an oversized
-// allocation.
+// allocation. The header is decoded in place in the reader's buffer
+// (Peek, then Discard), so a frame costs no allocation beyond its
+// pooled payload. A stream that ends mid-header reports
+// io.ErrUnexpectedEOF and one that ends between frames io.EOF, as
+// io.ReadFull would.
 func readFrame(br *bufio.Reader) (frame, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(frameHeader)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return frame{}, err
 	}
-	f, paylen, err := decodeHeader(&hdr)
+	f, paylen, err := decodeHeader((*[frameHeader]byte)(hdr))
 	if err != nil {
 		return frame{}, err
 	}
+	br.Discard(frameHeader)
 	if paylen > 0 {
 		f.msg.Payload = amnet.Alloc(paylen)
 		if _, err := io.ReadFull(br, f.msg.Payload); err != nil {

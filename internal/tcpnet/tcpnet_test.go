@@ -11,6 +11,9 @@ import (
 	"github.com/acedsm/ace/proto"
 )
 
+// raceEnabled is set in race builds (race_test.go).
+var raceEnabled bool
+
 func TestBasicDelivery(t *testing.T) {
 	nw, err := New(Loopback(2))
 	if err != nil {
@@ -328,5 +331,44 @@ func TestAcksRideDataFrames(t *testing.T) {
 	}
 	if limit := msgs + msgs/ackEvery + 4; flushes > limit {
 		t.Fatalf("%d socket writes for %d messages, want at most %d: acks are not riding the replies", flushes, msgs, limit)
+	}
+}
+
+// TestRoundTripDoesNotAllocate pins the steady-state cost of one message
+// round trip over loopback sockets at 0 allocations: the encode into a
+// pooled frame, the journal append and its release by the piggybacked
+// ack, the frame header decoded in place in the reader's buffer, and the
+// pooled payload on both sides.
+func TestRoundTripDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the buffer pool allocates under the race detector")
+	}
+	nw, err := New(Loopback(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	eps := nw.Endpoints()
+	done := make(chan struct{}, 1)
+	eps[1].Register(9, func(m amnet.Msg) {
+		eps[1].Send(amnet.Msg{Dst: 0, Handler: 10, A: m.A, Payload: m.Payload})
+		amnet.Recycle(m.Payload)
+	})
+	eps[0].Register(10, func(m amnet.Msg) {
+		amnet.Recycle(m.Payload)
+		done <- struct{}{}
+	})
+	payload := make([]byte, 64)
+	var i uint64
+	roundTrip := func() {
+		i++
+		eps[0].Send(amnet.Msg{Dst: 1, Handler: 9, A: i, Payload: payload})
+		<-done
+	}
+	for j := 0; j < 100; j++ {
+		roundTrip() // warm the pool, the journals and the reader buffers
+	}
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+		t.Fatalf("a round trip allocates %.1f times, want 0", allocs)
 	}
 }

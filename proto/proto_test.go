@@ -610,3 +610,58 @@ func TestWaterPhasePattern(t *testing.T) {
 		return nil
 	})
 }
+
+// TestStaticUpdatePushDoesNotAllocate pins the steady-state cost of one
+// staticupdate barrier push round at 0 allocations: the home writes its
+// regions and its barrier pushes them to the sharer as one aggregate
+// frame, which the sharer decodes into its space's scratch records,
+// installs and acknowledges once, before the tree barrier. Both
+// processors measure the same rounds; AllocsPerRun counts the whole
+// process's allocations, the handlers' included.
+func TestStaticUpdatePushDoesNotAllocate(t *testing.T) {
+	const regions, runs = 8, 100
+	run(t, 2, "staticupdate", func(p *core.Proc) error {
+		sp := p.DefaultSpace()
+		rs := make([]*core.Region, regions)
+		for i := range rs {
+			var id core.RegionID
+			if p.ID() == 0 {
+				id = p.GMalloc(sp, 64)
+			}
+			rs[i] = p.Map(p.BroadcastID(0, id))
+		}
+		var v int64
+		round := func() {
+			v++
+			for _, r := range rs {
+				if p.ID() == 0 {
+					p.StartWrite(r)
+					r.Data.SetInt64(0, v)
+					p.EndWrite(r)
+				} else {
+					// The first round's reads fetch and register the
+					// sharer; every later one hits the pushed copy.
+					p.StartRead(r)
+					p.EndRead(r)
+				}
+			}
+			p.Barrier(sp)
+		}
+		for i := 0; i < 16; i++ {
+			round() // register the sharer, warm the pool and the scratch
+		}
+		before := p.Snapshot().Coll.AggFrames
+		allocs := testing.AllocsPerRun(runs, round)
+		if p.ID() == 0 {
+			if n := p.Snapshot().Coll.AggFrames - before; n != runs+1 {
+				return fmt.Errorf("%d push frames for %d rounds", n, runs+1)
+			}
+		} else if got := rs[0].Data.Int64(0); got != v {
+			return fmt.Errorf("sharer holds %d after the last push, want %d", got, v)
+		}
+		if allocs != 0 {
+			return fmt.Errorf("proc %d: a staticupdate push round allocates %.1f times, want 0", p.ID(), allocs)
+		}
+		return nil
+	})
+}
