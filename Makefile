@@ -130,7 +130,9 @@ bench-allocs:
 # protocol built from the proto package's building blocks, must end with
 # its success line; quickstart must count every increment under both
 # protocols; and em3d, the Section 3.3 walkthrough, must compute the
-# identical result under sc, dynamic update and static update.
+# identical result under sc, dynamic update and static update. Then
+# every MiniAce example must run on four processors and print one line
+# per processor, and every Table 4 kernel source must compile.
 examples-smoke:
 	@out=$$($(GO) run ./examples/customproto 2>&1); status=$$?; echo "$$out"; \
 	if [ $$status -ne 0 ] || [ "$$(echo "$$out" | tail -n 1)" != "custom protocol ran correctly" ]; then \
@@ -142,6 +144,14 @@ examples-smoke:
 	@out=$$($(GO) run ./examples/em3d 2>&1); status=$$?; echo "$$out"; \
 	if [ $$status -ne 0 ] || [ "$$(echo "$$out" | tail -n 1)" != "all protocols computed identical results" ]; then \
 		echo "FAIL: examples/em3d"; exit 1; fi
+	@for f in examples/miniace/*.ace; do \
+		out=$$($(GO) run ./cmd/acerun -procs 4 $$f 2>&1); status=$$?; echo "$$out"; \
+		if [ $$status -ne 0 ] || [ $$(echo "$$out" | grep -c '^proc ') -ne 4 ]; then \
+			echo "FAIL: acerun $$f"; exit 1; fi; \
+	done
+	@for f in internal/table4/*.ace; do \
+		$(GO) run ./cmd/acec -counts $$f || { echo "FAIL: acec $$f"; exit 1; }; \
+	done
 
 # paper-smoke runs every paper-scale evaluation benchmark once (Figure
 # 7a, Figure 7b, Table 4), so the commands EXPERIMENTS.md regenerates

@@ -170,9 +170,8 @@ func BenchmarkTable4(b *testing.B) {
 	cfg := table4.DefaultConfig()
 	decls := proto.NewRegistry().Decls()
 	for _, k := range table4.Kernels() {
-		prog := k.Build(cfg)
 		for _, lvl := range bench.Table4Levels {
-			compiled, err := compiler.Compile(prog, decls, lvl)
+			compiled, err := compiler.Compile(k.Prog, decls, lvl)
 			if err != nil {
 				b.Fatal(err)
 			}

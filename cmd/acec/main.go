@@ -49,34 +49,29 @@ func main() {
 	}
 	fmt.Println()
 
-	levels := map[string]compiler.Level{
-		"base": compiler.LevelBase, "LI": compiler.LevelLI,
-		"LI+MC": compiler.LevelMC, "LI+MC+DC": compiler.LevelDC,
-	}
-	order := []string{"base", "LI", "LI+MC", "LI+MC+DC"}
+	levels := []compiler.Level{compiler.LevelBase, compiler.LevelLI, compiler.LevelMC, compiler.LevelDC}
 	if *level != "" {
-		if _, ok := levels[*level]; !ok {
-			fatal(fmt.Errorf("unknown level %q", *level))
+		lvl, err := compiler.ParseLevel(*level)
+		if err != nil {
+			fatal(err)
 		}
-		order = []string{*level}
+		levels = []compiler.Level{lvl}
 	}
-	for _, name := range order {
-		out, err := compiler.Compile(prog, reg.Decls(), levels[name])
+	for _, lvl := range levels {
+		out, err := compiler.Compile(prog, reg.Decls(), lvl)
 		if err != nil {
 			fatal(err)
 		}
 		counts := compiler.AnnotationCounts(out)
-		fmt.Printf("\n// ===== level %s: static annotations %v =====\n", name, counts)
+		fmt.Printf("\n// ===== level %s: static annotations %v =====\n", lvl, counts)
 		if *statsOnly {
 			continue
 		}
-		for _, f := range sortedFuncs(out) {
+		for _, f := range out.FuncStrings() {
 			fmt.Print(f)
 		}
 	}
 }
-
-func sortedFuncs(p interface{ FuncStrings() []string }) []string { return p.FuncStrings() }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "acec:", err)

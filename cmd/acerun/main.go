@@ -40,13 +40,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	levels := map[string]compiler.Level{
-		"base": compiler.LevelBase, "LI": compiler.LevelLI,
-		"LI+MC": compiler.LevelMC, "LI+MC+DC": compiler.LevelDC,
-	}
-	lvl, ok := levels[*level]
-	if !ok {
-		fatal(fmt.Errorf("unknown level %q", *level))
+	lvl, err := compiler.ParseLevel(*level)
+	if err != nil {
+		fatal(err)
 	}
 	prog, spaces, err := lang.Compile(string(src))
 	if err != nil {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -38,9 +37,8 @@ func RunTable4(procs int, cfg table4.Config) (map[string][]Table4Result, error) 
 	out := make(map[string][]Table4Result)
 	for _, k := range table4.Kernels() {
 		var rows []Table4Result
-		prog := k.Build(cfg)
 		for _, lvl := range Table4Levels {
-			compiled, err := compiler.Compile(prog, decls, lvl)
+			compiled, err := compiler.Compile(k.Prog, decls, lvl)
 			if err != nil {
 				return nil, fmt.Errorf("table4 %s %s: %w", k.Name, lvl, err)
 			}
@@ -72,20 +70,15 @@ func RunTable4(procs int, cfg table4.Config) (map[string][]Table4Result, error) 
 }
 
 // kernelSpaces creates the runtime spaces a kernel declares, in
-// deterministic id order (collective).
+// declaration order (collective).
 func kernelSpaces(p *core.Proc, k table4.Kernel) (map[int]*core.Space, error) {
-	ids := make([]int, 0, len(k.SpaceProtos))
-	for id := range k.SpaceProtos {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	spaces := make(map[int]*core.Space, len(ids))
-	for _, id := range ids {
-		sp, err := p.NewSpace(k.SpaceProtos[id][0])
+	spaces := make(map[int]*core.Space, len(k.Spaces))
+	for i, sd := range k.Spaces {
+		sp, err := p.NewSpace(sd.Protos[0])
 		if err != nil {
 			return nil, err
 		}
-		spaces[id] = sp
+		spaces[i] = sp
 	}
 	return spaces, nil
 }
@@ -119,10 +112,8 @@ func RunKernelVM(procs int, k table4.Kernel, cfg table4.Config, compiled *ir.Pro
 		}
 		sum := p.AllReduceFloat64(core.OpSum, local)
 		var calls uint64
-		for point, c := range m.Counts {
-			if point != "direct" {
-				calls += c
-			}
+		for _, c := range m.Counts {
+			calls += c
 		}
 		totalCalls := p.AllReduceInt64(core.OpSum, int64(calls))
 		if p.ID() == 0 {

@@ -40,6 +40,16 @@ func (l Level) String() string {
 	return "?"
 }
 
+// ParseLevel returns the level whose String is s.
+func ParseLevel(s string) (Level, error) {
+	for l := LevelBase; l <= LevelDC; l++ {
+		if l.String() == s {
+			return l, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown level %q", s)
+}
+
 // Compile lowers and optimizes a program at the given level. decls is the
 // compiler's view of the protocol registry (the system configuration
 // file). The input program is not modified.

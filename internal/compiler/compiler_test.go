@@ -51,11 +51,12 @@ func TestAnnotateFigure5(t *testing.T) {
 func TestLoopInvarianceHoists(t *testing.T) {
 	build := func() *ir.Func {
 		b := ir.NewBuilder("f", regionParam(), ir.Type{Kind: ir.KInt})
-		sum := b.Const(ir.Float(0))
+		sum := b.Local(ir.KFloat)
+		b.MoveTo(sum, ir.CF(0))
 		i := b.Local(ir.KInt)
 		b.Loop(i, ir.CI(0), ir.L(1), func() {
 			v := b.SharedLoad(ir.KFloat, ir.L(0), ir.L(i))
-			b.BinTo(sum, ir.Add, ir.L(sum), ir.L(v))
+			b.MoveTo(sum, ir.L(b.Bin(ir.KFloat, ir.Add, ir.L(sum), ir.L(v))))
 		})
 		b.Ret(ir.L(sum))
 		return b.Func()
@@ -350,5 +351,16 @@ func TestUnknownSpaceNeverOptimized(t *testing.T) {
 		if in.Op == ir.OpMap {
 			t.Errorf("unknown-space map hoisted out of loop")
 		}
+	}
+}
+
+func TestParseLevelRoundTrips(t *testing.T) {
+	for l := LevelBase; l <= LevelDC; l++ {
+		if got, err := ParseLevel(l.String()); err != nil || got != l {
+			t.Errorf("ParseLevel(%q) = %v, %v", l, got, err)
+		}
+	}
+	if _, err := ParseLevel("LI+DC"); err == nil {
+		t.Error("ParseLevel accepted an unknown level")
 	}
 }

@@ -44,6 +44,11 @@ func (b *Builder) LocalTyped(t Type) int {
 	return slot
 }
 
+// SetType replaces the declared type of an existing local.
+func (b *Builder) SetType(slot int, t Type) {
+	b.f.LocalTypes[slot] = t
+}
+
 // Func finishes and returns the function.
 func (b *Builder) Func() *Func {
 	if len(b.stack) != 1 {
@@ -58,20 +63,6 @@ func (b *Builder) emit(i Instr) {
 	b.stack[top] = append(b.stack[top], i)
 }
 
-// Const assigns a constant to a fresh local and returns the slot.
-func (b *Builder) Const(v Value) int {
-	dst := b.Local(v.K)
-	b.emit(Instr{Op: OpConst, Dst: dst, ConstVal: v})
-	return dst
-}
-
-// Move copies an operand into a fresh local.
-func (b *Builder) Move(k Kind, src Operand) int {
-	dst := b.Local(k)
-	b.emit(Instr{Op: OpMove, Dst: dst, A: src})
-	return dst
-}
-
 // MoveTo copies an operand into an existing local.
 func (b *Builder) MoveTo(dst int, src Operand) {
 	b.emit(Instr{Op: OpMove, Dst: dst, A: src})
@@ -82,11 +73,6 @@ func (b *Builder) Bin(k Kind, op BinOp, x, y Operand) int {
 	dst := b.Local(k)
 	b.emit(Instr{Op: OpBin, Dst: dst, Bin: op, A: x, B: y})
 	return dst
-}
-
-// BinTo applies a binary operator into an existing local.
-func (b *Builder) BinTo(dst int, op BinOp, x, y Operand) {
-	b.emit(Instr{Op: OpBin, Dst: dst, Bin: op, A: x, B: y})
 }
 
 // Un applies a unary operator into a fresh local.
@@ -201,8 +187,6 @@ func (in Instr) render(indent string) string {
 		direct += " [bare]"
 	}
 	switch in.Op {
-	case OpConst:
-		return fmt.Sprintf("l%d = %s\n", in.Dst, in.ConstVal)
 	case OpMove:
 		return fmt.Sprintf("l%d = %s\n", in.Dst, in.A)
 	case OpBin:

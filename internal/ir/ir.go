@@ -1,7 +1,7 @@
 // Package ir defines the intermediate representation the Ace compiler
 // operates on: a small, structured, typed IR in which accesses to shared
-// regions are explicit instructions. The front end (package lang) or the
-// kernel builders emit SharedLoad/SharedStore instructions; the compiler's
+// regions are explicit instructions. The front end (package lang) emits
+// SharedLoad/SharedStore instructions through a Builder; the compiler's
 // annotation pass lowers them to runtime calls (Map, StartRead, ...)
 // exactly as Figure 5 of the paper describes, and the optimization passes
 // then hoist, merge and devirtualize those calls.
@@ -101,10 +101,9 @@ type Op uint8
 
 // The instruction opcodes.
 const (
-	OpConst Op = iota // Dst = ConstVal
-	OpMove            // Dst = A
-	OpBin             // Dst = A <Bin> B
-	OpUn              // Dst = <Un> A
+	OpMove Op = iota // Dst = A
+	OpBin            // Dst = A <Bin> B
+	OpUn             // Dst = <Un> A
 
 	OpSharedLoad  // Dst = shared[A=base region][B=index], kind ElemKind (pre-annotation)
 	OpSharedStore // shared[A=base region][B=index] = Src, kind ElemKind (pre-annotation)
@@ -132,7 +131,7 @@ const (
 )
 
 var opNames = map[Op]string{
-	OpConst: "const", OpMove: "move", OpBin: "bin", OpUn: "un",
+	OpMove: "move", OpBin: "bin", OpUn: "un",
 	OpSharedLoad: "sload", OpSharedStore: "sstore",
 	OpMap: "ACE_MAP", OpUnmap: "ACE_UNMAP",
 	OpStartRead: "ACE_START_READ", OpEndRead: "ACE_END_READ",
@@ -186,7 +185,6 @@ type Instr struct {
 	Dst int // destination local, -1 if none
 
 	A, B, Src Operand
-	ConstVal  Value
 	Bin       BinOp
 	Un        UnOp
 	ElemKind  Kind // element kind for load/store

@@ -56,11 +56,12 @@ func TestKindString(t *testing.T) {
 
 func TestBuilderStructure(t *testing.T) {
 	b := NewBuilder("f", Type{Kind: KInt}, Type{Kind: KRegion, Spaces: []int{0}})
-	sum := b.Const(Float(0))
+	sum := b.Local(KFloat)
+	b.MoveTo(sum, CF(0))
 	i := b.Local(KInt)
 	b.Loop(i, CI(0), L(0), func() {
 		v := b.SharedLoad(KFloat, L(1), L(i))
-		b.BinTo(sum, Add, L(sum), L(v))
+		b.MoveTo(sum, L(v))
 	})
 	b.If(L(0), func() {
 		b.Barrier(0)
@@ -73,7 +74,7 @@ func TestBuilderStructure(t *testing.T) {
 	if len(f.Params) != 2 || f.NumLocals < 4 {
 		t.Fatalf("params=%d locals=%d", len(f.Params), f.NumLocals)
 	}
-	if len(f.Body) != 4 { // const, loop, if, ret
+	if len(f.Body) != 4 { // move, loop, if, ret
 		t.Fatalf("body has %d statements", len(f.Body))
 	}
 	if f.Body[1].Op != OpLoop || len(f.Body[1].Body) != 2 {

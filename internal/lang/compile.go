@@ -158,8 +158,15 @@ func (c *fnCompiler) stmt(s Stmt) error {
 		if err := c.checkAssignable(st.Type, vt, st.Line); err != nil {
 			return err
 		}
-		slot := c.b.LocalTyped(t)
-		c.b.MoveTo(slot, op)
+		// Any initializer but a literal or a variable leaves its value in
+		// a fresh local: name that local instead of copying it.
+		slot := op.Local
+		if _, ref := st.Init.(*VarRef); ref || op.IsConst {
+			slot = c.b.LocalTyped(t)
+			c.b.MoveTo(slot, op)
+		} else {
+			c.b.SetType(slot, t)
+		}
 		return c.bind(st.Name, symbol{slot: slot, typ: st.Type}, st.Line)
 	case *AssignStmt:
 		sym, err := c.lookup(st.Name, st.Line)

@@ -112,6 +112,27 @@ func main(me: int, procs: int): float {
 	}
 }
 
+// TestVarFromVariableIsACopy checks that a var names a fresh value: one
+// initialized from another variable keeps it when that variable is later
+// assigned, while one initialized from any other expression takes that
+// expression's result.
+func TestVarFromVariableIsACopy(t *testing.T) {
+	src := `
+space s protocol "null";
+
+func main(me: int, procs: int): float {
+    var x: float = 1.5;
+    var y: float = x;
+    var z: float = x * 2.0;
+    x = 4.0;
+    return y + z + x;
+}
+`
+	if got := runMiniAce(t, src, 1, compiler.LevelBase); got != 8.5 {
+		t.Errorf("got %v, want 8.5", got)
+	}
+}
+
 func TestChangeProtocolStatement(t *testing.T) {
 	src := `
 space d protocol "sc", "update";

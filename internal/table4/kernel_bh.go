@@ -8,30 +8,7 @@ import (
 	"github.com/acedsm/ace/internal/ir"
 )
 
-// barnesHutKernel mirrors Barnes-Hut's body sharing: every step, each
-// processor snapshots all bodies (position + mass: four separate shared
-// loads per body in the naive translation), computes accelerations for its
-// own bodies against the snapshot, and rewrites its bodies' position and
-// velocity slots (six separate shared stores naively).
-//
-// Table 4 behaviour reproduced here: merging redundant calls collapses the
-// four read sections and six write sections per body into one each — the
-// paper's largest gain for Barnes-Hut. Bodies run under the dynamic update
-// protocol, the benchmark's best (Figure 7b).
-func barnesHutKernel() Kernel {
-	return Kernel{
-		Name: "barnes-hut",
-		SpaceProtos: map[int][]string{
-			SpLocal: {"null"},
-			SpData:  {"update"},
-		},
-		Build: buildBH,
-		Setup: setupBH,
-		Hand:  handBH,
-	}
-}
-
-// Kernel parameters.
+// Parameters of bh.ace's kernel function, in order.
 const (
 	bhIdx = iota // region of all body ids
 	bhScr        // local scratch: 4*n floats (pos3+mass snapshot)
@@ -43,112 +20,6 @@ const (
 )
 
 // Body slots: px py pz vx vy vz mass.
-
-func buildBH(cfg Config) *ir.Program {
-	b := ir.NewBuilder("kernel",
-		regionType([]int{SpLocal}, []int{SpData}),
-		regionType([]int{SpLocal}, nil),
-		intType(), intType(), intType(), intType(),
-	)
-	t := b.Local(ir.KInt)
-	b.Loop(t, ir.CI(0), ir.L(bhSteps), func() {
-		// Snapshot all bodies into scratch.
-		i := b.Local(ir.KInt)
-		b.Loop(i, ir.CI(0), ir.L(bhN), func() {
-			body := b.SharedLoad(ir.KRegion, ir.L(bhIdx), ir.L(i))
-			x := b.SharedLoad(ir.KFloat, ir.L(body), ir.CI(0))
-			y := b.SharedLoad(ir.KFloat, ir.L(body), ir.CI(1))
-			z := b.SharedLoad(ir.KFloat, ir.L(body), ir.CI(2))
-			m := b.SharedLoad(ir.KFloat, ir.L(body), ir.CI(6))
-			k := b.Bin(ir.KInt, ir.Mul, ir.L(i), ir.CI(4))
-			b.SharedStore(ir.KFloat, ir.L(bhScr), ir.L(k), ir.L(x))
-			k1 := b.Bin(ir.KInt, ir.Add, ir.L(k), ir.CI(1))
-			b.SharedStore(ir.KFloat, ir.L(bhScr), ir.L(k1), ir.L(y))
-			k2 := b.Bin(ir.KInt, ir.Add, ir.L(k), ir.CI(2))
-			b.SharedStore(ir.KFloat, ir.L(bhScr), ir.L(k2), ir.L(z))
-			k3 := b.Bin(ir.KInt, ir.Add, ir.L(k), ir.CI(3))
-			b.SharedStore(ir.KFloat, ir.L(bhScr), ir.L(k3), ir.L(m))
-		})
-		// Reads complete before writes begin.
-		b.Barrier(SpData)
-		// Compute and rewrite own bodies.
-		j := b.Local(ir.KInt)
-		b.Loop(j, ir.L(bhLo), ir.L(bhHi), func() {
-			{
-				jk := b.Bin(ir.KInt, ir.Mul, ir.L(j), ir.CI(4))
-				xj := b.SharedLoad(ir.KFloat, ir.L(bhScr), ir.L(jk))
-				yj := b.SharedLoad(ir.KFloat, ir.L(bhScr), ir.L(b.Bin(ir.KInt, ir.Add, ir.L(jk), ir.CI(1))))
-				zj := b.SharedLoad(ir.KFloat, ir.L(bhScr), ir.L(b.Bin(ir.KInt, ir.Add, ir.L(jk), ir.CI(2))))
-				ax := b.Const(ir.Float(0))
-				ay := b.Const(ir.Float(0))
-				az := b.Const(ir.Float(0))
-				o := b.Local(ir.KInt)
-				b.Loop(o, ir.CI(0), ir.L(bhN), func() {
-					ne := b.Bin(ir.KInt, ir.Ne, ir.L(o), ir.L(j))
-					b.If(ir.L(ne), func() {
-						ok := b.Bin(ir.KInt, ir.Mul, ir.L(o), ir.CI(4))
-						xo := b.SharedLoad(ir.KFloat, ir.L(bhScr), ir.L(ok))
-						yo := b.SharedLoad(ir.KFloat, ir.L(bhScr), ir.L(b.Bin(ir.KInt, ir.Add, ir.L(ok), ir.CI(1))))
-						zo := b.SharedLoad(ir.KFloat, ir.L(bhScr), ir.L(b.Bin(ir.KInt, ir.Add, ir.L(ok), ir.CI(2))))
-						mo := b.SharedLoad(ir.KFloat, ir.L(bhScr), ir.L(b.Bin(ir.KInt, ir.Add, ir.L(ok), ir.CI(3))))
-						dx := b.Bin(ir.KFloat, ir.Sub, ir.L(xo), ir.L(xj))
-						dy := b.Bin(ir.KFloat, ir.Sub, ir.L(yo), ir.L(yj))
-						dz := b.Bin(ir.KFloat, ir.Sub, ir.L(zo), ir.L(zj))
-						r2 := b.Bin(ir.KFloat, ir.Add,
-							ir.L(b.Bin(ir.KFloat, ir.Add,
-								ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(dx), ir.L(dx))),
-								ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(dy), ir.L(dy))))),
-							ir.L(b.Bin(ir.KFloat, ir.Add,
-								ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(dz), ir.L(dz))),
-								ir.CF(0.25))))
-						r := b.Un(ir.KFloat, ir.Sqrt, ir.L(r2))
-						inv := b.Bin(ir.KFloat, ir.Div, ir.L(mo), ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(r2), ir.L(r))))
-						b.BinTo(ax, ir.Add, ir.L(ax), ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(dx), ir.L(inv))))
-						b.BinTo(ay, ir.Add, ir.L(ay), ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(dy), ir.L(inv))))
-						b.BinTo(az, ir.Add, ir.L(az), ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(dz), ir.L(inv))))
-					}, nil)
-				})
-				body := b.SharedLoad(ir.KRegion, ir.L(bhIdx), ir.L(j))
-				// Six naive stores: pos += vel', vel += acc*dt.
-				vx := b.SharedLoad(ir.KFloat, ir.L(body), ir.CI(3))
-				vy := b.SharedLoad(ir.KFloat, ir.L(body), ir.CI(4))
-				vz := b.SharedLoad(ir.KFloat, ir.L(body), ir.CI(5))
-				dt := ir.CF(0.025)
-				nvx := b.Bin(ir.KFloat, ir.Add, ir.L(vx), ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(ax), dt)))
-				nvy := b.Bin(ir.KFloat, ir.Add, ir.L(vy), ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(ay), dt)))
-				nvz := b.Bin(ir.KFloat, ir.Add, ir.L(vz), ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(az), dt)))
-				nx := b.Bin(ir.KFloat, ir.Add, ir.L(xj), ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(nvx), dt)))
-				ny := b.Bin(ir.KFloat, ir.Add, ir.L(yj), ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(nvy), dt)))
-				nz := b.Bin(ir.KFloat, ir.Add, ir.L(zj), ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(nvz), dt)))
-				b.SharedStore(ir.KFloat, ir.L(body), ir.CI(0), ir.L(nx))
-				b.SharedStore(ir.KFloat, ir.L(body), ir.CI(1), ir.L(ny))
-				b.SharedStore(ir.KFloat, ir.L(body), ir.CI(2), ir.L(nz))
-				b.SharedStore(ir.KFloat, ir.L(body), ir.CI(3), ir.L(nvx))
-				b.SharedStore(ir.KFloat, ir.L(body), ir.CI(4), ir.L(nvy))
-				b.SharedStore(ir.KFloat, ir.L(body), ir.CI(5), ir.L(nvz))
-			}
-		})
-		b.Barrier(SpData)
-	})
-	// Checksum own positions.
-	sum := b.Const(ir.Float(0))
-	i := b.Local(ir.KInt)
-	b.Loop(i, ir.L(bhLo), ir.L(bhHi), func() {
-		body := b.SharedLoad(ir.KRegion, ir.L(bhIdx), ir.L(i))
-		x := b.SharedLoad(ir.KFloat, ir.L(body), ir.CI(0))
-		y := b.SharedLoad(ir.KFloat, ir.L(body), ir.CI(1))
-		z := b.SharedLoad(ir.KFloat, ir.L(body), ir.CI(2))
-		b.BinTo(sum, ir.Add, ir.L(sum), ir.L(x))
-		b.BinTo(sum, ir.Add, ir.L(sum), ir.L(y))
-		b.BinTo(sum, ir.Add, ir.L(sum), ir.L(z))
-	})
-	b.Ret(ir.L(sum))
-	f := b.Func()
-	return &ir.Program{
-		Funcs:       map[string]*ir.Func{f.Name: f},
-		SpaceProtos: map[int][]string{SpLocal: {"null"}, SpData: {"update"}},
-	}
-}
 
 func setupBH(p *core.Proc, spaces map[int]*core.Space, cfg Config) []ir.Value {
 	local, data := spaces[SpLocal], spaces[SpData]

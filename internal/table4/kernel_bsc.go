@@ -5,33 +5,7 @@ import (
 	"github.com/acedsm/ace/internal/ir"
 )
 
-// bscKernel mirrors Blocked Sparse Cholesky's access structure: block
-// columns distributed round-robin, a per-column factor step by the owner,
-// then owners of dependent columns read the factored column in bulk and
-// apply a rank-update with deeply nested element loops. Columns live under
-// the homewrite protocol (the benchmark's best).
-//
-// Table 4 behaviour reproduced here: the naive translation maps and
-// brackets inside the innermost element loops, so loop invariance
-// dominates — the paper's largest gain for BSC (20.39s → 5.60s).
-//
-// The arithmetic is a simplified but deterministic stand-in for the
-// factor/update math (Table 4 measures annotation placement, not
-// numerics); the hand version computes bit-identical results.
-func bscKernel() Kernel {
-	return Kernel{
-		Name: "bsc",
-		SpaceProtos: map[int][]string{
-			SpLocal: {"null"},
-			SpData:  {"homewrite"},
-		},
-		Build: buildBSC,
-		Setup: setupBSC,
-		Hand:  handBSC,
-	}
-}
-
-// Kernel parameters.
+// Parameters of bsc.ace's kernel function, in order.
 const (
 	bcCols = iota // region of B column ids
 	bcB
@@ -42,104 +16,6 @@ const (
 	bcN
 	bcNumParams
 )
-
-func buildBSC(cfg Config) *ir.Program {
-	b := ir.NewBuilder("kernel",
-		regionType([]int{SpLocal}, []int{SpData}),
-		intType(), intType(), intType(), intType(), intType(), intType(),
-	)
-	k := b.Local(ir.KInt)
-	b.Loop(k, ir.CI(0), ir.L(bcB), func() {
-		mineK := b.Bin(ir.KInt, ir.Eq,
-			ir.L(b.Bin(ir.KInt, ir.Mod, ir.L(k), ir.L(bcProcs))), ir.L(bcMe))
-		rows := b.Bin(ir.KInt, ir.Sub, ir.L(bcN),
-			ir.L(b.Bin(ir.KInt, ir.Mul, ir.L(k), ir.L(bcBS))))
-		b.If(ir.L(mineK), func() {
-			// Factor column k: pseudo-factorization with the real loop
-			// and access structure (per-element load-modify-store on the
-			// owner's column).
-			col := b.SharedLoad(ir.KRegion, ir.L(bcCols), ir.L(k))
-			c := b.Local(ir.KInt)
-			b.Loop(c, ir.CI(0), ir.L(bcBS), func() {
-				r := b.Local(ir.KInt)
-				b.Loop(r, ir.CI(0), ir.L(rows), func() {
-					slot := b.Bin(ir.KInt, ir.Add,
-						ir.L(b.Bin(ir.KInt, ir.Mul, ir.L(c), ir.L(rows))), ir.L(r))
-					v := b.SharedLoad(ir.KFloat, ir.L(col), ir.L(slot))
-					nv := b.Bin(ir.KFloat, ir.Add,
-						ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(v), ir.CF(0.97))), ir.CF(0.5))
-					b.SharedStore(ir.KFloat, ir.L(col), ir.L(slot), ir.L(nv))
-				})
-			})
-		}, nil)
-		b.Barrier(SpData)
-		// Update dependent columns j = k+1 .. min(B-1, k+band).
-		j := b.Local(ir.KInt)
-		jEnd := b.Bin(ir.KInt, ir.Add, ir.L(k), ir.L(bcBand))
-		one := b.Bin(ir.KInt, ir.Add, ir.L(jEnd), ir.CI(1))
-		bCap := b.Local(ir.KInt)
-		b.MoveTo(bCap, ir.L(one))
-		tooBig := b.Bin(ir.KInt, ir.Lt, ir.L(bcB), ir.L(bCap))
-		b.If(ir.L(tooBig), func() { b.MoveTo(bCap, ir.L(bcB)) }, nil)
-		kp1 := b.Bin(ir.KInt, ir.Add, ir.L(k), ir.CI(1))
-		b.Loop(j, ir.L(kp1), ir.L(bCap), func() {
-			mineJ := b.Bin(ir.KInt, ir.Eq,
-				ir.L(b.Bin(ir.KInt, ir.Mod, ir.L(j), ir.L(bcProcs))), ir.L(bcMe))
-			b.If(ir.L(mineJ), func() {
-				colK := b.SharedLoad(ir.KRegion, ir.L(bcCols), ir.L(k))
-				colJ := b.SharedLoad(ir.KRegion, ir.L(bcCols), ir.L(j))
-				rowsJ := b.Bin(ir.KInt, ir.Sub, ir.L(bcN),
-					ir.L(b.Bin(ir.KInt, ir.Mul, ir.L(j), ir.L(bcBS))))
-				off := b.Bin(ir.KInt, ir.Mul,
-					ir.L(b.Bin(ir.KInt, ir.Sub, ir.L(j), ir.L(k))), ir.L(bcBS))
-				c := b.Local(ir.KInt)
-				b.Loop(c, ir.CI(0), ir.L(bcBS), func() {
-					// L(off+c, col k) is invariant in the row loop below;
-					// the naive code still maps and brackets per element.
-					offc := b.Bin(ir.KInt, ir.Add, ir.L(off), ir.L(c))
-					r := b.Local(ir.KInt)
-					b.Loop(r, ir.CI(0), ir.L(rowsJ), func() {
-						lkc := b.SharedLoad(ir.KFloat, ir.L(colK), ir.L(offc))
-						offr := b.Bin(ir.KInt, ir.Add, ir.L(off), ir.L(r))
-						lkr := b.SharedLoad(ir.KFloat, ir.L(colK), ir.L(offr))
-						slot := b.Bin(ir.KInt, ir.Add,
-							ir.L(b.Bin(ir.KInt, ir.Mul, ir.L(c), ir.L(rowsJ))), ir.L(r))
-						v := b.SharedLoad(ir.KFloat, ir.L(colJ), ir.L(slot))
-						prod := b.Bin(ir.KFloat, ir.Mul,
-							ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(lkc), ir.L(lkr))), ir.CF(0.001))
-						b.SharedStore(ir.KFloat, ir.L(colJ), ir.L(slot),
-							ir.L(b.Bin(ir.KFloat, ir.Sub, ir.L(v), ir.L(prod))))
-					})
-				})
-			}, nil)
-		})
-		b.Barrier(SpData)
-	})
-	// Checksum over own columns.
-	sum := b.Const(ir.Float(0))
-	k2 := b.Local(ir.KInt)
-	b.Loop(k2, ir.CI(0), ir.L(bcB), func() {
-		mine := b.Bin(ir.KInt, ir.Eq,
-			ir.L(b.Bin(ir.KInt, ir.Mod, ir.L(k2), ir.L(bcProcs))), ir.L(bcMe))
-		b.If(ir.L(mine), func() {
-			col := b.SharedLoad(ir.KRegion, ir.L(bcCols), ir.L(k2))
-			rows := b.Bin(ir.KInt, ir.Sub, ir.L(bcN),
-				ir.L(b.Bin(ir.KInt, ir.Mul, ir.L(k2), ir.L(bcBS))))
-			total := b.Bin(ir.KInt, ir.Mul, ir.L(rows), ir.L(bcBS))
-			s := b.Local(ir.KInt)
-			b.Loop(s, ir.CI(0), ir.L(total), func() {
-				v := b.SharedLoad(ir.KFloat, ir.L(col), ir.L(s))
-				b.BinTo(sum, ir.Add, ir.L(sum), ir.L(v))
-			})
-		}, nil)
-	})
-	b.Ret(ir.L(sum))
-	f := b.Func()
-	return &ir.Program{
-		Funcs:       map[string]*ir.Func{f.Name: f},
-		SpaceProtos: map[int][]string{SpLocal: {"null"}, SpData: {"homewrite"}},
-	}
-}
 
 func setupBSC(p *core.Proc, spaces map[int]*core.Space, cfg Config) []ir.Value {
 	local, data := spaces[SpLocal], spaces[SpData]

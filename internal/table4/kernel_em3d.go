@@ -6,28 +6,7 @@ import (
 	"github.com/acedsm/ace/internal/ir"
 )
 
-// em3dKernel mirrors EM3D's access structure faithfully: a bipartite graph
-// of E and H nodes in two spaces, both under the static update protocol.
-// Each phase reads one class and writes the other, then barriers on the
-// written space (Figure 2), so update pushes never reach a region with an
-// open section — the phase discipline that lets the protocol declare its
-// end_read handler null and the direct-dispatch pass delete the calls in
-// the tight kernel (the Table 4 effect the paper highlights for EM3D).
-func em3dKernel() Kernel {
-	return Kernel{
-		Name: "em3d",
-		SpaceProtos: map[int][]string{
-			SpLocal: {"null"},
-			SpData:  {"staticupdate"}, // E values
-			SpAux:   {"staticupdate"}, // H values
-		},
-		Build: buildEM3D,
-		Setup: setupEM3D,
-		Hand:  handEM3D,
-	}
-}
-
-// Kernel parameters.
+// Parameters of em3d.ace's kernel function, in order.
 const (
 	emEIdx = iota // region of my E node ids
 	emEAdj        // region of H neighbor ids (myN*degree)
@@ -40,62 +19,6 @@ const (
 	emSteps
 	emNumParams
 )
-
-func buildEM3D(cfg Config) *ir.Program {
-	b := ir.NewBuilder("kernel",
-		regionType([]int{SpLocal}, []int{SpData}),
-		regionType([]int{SpLocal}, []int{SpAux}),
-		regionType([]int{SpLocal}, nil),
-		regionType([]int{SpLocal}, []int{SpAux}),
-		regionType([]int{SpLocal}, []int{SpData}),
-		regionType([]int{SpLocal}, nil),
-		intType(), intType(), intType(),
-	)
-	phase := func(idx, adj, wts int) {
-		i := b.Local(ir.KInt)
-		b.Loop(i, ir.CI(0), ir.L(emMyN), func() {
-			node := b.SharedLoad(ir.KRegion, ir.L(idx), ir.L(i))
-			acc := b.Const(ir.Float(0))
-			d := b.Local(ir.KInt)
-			b.Loop(d, ir.CI(0), ir.L(emDegree), func() {
-				base := b.Bin(ir.KInt, ir.Mul, ir.L(i), ir.L(emDegree))
-				k := b.Bin(ir.KInt, ir.Add, ir.L(base), ir.L(d))
-				nb := b.SharedLoad(ir.KRegion, ir.L(adj), ir.L(k))
-				w := b.SharedLoad(ir.KFloat, ir.L(wts), ir.L(k))
-				v := b.SharedLoad(ir.KFloat, ir.L(nb), ir.CI(0))
-				prod := b.Bin(ir.KFloat, ir.Mul, ir.L(w), ir.L(v))
-				b.BinTo(acc, ir.Add, ir.L(acc), ir.L(prod))
-			})
-			b.SharedStore(ir.KFloat, ir.L(node), ir.CI(0), ir.L(acc))
-		})
-	}
-	t := b.Local(ir.KInt)
-	b.Loop(t, ir.CI(0), ir.L(emSteps), func() {
-		phase(emEIdx, emEAdj, emEWts) // new E from H
-		b.Barrier(SpData)
-		phase(emHIdx, emHAdj, emHWts) // new H from E
-		b.Barrier(SpAux)
-	})
-	sum := b.Const(ir.Float(0))
-	for _, idx := range []int{emEIdx, emHIdx} {
-		i := b.Local(ir.KInt)
-		b.Loop(i, ir.CI(0), ir.L(emMyN), func() {
-			node := b.SharedLoad(ir.KRegion, ir.L(idx), ir.L(i))
-			v := b.SharedLoad(ir.KFloat, ir.L(node), ir.CI(0))
-			b.BinTo(sum, ir.Add, ir.L(sum), ir.L(v))
-		})
-	}
-	b.Ret(ir.L(sum))
-	f := b.Func()
-	return &ir.Program{
-		Funcs: map[string]*ir.Func{f.Name: f},
-		SpaceProtos: map[int][]string{
-			SpLocal: {"null"},
-			SpData:  {"staticupdate"},
-			SpAux:   {"staticupdate"},
-		},
-	}
-}
 
 // em3dNeighbors returns, for each node this processor owns in one class,
 // the global indices and weights of its neighbors in the other class

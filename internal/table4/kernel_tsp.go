@@ -6,36 +6,7 @@ import (
 	"github.com/acedsm/ace/internal/ir"
 )
 
-// tspKernel mirrors TSP's access pattern: a shared job counter under the
-// atomic protocol (the benchmark's best — Section 5.2's "better management
-// of accesses to a counter") bumped once per job, a shared best-bound
-// region under the sequentially consistent protocol read once per job, and
-// per-job search work over the replicated distance matrix. Jobs are
-// statically partitioned so the checksum is deterministic — a compiled
-// read-modify-write is two separate sections (Figure 5) and therefore not
-// atomic, exactly as in the paper's translation scheme, so the counter
-// value itself must not feed the checksum.
-//
-// Table 4 behaviour reproduced here: the counter and bound annotations are
-// NOT optimizable (atomic and sc protocols both forbid reordering), so
-// they survive every level; the distance-matrix accesses in the inner
-// loops are local data whose annotations hoist, merge and vanish — the
-// moderate LI/MC gains the paper reports for TSP.
-func tspKernel() Kernel {
-	return Kernel{
-		Name: "tsp",
-		SpaceProtos: map[int][]string{
-			SpLocal: {"null"},
-			SpData:  {"atomic"},
-			SpAux:   {"sc"},
-		},
-		Build: buildTSP,
-		Setup: setupTSP,
-		Hand:  handTSP,
-	}
-}
-
-// Kernel parameters.
+// Parameters of tsp.ace's kernel function, in order.
 const (
 	tsDist = iota // local region: cities*cities int64 distances
 	tsCounter
@@ -46,56 +17,6 @@ const (
 	tsHi
 	tsNumParams
 )
-
-func buildTSP(cfg Config) *ir.Program {
-	b := ir.NewBuilder("kernel",
-		regionType([]int{SpLocal}, nil),
-		regionType([]int{SpData}, nil),
-		regionType([]int{SpAux}, nil),
-		intType(), intType(), intType(), intType(),
-	)
-	total := b.Const(ir.Int(0))
-	jj := b.Local(ir.KInt)
-	b.Loop(jj, ir.L(tsLo), ir.L(tsHi), func() {
-		// Bump the shared counter (atomic protocol: a home round trip,
-		// never optimized). The compiled RMW is two sections, as in
-		// Figure 5.
-		cur := b.SharedLoad(ir.KInt, ir.L(tsCounter), ir.CI(0))
-		next := b.Bin(ir.KInt, ir.Add, ir.L(cur), ir.CI(1))
-		b.SharedStore(ir.KInt, ir.L(tsCounter), ir.CI(0), ir.L(next))
-		// Check the bound (sequentially consistent, never optimized).
-		bound := b.SharedLoad(ir.KInt, ir.L(tsBest), ir.CI(0))
-		// Per-job search work: sweep the distance matrix.
-		acc := b.Const(ir.Int(0))
-		a := b.Local(ir.KInt)
-		b.Loop(a, ir.CI(0), ir.L(tsCities), func() {
-			c := b.Local(ir.KInt)
-			b.Loop(c, ir.CI(0), ir.L(tsCities), func() {
-				slot := b.Bin(ir.KInt, ir.Add,
-					ir.L(b.Bin(ir.KInt, ir.Mul, ir.L(a), ir.L(tsCities))), ir.L(c))
-				d1 := b.SharedLoad(ir.KInt, ir.L(tsDist), ir.L(slot))
-				// A second, reversed lookup: redundant map the MC pass
-				// folds into the first.
-				rslot := b.Bin(ir.KInt, ir.Add,
-					ir.L(b.Bin(ir.KInt, ir.Mul, ir.L(c), ir.L(tsCities))), ir.L(a))
-				d2 := b.SharedLoad(ir.KInt, ir.L(tsDist), ir.L(rslot))
-				b.BinTo(acc, ir.Add, ir.L(acc),
-					ir.L(b.Bin(ir.KInt, ir.Add, ir.L(d1), ir.L(d2))))
-			})
-		})
-		scaled := b.Bin(ir.KInt, ir.Mul, ir.L(jj), ir.L(bound))
-		withJob := b.Bin(ir.KInt, ir.Add, ir.L(acc), ir.L(scaled))
-		b.BinTo(total, ir.Add, ir.L(total), ir.L(withJob))
-	})
-	b.Ret(ir.L(total))
-	f := b.Func()
-	return &ir.Program{
-		Funcs: map[string]*ir.Func{f.Name: f},
-		SpaceProtos: map[int][]string{
-			SpLocal: {"null"}, SpData: {"atomic"}, SpAux: {"sc"},
-		},
-	}
-}
 
 func setupTSP(p *core.Proc, spaces map[int]*core.Space, cfg Config) []ir.Value {
 	local, data, aux := spaces[SpLocal], spaces[SpData], spaces[SpAux]

@@ -6,30 +6,7 @@ import (
 	"github.com/acedsm/ace/internal/ir"
 )
 
-// waterKernel mirrors Water's inter-molecular phase: positions of all
-// molecules are snapshotted (three shared loads per molecule), each
-// processor accumulates pairwise force contributions for its pair range
-// into a local delta array, and ships one partial force per molecule
-// (three shared stores), combined additively at the home by the pipeline
-// protocol. A barrier drains the pipeline.
-//
-// Table 4 behaviour reproduced here: merging redundant calls collapses the
-// per-slot sections into one per molecule — the paper's dominant effect
-// for Water (1.76s → 0.73s).
-func waterKernel() Kernel {
-	return Kernel{
-		Name: "water",
-		SpaceProtos: map[int][]string{
-			SpLocal: {"null"},
-			SpData:  {"pipeline"},
-		},
-		Build: buildWater,
-		Setup: setupWater,
-		Hand:  handWater,
-	}
-}
-
-// Kernel parameters.
+// Parameters of water.ace's kernel function, in order.
 const (
 	waIdx = iota // region of all molecule ids
 	waScr        // local scratch: 3*n floats (positions)
@@ -42,116 +19,6 @@ const (
 )
 
 // Molecule slots: px py pz fx fy fz.
-
-func buildWater(cfg Config) *ir.Program {
-	b := ir.NewBuilder("kernel",
-		regionType([]int{SpLocal}, []int{SpData}),
-		regionType([]int{SpLocal}, nil),
-		regionType([]int{SpLocal}, nil),
-		intType(), intType(), intType(), intType(),
-	)
-	t := b.Local(ir.KInt)
-	b.Loop(t, ir.CI(0), ir.L(waSteps), func() {
-		// Snapshot positions.
-		i := b.Local(ir.KInt)
-		b.Loop(i, ir.CI(0), ir.L(waN), func() {
-			mol := b.SharedLoad(ir.KRegion, ir.L(waIdx), ir.L(i))
-			x := b.SharedLoad(ir.KFloat, ir.L(mol), ir.CI(0))
-			y := b.SharedLoad(ir.KFloat, ir.L(mol), ir.CI(1))
-			z := b.SharedLoad(ir.KFloat, ir.L(mol), ir.CI(2))
-			k := b.Bin(ir.KInt, ir.Mul, ir.L(i), ir.CI(3))
-			b.SharedStore(ir.KFloat, ir.L(waScr), ir.L(k), ir.L(x))
-			b.SharedStore(ir.KFloat, ir.L(waScr), ir.L(b.Bin(ir.KInt, ir.Add, ir.L(k), ir.CI(1))), ir.L(y))
-			b.SharedStore(ir.KFloat, ir.L(waScr), ir.L(b.Bin(ir.KInt, ir.Add, ir.L(k), ir.CI(2))), ir.L(z))
-		})
-		// Zero deltas and accumulate my pair range.
-		zi := b.Local(ir.KInt)
-		n3 := b.Bin(ir.KInt, ir.Mul, ir.L(waN), ir.CI(3))
-		b.Loop(zi, ir.CI(0), ir.L(n3), func() {
-			b.SharedStore(ir.KFloat, ir.L(waDel), ir.L(zi), ir.CF(0))
-		})
-		pi := b.Local(ir.KInt)
-		b.Loop(pi, ir.L(waLo), ir.L(waHi), func() {
-			pj := b.Local(ir.KInt)
-			start := b.Bin(ir.KInt, ir.Add, ir.L(pi), ir.CI(1))
-			b.Loop(pj, ir.L(start), ir.L(waN), func() {
-				ik := b.Bin(ir.KInt, ir.Mul, ir.L(pi), ir.CI(3))
-				jk := b.Bin(ir.KInt, ir.Mul, ir.L(pj), ir.CI(3))
-				xi := b.SharedLoad(ir.KFloat, ir.L(waScr), ir.L(ik))
-				yi := b.SharedLoad(ir.KFloat, ir.L(waScr), ir.L(b.Bin(ir.KInt, ir.Add, ir.L(ik), ir.CI(1))))
-				zi2 := b.SharedLoad(ir.KFloat, ir.L(waScr), ir.L(b.Bin(ir.KInt, ir.Add, ir.L(ik), ir.CI(2))))
-				xj := b.SharedLoad(ir.KFloat, ir.L(waScr), ir.L(jk))
-				yj := b.SharedLoad(ir.KFloat, ir.L(waScr), ir.L(b.Bin(ir.KInt, ir.Add, ir.L(jk), ir.CI(1))))
-				zj := b.SharedLoad(ir.KFloat, ir.L(waScr), ir.L(b.Bin(ir.KInt, ir.Add, ir.L(jk), ir.CI(2))))
-				dx := b.Bin(ir.KFloat, ir.Sub, ir.L(xj), ir.L(xi))
-				dy := b.Bin(ir.KFloat, ir.Sub, ir.L(yj), ir.L(yi))
-				dz := b.Bin(ir.KFloat, ir.Sub, ir.L(zj), ir.L(zi2))
-				r2 := b.Bin(ir.KFloat, ir.Add,
-					ir.L(b.Bin(ir.KFloat, ir.Add,
-						ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(dx), ir.L(dx))),
-						ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(dy), ir.L(dy))))),
-					ir.L(b.Bin(ir.KFloat, ir.Add,
-						ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(dz), ir.L(dz))),
-						ir.CF(0.25))))
-				inv := b.Bin(ir.KFloat, ir.Div, ir.CF(1), ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(r2), ir.L(r2))))
-				// delta[i] += f; delta[j] -= f (three slots each).
-				for d := 0; d < 3; d++ {
-					var comp int
-					switch d {
-					case 0:
-						comp = b.Bin(ir.KFloat, ir.Mul, ir.L(dx), ir.L(inv))
-					case 1:
-						comp = b.Bin(ir.KFloat, ir.Mul, ir.L(dy), ir.L(inv))
-					default:
-						comp = b.Bin(ir.KFloat, ir.Mul, ir.L(dz), ir.L(inv))
-					}
-					iSlot := b.Bin(ir.KInt, ir.Add, ir.L(ik), ir.CI(int64(d)))
-					jSlot := b.Bin(ir.KInt, ir.Add, ir.L(jk), ir.CI(int64(d)))
-					cur := b.SharedLoad(ir.KFloat, ir.L(waDel), ir.L(iSlot))
-					b.SharedStore(ir.KFloat, ir.L(waDel), ir.L(iSlot), ir.L(b.Bin(ir.KFloat, ir.Add, ir.L(cur), ir.L(comp))))
-					cur2 := b.SharedLoad(ir.KFloat, ir.L(waDel), ir.L(jSlot))
-					b.SharedStore(ir.KFloat, ir.L(waDel), ir.L(jSlot), ir.L(b.Bin(ir.KFloat, ir.Sub, ir.L(cur2), ir.L(comp))))
-				}
-			})
-		})
-		// Ship partial forces: three shared stores per molecule, combined
-		// additively at the home by the pipeline protocol.
-		si := b.Local(ir.KInt)
-		b.Loop(si, ir.CI(0), ir.L(waN), func() {
-			mol := b.SharedLoad(ir.KRegion, ir.L(waIdx), ir.L(si))
-			k := b.Bin(ir.KInt, ir.Mul, ir.L(si), ir.CI(3))
-			fx := b.SharedLoad(ir.KFloat, ir.L(waDel), ir.L(k))
-			fy := b.SharedLoad(ir.KFloat, ir.L(waDel), ir.L(b.Bin(ir.KInt, ir.Add, ir.L(k), ir.CI(1))))
-			fz := b.SharedLoad(ir.KFloat, ir.L(waDel), ir.L(b.Bin(ir.KInt, ir.Add, ir.L(k), ir.CI(2))))
-			b.SharedStore(ir.KFloat, ir.L(mol), ir.CI(3), ir.L(fx))
-			b.SharedStore(ir.KFloat, ir.L(mol), ir.CI(4), ir.L(fy))
-			b.SharedStore(ir.KFloat, ir.L(mol), ir.CI(5), ir.L(fz))
-		})
-		b.Barrier(SpData)
-	})
-	// Checksum own force slots, weighted by molecule index: the raw sum
-	// of all forces is ~0 by Newton's third law, useless as a checksum.
-	sum := b.Const(ir.Float(0))
-	ci := b.Local(ir.KInt)
-	b.Loop(ci, ir.L(waLo), ir.L(waHi), func() {
-		mol := b.SharedLoad(ir.KRegion, ir.L(waIdx), ir.L(ci))
-		fx := b.SharedLoad(ir.KFloat, ir.L(mol), ir.CI(3))
-		fy := b.SharedLoad(ir.KFloat, ir.L(mol), ir.CI(4))
-		fz := b.SharedLoad(ir.KFloat, ir.L(mol), ir.CI(5))
-		wf := b.Un(ir.KFloat, ir.IntToFloat, ir.L(b.Bin(ir.KInt, ir.Add, ir.L(ci), ir.CI(1))))
-		part := b.Bin(ir.KFloat, ir.Add, ir.L(fx),
-			ir.L(b.Bin(ir.KFloat, ir.Add,
-				ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(fy), ir.CF(2))),
-				ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(fz), ir.CF(3))))))
-		b.BinTo(sum, ir.Add, ir.L(sum), ir.L(b.Bin(ir.KFloat, ir.Mul, ir.L(wf), ir.L(part))))
-	})
-	b.Ret(ir.L(sum))
-	f := b.Func()
-	return &ir.Program{
-		Funcs:       map[string]*ir.Func{f.Name: f},
-		SpaceProtos: map[int][]string{SpLocal: {"null"}, SpData: {"pipeline"}},
-	}
-}
 
 func setupWater(p *core.Proc, spaces map[int]*core.Space, cfg Config) []ir.Value {
 	local, data := spaces[SpLocal], spaces[SpData]

@@ -1,9 +1,11 @@
 // Package table4 defines the five compiler-experiment kernels behind the
 // paper's Table 4. Each kernel exists twice:
 //
-//   - as an IR program (Build) that the Ace compiler annotates and
-//     optimizes at the four levels of Table 4 (base, LI, LI+MC, LI+MC+DC)
-//     and the VM executes against the real runtime, and
+//   - as a MiniAce program (<kernel>.ace, embedded and compiled once by
+//     package lang) that the Ace compiler annotates and optimizes at the
+//     four levels of Table 4 (base, LI, LI+MC, LI+MC+DC) and the VM
+//     executes against the real runtime — the paper's pipeline: shared
+//     accesses in the source, annotations inserted by the compiler — and
 //   - as hand-written runtime code (Hand), the "code an experienced
 //     programmer would write": maps hoisted, sections merged, exactly one
 //     protocol call where one is needed.
@@ -13,33 +15,46 @@
 // and each runs under the same protocol configuration as its Figure 7b
 // "best" version, so checksum equality across all levels and the hand
 // version is a strong end-to-end check on compiler soundness.
+//
+// acec -counts internal/table4/<kernel>.ace prints a kernel's static
+// annotation counts at every level.
 package table4
 
 import (
+	"embed"
+	"fmt"
+	"sync"
+
 	"github.com/acedsm/ace/internal/core"
 	"github.com/acedsm/ace/internal/ir"
+	"github.com/acedsm/ace/internal/lang"
 )
 
-// Space ids used by every kernel program: spLocal holds processor-local
+// Space ids used by every kernel program: SpLocal holds processor-local
 // data (index regions, adjacency, scratch) under the null protocol;
-// spData holds the kernel's shared data under its best protocol; spAux is
-// kernel-specific (TSP's sequentially consistent bound).
+// SpData holds the kernel's shared data under its best protocol; SpAux is
+// kernel-specific (EM3D's H values, TSP's sequentially consistent bound).
+// A kernel source declares its spaces in this order, named local, data
+// and aux.
 const (
 	SpLocal = 0
 	SpData  = 1
 	SpAux   = 2
 )
 
+var spaceNames = [...]string{SpLocal: "local", SpData: "data", SpAux: "aux"}
+
 // Kernel describes one Table 4 column.
 type Kernel struct {
 	// Name is the benchmark name the kernel mirrors.
 	Name string
-	// SpaceProtos maps program space ids to the protocol names they may
-	// run under (input to the compiler's analysis and to the harness's
-	// space creation).
-	SpaceProtos map[int][]string
-	// Build constructs the IR program; the entry function is "kernel".
-	Build func(cfg Config) *ir.Program
+	// Prog is the kernel's source compiled to pre-annotation IR; the
+	// entry function is "kernel". It is shared: compiler.Compile clones
+	// its input.
+	Prog *ir.Program
+	// Spaces are the source's space declarations; declaration i is
+	// space id i, created under its first protocol.
+	Spaces []lang.SpaceDecl
 	// Setup allocates and initializes the kernel's regions (collective)
 	// and returns the entry function's arguments for this processor.
 	Setup func(p *core.Proc, spaces map[int]*core.Space, cfg Config) []ir.Value
@@ -72,15 +87,55 @@ func DefaultConfig() Config {
 	}
 }
 
-// Kernels returns all five kernels in Table 4's column order.
-func Kernels() []Kernel {
+//go:embed *.ace
+var sources embed.FS
+
+// Kernels returns all five kernels in Table 4's column order, compiled on
+// the first call. Callers share the result and must not modify it.
+var Kernels = sync.OnceValue(func() []Kernel {
 	return []Kernel{
-		barnesHutKernel(),
-		bscKernel(),
-		em3dKernel(),
-		tspKernel(),
-		waterKernel(),
+		load("bh.ace", Kernel{Name: "barnes-hut", Setup: setupBH, Hand: handBH}),
+		load("bsc.ace", Kernel{Name: "bsc", Setup: setupBSC, Hand: handBSC}),
+		load("em3d.ace", Kernel{Name: "em3d", Setup: setupEM3D, Hand: handEM3D}),
+		load("tsp.ace", Kernel{Name: "tsp", Setup: setupTSP, Hand: handTSP}),
+		load("water.ace", Kernel{Name: "water", Setup: setupWater, Hand: handWater}),
 	}
+})
+
+// load compiles k's embedded source into k.Prog and k.Spaces. The
+// sources are part of the build, so a failure is a bug in them.
+func load(file string, k Kernel) Kernel {
+	src, err := sources.ReadFile(file)
+	if err != nil {
+		panic(err)
+	}
+	k.Prog, k.Spaces, err = compileKernel(string(src))
+	if err != nil {
+		panic(fmt.Sprintf("table4: %s: %v", file, err))
+	}
+	return k
+}
+
+// compileKernel compiles kernel source and checks what the Go halves rely
+// on: a "kernel" entry function, and spaces declared as local, data, aux
+// in that order, so that SpLocal, SpData and SpAux index them.
+func compileKernel(src string) (*ir.Program, []lang.SpaceDecl, error) {
+	prog, spaces, err := lang.Compile(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if prog.Funcs["kernel"] == nil {
+		return nil, nil, fmt.Errorf("no func kernel")
+	}
+	if len(spaces) > len(spaceNames) {
+		return nil, nil, fmt.Errorf("%d spaces declared, at most %d", len(spaces), len(spaceNames))
+	}
+	for i, sd := range spaces {
+		if sd.Name != spaceNames[i] {
+			return nil, nil, fmt.Errorf("space %d is %q, want %q", i, sd.Name, spaceNames[i])
+		}
+	}
+	return prog, spaces, nil
 }
 
 // ---------------------------------------------------------------------
@@ -131,10 +186,3 @@ func idIndexRegion(p *core.Proc, local *core.Space, ids []core.RegionID) core.Re
 	p.Unmap(r)
 	return id
 }
-
-// regionType builds the IR type of a region-valued parameter.
-func regionType(spaces []int, elemSpaces []int) ir.Type {
-	return ir.Type{Kind: ir.KRegion, Spaces: spaces, ElemSpaces: elemSpaces}
-}
-
-func intType() ir.Type { return ir.Type{Kind: ir.KInt} }

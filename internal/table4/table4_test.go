@@ -1,6 +1,7 @@
 package table4
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/acedsm/ace/internal/compiler"
@@ -9,17 +10,15 @@ import (
 )
 
 func TestKernelsBuildAndCompileAtEveryLevel(t *testing.T) {
-	cfg := DefaultConfig()
 	decls := proto.NewRegistry().Decls()
 	levels := []compiler.Level{compiler.LevelBase, compiler.LevelLI, compiler.LevelMC, compiler.LevelDC}
 	for _, k := range Kernels() {
-		prog := k.Build(cfg)
-		if prog.Funcs["kernel"] == nil {
+		if k.Prog.Funcs["kernel"] == nil {
 			t.Fatalf("%s: no kernel function", k.Name)
 		}
 		var prev int
 		for i, lvl := range levels {
-			out, err := compiler.Compile(prog, decls, lvl)
+			out, err := compiler.Compile(k.Prog, decls, lvl)
 			if err != nil {
 				t.Fatalf("%s at %s: %v", k.Name, lvl, err)
 			}
@@ -28,7 +27,7 @@ func TestKernelsBuildAndCompileAtEveryLevel(t *testing.T) {
 			for _, v := range counts {
 				total += v
 			}
-			if total == 0 && k.Name != "null-only" {
+			if total == 0 {
 				t.Errorf("%s at %s: no annotations at all", k.Name, lvl)
 			}
 			// Static annotation count is non-increasing through the first
@@ -41,21 +40,20 @@ func TestKernelsBuildAndCompileAtEveryLevel(t *testing.T) {
 	}
 }
 
+// TestKernelSpaceDeclsConsistent checks the loader's conventions, which
+// every embedded kernel passes or Kernels panics: a source that declares
+// its spaces out of order, or has no kernel function, is refused.
 func TestKernelSpaceDeclsConsistent(t *testing.T) {
-	for _, k := range Kernels() {
-		prog := k.Build(DefaultConfig())
-		for id, protos := range k.SpaceProtos {
-			got := prog.SpaceProtos[id]
-			if len(got) != len(protos) {
-				t.Errorf("%s: space %d protocols %v vs program's %v", k.Name, id, protos, got)
-				continue
-			}
-			for i := range protos {
-				if got[i] != protos[i] {
-					t.Errorf("%s: space %d protocol %q vs program's %q", k.Name, id, protos[i], got[i])
-				}
-			}
-		}
+	swapped := `
+space data protocol "sc";
+space local protocol "null";
+func kernel(r: region<data>): float { return r[0]; }
+`
+	if _, _, err := compileKernel(swapped); err == nil || !strings.Contains(err.Error(), `space 0 is "data"`) {
+		t.Errorf("misordered spaces: err = %v", err)
+	}
+	if _, _, err := compileKernel(`space local protocol "null"; func main(): int { return 0; }`); err == nil {
+		t.Error("source without func kernel was accepted")
 	}
 }
 
@@ -74,8 +72,7 @@ func TestKernelProgramsAreWellTyped(t *testing.T) {
 	// Every kernel's parameter list must type each region parameter with
 	// at least one space (the analysis otherwise refuses to optimize).
 	for _, k := range Kernels() {
-		prog := k.Build(DefaultConfig())
-		f := prog.Funcs["kernel"]
+		f := k.Prog.Funcs["kernel"]
 		for i, p := range f.Params {
 			if p.Kind == ir.KRegion && len(p.Spaces) == 0 {
 				t.Errorf("%s: region parameter %d has no declared spaces", k.Name, i)

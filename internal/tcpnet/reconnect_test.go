@@ -401,6 +401,15 @@ func TestReaderDispatchNeverWaitsOnJournal(t *testing.T) {
 			t.Fatalf("frame %d never delivered: the handler before it waited on the journal bound", want)
 		}
 	}
+	// The reader counts a direct delivery after the handler has returned,
+	// and only then lets go of the node's token: the second handler's
+	// send above can win that race, so wait for the token before reading
+	// the count.
+	for deadline := time.Now().Add(5 * time.Second); ep.inbox.Busy(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("node 0's dispatch token still held 5s after the last delivery")
+		}
+	}
 	if d := ep.Stats().Snapshot().RecvDirect; d != 2 {
 		t.Errorf("RecvDirect = %d, want 2: the frames did not run on the reader", d)
 	}

@@ -18,16 +18,17 @@ type Machine struct {
 	prog   *ir.Program
 	spaces map[int]*core.Space
 
-	// Counts tallies executed annotation calls by point name, plus
-	// "direct" for direct-bound calls — the dynamic counterpart of the
-	// compiler's static counts.
-	Counts map[string]uint64
+	// Counts tallies executed annotation calls by invocation point — the
+	// dynamic counterpart of the compiler's static counts. Direct counts
+	// the direct-bound calls among them.
+	Counts [core.NumPoints]uint64
+	Direct uint64
 }
 
 // New builds a machine for proc p running prog. spaces maps the program's
 // space ids to runtime spaces.
 func New(p *core.Proc, prog *ir.Program, spaces map[int]*core.Space) *Machine {
-	return &Machine{p: p, prog: prog, spaces: spaces, Counts: make(map[string]uint64)}
+	return &Machine{p: p, prog: prog, spaces: spaces}
 }
 
 // val is a runtime value: a constant plus, for handles, the mapped region.
@@ -69,8 +70,6 @@ func (m *Machine) exec(fr *frame, list []ir.Instr) (*ir.Value, error) {
 	for i := range list {
 		in := &list[i]
 		switch in.Op {
-		case ir.OpConst:
-			fr.locals[in.Dst] = val{v: in.ConstVal}
 		case ir.OpMove:
 			fr.locals[in.Dst] = m.eval(fr, in.A)
 		case ir.OpBin:
@@ -89,34 +88,34 @@ func (m *Machine) exec(fr *frame, list []ir.Instr) (*ir.Value, error) {
 			fr.locals[in.Dst] = val{v: v}
 		case ir.OpMap:
 			id := m.eval(fr, in.A).v.R
-			m.count("map", in.Direct)
+			m.count(core.PointMap, in.Direct)
 			fr.locals[in.Dst] = val{v: ir.Value{K: ir.KHandle}, h: m.p.Map(id)}
 		case ir.OpUnmap:
-			m.count("unmap", in.Direct)
+			m.count(core.PointUnmap, in.Direct)
 			m.p.Unmap(m.handle(fr, in.A))
 		case ir.OpStartRead:
-			m.count("start_read", in.Direct)
+			m.count(core.PointStartRead, in.Direct)
 			if in.Bare {
 				m.p.StartReadBare(m.handle(fr, in.A))
 			} else {
 				m.p.StartRead(m.handle(fr, in.A))
 			}
 		case ir.OpEndRead:
-			m.count("end_read", in.Direct)
+			m.count(core.PointEndRead, in.Direct)
 			if in.Bare {
 				m.p.EndReadBare(m.handle(fr, in.A))
 			} else {
 				m.p.EndRead(m.handle(fr, in.A))
 			}
 		case ir.OpStartWrite:
-			m.count("start_write", in.Direct)
+			m.count(core.PointStartWrite, in.Direct)
 			if in.Bare {
 				m.p.StartWriteBare(m.handle(fr, in.A))
 			} else {
 				m.p.StartWrite(m.handle(fr, in.A))
 			}
 		case ir.OpEndWrite:
-			m.count("end_write", in.Direct)
+			m.count(core.PointEndWrite, in.Direct)
 			if in.Bare {
 				m.p.EndWriteBare(m.handle(fr, in.A))
 			} else {
@@ -214,10 +213,10 @@ func (m *Machine) exec(fr *frame, list []ir.Instr) (*ir.Value, error) {
 	return nil, nil
 }
 
-func (m *Machine) count(point string, direct bool) {
+func (m *Machine) count(point core.Point, direct bool) {
 	m.Counts[point]++
 	if direct {
-		m.Counts["direct"]++
+		m.Direct++
 	}
 }
 

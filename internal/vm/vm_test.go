@@ -86,12 +86,13 @@ func TestComparisonsAndLogic(t *testing.T) {
 func TestLoopAndIfControl(t *testing.T) {
 	// Sum of even numbers below n.
 	b := ir.NewBuilder("f", ir.Type{Kind: ir.KInt})
-	sum := b.Const(ir.Int(0))
+	sum := b.Local(ir.KInt)
+	b.MoveTo(sum, ir.CI(0))
 	i := b.Local(ir.KInt)
 	b.Loop(i, ir.CI(0), ir.L(0), func() {
 		even := b.Bin(ir.KInt, ir.Eq, ir.L(b.Bin(ir.KInt, ir.Mod, ir.L(i), ir.CI(2))), ir.CI(0))
 		b.If(ir.L(even), func() {
-			b.BinTo(sum, ir.Add, ir.L(sum), ir.L(i))
+			b.MoveTo(sum, ir.L(b.Bin(ir.KInt, ir.Add, ir.L(sum), ir.L(i))))
 		}, nil)
 	})
 	b.Ret(ir.L(sum))
@@ -131,11 +132,12 @@ func TestSameResultAtEveryLevel(t *testing.T) {
 			v := b.Un(ir.KFloat, ir.IntToFloat, ir.L(i))
 			b.SharedStore(ir.KFloat, ir.L(r), ir.L(i), ir.L(v))
 		})
-		sum := b.Const(ir.Float(0))
+		sum := b.Local(ir.KFloat)
+		b.MoveTo(sum, ir.CF(0))
 		j := b.Local(ir.KInt)
 		b.Loop(j, ir.CI(0), ir.L(0), func() {
 			v := b.SharedLoad(ir.KFloat, ir.L(r), ir.L(j))
-			b.BinTo(sum, ir.Add, ir.L(sum), ir.L(v))
+			b.MoveTo(sum, ir.L(b.Bin(ir.KFloat, ir.Add, ir.L(sum), ir.L(v))))
 		})
 		b.Ret(ir.L(sum))
 		return b.Func()
@@ -235,7 +237,7 @@ func TestCountsTally(t *testing.T) {
 		if _, err := m.Call("f"); err != nil {
 			return err
 		}
-		if m.Counts["map"] != 2 || m.Counts["start_write"] != 1 || m.Counts["start_read"] != 1 {
+		if m.Counts[core.PointMap] != 2 || m.Counts[core.PointStartWrite] != 1 || m.Counts[core.PointStartRead] != 1 {
 			t.Errorf("counts = %v", m.Counts)
 		}
 		return nil
