@@ -12,9 +12,9 @@ GO ?= go
 # scheduler goroutine runs beside senders, Kill and Quiesce.
 RACE_PKGS = ./internal/trace ./internal/core ./internal/memory ./internal/amnet ./internal/faultnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway
 
-.PHONY: ci vet build test bench-test race fuzz-smoke bench-compare bench-allocs chaos-smoke cluster-smoke gate-smoke examples-smoke paper-smoke
+.PHONY: ci vet build test bench-test race fuzz-smoke bench-compare bench-allocs coll-bench chaos-smoke cluster-smoke gate-smoke examples-smoke paper-smoke
 
-ci: vet build test bench-test race fuzz-smoke bench-allocs chaos-smoke cluster-smoke gate-smoke examples-smoke paper-smoke
+ci: vet build test bench-test race fuzz-smoke bench-allocs coll-bench chaos-smoke cluster-smoke gate-smoke examples-smoke paper-smoke
 
 vet:
 	$(GO) vet ./...
@@ -125,6 +125,13 @@ bench-allocs:
 	status=$$?; echo "$$out" | grep -E '^(--- |ok|FAIL)'; \
 	if [ $$status -ne 0 ]; then echo "FAIL: allocation pins exited $$status"; exit 1; fi; \
 	for t in $$(echo '$(ALLOC_PINS)' | tr '|' ' '); do echo "$$out" | grep -q -- "--- PASS: $$t " || { echo "FAIL: $$t did not pass"; exit 1; }; done
+
+# coll-bench runs every collective benchmark once at four processors:
+# barrier, all-reduce and broadcast beside SpaceCycle, a room space's
+# collective life (NewSpace on a recycled slot, a home GMalloc,
+# FreeSpace), which reports the tree rounds it enters as rounds/op.
+coll-bench:
+	$(GO) test -run '^$$' -bench 'BenchmarkCollectives/.*/procs=4$$' -benchtime 1x .
 
 # examples-smoke runs three examples end to end: customproto, a
 # protocol built from the proto package's building blocks, must end with

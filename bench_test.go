@@ -22,6 +22,7 @@ import (
 	"github.com/acedsm/ace/internal/bench"
 	"github.com/acedsm/ace/internal/compiler"
 	"github.com/acedsm/ace/internal/table4"
+	"github.com/acedsm/ace/internal/trace"
 	"github.com/acedsm/ace/proto"
 )
 
@@ -122,18 +123,34 @@ func BenchmarkBracket(b *testing.B) {
 
 // BenchmarkCollectives measures one round of each built-in collective —
 // barrier, scalar all-reduce, broadcast from processor 0 — on the
-// binomial tree with default options. Every processor runs the same b.N
-// rounds; the timer starts when proc 0 leaves the opening barrier and
-// stops when the last processor finishes, so ns/op is the cluster's time
-// per round (broadcast rounds pipeline: the root never waits).
+// binomial tree with default options, and one collective life of a
+// space as the gateway drives it for a room (SpaceCycle: NewSpace on a
+// recycled slot, a GMalloc at the home, FreeSpace), which also reports
+// the collective rounds it enters (rounds/op, processor 0's CollStats).
+// Every processor runs the same b.N iterations after one untimed warm-up
+// (which leaves SpaceCycle a slot to recycle); the timer starts when
+// proc 0 leaves the opening barrier and stops when the last processor
+// finishes, so ns/op is the cluster's time per iteration (broadcast
+// rounds pipeline: the root never waits).
 func BenchmarkCollectives(b *testing.B) {
 	ops := []struct {
-		name string
-		fn   func(p *Proc)
+		name   string
+		fn     func(p *Proc) error
+		rounds bool
 	}{
-		{"GlobalBarrier", func(p *Proc) { p.GlobalBarrier() }},
-		{"AllReduceInt64", func(p *Proc) { p.AllReduceInt64(OpSum, int64(p.ID())) }},
-		{"Broadcast", func(p *Proc) { p.Broadcast(0, []byte("12345678")) }},
+		{"GlobalBarrier", func(p *Proc) error { p.GlobalBarrier(); return nil }, false},
+		{"AllReduceInt64", func(p *Proc) error { p.AllReduceInt64(OpSum, int64(p.ID())); return nil }, false},
+		{"Broadcast", func(p *Proc) error { p.Broadcast(0, []byte("12345678")); return nil }, false},
+		{"SpaceCycle", func(p *Proc) error {
+			sp, err := p.NewSpace("sc")
+			if err != nil {
+				return err
+			}
+			if p.ID() == 0 {
+				p.GMalloc(sp, 64)
+			}
+			return p.FreeSpace(sp)
+		}, true},
 	}
 	for _, procs := range []int{4, 8} {
 		for _, op := range ops {
@@ -143,19 +160,36 @@ func BenchmarkCollectives(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer cl.Close()
+				var rounds uint64
 				err = cl.Run(func(p *Proc) error {
+					if err := op.fn(p); err != nil {
+						return err
+					}
 					p.GlobalBarrier()
+					var before trace.CollSnapshot
 					if p.ID() == 0 {
+						if op.rounds {
+							before = p.Snapshot().Coll
+						}
 						b.ResetTimer()
 					}
 					for i := 0; i < b.N; i++ {
-						op.fn(p)
+						if err := op.fn(p); err != nil {
+							return err
+						}
+					}
+					if p.ID() == 0 && op.rounds {
+						after := p.Snapshot().Coll
+						rounds = after.Barriers + after.Reduces + after.Bcasts - before.Barriers - before.Reduces - before.Bcasts
 					}
 					return nil
 				})
 				b.StopTimer()
 				if err != nil {
 					b.Fatal(err)
+				}
+				if op.rounds {
+					b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 				}
 			})
 		}

@@ -82,6 +82,7 @@ func (b *ProtoBatcher) Flush(c *Ctx, tag func(dst amnet.NodeID, regions int) uin
 			t = tag(dst, bb.n)
 		}
 		c.p.coll.CountFrame(bb.n, len(bb.data))
+		c.p.selfSent(dst)
 		c.p.ep.Send(amnet.Msg{
 			Dst: dst, Handler: hProtoBatch,
 			A: uint64(bb.n), B: t, C: b.verb, D: uint64(b.sp.ID),

@@ -231,6 +231,7 @@ func (c *Ctx) Complete(seq uint64, m amnet.Msg) {
 // dispatch when the region is not materialized there). The payload is
 // copied before Send returns, so callers may pass region data directly.
 func (c *Ctx) SendProto(dst amnet.NodeID, a, b, verb, spaceID uint64, payload []byte) {
+	c.p.selfSent(dst)
 	c.p.ep.Send(amnet.Msg{
 		Dst: dst, Handler: hProto,
 		A: a, B: b, C: verb, D: spaceID,
@@ -279,6 +280,7 @@ func (c *Ctx) DefaultLock(r *Region) {
 // asynchronous; per-pair FIFO ordering guarantees a subsequent DefaultLock
 // from this processor is served after the release.
 func (c *Ctx) DefaultUnlock(r *Region) {
+	c.p.selfSent(r.Home)
 	c.p.ep.Send(amnet.Msg{Dst: r.Home, Handler: hUnlockMsg, A: uint64(r.ID)})
 }
 

@@ -110,6 +110,7 @@ func (p *Proc) protoMsg(m amnet.Msg, try bool) bool {
 	if r != nil {
 		sp.refreshFast(r)
 	}
+	p.selfDone(m.Src)
 	sp.eng.Unlock()
 	// Deliver implementations consume the payload synchronously
 	// (copy into region data, clone into deferred queues, or forward
@@ -142,10 +143,31 @@ func (p *Proc) protoBatchMsg(m amnet.Msg, try bool) bool {
 	for _, rec := range recs {
 		sp.refreshFast(rec.R)
 	}
+	p.selfDone(m.Src)
 	sp.eng.Unlock()
 	// DeliverBatch consumes record data synchronously, like Deliver.
 	amnet.Recycle(m.Payload)
 	return true
+}
+
+// selfSent notes a space message about to be sent to dst, which is held
+// coherence state while dst is this processor (Proc.selfPending). Call
+// it before the Send: the handler may run inside it.
+func (p *Proc) selfSent(dst amnet.NodeID) {
+	if dst == p.id {
+		p.selfPending.Add(1)
+	}
+}
+
+// selfDone retires a handled space message from src if this processor
+// sent it to itself. Handlers call it once done with the message, engine
+// handlers before releasing the engine, so FreeSpace, which reads
+// selfPending under the engine, never sees a count of zero while such a
+// handler is mid-way.
+func (p *Proc) selfDone(src amnet.NodeID) {
+	if src == p.id {
+		p.selfPending.Add(-1)
+	}
 }
 
 // migrateMsg serves a MigrateHome pull: the incoming home asks the

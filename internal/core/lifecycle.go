@@ -110,17 +110,24 @@ func (p *Proc) LiveSpaces() int {
 }
 
 // flushToBase drives every space in sps to the base state: a barrier
-// fences in-flight brackets, each space's protocol flushes (authoritative
-// data at the home, no cached copies), and a second barrier fences the
-// flush traffic. Only then — with nothing in flight anywhere — is every
-// region's fast-path eligibility withdrawn, so no bracket keeps
-// fast-hitting a flushed copy; the protocol republishes lazily as
-// brackets take the slow path. The per-home traffic counters are zeroed
-// with it, so the flush's own traffic is not read as application signal.
-// Every space-wide reset (ChangeProtocol, FreeSpace, MigrateHome,
-// Checkpoint) starts here. Collective; the caller holds no engine.
+// fences in-flight brackets, and flushFenced does the rest. Every
+// space-wide reset that keeps the space (ChangeProtocol, MigrateHome,
+// Checkpoint) starts here; FreeSpace fences with its verifying round
+// instead. Collective; the caller holds no engine.
 func (p *Proc) flushToBase(sps ...*Space) {
 	p.ctx.DefaultBarrier()
+	p.flushFenced(sps...)
+}
+
+// flushFenced is flushToBase after its fence: each space's protocol
+// flushes (authoritative data at the home, no cached copies), and a
+// barrier fences the flush traffic. Only then — with nothing in flight
+// anywhere — is every region's fast-path eligibility withdrawn, so no
+// bracket keeps fast-hitting a flushed copy; the protocol republishes
+// lazily as brackets take the slow path. The per-home traffic counters
+// are zeroed with it, so the flush's own traffic is not read as
+// application signal. Collective; the caller holds no engine.
+func (p *Proc) flushFenced(sps ...*Space) {
 	for _, sp := range sps {
 		sp.eng.Lock()
 		sp.Proto.FlushSpace(sp.ctx, sp)
@@ -135,6 +142,26 @@ func (p *Proc) flushToBase(sps ...*Space) {
 		sp.homeIn, sp.regIn = 0, nil
 		sp.eng.Unlock()
 	}
+}
+
+// holdsCoherence reports whether this processor holds state FreeSpace
+// must flush for sp: a view of a region it is not home to, a home
+// directory that lists a sharer or an owner, or a space message it sent
+// itself that no handler has finished (racecheck's home notifications,
+// a home's own unlock). Every message between two processors about a
+// region has a non-home view at one end, so when no processor holds
+// state nothing of sp is cached or in flight, and the home copies are
+// already the base state. Caller holds sp.eng.
+func (p *Proc) holdsCoherence(sp *Space) bool {
+	if p.selfPending.Load() != 0 {
+		return true
+	}
+	for _, r := range sp.regions {
+		if !r.IsHome() || !r.Dir.Sharers.Empty() || r.Dir.Owner >= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // resetRegion returns r's protocol-owned state to the base state: fast
@@ -179,11 +206,17 @@ func (p *Proc) reinstall(sp *Space, info Info) {
 
 // FreeSpace destroys sp and recycles its table slot. It is a collective
 // operation: every processor must call it, in the same program order,
-// for the same space. The space is first driven to the base state
-// (flushToBase, as for a protocol change), and then goes further than a
-// protocol change: every region of the space is deleted from the region
-// table, and the table slot is nilled with its generation bumped, so the
-// next NewSpace may recycle it under a fresh SpaceRef.
+// for the same space. It opens with one tree round that verifies the
+// call (every processor returns the mismatch error), fences the space
+// (every processor has stopped using it) and ORs holdsCoherence across
+// the cluster. Only if some processor holds state is the space flushed
+// to the base state, as for a protocol change (flushFenced); a space
+// whose regions only their homes ever touched is freed without a
+// message beyond the round. Then every region of the space is deleted
+// from the region table, and the table slot is nilled with its
+// generation bumped. FreeSpace does not wait for the other processors
+// to finish: the next NewSpace that takes the recycled slot does, in
+// its verifying round.
 //
 // The caller must have quiesced the space: no open sections, no held
 // region locks, no processor still using its regions. The default space
@@ -195,11 +228,17 @@ func (p *Proc) FreeSpace(sp *Space) error {
 	if sp.dead.Load() {
 		return &StaleSpaceError{Ref: sp.Ref()}
 	}
-	if err := p.verifyCollective(fmt.Sprintf("freespace:%d:%d", sp.ID, sp.Gen)); err != nil {
+	t := p.rec.Begin()
+	sp.eng.Lock()
+	holds := p.holdsCoherence(sp)
+	sp.eng.Unlock()
+	flush, err := p.verifyRound(fmt.Sprintf("freespace:%d:%d", sp.ID, sp.Gen), holds)
+	if err != nil {
 		return err
 	}
-	t := p.rec.Begin()
-	p.flushToBase(sp)
+	if flush {
+		p.flushFenced(sp)
+	}
 	// A region still inside a bracket, holding queued coherence work, or
 	// with the region lock held means the caller broke the quiescence
 	// contract.
@@ -237,9 +276,6 @@ func (p *Proc) FreeSpace(sp *Space) error {
 	p.spaceFree = insertSortedInt(p.spaceFree, sp.ID)
 	p.spaceMu.Unlock()
 	sp.done(trace.OpFreeSpace, t)
-	// Leave together: nobody returns (and can start reusing the slot)
-	// before every processor has finished recycling.
-	p.ctx.DefaultBarrier()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -155,6 +156,12 @@ type Proc struct {
 	// protocol frames (always on, lock-free; see trace.CollStats).
 	coll trace.CollStats
 
+	// selfPending counts the space messages (protocol messages, batch
+	// frames, unlocks) this processor has sent itself and no handler has
+	// finished with yet; FreeSpace reads it as held coherence state
+	// (holdsCoherence).
+	selfPending atomic.Int64
+
 	// rec holds the operation, fast-hit and remote-miss counters (always
 	// on) and, when Options.Trace asks, latencies and the event ring.
 	rec *trace.Recorder
@@ -298,4 +305,28 @@ func (p *Proc) verifyCollective(tag string) error {
 		return fmt.Errorf("core: proc %d: collective mismatch: local %q, proc 0 %q", p.id, tag, got)
 	}
 	return nil
+}
+
+// verifyRound is verifyCollective as one tree round, which also fences:
+// nobody leaves it before every processor has entered it. Each processor
+// contributes its tag and a flag; every node of the tree compares its
+// children's tags with its own byte for byte (combineVerify), so every
+// processor learns of a mismatch and returns the error. It returns the
+// OR of the flags. Counted as a reduce.
+func (p *Proc) verifyRound(tag string, flag bool) (bool, error) {
+	buf := amnet.Alloc(8 + len(tag))
+	var w uint64
+	if flag {
+		w = verifyFlag
+	}
+	binary.LittleEndian.PutUint64(buf, w)
+	copy(buf[8:], tag)
+	out := p.reduceRound(collOpVerify, buf)
+	w = binary.LittleEndian.Uint64(out)
+	var err error
+	if w&verifyMismatch != 0 {
+		err = fmt.Errorf("core: proc %d: collective mismatch: local %q, proc 0 %q", p.id, tag, out[8:])
+	}
+	amnet.Recycle(out)
+	return w&verifyFlag != 0, err
 }

@@ -149,10 +149,15 @@ func staleFastBits(p *Proc, sp *Space, ids []RegionID) error {
 }
 
 // TestLifecycleCollectiveRounds pins the collective rounds each space
-// lifecycle operation enters on every processor under sc: one broadcast
-// verifies the call, and every operation that resets the space adds the
-// flush barriers (fence, flush, leave together). MigrateHome adds the
-// home agreement and the pull barrier.
+// lifecycle operation enters on every processor under sc. NewSpace on a
+// fresh slot, ChangeProtocol, MigrateHome and Checkpoint verify the call
+// with one broadcast, and those that reset the space add the flush
+// barriers (fence, flush, leave together); MigrateHome adds the home
+// agreement and the pull barrier. FreeSpace verifies and fences in one
+// round, and adds the flush barrier only when a processor holds a
+// cached copy; it does not leave together, so NewSpace on the slot it
+// recycled verifies with a round, which waits for every processor to
+// finish freeing.
 func TestLifecycleCollectiveRounds(t *testing.T) {
 	type rounds struct{ barriers, bcasts, reduces uint64 }
 	run(t, 3, func(p *Proc) error {
@@ -191,12 +196,23 @@ func TestLifecycleCollectiveRounds(t *testing.T) {
 			{"ChangeProtocol", rounds{barriers: 3, bcasts: 1}, func() error { return p.ChangeProtocol(sp, "sc") }},
 			{"MigrateHome", rounds{barriers: 4, bcasts: 1, reduces: 1}, func() error { return p.MigrateHome(sp, id, 1) }},
 			{"Checkpoint", rounds{barriers: 3, bcasts: 1}, func() error { _, err := p.Checkpoint(0); return err }},
-			{"FreeSpace", rounds{barriers: 3, bcasts: 1}, func() error { return p.FreeSpace(sp) }},
+			{"FreeSpace", rounds{barriers: 1, reduces: 1}, func() error { return p.FreeSpace(sp) }},
+			{"NewSpace recycled", rounds{reduces: 1}, func() (err error) {
+				sp, err = p.NewSpace("sc")
+				return err
+			}},
 		} {
 			if err := check(s.name, s.want, s.fn); err != nil {
 				return err
 			}
 		}
-		return nil
+		// Only the home ever brackets the new space's region: nothing is
+		// cached, so FreeSpace skips the flush.
+		if p.ID() == 0 {
+			r := p.Map(p.GMalloc(sp, 8))
+			p.StartWrite(r)
+			p.EndWrite(r)
+		}
+		return check("FreeSpace home-only", rounds{reduces: 1}, func() error { return p.FreeSpace(sp) })
 	})
 }

@@ -228,12 +228,21 @@ func (p *Proc) addSpace(protoName string) *Space {
 
 // NewSpace creates a new space governed by the named protocol. It is a
 // collective operation: every processor must call it, in the same program
-// order, with the same protocol name (verified at runtime).
+// order, with the same protocol name (verified at runtime: by a broadcast
+// on a fresh slot, by a round on a recycled one).
 func (p *Proc) NewSpace(protoName string) (*Space, error) {
 	if _, ok := p.cl.reg.Lookup(protoName); !ok {
 		return nil, fmt.Errorf("core: unknown protocol %q", protoName)
 	}
-	if err := p.verifyCollective("newspace:" + protoName); err != nil {
+	tag := "newspace:" + protoName
+	if len(p.spaceFree) > 0 {
+		// The slot is recycled, and FreeSpace does not wait: verify with a
+		// round, which no processor leaves before every processor has
+		// finished the FreeSpace that freed the slot.
+		if _, err := p.verifyRound(tag, false); err != nil {
+			return nil, err
+		}
+	} else if err := p.verifyCollective(tag); err != nil {
 		return nil, err
 	}
 	return p.addSpace(protoName), nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestFreeSpaceRecyclesSlot pins the lifecycle basics: FreeSpace nils
@@ -237,4 +238,52 @@ func TestCheckpointSkipsFreedSlots(t *testing.T) {
 		p.GlobalBarrier()
 		return nil
 	})
+}
+
+// TestFreeSpaceMismatchFailsEverywhere calls FreeSpace on two different
+// spaces: processor 0 and 2 free one, processor 1 the other. The
+// verifying round must report the mismatch on every processor, the root
+// included, and Run must end: nobody goes on to flush or free.
+func TestFreeSpaceMismatchFailsEverywhere(t *testing.T) {
+	cl, err := NewCluster(Options{Procs: 3, SyncTimeout: 60 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	errs := make([]error, 3)
+	done := make(chan error, 1)
+	go func() {
+		done <- cl.Run(func(p *Proc) error {
+			a, err := p.NewSpace("sc")
+			if err != nil {
+				return err
+			}
+			b, err := p.NewSpace("sc")
+			if err != nil {
+				return err
+			}
+			victim := a
+			if p.ID() == 1 {
+				victim = b
+			}
+			errs[p.ID()] = p.FreeSpace(victim)
+			if a.Freed() || b.Freed() {
+				return fmt.Errorf("proc %d: a mismatched FreeSpace freed a space", p.ID())
+			}
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run hung after a mismatched FreeSpace")
+	}
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "collective mismatch") {
+			t.Errorf("proc %d: FreeSpace returned %v, want a collective mismatch", i, err)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -104,8 +105,10 @@ func (p *Proc) lockRequest(m amnet.Msg) {
 }
 
 // unlockRequest handles a region unlock at the region's home. Same
-// lockMu discipline as lockRequest.
+// lockMu discipline as lockRequest. A home's unlock of its own region
+// stays held state until handled (selfDone).
 func (p *Proc) unlockRequest(m amnet.Msg) {
+	defer p.selfDone(m.Src)
 	r := p.regions.Get(RegionID(m.A))
 	if r == nil || !r.IsHome() {
 		panic(fmt.Sprintf("core: proc %d: unlock for non-home region %v", p.id, RegionID(m.A)))
@@ -142,6 +145,13 @@ const (
 	collOpMaxF
 	collOpResult
 	collOpBarrier
+	collOpVerify
+)
+
+// The flag word of a collOpVerify payload, which precedes the tag.
+const (
+	verifyFlag     uint64 = 1 << iota // OR of the processors' flags
+	verifyMismatch                    // some tag in the subtree differs
 )
 
 // collDeliver handles a collective message and owns its payload: a
@@ -509,6 +519,10 @@ func (p *Proc) allReduce(code uint64, word uint64) uint64 {
 
 // combineInto folds src into dst element-wise with the operator in code.
 func combineInto(code uint64, dst, src []byte) {
+	if code == collOpVerify {
+		combineVerify(dst, src)
+		return
+	}
 	for e := 0; e+8 <= len(dst); e += 8 {
 		a := binary.LittleEndian.Uint64(dst[e:])
 		b := binary.LittleEndian.Uint64(src[e:])
@@ -531,4 +545,16 @@ func combineInto(code uint64, dst, src []byte) {
 		}
 		binary.LittleEndian.PutUint64(dst[e:], acc)
 	}
+}
+
+// combineVerify folds a child subtree's verifyRound contribution into
+// dst: the flag words are ORed, and a tag that differs from dst's in
+// length or any byte sets verifyMismatch. dst keeps its own tag, so a
+// round's result carries the root's.
+func combineVerify(dst, src []byte) {
+	w := binary.LittleEndian.Uint64(dst) | binary.LittleEndian.Uint64(src)
+	if !bytes.Equal(dst[8:], src[8:]) {
+		w |= verifyMismatch
+	}
+	binary.LittleEndian.PutUint64(dst, w)
 }

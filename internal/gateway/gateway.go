@@ -12,7 +12,10 @@
 // commands: collective commands (create, destroy, barrier) are pushed
 // to every processor's channel in the same order — which is exactly
 // the collective call discipline NewSpace/FreeSpace/Barrier demand —
-// while drain commands go only to the room's home processor. Client
+// while drain commands go only to the room's home processor. The
+// coordinator waits for creates, barriers and stop, but not for
+// destroys: each channel is FIFO, so a destroy already runs before any
+// later command, and the processor that finishes it last counts it. Client
 // sessions never touch the runtime directly: readers enqueue decoded
 // ops on the room's bounded op queue, the home processor's loop
 // applies them through brackets, and events flow back through each
@@ -94,7 +97,7 @@ func (c Config) withDefaults() Config {
 // ctl command kinds.
 const (
 	ctlCreate  = iota // collective: NewSpace + room region setup
-	ctlDestroy        // collective: FreeSpace
+	ctlDestroy        // collective, not waited for: FreeSpace
 	ctlBarrier        // collective: space barrier (adapt evaluation)
 	ctlDrain          // home only: apply queued ops through brackets
 	ctlStop           // collective: exit the command loop
@@ -103,7 +106,7 @@ const (
 type ctlCmd struct {
 	kind int
 	room *room
-	done *sync.WaitGroup // collective commands: one Done per processor
+	done *sync.WaitGroup // waited-for collectives: one Done per processor
 }
 
 // roomOp is one client op queued for the room's home processor.
@@ -124,6 +127,10 @@ type room struct {
 	sps []*core.Space
 	ref core.SpaceRef // generation-tagged id, identical on every proc
 	reg *core.Region  // home processor's mapped view of the room state region
+
+	// freeing counts the processors that have yet to finish the room's
+	// ctlDestroy; the last one counts the room destroyed.
+	freeing atomic.Int32
 
 	mu      sync.Mutex
 	members map[*session]struct{}
@@ -365,8 +372,9 @@ func (g *Gateway) createRoom(name string) *room {
 	return rm
 }
 
-// destroyRoom drains the room's last ops and drives the collective
-// FreeSpace. The room must already be unpublished from g.rooms.
+// destroyRoom drops the room's last ops and pushes the collective
+// FreeSpace to every processor without waiting for it. The room must
+// already be unpublished from g.rooms.
 func (g *Gateway) destroyRoom(rm *room) {
 	rm.mu.Lock()
 	rm.dead = true
@@ -376,8 +384,10 @@ func (g *Gateway) destroyRoom(rm *room) {
 	if dropped > 0 {
 		g.stats.OpsDropped.Add(uint64(dropped))
 	}
-	g.collective(ctlCmd{kind: ctlDestroy, room: rm})
-	g.stats.RoomsDestroyed.Add(1)
+	rm.freeing.Store(int32(len(g.ctl)))
+	for _, ch := range g.ctl {
+		ch <- ctlCmd{kind: ctlDestroy, room: rm}
+	}
 }
 
 // dispatchDrain hands one ready room a quantum on its home processor.
@@ -445,12 +455,13 @@ func (g *Gateway) procLoop(p *core.Proc) error {
 				if err := p.FreeSpace(sp); err != nil {
 					// A failed collective free leaves the cluster wedged;
 					// surface it loudly through Run's error.
-					cmd.done.Done()
 					return fmt.Errorf("gateway: proc %d: free %q: %w", me, rm.name, err)
 				}
 				rm.sps[me] = nil
 			}
-			cmd.done.Done()
+			if rm.freeing.Add(-1) == 0 {
+				g.stats.RoomsDestroyed.Add(1)
+			}
 		case ctlBarrier:
 			if sp := cmd.room.sps[me]; sp != nil && !sp.Freed() {
 				p.Barrier(sp)

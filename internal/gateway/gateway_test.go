@@ -300,6 +300,87 @@ func TestRoomChurnBounded(t *testing.T) {
 	}
 }
 
+// TestLeaveRejoinFreshSpace: the coordinator does not wait for a
+// destroy, so a create can be queued right behind it. A client leaves a
+// room as its last member and at once re-joins the same name, and joins
+// a new room as well. Each join must get a fresh space — a recycled
+// slot under a generation above any that slot has had, with zero state
+// — the table must stay bounded, and after Close every created room
+// must have been destroyed.
+func TestLeaveRejoinFreshSpace(t *testing.T) {
+	g, err := New(Config{Procs: 3})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		g.Close()
+		t.Fatalf("listen: %v", err)
+	}
+	srv := g.Serve(ln)
+	c := dial(t, srv)
+
+	base := g.SpaceSlots()
+	gens := map[int]uint64{} // highest generation seen per slot
+	// join joins name, checks its space is fresh, and reports whether
+	// the space took a slot an earlier room had used.
+	join := func(name string) (recycled bool) {
+		t.Helper()
+		space, gen, err := c.Join(name)
+		if err != nil {
+			t.Fatalf("join %s: %v", name, err)
+		}
+		last, recycled := gens[space]
+		if recycled && gen <= last {
+			t.Fatalf("join %s: slot %d at generation %d, not above %d", name, space, gen, last)
+		}
+		gens[space] = gen
+		state, err := c.Get(name)
+		if err != nil {
+			t.Fatalf("get %s: %v", name, err)
+		}
+		for i, v := range state {
+			if v != 0 {
+				t.Fatalf("join %s: fresh space has cell %d = %d", name, i, v)
+			}
+		}
+		return recycled
+	}
+	join("same")
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
+		if err := c.Add("same", i%RoomCells, int64(i+1)); err != nil {
+			t.Fatalf("add: %v", err)
+		}
+		if state, err := c.Get("same"); err != nil || state[i%RoomCells] != int64(i+1) {
+			t.Fatalf("round %d: get after add: %v, %v", i, state, err)
+		}
+		if err := c.Leave("same"); err != nil {
+			t.Fatalf("round %d leave: %v", i, err)
+		}
+		if !join("same") {
+			t.Fatalf("round %d: re-join took a fresh slot, not the one just freed", i)
+		}
+		name := fmt.Sprintf("new-%d", i)
+		join(name)
+		if err := c.Leave(name); err != nil {
+			t.Fatalf("round %d leave %s: %v", i, name, err)
+		}
+		if got := g.SpaceSlots(); got > base+2 {
+			t.Fatalf("round %d: table at %d slots (base %d) — leak", i, got, base)
+		}
+	}
+	c.Close()
+	srv.Close()
+	if err := g.Close(); err != nil {
+		t.Fatalf("gateway close: %v", err)
+	}
+	s := g.Stats().Snapshot()
+	if want := uint64(2*rounds + 1); s.RoomsCreated != want || s.RoomsDestroyed != want {
+		t.Fatalf("rooms created %d destroyed %d, want %d each", s.RoomsCreated, s.RoomsDestroyed, want)
+	}
+}
+
 // TestStaleRefRejected: a destroyed room's generation-tagged ref must
 // refuse to resolve even after the slot is recycled by a new room.
 func TestStaleRefRejected(t *testing.T) {
