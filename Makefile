@@ -71,7 +71,11 @@ bench-compare:
 # decisions. The tree-round engine's peer-loss purge, overlapping
 # rounds and handler-vs-application-thread folding repeat the same way,
 # as do tcpnet's reconnect under a live cluster, its readers' direct
-# dispatch against a full journal, and acks riding data frames.
+# dispatch against a full journal, and acks riding data frames, and
+# the fabric's mixed direct/queued dispatch bare and under faultnet.
+# faultnet forwards direct dispatch to the fabric it wraps, so every
+# matrix, collective, elastic and space-churn cell runs handlers on the
+# same direct-dispatch path as a cluster without faults.
 chaos-smoke:
 	$(GO) test -run 'TestMatrixFixedSeeds|TestBrokenDoubleCaught' ./internal/chaos
 	$(GO) test -run 'TestColl' ./internal/chaos
@@ -86,6 +90,7 @@ chaos-smoke:
 	$(GO) test -race -cpu 1,4 -count=5 -run 'TestPeerLossPurgesCollectiveState|TestTreeBarrierLaneOverlapStress|TestDispatchSyncStress' ./internal/core
 	$(GO) test -race -cpu 1,4 -count=5 -run 'TestAdaptiveControllerUnderFaults' ./proto
 	$(GO) test -race -cpu 1,4 -count=5 -run 'TestKillLinkUnderCluster|TestReaderDispatchNeverWaitsOnJournal|TestAcksRideDataFrames' ./internal/tcpnet
+	$(GO) test -race -cpu 1,4 -count=5 -run 'TestDirectDispatchMixedKeepsOrderAndSerializesLanes' ./internal/amnet
 
 # cluster-smoke is the multi-process deployment gate: 4 real acenode
 # processes assemble over gossip + TCP on loopback, run em3d (checksum

@@ -14,8 +14,8 @@
 // classic Active Messages liveness argument: a send never blocks, so a
 // handler can always complete, so every mailbox is eventually drained.
 // The pump drains the mailbox in batches (one lock acquisition per burst,
-// not per message); see mailbox. The TCP transport receives into the
-// same mailbox and runs the same consumer loop, through Inbox.
+// not per message); see mailbox. Node is that receive side, written once:
+// the channel fabric's endpoints and the TCP transport's embed it.
 //
 // # Direct dispatch
 //
@@ -23,13 +23,13 @@
 // CM-5's Active Messages ran handlers on whichever thread polled; this
 // is the fabric-level form of the paper's direct-dispatch
 // optimisation). A handler opts in by registering a TryHandler beside
-// its Handler (DirectDispatcher.RegisterTry). The channel fabric's Send
-// then runs it on the sender's own goroutine; the TCP transport's
-// connection readers run it on theirs, as the frame comes off the
-// wire. Poll lets a node's compute thread deliver its own backlog before
-// it parks. Both transports run the one implementation (the mailbox's,
-// reached through Inbox by tcpnet). The rules that keep this equivalent
-// to the queued path:
+// its Handler (Endpoint.RegisterTry). Node.Dispatch then runs it on the
+// goroutine that hands the message over: the sender's own in the
+// channel fabric, a connection reader's in the TCP transport, the wire
+// scheduler's in package faultnet (which also models wire latency).
+// Endpoint.Poll lets a node's compute thread deliver its own backlog
+// before it parks. The rules that keep this equivalent to the queued
+// path:
 //
 //   - FIFO. A goroutine dispatches directly only while it holds the
 //     node's token and the node's queue is empty. The pump takes the
@@ -47,12 +47,9 @@
 //     and that send dispatches directly) is bounded by the number of
 //     nodes in the network, because a token already held in the chain
 //     fails TryLock. A transport whose Send can wait (tcpnet's journal
-//     bound) must not make a token holder wait: see Inbox.Busy.
+//     bound) must not make a token holder wait: see Node.Busy.
 //   - Same counters. CountSend, CountRecv and ObserveDeliver fire on every
 //     path.
-//
-// Fault injection (package faultnet, which also models wire latency)
-// always queues: its endpoints are not DirectDispatchers.
 //
 // # Buffer ownership
 //
@@ -68,7 +65,6 @@ package amnet
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sync"
 
 	"github.com/acedsm/ace/internal/trace"
@@ -109,15 +105,14 @@ type Msg struct {
 type Handler func(Msg)
 
 // TryHandler is a Handler's non-blocking variant, run on the goroutine
-// that hands the message over — the sender's, or a socket reader's — by
-// a fabric that dispatches directly (see the package
-// comment). It either handles m exactly as the Handler would and returns
-// true, or returns false before any side effect, in which case m is
-// queued for the Handler. It must not block except on leaf locks that no
-// code path holds across a Send: the calling goroutine may hold locks of
-// its own, so anything a Handler would wait for — a lock the destination's
-// compute thread holds while it sends — a TryHandler must TryLock, and
-// decline when that fails.
+// that hands the message over — a sender's, a socket reader's, a wire
+// scheduler's (see the package comment). It either handles m exactly as
+// the Handler would and returns true, or returns false before any side
+// effect, in which case m is queued for the Handler. It must not block
+// except on leaf locks that no code path holds across a Send: the
+// calling goroutine may hold locks of its own, so anything a Handler
+// would wait for — a lock the destination's compute thread holds while
+// it sends — a TryHandler must TryLock, and decline when that fails.
 type TryHandler func(Msg) bool
 
 // Endpoint is one node's attachment to the network.
@@ -128,14 +123,22 @@ type Endpoint interface {
 	Nodes() int
 	// Register installs fn as the handler for id. It must be called
 	// before any message with that handler id arrives; registration
-	// after Start is a programming error.
+	// after Network.Start is a programming error.
 	Register(id HandlerID, fn Handler)
+	// RegisterTry installs fn as handler id's non-blocking variant, under
+	// the same before-traffic rule as Register. The Handler must be
+	// registered as well: it serves every message that was queued.
+	RegisterTry(id HandlerID, fn TryHandler)
 	// Send enqueues m for delivery to m.Dst. It never blocks and is safe
 	// to call from handlers and from compute threads concurrently.
 	// Ownership of the payload passes to the fabric: the caller must not
 	// mutate it after Send (transports that copy synchronously are
 	// identified by the PayloadCopier interface).
 	Send(m Msg)
+	// Poll delivers, on the calling goroutine, whatever is queued for the
+	// node if its token is free, and returns without blocking. Only the
+	// node's compute thread may call it, holding no lock a handler takes.
+	Poll()
 	// Stats returns this endpoint's traffic counters.
 	Stats() *trace.NetStats
 }
@@ -149,22 +152,6 @@ type PayloadCopier interface {
 	// CopiesPayloadOnSend reports whether Send has finished reading the
 	// payload by the time it returns.
 	CopiesPayloadOnSend() bool
-}
-
-// DirectDispatcher is implemented by endpoints that can run handlers
-// outside their pump: on the goroutine that hands the message over — a
-// sender's, or a socket reader's — (RegisterTry) and on the node's own
-// compute thread (Poll). A fault-injecting transport does not implement
-// it, and a runtime that finds it missing simply keeps to Register.
-type DirectDispatcher interface {
-	// RegisterTry installs fn as handler id's non-blocking variant, under
-	// the same before-traffic rule as Register. The Handler must be
-	// registered as well: it serves every message that was queued.
-	RegisterTry(id HandlerID, fn TryHandler)
-	// Poll delivers, on the calling goroutine, whatever is queued for the
-	// node if its token is free, and returns without blocking. Only the
-	// node's compute thread may call it, holding no lock a handler takes.
-	Poll()
 }
 
 // PeerAware is implemented by endpoints that can detect the loss of a
@@ -182,6 +169,14 @@ type PeerAware interface {
 // Network is a set of connected endpoints, one per node.
 type Network interface {
 	Endpoints() []Endpoint
+	// Start releases dispatch once the runtime has registered every
+	// local handler. A transport that can receive before then (tcpnet:
+	// a fast peer's first frames can arrive between Endpoints and
+	// Register) holds what arrives until Start, and must also release
+	// itself on its first local Send and at Close; for the channel
+	// fabric, which receives only what its own endpoints send, it is a
+	// no-op.
+	Start()
 	// Close shuts down delivery. Messages still queued may be dropped.
 	Close() error
 }
@@ -200,11 +195,14 @@ func NewChanNetwork(cfg ChanConfig) (Network, error) {
 	}
 	nw := &chanNetwork{eps: make([]*chanEndpoint, cfg.Nodes)}
 	for i := range nw.eps {
-		nw.eps[i] = &chanEndpoint{id: NodeID(i), nw: nw, box: newMailbox()}
+		nw.eps[i] = &chanEndpoint{Node: NewNode(NodeID(i), headerBytes), nw: nw}
 	}
 	for _, ep := range nw.eps {
 		nw.wg.Add(1)
-		go ep.pump(&nw.wg)
+		go func() {
+			defer nw.wg.Done()
+			ep.Serve()
+		}()
 	}
 	return nw, nil
 }
@@ -222,97 +220,33 @@ func (n *chanNetwork) Endpoints() []Endpoint {
 	return out
 }
 
+// Start implements Network; the channel fabric needs no gate.
+func (n *chanNetwork) Start() {}
+
 func (n *chanNetwork) Close() error {
 	for _, ep := range n.eps {
-		ep.box.close()
+		ep.Close()
 	}
 	n.wg.Wait()
 	return nil
 }
 
-// chanEndpoint is one node's attachment: box is its mailbox, with the
-// node's dispatch token, drained by its pump goroutine.
+// chanEndpoint is one node's attachment: its Node, drained by its pump
+// goroutine, and the network that routes its sends.
 type chanEndpoint struct {
-	id       NodeID
-	nw       *chanNetwork
-	box      *mailbox
-	handlers [MaxHandlers]Handler
-	tries    [MaxHandlers]TryHandler
-	stats    trace.NetStats
+	*Node
+	nw *chanNetwork
 }
-
-func (e *chanEndpoint) ID() NodeID { return e.id }
 
 func (e *chanEndpoint) Nodes() int { return len(e.nw.eps) }
 
-func (e *chanEndpoint) Register(id HandlerID, fn Handler) {
-	if int(id) >= MaxHandlers {
-		panic(fmt.Sprintf("amnet: handler id %d out of range", id))
-	}
-	e.handlers[id] = fn
-}
-
-// RegisterTry implements DirectDispatcher.
-func (e *chanEndpoint) RegisterTry(id HandlerID, fn TryHandler) {
-	if int(id) >= MaxHandlers {
-		panic(fmt.Sprintf("amnet: handler id %d out of range", id))
-	}
-	e.tries[id] = fn
-}
-
+// Send dispatches m at its destination on the calling goroutine (see
+// Node.Dispatch).
 func (e *chanEndpoint) Send(m Msg) {
 	if int(m.Dst) < 0 || int(m.Dst) >= len(e.nw.eps) {
 		panic(fmt.Sprintf("amnet: send to invalid node %d", m.Dst))
 	}
-	m.Src = e.id
-	size := headerBytes + len(m.Payload)
-	e.stats.CountSend(size)
-	dst := e.nw.eps[m.Dst]
-	it := item{msg: m, sent: e.stats.SendStamp()}
-	if try := dst.tries[m.Handler]; try == nil || !dst.box.dispatchDirect(try, it, &dst.stats, size) {
-		dst.box.push(it)
-	}
-}
-
-// Poll implements DirectDispatcher: the node's compute thread, about to
-// park, delivers its own backlog instead of waiting for the pump to be
-// scheduled.
-func (e *chanEndpoint) Poll() { e.box.poll(e.polled) }
-
-// fatalOnPanic is deferred wherever handlers run on a goroutine the
-// fabric does not own. A handler panic is a runtime bug and kills the
-// process when it happens on a pump; a caller up the borrowed stack (the
-// runtime's Run recovers application panics) must not be able to swallow
-// it and carry on with the token, and whatever the handler had locked,
-// still held. Re-raising on a fresh goroutine keeps it fatal.
-func fatalOnPanic() {
-	if r := recover(); r != nil {
-		go panic(fmt.Sprintf("amnet: handler panicked under direct dispatch: %v\n\n%s", r, debug.Stack()))
-		select {}
-	}
-}
-
-func (e *chanEndpoint) Stats() *trace.NetStats { return &e.stats }
-
-func (e *chanEndpoint) pump(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for e.box.serve(e.pumped) {
-	}
-}
-
-// pumped and polled deliver a queued message on the node's pump and on
-// its polling application thread; sent is m's send stamp on the trace
-// clock.
-func (e *chanEndpoint) pumped(m Msg, sent int64) { e.deliver(m, sent, trace.RecvPumped) }
-func (e *chanEndpoint) polled(m Msg, sent int64) { e.deliver(m, sent, trace.RecvPolled) }
-
-// deliver runs m's handler, counting it against path.
-func (e *chanEndpoint) deliver(m Msg, sent int64, path trace.RecvPath) {
-	e.stats.ObserveDeliver(sent)
-	e.stats.CountRecv(path, headerBytes+len(m.Payload))
-	h := e.handlers[m.Handler]
-	if h == nil {
-		panic(fmt.Sprintf("amnet: node %d: no handler %d registered (msg from %d)", e.id, m.Handler, m.Src))
-	}
-	h(m)
+	m.Src = e.ID()
+	sent := e.CountSend(&m)
+	e.nw.eps[m.Dst].Dispatch(m, sent)
 }

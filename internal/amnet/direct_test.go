@@ -1,4 +1,4 @@
-package amnet
+package amnet_test
 
 import (
 	"runtime"
@@ -6,6 +6,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/acedsm/ace/internal/amnet"
+	"github.com/acedsm/ace/internal/faultnet"
 )
 
 // The Handler and the TryHandler of one id are different functions, so a
@@ -18,24 +21,44 @@ import (
 // messages must arrive in order, exactly once, and the node must never
 // run two handlers at a time. The per-sender slots are plain memory:
 // under -race a second goroutine inside the node is a reported race as
-// well as an occupancy failure.
+// well as an occupancy failure. The channel fabric runs it bare and
+// wrapped in faultnet, whose wire schedulers dispatch directly too, with
+// no faults and with the chaos matrix's lossy ones.
 func TestDirectDispatchMixedKeepsOrderAndSerializesLanes(t *testing.T) {
-	const (
-		nodes     = 5
-		perSender = 4000
-	)
+	const nodes = 5
+	for _, tc := range []struct {
+		name   string
+		policy *faultnet.Policy
+	}{
+		{"chan", nil},
+		{"faultnet/zero", &faultnet.Policy{}},
+		{"faultnet/lossy", &faultnet.Policy{Seed: 1, Delay: 50 * time.Microsecond, DropProb: 0.15, ReorderProb: 0.15}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw, err := amnet.NewChanNetwork(amnet.ChanConfig{Nodes: nodes})
+			if err != nil {
+				t.Fatalf("NewChanNetwork: %v", err)
+			}
+			if tc.policy != nil {
+				nw = faultnet.Wrap(nw, *tc.policy)
+			}
+			mixedDispatch(t, nw, nodes)
+		})
+	}
+}
+
+// mixedDispatch is TestDirectDispatchMixedKeepsOrderAndSerializesLanes
+// on one network of nodes endpoints, which it closes.
+func mixedDispatch(t *testing.T, nw amnet.Network, nodes int) {
+	const perSender = 4000
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
-	nw, err := NewChanNetwork(ChanConfig{Nodes: nodes})
-	if err != nil {
-		t.Fatalf("NewChanNetwork: %v", err)
-	}
 	eps := nw.Endpoints()
 	last := make([]uint64, nodes)
 	var occupancy atomic.Int32
 	var direct, queued, seen, overlaps, misorders atomic.Int64
 	done := make(chan struct{})
-	handle := func(m Msg, count *atomic.Int64) {
+	handle := func(m amnet.Msg, count *atomic.Int64) {
 		if occupancy.Add(1) != 1 {
 			overlaps.Add(1)
 		}
@@ -45,25 +68,26 @@ func TestDirectDispatchMixedKeepsOrderAndSerializesLanes(t *testing.T) {
 		last[m.Src] = m.A
 		occupancy.Add(-1)
 		count.Add(1)
-		if seen.Add(1) == perSender*(nodes-1) {
+		if seen.Add(1) == int64(perSender*(nodes-1)) {
 			close(done)
 		}
 	}
-	eps[0].Register(9, func(m Msg) { handle(m, &queued) })
-	eps[0].(DirectDispatcher).RegisterTry(9, func(m Msg) bool {
+	eps[0].Register(9, func(m amnet.Msg) { handle(m, &queued) })
+	eps[0].RegisterTry(9, func(m amnet.Msg) bool {
 		if m.A%7 == 3 {
 			return false // declined before any side effect: the pump's
 		}
 		handle(m, &direct)
 		return true
 	})
+	nw.Start()
 	var wg sync.WaitGroup
 	for src := 1; src < nodes; src++ {
 		wg.Add(1)
 		go func(src int) {
 			defer wg.Done()
 			for i := 1; i <= perSender; i++ {
-				eps[src].Send(Msg{Dst: 0, Handler: 9, A: uint64(i)})
+				eps[src].Send(amnet.Msg{Dst: 0, Handler: 9, A: uint64(i)})
 			}
 		}(src)
 	}
@@ -94,6 +118,9 @@ func TestDirectDispatchMixedKeepsOrderAndSerializesLanes(t *testing.T) {
 		t.Errorf("receive paths %d direct, %d polled, %d pumped; handlers saw %d direct, %d queued",
 			s.RecvDirect, s.RecvPolled, s.RecvPumped, direct.Load(), queued.Load())
 	}
+	if sum := s.RecvDirect + s.RecvPolled + s.RecvPumped; sum != s.MsgsRecv || sum != uint64(perSender*(nodes-1)) {
+		t.Errorf("receive paths sum to %d, MsgsRecv is %d, %d were sent", sum, s.MsgsRecv, perSender*(nodes-1))
+	}
 }
 
 // TestDeclinedTryHandlerGoesToThePumpOnceInOrder: a message its TryHandler
@@ -101,7 +128,7 @@ func TestDirectDispatchMixedKeepsOrderAndSerializesLanes(t *testing.T) {
 // place among the sender's other messages.
 func TestDeclinedTryHandlerGoesToThePumpOnceInOrder(t *testing.T) {
 	const total = 300
-	nw, err := NewChanNetwork(ChanConfig{Nodes: 2})
+	nw, err := amnet.NewChanNetwork(amnet.ChanConfig{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +145,13 @@ func TestDeclinedTryHandlerGoesToThePumpOnceInOrder(t *testing.T) {
 			close(done)
 		}
 	}
-	eps[1].Register(9, func(m Msg) {
+	eps[1].Register(9, func(m amnet.Msg) {
 		mu.Lock()
 		viaPump[m.A]++
 		record(m.A)
 		mu.Unlock()
 	})
-	eps[1].(DirectDispatcher).RegisterTry(9, func(m Msg) bool {
+	eps[1].RegisterTry(9, func(m amnet.Msg) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		offered[m.A]++
@@ -135,7 +162,7 @@ func TestDeclinedTryHandlerGoesToThePumpOnceInOrder(t *testing.T) {
 		return true
 	})
 	for i := uint64(0); i < total; i++ {
-		eps[0].Send(Msg{Dst: 1, Handler: 9, A: i})
+		eps[0].Send(amnet.Msg{Dst: 1, Handler: 9, A: i})
 	}
 	select {
 	case <-done:
@@ -164,7 +191,7 @@ func TestDeclinedTryHandlerGoesToThePumpOnceInOrder(t *testing.T) {
 // handler has, and the message queued behind it in the meantime is
 // delivered, not dropped.
 func TestCloseWaitsOutDirectDispatchAndKeepsQueued(t *testing.T) {
-	nw, err := NewChanNetwork(ChanConfig{Nodes: 3})
+	nw, err := amnet.NewChanNetwork(amnet.ChanConfig{Nodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +199,8 @@ func TestCloseWaitsOutDirectDispatchAndKeepsQueued(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var direct, queued atomic.Int64
-	eps[0].Register(9, func(Msg) { queued.Add(1) })
-	eps[0].(DirectDispatcher).RegisterTry(9, func(Msg) bool {
+	eps[0].Register(9, func(amnet.Msg) { queued.Add(1) })
+	eps[0].RegisterTry(9, func(amnet.Msg) bool {
 		close(entered)
 		<-release // holds the node's token; test scaffolding only
 		direct.Add(1)
@@ -181,11 +208,11 @@ func TestCloseWaitsOutDirectDispatchAndKeepsQueued(t *testing.T) {
 	})
 	sent := make(chan struct{})
 	go func() {
-		eps[1].Send(Msg{Dst: 0, Handler: 9})
+		eps[1].Send(amnet.Msg{Dst: 0, Handler: 9})
 		close(sent)
 	}()
 	<-entered
-	eps[2].Send(Msg{Dst: 0, Handler: 9}) // token taken: queued
+	eps[2].Send(amnet.Msg{Dst: 0, Handler: 9}) // token taken: queued
 	closed := make(chan struct{})
 	go func() {
 		nw.Close()
@@ -210,7 +237,7 @@ func TestCloseWaitsOutDirectDispatchAndKeepsQueued(t *testing.T) {
 // of waiting for it.
 func TestPollSharesTheLaneWithThePump(t *testing.T) {
 	const total = 20000
-	nw, err := NewChanNetwork(ChanConfig{Nodes: 2})
+	nw, err := amnet.NewChanNetwork(amnet.ChanConfig{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,20 +246,20 @@ func TestPollSharesTheLaneWithThePump(t *testing.T) {
 	var next uint64 // plain: the token must order the two consumers
 	var misorders atomic.Int64
 	parked, hold := make(chan struct{}), make(chan struct{})
-	eps[1].Register(9, func(m Msg) {
+	eps[1].Register(9, func(m amnet.Msg) {
 		if m.A != next {
 			misorders.Add(1)
 		}
 		next++
 	})
-	eps[1].Register(10, func(Msg) { close(parked); <-hold })
+	eps[1].Register(10, func(amnet.Msg) { close(parked); <-hold })
 	end := make(chan struct{})
-	eps[1].Register(11, func(Msg) { close(end) })
-	poller := eps[1].(DirectDispatcher)
+	eps[1].Register(11, func(amnet.Msg) { close(end) })
+	poller := eps[1]
 
 	// A handler parked on the pump (nobody polls yet, so it is the pump's)
 	// keeps the token: Poll must come back.
-	eps[0].Send(Msg{Dst: 1, Handler: 10})
+	eps[0].Send(amnet.Msg{Dst: 1, Handler: 10})
 	<-parked
 	polled := make(chan struct{})
 	go func() {
@@ -263,13 +290,13 @@ func TestPollSharesTheLaneWithThePump(t *testing.T) {
 		}
 	}()
 	for i := uint64(0); i < total; i++ {
-		eps[0].Send(Msg{Dst: 1, Handler: 9, A: i})
+		eps[0].Send(amnet.Msg{Dst: 1, Handler: 9, A: i})
 	}
 	close(stop)
 	wg.Wait()
 	// Whatever is still queued is the pump's; one more message behind it
 	// marks the end.
-	eps[0].Send(Msg{Dst: 1, Handler: 11})
+	eps[0].Send(amnet.Msg{Dst: 1, Handler: 11})
 	select {
 	case <-end:
 	case <-time.After(10 * time.Second):

@@ -6,14 +6,12 @@ import (
 	"time"
 )
 
-// consumer is an endpoint without a pump goroutine, so a test can turn
-// the pump's own loop body (serve) by hand and see every item it
-// delivers.
-func consumer(onItem func(Msg)) (*chanEndpoint, *mailbox) {
-	b := newMailbox()
-	e := &chanEndpoint{box: b}
-	e.Register(0, onItem)
-	return e, b
+// consumer is a Node without a pump goroutine, so a test can turn the
+// pump's own loop body (serve) by hand and see every item it delivers.
+func consumer(onItem func(Msg)) (*Node, *mailbox) {
+	n := NewNode(0, 0)
+	n.Register(0, onItem)
+	return n, n.box
 }
 
 func TestMailboxBatchedPop(t *testing.T) {
@@ -74,7 +72,7 @@ func TestMailboxFIFOPerSenderUnderConcurrentPush(t *testing.T) {
 		wg.Wait()
 		b.close()
 	}()
-	for b.serve(e.pumped) {
+	for e.serve() {
 	}
 	if total != senders*perSender {
 		t.Fatalf("drained %d items, want %d", total, senders*perSender)
@@ -88,15 +86,15 @@ func TestMailboxCloseWhileNonEmptyDrains(t *testing.T) {
 		b.push(item{msg: Msg{A: uint64(i)}})
 	}
 	b.close()
-	if !b.serve(e.pumped) || got != 5 {
+	if !e.serve() || got != 5 {
 		t.Fatalf("first turn after close delivered %d items; want 5 and a live mailbox", got)
 	}
-	if b.serve(e.pumped) {
+	if e.serve() {
 		t.Fatal("drained mailbox still live after close")
 	}
 	// Pushes after close are dropped, and the mailbox stays terminal.
 	b.push(item{msg: Msg{A: 99}})
-	if b.serve(e.pumped) || got != 5 {
+	if e.serve() || got != 5 {
 		t.Fatalf("push after close was queued: %d items delivered", got)
 	}
 }

@@ -17,16 +17,6 @@ type Transport interface {
 	Connect(n int) (Network, error)
 }
 
-// Starter is implemented by networks that hold handler dispatch back
-// until the runtime has finished registering handlers. Multi-process
-// transports need the gate: a fast peer's first frames can arrive in
-// the window between Endpoints() and Register, and dispatching them
-// would hit an empty handler table. NewCluster calls Start once every
-// local processor's handlers are installed; such a network must also
-// release itself on its first local Send (the sender's own handlers are
-// necessarily registered by then) and at Close (to drain).
-type Starter interface{ Start() }
-
 // Fixed adapts an already-built (or wrapped) Network to Transport, for
 // callers that construct the fabric themselves — a fault-injecting
 // wrapper, a test double. The network stays caller-owned: the runtime

@@ -71,8 +71,8 @@ func LatencySweep(procs int, latencies []time.Duration) ([]LatencyPoint, error) 
 			c.Proto = protoName
 			opts := core.Options{Procs: procs, Registry: proto.NewRegistry()}
 			if lat > 0 {
-				// At zero the cluster stays on the bare channel fabric and
-				// its direct-dispatch path.
+				// At zero the cluster stays on the bare channel fabric,
+				// without faultnet's hop through its wire scheduler.
 				opts.Faults = &faultnet.Policy{Delay: lat}
 			}
 			cl, err := core.NewCluster(opts)

@@ -174,11 +174,9 @@ func NewCluster(opts Options) (*Cluster, error) {
 	for i := range c.procs {
 		c.procs[i] = newProc(c, eps[i])
 	}
-	// Every local handler table is installed; a gated transport
-	// (amnet.Starter) may begin dispatching remote frames.
-	if st, ok := nw.(amnet.Starter); ok {
-		st.Start()
-	}
+	// Every local handler table is installed; a gated transport may
+	// begin dispatching remote frames.
+	nw.Start()
 	return c, nil
 }
 

@@ -100,13 +100,13 @@ func (c *Ctx) NewWaiter() uint64 {
 // last NewWaiter returned. A handler may complete the wait in the window
 // between NewWaiter and Wait; the slot's channel holds the message.
 //
-// Before parking, Wait polls its own endpoint once (direct-dispatch
-// fabrics only): a reply or an invalidation ack that had to be queued —
-// the node's token was busy, or its handler declined because this thread held the
-// engine — is delivered here, on the application thread, instead of
-// waiting for the pump to be scheduled. The engine is already released
-// and the thread holds no other lock, so it may run any handler. A wait
-// whose reply is still missing then blocks, counted in the endpoint's
+// Before parking, Wait polls its own endpoint once: a reply or an
+// invalidation ack that had to be queued — the node's token was busy, or
+// its handler declined because this thread held the engine — is
+// delivered here, on the application thread, instead of waiting for the
+// pump to be scheduled. The engine is already released and the thread
+// holds no other lock, so it may run any handler. A wait whose reply is
+// still missing then blocks, counted in the endpoint's
 // NetStats.WaitsParked.
 //
 // The wait is interruptible: when the transport declares a peer lost
@@ -124,8 +124,8 @@ func (c *Ctx) Wait(seq uint64) amnet.Msg {
 	if c.eng != nil {
 		c.eng.Unlock()
 	}
-	if p.direct != nil && len(p.waitCh) == 0 {
-		p.direct.Poll()
+	if len(p.waitCh) == 0 {
+		p.ep.Poll()
 	}
 	if len(p.waitCh) == 0 {
 		p.ep.Stats().WaitsParked.Add(1)

@@ -16,12 +16,12 @@ import (
 // so a directory transaction on one space never serializes against
 // brackets, collectives, or other spaces.
 //
-// On a fabric with direct dispatch every handler below except hMigrate
-// also registers its non-blocking form. The audit
-// behind that: hComplete claims the waiter slot lock-free, and hLockReq,
-// hUnlockMsg and hColl touch only the leaf locks Directory.lockMu and
-// treeMu, neither of which is held across a Send, and send their
-// completions after unlocking — so they always accept. hLookup, hProto
+// Every handler below except hMigrate also registers its non-blocking
+// form. The audit behind that: hComplete claims the waiter slot
+// lock-free, and hLockReq, hUnlockMsg and hColl touch only the leaf
+// locks Directory.lockMu and treeMu, neither of which is held across a
+// Send, and send their completions after unlocking — so they always
+// accept. hLookup, hProto
 // and hProtoBatch need a space's engine lock, which an application
 // thread holds while it sends; they accept iff TryLock gets it
 // (lockEngine) and otherwise decline before touching anything, leaving
@@ -31,15 +31,11 @@ func (p *Proc) registerHandlers() {
 	// declines when try is set and it cannot get its space's engine.
 	always := func(id amnet.HandlerID, fn amnet.Handler) {
 		p.ep.Register(id, fn)
-		if p.direct != nil {
-			p.direct.RegisterTry(id, func(m amnet.Msg) bool { fn(m); return true })
-		}
+		p.ep.RegisterTry(id, func(m amnet.Msg) bool { fn(m); return true })
 	}
 	engine := func(id amnet.HandlerID, fn func(m amnet.Msg, try bool) bool) {
 		p.ep.Register(id, func(m amnet.Msg) { fn(m, false) })
-		if p.direct != nil {
-			p.direct.RegisterTry(id, func(m amnet.Msg) bool { return fn(m, true) })
-		}
+		p.ep.RegisterTry(id, func(m amnet.Msg) bool { return fn(m, true) })
 	}
 	always(hComplete, func(m amnet.Msg) { p.ctx.Complete(m.B, m) })
 	engine(hLookup, p.lookupMsg)

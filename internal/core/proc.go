@@ -126,12 +126,6 @@ type Proc struct {
 	rounds    map[uint64]*treeRound
 	roundFree []*treeRound
 
-	// direct is the endpoint's direct-dispatch face: the channel fabric
-	// and tcpnet endpoints have one, a faultnet endpoint does not (nil).
-	// Whether a given send or poll actually dispatches is the fabric's
-	// call alone. Ctx.Wait polls it before parking.
-	direct amnet.DirectDispatcher
-
 	// fabricCopies is true when the endpoint's Send copies the payload
 	// before returning (amnet.PayloadCopier), letting the runtime pass
 	// region data to Send without a defensive clone of its own.
@@ -179,7 +173,6 @@ func newProc(c *Cluster, ep amnet.Endpoint) *Proc {
 	p.ctx = &Ctx{p: p}
 	p.downCh = make(chan struct{})
 	p.downPeer.Store(-1)
-	p.direct, _ = ep.(amnet.DirectDispatcher)
 	if pc, ok := ep.(amnet.PayloadCopier); ok && pc.CopiesPayloadOnSend() {
 		p.fabricCopies = true
 	}

@@ -33,8 +33,8 @@ import (
 )
 
 // Policy configures the injected faults. The zero value injects
-// nothing; Wrap with a zero policy is a transparent (but still queued)
-// transport.
+// nothing; Wrap with a zero policy is a transparent transport whose
+// inter-node messages take one hop through the wire scheduler.
 type Policy struct {
 	// Seed seeds the per-link fault streams. Two networks wrapped with
 	// the same policy draw identical per-link fault decisions for the
@@ -156,14 +156,9 @@ func (n *Network) Endpoints() []amnet.Endpoint {
 	return out
 }
 
-// Start forwards amnet.Starter to the inner network, releasing a gated
-// transport's dispatch pumps once handler registration is done. A no-op
-// for ungated inner networks.
-func (n *Network) Start() {
-	if st, ok := n.inner.(amnet.Starter); ok {
-		st.Start()
-	}
-}
+// Start forwards to the inner network, releasing a gated transport's
+// dispatch once handler registration is done.
+func (n *Network) Start() { n.inner.Start() }
 
 // Close drains pending deliveries and closes the inner network.
 func (n *Network) Close() error {
@@ -315,6 +310,12 @@ func (e *endpoint) ID() amnet.NodeID                              { return e.inn
 func (e *endpoint) Nodes() int                                    { return e.inner.Nodes() }
 func (e *endpoint) Register(id amnet.HandlerID, fn amnet.Handler) { e.inner.Register(id, fn) }
 func (e *endpoint) Stats() *trace.NetStats                        { return e.inner.Stats() }
+func (e *endpoint) Poll()                                         { e.inner.Poll() }
+
+// RegisterTry forwards to the inner endpoint, so a message the scheduler
+// releases is dispatched directly on the scheduler's goroutine when the
+// destination is free, as a sender's would be on the bare fabric.
+func (e *endpoint) RegisterTry(id amnet.HandlerID, fn amnet.TryHandler) { e.inner.RegisterTry(id, fn) }
 
 // SetPeerDownHandler implements amnet.PeerAware: fn fires when Kill
 // declares a peer lost or the inner transport reports one down.

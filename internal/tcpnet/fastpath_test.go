@@ -11,23 +11,9 @@ import (
 	"github.com/acedsm/ace/internal/amnet"
 )
 
-// TestEndpointIsDirectDispatcher: a tcpnet endpoint offers amnet's
-// direct-dispatch surface, so the runtime registers its TryHandlers for
-// the readers to run and polls the inbox from Wait.
-func TestEndpointIsDirectDispatcher(t *testing.T) {
-	nw, err := New(Loopback(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	if _, ok := nw.Endpoints()[0].(amnet.DirectDispatcher); !ok {
-		t.Fatal("tcpnet endpoint does not implement amnet.DirectDispatcher")
-	}
-}
-
-// TestFrameAfterCloseIsRecycled: a frame pushed into a node's inbox after
-// Close is dropped with its payload returned to the buffer pool, so the
-// next Alloc of that size class can hand the same buffer out again.
+// TestFrameAfterCloseIsRecycled: a frame queued at a node after Close is
+// dropped with its payload returned to the buffer pool, so the next
+// Alloc of that size class can hand the same buffer out again.
 // sync.Pool may drop a Put (it does so at random under -race), hence
 // the retries: one reuse proves the recycle.
 func TestFrameAfterCloseIsRecycled(t *testing.T) {
@@ -36,16 +22,16 @@ func TestFrameAfterCloseIsRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.Close()
-	inbox := nw.(*network).eps[0].inbox
+	ep := nw.(*network).eps[0]
 	const size = 40 << 10 // a size class no other traffic here uses
 	for trial := 0; trial < 64; trial++ {
 		p := amnet.Alloc(size)
-		inbox.Push(amnet.Msg{Handler: 9, Payload: p}, 0)
+		ep.Queue(amnet.Msg{Handler: 9, Payload: p}, 0)
 		if q := amnet.Alloc(size); &q[0] == &p[0] {
 			return
 		}
 	}
-	t.Fatal("payload of a frame pushed after Close never came back from the pool")
+	t.Fatal("payload of a frame queued after Close never came back from the pool")
 }
 
 // TestCloseUnderLoadLeaksNoGoroutines closes a mesh while senders are

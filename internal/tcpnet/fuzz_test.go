@@ -35,7 +35,8 @@ func encodeTestFrame(seq uint64, payload []byte) []byte {
 // invariants under fuzz: readFrame never panics, never allocates a
 // payload beyond the frame limit, returns frames whose payload length
 // matches the header, and terminates (an error ends the stream, exactly
-// as a reader goroutine treats a corrupt connection).
+// as a reader goroutine treats a corrupt connection), and every decoded
+// handler id indexes the handler table (< amnet.MaxHandlers).
 func FuzzReadFrame(f *testing.F) {
 	f.Add(encodeTestFrame(1, []byte("hello fabric")))
 	f.Add(encodeTestFrame(0, nil)) // control frame
@@ -93,6 +94,10 @@ func FuzzReadFrame(f *testing.F) {
 	// fuzzer explores reordered/stale-seq streams around the cut.
 	replay := append(encodeTestFrame(7, ckpt), encodeTestFrame(1<<40, []byte("journal tail"))...)
 	f.Add(replay)
+	// A handler id one past the table: rejected by the decoder.
+	noHandler := encodeTestFrame(1, nil)
+	binary.LittleEndian.PutUint16(noHandler[12:], amnet.MaxHandlers)
+	f.Add(noHandler)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -106,6 +111,9 @@ func FuzzReadFrame(f *testing.F) {
 			}
 			if len(fr.msg.Payload) > maxFramePayload {
 				t.Fatalf("decoded payload of %d bytes exceeds limit %d", len(fr.msg.Payload), maxFramePayload)
+			}
+			if int(fr.msg.Handler) >= amnet.MaxHandlers {
+				t.Fatalf("decoded handler %d, table holds %d", fr.msg.Handler, amnet.MaxHandlers)
 			}
 			amnet.Recycle(fr.msg.Payload)
 			consumed++

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -405,7 +406,7 @@ func TestReaderDispatchNeverWaitsOnJournal(t *testing.T) {
 	// and only then lets go of the node's token: the second handler's
 	// send above can win that race, so wait for the token before reading
 	// the count.
-	for deadline := time.Now().Add(5 * time.Second); ep.inbox.Busy(); time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); ep.Busy(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("node 0's dispatch token still held 5s after the last delivery")
 		}
@@ -543,7 +544,7 @@ func TestAckNeverJournaledIgnored(t *testing.T) {
 func TestPeerLostLeavesJournalToWriter(t *testing.T) {
 	conn, peer := net.Pipe()
 	defer peer.Close()
-	ep := &endpoint{nw: &network{}, links: make([]recvLink, 2), downSent: make(map[amnet.NodeID]bool)}
+	ep := &endpoint{Node: amnet.NewNode(0, frameHeader), nw: &network{}, links: make([]recvLink, 2), downSent: make(map[amnet.NodeID]bool)}
 	s := newSender(ep, 1, "", conn)
 	// Queue the frames before the writer starts so it takes them as one
 	// batch; two of them overflow its 64 KiB buffer, so it blocks in a
@@ -575,5 +576,67 @@ func TestPeerLostLeavesJournalToWriter(t *testing.T) {
 	defer s.mu.Unlock()
 	if len(s.journal) != 0 {
 		t.Fatalf("writer exited leaving %d journal frames", len(s.journal))
+	}
+}
+
+// TestFrameNamingNoHandlerClosesConn: a data frame whose handler id is
+// past the handler table is rejected by the decoder, so the reader closes
+// its connection as for a corrupt stream instead of indexing the table.
+func TestFrameNamingNoHandlerClosesConn(t *testing.T) {
+	hostileFrameClosesConn(t, amnet.Msg{Dst: 1, Src: 0, Handler: amnet.MaxHandlers})
+}
+
+// TestMisaddressedFrameClosesConn: a data frame whose Src is not the node
+// its connection's hello named (here one outside the cluster, which the
+// handler's reply would be sent to), or whose Dst is not the receiving
+// node, closes the connection undelivered.
+func TestMisaddressedFrameClosesConn(t *testing.T) {
+	t.Run("src", func(t *testing.T) { hostileFrameClosesConn(t, amnet.Msg{Dst: 1, Src: 99, Handler: 7}) })
+	t.Run("dst", func(t *testing.T) { hostileFrameClosesConn(t, amnet.Msg{Dst: 0, Src: 0, Handler: 7}) })
+}
+
+// hostileFrameClosesConn writes m as a data frame on a raw connection to
+// node 1 that introduced itself as node 0, and checks that node 1 closes
+// the connection without running a handler, and that the mesh still
+// carries node 0's genuine traffic afterwards.
+func hostileFrameClosesConn(t *testing.T, m amnet.Msg) {
+	nwi, err := New(Loopback(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nwi.Close()
+	nw := nwi.(*network)
+	eps := nw.Endpoints()
+	got := make(chan amnet.Msg, 4)
+	eps[1].Register(7, func(m amnet.Msg) {
+		got <- m
+		eps[1].Send(amnet.Msg{Dst: m.Src, Handler: 7}) // reply to the sender
+	})
+	eps[0].Register(7, func(amnet.Msg) {})
+	nw.Start()
+
+	conn, err := net.Dial("tcp", nw.addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var hello [4]byte // node 0
+	buf := make([]byte, frameHeader)
+	putHeader(buf, &m, 0, 1)
+	if _, err := conn.Write(append(hello[:], buf...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("node 1 kept the connection open after a hostile frame")
+	}
+	eps[0].Send(amnet.Msg{Dst: 1, Handler: 7, A: 42})
+	select {
+	case d := <-got:
+		if d.A != 42 {
+			t.Fatalf("hostile frame delivered: %+v", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("genuine frame not delivered after the hostile connection closed")
 	}
 }

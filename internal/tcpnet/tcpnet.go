@@ -16,11 +16,11 @@
 // handler per the fabric's ownership contract.
 //
 // The receive path is the channel fabric's, direct dispatch included:
-// the endpoint is an amnet.DirectDispatcher. A connection's reader runs
-// a frame's TryHandler on its own goroutine when the node's token is
-// free and nothing is queued; otherwise it pushes the frame into the
-// node's amnet.Inbox, where the pump (or the compute thread polling
-// from its wait) serves it, one handler at a time in arrival order.
+// the endpoint embeds an amnet.Node. A connection's reader dispatches
+// each frame there, running its TryHandler on the reader's own goroutine
+// when the node's token is free and nothing is queued, and queueing it
+// otherwise, for the pump (or the compute thread polling from its wait)
+// to serve, one handler at a time in arrival order.
 //
 // Connections are supervised. Every data frame carries a per-link
 // sequence number and stays journaled on the sender until the receiver
@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"github.com/acedsm/ace/internal/amnet"
-	"github.com/acedsm/ace/internal/trace"
 )
 
 // Config describes the transport's cluster topology: the total node
@@ -189,9 +188,8 @@ func Listen(cfg Config) (*Node, error) {
 		}
 		nw.listeners[i] = l
 		ep := &endpoint{
-			id:       amnet.NodeID(id),
+			Node:     amnet.NewNode(amnet.NodeID(id), frameHeader),
 			nw:       nw,
-			inbox:    amnet.NewInbox(),
 			links:    make([]recvLink, cfg.Nodes),
 			downSent: make(map[amnet.NodeID]bool),
 			inbound:  make(map[net.Conn]struct{}),
@@ -232,7 +230,7 @@ func (nd *Node) Addrs() []string {
 // indexed by node id, and each local node dials a supervised sender to
 // every one of them (including itself, keeping the path uniform). The
 // returned network's endpoints are the local nodes in Config.Local
-// order; dispatch is held back until amnet.Starter's Start (or the
+// order; dispatch is held back until the network's Start (or the
 // first local Send) so the runtime can finish registering handlers
 // before a fast peer's frames are delivered.
 func (nd *Node) Connect(addrs []string) (amnet.Network, error) {
@@ -273,7 +271,11 @@ func (nd *Node) Connect(addrs []string) (amnet.Network, error) {
 	nw.wire()
 	for _, ep := range nw.eps {
 		nw.pumpWG.Add(1)
-		go ep.pump(&nw.pumpWG)
+		go func() {
+			defer nw.pumpWG.Done()
+			<-nw.started // hold dispatch until handler registration finishes
+			ep.Serve()
+		}()
 	}
 	return nw, nil
 }
@@ -354,7 +356,7 @@ func (n *network) Endpoints() []amnet.Endpoint {
 	return out
 }
 
-// Start implements amnet.Starter: it releases the dispatch pumps and the
+// Start implements amnet.Network: it releases the dispatch pumps and the
 // readers' direct dispatch, held back so a fast peer's frames cannot
 // reach an empty handler table. Incoming frames queue (and are acked)
 // meanwhile, so nothing is lost.
@@ -381,7 +383,7 @@ func (n *network) DeclarePeerDown(peer amnet.NodeID) {
 		return
 	}
 	for _, ep := range n.eps {
-		if ep == nil || ep.id == peer {
+		if ep == nil || ep.ID() == peer {
 			continue
 		}
 		if ep.out != nil && ep.out[peer] != nil {
@@ -430,8 +432,7 @@ func (n *network) KillLink(src, dst int) {
 
 // Close tears the mesh down in dependency order: stop accepting, drain
 // and close every sender (closing its connection unblocks the remote
-// reader), wait for readers, then close the inboxes so the pumps
-// exit.
+// reader), wait for readers, then close the nodes so the pumps exit.
 func (n *network) Close() error {
 	if !n.closed.Swap(true) {
 		close(n.quit)
@@ -475,7 +476,7 @@ func (n *network) Close() error {
 	}
 	for _, ep := range n.eps {
 		if ep != nil {
-			ep.inbox.Close()
+			ep.Node.Close()
 		}
 	}
 	n.pumpWG.Wait()
@@ -525,7 +526,7 @@ type sender struct {
 
 func newSender(ep *endpoint, peer amnet.NodeID, addr string, conn net.Conn) *sender {
 	s := &sender{conn: conn, ep: ep, peer: peer, addr: addr}
-	binary.LittleEndian.PutUint32(s.hello[:], uint32(ep.id))
+	binary.LittleEndian.PutUint32(s.hello[:], uint32(ep.ID()))
 	s.notEmpty = sync.NewCond(&s.mu)
 	s.notFull = sync.NewCond(&s.mu)
 	return s
@@ -574,7 +575,7 @@ func (n *network) probeLoop() {
 // dropped).
 func (s *sender) enqueue(frame []byte) {
 	s.mu.Lock()
-	for len(s.journal) >= maxPending && !s.closed && !s.ep.inbox.Busy() {
+	for len(s.journal) >= maxPending && !s.closed && !s.ep.Busy() {
 		s.notFull.Wait()
 	}
 	if s.closed {
@@ -763,7 +764,7 @@ func (s *sender) run(wg *sync.WaitGroup) {
 // reaches the socket counts one Flushes — including those bufio makes
 // mid-Write when a batch overflows its 64 KiB buffer.
 func (s *sender) newWriter(conn net.Conn) *bufio.Writer {
-	return bufio.NewWriterSize(socketWriter{conn, &s.ep.stats.Flushes}, 64<<10)
+	return bufio.NewWriterSize(socketWriter{conn, &s.ep.Stats().Flushes}, 64<<10)
 }
 
 // socketWriter counts each Write into the socket.
@@ -811,7 +812,7 @@ func (s *sender) writeBatch(bw *bufio.Writer, batch [][]byte) error {
 // itself off.
 func (s *sender) reconnect() (net.Conn, *bufio.Writer, bool) {
 	s.killConn()
-	stats := &s.ep.stats
+	stats := s.ep.Stats()
 	step := backoffBase
 	for attempt := 1; ; attempt++ {
 		if s.shuttingDown() {
@@ -881,7 +882,7 @@ func (s *sender) resume(conn net.Conn) (*bufio.Writer, error) {
 		return nil, err
 	}
 	if retrans > 0 {
-		s.ep.stats.Retransmits.Add(uint64(retrans))
+		s.ep.Stats().Retransmits.Add(uint64(retrans))
 	}
 	return bw, nil
 }
@@ -919,18 +920,14 @@ type recvLink struct {
 	dups   int           // duplicates dropped since the last re-ack (under mu)
 }
 
+// endpoint is one local node: its amnet.Node, which every reader
+// dispatches into, and its supervised senders.
 type endpoint struct {
-	id  amnet.NodeID
-	nw  *network
-	out []*sender
-	// inbox holds the frames every reader decoded for this node until the
-	// pump (or a poll) delivers them, and the node's dispatch token.
-	inbox    *amnet.Inbox
-	handlers [amnet.MaxHandlers]amnet.Handler
-	tries    [amnet.MaxHandlers]amnet.TryHandler
-	stats    trace.NetStats
-	readers  sync.WaitGroup
-	links    []recvLink
+	*amnet.Node
+	nw      *network
+	out     []*sender
+	readers sync.WaitGroup
+	links   []recvLink
 
 	// inbound tracks the accepted connections feeding the readers, so
 	// Close can sever them locally instead of waiting for the remote
@@ -943,31 +940,13 @@ type endpoint struct {
 	downSent map[amnet.NodeID]bool
 }
 
-func (e *endpoint) ID() amnet.NodeID { return e.id }
-func (e *endpoint) Nodes() int       { return e.nw.nodes }
+func (e *endpoint) Nodes() int { return e.nw.nodes }
 
-func (e *endpoint) Register(id amnet.HandlerID, fn amnet.Handler) {
-	if int(id) >= amnet.MaxHandlers {
-		panic(fmt.Sprintf("tcpnet: handler id %d out of range", id))
-	}
-	e.handlers[id] = fn
-}
-
-// RegisterTry implements amnet.DirectDispatcher: the readers run fn on
-// their own goroutine once Start has released dispatch.
-func (e *endpoint) RegisterTry(id amnet.HandlerID, fn amnet.TryHandler) {
-	if int(id) >= amnet.MaxHandlers {
-		panic(fmt.Sprintf("tcpnet: handler id %d out of range", id))
-	}
-	e.tries[id] = fn
-}
-
-// Poll implements amnet.DirectDispatcher: the node's compute thread
-// delivers what the readers queued, if the node's token is free. Before
-// Start it delivers nothing, as the pump does.
+// Poll delivers what the readers queued, if the node's token is free.
+// Before Start it delivers nothing, as the pump does.
 func (e *endpoint) Poll() {
 	if e.nw.live.Load() {
-		e.inbox.Poll(e.polled)
+		e.Node.Poll()
 	}
 }
 
@@ -1030,11 +1009,11 @@ func (e *endpoint) Send(m amnet.Msg) {
 	if len(m.Payload) > maxFramePayload {
 		panic(fmt.Sprintf("tcpnet: payload %d exceeds frame limit %d", len(m.Payload), maxFramePayload))
 	}
-	m.Src = e.id
+	m.Src = e.ID()
 	e.nw.Start() // a local send implies local handlers are registered
-	e.countSend(m)
+	stamp := e.CountSend(&m)
 	buf := amnet.Alloc(frameHeader + len(m.Payload))
-	putHeader(buf, &m, e.stats.SendStamp(), 0)
+	putHeader(buf, &m, stamp, 0)
 	copy(buf[frameHeader:], m.Payload)
 	e.out[m.Dst].enqueue(buf) // assigns seq under the sender lock
 }
@@ -1044,7 +1023,7 @@ func (e *endpoint) Send(m amnet.Msg) {
 // bypass the journal, the backpressure bound and the traffic counters.
 func (e *endpoint) sendAck(src amnet.NodeID) {
 	buf := amnet.Alloc(frameHeader)
-	putHeader(buf, &amnet.Msg{Dst: src, Src: e.id}, 0, 0)
+	putHeader(buf, &amnet.Msg{Dst: src, Src: e.ID()}, 0, 0)
 	e.out[src].enqueueControl(buf)
 }
 
@@ -1064,8 +1043,6 @@ func putHeader(buf []byte, m *amnet.Msg, stamp int64, seq uint64) {
 	binary.LittleEndian.PutUint64(buf[seqOff:], seq)
 	binary.LittleEndian.PutUint64(buf[ackOff:], 0)
 }
-
-func (e *endpoint) Stats() *trace.NetStats { return &e.stats }
 
 // addReader starts a goroutine decoding frames from one incoming
 // connection. Reads are buffered, and each payload lands in a pooled
@@ -1102,6 +1079,10 @@ func (e *endpoint) addReader(conn net.Conn, src amnet.NodeID) {
 			if err != nil {
 				return // connection closed or stream corrupt
 			}
+			if f.seq != 0 && (f.msg.Src != src || f.msg.Dst != e.ID()) {
+				amnet.Recycle(f.msg.Payload)
+				return // misaddressed data frame: as corrupt as a bad length
+			}
 			// Every frame acks our reverse sender; ack() judges the value.
 			rev.ack(f.ack)
 			if f.seq == 0 { // control: a standalone ack, consumed above
@@ -1131,7 +1112,7 @@ func (e *endpoint) receive(link *recvLink, src amnet.NodeID, f frame) {
 			link.dups = 0
 		}
 		link.mu.Unlock()
-		e.stats.DupFramesDropped.Add(1)
+		e.Stats().DupFramesDropped.Add(1)
 		amnet.Recycle(f.msg.Payload)
 		if reack {
 			e.sendAck(src)
@@ -1150,19 +1131,16 @@ func (e *endpoint) receive(link *recvLink, src amnet.NodeID, f frame) {
 	}
 }
 
-// dispatch runs m's TryHandler on the calling reader if dispatch is live
-// and the node is free (amnet.Inbox.DispatchDirect), and queues m for the
-// pump otherwise. The reader then holds the node's token, so the
-// handler's sends never wait on a journal bound (see maxPending). The
-// handler tables are read only once Start has published them.
+// dispatch hands m to the node once Start has published the handler
+// tables (amnet.Node.Dispatch), and queues it before. A reader running a
+// handler holds the node's token, so the handler's sends never wait on a
+// journal bound (see maxPending).
 func (e *endpoint) dispatch(m amnet.Msg, sent int64) {
 	if e.nw.live.Load() {
-		if try := e.tries[m.Handler]; try != nil &&
-			e.inbox.DispatchDirect(try, m, sent, &e.stats, frameHeader+len(m.Payload)) {
-			return
-		}
+		e.Dispatch(m, sent)
+	} else {
+		e.Queue(m, sent)
 	}
-	e.inbox.Push(m, sent)
 }
 
 // readFrame decodes one length-prefixed frame from the stream. It
@@ -1206,6 +1184,9 @@ func decodeHeader(hdr *[frameHeader]byte) (frame, int, error) {
 	if total > maxFrameTotal {
 		return frame{}, 0, fmt.Errorf("tcpnet: frame length %d exceeds limit %d", total, uint64(maxFrameTotal))
 	}
+	if h := binary.LittleEndian.Uint16(hdr[12:]); h >= amnet.MaxHandlers {
+		return frame{}, 0, fmt.Errorf("tcpnet: frame names handler %d, table holds %d", h, amnet.MaxHandlers)
+	}
 	f := frame{
 		msg: amnet.Msg{
 			Dst:     amnet.NodeID(int32(binary.LittleEndian.Uint32(hdr[4:]))),
@@ -1221,36 +1202,6 @@ func decodeHeader(hdr *[frameHeader]byte) (frame, int, error) {
 		ack:  binary.LittleEndian.Uint64(hdr[ackOff:]),
 	}
 	return f, int(total) - (frameHeader - 4), nil
-}
-
-// pump delivers the node's inbound frames once Start releases it, one
-// handler at a time in arrival order, until Close has closed the inbox
-// and the backlog is drained.
-func (e *endpoint) pump(wg *sync.WaitGroup) {
-	defer wg.Done()
-	<-e.nw.started // hold dispatch until handler registration finishes
-	e.inbox.Serve(e.pumped)
-}
-
-// pumped and polled deliver a queued message on the node's pump and on
-// its polling compute thread; sent is m's send stamp on the sender's
-// trace clock.
-func (e *endpoint) pumped(m amnet.Msg, sent int64) { e.deliver(m, sent, trace.RecvPumped) }
-func (e *endpoint) polled(m amnet.Msg, sent int64) { e.deliver(m, sent, trace.RecvPolled) }
-
-// deliver runs m's handler, counting it against path.
-func (e *endpoint) deliver(m amnet.Msg, sent int64, path trace.RecvPath) {
-	e.stats.ObserveDeliver(sent)
-	e.stats.CountRecv(path, frameHeader+len(m.Payload))
-	h := e.handlers[m.Handler]
-	if h == nil {
-		panic(fmt.Sprintf("tcpnet: node %d: no handler %d", e.id, m.Handler))
-	}
-	h(m)
-}
-
-func (e *endpoint) countSend(m amnet.Msg) {
-	e.stats.CountSend(frameHeader + len(m.Payload))
 }
 
 // frame is a decoded message plus its sender's trace-clock stamp (0 when

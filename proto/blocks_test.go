@@ -12,8 +12,8 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/acedsm/ace/internal/amnet"
 	"github.com/acedsm/ace/internal/core"
-	"github.com/acedsm/ace/internal/faultnet"
 )
 
 func TestWriteThroughPhases(t *testing.T) {
@@ -147,12 +147,11 @@ func recvd(p *core.Proc) uint64 { return p.Snapshot().Net.MsgsRecv }
 func sent(p *core.Proc) uint64  { return p.Snapshot().Net.MsgsSent }
 
 // fence returns once every message p received before the call has been
-// handled and every message p sent before it has left: it maps f, a
-// region p has never mapped, which is one lookup round trip. Under
+// handled and every message p sent before it has been counted: it maps
+// f, a region p has never mapped, which is one lookup round trip. Under
 // pumped delivery a message is counted as its handler starts on p's
 // pump, and the lookup's reply comes through the same pump; a send is
-// counted when the wire releases it, in order, and the lookup is
-// released after it.
+// counted as it is made.
 func fence(p *core.Proc, f core.RegionID) { p.Map(f) }
 
 // awaitHandled returns once p has received more than base messages and
@@ -164,15 +163,38 @@ func awaitHandled(p *core.Proc, base uint64, f core.RegionID) {
 	fence(p, f)
 }
 
-// pumped runs a two-processor cluster over a fault-free faultnet
-// wrapper, which turns off direct dispatch: every message is delivered
-// by its receiver's pump and counted in MsgsRecv before its handler
-// starts, so a processor's count never lags a message it has been woken
-// by.
+// pumped runs a two-processor cluster on a channel fabric whose
+// endpoints drop RegisterTry and Poll, which turns off direct dispatch:
+// every message is delivered by its receiver's pump and counted in
+// MsgsRecv before its handler starts, so a processor's count never lags
+// a message it has been woken by. (A directly dispatched message is
+// counted once its TryHandler has accepted it.)
 func pumped(t *testing.T, defaultProto string, fn func(p *core.Proc) error) {
 	t.Helper()
-	runOpts(t, core.Options{Procs: 2, DefaultProtocol: defaultProto, Faults: &faultnet.Policy{}}, fn)
+	nw, err := amnet.NewChanNetwork(amnet.ChanConfig{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nw.Close() })
+	runOpts(t, core.Options{Procs: 2, DefaultProtocol: defaultProto, Transport: amnet.Fixed(pumpOnly{nw})}, fn)
 }
+
+// pumpOnly is a network whose endpoints keep every delivery on their
+// pumps.
+type pumpOnly struct{ amnet.Network }
+
+func (n pumpOnly) Endpoints() []amnet.Endpoint {
+	eps := n.Network.Endpoints()
+	for i, ep := range eps {
+		eps[i] = pumpOnlyEndpoint{ep}
+	}
+	return eps
+}
+
+type pumpOnlyEndpoint struct{ amnet.Endpoint }
+
+func (pumpOnlyEndpoint) RegisterTry(amnet.HandlerID, amnet.TryHandler) {}
+func (pumpOnlyEndpoint) Poll()                                         {}
 
 // The two deferral tests below hand a turn from one processor to the
 // other through a Go channel, so the observing processor can read its
