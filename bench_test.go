@@ -74,22 +74,26 @@ func benchApp(b *testing.B, run func(int, bench.AppFunc) (apputil.Result, error)
 // each observability mode: disabled (Trace nil: counted, not timed),
 // metrics (also timed) and events (also kept in the ring). mapped is
 // disabled with a Map and an Unmap around every pair, em3d's per-edge
-// pattern. make bench-allocs requires the disabled, metrics and mapped
-// cases to report 0 allocs/op.
+// pattern. logged is a StartWrite/EndWrite pair at the home under
+// staticupdate, a logged write hit: the close's CAS also keeps the
+// region on the space's write log. make bench-allocs requires the
+// disabled, metrics, mapped and logged cases to report 0 allocs/op.
 func BenchmarkBracket(b *testing.B) {
 	modes := []struct {
 		name   string
 		cfg    *TraceConfig
 		mapped bool
+		proto  string // default space's protocol; writes if set
 	}{
-		{"disabled", nil, false},
-		{"metrics", &TraceConfig{Metrics: true}, false},
-		{"events", &TraceConfig{Metrics: true, Events: 4096}, false},
-		{"mapped", nil, true},
+		{"disabled", nil, false, ""},
+		{"metrics", &TraceConfig{Metrics: true}, false, ""},
+		{"events", &TraceConfig{Metrics: true, Events: 4096}, false, ""},
+		{"mapped", nil, true, ""},
+		{"logged", nil, false, "staticupdate"},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
-			cl, err := NewCluster(Options{Procs: 1, Trace: m.cfg})
+			cl, err := NewCluster(Options{Procs: 1, Trace: m.cfg, DefaultProtocol: m.proto})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -99,6 +103,13 @@ func BenchmarkBracket(b *testing.B) {
 				r := p.Map(id)
 				b.ReportAllocs()
 				b.ResetTimer()
+				if m.proto != "" {
+					for i := 0; i < b.N; i++ {
+						p.StartWrite(r)
+						p.EndWrite(r)
+					}
+					return nil
+				}
 				if m.mapped {
 					for i := 0; i < b.N; i++ {
 						r := p.Map(id)

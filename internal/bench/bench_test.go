@@ -5,9 +5,11 @@ import (
 
 	"github.com/acedsm/ace/internal/apps/apputil"
 	"github.com/acedsm/ace/internal/apps/bsc"
+	"github.com/acedsm/ace/internal/apps/em3d"
 	"github.com/acedsm/ace/internal/apps/tsp"
 	"github.com/acedsm/ace/internal/core"
 	"github.com/acedsm/ace/internal/rtiface"
+	"github.com/acedsm/ace/internal/trace"
 )
 
 // fig7Msgs pins the cluster message counts of the Figure 7 runs at
@@ -166,6 +168,49 @@ func TestAdaptiveMatchesSC(t *testing.T) {
 		if got := ad.Metrics.Adapt[0]; got.Protocol != want.proto || got.Switches != want.switches {
 			t.Errorf("%s: landed on %q after %d switches, want %q after %d",
 				a.Name, got.Protocol, got.Switches, want.proto, want.switches)
+		}
+	}
+}
+
+// TestEM3DWritesHitFastPath pins the logged write hit on em3d at small
+// scale. Each value space holds Nodes regions, each written by its home
+// once at construction (under sc, a plain fast write) and once per
+// step. The ChangeProtocol after construction withdraws every
+// fast bit, so each E region's first write (step 0, before anything
+// else touches it) opens on the slow path; the H regions are republished
+// by their homes' step-0 reads first. The republished bit is
+// FastWriteLogged under both protocols, so after that first open every
+// write bracket — every close included — is one CAS: the slow opens
+// are exactly E's Nodes, and no close is slow.
+func TestEM3DWritesHitFastPath(t *testing.T) {
+	w := WorkloadsFor(ScaleSmall, 4)
+	for _, proto := range []string{"staticupdate", "update"} {
+		cfg := w.EM3D
+		cfg.Proto = proto
+		o, err := RunAceObserved(w.Procs, func(rt rtiface.RT) (apputil.Result, error) { return em3d.Run(rt, cfg) })
+		if err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		var spaces []trace.SpaceMetrics
+		for _, s := range o.Metrics.Spaces {
+			if s.Protocol == proto {
+				spaces = append(spaces, s)
+			}
+		}
+		if len(spaces) != 2 {
+			t.Fatalf("%s: %d value spaces, want 2", proto, len(spaces))
+		}
+		for i, want := range []uint64{uint64(cfg.Nodes), 0} {
+			s := spaces[i]
+			if got := s.Ops[trace.OpStartWrite]; got != uint64(cfg.Nodes*(cfg.Steps+1)) {
+				t.Errorf("%s: space %d ran %d write sections, want %d", proto, s.Space, got, cfg.Nodes*(cfg.Steps+1))
+			}
+			slowOpen := s.Ops[trace.OpStartWrite] - s.FastOps[trace.OpStartWrite]
+			slowClose := s.Ops[trace.OpEndWrite] - s.FastOps[trace.OpEndWrite]
+			if slowOpen != want || slowClose != 0 {
+				t.Errorf("%s: space %d: %d slow write opens and %d slow closes, want %d and 0",
+					proto, s.Space, slowOpen, slowClose, want)
+			}
 		}
 	}
 }

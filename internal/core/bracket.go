@@ -201,10 +201,10 @@ func (p *Proc) EndRead(r *Region) {
 
 // StartWrite opens a write section on r. On return r.Data is valid for
 // writing under the space's protocol. Fast path as in StartRead, gated
-// on FastWrite.
+// on FastWrite or FastWriteLogged.
 func (p *Proc) StartWrite(r *Region) {
 	t := p.rec.Begin()
-	if r.tryFastStart(rwFastWrite, rwWriterShift) {
+	if r.tryFastStart(rwFastWrites, rwWriterShift) {
 		r.Space.hit(trace.OpStartWrite, t)
 		return
 	}
@@ -220,10 +220,17 @@ func (p *Proc) StartWrite(r *Region) {
 	sp.done(trace.OpStartWrite, t)
 }
 
-// EndWrite closes a write section on r.
+// EndWrite closes a write section on r. Under FastWriteLogged the fast
+// close is still one CAS: it also sets r's written bit, and the close
+// that set it appends r to the space's write log. The log is written at
+// the close, not the open, because a section opened on the slow path
+// may close on the fast one after a republish.
 func (p *Proc) EndWrite(r *Region) {
 	t := p.rec.Begin()
-	if r.tryFastEnd(rwFastWrite, rwWriterShift) {
+	if ok, logged := r.tryFastEndWrite(); ok {
+		if logged {
+			r.Space.log = append(r.Space.log, r)
+		}
 		r.Space.hit(trace.OpEndWrite, t)
 		return
 	}
@@ -311,7 +318,8 @@ func (p *Proc) DropCopy(r *Region) bool {
 //
 // Their fast path is a bare eligibility-bit load: publishing the bit
 // already promises the protocol routine is a no-op, and Bare variants
-// keep no counts, so there is nothing to CAS.
+// keep no counts, so there is nothing to CAS — except for a logged
+// write close, whose CAS sets the written bit as EndWrite's does.
 
 // StartReadBare opens a read section without bookkeeping.
 func (p *Proc) StartReadBare(r *Region) {
@@ -349,7 +357,7 @@ func (p *Proc) EndReadBare(r *Region) {
 // StartWriteBare opens a write section without bookkeeping.
 func (p *Proc) StartWriteBare(r *Region) {
 	t := p.rec.Begin()
-	if r.fastEligible(rwFastWrite) {
+	if r.fastEligible(rwFastWrites) {
 		r.Space.hit(trace.OpStartWrite, t)
 		return
 	}
@@ -367,7 +375,10 @@ func (p *Proc) StartWriteBare(r *Region) {
 // EndWriteBare closes a write section without bookkeeping.
 func (p *Proc) EndWriteBare(r *Region) {
 	t := p.rec.Begin()
-	if r.fastEligible(rwFastWrite) {
+	if ok, logged := r.tryFastEndWriteBare(); ok {
+		if logged {
+			r.Space.log = append(r.Space.log, r)
+		}
 		r.Space.hit(trace.OpEndWrite, t)
 		return
 	}

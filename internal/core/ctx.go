@@ -76,6 +76,19 @@ func (c *Ctx) DisableFast(r *Region) { r.disableFast() }
 // mutations disabled the fast path with DisableFast.
 func (c *Ctx) RefreshFast(r *Region) { r.Space.refreshFast(r) }
 
+// LogWrite puts r on its space's write log unless it is already there:
+// the slow-path twin of a FastWriteLogged close, for section-end hooks
+// that mark the region written. The log is private to the application
+// thread, so call it only from the hooks the application thread runs
+// (never from Deliver).
+func (c *Ctx) LogWrite(r *Region) { r.Space.logWrite(r) }
+
+// TakeWrites empties sp's write log and returns its regions, each once,
+// in the order they were first logged, with their written bits cleared.
+// The slice is valid until the next logged write. Application thread
+// only, like LogWrite: call it from Barrier or FlushSpace.
+func (c *Ctx) TakeWrites(sp *Space) []*Region { return sp.takeLog() }
+
 // NewWaiter arms the processor's waiter slot and returns the wait's
 // sequence number. The application thread passes the number in a
 // request message (field B by convention) and calls Wait; the reply

@@ -124,9 +124,11 @@ func (p *Proc) flushToBase(sps ...*Space) {
 // barrier fences the flush traffic. Only then — with nothing in flight
 // anywhere — is every region's fast-path eligibility withdrawn, so no
 // bracket keeps fast-hitting a flushed copy; the protocol republishes
-// lazily as brackets take the slow path. The per-home traffic counters
-// are zeroed with it, so the flush's own traffic is not read as
-// application signal. Collective; the caller holds no engine.
+// lazily as brackets take the slow path. The write log is dropped with
+// it (a protocol's flush takes what it ships; anything left is stale at
+// the base state), and the per-home traffic counters are zeroed, so the
+// flush's own traffic is not read as application signal. Collective;
+// the caller holds no engine.
 func (p *Proc) flushFenced(sps ...*Space) {
 	for _, sp := range sps {
 		sp.eng.Lock()
@@ -139,6 +141,7 @@ func (p *Proc) flushFenced(sps ...*Space) {
 		for _, r := range sp.regions {
 			r.publishFast(0)
 		}
+		sp.takeLog()
 		sp.homeIn, sp.regIn = 0, nil
 		sp.eng.Unlock()
 	}
@@ -166,8 +169,10 @@ func (p *Proc) holdsCoherence(sp *Space) bool {
 
 // resetRegion returns r's protocol-owned state to the base state: fast
 // bits withdrawn, State, Flags and PState zeroed, and the directory's
-// coherence fields reset (lock state is the caller's concern). Caller
-// holds r's space engine.
+// coherence fields reset (lock state is the caller's concern). The
+// written bit goes with the space's write log, which every caller drops
+// (flushToBase before the reset, or reinstall after it). Caller holds
+// r's space engine.
 func resetRegion(r *Region) {
 	r.State, r.Flags, r.PState = 0, 0, nil
 	r.publishFast(0)
@@ -192,13 +197,14 @@ func (p *Proc) assertQuiescent(op string, r *Region) {
 }
 
 // reinstall starts info's protocol on sp from the base state: a fresh
-// instance, a new epoch, no protocol data and no per-home traffic, then
-// the protocol's InitSpace. Caller holds sp.eng, and every region of sp
-// has been through resetRegion.
+// instance, a new epoch, no protocol data, no write log and no per-home
+// traffic, then the protocol's InitSpace. Caller holds sp.eng, and
+// every region of sp has been through resetRegion.
 func (p *Proc) reinstall(sp *Space, info Info) {
 	sp.install(info)
 	sp.Epoch++
 	sp.PData = nil
+	sp.takeLog()
 	sp.homeIn, sp.regIn = 0, nil
 	p.rec.SetProtocol(sp.ID, info.Name)
 	sp.Proto.InitSpace(sp.ctx, sp)
@@ -255,7 +261,8 @@ func (p *Proc) FreeSpace(sp *Space) error {
 			}
 		}
 	}
-	sp.regions = nil
+	sp.takeLog()
+	sp.regions, sp.log = nil, nil
 	sp.dead.Store(true)
 	sp.eng.Unlock()
 	p.regMu.Lock()

@@ -8,8 +8,9 @@ import (
 )
 
 // HomeMigrator is an optional protocol interface: a protocol that keeps
-// per-region state keyed by the home (dirty lists, push targets) can
-// observe a MigrateHome flip. MigrateRegion is invoked on every
+// per-region state keyed by the home (push targets, say) can observe a
+// MigrateHome flip. The write log behind proto.DirtyList needs no hook:
+// the flush that opens MigrateHome drops it. MigrateRegion is invoked on every
 // processor during the flip, under the space's engine lock, after the
 // runtime has reset r's protocol-owned state and reassigned the
 // directory — oldHome and newHome let the protocol drop or rebuild any

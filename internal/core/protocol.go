@@ -164,8 +164,17 @@ type Protocol interface {
 //     published;
 //   - skipping the routines has no protocol-visible effect — in
 //     particular, no deferred work (pending invalidations, queued
-//     directory requests, dirty-list bookkeeping) hinges on a
+//     directory requests, a deferred push to settle) hinges on a
 //     section-end invocation.
+//
+// Returning FastWriteLogged makes the same promise for write brackets
+// except one effect: EndWrite would put the region on the write log
+// (Ctx.LogWrite, the store behind proto.DirtyList) and do nothing else.
+// The runtime's fast close performs that effect itself, setting the
+// region's written bit in the closing CAS, so a protocol whose only
+// section-end work is dirty-list bookkeeping keeps its writes on the
+// fast path. Anything more at the close — serving a fetch queued on
+// Dir.Waiting, settling a deferred update — must withdraw the bit.
 //
 // The runtime withdraws the bits before every Deliver on the region and
 // republishes them after, so protocol state changes made in handlers

@@ -40,11 +40,12 @@ type Region struct {
 	// hot packs the region's runtime-visible hot state into one atomic
 	// word so a bracket hit is a single CAS (see the rw* layout
 	// constants): the open-section counts, the fast-path eligibility
-	// bits the space's protocol publishes, and a mirror of the
-	// protocol's State for observability. Counts are mutated only by
-	// the application thread (fast CAS or slow-path add under the
-	// engine lock); the eligibility bits are cleared and republished by
-	// whichever thread holds the engine lock.
+	// bits the space's protocol publishes, a mirror of the protocol's
+	// State for observability, and the written bit that keeps the
+	// region on its space's write log once. Counts and the written bit
+	// are mutated only by the application thread (fast CAS or
+	// slow-path update); the eligibility bits are cleared and
+	// republished by whichever thread holds the engine lock.
 	hot atomic.Uint64
 
 	// State is protocol-defined (for the SC protocol: Invalid, Shared,
@@ -70,13 +71,18 @@ type Region struct {
 //	bits 16–31  open write sections (Writers)
 //	bit  32     fast-path-eligible for read brackets (FastRead)
 //	bit  33     fast-path-eligible for write brackets (FastWrite)
+//	bit  34     fast-path-eligible for write brackets whose close logs
+//	            the region (FastWriteLogged)
 //	bits 40–47  mirror of the protocol State's low byte (observability
 //	            only; the authoritative State field is engine-locked)
+//	bit  48     written: the region is on its space's write log
 //
 // ABA on the word is benign: the entire decision state of a fast
 // bracket (eligibility bit plus count) lives in the word itself, so any
 // successful CAS observed a word for which the transition is valid,
-// regardless of intervening history.
+// regardless of intervening history. The written bit is set and cleared
+// only by the application thread, which also owns the write log, so the
+// bit and the log agree whenever that thread looks.
 const (
 	rwReaderShift = 0
 	rwWriterShift = 16
@@ -84,9 +90,12 @@ const (
 	rwFastShift   = 32
 	rwFastRead    = uint64(FastRead) << rwFastShift
 	rwFastWrite   = uint64(FastWrite) << rwFastShift
-	rwFastMask    = rwFastRead | rwFastWrite
+	rwFastLogged  = uint64(FastWriteLogged) << rwFastShift
+	rwFastWrites  = rwFastWrite | rwFastLogged
+	rwFastMask    = rwFastRead | rwFastWrites
 	rwStateShift  = 40
 	rwStateMask   = uint64(0xff) << rwStateShift
+	rwWritten     = uint64(1) << 48
 	rwInUseMask   = rwCountMask<<rwReaderShift | rwCountMask<<rwWriterShift
 )
 
@@ -96,13 +105,16 @@ const (
 // StartRead/EndRead (StartWrite/EndWrite) routines are no-ops for the
 // region and r.Data is valid for reading (writing) — so the runtime may
 // complete the bracket with a lock-free count transition and never
-// enter the protocol.
+// enter the protocol. FastWriteLogged promises the same for StartWrite,
+// and that EndWrite only puts the region on the write log
+// (Ctx.LogWrite), which the fast close then does itself.
 type FastBits uint8
 
 // The fast-path eligibility bits.
 const (
 	FastRead FastBits = 1 << iota
 	FastWrite
+	FastWriteLogged
 )
 
 // IsHome reports whether this processor is the region's home.
@@ -140,10 +152,45 @@ func (r *Region) tryFastEnd(bit uint64, shift uint) bool {
 	return r.hot.CompareAndSwap(w, w-1<<shift)
 }
 
-// fastEligible reports whether the eligibility bit is currently
-// published — the entire fast path for the Bare bracket variants, which
-// keep no section counts.
-func (r *Region) fastEligible(bit uint64) bool { return r.hot.Load()&bit != 0 }
+// tryFastEndWrite is tryFastEnd for write sections, gated on either
+// write eligibility bit. Under FastWriteLogged the closing CAS also sets
+// the written bit; logged reports that this CAS is the one that set it,
+// so the caller must append the region to its space's write log.
+func (r *Region) tryFastEndWrite() (ok, logged bool) {
+	w := r.hot.Load()
+	if w&rwFastWrites == 0 || w>>rwWriterShift&rwCountMask == 0 {
+		return false, false
+	}
+	nw := w - 1<<rwWriterShift
+	if w&rwFastLogged != 0 {
+		nw |= rwWritten
+	}
+	if !r.hot.CompareAndSwap(w, nw) {
+		return false, false
+	}
+	return true, w&rwWritten != nw&rwWritten
+}
+
+// tryFastEndWriteBare is tryFastEndWrite for the Bare close, which keeps
+// no count: under FastWriteLogged it only sets the written bit.
+func (r *Region) tryFastEndWriteBare() (ok, logged bool) {
+	w := r.hot.Load()
+	if w&rwFastWrites == 0 {
+		return false, false
+	}
+	if w&rwFastLogged == 0 || w&rwWritten != 0 {
+		return true, false
+	}
+	if !r.hot.CompareAndSwap(w, w|rwWritten) {
+		return false, false
+	}
+	return true, true
+}
+
+// fastEligible reports whether an eligibility bit in mask is currently
+// published — the entire fast path for the Bare bracket variants that
+// keep no section counts and log nothing.
+func (r *Region) fastEligible(mask uint64) bool { return r.hot.Load()&mask != 0 }
 
 // adjSections adjusts an open-section count from the locked slow path.
 // Only the application thread mutates counts (the SPMD model: one
@@ -157,21 +204,35 @@ func (r *Region) adjSections(delta int64, shift uint) {
 	r.hot.Add(uint64(delta) << shift)
 }
 
-// disableFast atomically withdraws both eligibility bits. After it
+// disableFast atomically withdraws the eligibility bits. After it
 // returns, no fast bracket can commit until a republish, and every fast
 // transition that committed before it is visible in the counts — the
 // ordering the engine relies on when it checks InUse/Readers/Writers
 // before acting on a region (a concurrent fast close either lands
 // before the withdrawal and is visible, or its CAS fails and the close
 // retries through the locked slow path).
-func (r *Region) disableFast() {
+func (r *Region) disableFast() { r.clearBits(rwFastMask) }
+
+// clearBits atomically clears the bits of mask in the hot word.
+func (r *Region) clearBits(mask uint64) {
 	for {
 		w := r.hot.Load()
-		if w&rwFastMask == 0 {
+		if w&mask == 0 || r.hot.CompareAndSwap(w, w&^mask) {
 			return
 		}
-		if r.hot.CompareAndSwap(w, w&^rwFastMask) {
-			return
+	}
+}
+
+// setWritten sets the written bit, reporting whether this call set it.
+// Application thread only (the write log's owner).
+func (r *Region) setWritten() bool {
+	for {
+		w := r.hot.Load()
+		if w&rwWritten != 0 {
+			return false
+		}
+		if r.hot.CompareAndSwap(w, w|rwWritten) {
+			return true
 		}
 	}
 }

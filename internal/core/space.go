@@ -81,6 +81,32 @@ type Space struct {
 	// hits, Map and Unmap of null hooks) not yet added to the recorder.
 	// Application-thread private, so counting them is a plain increment.
 	tally opTally
+
+	// log is the space's write log: the regions whose written bit is
+	// set, in the order it was set — by a FastWriteLogged close or by
+	// Ctx.LogWrite from a section-end hook. Application-thread private
+	// like tally; protocols drain it with Ctx.TakeWrites.
+	log []*Region
+}
+
+// logWrite puts r on the write log unless its written bit says it is
+// there already. Application thread only.
+func (sp *Space) logWrite(r *Region) {
+	if r.setWritten() {
+		sp.log = append(sp.log, r)
+	}
+}
+
+// takeLog empties the write log, clearing each region's written bit,
+// and returns the regions. The slice is valid until the next logged
+// write. Application thread only.
+func (sp *Space) takeLog() []*Region {
+	rs := sp.log
+	for _, r := range rs {
+		r.clearBits(rwWritten)
+	}
+	sp.log = rs[:0]
+	return rs
 }
 
 // foldEvery is how many untimed lock-free operations a space's tally

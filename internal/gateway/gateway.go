@@ -181,9 +181,13 @@ type Gateway struct {
 // command loops and the coordinator starts. Close shuts it down.
 func New(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
+	reg := proto.NewRegistry()
+	if _, err := reg.New(cfg.Protocol); err != nil {
+		return nil, err
+	}
 	opts := core.Options{
 		Procs:    cfg.Procs,
-		Registry: proto.NewRegistry(),
+		Registry: reg,
 		Adapt:    cfg.Adapt,
 	}
 	cl, err := core.NewCluster(opts)
@@ -459,7 +463,9 @@ func (g *Gateway) procLoop(p *core.Proc) error {
 				}
 				rm.sps[me] = nil
 			}
-			if rm.freeing.Add(-1) == 0 {
+			// A create that failed was never counted, so its cleanup
+			// is not counted either.
+			if rm.freeing.Add(-1) == 0 && rm.reg != nil {
 				g.stats.RoomsDestroyed.Add(1)
 			}
 		case ctlBarrier:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -159,6 +160,47 @@ func TestJoinApplyLeave(t *testing.T) {
 	}
 	if s := g.Stats().Snapshot(); s.RoomsCreated != 1 {
 		t.Fatalf("rooms created %d, want 1", s.RoomsCreated)
+	}
+}
+
+// TestUnknownProtocolRefused: New refuses a protocol its registry does
+// not know, with the registry's error, instead of starting a gateway
+// whose every join fails. A create that does fail after the collective
+// NewSpace — forced here by renaming the protocol before serving — is
+// reported to the client and cleaned up, but counted neither created
+// nor destroyed.
+func TestUnknownProtocolRefused(t *testing.T) {
+	if g, err := New(Config{Procs: 2, Protocol: "nope"}); err == nil {
+		g.Close()
+		t.Fatal("New accepted an unknown protocol")
+	} else if !strings.Contains(err.Error(), `unknown protocol "nope"`) {
+		t.Fatalf("New: %v, want the registry's unknown-protocol error", err)
+	}
+
+	g, err := New(Config{Procs: 2})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	g.cfg.Protocol = "nope"
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		g.Close()
+		t.Fatalf("listen: %v", err)
+	}
+	srv := g.Serve(ln)
+	c := dial(t, srv)
+	if _, _, err := c.Join("alpha"); err == nil || !strings.Contains(err.Error(), "room create failed") {
+		t.Errorf("join on a failing create: %v, want room create failed", err)
+	}
+	c.Close()
+	srv.Close()
+	if err := g.Close(); err != nil {
+		t.Fatalf("gateway close: %v", err)
+	}
+	// Close has drained every processor's command stream, the failed
+	// create's cleanup included.
+	if s := g.Stats().Snapshot(); s.RoomsCreated != 0 || s.RoomsDestroyed != 0 {
+		t.Fatalf("rooms created %d destroyed %d after a failed create, want 0 and 0", s.RoomsCreated, s.RoomsDestroyed)
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 //   - Drain: an outstanding-acknowledgement counter a processor can block
 //     on, the substrate of every split-phase (pipelined) operation;
 //   - DirtyList: the regions written since the last synchronization
-//     point, shipped there and kept consistent across a home migration;
+//     point, shipped there — a view of the runtime's write log, which
+//     the bracket fast path appends to;
 //   - PushSink: the sharer side of a barrier-time push frame, deferring
 //     records for regions the local thread holds open and acknowledging
 //     the frame once;
@@ -142,49 +143,23 @@ func (d *Drain) Wait(ctx *core.Ctx) {
 	ctx.Wait(d.waitSeq)
 }
 
-// flagDirty is the Region.Flags bit marking a region on a DirtyList. A
-// Flags bit, not PState: a sharer that writes can hold a deferred
-// inbound push in PState at the same time.
-const flagDirty uint32 = 1 << 0
+// DirtyList is a protocol's view of its space's write log (core.Ctx's
+// LogWrite and TakeWrites): the regions written since the last
+// synchronization point, each once. The log and the written bit that
+// keeps an entry unique live in the runtime, so a protocol whose
+// EndWrite only marks the region can publish core.FastWriteLogged and
+// the runtime's fast close marks it instead; every space-wide reset
+// (protocol change, home migration, checkpoint, FreeSpace) drops the
+// log.
+type DirtyList struct{}
 
-// DirtyList collects the regions written since the last synchronization
-// point, each once. Embedding it makes the protocol a core.HomeMigrator.
-type DirtyList struct {
-	regions []*core.Region
-}
+// Mark puts r on the list unless it is already there. Call from a
+// section-end hook.
+func (DirtyList) Mark(ctx *core.Ctx, r *core.Region) { ctx.LogWrite(r) }
 
-// Mark puts r on the list unless it is already there.
-func (d *DirtyList) Mark(r *core.Region) {
-	if r.Flags&flagDirty == 0 {
-		r.Flags |= flagDirty
-		d.regions = append(d.regions, r)
-	}
-}
-
-// Take empties the list and returns its regions, marks cleared. The
-// slice is valid until the next Mark.
-func (d *DirtyList) Take() []*core.Region {
-	rs := d.regions
-	for _, r := range rs {
-		r.Flags &^= flagDirty
-	}
-	d.regions = rs[:0]
-	return rs
-}
-
-// MigrateRegion (core.HomeMigrator) drops r from the list if the
-// pre-flip flush somehow left it there: a stale entry would ship the
-// next synchronization point's data to or from a home that moved away.
-// Directory state needs no action — the runtime's base-state reset
-// cleared it on both homes, and readers re-register at the new one.
-func (d *DirtyList) MigrateRegion(ctx *core.Ctx, r *core.Region, oldHome, newHome amnet.NodeID) {
-	for i, x := range d.regions {
-		if x == r {
-			d.regions = append(d.regions[:i], d.regions[i+1:]...)
-			return
-		}
-	}
-}
+// Take empties sp's list and returns its regions. The slice is valid
+// until the next Mark or fast logged close.
+func (DirtyList) Take(ctx *core.Ctx, sp *core.Space) []*core.Region { return ctx.TakeWrites(sp) }
 
 // PushSink applies inbound push frames on a sharer. Each frame is
 // acknowledged by one AckVerb message echoing the frame's tag in B.

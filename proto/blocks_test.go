@@ -344,12 +344,16 @@ func TestFetchDeferredDuringHomeWrite(t *testing.T) {
 }
 
 // TestProtocolsUseBlocks is the building-block gate: outside blocks.go,
-// no protocol keeps its own acknowledgement counter or dirty list, and
-// none hand-rolls a fetch round trip. It parses the package's non-test
+// no protocol keeps its own acknowledgement counter or hand-rolls a
+// fetch round trip, and nowhere in the package — DirtyList included —
+// does a protocol keep its own dirty list: the write log and its
+// written bit belong to the runtime. It parses the package's non-test
 // sources and fails on
 //
 //   - a struct field named outstanding, drainSeq or waitSeq (Drain's
-//     state), or of type []*core.Region (DirtyList's);
+//     state) outside blocks.go;
+//   - a struct field of type []*core.Region (a dirty slice), or a
+//     Flags expression naming a dirty bit;
 //   - a call to NewWaiter outside the waits that are not fetches:
 //     atomic's home-queue wait and migratory's home-queue wait and
 //     ownership flush.
@@ -365,14 +369,46 @@ func TestProtocolsUseBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
+	// dirtyFlag reports (and fails on) an expression that names both
+	// Region.Flags and a dirty bit.
+	dirtyFlag := func(pos token.Pos, es ...ast.Expr) bool {
+		var src []string
+		for _, e := range es {
+			src = append(src, types.ExprString(e))
+		}
+		all := strings.Join(src, " ")
+		if !strings.Contains(all, ".Flags") || !strings.Contains(strings.ToLower(all), "dirty") {
+			return false
+		}
+		t.Errorf("%s: dirty bit in Region.Flags (%s): use DirtyList", fset.Position(pos), all)
+		return true
+	}
 	scanned := 0
 	for _, name := range files {
-		if strings.HasSuffix(name, "_test.go") || name == "blocks.go" {
+		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		f, err := parser.ParseFile(fset, name, nil, 0)
 		if err != nil {
 			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.StructType:
+				for _, field := range n.Fields.List {
+					if typ := types.ExprString(field.Type); typ == "[]*core.Region" {
+						t.Errorf("%s: struct field of type %s: use DirtyList", fset.Position(field.Pos()), typ)
+					}
+				}
+			case *ast.BinaryExpr:
+				return !dirtyFlag(n.Pos(), n)
+			case *ast.AssignStmt:
+				return !dirtyFlag(n.Pos(), append(n.Lhs, n.Rhs...)...)
+			}
+			return true
+		})
+		if name == "blocks.go" {
+			continue
 		}
 		scanned++
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -381,9 +417,6 @@ func TestProtocolsUseBlocks(t *testing.T) {
 				return true
 			}
 			for _, field := range st.Fields.List {
-				if typ := types.ExprString(field.Type); typ == "[]*core.Region" {
-					t.Errorf("%s: struct field of type %s: use DirtyList", fset.Position(field.Pos()), typ)
-				}
 				for _, id := range field.Names {
 					if banned[id.Name] {
 						t.Errorf("%s: struct field %s: use Drain", fset.Position(id.Pos()), id.Name)

@@ -111,7 +111,7 @@ func (u *updateProto) EndRead(ctx *core.Ctx, r *core.Region) {
 // phase contract only validates reads across barriers, where the frame
 // has drained.
 func (u *updateProto) EndWrite(ctx *core.Ctx, r *core.Region) {
-	u.Mark(r)
+	u.Mark(ctx, r)
 	u.sectionEnd(ctx, r)
 }
 
@@ -159,7 +159,7 @@ func (u *updateProto) Barrier(ctx *core.Ctx, sp *core.Space) {
 // writer-frame transaction. After it the home copies are authoritative
 // and no protocol traffic is in flight.
 func (u *updateProto) FlushSpace(ctx *core.Ctx, sp *core.Space) {
-	if dirty := u.Take(); len(dirty) > 0 {
+	if dirty := u.Take(ctx, sp); len(dirty) > 0 {
 		if u.batch == nil {
 			u.batch = ctx.NewBatcher(sp, duWrite)
 		}
@@ -262,22 +262,22 @@ func (u *updateProto) DeliverBatch(ctx *core.Ctx, sp *core.Space, src amnet.Node
 	}
 }
 
-// FastBits: reads are hit-eligible exactly when the end-of-section drain
-// has nothing to do. At the home, StartRead is a no-op and EndRead only
-// matters when work was deferred during an open section — so a quiet
-// deferral queue makes read brackets free. On a sharer, StartRead is a
-// no-op once the copy is valid and EndRead only settles a deferred push
-// (PState non-nil). Writes are never eligible: every EndWrite puts the
-// region on the dirty list, home included.
+// FastBits: brackets are hit-eligible exactly when the end-of-section
+// drain has nothing to do. At the home, StartRead and StartWrite are
+// no-ops and the end hooks only matter when work was deferred during an
+// open section — so a quiet deferral queue makes read brackets free. On
+// a sharer, the starts are no-ops once the copy is valid and the ends
+// only settle a deferred push (PState non-nil). EndWrite also puts the
+// region on the dirty list, so writes are logged hits.
 func (u *updateProto) FastBits(r *core.Region) core.FastBits {
 	if r.IsHome() {
 		if h, _ := r.Dir.PData.(*duHome); h != nil && len(h.pendingApply) > 0 || len(r.Dir.Waiting) > 0 {
 			return 0
 		}
-		return core.FastRead
+		return core.FastRead | core.FastWriteLogged
 	}
 	if r.State == stValid && r.PState == nil {
-		return core.FastRead
+		return core.FastRead | core.FastWriteLogged
 	}
 	return 0
 }

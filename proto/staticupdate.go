@@ -75,7 +75,7 @@ func (s *staticUpdateProto) StartWrite(ctx *core.Ctx, r *core.Region) {
 // EndWrite marks the region dirty and serves sharer fetches that
 // arrived during the write section.
 func (s *staticUpdateProto) EndWrite(ctx *core.Ctx, r *core.Region) {
-	s.Mark(r)
+	s.Mark(ctx, r)
 	s.fetch.ServeDeferred(ctx, r)
 }
 
@@ -89,7 +89,7 @@ func (s *staticUpdateProto) FlushSpace(ctx *core.Ctx, sp *core.Space) {
 	if s.batch == nil {
 		s.batch = ctx.NewBatcher(sp, suPush)
 	}
-	for _, r := range s.Take() {
+	for _, r := range s.Take(ctx, sp) {
 		r.Dir.Sharers.ForEach(func(n amnet.NodeID) { s.batch.Add(n, r) })
 	}
 	s.drain.Add(s.batch.Flush(ctx, nil))
@@ -114,11 +114,18 @@ func (s *staticUpdateProto) DeliverBatch(ctx *core.Ctx, sp *core.Space, src amne
 // FastBits: reads are hit-eligible at the home unconditionally (home
 // StartRead returns immediately and home EndRead has no deferred push
 // to settle) and on a sharer whose copy is valid with no deferred push
-// (EndRead must settle it). Writes are never eligible: EndWrite is
-// load-bearing at the home — dirty-list bookkeeping plus serving
-// fetches deferred during the section — and remote writes panic.
+// (EndRead must settle it). Home writes are logged hits while no fetch
+// waits on the directory: EndWrite then only marks the region dirty.
+// A fetch deferred during the section withdraws the bit, so the close
+// goes slow and serves it; remote writes panic.
 func (s *staticUpdateProto) FastBits(r *core.Region) core.FastBits {
-	if r.IsHome() || r.State == stValid && r.PState == nil {
+	if r.IsHome() {
+		if len(r.Dir.Waiting) > 0 {
+			return core.FastRead
+		}
+		return core.FastRead | core.FastWriteLogged
+	}
+	if r.State == stValid && r.PState == nil {
 		return core.FastRead
 	}
 	return 0

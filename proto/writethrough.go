@@ -62,7 +62,7 @@ func (w *writeThrough) StartWrite(ctx *core.Ctx, r *core.Region) { w.fetch.Pull(
 // the protocol's barrier-scoped read validity permits).
 func (w *writeThrough) EndWrite(ctx *core.Ctx, r *core.Region) {
 	if !r.IsHome() {
-		w.Mark(r)
+		w.Mark(ctx, r)
 	}
 }
 
@@ -85,7 +85,7 @@ func (w *writeThrough) DeliverBatch(ctx *core.Ctx, sp *core.Space, src amnet.Nod
 // FlushSpace ships the dirty stores as one wtStore frame per home and
 // drains them.
 func (w *writeThrough) FlushSpace(ctx *core.Ctx, sp *core.Space) {
-	if dirty := w.Take(); len(dirty) > 0 {
+	if dirty := w.Take(ctx, sp); len(dirty) > 0 {
 		if w.batch == nil {
 			w.batch = ctx.NewBatcher(sp, wtStore)
 		}
@@ -107,14 +107,14 @@ func (w *writeThrough) Barrier(ctx *core.Ctx, sp *core.Space) {
 
 // FastBits: every bracket routine early-returns at the home (stores land
 // there directly), so home brackets of both kinds are hit-eligible. A
-// remote copy supports fast reads once valid; remote writes always put
-// the region on the dirty list from EndWrite and stay on the slow path.
+// valid remote copy is a read hit and a logged write hit: its EndWrite
+// only puts the region on the dirty list.
 func (w *writeThrough) FastBits(r *core.Region) core.FastBits {
 	if r.IsHome() {
 		return core.FastRead | core.FastWrite
 	}
 	if r.State == stValid {
-		return core.FastRead
+		return core.FastRead | core.FastWriteLogged
 	}
 	return 0
 }
