@@ -10,7 +10,7 @@ GO ?= go
 # the session fan-out: per-session writers, the coordinator, and the
 # room drains all share the stats and send-queue paths. faultnet's
 # scheduler goroutine runs beside senders, Kill and Quiesce.
-RACE_PKGS = ./internal/trace ./internal/core ./internal/memory ./internal/amnet ./internal/faultnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway
+RACE_PKGS = ./internal/trace ./internal/core ./internal/memory ./internal/amnet ./internal/faultnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway ./internal/bench
 
 .PHONY: ci vet build test bench-test race fuzz-smoke bench-compare bench-allocs coll-bench chaos-smoke cluster-smoke gate-smoke examples-smoke paper-smoke
 

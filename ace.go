@@ -165,9 +165,6 @@ type (
 	Checkpoint = core.Checkpoint
 	// CheckpointRegion is one home region's contents in a Checkpoint.
 	CheckpointRegion = core.CheckpointRegion
-	// HomeMigrator is the optional protocol hook invoked during
-	// Proc.MigrateHome's ownership flip.
-	HomeMigrator = core.HomeMigrator
 	// PeerLostError reports which peer's loss failed a blocked wait.
 	PeerLostError = core.PeerLostError
 	// SyncStallError reports a synchronization wait that outlived

@@ -7,21 +7,6 @@ import (
 	"github.com/acedsm/ace/internal/trace"
 )
 
-// HomeMigrator is an optional protocol interface: a protocol that keeps
-// per-region state keyed by the home (push targets, say) can observe a
-// MigrateHome flip. The write log behind proto.DirtyList needs no hook:
-// the flush that opens MigrateHome drops it. MigrateRegion is invoked on every
-// processor during the flip, under the space's engine lock, after the
-// runtime has reset r's protocol-owned state and reassigned the
-// directory — oldHome and newHome let the protocol drop or rebuild any
-// home-keyed bookkeeping of its own. Protocols without home-keyed state
-// need not implement it: the base-state reset already leaves every
-// cached copy invalid, so readers re-fetch from the new home and
-// re-register as sharers lazily.
-type HomeMigrator interface {
-	MigrateRegion(ctx *Ctx, r *Region, oldHome, newHome amnet.NodeID)
-}
-
 // MigrateHome reassigns region id's home to newHome. It is a collective
 // operation on ChangeProtocol's reset path: flushToBase drives the space
 // to the base state (authoritative data at the current home, no dirty
@@ -102,9 +87,6 @@ func (p *Proc) MigrateHome(sp *Space, id RegionID, newHome amnet.NodeID) error {
 			r.Dir.LockHolder = holder
 		}
 		r.Home = newHome
-		if hm, ok := sp.Proto.(HomeMigrator); ok {
-			hm.MigrateRegion(sp.ctx, r, oldHome, newHome)
-		}
 		sp.refreshFast(r)
 	}
 	sp.eng.Unlock()

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
@@ -129,7 +128,3 @@ func Checksum(state []int64) uint64 {
 	}
 	return sum
 }
-
-// ErrSlowClosed is returned by helpers when the server closed the
-// connection (for example under the SlowClose policy).
-var ErrSlowClosed = errors.New("gateway client: connection closed by server")

@@ -8,18 +8,18 @@
 //
 // Concurrency model. The gateway runs an in-process Ace cluster whose
 // application threads execute a command loop instead of an SPMD
-// program. A single coordinator goroutine is the only producer of
-// commands: collective commands (create, destroy, barrier) are pushed
-// to every processor's channel in the same order — which is exactly
-// the collective call discipline NewSpace/FreeSpace/Barrier demand —
-// while drain commands go only to the room's home processor. The
-// coordinator waits for creates, barriers and stop, but not for
-// destroys: each channel is FIFO, so a destroy already runs before any
-// later command, and the processor that finishes it last counts it. Client
-// sessions never touch the runtime directly: readers enqueue decoded
-// ops on the room's bounded op queue, the home processor's loop
-// applies them through brackets, and events flow back through each
-// session's bounded send queue under a slow-client policy.
+// program. A room's ops touch only its home processor: a reader appends
+// the op to the room's bounded queue and, if the room was idle, posts a
+// drain straight to the home, which serves its ready rooms round-robin,
+// one quantum each. One coordinator goroutine orders what the whole
+// cluster sees: joins, leaves, and the collectives (create, destroy,
+// barrier, stop), pushed to every processor in the same order, as
+// NewSpace/FreeSpace/Barrier demand. It waits for all but destroys:
+// each channel is FIFO, so a destroy runs before any later command, and
+// the processor that finishes it last counts it. A home asks the
+// coordinator for its rooms' periodic barriers without blocking. Events
+// flow back through each session's bounded send queue under a
+// slow-client policy.
 package gateway
 
 import (
@@ -99,7 +99,7 @@ const (
 	ctlCreate  = iota // collective: NewSpace + room region setup
 	ctlDestroy        // collective, not waited for: FreeSpace
 	ctlBarrier        // collective: space barrier (adapt evaluation)
-	ctlDrain          // home only: apply queued ops through brackets
+	ctlDrain          // home only: the room joins the run queue
 	ctlStop           // collective: exit the command loop
 )
 
@@ -137,12 +137,11 @@ type room struct {
 	ops     []roomOp
 	dead    bool
 
-	// queued marks the room as present in the gateway's ready queue, so
-	// it occupies at most one slot there (the fairness scheduler's
-	// round-robin invariant).
-	queued atomic.Bool
+	// queued: posted to the home, on its channel or in its run queue,
+	// so the room is there at most once. Guarded by mu.
+	queued bool
 
-	drains int // drains since the last barrier tick (home proc only)
+	drains int // drains since the last barrier request (home proc only)
 }
 
 // request kinds from sessions to the coordinator.
@@ -150,12 +149,14 @@ const (
 	reqJoin = iota
 	reqLeave
 	reqDisconnect
+	reqBarrier // from a home: a collective barrier on rm's space
 )
 
 type request struct {
 	kind int
 	room string
 	sess *session
+	rm   *room
 }
 
 // Gateway multiplexes websocket sessions onto room spaces.
@@ -164,9 +165,8 @@ type Gateway struct {
 	cl    *core.Cluster
 	stats trace.GateStats
 
-	reqCh   chan request
-	readyCh chan *room // rooms with queued ops; ≤1 entry per room
-	ctl     []chan ctlCmd
+	reqCh chan request
+	ctl   []chan ctlCmd
 
 	mu     sync.Mutex
 	rooms  map[string]*room
@@ -198,7 +198,6 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:     cfg,
 		cl:      cl,
 		reqCh:   make(chan request, 1024),
-		readyCh: make(chan *room, 1<<16),
 		ctl:     make([]chan ctlCmd, cfg.Procs),
 		rooms:   make(map[string]*room),
 		runDone: make(chan error, 1),
@@ -243,10 +242,8 @@ func (g *Gateway) Close() error {
 	return err
 }
 
-// coordinator is the single producer of processor commands. It owns
-// room lifecycle: create-on-first-join, destroy-on-last-leave, and
-// round-robin drain dispatch across ready rooms (per-room fairness:
-// every ready room gets one quantum before any room gets a second).
+// coordinator issues every collective: room lifecycle (create on first
+// join, destroy on last leave) and the rooms' barriers.
 func (g *Gateway) coordinator() {
 	for {
 		select {
@@ -255,8 +252,6 @@ func (g *Gateway) coordinator() {
 			return
 		case req := <-g.reqCh:
 			g.handleRequest(req)
-		case rm := <-g.readyCh:
-			g.dispatchDrain(rm)
 		}
 	}
 }
@@ -264,10 +259,7 @@ func (g *Gateway) coordinator() {
 // shutdown destroys all rooms and stops the processor loops.
 func (g *Gateway) shutdown() {
 	g.mu.Lock()
-	rooms := make([]*room, 0, len(g.rooms))
-	for _, rm := range g.rooms {
-		rooms = append(rooms, rm)
-	}
+	rooms := g.rooms
 	g.rooms = map[string]*room{}
 	g.mu.Unlock()
 	for _, rm := range rooms {
@@ -299,6 +291,8 @@ func (g *Gateway) handleRequest(req request) {
 			g.leave(req.sess, name)
 		}
 		g.stats.SessionsClosed.Add(1)
+	case reqBarrier:
+		g.collective(ctlCmd{kind: ctlBarrier, room: req.rm})
 	}
 }
 
@@ -394,25 +388,11 @@ func (g *Gateway) destroyRoom(rm *room) {
 	}
 }
 
-// dispatchDrain hands one ready room a quantum on its home processor.
-func (g *Gateway) dispatchDrain(rm *room) {
-	rm.queued.Store(false)
-	rm.mu.Lock()
-	skip := rm.dead || len(rm.ops) == 0
-	rm.mu.Unlock()
-	if skip {
-		return
-	}
-	g.ctl[rm.home] <- ctlCmd{kind: ctlDrain, room: rm}
-	if rm.drains++; rm.drains >= barrierEvery {
-		rm.drains = 0
-		g.collective(ctlCmd{kind: ctlBarrier, room: rm})
-	}
-}
-
-// enqueueOp appends one client op to the room's bounded queue and
-// marks the room ready. An op from a session that is not a member, a
-// full queue or a dead room drops the op; the non-member is told why.
+// enqueueOp appends one client op to the room's bounded queue and, if
+// the room was idle, posts a drain to its home. Only a published room
+// takes ops, so the drain follows the create. An op from a session that
+// is not a member, a full queue or a dead room drops the op; the
+// non-member is told why.
 func (g *Gateway) enqueueOp(rm *room, op roomOp) {
 	rm.mu.Lock()
 	_, member := rm.members[op.sess]
@@ -426,10 +406,15 @@ func (g *Gateway) enqueueOp(rm *room, op roomOp) {
 	}
 	rm.ops = append(rm.ops, op)
 	depth := len(rm.ops)
+	post := !rm.queued
+	rm.queued = true
 	rm.mu.Unlock()
 	g.stats.ObserveOpQueue(depth)
-	if rm.queued.CompareAndSwap(false, true) {
-		g.readyCh <- rm
+	if post {
+		select {
+		case g.ctl[rm.home] <- ctlCmd{kind: ctlDrain, room: rm}:
+		case <-g.coDone:
+		}
 	}
 }
 
@@ -443,12 +428,33 @@ func roomHome(name string, procs int) int {
 	return int(h % uint32(procs))
 }
 
-// procLoop is each processor's application thread: it executes the
-// coordinator's command stream. Collective commands appear in the same
-// order in every stream; drains only in the home's.
+// procLoop is each processor's application thread. It runs its command
+// stream, whose collectives every processor sees in the same order, and
+// between commands serves its ready rooms round-robin: a room with ops
+// left goes behind every room that became ready during its quantum.
 func (g *Gateway) procLoop(p *core.Proc) error {
 	me := p.ID()
-	for cmd := range g.ctl[me] {
+	var run []*room // ready rooms homed here, in turn order
+	var last *room  // the room just served, if it has ops left
+	for {
+		var cmd ctlCmd
+		select {
+		case cmd = <-g.ctl[me]:
+		default:
+			if last != nil {
+				run, last = append(run, last), nil
+				continue
+			}
+			if len(run) > 0 {
+				rm := run[0]
+				run = run[1:]
+				if g.drain(p, rm) {
+					last = rm
+				}
+				continue
+			}
+			cmd = <-g.ctl[me]
+		}
 		switch cmd.kind {
 		case ctlCreate:
 			g.doCreate(p, cmd.room)
@@ -474,13 +480,12 @@ func (g *Gateway) procLoop(p *core.Proc) error {
 			}
 			cmd.done.Done()
 		case ctlDrain:
-			g.drain(p, cmd.room)
+			run = append(run, cmd.room)
 		case ctlStop:
 			cmd.done.Done()
 			return nil
 		}
 	}
-	return nil
 }
 
 // doCreate is the per-processor half of room creation: collective
@@ -507,39 +512,42 @@ func (g *Gateway) doCreate(p *core.Proc, rm *room) {
 }
 
 // drain applies up to one quantum of the room's queued ops through
-// brackets on the home processor, broadcasting deltas to members. The
-// space is resolved through its generation-tagged ref: a drain racing
-// a destroy observes the stale ref and drops the batch instead of
-// touching the slot's next occupant.
-func (g *Gateway) drain(p *core.Proc, rm *room) {
+// brackets on the home processor, broadcasting deltas to members, and
+// reports whether ops remain; if none do, the room is no longer queued.
+// The space is resolved through its generation-tagged ref: a drain
+// racing a destroy observes the stale ref and drops the batch instead
+// of touching the slot's next occupant.
+func (g *Gateway) drain(p *core.Proc, rm *room) bool {
 	rm.mu.Lock()
-	n := len(rm.ops)
-	if n > quantum {
-		n = quantum
-	}
+	n := min(len(rm.ops), quantum)
 	batch := rm.ops[:n:n]
 	rm.ops = rm.ops[n:]
 	rm.mu.Unlock()
-	if n == 0 {
-		return
-	}
 	if _, err := p.SpaceByRef(rm.ref); err != nil {
 		g.stats.StaleSpaceRefs.Add(uint64(n))
 		g.stats.OpsDropped.Add(uint64(n))
-		return
+		batch = nil
+	} else if n > 0 {
+		// Every barrierEvery drains the space takes a barrier, which only
+		// the coordinator issues. Asking never blocks: if reqCh is full,
+		// the count stands and the next drain asks again.
+		if rm.drains++; rm.drains >= barrierEvery {
+			select {
+			case g.reqCh <- request{kind: reqBarrier, rm: rm}:
+				rm.drains = 0
+			default:
+			}
+		}
 	}
 	r := rm.reg
 	for _, op := range batch {
 		switch op.f.Kind {
-		case OpSet:
+		case OpSet, OpAdd:
 			p.StartWrite(r)
-			r.Data.SetInt64(op.f.Cell, op.f.Value)
-			p.EndWrite(r)
-			g.stats.OpsApplied.Add(1)
-			g.broadcast(rm, Frame{Kind: EvDelta, Room: rm.name, Cell: op.f.Cell, Value: op.f.Value})
-		case OpAdd:
-			p.StartWrite(r)
-			v := r.Data.Int64(op.f.Cell) + op.f.Value
+			v := op.f.Value
+			if op.f.Kind == OpAdd {
+				v += r.Data.Int64(op.f.Cell)
+			}
 			r.Data.SetInt64(op.f.Cell, v)
 			p.EndWrite(r)
 			g.stats.OpsApplied.Add(1)
@@ -557,14 +565,11 @@ func (g *Gateway) drain(p *core.Proc, rm *room) {
 			g.stats.OpsDropped.Add(1)
 		}
 	}
-	// Requeue behind every other ready room if work remains — the
-	// per-room fairness half of the scheduler.
 	rm.mu.Lock()
 	more := !rm.dead && len(rm.ops) > 0
+	rm.queued = more
 	rm.mu.Unlock()
-	if more && rm.queued.CompareAndSwap(false, true) {
-		g.readyCh <- rm
-	}
+	return more
 }
 
 // broadcast sends an event to every member through its bounded send

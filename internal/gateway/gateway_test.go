@@ -547,7 +547,7 @@ func TestSlowClientDropBudget(t *testing.T) {
 
 // TestConcurrentSessionsChurn runs many sessions joining, writing and
 // leaving overlapping rooms concurrently — the -race workout for the
-// coordinator, the worker pump, and the session queues.
+// coordinator, the home processors' run queues, and the session queues.
 func TestConcurrentSessionsChurn(t *testing.T) {
 	g, srv := startGateway(t, Config{Procs: 3})
 	const sessions, rounds, rooms = 12, 4, 5
@@ -597,4 +597,101 @@ func TestConcurrentSessionsChurn(t *testing.T) {
 	if slots := g.SpaceSlots(); slots > 1+rooms {
 		t.Fatalf("space table at %d slots after churn (max %d rooms live)", slots, rooms)
 	}
+}
+
+// TestHomeRoundRobin: rooms that share a home processor take turns, one
+// quantum each. A busy room with more than two quanta of ops and a quiet
+// room with one op are posted to the home together; the quiet room's op
+// must be applied before the busy room's queue empties. One client in
+// both rooms sees the home's apply order in its event stream.
+func TestHomeRoundRobin(t *testing.T) {
+	const procs, busyOps = 2, 3 * quantum
+	g, srv := startGateway(t, Config{Procs: procs, SendQueue: 4 * busyOps})
+	c := dial(t, srv)
+	defer c.Close()
+	busyName, quietName := "busy", ""
+	for i := 0; quietName == ""; i++ {
+		if name := fmt.Sprintf("quiet-%d", i); roomHome(name, procs) == roomHome(busyName, procs) {
+			quietName = name
+		}
+	}
+	rooms := make([]*room, 2)
+	for i, name := range []string{busyName, quietName} {
+		if _, _, err := c.Join(name); err != nil {
+			t.Fatalf("join %s: %v", name, err)
+		}
+		g.mu.Lock()
+		rm := g.rooms[name]
+		g.mu.Unlock()
+		waitFor(t, name+" idle", func() bool {
+			rm.mu.Lock()
+			defer rm.mu.Unlock()
+			return !rm.queued
+		})
+		rooms[i] = rm
+	}
+	busy, quiet := rooms[0], rooms[1]
+
+	// Queue both rooms' ops by hand and post both drains while holding
+	// the busy room's lock, so the home cannot start on the busy room
+	// before the quiet one is on its channel.
+	busy.mu.Lock()
+	for v := 1; v <= busyOps; v++ {
+		busy.ops = append(busy.ops, roomOp{f: Frame{Kind: OpSet, Room: busyName, Value: int64(v)}})
+	}
+	busy.queued = true
+	quiet.mu.Lock()
+	quiet.ops = append(quiet.ops, roomOp{f: Frame{Kind: OpSet, Room: quietName, Value: 1}})
+	quiet.queued = true
+	quiet.mu.Unlock()
+	g.ctl[busy.home] <- ctlCmd{kind: ctlDrain, room: busy}
+	g.ctl[busy.home] <- ctlCmd{kind: ctlDrain, room: quiet}
+	busy.mu.Unlock()
+
+	busyDone, quietAt := 0, -1
+	for busyDone < busyOps || quietAt < 0 {
+		f, err := c.WaitFor(EvDelta, "")
+		if err != nil {
+			t.Fatalf("delta: %v", err)
+		}
+		if f.Room == quietName {
+			quietAt = busyDone
+		} else {
+			busyDone++
+		}
+	}
+	if quietAt >= busyOps {
+		t.Fatalf("quiet room applied after all %d busy ops: the busy room drained to empty in one turn", busyOps)
+	}
+}
+
+// TestAdaptEpochsAtHomeBarriers: with the adaptive controller on, a room
+// driven one op at a time takes a space barrier every barrierEvery
+// drains, so after barrierEvery × EpochBarriers drains the controller
+// has evaluated the room's space at least once.
+func TestAdaptEpochsAtHomeBarriers(t *testing.T) {
+	const epochBarriers = 2
+	g, srv := startGateway(t, Config{Procs: 2, Adapt: &core.AdaptConfig{EpochBarriers: epochBarriers}})
+	c := dial(t, srv)
+	defer c.Close()
+	space, _, err := c.Join("adapt")
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	for i := 0; i < barrierEvery*epochBarriers; i++ {
+		if err := c.Add("adapt", 0, 1); err != nil {
+			t.Fatalf("add: %v", err)
+		}
+		if _, err := c.WaitFor(EvDelta, "adapt"); err != nil {
+			t.Fatalf("delta %d: %v", i, err)
+		}
+	}
+	waitFor(t, "an adaptive epoch on the room's space", func() bool {
+		for _, a := range g.cl.Metrics().Adapt {
+			if a.Space == space && a.Epochs >= 1 {
+				return true
+			}
+		}
+		return false
+	})
 }

@@ -76,8 +76,8 @@ func (s *session) closeSession() {
 }
 
 // send enqueues one encoded event frame, applying the slow-client
-// policy when the bounded queue is full. Never blocks: a gateway
-// worker must not stall behind one slow client.
+// policy when the bounded queue is full. Never blocks: a home
+// processor must not stall behind one slow client.
 func (s *session) send(frame []byte) {
 	if s.closed.Load() {
 		return
@@ -127,10 +127,6 @@ func (s *session) writeLoop() {
 	}
 }
 
-// readLoop decodes client frames and routes them: joins and leaves to
-// the coordinator, data ops straight onto the room's op queue.
-// Malformed frames are counted and answered with EvError — never a
-// panic, and never a crashed session for a recoverable decode error.
 // request files a request with the coordinator, giving up if the
 // gateway is shutting down (the coordinator no longer drains reqCh).
 func (s *session) request(req request) {
@@ -140,6 +136,10 @@ func (s *session) request(req request) {
 	}
 }
 
+// readLoop decodes client frames and routes them: joins and leaves to
+// the coordinator, data ops onto the room's op queue and its home.
+// Malformed frames are counted and answered with EvError — never a
+// panic, and never a crashed session for a recoverable decode error.
 func (s *session) readLoop() {
 	defer func() {
 		s.closeSession()

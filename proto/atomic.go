@@ -19,7 +19,12 @@ import (
 // bump costs an ownership transfer through whichever processor last
 // touched the counter.
 //
-// Read sections always fetch fresh contents from the home.
+// Read sections always fetch fresh contents from the home, and every
+// read sees a whole released value. The home's thread reads and writes
+// its copy without the engine lock, so only that thread writes it: a
+// fetch that arrives while the home holds the queue waits for the
+// release, and a value a remote holder releases is kept aside until the
+// home's next section (or flush) installs it.
 func AtomicInfo() core.Info {
 	return core.Info{
 		Name:        "atomic",
@@ -44,6 +49,24 @@ const (
 type atHome struct {
 	holder  amnet.NodeID // -1 when free
 	waiting []core.PendingReq
+	rel     []byte // last remote release, when pending
+	pending bool   // rel is newer than r.Data
+}
+
+// value returns the region's current contents at the home.
+func (h *atHome) value(r *core.Region) []byte {
+	if h.pending {
+		return h.rel
+	}
+	return r.Data
+}
+
+// install copies a pending release into the home copy. Home thread only.
+func (h *atHome) install(r *core.Region) {
+	if h.pending {
+		copy(r.Data, h.rel)
+		h.pending = false
+	}
 }
 
 // atomicProto's drain counts the releases this processor has shipped
@@ -81,13 +104,14 @@ func (a *atomicProto) StartWrite(ctx *core.Ctx, r *core.Region) {
 		h := atHomeState(r)
 		if h.holder < 0 {
 			h.holder = ctx.ID()
-			return // the home copy is authoritative
+		} else {
+			// Queue behind the holder until release hands the queue
+			// here.
+			seq := ctx.NewWaiter()
+			h.waiting = append(h.waiting, core.PendingReq{Src: ctx.ID(), Seq: seq})
+			ctx.Wait(seq)
 		}
-		// Queue behind the holder; the home copy is authoritative
-		// again once release hands the queue here.
-		seq := ctx.NewWaiter()
-		h.waiting = append(h.waiting, core.PendingReq{Src: ctx.ID(), Seq: seq})
-		ctx.Wait(seq)
+		h.install(r)
 		return
 	}
 	a.acq.Fetch(ctx, r)
@@ -97,6 +121,7 @@ func (a *atomicProto) StartWrite(ctx *core.Ctx, r *core.Region) {
 // the home releases directly.
 func (a *atomicProto) EndWrite(ctx *core.Ctx, r *core.Region) {
 	if r.IsHome() {
+		a.get.ServeDeferred(ctx, r)
 		a.release(ctx, r, ctx.ID())
 		return
 	}
@@ -104,9 +129,8 @@ func (a *atomicProto) EndWrite(ctx *core.Ctx, r *core.Region) {
 	ctx.SendProto(r.Home, uint64(r.ID), 0, atRel, uint64(r.Space.ID), r.Data)
 }
 
-// release hands the region's queue to the next waiter at the home. The
-// current contents of r.Data are authoritative. Caller holds the runtime
-// mutex at the home.
+// release hands the region's queue to the next waiter at the home.
+// Caller holds the runtime mutex at the home.
 func (a *atomicProto) release(ctx *core.Ctx, r *core.Region, from amnet.NodeID) {
 	h := atHomeState(r)
 	if h.holder != from {
@@ -123,14 +147,17 @@ func (a *atomicProto) release(ctx *core.Ctx, r *core.Region, from amnet.NodeID) 
 		ctx.Complete(next.Seq, amnet.Msg{})
 		return
 	}
-	ctx.SendComplete(next.Src, next.Seq, 0, r.Data)
+	ctx.SendComplete(next.Src, next.Seq, 0, h.value(r))
 }
 
-// StartRead fetches a fresh snapshot from the home.
+// StartRead fetches a fresh snapshot from the home; the home installs
+// a pending release.
 func (a *atomicProto) StartRead(ctx *core.Ctx, r *core.Region) {
-	if !r.IsHome() {
-		a.get.Fetch(ctx, r)
+	if r.IsHome() {
+		atHomeState(r).install(r)
+		return
 	}
+	a.get.Fetch(ctx, r)
 }
 
 func (a *atomicProto) Barrier(ctx *core.Ctx, sp *core.Space) {
@@ -138,20 +165,36 @@ func (a *atomicProto) Barrier(ctx *core.Ctx, sp *core.Space) {
 	ctx.DefaultBarrier()
 }
 
+// FlushSpace waits for this processor's releases, then takes the queue
+// of every home region a release may still be bound for, which waits
+// that release out and installs it: the home copies are then the base
+// state.
 func (a *atomicProto) FlushSpace(ctx *core.Ctx, sp *core.Space) {
 	a.drain.Wait(ctx)
+	ctx.ForEachRegion(sp, func(r *core.Region) {
+		if !r.IsHome() {
+			return
+		}
+		if h, _ := r.Dir.PData.(*atHome); h != nil && (h.holder >= 0 || h.pending) {
+			a.StartWrite(ctx, r)
+			a.release(ctx, r, ctx.ID())
+		}
+	})
 }
 
 // FastBits: only home reads are hit-eligible — home StartRead returns
-// immediately (the home copy is authoritative) and EndRead is null.
-// Remote reads always fetch a fresh snapshot, and write sections on any
-// processor are queue acquire/release transactions, so neither may skip
-// the protocol.
+// immediately when no release is pending (the home copy is then
+// authoritative) and EndRead is null. Remote reads always fetch a fresh
+// snapshot, and write sections on any processor are queue
+// acquire/release transactions, so neither may skip the protocol.
 func (a *atomicProto) FastBits(r *core.Region) core.FastBits {
-	if r.IsHome() {
-		return core.FastRead
+	if !r.IsHome() {
+		return 0
 	}
-	return 0
+	if h, _ := r.Dir.PData.(*atHome); h != nil && h.pending {
+		return 0
+	}
+	return core.FastRead
 }
 
 func (a *atomicProto) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Region, m amnet.Msg) {
@@ -163,18 +206,27 @@ func (a *atomicProto) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Region, m a
 		h := atHomeState(r)
 		if h.holder < 0 {
 			h.holder = m.Src
-			a.acq.Serve(ctx, r, m)
+			ctx.SendComplete(m.Src, m.B, 0, h.value(r))
 			return
 		}
 		h.waiting = append(h.waiting, core.PendingReq{Src: m.Src, Seq: m.B})
 	case atRel:
-		copy(r.Data, m.Payload)
+		h := atHomeState(r)
+		h.rel = append(h.rel[:0], m.Payload...)
+		h.pending = true
 		ctx.SendProto(m.Src, m.A, 0, atRelAck, m.D, nil)
 		a.release(ctx, r, m.Src)
 	case atRelAck:
 		a.drain.Ack(ctx)
 	case atGet:
-		a.get.Serve(ctx, r, m)
+		// While the home holds the queue its thread is writing r.Data,
+		// so the fetch waits for the release (ServeDeferred).
+		h := atHomeState(r)
+		if h.holder == ctx.ID() {
+			r.Dir.Waiting = append(r.Dir.Waiting, core.PendingReq{Src: m.Src, Seq: m.B})
+			return
+		}
+		ctx.SendComplete(m.Src, m.B, 0, h.value(r))
 	default:
 		panic(fmt.Sprintf("proto: atomic: bad verb %d", m.C))
 	}

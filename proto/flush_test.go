@@ -224,6 +224,45 @@ func TestAtomicReadsSeeFreshValue(t *testing.T) {
 	})
 }
 
+// TestAtomicSnapshotsAreWhole: a read never sees half of a write. Both
+// processors bump a two-word value whose words must agree and read it
+// back between bumps, so the home reads while a remote release lands
+// and a remote fetch arrives while the home writes. Under -race this
+// also checks that the home's unlocked accesses to its copy never meet
+// a handler's.
+func TestAtomicSnapshotsAreWhole(t *testing.T) {
+	const procs, rounds = 2, 200
+	run(t, procs, "atomic", func(p *core.Proc) error {
+		sp := p.DefaultSpace()
+		var id core.RegionID
+		if p.ID() == 0 {
+			id = p.GMalloc(sp, 16)
+		}
+		id = p.BroadcastID(0, id)
+		r := p.Map(id)
+		for i := 0; i < rounds; i++ {
+			p.StartWrite(r)
+			v := r.Data.Int64(0) + 1
+			r.Data.SetInt64(0, v)
+			r.Data.SetInt64(1, v)
+			p.EndWrite(r)
+			p.StartRead(r)
+			a, b := r.Data.Int64(0), r.Data.Int64(1)
+			p.EndRead(r)
+			if a != b {
+				return fmt.Errorf("round %d: read a torn value %d/%d", i, a, b)
+			}
+		}
+		p.Barrier(sp)
+		p.StartRead(r)
+		defer p.EndRead(r)
+		if got := r.Data.Int64(0); got != procs*rounds {
+			return fmt.Errorf("final value %d, want %d", got, procs*rounds)
+		}
+		return nil
+	})
+}
+
 // TestUpdateLateJoiner: a processor that first touches a region long
 // after others have been exchanging updates must still read current data.
 func TestUpdateLateJoiner(t *testing.T) {

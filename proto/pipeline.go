@@ -154,11 +154,17 @@ func (p *pipelineProto) Deliver(ctx *core.Ctx, sp *core.Space, r *core.Region, m
 			p.fetch.Serve(ctx, r, m)
 			return
 		}
-		// Element-wise float64 combine into the authoritative copy.
+		// Element-wise float64 combine into the authoritative copy. The
+		// home thread reads its copy without the engine lock, so only
+		// the elements a contribution changes are written: a home
+		// reading elements nobody contributes to this phase (water's
+		// positions while its forces accumulate) does not race this.
 		n := min(len(r.Data), len(m.Payload)) / 8
 		payload := core.RegionData(m.Payload)
 		for i := 0; i < n; i++ {
-			r.Data.SetFloat64(i, r.Data.Float64(i)+payload.Float64(i))
+			if d := payload.Float64(i); d != 0 {
+				r.Data.SetFloat64(i, r.Data.Float64(i)+d)
+			}
 		}
 		ctx.SendProto(m.Src, m.A, 0, ppAck, m.D, nil)
 	case ppAck:
