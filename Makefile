@@ -52,45 +52,49 @@ bench-compare:
 	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev>" >&2; exit 2; }
 	bash scripts/bench_compare.sh $(BASE)
 
-# chaos-smoke is the protocol-conformance stress gate: the fixed-seed
-# protocol × fault-policy matrix (seeds 1..3) via the package tests,
-# the collective cells (a five-processor tree, overlapping barrier
-# generations) plus core's canonical-order reduction oracle, the
-# elastic cells (checkpoint/kill/rejoin drills,
-# MigrateHome mid-workload, the broken-rejoin double), plus race-enabled
-# cells: the
-# nastiest matrix policy, one rejoin drill, the MigrateHome-vs-
-# bracket-fast-path stress, and the no-stale-fast-bit check after every
-# space-wide reset. Fixed seeds keep it deterministic. The
-# space-churn cells cover the lifecycle itself: waves of collective
-# NewSpace/FreeSpace under every fault policy, with bounded-table,
-# stale-ref and generation checks (plus a lossy cell under -race).
-# The adaptive controller reads no clock, so its fault cells must land
-# on the same protocol at the same epoch under every policy; repeating
-# them under -race at one and four CPUs keeps timing out of its
-# decisions. The tree-round engine's peer-loss purge, overlapping
-# rounds and handler-vs-application-thread folding repeat the same way,
-# as do tcpnet's reconnect under a live cluster, its readers' direct
-# dispatch against a full journal, and acks riding data frames, and
-# the fabric's mixed direct/queued dispatch bare and under faultnet.
-# faultnet forwards direct dispatch to the fabric it wraps, so every
-# matrix, collective, elastic and space-churn cell runs handlers on the
-# same direct-dispatch path as a cluster without faults.
+# chaos-smoke is the protocol-conformance stress gate. Its chaos and
+# proto conformance cells all run internal/chaos's one drill: half the seeded schedule under the
+# protocol, its lock phase, a mid-schedule ChangeProtocol with the
+# second half under another protocol, and a checked switch back. The
+# lines are the fixed-seed protocol × fault-policy matrix (seeds 1..3)
+# with the broken double; the collective cells (a five-processor tree,
+# overlapping barrier generations) plus core's canonical-order reduction
+# oracle; the elastic cells (checkpoint/kill/rejoin drills, MigrateHome
+# mid-workload, the broken-rejoin double); the space-churn cells (waves
+# of collective NewSpace/FreeSpace under every fault policy, with
+# bounded-table, stale-ref and generation checks); and race-enabled
+# cells: the nastiest matrix policy, one rejoin drill, a lossy churn
+# cell, the MigrateHome-vs-bracket-fast-path stress, and the
+# no-stale-fast-bit check after every space-wide reset. Fixed seeds keep
+# it deterministic. The adaptive controller reads no clock, so proto's
+# adaptive drill cells must end with the same switches at the same
+# epoch under every policy; repeating them under -race at one and four
+# CPUs keeps timing out of its decisions. The tree-round engine's
+# peer-loss purge, overlapping rounds and handler-vs-application-thread
+# folding repeat the same way, as do tcpnet's reconnect under a live
+# cluster, its readers' direct dispatch against a full journal, and
+# acks riding data frames, and the fabric's mixed direct/queued
+# dispatch bare and under faultnet. faultnet forwards direct dispatch to
+# the fabric it wraps, so every drill cell runs handlers on the same
+# direct-dispatch path as a cluster without faults. Each line goes
+# through scripts/gotest_gate.sh, which fails it when its -run pattern
+# ran no test (or, for a subtest pattern, no subtest).
+GOTEST_GATE = GO=$(GO) bash scripts/gotest_gate.sh
 chaos-smoke:
-	$(GO) test -run 'TestMatrixFixedSeeds|TestBrokenDoubleCaught' ./internal/chaos
-	$(GO) test -run 'TestColl' ./internal/chaos
-	$(GO) test -run 'TestAllReduceCanonicalOrder' ./internal/core
-	$(GO) test -run 'TestRejoinFixedSeeds|TestBrokenRejoinCaught|TestMigrateFixedSeeds' ./internal/chaos
-	$(GO) test -run 'TestSpaceChurn' ./internal/chaos
-	$(GO) test -race -run 'TestMatrixFixedSeeds/^(update|adaptive)$$/lossy' ./internal/chaos
-	$(GO) test -race -run 'TestCollTopologyCells/update/tree\+agg/lossy' ./internal/chaos
-	$(GO) test -race -run 'TestRejoinFixedSeeds/update/jittery' ./internal/chaos
-	$(GO) test -race -run 'TestSpaceChurnFixedSeeds/update/lossy' ./internal/chaos
-	$(GO) test -race -run 'TestMigrateHomeRace|TestRejoinVsTreeReduction|TestResetWithdrawsFastBits' ./internal/core
-	$(GO) test -race -cpu 1,4 -count=5 -run 'TestPeerLossPurgesCollectiveState|TestTreeBarrierLaneOverlapStress|TestDispatchSyncStress' ./internal/core
-	$(GO) test -race -cpu 1,4 -count=5 -run 'TestAdaptiveControllerUnderFaults' ./proto
-	$(GO) test -race -cpu 1,4 -count=5 -run 'TestKillLinkUnderCluster|TestReaderDispatchNeverWaitsOnJournal|TestAcksRideDataFrames' ./internal/tcpnet
-	$(GO) test -race -cpu 1,4 -count=5 -run 'TestDirectDispatchMixedKeepsOrderAndSerializesLanes' ./internal/amnet
+	$(GOTEST_GATE) -run 'TestMatrixFixedSeeds|TestBrokenDoubleCaught' ./internal/chaos
+	$(GOTEST_GATE) -run 'TestColl' ./internal/chaos
+	$(GOTEST_GATE) -run 'TestAllReduceCanonicalOrder' ./internal/core
+	$(GOTEST_GATE) -run 'TestRejoinFixedSeeds|TestBrokenRejoinCaught|TestMigrateFixedSeeds' ./internal/chaos
+	$(GOTEST_GATE) -run 'TestSpaceChurn' ./internal/chaos
+	$(GOTEST_GATE) -race -run 'TestMatrixFixedSeeds/^(update|adaptive)$$/lossy' ./internal/chaos
+	$(GOTEST_GATE) -race -run 'TestCollTopologyCells/update/tree\+agg/lossy' ./internal/chaos
+	$(GOTEST_GATE) -race -run 'TestRejoinFixedSeeds/update/jittery' ./internal/chaos
+	$(GOTEST_GATE) -race -run 'TestSpaceChurnFixedSeeds/update/lossy' ./internal/chaos
+	$(GOTEST_GATE) -race -run 'TestMigrateHomeRace|TestRejoinVsTreeReduction|TestResetWithdrawsFastBits' ./internal/core
+	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestPeerLossPurgesCollectiveState|TestTreeBarrierLaneOverlapStress|TestDispatchSyncStress' ./internal/core
+	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestAdaptiveControllerUnderFaults' ./proto
+	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestKillLinkUnderCluster|TestReaderDispatchNeverWaitsOnJournal|TestAcksRideDataFrames' ./internal/tcpnet
+	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestDirectDispatchMixedKeepsOrderAndSerializesLanes' ./internal/amnet
 
 # cluster-smoke is the multi-process deployment gate: 4 real acenode
 # processes assemble over gossip + TCP on loopback, run em3d (checksum

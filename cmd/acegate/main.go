@@ -48,6 +48,13 @@ func main() {
 	)
 	flag.Parse()
 
+	// Validate before anything listens.
+	if *policy != "drop" && *policy != "close" {
+		fmt.Fprintf(os.Stderr, "acegate: unknown slow-client policy %q\n", *policy)
+		fmt.Fprintln(os.Stderr, "usage: acegate [-addr host:port] [-procs N] [-protocol name] [-adapt] [-sendq N] [-opq N] [-policy drop|close] | acegate -probe [-addr host:port] [-clients N] [-rooms N] [-adds N]")
+		os.Exit(1)
+	}
+
 	if *probe {
 		if err := runProbe(*addr, *clients, *rooms, *adds); err != nil {
 			fmt.Fprintln(os.Stderr, "acegate probe:", err)

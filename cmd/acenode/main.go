@@ -78,17 +78,25 @@ func main() {
 	)
 	flag.Parse()
 
+	// Every flag is validated before anything binds a port or joins.
 	localIDs, perr := parseIDs(*local)
-	if !*standAl {
-		if *nodes <= 0 || perr != nil || len(localIDs) == 0 {
-			fmt.Fprintln(os.Stderr, "usage: acenode -nodes N -local i[,j...] [-gossip addr] [-seeds a,b] [-run em3d|elastic|wait|hang]")
-			if perr != nil {
-				fmt.Fprintln(os.Stderr, "  -local:", perr)
-			}
-			os.Exit(1)
+	usage := "usage: acenode -nodes N -local i[,j...] [-gossip addr] [-seeds a,b] [-run em3d|elastic|wait|hang]"
+	bad := *nodes <= 0 || perr != nil || len(localIDs) == 0
+	if *standAl {
+		usage = "usage: acenode -standalone -nodes N [-run em3d|elastic|wait]"
+		bad, perr = *nodes <= 0, nil
+	}
+	switch *run {
+	case "em3d", "elastic", "wait", "hang":
+	default:
+		fmt.Fprintf(os.Stderr, "acenode: unknown workload %q\n", *run)
+		bad = true
+	}
+	if bad {
+		fmt.Fprintln(os.Stderr, usage)
+		if perr != nil {
+			fmt.Fprintln(os.Stderr, "  -local:", perr)
 		}
-	} else if *nodes <= 0 {
-		fmt.Fprintln(os.Stderr, "usage: acenode -standalone -nodes N [-run em3d|elastic|wait]")
 		os.Exit(1)
 	}
 
@@ -170,9 +178,6 @@ func main() {
 			}
 			return nil
 		})
-	default:
-		fmt.Fprintf(os.Stderr, "acenode: unknown workload %q\n", *run)
-		os.Exit(1)
 	}
 	exitOn(err)
 }

@@ -8,6 +8,11 @@
 // (protocol, policy, seed); a failing report carries a replay command
 // that reproduces the same failure deterministically.
 //
+// All runners share one drill (drill.go): one cluster start, one turn
+// executor, one model check and one home-writer round. Run is the
+// conformance drill proper; RunRejoin, RunMigrate and RunSpaceChurn
+// reuse its start and, where they run the schedule, its executor.
+//
 // The "null" protocol is deliberately not covered: it performs no
 // coherence actions by contract and is only correct for unshared or
 // pre-propagated data, which is exactly what the harness's sharing
@@ -18,7 +23,6 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/acedsm/ace/internal/core"
@@ -34,19 +38,22 @@ type Config struct {
 	Procs    int
 	Regions  int
 	Turns    int
-	Protocol string // required: a library protocol, or "broken"
+	Protocol string // required: a library protocol, "adaptive", or "broken"
 	Policy   string // named fault policy; see Policies
 }
 
-// Report is the outcome of one run. Err is nil on success; on failure
-// Replay holds a command that reproduces the run.
+// Report is the outcome of one run. Err is nil on success; Replay
+// holds a command that reproduces the run.
 type Report struct {
 	Protocol string
 	Policy   string
 	Seed     int64
 	Err      error
 	Faults   trace.FaultCounts
-	Replay   string
+	// Adapt is the adaptive controller's final state for the drill's
+	// space (the "adaptive" row only).
+	Adapt  trace.AdaptStats
+	Replay string
 }
 
 // Protocols returns the library protocols the harness covers: every
@@ -121,184 +128,41 @@ type brokenProto struct{ core.Base }
 
 func (*brokenProto) Name() string { return "broken" }
 
-// Run executes one stress run and reports the outcome.
+var matrixRun = runner{kind: "chaos", test: "TestMatrixFixedSeeds", regions: 5, turns: 40, minProcs: 1}
+
+// Run executes one conformance drill and reports the outcome. The first
+// half of the seeded schedule runs under cfg.Protocol, followed by the
+// protocol's own phase (the lock-protected counter, racecheck's
+// violation count, the adaptive row's controller churn). Then the
+// ChangeProtocol phase: the space switches to another protocol, every
+// region is checked against the model, the second half runs under that
+// protocol, the space switches back, and a home-writer round is checked
+// once more. pipeline, whose writes add rather than overwrite, runs an
+// additive schedule through the same phases.
 func Run(cfg Config) Report {
-	if cfg.Procs <= 0 {
-		cfg.Procs = 4
+	d := matrixRun.start(cfg)
+	if d.cl == nil {
+		return d.rep
 	}
-	if cfg.Regions <= 0 {
-		cfg.Regions = 5
-	}
-	if cfg.Turns <= 0 {
-		cfg.Turns = 40
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = "clean"
-	}
-	rep := Report{
-		Protocol: cfg.Protocol,
-		Policy:   cfg.Policy,
-		Seed:     cfg.Seed,
-		Replay: fmt.Sprintf("go test ./internal/chaos -run 'TestMatrixFixedSeeds/%s/%s' (seed %d)",
-			cfg.Protocol, cfg.Policy, cfg.Seed),
-	}
-	pol, err := PolicyByName(cfg.Policy, cfg.Seed)
-	if err != nil {
-		rep.Err = err
-		return rep
-	}
-	reg := proto.NewRegistry()
-	reg.MustRegister(BrokenInfo())
-	defaultProto := cfg.Protocol
-	var adapt *core.AdaptConfig
-	if cfg.Protocol == "adaptive" {
-		// The adaptive row starts on "sc" and lets the controller switch
-		// protocols while the conformance schedule runs. Aggressive
-		// tuning so switches land inside the fault windows (the
-		// partitioned policy's windows open a few milliseconds in).
-		defaultProto = "sc"
-		adapt = &core.AdaptConfig{EpochBarriers: 2, Hysteresis: 2, Cooldown: 1, MinOps: 1}
-	}
-	if _, ok := reg.Lookup(defaultProto); !ok {
-		rep.Err = fmt.Errorf("chaos: unknown protocol %q", cfg.Protocol)
-		return rep
-	}
-	cl, err := core.NewCluster(core.Options{
-		Procs:           cfg.Procs,
-		Registry:        reg,
-		DefaultProtocol: defaultProto,
-		Faults:          pol,
-		Adapt:           adapt,
-		// A harness bug (or a protocol hang under faults) must fail
-		// typed, not wedge the suite.
-		SyncTimeout: 2 * time.Minute,
-	})
-	if err != nil {
-		rep.Err = err
-		return rep
-	}
-	defer cl.Close()
-	rep.Err = cl.Run(worker(cfg))
-	m := cl.Metrics()
-	rep.Faults = m.Net.Faults
-	if cfg.Protocol == "adaptive" && rep.Err == nil {
+	defer d.cl.Close()
+	rep := d.finish(d.cl.Run(d.worker()))
+	if d.cfg.Protocol == "adaptive" && rep.Err == nil && rep.Adapt.Switches < 2 {
 		// The row only proves something if the controller actually
 		// switched protocols under the workload's pattern churn.
-		var switches uint64
-		for _, a := range m.Adapt {
-			switches += a.Switches
-		}
-		if switches < 2 {
-			rep.Err = fmt.Errorf("chaos adaptive/%s seed %d: controller made %d switches, want at least 2 (pattern churn did not exercise adaptation)",
-				cfg.Policy, cfg.Seed, switches)
-		}
+		rep.Err = fmt.Errorf("%s: controller made %d switches, want at least 2 (pattern churn did not exercise adaptation)",
+			d.name, rep.Adapt.Switches)
 	}
 	return rep
 }
 
-// schedOp is one operation of the turn-based schedule; ops are
-// separated by barriers, so a correct protocol must make every read
-// observe the sequential model.
-type schedOp struct {
-	proc   int
-	write  bool
-	region int
-	value  int64
-}
-
-// genSchedule derives the run's schedule from the seed alone, so a
-// replay executes the identical operation sequence.
-func genSchedule(rng *rand.Rand, procs, nRegions, nTurns int) []schedOp {
-	var ops []schedOp
-	val := int64(1)
-	for t := 0; t < nTurns; t++ {
-		op := schedOp{proc: rng.Intn(procs), region: rng.Intn(nRegions)}
-		if rng.Intn(2) == 0 {
-			op.write, op.value = true, val
-			val++
-		}
-		ops = append(ops, op)
-	}
-	return ops
-}
-
-// homeRestricted reports protocols whose contract only lets a region's
-// home processor write it. The adaptive row is restricted too: the
-// controller may install staticupdate or homewrite at any epoch, so the
-// whole schedule must stay legal under them.
-func homeRestricted(protocol string) bool {
-	return protocol == "homewrite" || protocol == "staticupdate" || protocol == "adaptive"
-}
-
-// worker builds the SPMD body for the configured protocol: the additive
-// workload for pipeline, the controller-churn workload for the adaptive
-// row, the model-checked schedule for everyone else.
-func worker(cfg Config) func(p *core.Proc) error {
-	switch cfg.Protocol {
-	case "pipeline":
-		return additiveWorker(cfg)
-	case "adaptive":
-		return adaptiveWorker(cfg)
-	}
-	return scheduleWorker(cfg)
-}
-
-// setupRegions allocates n regions homed round-robin, broadcasts their
-// ids, maps them everywhere and registers every processor as a sharer
-// (so push-based protocols know the full sharer set), finishing at a
-// barrier.
-func setupRegions(p *core.Proc, sp *core.Space, n int) []*core.Region {
-	procs := p.Procs()
-	ids := make([]core.RegionID, n)
-	var mine []core.RegionID
-	for r := 0; r < n; r++ {
-		if r%procs == p.ID() {
-			mine = append(mine, p.GMalloc(sp, 8))
-		}
-	}
-	for root := 0; root < procs; root++ {
-		cnt := 0
-		for r := 0; r < n; r++ {
-			if r%procs == root {
-				cnt++
-			}
-		}
-		var got []core.RegionID
-		if root == p.ID() {
-			got = p.BroadcastIDs(root, mine)
-		} else {
-			got = p.BroadcastIDs(root, make([]core.RegionID, cnt))
-		}
-		i := 0
-		for r := 0; r < n; r++ {
-			if r%procs == root {
-				ids[r] = got[i]
-				i++
-			}
-		}
-	}
-	hs := make([]*core.Region, n)
-	for r, id := range ids {
-		hs[r] = p.Map(id)
-		p.StartRead(hs[r])
-		p.EndRead(hs[r])
-	}
-	p.Barrier(sp)
-	return hs
-}
-
-// scheduleWorker checks the protocol against the sequential model, then
-// a lock-protected counter (mutual exclusion), then flush-to-base
-// across ChangeProtocol — the full invariant set for one protocol.
-func scheduleWorker(cfg Config) func(p *core.Proc) error {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	ops := genSchedule(rng, cfg.Procs, cfg.Regions, cfg.Turns)
-	if homeRestricted(cfg.Protocol) {
-		for i := range ops {
-			if ops[i].write {
-				ops[i].proc = ops[i].region % cfg.Procs
-			}
-		}
+// worker builds Run's SPMD body.
+func (d *drill) worker() func(p *core.Proc) error {
+	cfg := d.cfg
+	// The second half runs under a protocol with unrestricted writers,
+	// so the schedule stays legal as generated.
+	other := "sc"
+	if cfg.Protocol == "sc" {
+		other = "update"
 	}
 	// The lock phase (read-modify-write under mutual exclusion, no
 	// barriers) is only an advertised idiom for protocols whose
@@ -311,316 +175,99 @@ func scheduleWorker(cfg Config) func(p *core.Proc) error {
 	// protocols forbid remote writers outright; racecheck would
 	// correctly flag the phase as unsynchronized writes.
 	lockPhase := map[string]bool{"sc": true, "migratory": true, "atomic": true}[cfg.Protocol]
+	end := len(d.ops)
+	if cfg.Protocol == "pipeline" {
+		// One more additive turn than the phases use: it runs after the
+		// switch back, where accumulation from every processor resumes.
+		d.ops = additiveSchedule(cfg.Procs, cfg.Regions, cfg.Turns+1)
+		end = len(d.ops) - 2
+	}
+	half := end / 2
 	return func(p *core.Proc) error {
 		sp := p.DefaultSpace()
 		// Region cfg.Regions (one past the schedule's) is the lock
-		// counter, homed at proc 0.
-		hs := setupRegions(p, sp, cfg.Regions+1)
-		model := make([]int64, cfg.Regions)
+		// counter, or the adaptive row's lock bait; it has no model entry.
+		w := d.walker(p, setupRegions(p, sp, cfg.Regions+1))
+		spare := w.hs[cfg.Regions]
 
-		// A divergence must not strand the other processors at the next
-		// barrier: record the first violation, keep executing the
-		// collective schedule to completion, and fail at the end. This
-		// also keeps the broken test double's failure deterministic —
-		// every processor reports its own first divergence.
-		var firstErr error
-		fail := func(err error) {
-			if firstErr == nil {
-				firstErr = err
-			}
+		if err := w.turns(0, half, d.homeRestricted(cfg.Protocol), nil); err != nil {
+			return err
 		}
-
-		// Phase 1: model-checked schedule (read-your-writes across
-		// EndWrite+Barrier).
-		for i, op := range ops {
-			if op.proc == p.ID() {
-				h := hs[op.region]
-				if op.write {
-					p.StartWrite(h)
-					h.Data.SetInt64(0, op.value)
-					p.EndWrite(h)
-				} else {
-					p.StartRead(h)
-					got := h.Data.Int64(0)
-					p.EndRead(h)
-					if want := model[op.region]; got != want {
-						fail(fmt.Errorf("chaos %s/%s seed %d: op %d: proc %d read region %d = %d, model says %d",
-							cfg.Protocol, cfg.Policy, cfg.Seed, i, p.ID(), op.region, got, want))
-					}
-				}
-			}
-			if op.write {
-				model[op.region] = op.value
-			}
-			p.Barrier(sp)
-		}
-
-		// Phase 2: lock-protected counter (single writer at a time, so
-		// no increment may be lost).
-		const incs = 6
-		counter := hs[cfg.Regions]
 		if lockPhase {
-			for k := 0; k < incs; k++ {
-				p.Lock(counter)
-				p.StartWrite(counter)
-				counter.Data.SetInt64(0, counter.Data.Int64(0)+1)
-				p.EndWrite(counter)
-				p.Unlock(counter)
-			}
-			p.Barrier(sp)
-			p.StartRead(counter)
-			got := counter.Data.Int64(0)
-			p.EndRead(counter)
-			if want := int64(cfg.Procs * incs); got != want {
-				fail(fmt.Errorf("chaos %s/%s seed %d: lock counter = %d, want %d (lost increments)",
-					cfg.Protocol, cfg.Policy, cfg.Seed, got, want))
-			}
-			p.Barrier(sp)
+			w.lockCounter(spare)
 		}
-		if cfg.Protocol == "racecheck" {
+		switch cfg.Protocol {
+		case "racecheck":
+			// Counted before the switch: ChangeProtocol installs a fresh
+			// instance.
 			if v := p.AllReduceInt64(core.OpSum, proto.RaceViolations(sp)); v != 0 {
-				fail(fmt.Errorf("chaos racecheck/%s seed %d: %d violations on a properly phased schedule",
-					cfg.Policy, cfg.Seed, v))
+				w.fail(fmt.Errorf("%s: %d violations on a properly phased schedule", d.name, v))
 			}
+		case "adaptive":
+			w.churn(spare)
 		}
 
-		// Phase 3: ChangeProtocol must flush to base — the data written
-		// under cfg.Protocol is read back under another protocol, and
-		// again after switching back.
-		other := "sc"
-		if cfg.Protocol == "sc" {
-			other = "update"
-		}
-		check := func(stage string) {
-			for r := 0; r < cfg.Regions; r++ {
-				p.StartRead(hs[r])
-				got := hs[r].Data.Int64(0)
-				p.EndRead(hs[r])
-				if want := model[r]; got != want {
-					fail(fmt.Errorf("chaos %s/%s seed %d: %s: region %d = %d, model says %d",
-						cfg.Protocol, cfg.Policy, cfg.Seed, stage, r, got, want))
-				}
-			}
-		}
+		// The ChangeProtocol phase: flush to base, then prove it.
 		if err := p.ChangeProtocol(sp, other); err != nil {
 			return err // collective misuse, not a coherence divergence
 		}
-		check("after ChangeProtocol to " + other)
+		w.check("after ChangeProtocol to " + other)
 		p.Barrier(sp)
-		if err := p.ChangeProtocol(sp, cfg.Protocol); err != nil {
+		if err := w.turns(half, end, d.homeRestricted(other), nil); err != nil {
 			return err
 		}
-		// One more write round under the restored protocol: the home of
-		// each region (a writer every protocol permits) bumps it.
-		for r := 0; r < cfg.Regions; r++ {
-			if r%cfg.Procs == p.ID() {
-				p.StartWrite(hs[r])
-				hs[r].Data.SetInt64(0, model[r]+100)
-				p.EndWrite(hs[r])
-			}
-			model[r] += 100
+		if err := p.ChangeProtocol(sp, d.base); err != nil {
+			return err
 		}
-		p.Barrier(sp)
-		check("after ChangeProtocol back to " + cfg.Protocol)
-		p.Barrier(sp)
-		return firstErr
+		w.homeRound("after ChangeProtocol back to "+d.base, nil)
+		if err := w.turns(end, len(d.ops), d.homeRestricted(d.base), nil); err != nil {
+			return err
+		}
+		return w.err
 	}
 }
 
-// adaptiveWorker drives the adaptive row: the cluster starts on sc with
-// the online controller enabled (see Run), and the workload checks the
-// sequential model while deliberately churning the access pattern so the
-// controller switches protocols mid-run — first the seeded schedule
-// (too sparse per epoch to trigger a switch: it validates the controller
-// stays put without signal), then a read-dominated home-writer phase
-// (classifies producer-consumer → staticupdate), then a lock-mediated
-// phase (classifies migratory), and finally a manual ChangeProtocol on
-// top of whatever the controller installed. Writes are home-only
-// throughout, keeping every reachable target protocol legal; reads are
-// checked only after barriers, which every adaptive protocol's contract
-// covers. Run asserts afterwards that at least two switches happened.
-func adaptiveWorker(cfg Config) func(p *core.Proc) error {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	ops := genSchedule(rng, cfg.Procs, cfg.Regions, cfg.Turns)
-	for i := range ops {
-		if ops[i].write {
-			ops[i].proc = ops[i].region % cfg.Procs
-		}
+// lockCounter has every processor increment the counter region under
+// its lock, then checks that no increment was lost.
+func (w *walker) lockCounter(counter *core.Region) {
+	const incs = 6
+	p := w.p
+	for k := 0; k < incs; k++ {
+		p.Lock(counter)
+		p.StartWrite(counter)
+		counter.Data.SetInt64(0, counter.Data.Int64(0)+1)
+		p.EndWrite(counter)
+		p.Unlock(counter)
 	}
-	return func(p *core.Proc) error {
-		sp := p.DefaultSpace()
-		// Region cfg.Regions is lock bait for the migratory phase; it is
-		// never written, so it needs no model entry.
-		hs := setupRegions(p, sp, cfg.Regions+1)
-		model := make([]int64, cfg.Regions)
-		var firstErr error
-		fail := func(err error) {
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		checkAll := func(stage string) {
-			for r := 0; r < cfg.Regions; r++ {
-				p.StartRead(hs[r])
-				got := hs[r].Data.Int64(0)
-				p.EndRead(hs[r])
-				if want := model[r]; got != want {
-					fail(fmt.Errorf("chaos adaptive/%s seed %d: %s: region %d = %d, model says %d",
-						cfg.Policy, cfg.Seed, stage, r, got, want))
-				}
-			}
-		}
-
-		// Phase 1: the seeded schedule under sc. One op per epoch-half is
-		// below every classification threshold (no epoch can see a writer
-		// plus two readers), so the controller must not switch here.
-		for i, op := range ops {
-			if op.proc == p.ID() {
-				h := hs[op.region]
-				if op.write {
-					p.StartWrite(h)
-					h.Data.SetInt64(0, op.value)
-					p.EndWrite(h)
-				} else {
-					p.StartRead(h)
-					got := h.Data.Int64(0)
-					p.EndRead(h)
-					if want := model[op.region]; got != want {
-						fail(fmt.Errorf("chaos adaptive/%s seed %d: op %d: proc %d read region %d = %d, model says %d",
-							cfg.Policy, cfg.Seed, i, p.ID(), op.region, got, want))
-					}
-				}
-			}
-			if op.write {
-				model[op.region] = op.value
-			}
-			p.Barrier(sp)
-		}
-
-		const churnIters = 8
-		// Phase 2: producer-consumer churn. Every home rewrites its
-		// regions, everyone reads them all back — read-dominated,
-		// home-only, with remote read misses under sc: the controller
-		// must converge on staticupdate within the phase, and the model
-		// must keep holding across the switch.
-		for e := 0; e < churnIters; e++ {
-			for r := 0; r < cfg.Regions; r++ {
-				v := int64(10_000 + 100*e + r)
-				if r%cfg.Procs == p.ID() {
-					p.StartWrite(hs[r])
-					hs[r].Data.SetInt64(0, v)
-					p.EndWrite(hs[r])
-				}
-				model[r] = v
-			}
-			p.Barrier(sp)
-			checkAll(fmt.Sprintf("producer-consumer churn %d", e))
-			p.Barrier(sp)
-		}
-
-		// Phase 3: migratory churn. The same home-only writes, now inside
-		// a lock section on the bait region — lock traffic plus writes
-		// classifies migratory, switching away from the push protocol.
-		bait := hs[cfg.Regions]
-		for e := 0; e < churnIters; e++ {
-			p.Lock(bait)
-			for r := 0; r < cfg.Regions; r++ {
-				v := int64(20_000 + 100*e + r)
-				if r%cfg.Procs == p.ID() {
-					p.StartWrite(hs[r])
-					hs[r].Data.SetInt64(0, v)
-					p.EndWrite(hs[r])
-				}
-				model[r] = v
-			}
-			p.Unlock(bait)
-			p.Barrier(sp)
-			checkAll(fmt.Sprintf("migratory churn %d", e))
-			p.Barrier(sp)
-		}
-
-		// Phase 4: a manual ChangeProtocol on top of the controller —
-		// applications and the controller share the same collective, so
-		// an explicit switch must flush and proceed from wherever
-		// adaptation landed.
-		if err := p.ChangeProtocol(sp, "sc"); err != nil {
-			return err // collective misuse, not a coherence divergence
-		}
-		checkAll("after manual ChangeProtocol to sc")
-		p.Barrier(sp)
-		for r := 0; r < cfg.Regions; r++ {
-			if r%cfg.Procs == p.ID() {
-				p.StartWrite(hs[r])
-				hs[r].Data.SetInt64(0, model[r]+100)
-				p.EndWrite(hs[r])
-			}
-			model[r] += 100
-		}
-		p.Barrier(sp)
-		checkAll("after home-writer round under sc")
-		p.Barrier(sp)
-		return firstErr
+	p.Barrier(w.sp)
+	p.StartRead(counter)
+	got := counter.Data.Int64(0)
+	p.EndRead(counter)
+	if want := int64(w.cfg.Procs * incs); got != want {
+		w.fail(fmt.Errorf("%s: lock counter = %d, want %d (lost increments)", w.name, got, want))
 	}
+	p.Barrier(w.sp)
 }
 
-// additiveWorker drives the pipeline protocol with its contract:
-// write sections contribute addends, barriers publish the sums.
-func additiveWorker(cfg Config) func(p *core.Proc) error {
-	return func(p *core.Proc) error {
-		sp := p.DefaultSpace()
-		hs := setupRegions(p, sp, cfg.Regions)
-		model := make([]float64, cfg.Regions)
-		perTurn := float64(cfg.Procs * (cfg.Procs + 1) / 2)
-		// As in scheduleWorker: record the first divergence and keep
-		// participating in the collectives so peers aren't stranded.
-		var firstErr error
-		fail := func(err error) {
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-		turn := func(i int) {
-			h := hs[i%cfg.Regions]
-			p.StartWrite(h)
-			h.Data.SetFloat64(0, h.Data.Float64(0)+float64(p.ID()+1))
-			p.EndWrite(h)
-			p.Barrier(sp)
-			model[i%cfg.Regions] += perTurn
-			p.StartRead(h)
-			got := h.Data.Float64(0)
-			p.EndRead(h)
-			if want := model[i%cfg.Regions]; got != want {
-				fail(fmt.Errorf("chaos pipeline/%s seed %d: turn %d: region %d = %v, model says %v (lost or doubled addends)",
-					cfg.Policy, cfg.Seed, i, i%cfg.Regions, got, want))
-			}
-			p.Barrier(sp)
-		}
-		for i := 0; i < cfg.Turns; i++ {
-			turn(i)
-		}
-		// Flush-to-base: the accumulated sums must survive a switch to
-		// sc and the switch back, after which accumulation continues.
-		checkAll := func(stage string) {
-			for r := 0; r < cfg.Regions; r++ {
-				p.StartRead(hs[r])
-				got := hs[r].Data.Float64(0)
-				p.EndRead(hs[r])
-				if want := model[r]; got != want {
-					fail(fmt.Errorf("chaos pipeline/%s seed %d: %s: region %d = %v, model says %v",
-						cfg.Policy, cfg.Seed, stage, r, got, want))
-				}
-			}
-		}
-		if err := p.ChangeProtocol(sp, "sc"); err != nil {
-			return err // collective misuse, not a coherence divergence
-		}
-		checkAll("after ChangeProtocol to sc")
-		p.Barrier(sp)
-		if err := p.ChangeProtocol(sp, "pipeline"); err != nil {
-			return err
-		}
-		turn(0)
-		return firstErr
+// churn is the adaptive row's phase: it churns the access pattern so
+// the controller switches protocols while the model keeps holding.
+// The seeded schedule before it is too sparse per epoch to trigger a
+// switch (no epoch sees a writer plus two readers). First a
+// read-dominated home-writer phase, which must land on staticupdate;
+// then the same writes inside a lock section on bait, whose lock
+// traffic classifies migratory. Writes stay home-only throughout, which
+// keeps every protocol the controller can reach legal.
+func (w *walker) churn(bait *core.Region) {
+	const iters = 8
+	for e := 0; e < iters; e++ {
+		w.homeRound(fmt.Sprintf("producer-consumer churn %d", e), nil)
+	}
+	if got := w.sp.ProtoName; got != "staticupdate" {
+		w.fail(fmt.Errorf("%s: controller landed on %q after the producer-consumer churn, want staticupdate",
+			w.name, got))
+	}
+	for e := 0; e < iters; e++ {
+		w.homeRound(fmt.Sprintf("migratory churn %d", e), bait)
 	}
 }
 

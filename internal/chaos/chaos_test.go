@@ -110,3 +110,28 @@ func TestPolicyCatalogCoherent(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayNamesSeed: every runner's replay line names its fixed-seed
+// test, the cell and the seed. An unknown policy returns at once, with
+// the line already written.
+func TestReplayNamesSeed(t *testing.T) {
+	cfg := Config{Seed: 7, Protocol: "sc", Policy: "nosuch"}
+	for _, tc := range []struct {
+		test string
+		run  func() Report
+	}{
+		{"TestMatrixFixedSeeds", func() Report { return Run(cfg) }},
+		{"TestRejoinFixedSeeds", func() Report { return RunRejoin(RejoinConfig{Config: cfg}) }},
+		{"TestMigrateFixedSeeds", func() Report { return RunMigrate(MigrateConfig{Config: cfg}) }},
+		{"TestSpaceChurnFixedSeeds", func() Report { return RunSpaceChurn(cfg) }},
+	} {
+		rep := tc.run()
+		if rep.Err == nil {
+			t.Fatalf("%s: unknown policy accepted", tc.test)
+		}
+		want := "go test ./internal/chaos -run '" + tc.test + "/sc/nosuch' (seed 7)"
+		if rep.Replay != want {
+			t.Errorf("%s: replay %q, want %q", tc.test, rep.Replay, want)
+		}
+	}
+}

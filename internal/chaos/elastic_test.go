@@ -111,3 +111,16 @@ func TestMigrateFixedSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestElasticDrillsNeedTwoProcs: the rejoin drill needs a victim and
+// the re-homing drill a second home, so one processor is an error, not
+// a silent run on the default four.
+func TestElasticDrillsNeedTwoProcs(t *testing.T) {
+	cfg := Config{Seed: 1, Procs: 1, Protocol: "sc"}
+	if rep := RunRejoin(RejoinConfig{Config: cfg}); rep.Err == nil {
+		t.Error("rejoin drill ran on one processor")
+	}
+	if rep := RunMigrate(MigrateConfig{Config: cfg}); rep.Err == nil {
+		t.Error("migrate drill ran on one processor")
+	}
+}

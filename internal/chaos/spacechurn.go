@@ -22,60 +22,26 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"github.com/acedsm/ace/internal/core"
-	"github.com/acedsm/ace/proto"
 )
+
+var churnRun = runner{kind: "churn", test: "TestSpaceChurnFixedSeeds", regions: 4, turns: 6, minProcs: 1}
 
 // RunSpaceChurn executes one space-churn cell and reports the outcome.
 // Config reuse: Regions is the wave width (spaces live at once,
-// default 4), Turns the wave count (default 6).
+// default 4), Turns the wave count (default 6), and Protocol (default
+// "sc") the protocol every churned space is created on.
 func RunSpaceChurn(cfg Config) Report {
-	if cfg.Procs <= 0 {
-		cfg.Procs = 4
-	}
-	if cfg.Regions <= 0 {
-		cfg.Regions = 4
-	}
-	if cfg.Turns <= 0 {
-		cfg.Turns = 6
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = "clean"
-	}
 	if cfg.Protocol == "" {
 		cfg.Protocol = "sc"
 	}
-	rep := Report{
-		Protocol: cfg.Protocol,
-		Policy:   cfg.Policy,
-		Seed:     cfg.Seed,
-		Replay: fmt.Sprintf("go test -run 'TestSpaceChurnFixedSeeds/%s/%s' ./internal/chaos",
-			cfg.Protocol, cfg.Policy),
+	d := churnRun.start(cfg)
+	if d.cl == nil {
+		return d.rep
 	}
-	pol, err := PolicyByName(cfg.Policy, cfg.Seed)
-	if err != nil {
-		rep.Err = err
-		return rep
-	}
-	cl, err := core.NewCluster(core.Options{
-		Procs:    cfg.Procs,
-		Registry: proto.NewRegistry(),
-		Faults:   pol,
-		// As in Run: a lifecycle hang under faults must fail typed, not
-		// wedge the suite.
-		SyncTimeout: 2 * time.Minute,
-	})
-	if err != nil {
-		rep.Err = err
-		return rep
-	}
-	defer cl.Close()
-	rep.Err = cl.Run(spaceChurnWorker(cfg))
-	m := cl.Metrics()
-	rep.Faults = m.Net.Faults
-	return rep
+	defer d.cl.Close()
+	return d.finish(d.cl.Run(spaceChurnWorker(d.cfg)))
 }
 
 // spaceChurnWorker is the SPMD body: every processor executes the

@@ -1,11 +1,10 @@
-package proto
+package proto_test
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
-	"github.com/acedsm/ace/internal/core"
+	"github.com/acedsm/ace/internal/chaos"
 )
 
 // Cross-protocol conformance: a randomized, turn-based schedule of reads
@@ -13,157 +12,41 @@ import (
 // sequential memory model. Turns are separated by barriers, so every
 // protocol in the library must make each read observe the model's value —
 // the protocols differ in *how* data moves, never in *what* a correctly
-// synchronized program reads.
+// synchronized program reads. Each cell runs the full chaos drill: the
+// schedule's first half under the protocol, its lock phase where it has
+// one, then a mid-schedule ChangeProtocol and back.
 
-// schedOp is one operation in a schedule.
-type schedOp struct {
-	proc   int
-	write  bool
-	region int
-	value  int64
-}
-
-// genSchedule builds a random turn-based schedule over nRegions regions.
-func genSchedule(rng *rand.Rand, procs, nRegions, nTurns int) []schedOp {
-	var ops []schedOp
-	val := int64(1)
-	for t := 0; t < nTurns; t++ {
-		proc := rng.Intn(procs)
-		region := rng.Intn(nRegions)
-		if rng.Intn(2) == 0 {
-			ops = append(ops, schedOp{proc: proc, write: true, region: region, value: val})
-			val++
-		} else {
-			ops = append(ops, schedOp{proc: proc, region: region})
+// drill runs one conformance cell through chaos.Run as a subtest.
+func drill(t *testing.T, name string, parallel bool, cfg chaos.Config) {
+	t.Run(name, func(t *testing.T) {
+		if parallel {
+			t.Parallel()
 		}
-	}
-	return ops
-}
-
-// setupScheduleRegions allocates nRegions regions homed round-robin
-// (region r at proc r%procs), broadcasts their ids, maps them everywhere
-// and registers every processor as a sharer so update-family protocols
-// push here, finishing at a barrier.
-func setupScheduleRegions(p *core.Proc, sp *core.Space, nRegions int) []*core.Region {
-	procs := p.Procs()
-	ids := make([]core.RegionID, nRegions)
-	var mine []core.RegionID
-	for r := 0; r < nRegions; r++ {
-		if r%procs == p.ID() {
-			mine = append(mine, p.GMalloc(sp, 8))
+		if rep := chaos.Run(cfg); rep.Err != nil {
+			t.Fatal(rep.Err)
 		}
-	}
-	for root := 0; root < procs; root++ {
-		cnt := 0
-		for r := 0; r < nRegions; r++ {
-			if r%procs == root {
-				cnt++
-			}
-		}
-		var got []core.RegionID
-		if root == p.ID() {
-			got = p.BroadcastIDs(root, mine)
-		} else {
-			got = p.BroadcastIDs(root, make([]core.RegionID, cnt))
-		}
-		i := 0
-		for r := 0; r < nRegions; r++ {
-			if r%procs == root {
-				ids[r] = got[i]
-				i++
-			}
-		}
-	}
-	hs := make([]*core.Region, nRegions)
-	for r, id := range ids {
-		hs[r] = p.Map(id)
-		p.StartRead(hs[r])
-		p.EndRead(hs[r])
-	}
-	p.Barrier(sp)
-	return hs
-}
-
-// runSchedule executes the schedule under the named protocol and reports
-// the first divergence from the sequential model.
-func runSchedule(t *testing.T, protoName string, procs, nRegions int, ops []schedOp) {
-	t.Helper()
-	cl, err := core.NewCluster(core.Options{Procs: procs, Registry: NewRegistry(), DefaultProtocol: protoName})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	err = cl.Run(func(p *core.Proc) error {
-		// Every processor tracks its own copy of the sequential model
-		// (identical by construction; per-proc to keep the test itself
-		// race-free).
-		model := make([]int64, nRegions)
-		sp := p.DefaultSpace()
-		hs := setupScheduleRegions(p, sp, nRegions)
-		for i, op := range ops {
-			if op.proc == p.ID() {
-				h := hs[op.region]
-				if op.write {
-					p.StartWrite(h)
-					h.Data.SetInt64(0, op.value)
-					p.EndWrite(h)
-				} else {
-					p.StartRead(h)
-					got := h.Data.Int64(0)
-					p.EndRead(h)
-					want := model[op.region]
-					if got != want {
-						return fmt.Errorf("%s: op %d: proc %d read region %d = %d, model %d",
-							protoName, i, p.ID(), op.region, got, want)
-					}
-				}
-			}
-			// Everyone tracks the model and synchronizes between turns.
-			if op.write {
-				model[op.region] = op.value
-			}
-			p.Barrier(sp)
-		}
-		return nil
 	})
-	if err != nil {
-		t.Fatalf("protocol %s: %v", protoName, err)
-	}
 }
 
 func TestProtocolConformanceRandomSchedules(t *testing.T) {
 	// Protocols with unrestricted writers.
 	protocols := []string{"sc", "migratory", "update", "atomic", "writethrough"}
 	for seed := int64(0); seed < 4; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		const procs, nRegions, nTurns = 4, 5, 40
-		ops := genSchedule(rng, procs, nRegions, nTurns)
 		for _, protoName := range protocols {
-			t.Run(fmt.Sprintf("%s/seed%d", protoName, seed), func(t *testing.T) {
-				runSchedule(t, protoName, procs, nRegions, ops)
-			})
+			drill(t, fmt.Sprintf("%s/seed%d", protoName, seed), false,
+				chaos.Config{Seed: seed, Procs: 4, Regions: 5, Turns: 40, Protocol: protoName})
 		}
 	}
 }
 
 // TestHomeWriterConformance covers the write-restricted protocols
-// (homewrite, staticupdate): the schedule only lets a region's home write
-// it.
+// (homewrite, staticupdate): the drill only lets a region's home write
+// it while they are installed.
 func TestHomeWriterConformance(t *testing.T) {
 	for seed := int64(10); seed < 13; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		const procs, nRegions, nTurns = 3, 4, 30
-		ops := genSchedule(rng, procs, nRegions, nTurns)
-		for i := range ops {
-			if ops[i].write {
-				// Redirect the write to the region's home.
-				ops[i].proc = ops[i].region % procs
-			}
-		}
 		for _, protoName := range []string{"homewrite", "staticupdate"} {
-			t.Run(fmt.Sprintf("%s/seed%d", protoName, seed), func(t *testing.T) {
-				runSchedule(t, protoName, procs, nRegions, ops)
-			})
+			drill(t, fmt.Sprintf("%s/seed%d", protoName, seed), false,
+				chaos.Config{Seed: seed, Procs: 3, Regions: 4, Turns: 30, Protocol: protoName})
 		}
 	}
 }
