@@ -9,7 +9,7 @@ GO ?= go
 # writers. gateway carries
 # the session fan-out: per-session writers, the coordinator, and the
 # room drains all share the stats and send-queue paths. faultnet's
-# scheduler goroutine runs beside senders, Kill and Quiesce.
+# scheduler goroutine runs beside senders and Kill.
 RACE_PKGS = ./internal/trace ./internal/core ./internal/memory ./internal/amnet ./internal/faultnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway ./internal/bench
 
 .PHONY: ci vet build test bench-test race fuzz-smoke bench-compare bench-allocs coll-bench chaos-smoke cluster-smoke gate-smoke examples-smoke paper-smoke
@@ -70,11 +70,11 @@ bench-compare:
 # adaptive drill cells must end with the same switches at the same
 # epoch under every policy; repeating them under -race at one and four
 # CPUs keeps timing out of its decisions. The tree-round engine's
-# peer-loss purge, overlapping rounds and handler-vs-application-thread
-# folding repeat the same way, as do tcpnet's reconnect under a live
-# cluster, its readers' direct dispatch against a full journal, and
-# acks riding data frames, and the fabric's mixed direct/queued
-# dispatch bare and under faultnet. faultnet forwards direct dispatch to
+# peer-loss purge and once-only peer-down latch, overlapping rounds and
+# handler-vs-application-thread folding repeat the same way, as do
+# tcpnet's reconnect under a live cluster, its readers' direct dispatch
+# against a full journal, and acks riding data frames, and the fabric's
+# mixed direct/queued dispatch bare and under faultnet. faultnet forwards direct dispatch to
 # the fabric it wraps, so every drill cell runs handlers on the same
 # direct-dispatch path as a cluster without faults. Each line goes
 # through scripts/gotest_gate.sh, which fails it when its -run pattern
@@ -91,7 +91,7 @@ chaos-smoke:
 	$(GOTEST_GATE) -race -run 'TestRejoinFixedSeeds/update/jittery' ./internal/chaos
 	$(GOTEST_GATE) -race -run 'TestSpaceChurnFixedSeeds/update/lossy' ./internal/chaos
 	$(GOTEST_GATE) -race -run 'TestMigrateHomeRace|TestRejoinVsTreeReduction|TestResetWithdrawsFastBits' ./internal/core
-	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestPeerLossPurgesCollectiveState|TestTreeBarrierLaneOverlapStress|TestDispatchSyncStress' ./internal/core
+	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestPeerLossPurgesCollectiveState|TestDuplicatePeerDownFirstWins|TestTreeBarrierLaneOverlapStress|TestDispatchSyncStress' ./internal/core
 	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestAdaptiveControllerUnderFaults' ./proto
 	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestKillLinkUnderCluster|TestReaderDispatchNeverWaitsOnJournal|TestAcksRideDataFrames' ./internal/tcpnet
 	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestDirectDispatchMixedKeepsOrderAndSerializesLanes' ./internal/amnet

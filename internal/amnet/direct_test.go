@@ -81,21 +81,48 @@ func mixedDispatch(t *testing.T, nw amnet.Network, nodes int) {
 		return true
 	})
 	nw.Start()
+	deadline := time.After(10 * time.Second)
+	stalled := func() {
+		t.Fatalf("stalled at %d of %d", seen.Load(), perSender*(nodes-1))
+	}
+	// Sender 1's first messages go one at a time, each awaited, until
+	// one finds node 0 idle and takes the direct path: a concurrent
+	// burst alone can keep the mailbox non-empty from its first message
+	// to its last. An awaited message leaves nothing queued, so only
+	// the pump, still holding the token as it parks, can divert the
+	// next one.
+	warm := 0
+	for direct.Load() == 0 && warm < perSender {
+		warm++
+		eps[1].Send(amnet.Msg{Dst: 0, Handler: 9, A: uint64(warm)})
+		for seen.Load() < int64(warm) {
+			select {
+			case <-deadline:
+				stalled()
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
 	var wg sync.WaitGroup
 	for src := 1; src < nodes; src++ {
+		first := 1
+		if src == 1 {
+			first = warm + 1
+		}
 		wg.Add(1)
-		go func(src int) {
+		go func(src, first int) {
 			defer wg.Done()
-			for i := 1; i <= perSender; i++ {
+			for i := first; i <= perSender; i++ {
 				eps[src].Send(amnet.Msg{Dst: 0, Handler: 9, A: uint64(i)})
 			}
-		}(src)
+		}(src, first)
 	}
 	wg.Wait()
 	select {
 	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("stalled at %d of %d", seen.Load(), perSender*(nodes-1))
+	case <-deadline:
+		stalled()
 	}
 	nw.Close()
 	if n := overlaps.Load(); n != 0 {

@@ -73,9 +73,7 @@ func Run(rt rtiface.RT, cfg Config) (apputil.Result, error) {
 		return res, fmt.Errorf("barneshut: bad config %+v", cfg)
 	}
 
-	srt, _ := rt.(rtiface.SpaceRT)
-	hasSpaces := srt != nil &&
-		rt.Capabilities().Has(rtiface.CapSpaces|rtiface.CapCustomProtocols|rtiface.CapChangeProtocol)
+	srt, hasSpaces := rt.(rtiface.SpaceRT)
 	useSpace := cfg.Proto != "" && hasSpaces
 	if cfg.Proto != "" && !hasSpaces {
 		return res, fmt.Errorf("barneshut: runtime %s has no spaces for protocol %q", rt.Name(), cfg.Proto)

@@ -53,9 +53,7 @@ func Run(rt rtiface.RT, cfg Config) (apputil.Result, error) {
 	if cfg.Blocks < 2 || cfg.BlockSize < 1 || cfg.Bandwidth < 1 {
 		return res, fmt.Errorf("bsc: bad config %+v", cfg)
 	}
-	srt, _ := rt.(rtiface.SpaceRT)
-	hasSpaces := srt != nil &&
-		rt.Capabilities().Has(rtiface.CapSpaces|rtiface.CapCustomProtocols)
+	srt, hasSpaces := rt.(rtiface.SpaceRT)
 	useSpace := cfg.Proto != "" && hasSpaces
 	if cfg.Proto != "" && !hasSpaces {
 		return res, fmt.Errorf("bsc: runtime %s has no spaces for protocol %q", rt.Name(), cfg.Proto)

@@ -60,9 +60,7 @@ func Run(rt rtiface.RT, cfg Config) (apputil.Result, error) {
 	// Spaces: eval and hval, as in Figure 2. With no custom protocol the
 	// default space serves both.
 	var eSpace, hSpace rtiface.SpaceID
-	srt, _ := rt.(rtiface.SpaceRT)
-	hasSpaces := srt != nil &&
-		rt.Capabilities().Has(rtiface.CapSpaces|rtiface.CapCustomProtocols|rtiface.CapChangeProtocol)
+	srt, hasSpaces := rt.(rtiface.SpaceRT)
 	useSpaces := cfg.Proto != "" && hasSpaces
 	if cfg.Proto != "" && !hasSpaces {
 		return res, fmt.Errorf("em3d: runtime %s has no spaces for protocol %q", rt.Name(), cfg.Proto)

@@ -47,9 +47,7 @@ func Run(rt rtiface.RT, cfg Config) (apputil.Result, error) {
 	dist := distances(cfg)
 
 	// Shared state: the job counter and the best bound.
-	srt, _ := rt.(rtiface.SpaceRT)
-	hasSpaces := srt != nil &&
-		rt.Capabilities().Has(rtiface.CapSpaces|rtiface.CapCustomProtocols)
+	srt, hasSpaces := rt.(rtiface.SpaceRT)
 	useCounterSpace := cfg.CounterProto != "" && hasSpaces
 	if cfg.CounterProto != "" && !hasSpaces {
 		return res, fmt.Errorf("tsp: runtime %s has no spaces for protocol %q", rt.Name(), cfg.CounterProto)

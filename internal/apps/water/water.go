@@ -63,9 +63,7 @@ func Run(rt rtiface.RT, cfg Config) (apputil.Result, error) {
 	if cfg.Molecules < rt.Procs() || cfg.Steps < 2 {
 		return res, fmt.Errorf("water: bad config %+v", cfg)
 	}
-	srt, _ := rt.(rtiface.SpaceRT)
-	hasSpaces := srt != nil &&
-		rt.Capabilities().Has(rtiface.CapSpaces|rtiface.CapCustomProtocols|rtiface.CapChangeProtocol)
+	srt, hasSpaces := rt.(rtiface.SpaceRT)
 	if cfg.PhaseProtocols && !hasSpaces {
 		return res, fmt.Errorf("water: runtime %s has no spaces for phase protocols", rt.Name())
 	}

@@ -9,15 +9,15 @@ import (
 )
 
 // This file extends the conformance harness to elastic membership: the
-// rejoin drill (checkpoint, kill a processor mid-schedule, revive it,
-// and re-execute from the checkpoint to the model's answer) and the
-// re-homing drill (MigrateHome collectives interleaved with the
-// model-checked schedule). Both run the schedule through the drill's
-// turn executor, with a per-turn hook for their checkpoint, kill and
-// migration turns, and inherit its determinism contract: a run is
-// identified by (protocol, policy, seed) and a failure reproduces
-// exactly. Both need at least two processors: a victim to kill, or a
-// second home to move to.
+// rejoin drill (checkpoint, kill a processor mid-schedule, restore the
+// checkpoint into a new cluster, and re-execute from it to the model's
+// answer) and the re-homing drill (MigrateHome collectives interleaved
+// with the model-checked schedule). Both run the schedule through the
+// drill's turn executor, with a per-turn hook for their checkpoint,
+// kill and migration turns, and inherit its determinism contract: a
+// run is identified by (protocol, policy, seed) and a failure
+// reproduces exactly. Both need at least two processors: a victim to
+// kill, or a second home to move to.
 
 // RejoinConfig selects one rejoin drill. The embedded Config fields
 // mean what they mean for Run; the policy's fault layer is always
@@ -37,18 +37,19 @@ var rejoinRun = runner{kind: "rejoin", test: "TestRejoinFixedSeeds", regions: 5,
 
 // RunRejoin executes one rejoin drill: the model-checked schedule runs
 // with a collective checkpoint a third of the way in, a seed-picked
-// victim is killed two thirds in, the run fails with ErrPeerLost, and
-// the cluster is revived and resumed — every rank restores its
-// checkpoint (round-tripped through the binary codec, as a real rejoin
-// would read it from disk), fences the restore collectively, audits
-// the restored state against the sequential model at the checkpoint,
-// and re-executes the rest of the schedule to the model's answer.
+// victim is killed two thirds in, and the run fails with ErrPeerLost.
+// The crashed cluster is closed. Recovery is acenode's: a second
+// cluster on the same policy and seed re-runs the setup, every rank
+// restores its checkpoint (round-tripped through the binary codec, as
+// a real rejoin reads it from disk), fences the restore collectively,
+// audits the restored state against the sequential model at the
+// checkpoint, and re-executes the rest of the schedule to the model's
+// answer.
 func RunRejoin(cfg RejoinConfig) Report {
 	d := rejoinRun.start(cfg.Config)
 	if d.cl == nil {
 		return d.rep
 	}
-	defer d.cl.Close()
 	n := d.cfg.Procs
 	victim := 1 + d.rng.Intn(n-1)
 	ckptTurn := max(d.cfg.Turns/3, 1)
@@ -59,15 +60,13 @@ func RunRejoin(cfg RejoinConfig) Report {
 		return d.rep
 	}
 
-	// Each rank's handles, encoded checkpoint and pre-kill divergence
-	// cross from the crashed run into the resumed one; ranks write
-	// disjoint slots and Run/Resume joins order the accesses.
-	handles := make([][]*core.Region, n)
+	// Each rank's encoded checkpoint and pre-kill divergence are all
+	// that crosses into the recovery; ranks write disjoint slots and
+	// Run's join orders the accesses.
 	saved := make([][]byte, n)
 	crashed := make([]error, n)
 	err := d.cl.Run(func(p *core.Proc) error {
 		w := d.walker(p, setupRegions(p, p.DefaultSpace(), d.cfg.Regions))
-		handles[p.ID()] = w.hs
 		err := w.turns(0, len(d.ops), restricted, func(i int) error {
 			switch i {
 			case ckptTurn:
@@ -79,7 +78,7 @@ func RunRejoin(cfg RejoinConfig) Report {
 			case killTurn:
 				// Reads once the kill is in flight are unsynchronized by
 				// construction: only divergences before it count, and the
-				// post-rejoin re-execution is where the model check resumes.
+				// recovered re-execution is where the model check resumes.
 				crashed[p.ID()] = w.err
 				if p.ID() == 0 {
 					d.cl.FaultNet().Kill(amnet.NodeID(victim))
@@ -92,6 +91,10 @@ func RunRejoin(cfg RejoinConfig) Report {
 		}
 		return fmt.Errorf("%s: proc %d survived the kill turn", d.name, p.ID())
 	})
+	// A cluster that lost a peer is finished. The faults it saw count
+	// toward the report with the recovered run's.
+	crashFaults := d.cl.Metrics().Net.Faults
+	d.cl.Close()
 	if err := errors.Join(crashed...); err != nil {
 		d.rep.Err = err
 		return d.rep
@@ -125,23 +128,20 @@ func RunRejoin(cfg RejoinConfig) Report {
 		cks[r] = ck
 	}
 
-	fn := d.cl.FaultNet()
-	fn.Revive(amnet.NodeID(victim))
-	fn.Quiesce()
-	if err := d.cl.Revive(); err != nil {
-		d.rep.Err = err
-		return d.rep
+	rd := rejoinRun.start(cfg.Config)
+	if rd.cl == nil {
+		return rd.rep
 	}
-	return d.finish(d.cl.Resume(func(p *core.Proc) error {
+	defer rd.cl.Close()
+	rep := rd.finish(rd.cl.Run(func(p *core.Proc) error {
+		w := rd.walker(p, setupRegions(p, p.DefaultSpace(), rd.cfg.Regions))
 		if err := p.RestoreCheckpoint(cks[p.ID()]); err != nil {
 			return err
 		}
 		// Restore is local; fence it collectively so no processor's
 		// first remote fetch can race a peer still installing its image.
 		p.GlobalBarrier()
-
-		w := d.walker(p, handles[p.ID()])
-		for _, op := range d.ops[:ckptTurn] {
+		for _, op := range rd.ops[:ckptTurn] {
 			if op.write {
 				w.model[op.region] = op.value
 			}
@@ -153,13 +153,15 @@ func RunRejoin(cfg RejoinConfig) Report {
 		// Re-execute from the checkpoint's cursor. Determinism makes the
 		// replayed writes bit-identical, so the model check is exactly the
 		// crashed run's check for the same turns.
-		if err := w.turns(ckptTurn, len(d.ops), restricted, nil); err != nil {
+		if err := w.turns(ckptTurn, len(rd.ops), restricted, nil); err != nil {
 			return err
 		}
 		w.check("final state")
 		p.Barrier(w.sp)
 		return w.err
 	}))
+	rep.Faults = rep.Faults.Add(crashFaults)
+	return rep
 }
 
 // MigrateConfig selects one re-homing drill. MigrateEvery is the turn

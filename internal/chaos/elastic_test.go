@@ -12,8 +12,9 @@ var rejoinProtocols = []string{"sc", "update", "staticupdate", "writethrough"}
 
 // TestRejoinFixedSeeds: kill → rejoin under every timing policy, for
 // the fixed seeds. The drill checkpoints mid-schedule, kills a
-// seed-picked victim, revives, restores through the binary codec, and
-// re-executes to the sequential model's answer.
+// seed-picked victim, closes the crashed cluster, restores through the
+// binary codec into a second one, and re-executes to the sequential
+// model's answer.
 func TestRejoinFixedSeeds(t *testing.T) {
 	seeds := fixedSeeds
 	if testing.Short() {

@@ -82,11 +82,6 @@ type Cluster struct {
 	procs  []*Proc // the processors hosted by this OS process
 	ran    bool
 
-	// revived is set by Revive and consumed by Resume; reviveEpoch
-	// counts revivals, keying each resume's out-of-band resync round.
-	revived     bool
-	reviveEpoch uint64
-
 	// migrate is true when the adaptive controller may re-home regions
 	// (Adapt.MigrateFactor > 0): only then do the protocol handlers
 	// maintain the per-home traffic counters the trigger consumes.

@@ -217,9 +217,8 @@ func (p *Proc) armStall(d time.Duration) *time.Timer {
 // from a Deliver handler (for locally served requests it may also be
 // called from the application thread). Complete never blocks. A
 // completion for an abandoned wait (one whose Wait already failed with
-// ErrSyncStall or ErrPeerLost, or that Revive disarmed) is dropped and
-// its payload recycled; completing a wait that was never armed is a
-// protocol bug and panics.
+// ErrSyncStall or ErrPeerLost) is dropped and its payload recycled;
+// completing a wait that was never armed is a protocol bug and panics.
 func (c *Ctx) Complete(seq uint64, m amnet.Msg) {
 	p := c.p
 	if seq != 0 {
@@ -279,7 +278,7 @@ func (c *Ctx) DefaultBarrier() {
 	p := c.p
 	p.collSeq++
 	p.coll.CountBarrier()
-	c.treeRun(p.collSeq, collOpBarrier, nil)
+	c.treeRun(collOpBarrier, nil)
 }
 
 // DefaultLock acquires the home-based queue lock on r.

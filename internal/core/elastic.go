@@ -6,21 +6,21 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/acedsm/ace/internal/amnet"
 	"github.com/acedsm/ace/internal/faultnet"
 )
 
 // This file implements elastic membership: collective checkpoints of
-// per-space region state, restoration of a checkpoint into a freshly
-// set-up (or revived) cluster, and the revive/resume path that lets an
-// in-process cluster recover from a Kill instead of being unusable
-// after ErrPeerLost.
+// per-space region state and their restoration into a freshly set-up
+// cluster.
 //
 // The recovery model is coordinated rollback plus re-execution. A
-// collective round cannot be replayed by one processor alone — its
-// peers' records of completed rounds are gone — so after
-// a peer loss every processor rolls back to the last collective
-// checkpoint and re-executes the program from its cursor. Execution is
+// cluster whose Run failed with ErrPeerLost is finished: the caller
+// closes it. Recovery is a new cluster — the same deterministic setup,
+// then RestoreCheckpoint on every processor and a GlobalBarrier — that
+// re-executes the program from the last collective checkpoint's
+// cursor. A collective round cannot be replayed by one processor alone
+// (its peers' records of completed rounds are gone), which is why
+// every processor rolls back, not only the lost one. Execution is
 // deterministic (the SPMD programs the harness runs derive all values
 // from seeds), so the re-executed run converges to bit-identical state,
 // and the work replayed is bounded by the checkpoint's cursors, not
@@ -109,18 +109,16 @@ func (p *Proc) Checkpoint(app uint64) (*Checkpoint, error) {
 // region of every checkpointed space is reset to the base state (as a
 // protocol change would), each space's protocol is re-instantiated to
 // the recorded binding, and the home-region data is copied back in.
-// The caller orchestrates the collective discipline: all processors
-// restore checkpoints of the same CollSeq/App before any resumes
-// execution, with no traffic in flight (a fresh bootstrap, or after
-// Cluster.Revive).
+// The caller orchestrates the collective discipline: every processor
+// of a new cluster restores a checkpoint of the same CollSeq/App, then
+// all meet at a GlobalBarrier before any resumes execution.
 //
 // The region table itself is not recorded: the caller re-runs its
 // deterministic setup first (GMalloc sequences restart at the same
-// ids), or resumes an in-process cluster whose tables survived. A
-// checkpointed region the table does not have — or has at the wrong
-// size, or no longer homed here — fails the restore, which is how a
-// stale or mismatched checkpoint is caught instead of poisoning the
-// cluster.
+// ids). A checkpointed region the table does not have — or has at the
+// wrong size, or no longer homed here — fails the restore, which is
+// how a stale or mismatched checkpoint is caught instead of poisoning
+// the cluster.
 func (p *Proc) RestoreCheckpoint(ck *Checkpoint) error {
 	if ck == nil {
 		return errors.New("core: restore of nil checkpoint")
@@ -156,7 +154,7 @@ func (p *Proc) RestoreCheckpoint(ck *Checkpoint) error {
 		sp.eng.Lock()
 		for _, r := range sp.regions {
 			resetRegion(r)
-			// A lost peer may have died holding or awaiting the lock.
+			// Lock state is not checkpointed: restore frees every lock.
 			if r.Dir != nil {
 				r.Dir.lockMu.Lock()
 				r.Dir.LockHolder = -1
@@ -341,101 +339,9 @@ func DecodeCheckpoint(buf []byte) (*Checkpoint, error) {
 
 // FaultNet returns the fault-injection wrapper around the cluster's
 // network, or nil when the cluster runs without Options.Faults. Chaos
-// harnesses use it to Kill a peer mid-run and Revive it for a rejoin
-// drill.
+// harnesses use it to Kill a peer mid-run; the killed cluster is then
+// closed, and a rejoin drill restores into a new one.
 func (c *Cluster) FaultNet() *faultnet.Network {
 	fn, _ := c.net.(*faultnet.Network)
 	return fn
-}
-
-// Revive resets every local processor's peer-loss state after a
-// simulated kill, so the cluster can Resume: the down latch re-arms,
-// purged synchronization tables are re-cleared, and the waiter slot is
-// disarmed with every seq issued so far marked stale (seqs are never
-// reused, so a completion for one still in flight is dropped).
-//
-// Only in-process clusters (all processors local) can revive; a
-// multi-process deployment recovers by tearing down and re-Joining at
-// a higher recovery epoch instead. The caller must first quiesce the
-// transport (FaultNet().Revive + Quiesce) so no pre-kill message is
-// released after the down latch resets — the arrival handlers drop
-// stale traffic only while downPeer is set.
-func (c *Cluster) Revive() error {
-	if len(c.procs) != c.nodes {
-		return errors.New("core: Revive on a multi-process cluster — re-Join instead")
-	}
-	if !c.ran {
-		return errors.New("core: Revive before Run")
-	}
-	c.reviveEpoch++
-	for _, p := range c.procs {
-		p.purgeSyncState()
-		p.revive(c.reviveEpoch)
-	}
-	c.revived = true
-	return nil
-}
-
-// Resume re-runs an SPMD program on a revived cluster. Each processor
-// first resynchronizes its collective cursors (see resyncAfterRevive),
-// then runs fn — which restores a checkpoint and re-executes from its
-// cursor. Resume is only legal directly after Revive.
-func (c *Cluster) Resume(fn func(p *Proc) error) error {
-	if !c.revived {
-		return errors.New("core: Resume without Revive")
-	}
-	c.revived = false
-	c.ran = false
-	return c.Run(func(p *Proc) error {
-		p.resyncAfterRevive()
-		return fn(p)
-	})
-}
-
-// revive re-arms this processor's peer-loss machinery and clears the
-// rendezvous state a failed run left behind. Called with no
-// application thread running and the transport quiesced.
-func (p *Proc) revive(epoch uint64) {
-	p.downMu.Lock()
-	if p.downClosed {
-		p.downCh = make(chan struct{})
-		p.downClosed = false
-	}
-	p.downPeer.Store(-1)
-	p.downMu.Unlock()
-	p.reviveEpoch = epoch
-
-	// Cluster.Revive purged the round table just before. The transport
-	// is quiesced, so no completion is mid-delivery: disarm the slot and
-	// drop a completion a failed run left in it.
-	p.staleSeq.Store(p.nextWaiter)
-	p.waitSeq.Store(0)
-	select {
-	case m := <-p.waitCh:
-		amnet.Recycle(m.Payload)
-	default:
-	}
-}
-
-// resyncTagBase is the reserved out-of-band collective tag space for
-// post-revive resynchronization. Program-order tags (collSeq) are
-// small counters; a resync tag has bit 62 set, so it can never
-// collide with a stale in-flight tag from before the kill.
-const resyncTagBase = uint64(1) << 62
-
-// resyncAfterRevive aligns the collective cursors across processors
-// after a revive. Survivors crashed at different points, so their
-// collSeq cursors disagree; everyone adopts the maximum, which makes
-// every re-executed collective's tag strictly greater than any stale
-// tag still buffered in the fabric — stale arrivals strand in dead
-// table entries instead of completing live rendezvous. The reduce
-// itself cannot use a program-order tag (the cursors disagree), so it
-// runs in the reserved resync tag space, keyed by the revive epoch.
-func (p *Proc) resyncAfterRevive() {
-	buf := amnet.Alloc(8)
-	binary.LittleEndian.PutUint64(buf, p.collSeq)
-	p.coll.CountReduce()
-	out := p.ctx.treeRun(resyncTagBase+p.reviveEpoch, collOpMaxI, buf)
-	p.collSeq = binary.LittleEndian.Uint64(out)
-	amnet.Recycle(out)
 }

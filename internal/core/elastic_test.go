@@ -85,28 +85,31 @@ func TestMigrateHomeRace(t *testing.T) {
 	}
 }
 
-// TestRejoinVsTreeReduction: a five-processor cluster runs a stream of jitter-delayed AllReduce rounds with a
-// collective checkpoint partway in; a victim is killed while peers are
-// skewed across in-flight reductions, the survivors fail typed, and the
-// revived cluster restores the checkpoint and re-reduces to the same
-// answers. This pins the resync path (out-of-band cursor agreement)
-// against stale tree-collective traffic buffered from before the kill.
+// TestRejoinVsTreeReduction: a five-processor cluster runs a stream of
+// jitter-delayed AllReduce rounds with a collective checkpoint partway
+// in; a victim is killed while peers are skewed across in-flight
+// reductions, and the survivors fail typed. The crashed cluster is
+// closed, and a new one on the same fault policy restores the
+// checkpoint and re-reduces to the same answers.
 func TestRejoinVsTreeReduction(t *testing.T) {
 	const procs, total, ckptAt, killAt = 5, 30, 10, 20
 	victim := amnet.NodeID(procs - 1)
-	cl, err := NewCluster(Options{
-		Procs: procs,
-		Faults: &faultnet.Policy{
-			Seed:   7,
-			Delay:  20 * time.Microsecond,
-			Jitter: 300 * time.Microsecond,
-		},
-		SyncTimeout: time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
+	start := func() *Cluster {
+		cl, err := NewCluster(Options{
+			Procs: procs,
+			Faults: &faultnet.Policy{
+				Seed:   7,
+				Delay:  20 * time.Microsecond,
+				Jitter: 300 * time.Microsecond,
+			},
+			SyncTimeout: time.Minute,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
 	}
-	defer cl.Close()
+	cl := start()
 	expect := func(i int) int64 {
 		var s int64
 		for id := 0; id < procs; id++ {
@@ -115,7 +118,7 @@ func TestRejoinVsTreeReduction(t *testing.T) {
 		return s
 	}
 	saved := make([][]byte, procs)
-	err = cl.Run(func(p *Proc) error {
+	err := cl.Run(func(p *Proc) error {
 		for i := 0; i < total; i++ {
 			if i == ckptAt {
 				ck, err := p.Checkpoint(uint64(i))
@@ -134,6 +137,7 @@ func TestRejoinVsTreeReduction(t *testing.T) {
 		}
 		return fmt.Errorf("proc %d survived the kill", p.ID())
 	})
+	cl.Close()
 	if !errors.Is(err, ErrPeerLost) {
 		t.Fatalf("crashed run failed with %v, want ErrPeerLost", err)
 	}
@@ -142,13 +146,9 @@ func TestRejoinVsTreeReduction(t *testing.T) {
 			t.Fatalf("rank %d has no checkpoint", r)
 		}
 	}
-	fn := cl.FaultNet()
-	fn.Revive(victim)
-	fn.Quiesce()
-	if err := cl.Revive(); err != nil {
-		t.Fatal(err)
-	}
-	err = cl.Resume(func(p *Proc) error {
+	cl = start()
+	defer cl.Close()
+	err = cl.Run(func(p *Proc) error {
 		ck, err := DecodeCheckpoint(saved[p.ID()])
 		if err != nil {
 			return err

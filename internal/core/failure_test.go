@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -69,6 +68,53 @@ func TestPeerLostFailsBlockedBarrier(t *testing.T) {
 	}
 }
 
+// TestDuplicatePeerDownFirstWins: peer-down reports race in from several
+// transport goroutines (two kills, or a transport and the failure
+// detector naming one peer). The first report latches its peer and
+// closes downCh once; later reports, concurrent or not, change nothing,
+// and a blocked wait names the first peer.
+func TestDuplicatePeerDownFirstWins(t *testing.T) {
+	const procs = 4
+	cl, err := NewCluster(Options{Procs: procs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	p := cl.procs[0]
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(peer amnet.NodeID) {
+			defer wg.Done()
+			p.peerDown(peer)
+		}(amnet.NodeID(1 + i%(procs-1)))
+	}
+	wg.Wait()
+	select {
+	case <-p.downCh:
+	default:
+		t.Fatal("no peer-down report closed downCh")
+	}
+	first := p.downPeer.Load()
+	if first < 1 || first >= procs {
+		t.Fatalf("downPeer = %d, want one of the reported peers", first)
+	}
+	p.peerDown(amnet.NodeID(1 + int(first)%(procs-1))) // another peer, later
+	if got := p.downPeer.Load(); got != first {
+		t.Fatalf("a later report moved downPeer from %d to %d", first, got)
+	}
+	err = cl.Run(func(q *Proc) error {
+		if q.ID() == 0 {
+			q.GlobalBarrier()
+		}
+		return nil
+	})
+	var lost *PeerLostError
+	if !errors.As(err, &lost) || lost.Local != 0 || lost.Peer != int(first) {
+		t.Fatalf("Run error = %#v, want PeerLostError{Local: 0, Peer: %d}", err, first)
+	}
+}
+
 // TestLateCompletionAfterStallIsDropped: a completion arriving after
 // Wait already failed with ErrSyncStall — the likely shape of a stall,
 // a slow but alive peer answering just past the timeout — must be
@@ -76,7 +122,8 @@ func TestPeerLostFailsBlockedBarrier(t *testing.T) {
 // panic. The fault delay holds proc 1's barrier arrival (and the
 // completions node 0 eventually fans out) past both processors'
 // SyncTimeout, so each pump later dispatches a completion for a retired
-// waiter; surviving the post-Run window is the assertion.
+// waiter; surviving the post-Run window is the assertion. A completion
+// for a seq the processor never issued still panics.
 func TestLateCompletionAfterStallIsDropped(t *testing.T) {
 	inner, err := amnet.NewChanNetwork(amnet.ChanConfig{Nodes: 2})
 	if err != nil {
@@ -98,6 +145,16 @@ func TestLateCompletionAfterStallIsDropped(t *testing.T) {
 	// Proc 0's late completion lands ~150ms in, proc 1's ~300ms; an
 	// unknown-waiter panic on either pump would kill the test binary.
 	time.Sleep(400 * time.Millisecond)
+	for i, p := range cl.procs {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("proc %d: completion for a never-issued seq did not panic", i)
+				}
+			}()
+			p.ctx.Complete(p.nextWaiter+1, amnet.Msg{})
+		}()
+	}
 }
 
 // TestFaultsOptionEndToEnd: Options.Faults wraps the cluster transport
@@ -264,58 +321,4 @@ func TestSecondNewWaiterPanics(t *testing.T) {
 	seq = ctx.NewWaiter() // the slot is free again
 	ctx.Complete(seq, amnet.Msg{})
 	ctx.Wait(seq)
-}
-
-// TestReviveDropsStaleCompletions: Revive disarms the waiter slot a
-// failed run left armed and marks every seq issued so far stale, so a
-// completion for one of them that arrives afterwards is dropped, a
-// completion already sitting in the slot is discarded, and the resumed
-// run waits normally. A completion for a seq never issued still panics.
-func TestReviveDropsStaleCompletions(t *testing.T) {
-	cl, err := NewCluster(Options{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	armed := make([]uint64, 2)
-	err = cl.Run(func(p *Proc) error {
-		p.GlobalBarrier()
-		// Leave the slot as a failed run can: armed and never waited
-		// (proc 0), or completed and never waited (proc 1).
-		armed[p.ID()] = p.ctx.NewWaiter()
-		if p.ID() == 1 {
-			p.ctx.Complete(armed[1], amnet.Msg{Payload: amnet.Alloc(16)})
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Revive(); err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range cl.procs {
-		if n, s := len(p.waitCh), p.waitSeq.Load(); n != 0 || s != 0 {
-			t.Fatalf("proc %d: after Revive the slot holds %d completions, armed %d", i, n, s)
-		}
-		p.ctx.Complete(armed[i], amnet.Msg{Payload: amnet.Alloc(16)}) // stale: dropped
-		p.ctx.Complete(armed[i]-1, amnet.Msg{})                       // older still: dropped
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("proc %d: completion for a never-issued seq did not panic", i)
-				}
-			}()
-			p.ctx.Complete(armed[i]+1, amnet.Msg{})
-		}()
-	}
-	err = cl.Resume(func(p *Proc) error {
-		if got := p.AllReduceInt64(OpSum, 1); got != 2 {
-			return fmt.Errorf("proc %d: sum %d after Revive, want 2", p.ID(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }

@@ -42,13 +42,13 @@ import (
 //     that does, none of which holds it: the application thread folds
 //     its own round contribution into rounds directly and meets a
 //     broadcast there; after a peer loss purgeSyncState clears rounds
-//     and the lock queues from a goroutine of its own (or
-//     Cluster.Revive's caller); and the space-wide resets
-//     (ChangeProtocol, FreeSpace, MigrateHome, RestoreCheckpoint) read
-//     or reset lock queues on the application thread. Completions are
-//     sent after the lock is released — a Send can block on transport
-//     backpressure, or run the destination's handler then and there,
-//     and arrival processing must not stall behind it.
+//     and the lock queues from a goroutine of its own; and the
+//     space-wide resets (ChangeProtocol, FreeSpace, MigrateHome,
+//     RestoreCheckpoint) read or reset lock queues on the application
+//     thread. Completions are sent after the lock is released — a Send
+//     can block on transport backpressure, or run the destination's
+//     handler then and there, and arrival processing must not stall
+//     behind it.
 //   - spaceMu serializes space creation; lookup reads the atomic
 //     spaces snapshot and never locks.
 //   - Region.hot is the lock-free fast path: brackets on a region whose
@@ -96,10 +96,9 @@ type Proc struct {
 	// seq (0 when none), and whoever claims it from there with a
 	// compare-and-swap — Complete, or a failing Wait — alone decides the
 	// wait's fate. waitCh (capacity one) carries a claimed completion's
-	// message to Wait. staleSeq is the watermark of abandoned waits
-	// (failed, or disarmed by Revive): a completion at or below it is
-	// dropped. nextWaiter, the last seq issued, is application-thread
-	// private.
+	// message to Wait. staleSeq is the watermark of failed waits: a
+	// completion at or below it is dropped. nextWaiter, the last seq
+	// issued, is application-thread private.
 	waitSeq    atomic.Uint64
 	waitCh     chan amnet.Msg
 	staleSeq   atomic.Uint64
@@ -132,19 +131,12 @@ type Proc struct {
 	fabricCopies bool
 
 	// downCh is closed when the transport declares a peer lost
-	// (amnet.PeerAware); downPeer then holds the peer's id. Blocked
-	// synchronization waits select on it and fail with ErrPeerLost
-	// instead of hanging forever. downMu guards the latch (downClosed)
-	// so Cluster.Revive can re-arm it with a fresh channel — a plain
-	// sync.Once could fire only for the first kill of the cluster's
-	// lifetime. reviveEpoch counts revivals; it keys the out-of-band
-	// resynchronization collective (application thread reads it, revive
-	// writes it before Resume starts the thread).
-	downCh      chan struct{}
-	downMu      sync.Mutex
-	downClosed  bool
-	downPeer    atomic.Int32
-	reviveEpoch uint64
+	// (amnet.PeerAware); downPeer then holds the first lost peer's id
+	// (-1 before). Blocked synchronization waits select on it and fail
+	// with ErrPeerLost instead of hanging forever. The latch never
+	// re-arms: a cluster that lost a peer is finished.
+	downCh   chan struct{}
+	downPeer atomic.Int32
 
 	// coll counts collective rounds, hops and bytes plus aggregated
 	// protocol frames (always on, lock-free; see trace.CollStats).
@@ -197,15 +189,10 @@ func newProc(c *Cluster, ep amnet.Endpoint) *Proc {
 // synchronization wait (current and future) into the ErrPeerLost path.
 // It is called from a transport goroutine and never blocks.
 func (p *Proc) peerDown(peer amnet.NodeID) {
-	p.downMu.Lock()
-	if p.downClosed {
-		p.downMu.Unlock()
-		return
+	if !p.downPeer.CompareAndSwap(-1, int32(peer)) {
+		return // a later report: the first lost peer wins
 	}
-	p.downClosed = true
-	p.downPeer.Store(int32(peer))
 	close(p.downCh)
-	p.downMu.Unlock()
 	// Purge pending collective and lock state on a fresh goroutine:
 	// this callback runs on a transport goroutine that must not
 	// block, and the purge takes runtime locks a handler may hold.

@@ -223,15 +223,13 @@ func (p *Proc) closeRound(tag uint64, rd *treeRound) {
 	p.roundFree = append(p.roundFree, rd)
 }
 
-// treeRun runs one tree round on the application thread: fold the local
-// contribution (buf, which the engine takes) and block until the result
-// wave returns the combined payload. The wait releases c's engine lock,
-// if any, as every Ctx.Wait does. Collectives tag rounds with collSeq;
-// the post-revive resynchronization passes a reserved tag instead (see
-// resyncAfterRevive).
-func (c *Ctx) treeRun(tag, code uint64, buf []byte) []byte {
+// treeRun runs the tree round tagged collSeq on the application
+// thread: fold the local contribution (buf, which the engine takes) and
+// block until the result wave returns the combined payload. The wait
+// releases c's engine lock, if any, as every Ctx.Wait does.
+func (c *Ctx) treeRun(code uint64, buf []byte) []byte {
 	seq := c.NewWaiter()
-	c.p.treeFold(tag, code, c.p.id, buf, seq)
+	c.p.treeFold(c.p.collSeq, code, c.p.id, buf, seq)
 	return c.Wait(seq).Payload
 }
 
@@ -499,7 +497,7 @@ func (p *Proc) AllReduceInt64s(op ReduceOp, v []int64) []int64 {
 func (p *Proc) reduceRound(code uint64, buf []byte) []byte {
 	p.collSeq++
 	p.coll.CountReduce()
-	return p.ctx.treeRun(p.collSeq, code, buf)
+	return p.ctx.treeRun(code, buf)
 }
 
 // AllReduceFloat64 combines v across all processors with op and returns

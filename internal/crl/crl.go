@@ -225,9 +225,6 @@ func (p *Proc) EndWrite(r *Region) {
 // Barrier synchronizes all processors (rgn_barrier).
 func (p *Proc) Barrier() { p.inner.GlobalBarrier() }
 
-// Broadcast distributes data from root (collective).
-func (p *Proc) Broadcast(root int, data []byte) []byte { return p.inner.Broadcast(root, data) }
-
 // BroadcastID distributes a region id from root (collective).
 func (p *Proc) BroadcastID(root int, id core.RegionID) core.RegionID {
 	return p.inner.BroadcastID(root, id)

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/acedsm/ace/internal/amnet"
@@ -103,7 +104,7 @@ func Wrap(nw amnet.Network, p Policy) *Network {
 	}
 	inner := nw.Endpoints()
 	fn := &Network{inner: nw, policy: p, start: time.Now()}
-	fn.killed = make([]bool, len(inner))
+	fn.killed = make([]atomic.Bool, len(inner))
 	fn.eps = make([]*endpoint, len(inner))
 	for i, iep := range inner {
 		ep := &endpoint{nw: fn, inner: iep, wake: make(chan struct{}, 1)}
@@ -143,8 +144,7 @@ type Network struct {
 	eps    []*endpoint
 	wg     sync.WaitGroup
 
-	killMu sync.Mutex
-	killed []bool
+	killed []atomic.Bool
 }
 
 // Endpoints returns the fault-injecting endpoints, one per inner node.
@@ -174,61 +174,18 @@ func (n *Network) Close() error {
 // processor fails blocked waits instead of hanging on peers it can no
 // longer reach — and traffic to or from the peer, pending or future, is
 // silently discarded. It is the fault the runtime's ErrPeerLost path is
-// tested against without a real network.
+// tested against without a real network. A kill is permanent: a
+// recovering harness closes the network and starts a new one.
 func (n *Network) Kill(peer amnet.NodeID) {
-	n.killMu.Lock()
-	if int(peer) >= len(n.killed) || n.killed[peer] {
-		n.killMu.Unlock()
+	if int(peer) >= len(n.killed) || !n.killed[peer].CompareAndSwap(false, true) {
 		return
 	}
-	n.killed[peer] = true
-	n.killMu.Unlock()
 	for _, ep := range n.eps {
 		ep.firePeerDown(peer)
 	}
 }
 
-// Revive clears a peer's killed state so a rejoin drill can resume
-// traffic through it. Call Quiesce first: revival only stops future
-// discards, and any pre-kill attempt still scheduled would otherwise be
-// released to a runtime that has re-armed its peer-down latch.
-func (n *Network) Revive(peer amnet.NodeID) {
-	n.killMu.Lock()
-	if int(peer) < len(n.killed) {
-		n.killed[peer] = false
-	}
-	n.killMu.Unlock()
-}
-
-// Quiesce blocks until every endpoint's scheduled wire attempts have
-// been released or discarded, then a little longer so the releases
-// drain through the inner fabric's dispatch. After a Kill the
-// schedulers converge quickly — every due attempt involving the dead
-// peer is discarded at release — which makes Quiesce the fence between
-// "the old run's traffic is gone" and reviving the cluster.
-func (n *Network) Quiesce() {
-	settled := 0
-	for settled < 2 {
-		pending := 0
-		for _, ep := range n.eps {
-			ep.mu.Lock()
-			pending += len(ep.heap)
-			ep.mu.Unlock()
-		}
-		if pending == 0 {
-			settled++
-		} else {
-			settled = 0
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func (n *Network) isKilled(id amnet.NodeID) bool {
-	n.killMu.Lock()
-	defer n.killMu.Unlock()
-	return n.killed[id]
-}
+func (n *Network) isKilled(id amnet.NodeID) bool { return n.killed[id].Load() }
 
 // partitionedUntil reports whether the (a,b) pair is inside a partition
 // window at now (an offset from Wrap time), and if so when the window

@@ -11,26 +11,6 @@ import (
 	"github.com/acedsm/ace/internal/crl"
 )
 
-// Capability is a bitset of optional runtime facilities. Benchmarks
-// probe Capabilities once up front instead of handling per-call
-// "unsupported" errors (the old ErrUnsupported sentinel).
-type Capability uint32
-
-// The optional facilities.
-const (
-	// CapSpaces: the runtime has spaces (NewSpace, MallocIn,
-	// BarrierSpace via SpaceRT).
-	CapSpaces Capability = 1 << iota
-	// CapCustomProtocols: spaces may bind protocols other than the
-	// default sequentially consistent one.
-	CapCustomProtocols
-	// CapChangeProtocol: a space's protocol may be switched at runtime.
-	CapChangeProtocol
-)
-
-// Has reports whether c includes every capability in want.
-func (c Capability) Has(want Capability) bool { return c&want == want }
-
 // Handle is an opaque mapped-region handle.
 type Handle interface {
 	// Data returns the region's local data view, valid between start and
@@ -64,7 +44,6 @@ type RT interface {
 	Lock(h Handle)
 	Unlock(h Handle)
 
-	Broadcast(root int, data []byte) []byte
 	BroadcastID(root int, id core.RegionID) core.RegionID
 	BroadcastIDs(root int, ids []core.RegionID) []core.RegionID
 	AllReduceInt64(op core.ReduceOp, v int64) int64
@@ -72,27 +51,17 @@ type RT interface {
 
 	// Name identifies the runtime ("ace" or "crl") for reporting.
 	Name() string
-
-	// Capabilities reports the optional facilities this runtime
-	// supports. A runtime reporting CapSpaces also implements SpaceRT.
-	Capabilities() Capability
 }
 
-// SpaceRT extends RT with Ace's space and protocol facilities. Benchmarks
-// request it with a type assertion when configured to use custom
-// protocols.
+// SpaceRT extends RT with Ace's space and protocol facilities: spaces,
+// protocols other than the default sequentially consistent one, and
+// runtime protocol changes. Benchmarks request it with a type assertion
+// when configured to use custom protocols; a runtime without spaces
+// (CRL) does not implement it.
 type SpaceRT interface {
 	RT
 	NewSpace(protoName string) (SpaceID, error)
-	// FreeSpace destroys the space and recycles its slot (collective).
-	// The SpaceID is dead afterwards; a later NewSpace may hand it out
-	// again for a different space.
-	FreeSpace(sp SpaceID) error
 	MallocIn(sp SpaceID, size int) core.RegionID
-	// MallocInE is MallocIn with the validity checks surfaced as errors
-	// instead of panics — the variant for sizes derived from external
-	// input (a gateway's client frames).
-	MallocInE(sp SpaceID, size int) (core.RegionID, error)
 	BarrierSpace(sp SpaceID)
 	ChangeProtocol(sp SpaceID, protoName string) error
 }
@@ -111,12 +80,6 @@ func NewAce(p *core.Proc) *AceRT { return &AceRT{P: p} }
 
 // Name returns "ace".
 func (a *AceRT) Name() string { return "ace" }
-
-// Capabilities: Ace has spaces, customizable protocols and runtime
-// protocol changes.
-func (a *AceRT) Capabilities() Capability {
-	return CapSpaces | CapCustomProtocols | CapChangeProtocol
-}
 
 func (a *AceRT) ID() int    { return a.P.ID() }
 func (a *AceRT) Procs() int { return a.P.Procs() }
@@ -142,7 +105,6 @@ func (a *AceRT) Barrier()        { a.P.Barrier(a.P.DefaultSpace()) }
 func (a *AceRT) Lock(h Handle)   { a.P.Lock(h.(aceHandle).r) }
 func (a *AceRT) Unlock(h Handle) { a.P.Unlock(h.(aceHandle).r) }
 
-func (a *AceRT) Broadcast(root int, data []byte) []byte { return a.P.Broadcast(root, data) }
 func (a *AceRT) BroadcastID(root int, id core.RegionID) core.RegionID {
 	return a.P.BroadcastID(root, id)
 }
@@ -169,35 +131,9 @@ func (a *AceRT) NewSpace(protoName string) (SpaceID, error) {
 	return SpaceID(sp.ID), nil
 }
 
-// FreeSpace destroys the space and recycles its table slot (collective).
-func (a *AceRT) FreeSpace(sp SpaceID) error {
-	if int(sp) <= 0 || int(sp) >= len(a.spaces) || a.spaces[sp] == nil {
-		return fmt.Errorf("rtiface: FreeSpace of unknown space %d", sp)
-	}
-	if err := a.P.FreeSpace(a.spaces[sp]); err != nil {
-		return err
-	}
-	a.spaces[sp] = nil // a later NewSpace may recycle the slot
-	return nil
-}
-
 // MallocIn allocates from the given space.
 func (a *AceRT) MallocIn(sp SpaceID, size int) core.RegionID {
 	return a.P.GMalloc(a.space(sp), size)
-}
-
-// MallocInE allocates from the given space, returning errors (bad size,
-// freed space, unknown space) instead of panicking.
-func (a *AceRT) MallocInE(sp SpaceID, size int) (core.RegionID, error) {
-	var csp *core.Space
-	if int(sp) == 0 {
-		csp = a.P.DefaultSpace()
-	} else if int(sp) > 0 && int(sp) < len(a.spaces) && a.spaces[sp] != nil {
-		csp = a.spaces[sp]
-	} else {
-		return 0, fmt.Errorf("rtiface: MallocInE in unknown space %d", sp)
-	}
-	return a.P.GMallocE(csp, size)
 }
 
 // BarrierSpace runs a barrier with the space's protocol semantics.
@@ -237,10 +173,6 @@ func NewCRL(p *crl.Proc) *CRLRT { return &CRLRT{P: p} }
 // Name returns "crl".
 func (c *CRLRT) Name() string { return "crl" }
 
-// Capabilities: CRL has none of the optional facilities (one fixed
-// protocol, no spaces).
-func (c *CRLRT) Capabilities() Capability { return 0 }
-
 func (c *CRLRT) ID() int    { return c.P.ID() }
 func (c *CRLRT) Procs() int { return c.P.Procs() }
 
@@ -258,7 +190,6 @@ func (c *CRLRT) Barrier()                      { c.P.Barrier() }
 func (c *CRLRT) Lock(h Handle)   { c.P.StartWrite(h.(crlHandle).r) }
 func (c *CRLRT) Unlock(h Handle) { c.P.EndWrite(h.(crlHandle).r) }
 
-func (c *CRLRT) Broadcast(root int, data []byte) []byte { return c.P.Broadcast(root, data) }
 func (c *CRLRT) BroadcastID(root int, id core.RegionID) core.RegionID {
 	return c.P.BroadcastID(root, id)
 }

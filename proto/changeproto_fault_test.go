@@ -64,10 +64,9 @@ func TestAdaptiveControllerUnderFaults(t *testing.T) {
 	for _, pol := range policies {
 		t.Run(pol, func(t *testing.T) {
 			t.Parallel()
-			rep := chaos.Run(chaos.Config{Seed: 42, Procs: 4, Regions: 5, Turns: 2, Protocol: "adaptive", Policy: pol})
-			if rep.Err != nil {
-				t.Fatal(rep.Err)
-			}
+			cfg := chaos.Config{Seed: 42, Procs: 4, Regions: 5, Turns: 2, Protocol: "adaptive", Policy: pol}
+			rep := chaos.Run(cfg)
+			checkDrill(t, rep, cfg)
 			mu.Lock()
 			landed[pol] = rep.Adapt
 			mu.Unlock()

@@ -2,6 +2,8 @@ package proto_test
 
 import (
 	"fmt"
+	"regexp"
+	"strings"
 	"testing"
 
 	"github.com/acedsm/ace/internal/chaos"
@@ -22,10 +24,25 @@ func drill(t *testing.T, name string, parallel bool, cfg chaos.Config) {
 		if parallel {
 			t.Parallel()
 		}
-		if rep := chaos.Run(cfg); rep.Err != nil {
-			t.Fatal(rep.Err)
-		}
+		checkDrill(t, chaos.Run(cfg), cfg)
 	})
+}
+
+// checkDrill fails t with rep's report when the drill failed. chaos's
+// replay line names its own matrix test, so it is replaced by one that
+// reruns t alone: each cell's seed and sizes are fixed in its test.
+func checkDrill(t *testing.T, rep chaos.Report, cfg chaos.Config) {
+	t.Helper()
+	if rep.Err == nil {
+		return
+	}
+	levels := strings.Split(t.Name(), "/")
+	for i, l := range levels {
+		levels[i] = "^" + regexp.QuoteMeta(l) + "$"
+	}
+	rep.Replay = fmt.Sprintf("go test ./proto -run '%s' (seed %d, %d procs, %d regions, %d turns)",
+		strings.Join(levels, "/"), cfg.Seed, cfg.Procs, cfg.Regions, cfg.Turns)
+	t.Fatal(chaos.FormatReport(rep))
 }
 
 func TestProtocolConformanceRandomSchedules(t *testing.T) {
