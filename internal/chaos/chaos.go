@@ -10,8 +10,8 @@
 //
 // All runners share one drill (drill.go): one cluster start, one turn
 // executor, one model check and one home-writer round. Run is the
-// conformance drill proper; RunRejoin, RunMigrate and RunSpaceChurn
-// reuse its start and, where they run the schedule, its executor.
+// conformance drill proper; RunRejoin and RunSpaceChurn reuse its start
+// and, where they run the schedule, its executor.
 //
 // The "null" protocol is deliberately not covered: it performs no
 // coherence actions by contract and is only correct for unshared or
@@ -50,6 +50,9 @@ type Report struct {
 	Seed     int64
 	Err      error
 	Faults   trace.FaultCounts
+	// CrashFaults is the share of Faults the rejoin drill's crashed
+	// cluster counted; the rest is the recovered cluster's.
+	CrashFaults trace.FaultCounts
 	// Adapt is the adaptive controller's final state for the drill's
 	// space (the "adaptive" row only).
 	Adapt  trace.AdaptStats
@@ -94,12 +97,14 @@ func PolicyByName(name string, seed int64) (*faultnet.Policy, error) {
 		}, nil
 	case "partitioned":
 		// Two successive bidirectional windows on the 0↔1 pair (the
-		// pair in a Partition is unordered).
+		// pair in a Partition is unordered). The first opens with the
+		// cluster's first inter-node message, so a drill's setup, whose
+		// rounds all cross 0↔1, always runs into it.
 		return &faultnet.Policy{
 			Seed: seed,
 			Partitions: []faultnet.Partition{
-				{A: 0, B: 1, After: 2 * time.Millisecond, For: 3 * time.Millisecond},
-				{A: 0, B: 1, After: 9 * time.Millisecond, For: 3 * time.Millisecond},
+				{A: 0, B: 1, After: 0, For: 3 * time.Millisecond},
+				{A: 0, B: 1, After: 5 * time.Millisecond, For: 3 * time.Millisecond},
 			},
 		}, nil
 	case "slow":

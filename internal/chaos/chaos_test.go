@@ -3,6 +3,8 @@ package chaos
 import (
 	"strings"
 	"testing"
+
+	"github.com/acedsm/ace/internal/trace"
 )
 
 // fixedSeeds are the seeds the acceptance gate pins: the full
@@ -26,12 +28,15 @@ func TestMatrixFixedSeeds(t *testing.T) {
 					if rep.Err != nil {
 						t.Fatal(FormatReport(rep))
 					}
-					// Per-message policies must visibly inject; the
-					// partition policy is time-windowed and a fast run
-					// may legitimately slip through its windows.
+					// Per-message policies must visibly inject, and the
+					// partition policy's first window is open while the
+					// drill sets up.
 					perMessage := policy == "jittery" || policy == "lossy" || policy == "slow"
 					if perMessage && rep.Faults.Total() == 0 {
 						t.Fatalf("seed %d: policy %q injected no faults", seed, policy)
+					}
+					if policy == "partitioned" && rep.Faults[trace.FaultPartition] == 0 {
+						t.Fatalf("seed %d: partitioned policy held no message", seed)
 					}
 					if policy == "clean" && rep.Faults.Total() != 0 {
 						t.Fatalf("seed %d: clean policy injected %d faults", seed, rep.Faults.Total())
@@ -122,7 +127,6 @@ func TestReplayNamesSeed(t *testing.T) {
 	}{
 		{"TestMatrixFixedSeeds", func() Report { return Run(cfg) }},
 		{"TestRejoinFixedSeeds", func() Report { return RunRejoin(RejoinConfig{Config: cfg}) }},
-		{"TestMigrateFixedSeeds", func() Report { return RunMigrate(MigrateConfig{Config: cfg}) }},
 		{"TestSpaceChurnFixedSeeds", func() Report { return RunSpaceChurn(cfg) }},
 	} {
 		rep := tc.run()

@@ -81,9 +81,8 @@ func (rn runner) start(cfg Config) *drill {
 	var adapt *core.AdaptConfig
 	if cfg.Protocol == "adaptive" {
 		// The adaptive row starts on "sc" and lets the controller switch
-		// protocols while the drill runs. Aggressive tuning so switches
-		// land inside the fault windows (the partitioned policy's windows
-		// open a few milliseconds in).
+		// protocols while the drill runs. Aggressive tuning so the
+		// controller switches within the drill's few dozen barriers.
 		d.base = "sc"
 		adapt = &core.AdaptConfig{EpochBarriers: 2, Hysteresis: 2, Cooldown: 1, MinOps: 1}
 	}
@@ -174,6 +173,10 @@ func additiveSchedule(procs, nRegions, nTurns int) []schedOp {
 	return ops
 }
 
+// homeOf is the home of a drill's region r on procs processors: the
+// processor setupRegions allocates it on, round-robin.
+func homeOf(r, procs int) int { return r % procs }
+
 // setupRegions allocates n regions homed round-robin, broadcasts their
 // ids, maps them everywhere and registers every processor as a sharer
 // (so push-based protocols know the full sharer set), finishing at a
@@ -183,14 +186,14 @@ func setupRegions(p *core.Proc, sp *core.Space, n int) []*core.Region {
 	ids := make([]core.RegionID, n)
 	var mine []core.RegionID
 	for r := 0; r < n; r++ {
-		if r%procs == p.ID() {
+		if homeOf(r, procs) == p.ID() {
 			mine = append(mine, p.GMalloc(sp, 8))
 		}
 	}
 	for root := 0; root < procs; root++ {
 		cnt := 0
 		for r := 0; r < n; r++ {
-			if r%procs == root {
+			if homeOf(r, procs) == root {
 				cnt++
 			}
 		}
@@ -202,7 +205,7 @@ func setupRegions(p *core.Proc, sp *core.Space, n int) []*core.Region {
 		}
 		i := 0
 		for r := 0; r < n; r++ {
-			if r%procs == root {
+			if homeOf(r, procs) == root {
 				ids[r] = got[i]
 				i++
 			}
@@ -220,8 +223,7 @@ func setupRegions(p *core.Proc, sp *core.Space, n int) []*core.Region {
 
 // walker is one processor's side of a drill: its region handles, its
 // copy of the sequential model (identical on every processor by
-// construction), each region's current home, and the first divergence
-// it saw.
+// construction), and the first divergence it saw.
 //
 // A divergence must not strand the other processors at the next
 // barrier: the walker records the first one, keeps executing the
@@ -230,29 +232,23 @@ func setupRegions(p *core.Proc, sp *core.Space, n int) []*core.Region {
 // every processor reports its own first divergence.
 type walker struct {
 	*drill
-	p      *core.Proc
-	sp     *core.Space
-	hs     []*core.Region
-	model  []float64
-	homeOf []int
-	err    error
+	p     *core.Proc
+	sp    *core.Space
+	hs    []*core.Region
+	model []float64
+	err   error
 }
 
 // walker starts p's side of the drill over the handles hs; the model
 // covers the first cfg.Regions of them.
 func (d *drill) walker(p *core.Proc, hs []*core.Region) *walker {
-	w := &walker{
-		drill:  d,
-		p:      p,
-		sp:     p.DefaultSpace(),
-		hs:     hs,
-		model:  make([]float64, d.cfg.Regions),
-		homeOf: make([]int, d.cfg.Regions),
+	return &walker{
+		drill: d,
+		p:     p,
+		sp:    p.DefaultSpace(),
+		hs:    hs,
+		model: make([]float64, d.cfg.Regions),
 	}
-	for r := range w.homeOf {
-		w.homeOf[r] = r % d.cfg.Procs
-	}
-	return w
 }
 
 func (w *walker) fail(err error) {
@@ -264,8 +260,8 @@ func (w *walker) fail(err error) {
 // turns executes schedule turns [from, to). Each turn first calls hook
 // (if any), then its processor (every processor, for an additive op)
 // writes or reads against the model, then everyone meets at a barrier.
-// With restricted set a write goes to its region's current home
-// instead of the scheduled processor. Only a hook error stops the walk.
+// With restricted set a write goes to its region's home instead of the
+// scheduled processor. Only a hook error stops the walk.
 func (w *walker) turns(from, to int, restricted bool, hook func(i int) error) error {
 	for i := from; i < to; i++ {
 		if hook != nil {
@@ -276,7 +272,7 @@ func (w *walker) turns(from, to int, restricted bool, hook func(i int) error) er
 		op := w.ops[i]
 		who := op.proc
 		if op.write && restricted {
-			who = w.homeOf[op.region]
+			who = homeOf(op.region, w.cfg.Procs)
 		}
 		if who == w.p.ID() || op.add {
 			if op.write {
@@ -322,8 +318,8 @@ func (w *walker) check(stage string) {
 	}
 }
 
-// homeRound has each region's current home — a writer every protocol
-// permits — bump it by 100, then checks every region. The bump is a
+// homeRound has each region's home — a writer every protocol permits —
+// bump it by 100, then checks every region. The bump is a
 // read-modify-write, so under pipeline (where a home write section
 // starts from zero and adds) it bumps the same way. With lock set, the
 // writes run inside a lock section on it.
@@ -332,7 +328,7 @@ func (w *walker) homeRound(stage string, lock *core.Region) {
 		w.p.Lock(lock)
 	}
 	for r := range w.model {
-		if w.homeOf[r] == w.p.ID() {
+		if homeOf(r, w.cfg.Procs) == w.p.ID() {
 			h := w.hs[r]
 			w.p.StartWrite(h)
 			h.Data.SetFloat64(0, h.Data.Float64(0)+100)

@@ -11,13 +11,11 @@ import (
 // This file extends the conformance harness to elastic membership: the
 // rejoin drill (checkpoint, kill a processor mid-schedule, restore the
 // checkpoint into a new cluster, and re-execute from it to the model's
-// answer) and the re-homing drill (MigrateHome collectives interleaved
-// with the model-checked schedule). Both run the schedule through the
-// drill's turn executor, with a per-turn hook for their checkpoint,
-// kill and migration turns, and inherit its determinism contract: a
-// run is identified by (protocol, policy, seed) and a failure
-// reproduces exactly. Both need at least two processors: a victim to
-// kill, or a second home to move to.
+// answer). It runs the schedule through the drill's turn executor, with
+// a per-turn hook for its checkpoint and kill turns, and inherits its
+// determinism contract: a run is identified by (protocol, policy, seed)
+// and a failure reproduces exactly. It needs at least two processors,
+// one of them a victim to kill.
 
 // RejoinConfig selects one rejoin drill. The embedded Config fields
 // mean what they mean for Run; the policy's fault layer is always
@@ -161,74 +159,6 @@ func RunRejoin(cfg RejoinConfig) Report {
 		return w.err
 	}))
 	rep.Faults = rep.Faults.Add(crashFaults)
+	rep.CrashFaults = crashFaults
 	return rep
-}
-
-// MigrateConfig selects one re-homing drill. MigrateEvery is the turn
-// stride between MigrateHome collectives; zero picks a default that
-// lands several migrations inside the schedule.
-type MigrateConfig struct {
-	Config
-	MigrateEvery int
-}
-
-var migrateRun = runner{kind: "migrate", test: "TestMigrateFixedSeeds", regions: 5, turns: 40, minProcs: 2}
-
-// RunMigrate executes the model-checked schedule with region re-homing
-// interleaved: every MigrateEvery turns, one region's home rotates to
-// the next processor by a MigrateHome collective, and the schedule
-// keeps checking reads against the sequential model across the move.
-// Home-restricted protocols follow the moving home — the processor
-// issuing a region's writes is always its current home, which is the
-// re-homing feature's whole point.
-func RunMigrate(cfg MigrateConfig) Report {
-	d := migrateRun.start(cfg.Config)
-	if d.cl == nil {
-		return d.rep
-	}
-	defer d.cl.Close()
-	every := cfg.MigrateEvery
-	if every <= 0 {
-		every = max(d.cfg.Turns/8, 3)
-	}
-	return d.finish(d.cl.Run(func(p *core.Proc) error {
-		w := d.walker(p, setupRegions(p, p.DefaultSpace(), d.cfg.Regions))
-		// w.homeOf evolves identically on every processor because
-		// migrations are schedule-positional.
-		migrations := 0
-		err := w.turns(0, len(d.ops), d.homeRestricted(d.cfg.Protocol), func(i int) error {
-			if i == 0 || i%every != 0 {
-				return nil
-			}
-			rr := (i / every) % d.cfg.Regions
-			next := (w.homeOf[rr] + 1) % d.cfg.Procs
-			if err := p.MigrateHome(w.sp, w.hs[rr].ID, amnet.NodeID(next)); err != nil {
-				return err // collective misuse, not a coherence divergence
-			}
-			w.homeOf[rr] = next
-			migrations++
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if migrations == 0 {
-			w.fail(fmt.Errorf("%s: schedule performed no migrations (stride %d, %d turns)",
-				d.name, every, d.cfg.Turns))
-		}
-		// The directory really moved: every processor's view of each
-		// region names the tracked home.
-		for r, home := range w.homeOf {
-			if got := int(w.hs[r].Home); got != home {
-				w.fail(fmt.Errorf("%s: proc %d sees region %d homed at %d, tracking says %d",
-					d.name, p.ID(), r, got, home))
-			}
-		}
-		w.check("after migrated schedule")
-		p.Barrier(w.sp)
-		// The moved directory must accept its new home as a first-class
-		// writer.
-		w.homeRound("after write round at migrated homes", nil)
-		return w.err
-	}))
 }

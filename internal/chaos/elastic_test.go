@@ -3,6 +3,8 @@ package chaos
 import (
 	"strings"
 	"testing"
+
+	"github.com/acedsm/ace/internal/trace"
 )
 
 // rejoinProtocols are the push-family and invalidate protocols the
@@ -31,6 +33,14 @@ func TestRejoinFixedSeeds(t *testing.T) {
 					}})
 					if rep.Err != nil {
 						t.Fatal(FormatReport(rep))
+					}
+					// Each cluster starts its own fault layer, so each
+					// sets up inside an open partition window.
+					crashed := rep.CrashFaults[trace.FaultPartition]
+					recovered := rep.Faults[trace.FaultPartition] - crashed
+					if policy == "partitioned" && (crashed == 0 || recovered == 0) {
+						t.Fatalf("seed %d: partitioned policy held %d messages in the crashed cluster and %d in the recovered one, want at least one each",
+							seed, crashed, recovered)
 					}
 				}
 			})
@@ -85,43 +95,11 @@ func TestBrokenRejoinCaught(t *testing.T) {
 	}
 }
 
-// TestMigrateFixedSeeds: MigrateHome mid-workload across the push
-// family (and sc), under the per-message policies, for the fixed
-// seeds. The drill rotates region homes every few turns while the
-// model-checked schedule runs, then proves the new homes are
-// first-class writers.
-func TestMigrateFixedSeeds(t *testing.T) {
-	seeds := fixedSeeds
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, protocol := range []string{"sc", "update", "staticupdate", "writethrough"} {
-		for _, policy := range []string{"clean", "jittery", "lossy"} {
-			protocol, policy := protocol, policy
-			t.Run(protocol+"/"+policy, func(t *testing.T) {
-				t.Parallel()
-				for _, seed := range seeds {
-					rep := RunMigrate(MigrateConfig{Config: Config{
-						Seed: seed, Protocol: protocol, Policy: policy,
-					}})
-					if rep.Err != nil {
-						t.Fatal(FormatReport(rep))
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestElasticDrillsNeedTwoProcs: the rejoin drill needs a victim and
-// the re-homing drill a second home, so one processor is an error, not
-// a silent run on the default four.
+// TestElasticDrillsNeedTwoProcs: the rejoin drill needs a victim, so
+// one processor is an error, not a silent run on the default four.
 func TestElasticDrillsNeedTwoProcs(t *testing.T) {
 	cfg := Config{Seed: 1, Procs: 1, Protocol: "sc"}
 	if rep := RunRejoin(RejoinConfig{Config: cfg}); rep.Err == nil {
 		t.Error("rejoin drill ran on one processor")
-	}
-	if rep := RunMigrate(MigrateConfig{Config: cfg}); rep.Err == nil {
-		t.Error("migrate drill ran on one processor")
 	}
 }

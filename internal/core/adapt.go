@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"github.com/acedsm/ace/internal/amnet"
 	"github.com/acedsm/ace/internal/trace"
 )
 
@@ -30,11 +29,6 @@ const (
 	stableEpochs    = 3
 	maxEpochStretch = 8
 )
-
-// minMigrateMsgs is the minimum cluster-wide home-bound message count
-// per epoch before the re-homing trigger fires; quieter epochs carry no
-// placement signal.
-const minMigrateMsgs = 64
 
 // AdaptHints is a protocol's declaration to the adaptive controller, part
 // of its registry Info. The zero value opts the protocol out entirely:
@@ -88,15 +82,6 @@ type AdaptConfig struct {
 	// per epoch for the epoch to carry signal; quieter epochs decay the
 	// hysteresis streak instead of feeding it. Default 64.
 	MinOps uint64
-
-	// MigrateFactor enables traffic-driven region re-homing: when one
-	// processor's share of a space's home-bound protocol traffic in an
-	// epoch exceeds this factor times the per-processor mean (and the
-	// epoch carried at least 64 such messages cluster-wide), the
-	// controller migrates that home's hottest region to the least loaded
-	// processor (MigrateHome). Zero (the default) disables re-homing
-	// entirely — the traffic counters are not even maintained.
-	MigrateFactor float64
 }
 
 func (c AdaptConfig) withDefaults() AdaptConfig {
@@ -113,9 +98,6 @@ func (c AdaptConfig) withDefaults() AdaptConfig {
 	}
 	if c.MinOps == 0 {
 		c.MinOps = 64
-	}
-	if c.MigrateFactor < 0 {
-		c.MigrateFactor = 0
 	}
 	return c
 }
@@ -145,16 +127,15 @@ func adaptTargetTable(reg *Registry) map[string]string {
 // that feeds a decision is derived from cluster-wide aggregates, so the
 // states on all processors evolve in lockstep.
 type adaptState struct {
-	prev       trace.SpaceMetrics // counter snapshot at the last epoch boundary
-	barriers   int                // barriers since the last epoch boundary
-	epoch      uint64
-	pattern    string // most recent classification
-	target     string // protocol the current mismatch streak points at
-	streak     int    // consecutive epochs pointing at target
-	cooldown   int    // epochs left before evaluation resumes
-	switches   uint64
-	lastSw     uint64
-	migrations uint64
+	prev     trace.SpaceMetrics // counter snapshot at the last epoch boundary
+	barriers int                // barriers since the last epoch boundary
+	epoch    uint64
+	pattern  string // most recent classification
+	target   string // protocol the current mismatch streak points at
+	streak   int    // consecutive epochs pointing at target
+	cooldown int    // epochs left before evaluation resumes
+	switches uint64
+	lastSw   uint64
 
 	// Monitoring-cadence backoff (see stableEpochs): stable counts
 	// consecutive do-nothing epochs, epochLen is the current barriers-
@@ -214,7 +195,6 @@ func (st *adaptState) publish(sp *Space) {
 		Pattern:         st.pattern,
 		Epochs:          st.epoch,
 		Switches:        st.switches,
-		Migrations:      st.migrations,
 		LastSwitchEpoch: st.lastSw,
 	}
 	st.pub.Store(&s)
@@ -286,19 +266,6 @@ func (p *Proc) adaptTick(sp *Space) {
 		// misses are counted.
 		int64(cur.RemoteWriteMisses),
 	}
-	if p.cl.migrate {
-		// Per-home traffic vector, one slot per processor: each
-		// contributes its own epoch delta in its own slot, so the reduced
-		// vector — like every other decision input — is identical
-		// everywhere.
-		sp.eng.Lock()
-		my := int64(sp.homeIn)
-		sp.homeIn = 0
-		sp.eng.Unlock()
-		loads := make([]int64, p.cl.Procs())
-		loads[p.id] = my
-		feats = append(feats, loads...)
-	}
 	agg := p.AllReduceInt64s(OpSum, feats)
 	reads, writes, locks := agg[0], agg[1], agg[2]
 	remoteReads, nWriters, nReaders := agg[3], agg[4], agg[5]
@@ -308,24 +275,6 @@ func (p *Proc) adaptTick(sp *Space) {
 		st.cooldown--
 		st.streak = 0
 		st.wake()
-		st.publish(sp)
-		return
-	}
-
-	// Placement: with re-homing enabled, a sufficiently skewed per-home
-	// traffic vector triggers a MigrateHome before (and instead of) this
-	// epoch's protocol evaluation. Runs only outside cooldown — a
-	// lockstep decision, so every processor reaches (or skips) the
-	// migration collective together.
-	if p.cl.migrate && p.adaptMigrate(sp, st, agg[7:], cfg) {
-		st.streak = 0
-		st.target = ""
-		st.wake()
-		// Re-baseline so the migration's flush traffic is not read as
-		// application signal next epoch.
-		if cur, ok := p.rec.SpaceSnapshot(sp.ID); ok {
-			st.prev = cur
-		}
 		st.publish(sp)
 		return
 	}
@@ -382,68 +331,6 @@ func (p *Proc) adaptTick(sp *Space) {
 		st.prev = cur
 	}
 	st.publish(sp)
-}
-
-// adaptMigrate evaluates the re-homing trigger against the epoch's
-// reduced per-home traffic vector and, when one home dominates,
-// migrates its hottest region to the least loaded processor. Returns
-// whether a migration ran. Collective discipline: the decision is a
-// pure function of the identical reduced vector, the candidate region
-// is broadcast from the hot home, and MigrateHome is itself collective
-// — so all processors take the same path.
-func (p *Proc) adaptMigrate(sp *Space, st *adaptState, loads []int64, cfg *AdaptConfig) bool {
-	if len(loads) != p.cl.Procs() {
-		panic(fmt.Sprintf("core: proc %d: migration load vector has %d slots for %d procs",
-			p.id, len(loads), p.cl.Procs()))
-	}
-	var total int64
-	hot, cold := 0, 0
-	for i, v := range loads {
-		total += v
-		if v > loads[hot] {
-			hot = i
-		}
-		if v < loads[cold] {
-			cold = i
-		}
-	}
-	if total < minMigrateMsgs || hot == cold {
-		return false
-	}
-	mean := float64(total) / float64(len(loads))
-	if float64(loads[hot]) <= cfg.MigrateFactor*mean {
-		return false
-	}
-	// The hot home nominates its busiest region of the space; everyone
-	// else learns it from the broadcast. Zero means the traffic was not
-	// attributable to a region still homed there — no-op epoch.
-	var cand RegionID
-	if int(p.id) == hot {
-		var best uint64
-		sp.eng.Lock()
-		for id, n := range sp.regIn {
-			r := p.ctx.Region(id)
-			if r == nil || !r.IsHome() || r.Space != sp {
-				continue
-			}
-			if n > best || (n == best && (cand == 0 || id < cand)) {
-				best, cand = n, id
-			}
-		}
-		sp.eng.Unlock()
-	}
-	id := p.BroadcastID(hot, cand)
-	if id == 0 {
-		return false
-	}
-	if err := p.MigrateHome(sp, id, amnet.NodeID(cold)); err != nil {
-		// Unreachable unless the lockstep invariant is broken (see the
-		// adaptive-switch panic above).
-		panic(fmt.Sprintf("core: proc %d: adaptive migration of %v to %d failed: %v",
-			p.id, id, cold, err))
-	}
-	st.migrations++
-	return true
 }
 
 // classifyPattern maps one epoch's cluster-wide features to an access-

@@ -81,14 +81,14 @@ func TestAdaptTargetTable(t *testing.T) {
 }
 
 // TestAdaptConfigDefaults pins withDefaults, including the negative-
-// cooldown and negative-factor escape hatches.
+// cooldown escape hatch.
 func TestAdaptConfigDefaults(t *testing.T) {
 	d := AdaptConfig{}.withDefaults()
-	if d.EpochBarriers != 4 || d.Hysteresis != 3 || d.Cooldown != 2 || d.MinOps != 64 || d.MigrateFactor != 0 {
+	if d.EpochBarriers != 4 || d.Hysteresis != 3 || d.Cooldown != 2 || d.MinOps != 64 {
 		t.Fatalf("zero-value defaults = %+v", d)
 	}
-	e := AdaptConfig{EpochBarriers: 1, Hysteresis: 1, Cooldown: -1, MinOps: 1, MigrateFactor: -1}.withDefaults()
-	if e.EpochBarriers != 1 || e.Hysteresis != 1 || e.Cooldown != 0 || e.MinOps != 1 || e.MigrateFactor != 0 {
+	e := AdaptConfig{EpochBarriers: 1, Hysteresis: 1, Cooldown: -1, MinOps: 1}.withDefaults()
+	if e.EpochBarriers != 1 || e.Hysteresis != 1 || e.Cooldown != 0 || e.MinOps != 1 {
 		t.Fatalf("explicit config normalized to %+v", e)
 	}
 }

@@ -98,7 +98,7 @@ func (p *Proc) fetchRegion(id RegionID) *Region {
 	m := p.ctx.Wait(seq)
 	sp := p.space(int(m.C))
 	sp.eng.Lock()
-	r := p.materializeAt(id, int(m.A), sp, amnet.NodeID(m.D))
+	r := p.materialize(id, int(m.A), sp)
 	sp.eng.Unlock()
 	return r
 }
@@ -107,13 +107,6 @@ func (p *Proc) fetchRegion(id RegionID) *Region {
 // home its id encodes, returning the existing view if a protocol push
 // raced it in. Caller holds sp's engine lock.
 func (p *Proc) materialize(id RegionID, size int, sp *Space) *Region {
-	return p.materializeAt(id, size, sp, amnet.NodeID(id.Home()))
-}
-
-// materializeAt is materialize with an explicit home: a lookup reply
-// names the region's current home, which after a MigrateHome differs
-// from the allocator the id encodes.
-func (p *Proc) materializeAt(id RegionID, size int, sp *Space, home amnet.NodeID) *Region {
 	p.regMu.Lock()
 	if r := p.regions.Get(id); r != nil {
 		p.regMu.Unlock()
@@ -121,7 +114,7 @@ func (p *Proc) materializeAt(id RegionID, size int, sp *Space, home amnet.NodeID
 	}
 	r := &Region{
 		ID:    id,
-		Home:  home,
+		Home:  amnet.NodeID(id.Home()),
 		Size:  size,
 		Data:  make(memory.Data, size),
 		Space: sp,

@@ -82,11 +82,6 @@ type Cluster struct {
 	procs  []*Proc // the processors hosted by this OS process
 	ran    bool
 
-	// migrate is true when the adaptive controller may re-home regions
-	// (Adapt.MigrateFactor > 0): only then do the protocol handlers
-	// maintain the per-home traffic counters the trigger consumes.
-	migrate bool
-
 	// adapt is the normalized controller configuration (nil when
 	// adaptation is off); adaptTargets maps each advertised access
 	// pattern to its registered protocol, resolved once at creation.
@@ -158,7 +153,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.Adapt != nil {
 		c.adapt = opts.Adapt
 		c.adaptTargets = adaptTargetTable(reg)
-		c.migrate = opts.Adapt.MigrateFactor > 0
 	}
 	if opts.Trace != nil && opts.Trace.Metrics {
 		for _, ep := range eps {
@@ -280,5 +274,4 @@ const (
 	hColl       amnet.HandlerID = 6 // collective: A=tag, C=op (barrier, reduction, result, broadcast), payload=value
 	hProto      amnet.HandlerID = 7 // protocol message: A=region, B=seq, C=verb, D=space
 	hProtoBatch amnet.HandlerID = 8 // aggregated protocol frame: A=records, B=tag, C=verb, D=space
-	hMigrate    amnet.HandlerID = 9 // MigrateHome pull at the old home: A=region, B=seq, D=space
 )

@@ -646,3 +646,43 @@ func TestManyRegionsManyProcs(t *testing.T) {
 		return nil
 	})
 }
+
+// TestLookupServedWhileHomeEngineHeld: a region's first Map on another
+// processor asks the home for its size and space, which are fixed when
+// the region is allocated, so the home answers without taking its
+// space's engine. Proc 0 holds that engine while proc 1 maps one of its
+// regions for the first time; the Map must return while the lock is
+// still held.
+func TestLookupServedWhileHomeEngineHeld(t *testing.T) {
+	held, mapped := make(chan struct{}), make(chan struct{})
+	run(t, 2, func(p *Proc) error {
+		sp := p.DefaultSpace()
+		var id RegionID
+		if p.ID() == 0 {
+			id = p.GMalloc(sp, 8)
+		}
+		id = p.BroadcastID(0, id)
+		if p.ID() == 1 {
+			<-held
+			r := p.Map(id)
+			close(mapped)
+			defer p.Unmap(r)
+			if r.Size != 8 || r.Home != 0 || r.Space != sp {
+				return fmt.Errorf("mapped %v: size %d, home %d, space %d; want 8, 0, %d",
+					id, r.Size, r.Home, r.Space.ID, sp.ID)
+			}
+			return nil
+		}
+		sp.eng.Lock()
+		close(held)
+		var err error
+		select {
+		case <-mapped:
+		case <-time.After(2 * time.Second):
+			err = fmt.Errorf("proc 1's first Map of %v did not return while the home held its engine", id)
+		}
+		sp.eng.Unlock()
+		<-mapped
+		return err
+	})
+}

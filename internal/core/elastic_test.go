@@ -10,81 +10,6 @@ import (
 	"github.com/acedsm/ace/internal/faultnet"
 )
 
-// TestMigrateHomeRace runs under the race detector (this package is in
-// RACE_PKGS): brackets hammer the fast path on a working set of regions
-// while MigrateHome collectives rotate every region's home between the
-// hammering rounds. Each processor's flush and directory traffic is
-// delivered — on its pump, or under direct dispatch on the senders'
-// goroutines — concurrently with the application thread's fast-path
-// CASes: the surface the migration flip (withdraw, move directory,
-// republish) must keep race-free.
-func TestMigrateHomeRace(t *testing.T) {
-	const procs, regions, rounds = 4, 4, 16
-	cl, err := NewCluster(Options{Procs: procs, SyncTimeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	err = cl.Run(func(p *Proc) error {
-		sp := p.DefaultSpace()
-		ids := make([]RegionID, regions)
-		for r := 0; r < regions; r++ {
-			if r%procs == p.ID() {
-				ids[r] = p.GMalloc(sp, 8)
-			}
-			ids[r] = p.BroadcastID(r%procs, ids[r])
-		}
-		hs := make([]*Region, regions)
-		for r, id := range ids {
-			hs[r] = p.Map(id)
-			p.StartRead(hs[r])
-			p.EndRead(hs[r])
-		}
-		p.Barrier(sp)
-		homeOf := make([]int, regions)
-		for r := range homeOf {
-			homeOf[r] = r % procs
-		}
-		for round := 0; round < rounds; round++ {
-			for r := 0; r < regions; r++ {
-				if homeOf[r] == p.ID() {
-					p.StartWrite(hs[r])
-					hs[r].Data.SetInt64(0, int64(round*regions+r))
-					p.EndWrite(hs[r])
-				}
-			}
-			p.Barrier(sp)
-			// Hammer the bracket fast path: after the first slow
-			// fetch, these reads should be eligibility-bit hits
-			// racing only the pump's withdraw/republish.
-			for k := 0; k < 120; k++ {
-				h := hs[k%regions]
-				p.StartRead(h)
-				got := h.Data.Int64(0)
-				p.EndRead(h)
-				if want := int64(round*regions + k%regions); got != want {
-					return fmt.Errorf("proc %d round %d: region %d = %d, want %d",
-						p.ID(), round, k%regions, got, want)
-				}
-			}
-			p.Barrier(sp)
-			// Rotate every region's home while cached copies and
-			// fast bits from the hammering are still hot.
-			for r := 0; r < regions; r++ {
-				next := (homeOf[r] + 1) % procs
-				if err := p.MigrateHome(sp, ids[r], amnet.NodeID(next)); err != nil {
-					return err
-				}
-				homeOf[r] = next
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRejoinVsTreeReduction: a five-processor cluster runs a stream of
 // jitter-delayed AllReduce rounds with a collective checkpoint partway
 // in; a victim is killed while peers are skewed across in-flight

@@ -16,16 +16,16 @@ import (
 // so a directory transaction on one space never serializes against
 // brackets, collectives, or other spaces.
 //
-// Every handler below except hMigrate also registers its non-blocking
-// form. The audit behind that: hComplete claims the waiter slot
-// lock-free, and hLockReq, hUnlockMsg and hColl touch only the leaf
-// locks Directory.lockMu and treeMu, neither of which is held across a
-// Send, and send their completions after unlocking — so they always
-// accept. hLookup, hProto
-// and hProtoBatch need a space's engine lock, which an application
-// thread holds while it sends; they accept iff TryLock gets it
-// (lockEngine) and otherwise decline before touching anything, leaving
-// the message to the queue and a blocking Lock.
+// Every handler below also registers its non-blocking form. The audit
+// behind that: hComplete claims the waiter slot lock-free, hLookup reads
+// only fields fixed when the region is created, and hLockReq,
+// hUnlockMsg and hColl touch only the leaf locks Directory.lockMu and
+// treeMu, neither of which is held across a Send, and send their
+// completions after unlocking — so they always accept. hProto and
+// hProtoBatch need a space's engine lock, which an application thread
+// holds while it sends; they accept iff TryLock gets it (lockEngine) and
+// otherwise decline before touching anything, leaving the message to the
+// queue and a blocking Lock.
 func (p *Proc) registerHandlers() {
 	// always registers a handler that never declines; engine one that
 	// declines when try is set and it cannot get its space's engine.
@@ -38,13 +38,12 @@ func (p *Proc) registerHandlers() {
 		p.ep.RegisterTry(id, func(m amnet.Msg) bool { return fn(m, true) })
 	}
 	always(hComplete, func(m amnet.Msg) { p.ctx.Complete(m.B, m) })
-	engine(hLookup, p.lookupMsg)
+	always(hLookup, p.lookupMsg)        // immutable region metadata, no lock
 	always(hLockReq, p.lockRequest)     // home directory state under Dir.lockMu
 	always(hUnlockMsg, p.unlockRequest) // home directory state under Dir.lockMu
 	always(hColl, p.collDeliver)        // rounds and broadcasts under treeMu
 	engine(hProto, p.protoMsg)
 	engine(hProtoBatch, p.protoBatchMsg)
-	p.ep.Register(hMigrate, p.migrateMsg)
 }
 
 // lockEngine takes sp's engine lock for a message handler. A handler
@@ -59,26 +58,15 @@ func (sp *Space) lockEngine(try bool) bool {
 	return true
 }
 
-// lookupMsg serves a region metadata request at the region's allocator.
-func (p *Proc) lookupMsg(m amnet.Msg, try bool) bool {
+// lookupMsg serves a region metadata request at the region's home. Size
+// and Space are fixed when the region is created, so it reads them
+// without the space's engine; the requester derives the home from the id.
+func (p *Proc) lookupMsg(m amnet.Msg) {
 	r := p.regions.Get(RegionID(m.A))
 	if r == nil {
 		panic(fmt.Sprintf("core: proc %d: lookup of unknown region %v", p.id, RegionID(m.A)))
 	}
-	// Size and Space are immutable after creation; Home is not
-	// (MigrateHome), so read it under the engine and carry it in the
-	// reply. Lookups are addressed to the region's original
-	// allocator, which always retains a view and updates its Home at
-	// every migration flip — so the requester materializes against
-	// the current home even when this node no longer is it.
-	sp := r.Space
-	if !sp.lockEngine(try) {
-		return false
-	}
-	home := r.Home
-	sp.eng.Unlock()
-	p.ep.Send(amnet.Msg{Dst: m.Src, Handler: hComplete, A: uint64(r.Size), B: m.B, C: uint64(sp.ID), D: uint64(home)})
-	return true
+	p.ep.Send(amnet.Msg{Dst: m.Src, Handler: hComplete, A: uint64(r.Size), B: m.B, C: uint64(r.Space.ID)})
 }
 
 // protoMsg hands one protocol message to its space's Deliver.
@@ -98,9 +86,6 @@ func (p *Proc) protoMsg(m amnet.Msg, try bool) bool {
 		// this point (and its count is visible below) or its CAS
 		// fails and it retries through the slow path behind eng.
 		r.disableFast()
-		if p.cl.migrate && r.IsHome() {
-			sp.countHomeIn(r.ID, 1)
-		}
 	}
 	sp.Proto.Deliver(sp.ctx, sp, r, m)
 	if r != nil {
@@ -128,13 +113,6 @@ func (p *Proc) protoBatchMsg(m amnet.Msg, try bool) bool {
 			p.id, sp.ID, sp.ProtoName))
 	}
 	recs := p.decodeBatch(sp, m)
-	if p.cl.migrate {
-		for _, rec := range recs {
-			if rec.R.IsHome() {
-				sp.countHomeIn(rec.R.ID, 1)
-			}
-		}
-	}
 	bd.DeliverBatch(sp.ctx, sp, m.Src, m.C, m.B, recs)
 	for _, rec := range recs {
 		sp.refreshFast(rec.R)
@@ -164,27 +142,4 @@ func (p *Proc) selfDone(src amnet.NodeID) {
 	if src == p.id {
 		p.selfPending.Add(-1)
 	}
-}
-
-// migrateMsg serves a MigrateHome pull: the incoming home asks the
-// current home for the authoritative data and lock ownership. Runs
-// between the flush barrier and the flip barrier, so no coherence traffic
-// races the copy; the engine lock still brackets it so the read is
-// ordered against any local slow-path bracket. Always queued: once per
-// migration is not worth a non-blocking form.
-func (p *Proc) migrateMsg(m amnet.Msg) {
-	sp := p.space(int(m.D))
-	sp.eng.Lock()
-	r := p.regions.Get(RegionID(m.A))
-	if r == nil || !r.IsHome() {
-		panic(fmt.Sprintf("core: proc %d: migrate pull for non-home region %v", p.id, RegionID(m.A)))
-	}
-	holder, _ := r.Dir.lockState()
-	p.ep.Send(amnet.Msg{
-		Dst: m.Src, Handler: hComplete, B: m.B,
-		A:       uint64(int64(holder) + 1), // -1 (unheld) encodes as 0
-		C:       uint64(r.Size),
-		Payload: p.cloneForSend(r.Data),
-	})
-	sp.eng.Unlock()
 }

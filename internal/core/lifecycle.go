@@ -111,9 +111,9 @@ func (p *Proc) LiveSpaces() int {
 
 // flushToBase drives every space in sps to the base state: a barrier
 // fences in-flight brackets, and flushFenced does the rest. Every
-// space-wide reset that keeps the space (ChangeProtocol, MigrateHome,
-// Checkpoint) starts here; FreeSpace fences with its verifying round
-// instead. Collective; the caller holds no engine.
+// space-wide reset that keeps the space (ChangeProtocol, Checkpoint)
+// starts here; FreeSpace fences with its verifying round instead.
+// Collective; the caller holds no engine.
 func (p *Proc) flushToBase(sps ...*Space) {
 	p.ctx.DefaultBarrier()
 	p.flushFenced(sps...)
@@ -126,9 +126,7 @@ func (p *Proc) flushToBase(sps ...*Space) {
 // bracket keeps fast-hitting a flushed copy; the protocol republishes
 // lazily as brackets take the slow path. The write log is dropped with
 // it (a protocol's flush takes what it ships; anything left is stale at
-// the base state), and the per-home traffic counters are zeroed, so the
-// flush's own traffic is not read as application signal. Collective;
-// the caller holds no engine.
+// the base state). Collective; the caller holds no engine.
 func (p *Proc) flushFenced(sps ...*Space) {
 	for _, sp := range sps {
 		sp.eng.Lock()
@@ -142,7 +140,6 @@ func (p *Proc) flushFenced(sps ...*Space) {
 			r.publishFast(0)
 		}
 		sp.takeLog()
-		sp.homeIn, sp.regIn = 0, nil
 		sp.eng.Unlock()
 	}
 }
@@ -197,15 +194,14 @@ func (p *Proc) assertQuiescent(op string, r *Region) {
 }
 
 // reinstall starts info's protocol on sp from the base state: a fresh
-// instance, a new epoch, no protocol data, no write log and no per-home
-// traffic, then the protocol's InitSpace. Caller holds sp.eng, and
+// instance, a new epoch, no protocol data and no write log, then the
+// protocol's InitSpace. Caller holds sp.eng, and
 // every region of sp has been through resetRegion.
 func (p *Proc) reinstall(sp *Space, info Info) {
 	sp.install(info)
 	sp.Epoch++
 	sp.PData = nil
 	sp.takeLog()
-	sp.homeIn, sp.regIn = 0, nil
 	p.rec.SetProtocol(sp.ID, info.Name)
 	sp.Proto.InitSpace(sp.ctx, sp)
 }

@@ -43,9 +43,8 @@ import (
 //     its own round contribution into rounds directly and meets a
 //     broadcast there; after a peer loss purgeSyncState clears rounds
 //     and the lock queues from a goroutine of its own; and the
-//     space-wide resets (ChangeProtocol, FreeSpace, MigrateHome,
-//     RestoreCheckpoint) read or reset lock queues on the application
-//     thread. Completions are sent after the lock is released — a Send
+//     space-wide resets (ChangeProtocol, FreeSpace, RestoreCheckpoint)
+//     read or reset lock queues on the application thread. Completions are sent after the lock is released — a Send
 //     can block on transport backpressure, or run the destination's
 //     handler then and there, and arrival processing must not stall
 //     behind it.

@@ -22,7 +22,10 @@ type RegionData = memory.Data
 // fields belong to the space's protocol; the runtime zeroes them when the
 // protocol changes.
 type Region struct {
-	ID   RegionID
+	ID RegionID
+	// Home is the processor that allocated the region, the one its id
+	// encodes. It is fixed at materialisation, like ID, Size and Space,
+	// so it is read without a lock.
 	Home amnet.NodeID
 	Size int
 	Data memory.Data

@@ -5,49 +5,6 @@ import (
 	"testing"
 )
 
-// TestResetZeroesHomeTraffic: a space-wide reset zeroes the adaptive
-// controller's per-home traffic counters, so the reset's own flush
-// traffic (sc's writeback of an exclusive copy to its home) is not read
-// as application signal in the next epoch's load vector.
-func TestResetZeroesHomeTraffic(t *testing.T) {
-	cl, err := NewCluster(Options{Procs: 2, Adapt: &AdaptConfig{MigrateFactor: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	err = cl.Run(func(p *Proc) error {
-		sp, err := p.NewSpace("sc")
-		if err != nil {
-			return err
-		}
-		var id RegionID
-		if p.ID() == 0 {
-			id = p.GMalloc(sp, 8)
-		}
-		r := p.Map(p.BroadcastID(0, id))
-		if p.ID() == 1 {
-			p.StartWrite(r) // proc 1 now holds the region exclusively
-			r.Data.SetInt64(0, 1)
-			p.EndWrite(r)
-		}
-		p.GlobalBarrier()
-		if err := p.ChangeProtocol(sp, "sc"); err != nil {
-			return err
-		}
-		sp.eng.Lock()
-		homeIn, regIn := sp.homeIn, len(sp.regIn)
-		sp.eng.Unlock()
-		if homeIn != 0 || regIn != 0 {
-			return fmt.Errorf("proc %d: after ChangeProtocol homeIn = %d, regIn has %d regions; want 0, 0",
-				p.ID(), homeIn, regIn)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestResetWithdrawsFastBits: after every space-wide reset no region of
 // the space, on any processor, publishes a fast bit its protocol would
 // not grant in the region's current state. Each row first warms fast
@@ -57,23 +14,20 @@ func TestResetZeroesHomeTraffic(t *testing.T) {
 func TestResetWithdrawsFastBits(t *testing.T) {
 	rows := []struct {
 		name string
-		op   func(p *Proc, sp *Space, ids []RegionID, ck *Checkpoint) error
+		op   func(p *Proc, sp *Space, ck *Checkpoint) error
 	}{
-		{"ChangeProtocol", func(p *Proc, sp *Space, _ []RegionID, _ *Checkpoint) error {
+		{"ChangeProtocol", func(p *Proc, sp *Space, _ *Checkpoint) error {
 			return p.ChangeProtocol(sp, "sc")
 		}},
-		{"MigrateHome", func(p *Proc, sp *Space, ids []RegionID, _ *Checkpoint) error {
-			return p.MigrateHome(sp, ids[0], 2)
-		}},
-		{"Checkpoint", func(p *Proc, _ *Space, _ []RegionID, _ *Checkpoint) error {
+		{"Checkpoint", func(p *Proc, _ *Space, _ *Checkpoint) error {
 			_, err := p.Checkpoint(1)
 			return err
 		}},
-		{"RestoreCheckpoint", func(p *Proc, _ *Space, _ []RegionID, ck *Checkpoint) error {
+		{"RestoreCheckpoint", func(p *Proc, _ *Space, ck *Checkpoint) error {
 			p.GlobalBarrier() // no traffic in flight while restoring
 			return p.RestoreCheckpoint(ck)
 		}},
-		{"FreeSpace", func(p *Proc, sp *Space, _ []RegionID, _ *Checkpoint) error {
+		{"FreeSpace", func(p *Proc, sp *Space, _ *Checkpoint) error {
 			return p.FreeSpace(sp)
 		}},
 	}
@@ -85,7 +39,7 @@ func TestResetWithdrawsFastBits(t *testing.T) {
 					return err
 				}
 				// Two regions homed at 0 and one at 1, so every processor
-				// caches copies and a migration leaves unflipped ones.
+				// caches copies.
 				ids := make([]RegionID, 3)
 				for i, home := range []int{0, 0, 1} {
 					if p.ID() == home {
@@ -107,7 +61,7 @@ func TestResetWithdrawsFastBits(t *testing.T) {
 						return fmt.Errorf("proc %d: cached %v did not warm its fast-read bit", p.ID(), id)
 					}
 				}
-				if err := row.op(p, sp, ids, ck); err != nil {
+				if err := row.op(p, sp, ck); err != nil {
 					return err
 				}
 				if row.name == "FreeSpace" {
@@ -150,10 +104,9 @@ func staleFastBits(p *Proc, sp *Space, ids []RegionID) error {
 
 // TestLifecycleCollectiveRounds pins the collective rounds each space
 // lifecycle operation enters on every processor under sc. NewSpace on a
-// fresh slot, ChangeProtocol, MigrateHome and Checkpoint verify the call
-// with one broadcast, and those that reset the space add the flush
-// barriers (fence, flush, leave together); MigrateHome adds the home
-// agreement and the pull barrier. FreeSpace verifies and fences in one
+// fresh slot, ChangeProtocol and Checkpoint verify the call with one
+// broadcast, and those that reset the space add the flush barriers
+// (fence, flush, leave together). FreeSpace verifies and fences in one
 // round, and adds the flush barrier only when a processor holds a
 // cached copy; it does not leave together, so NewSpace on the slot it
 // recycled verifies with a round, which waits for every processor to
@@ -194,7 +147,6 @@ func TestLifecycleCollectiveRounds(t *testing.T) {
 			fn   func() error
 		}{
 			{"ChangeProtocol", rounds{barriers: 3, bcasts: 1}, func() error { return p.ChangeProtocol(sp, "sc") }},
-			{"MigrateHome", rounds{barriers: 4, bcasts: 1, reduces: 1}, func() error { return p.MigrateHome(sp, id, 1) }},
 			{"Checkpoint", rounds{barriers: 3, bcasts: 1}, func() error { _, err := p.Checkpoint(0); return err }},
 			{"FreeSpace", rounds{barriers: 1, reduces: 1}, func() error { return p.FreeSpace(sp) }},
 			{"NewSpace recycled", rounds{reduces: 1}, func() (err error) {

@@ -41,7 +41,7 @@ type Space struct {
 	eng sync.Mutex
 	// regions is every region of the space this processor has a view
 	// of, in creation order. Append-only under eng (GMallocE and
-	// materializeAt add to it); FreeSpace drops it with the space.
+	// materialize add to it); FreeSpace drops it with the space.
 	regions []*Region
 	// batchRecs is decodeBatch's scratch, reused for every aggregate
 	// frame under eng. DeliverBatch runs to completion under the engine
@@ -64,14 +64,6 @@ type Space struct {
 	// Proc.Snapshot can read the published stats concurrently; all other
 	// access is from the application thread.
 	adapt atomic.Pointer[adaptState]
-
-	// homeIn counts protocol messages delivered to regions homed at this
-	// processor since the controller's last epoch snapshot; regIn breaks
-	// the count down per region so the controller can nominate the
-	// hottest one for re-homing. Both under eng, maintained only when
-	// migration is enabled (Cluster.migrate).
-	homeIn uint64
-	regIn  map[RegionID]uint64
 
 	// dead is set by FreeSpace once the space has been flushed and its
 	// slot recycled; allocation and lookup paths check it lock-free.
@@ -181,16 +173,6 @@ func (sp *Space) Ref() SpaceRef { return SpaceRef{ID: sp.ID, Gen: sp.Gen} }
 
 // Freed reports whether the space has been destroyed by FreeSpace.
 func (sp *Space) Freed() bool { return sp.dead.Load() }
-
-// countHomeIn charges n delivered protocol messages to the home region
-// id. Caller holds sp.eng.
-func (sp *Space) countHomeIn(id RegionID, n uint64) {
-	sp.homeIn += n
-	if sp.regIn == nil {
-		sp.regIn = make(map[RegionID]uint64)
-	}
-	sp.regIn[id] += n
-}
 
 // refreshFast recomputes and publishes r's fast-path eligibility bits
 // from the space's protocol. Caller holds sp.eng. Runtimes call it after

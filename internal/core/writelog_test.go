@@ -191,23 +191,20 @@ func TestFetchDuringFastWriteServedAtClose(t *testing.T) {
 func TestResetsDropWriteLog(t *testing.T) {
 	rows := []struct {
 		name string
-		op   func(p *Proc, sp *Space, ids []RegionID, ck *Checkpoint) error
+		op   func(p *Proc, sp *Space, ck *Checkpoint) error
 	}{
-		{"ChangeProtocol", func(p *Proc, sp *Space, _ []RegionID, _ *Checkpoint) error {
+		{"ChangeProtocol", func(p *Proc, sp *Space, _ *Checkpoint) error {
 			return p.ChangeProtocol(sp, "logw")
 		}},
-		{"MigrateHome", func(p *Proc, sp *Space, ids []RegionID, _ *Checkpoint) error {
-			return p.MigrateHome(sp, ids[0], 1)
-		}},
-		{"Checkpoint", func(p *Proc, _ *Space, _ []RegionID, _ *Checkpoint) error {
+		{"Checkpoint", func(p *Proc, _ *Space, _ *Checkpoint) error {
 			_, err := p.Checkpoint(1)
 			return err
 		}},
-		{"RestoreCheckpoint", func(p *Proc, _ *Space, _ []RegionID, ck *Checkpoint) error {
+		{"RestoreCheckpoint", func(p *Proc, _ *Space, ck *Checkpoint) error {
 			p.GlobalBarrier()
 			return p.RestoreCheckpoint(ck)
 		}},
-		{"FreeSpace", func(p *Proc, sp *Space, _ []RegionID, _ *Checkpoint) error {
+		{"FreeSpace", func(p *Proc, sp *Space, _ *Checkpoint) error {
 			return p.FreeSpace(sp)
 		}},
 	}
@@ -240,7 +237,7 @@ func TestResetsDropWriteLog(t *testing.T) {
 						return fmt.Errorf("proc %d: write to %v not logged (%v)", p.ID(), r.ID, err)
 					}
 				}
-				if err := row.op(p, sp, ids, ck); err != nil {
+				if err := row.op(p, sp, ck); err != nil {
 					return err
 				}
 				if len(sp.log) != 0 {

@@ -80,7 +80,9 @@ type Policy struct {
 
 // Partition is one transient partition window: traffic between nodes A
 // and B — in both directions; the pair is unordered — is lost while the
-// window is open. After is measured from Wrap time.
+// window is open. After is measured from the network's first inter-node
+// send, so a window lands on the traffic however long the setup before
+// it took.
 type Partition struct {
 	A, B  int
 	After time.Duration
@@ -103,7 +105,7 @@ func Wrap(nw amnet.Network, p Policy) *Network {
 		p.ReorderLag = defaultReorder
 	}
 	inner := nw.Endpoints()
-	fn := &Network{inner: nw, policy: p, start: time.Now()}
+	fn := &Network{inner: nw, policy: p}
 	fn.killed = make([]atomic.Bool, len(inner))
 	fn.eps = make([]*endpoint, len(inner))
 	for i, iep := range inner {
@@ -140,9 +142,12 @@ func mix(seed int64, src, dst int) int64 {
 type Network struct {
 	inner  amnet.Network
 	policy Policy
-	start  time.Time
 	eps    []*endpoint
 	wg     sync.WaitGroup
+
+	// start is the first inter-node send, set once by origin.
+	startOnce sync.Once
+	start     time.Time
 
 	killed []atomic.Bool
 }
@@ -187,8 +192,15 @@ func (n *Network) Kill(peer amnet.NodeID) {
 
 func (n *Network) isKilled(id amnet.NodeID) bool { return n.killed[id].Load() }
 
+// origin returns the instant partition windows are timed from: the
+// first inter-node send, which is now if no send came before.
+func (n *Network) origin(now time.Time) time.Time {
+	n.startOnce.Do(func() { n.start = now })
+	return n.start
+}
+
 // partitionedUntil reports whether the (a,b) pair is inside a partition
-// window at now (an offset from Wrap time), and if so when the window
+// window at now (an offset from origin), and if so when the window
 // heals.
 func (n *Network) partitionedUntil(a, b amnet.NodeID, now time.Duration) (time.Duration, bool) {
 	for _, w := range n.policy.Partitions {
@@ -324,7 +336,7 @@ func (e *endpoint) Send(m amnet.Msg) {
 	p := &e.nw.policy
 	stats := e.inner.Stats()
 	now := time.Now()
-	elapsed := now.Sub(e.nw.start)
+	origin := e.nw.origin(now)
 
 	e.mu.Lock()
 	if e.closed {
@@ -344,10 +356,10 @@ func (e *endpoint) Send(m amnet.Msg) {
 			stats.CountFault(trace.FaultDelay)
 		}
 	}
-	if healAt, part := e.nw.partitionedUntil(m.Src, m.Dst, elapsed); part {
+	if healAt, part := e.nw.partitionedUntil(m.Src, m.Dst, now.Sub(origin)); part {
 		// The wire eats the transmission; it is redelivered once the
 		// window heals.
-		due = e.nw.start.Add(healAt + p.RedeliverAfter)
+		due = origin.Add(healAt + p.RedeliverAfter)
 		stats.CountFault(trace.FaultPartition)
 	} else if p.DropProb > 0 && l.rng.Float64() < p.DropProb {
 		due = due.Add(p.RedeliverAfter)

@@ -93,9 +93,6 @@ type AdaptStats struct {
 	Epochs uint64
 	// Switches counts controller-initiated ChangeProtocol calls.
 	Switches uint64
-	// Migrations counts controller-initiated MigrateHome calls (region
-	// re-homing driven by the per-home traffic skew trigger).
-	Migrations uint64
 	// LastSwitchEpoch is the epoch of the most recent switch (0 = none).
 	LastSwitchEpoch uint64
 }

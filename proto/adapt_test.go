@@ -249,69 +249,6 @@ func TestAdaptIgnoresOptedOutProtocol(t *testing.T) {
 	}
 }
 
-// TestAdaptMigratesHotHome: processor 0 homes every region and does no
-// work of its own while the others pass exclusive write ownership
-// around through its directory, so the per-home traffic vector is as
-// skewed as it gets. The controller, with re-homing enabled, must move
-// at least one region off the hot home.
-func TestAdaptMigratesHotHome(t *testing.T) {
-	const procs, regions, rounds, hammers = 4, 8, 40, 24
-	cl, err := core.NewCluster(core.Options{
-		Procs:    procs,
-		Registry: proto.NewRegistry(),
-		Adapt: &core.AdaptConfig{
-			EpochBarriers: 2,
-			Cooldown:      -1, // no initial quiet period
-			MinOps:        1,
-			MigrateFactor: 2,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	err = cl.Run(func(p *core.Proc) error {
-		sp, err := p.NewSpace("sc")
-		if err != nil {
-			return err
-		}
-		hs := make([]*core.Region, regions)
-		for r := range hs {
-			var id core.RegionID
-			if p.ID() == 0 {
-				id = p.GMalloc(sp, 8)
-			}
-			hs[r] = p.Map(p.BroadcastID(0, id))
-		}
-		p.Barrier(sp)
-		for round := 0; round < rounds; round++ {
-			if p.ID() != 0 {
-				// Every non-home processor writes the same region
-				// sequence, so ownership moves through the home's
-				// directory on each transfer.
-				for k := 0; k < hammers; k++ {
-					h := hs[(round+k)%regions]
-					p.StartWrite(h)
-					h.Data.SetInt64(0, int64(round*hammers+k))
-					p.EndWrite(h)
-				}
-			}
-			p.Barrier(sp)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var migrations uint64
-	for _, a := range cl.Metrics().Adapt {
-		migrations += a.Migrations
-	}
-	if migrations < 1 {
-		t.Fatalf("no traffic-driven migration under maximal home skew: %+v", cl.Metrics().Adapt)
-	}
-}
-
 // assertAdaptStats checks the controller surfaced its state for the
 // adapted space: at least minSwitches switches, the expected final
 // protocol and pattern.

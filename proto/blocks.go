@@ -149,8 +149,7 @@ func (d *Drain) Wait(ctx *core.Ctx) {
 // keeps an entry unique live in the runtime, so a protocol whose
 // EndWrite only marks the region can publish core.FastWriteLogged and
 // the runtime's fast close marks it instead; every space-wide reset
-// (protocol change, home migration, checkpoint, FreeSpace) drops the
-// log.
+// (protocol change, checkpoint, FreeSpace) drops the log.
 type DirtyList struct{}
 
 // Mark puts r on the list unless it is already there. Call from a

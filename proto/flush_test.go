@@ -302,18 +302,19 @@ func TestUpdateLateJoiner(t *testing.T) {
 // list when a space-wide collective runs must reach its sharers — the
 // collective's FlushSpace ships it — and must not leave the region
 // marked so that later writes are never pushed. Checkpoint flushes every
-// space; MigrateHome of a different region flushes the whole space too.
+// space; a ChangeProtocol to the protocol already installed flushes the
+// space and starts it afresh.
 func TestDirtyWritesSurviveCollectives(t *testing.T) {
 	collectives := []struct {
 		name string
-		run  func(p *core.Proc, sp *core.Space, other core.RegionID) error
+		run  func(p *core.Proc, sp *core.Space) error
 	}{
-		{"checkpoint", func(p *core.Proc, sp *core.Space, other core.RegionID) error {
+		{"checkpoint", func(p *core.Proc, sp *core.Space) error {
 			_, err := p.Checkpoint(1)
 			return err
 		}},
-		{"migrate_other", func(p *core.Proc, sp *core.Space, other core.RegionID) error {
-			return p.MigrateHome(sp, other, 1)
+		{"change_protocol", func(p *core.Proc, sp *core.Space) error {
+			return p.ChangeProtocol(sp, sp.ProtoName)
 		}},
 	}
 	for _, proto := range []string{"staticupdate", "update", "writethrough"} {
@@ -321,13 +322,11 @@ func TestDirtyWritesSurviveCollectives(t *testing.T) {
 			t.Run(proto+"/"+c.name, func(t *testing.T) {
 				run(t, 2, proto, func(p *core.Proc) error {
 					sp := p.DefaultSpace()
-					var id, other core.RegionID
+					var id core.RegionID
 					if p.ID() == 0 {
 						id = p.GMalloc(sp, 8)
-						other = p.GMalloc(sp, 8)
 					}
 					id = p.BroadcastID(0, id)
-					other = p.BroadcastID(0, other)
 					r := p.Map(id)
 					write := func(v int64) {
 						if p.ID() == 0 {
@@ -354,7 +353,7 @@ func TestDirtyWritesSurviveCollectives(t *testing.T) {
 						return err
 					}
 					write(2)
-					if err := c.run(p, sp, other); err != nil {
+					if err := c.run(p, sp); err != nil {
 						return err
 					}
 					p.Barrier(sp)
