@@ -90,7 +90,7 @@ chaos-smoke:
 	$(GOTEST_GATE) -race -run 'TestCollTopologyCells/update/tree\+agg/lossy' ./internal/chaos
 	$(GOTEST_GATE) -race -run 'TestRejoinFixedSeeds/update/jittery' ./internal/chaos
 	$(GOTEST_GATE) -race -run 'TestSpaceChurnFixedSeeds/update/lossy' ./internal/chaos
-	$(GOTEST_GATE) -race -run 'TestLookupServedWhileHomeEngineHeld|TestRejoinVsTreeReduction|TestResetWithdrawsFastBits' ./internal/core
+	$(GOTEST_GATE) -race -run 'TestLookupServedWhileHomeEngineHeld|TestBroadcastMapsWithoutLookup|TestRejoinVsTreeReduction|TestResetWithdrawsFastBits' ./internal/core
 	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestPeerLossPurgesCollectiveState|TestDuplicatePeerDownFirstWins|TestTreeBarrierLaneOverlapStress|TestDispatchSyncStress' ./internal/core
 	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestAdaptiveControllerUnderFaults' ./proto
 	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestKillLinkUnderCluster|TestReaderDispatchNeverWaitsOnJournal|TestAcksRideDataFrames' ./internal/tcpnet

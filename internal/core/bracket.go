@@ -10,10 +10,10 @@ import (
 
 // GMalloc allocates a shared region of size bytes from sp. The calling
 // processor becomes the region's home. The returned id is valid on every
-// processor (communicate it with Broadcast or by storing it in another
-// region). It panics on an invalid size or a freed space — programmer
-// errors in SPMD code; boundaries that feed client-derived input through
-// use GMallocE, which returns the error instead.
+// processor (communicate it with BroadcastIDs or by storing it in
+// another region). It panics on an invalid size or a freed space —
+// programmer errors in SPMD code; boundaries that feed client-derived
+// input through use GMallocE, which returns the error instead.
 func (p *Proc) GMalloc(sp *Space, size int) RegionID {
 	id, err := p.GMallocE(sp, size)
 	if err != nil {
@@ -59,7 +59,8 @@ func (p *Proc) GMallocE(sp *Space, size int) (RegionID, error) {
 
 // Map translates a region id into this processor's local view of the
 // region, materializing it (fetching its metadata from the home) if this
-// is the first encounter. The data is not necessarily valid until a
+// is the first encounter; a BroadcastIDs that named the region has made
+// the view already. The data is not necessarily valid until a
 // StartRead or StartWrite.
 func (p *Proc) Map(id RegionID) *Region {
 	t := p.rec.Begin()

@@ -525,12 +525,13 @@ func TestMessageCountsSingleRemoteRead(t *testing.T) {
 	}
 	defer cl.Close()
 	var before, after uint64
+	// The id is handed over in a Go variable: a BroadcastID would carry
+	// the region's size and space, and proc 1's Map would send no lookup.
+	var id RegionID
 	err = cl.Run(func(p *Proc) error {
-		var id RegionID
 		if p.ID() == 0 {
 			id = p.GMalloc(p.DefaultSpace(), 8)
 		}
-		id = p.BroadcastID(0, id)
 		// Synchronize via a broadcast rather than a barrier: the root's
 		// send is counted before the receiver proceeds, so proc 1's
 		// snapshots bracket exactly the traffic its own accesses cause.
@@ -652,27 +653,31 @@ func TestManyRegionsManyProcs(t *testing.T) {
 // the region is allocated, so the home answers without taking its
 // space's engine. Proc 0 holds that engine while proc 1 maps one of its
 // regions for the first time; the Map must return while the lock is
-// still held.
+// still held. The id is handed over in a Go variable, not broadcast: a
+// broadcast carries the size and space, and proc 1's Map would then
+// send no lookup at all.
 func TestLookupServedWhileHomeEngineHeld(t *testing.T) {
 	held, mapped := make(chan struct{}), make(chan struct{})
+	var id RegionID // written by proc 0 before held closes
 	run(t, 2, func(p *Proc) error {
 		sp := p.DefaultSpace()
-		var id RegionID
-		if p.ID() == 0 {
-			id = p.GMalloc(sp, 8)
-		}
-		id = p.BroadcastID(0, id)
 		if p.ID() == 1 {
 			<-held
+			before := p.ep.Stats().MsgsSent.Load()
 			r := p.Map(id)
+			sent := p.ep.Stats().MsgsSent.Load() - before
 			close(mapped)
 			defer p.Unmap(r)
+			if sent != 1 {
+				return fmt.Errorf("proc 1's first Map of %v sent %d messages, want the one lookup", id, sent)
+			}
 			if r.Size != 8 || r.Home != 0 || r.Space != sp {
 				return fmt.Errorf("mapped %v: size %d, home %d, space %d; want 8, 0, %d",
 					id, r.Size, r.Home, r.Space.ID, sp.ID)
 			}
 			return nil
 		}
+		id = p.GMalloc(sp, 8)
 		sp.eng.Lock()
 		close(held)
 		var err error
@@ -684,5 +689,107 @@ func TestLookupServedWhileHomeEngineHeld(t *testing.T) {
 		sp.eng.Unlock()
 		<-mapped
 		return err
+	})
+}
+
+// TestBroadcastMapsWithoutLookup: a broadcast id carries the size and
+// space of the root's view of its region, so every receiver's first Map
+// of it is local, in the default space and in a NewSpace alike, through
+// BroadcastIDs and BroadcastID. An id the root holds no view of still
+// costs each receiver that is not its home exactly one lookup.
+func TestBroadcastMapsWithoutLookup(t *testing.T) {
+	const procs = 4
+	type want struct {
+		id    RegionID
+		size  int
+		home  int
+		sp    *Space
+		value int64
+	}
+	var hidden RegionID // homed on proc 2, handed to root 0 in Go
+	run(t, procs, func(p *Proc) error {
+		other, err := p.NewSpace("sc")
+		if err != nil {
+			return err
+		}
+		var ws []want
+		for root := 0; root < procs; root++ {
+			for k, sp := range []*Space{p.DefaultSpace(), other} {
+				// Three regions per root and space, each of its own
+				// size and value: two through BroadcastIDs, one
+				// through BroadcastID.
+				var mine [3]RegionID
+				base := len(ws)
+				for i := range mine {
+					ws = append(ws, want{size: 8 * (base + i + 1), home: root, sp: sp, value: int64(1000*root + 100*k + i)})
+					if p.ID() == root {
+						w := ws[base+i]
+						mine[i] = p.GMalloc(sp, w.size)
+						r := p.Map(mine[i])
+						p.StartWrite(r)
+						r.Data.SetInt64(0, w.value)
+						p.EndWrite(r)
+						p.Unmap(r)
+					}
+				}
+				got := append(p.BroadcastIDs(root, mine[:2]), p.BroadcastID(root, mine[2]))
+				for i, id := range got {
+					ws[base+i].id = id
+				}
+			}
+		}
+		p.GlobalBarrier()
+		before := p.ep.Stats().MsgsSent.Load()
+		rs := make([]*Region, len(ws))
+		for i, w := range ws {
+			rs[i] = p.Map(w.id)
+		}
+		if sent := p.ep.Stats().MsgsSent.Load() - before; sent != 0 {
+			return fmt.Errorf("proc %d: mapping %d broadcast ids sent %d messages, want 0", p.ID(), len(ws), sent)
+		}
+		for i, w := range ws {
+			r := rs[i]
+			if r.Size != w.size || int(r.Home) != w.home || r.Space != w.sp {
+				return fmt.Errorf("proc %d: %v: size %d, home %d, space %d; want %d, %d, %d",
+					p.ID(), w.id, r.Size, r.Home, r.Space.ID, w.size, w.home, w.sp.ID)
+			}
+		}
+		p.GlobalBarrier()
+		for i, w := range ws {
+			r := rs[i]
+			p.StartRead(r)
+			got := r.Data.Int64(0)
+			p.EndRead(r)
+			p.Unmap(r)
+			if got != w.value {
+				return fmt.Errorf("proc %d: %v read %d, want the home's %d", p.ID(), w.id, got, w.value)
+			}
+		}
+
+		// Root 0 broadcasts an id it has never mapped: the broadcast
+		// carries no size, and each processor but the home looks it up.
+		if p.ID() == 2 {
+			hidden = p.GMalloc(p.DefaultSpace(), 24)
+		}
+		p.GlobalBarrier()
+		var id RegionID
+		if p.ID() == 0 {
+			id = hidden
+		}
+		id = p.BroadcastID(0, id)
+		p.GlobalBarrier()
+		before = p.ep.Stats().MsgsSent.Load()
+		r := p.Map(id)
+		sent := p.ep.Stats().MsgsSent.Load() - before
+		defer p.Unmap(r)
+		if p.ID() != 2 && sent != 1 {
+			return fmt.Errorf("proc %d: first Map of %v, broadcast without a view, sent %d messages, want the one lookup", p.ID(), id, sent)
+		}
+		if r.Size != 24 || r.Home != 2 || r.Space != p.DefaultSpace() {
+			return fmt.Errorf("proc %d: %v: size %d, home %d, space %d; want 24, 2, %d",
+				p.ID(), id, r.Size, r.Home, r.Space.ID, p.DefaultSpace().ID)
+		}
+		p.GlobalBarrier()
+		return nil
 	})
 }

@@ -115,7 +115,8 @@ type Protocol interface {
 
 	// RegionCreated runs at the home when a region is allocated from the
 	// space, and on a remote processor when it first materializes the
-	// region (at first map). r.Dir is non-nil exactly at the home.
+	// region (at first map, or when a broadcast names the region). r.Dir
+	// is non-nil exactly at the home.
 	RegionCreated(ctx *Ctx, r *Region)
 
 	// Map and Unmap run at region map/unmap. The runtime maintains the

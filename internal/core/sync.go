@@ -408,26 +408,50 @@ func (p *Proc) bcastFan(root int, tag uint64, data []byte) {
 	p.sendFan(dsts, amnet.Msg{Handler: hColl, A: tag, C: collOpBcast, D: uint64(root), Payload: data})
 }
 
-// BroadcastID broadcasts a region id from root.
+// BroadcastID broadcasts a region id from root: a one-element
+// BroadcastIDs.
 func (p *Proc) BroadcastID(root int, id RegionID) RegionID {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(id))
-	out := p.Broadcast(root, buf[:])
-	return RegionID(binary.LittleEndian.Uint64(out))
+	return p.BroadcastIDs(root, []RegionID{id})[0]
 }
+
+// bcastIDBytes is one id's entry in a BroadcastIDs payload: the id, then
+// the size and space id of the root's view of the region (both zero when
+// the root has none).
+const bcastIDBytes = 16
 
 // BroadcastIDs broadcasts a slice of region ids from root. Non-root
 // processors may pass nil; all processors must agree on the length only at
-// the root.
+// the root. Each id carries the size and space of the root's view of its
+// region, so a receiver that is not the home and has no view yet creates
+// one here, and its first Map of the region sends no lookup. An id the
+// root has no view of is left to that lookup.
 func (p *Proc) BroadcastIDs(root int, ids []RegionID) []RegionID {
-	buf := make([]byte, 8*len(ids))
-	for i, id := range ids {
-		binary.LittleEndian.PutUint64(buf[i*8:], uint64(id))
+	var buf []byte
+	if int(p.id) == root {
+		buf = make([]byte, bcastIDBytes*len(ids))
+		for i, id := range ids {
+			e := buf[i*bcastIDBytes:]
+			binary.LittleEndian.PutUint64(e, uint64(id))
+			if r := p.regions.Get(id); r != nil {
+				binary.LittleEndian.PutUint32(e[8:], uint32(r.Size))
+				binary.LittleEndian.PutUint32(e[12:], uint32(r.Space.ID))
+			}
+		}
 	}
 	out := p.Broadcast(root, buf)
-	res := make([]RegionID, len(out)/8)
+	res := make([]RegionID, len(out)/bcastIDBytes)
 	for i := range res {
-		res[i] = RegionID(binary.LittleEndian.Uint64(out[i*8:]))
+		e := out[i*bcastIDBytes:]
+		id := RegionID(binary.LittleEndian.Uint64(e))
+		res[i] = id
+		size := int(binary.LittleEndian.Uint32(e[8:]))
+		if size == 0 || amnet.NodeID(id.Home()) == p.id || p.regions.Get(id) != nil {
+			continue
+		}
+		sp := p.space(int(binary.LittleEndian.Uint32(e[12:])))
+		sp.eng.Lock()
+		p.materialize(id, size, sp)
+		sp.eng.Unlock()
 	}
 	return res
 }

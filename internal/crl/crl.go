@@ -153,7 +153,9 @@ func (p *Proc) Malloc(size int) core.RegionID {
 }
 
 // Map maps a region into the local address space (rgn_map): a hash lookup
-// in the mapped table, then the URC, then a metadata fetch from the home.
+// in the mapped table, then the URC, then the shared engine's Map, which
+// fetches the metadata from the home unless a broadcast of the id
+// already carried it.
 func (p *Proc) Map(id core.RegionID) *Region {
 	if r, ok := p.mapped[id]; ok {
 		r.mapCount++

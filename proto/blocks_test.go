@@ -151,7 +151,9 @@ func sent(p *core.Proc) uint64  { return p.Snapshot().Net.MsgsSent }
 // f, a region p has never mapped, which is one lookup round trip. Under
 // pumped delivery a message is counted as its handler starts on p's
 // pump, and the lookup's reply comes through the same pump; a send is
-// counted as it is made.
+// counted as it is made. Hand f to p in a Go variable, not a broadcast:
+// a broadcast id carries its region's size and space, so p's Map of it
+// would send nothing.
 func fence(p *core.Proc, f core.RegionID) { p.Map(f) }
 
 // awaitHandled returns once p has received more than base messages and
@@ -213,16 +215,22 @@ func TestPushDeferredWhileSectionOpen(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			open := make(chan struct{})
 			release := sync.OnceFunc(func() { close(open) })
+			var fences [3]core.RegionID // written by proc 0 before it broadcasts a and b
 			pumped(t, name, func(p *core.Proc) error {
 				sp := p.DefaultSpace()
-				var ids [5]core.RegionID // a, b and three fences
+				if p.ID() == 0 {
+					for i := range fences {
+						fences[i] = p.GMalloc(sp, 8)
+					}
+				}
+				var ids [2]core.RegionID // a and b
 				for i := range ids {
 					if p.ID() == 0 {
 						ids[i] = p.GMalloc(sp, 8)
 					}
 					ids[i] = p.BroadcastID(0, ids[i])
 				}
-				ra, rb, fences := p.Map(ids[0]), p.Map(ids[1]), ids[2:]
+				ra, rb := p.Map(ids[0]), p.Map(ids[1])
 				read := func(r *core.Region) int64 {
 					p.StartRead(r)
 					defer p.EndRead(r)
@@ -293,17 +301,17 @@ func TestFetchDeferredDuringHomeWrite(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			open := make(chan struct{})
 			release := sync.OnceFunc(func() { close(open) })
+			var f core.RegionID // the fence, written by proc 1 before the barrier
 			pumped(t, name, func(p *core.Proc) error {
 				sp := p.DefaultSpace()
-				var id, f core.RegionID
+				var id core.RegionID
 				if p.ID() == 0 {
 					id = p.GMalloc(sp, 8)
 				} else {
 					f = p.GMalloc(sp, 8)
 				}
-				id, f = p.BroadcastID(0, id), p.BroadcastID(1, f)
-				r := p.Map(id)
-				p.GlobalBarrier() // every lookup has been answered
+				r := p.Map(p.BroadcastID(0, id))
+				p.GlobalBarrier() // f is written
 				if p.ID() == 0 {
 					defer release()
 					p.StartWrite(r)

@@ -298,12 +298,18 @@ func TestUpdateLateJoiner(t *testing.T) {
 	})
 }
 
-// TestDirtyWritesSurviveCollectives: a home write still on the dirty
-// list when a space-wide collective runs must reach its sharers — the
+// TestDirtyWritesSurviveCollectives: a write still on the dirty list
+// when a space-wide collective runs must reach its sharers — the
 // collective's FlushSpace ships it — and must not leave the region
 // marked so that later writes are never pushed. Checkpoint flushes every
 // space; a ChangeProtocol to the protocol already installed flushes the
-// space and starts it afresh.
+// space and starts it afresh. Proc 1 is the sharer that reads. In the
+// plain rows the home writes (2 procs, home 0); in the remote_writer
+// rows proc 0 writes a region homed on proc 2 (3 procs), so the write
+// is shipped from a processor that is not the home. staticupdate takes
+// no remote writes and has only the plain rows. A wrong read is
+// recorded and the barriers go on, so a divergence fails at once rather
+// than at the SyncTimeout.
 func TestDirtyWritesSurviveCollectives(t *testing.T) {
 	collectives := []struct {
 		name string
@@ -317,54 +323,64 @@ func TestDirtyWritesSurviveCollectives(t *testing.T) {
 			return p.ChangeProtocol(sp, sp.ProtoName)
 		}},
 	}
+	writers := []struct {
+		suffix      string
+		procs, home int
+	}{
+		{"", 2, 0},
+		{"/remote_writer", 3, 2},
+	}
+	const writer, reader = 0, 1
 	for _, proto := range []string{"staticupdate", "update", "writethrough"} {
 		for _, c := range collectives {
-			t.Run(proto+"/"+c.name, func(t *testing.T) {
-				run(t, 2, proto, func(p *core.Proc) error {
-					sp := p.DefaultSpace()
-					var id core.RegionID
-					if p.ID() == 0 {
-						id = p.GMalloc(sp, 8)
-					}
-					id = p.BroadcastID(0, id)
-					r := p.Map(id)
-					write := func(v int64) {
-						if p.ID() == 0 {
-							p.StartWrite(r)
-							r.Data.SetInt64(0, v)
-							p.EndWrite(r)
+			for _, w := range writers {
+				if proto == "staticupdate" && w.home != writer {
+					continue
+				}
+				t.Run(proto+"/"+c.name+w.suffix, func(t *testing.T) {
+					run(t, w.procs, proto, func(p *core.Proc) error {
+						sp := p.DefaultSpace()
+						var id core.RegionID
+						if p.ID() == w.home {
+							id = p.GMalloc(sp, 8)
 						}
-					}
-					check := func(want int64) error {
-						if p.ID() == 1 {
-							p.StartRead(r)
-							got := r.Data.Int64(0)
-							p.EndRead(r)
-							if got != want {
-								return fmt.Errorf("sharer read %d, want %d", got, want)
+						id = p.BroadcastID(w.home, id)
+						r := p.Map(id)
+						write := func(v int64) {
+							if p.ID() == writer {
+								p.StartWrite(r)
+								r.Data.SetInt64(0, v)
+								p.EndWrite(r)
 							}
 						}
+						var bad error
+						check := func(want int64) {
+							if p.ID() == reader {
+								p.StartRead(r)
+								got := r.Data.Int64(0)
+								p.EndRead(r)
+								if got != want && bad == nil {
+									bad = fmt.Errorf("sharer read %d, want %d", got, want)
+								}
+							}
+							p.Barrier(sp)
+						}
+						write(1)
 						p.Barrier(sp)
-						return nil
-					}
-					write(1)
-					p.Barrier(sp)
-					if err := check(1); err != nil {
-						return err
-					}
-					write(2)
-					if err := c.run(p, sp); err != nil {
-						return err
-					}
-					p.Barrier(sp)
-					if err := check(2); err != nil {
-						return err
-					}
-					write(3)
-					p.Barrier(sp)
-					return check(3)
+						check(1)
+						write(2)
+						if err := c.run(p, sp); err != nil {
+							return err
+						}
+						p.Barrier(sp)
+						check(2)
+						write(3)
+						p.Barrier(sp)
+						check(3)
+						return bad
+					})
 				})
-			})
+			}
 		}
 	}
 }
