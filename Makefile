@@ -70,8 +70,9 @@ bench-compare:
 # adaptive drill cells must end with the same switches at the same
 # epoch under every policy; repeating them under -race at one and four
 # CPUs keeps timing out of its decisions. The tree-round engine's
-# peer-loss purge and once-only peer-down latch, overlapping rounds and
-# handler-vs-application-thread folding repeat the same way, as do
+# peer-loss purge and once-only peer-down latch, overlapping rounds,
+# handler-vs-application-thread folding and the lifecycle collectives'
+# mismatch detection on every processor repeat the same way, as do
 # tcpnet's reconnect under a live cluster, its readers' direct dispatch
 # against a full journal, and acks riding data frames, and the fabric's
 # mixed direct/queued dispatch bare and under faultnet. faultnet forwards direct dispatch to
@@ -91,7 +92,7 @@ chaos-smoke:
 	$(GOTEST_GATE) -race -run 'TestRejoinFixedSeeds/update/jittery' ./internal/chaos
 	$(GOTEST_GATE) -race -run 'TestSpaceChurnFixedSeeds/update/lossy' ./internal/chaos
 	$(GOTEST_GATE) -race -run 'TestLookupServedWhileHomeEngineHeld|TestBroadcastMapsWithoutLookup|TestRejoinVsTreeReduction|TestResetWithdrawsFastBits' ./internal/core
-	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestPeerLossPurgesCollectiveState|TestDuplicatePeerDownFirstWins|TestTreeBarrierLaneOverlapStress|TestDispatchSyncStress' ./internal/core
+	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestPeerLossPurgesCollectiveState|TestDuplicatePeerDownFirstWins|TestTreeBarrierLaneOverlapStress|TestDispatchSyncStress|TestLifecycleMismatchFailsEverywhere' ./internal/core
 	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestAdaptiveControllerUnderFaults' ./proto
 	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestKillLinkUnderCluster|TestReaderDispatchNeverWaitsOnJournal|TestAcksRideDataFrames' ./internal/tcpnet
 	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestDirectDispatchMixedKeepsOrderAndSerializesLanes' ./internal/amnet

@@ -141,8 +141,9 @@ func BenchmarkBracket(b *testing.B) {
 // Every processor runs the same b.N iterations after one untimed warm-up
 // (which leaves SpaceCycle a slot to recycle); the timer starts when
 // proc 0 leaves the opening barrier and stops when the last processor
-// finishes, so ns/op is the cluster's time per iteration (broadcast
-// rounds pipeline: the root never waits).
+// finishes, so ns/op is the cluster's time per iteration. A broadcast
+// is a tree round like the others: every processor, the root included,
+// waits for the result wave.
 func BenchmarkCollectives(b *testing.B) {
 	ops := []struct {
 		name   string

@@ -320,7 +320,7 @@ func (p *Proc) adaptTick(sp *Space) {
 	st.lastSw = st.epoch
 	if err := p.ChangeProtocol(sp, target); err != nil {
 		// Unreachable unless the lockstep invariant above is broken:
-		// the target was looked up, and verifyCollective can only
+		// the target was looked up, and the verifying round can only
 		// mismatch if processors decided differently.
 		panic(fmt.Sprintf("core: proc %d: adaptive switch of space %d to %q failed: %v",
 			p.id, sp.ID, target, err))

@@ -121,7 +121,7 @@ func reduce(code uint64, vals [][]byte) []byte {
 func reduceSubtree(code uint64, vals [][]byte, v int) []byte {
 	acc := vals[v]
 	for _, k := range treeKidsOf(v, len(vals)) {
-		combineInto(code, acc, reduceSubtree(code, vals, k))
+		acc = combine(code, acc, reduceSubtree(code, vals, k))
 	}
 	return acc
 }
@@ -286,8 +286,7 @@ func TestTreeRootNotSerialized(t *testing.T) {
 // children's, handled under each node's dispatch token, and the node's
 // own, folded in on its application thread — race the result wave of
 // round g; the per-round keying must keep them straight, and the round
-// table and the broadcast rendezvous maps must drain to empty when the
-// run ends.
+// table must drain to empty when the run ends.
 func TestTreeBarrierLaneOverlapStress(t *testing.T) {
 	const procs, rounds = 8, 200
 	cl, err := NewCluster(Options{Procs: procs})
@@ -299,8 +298,8 @@ func TestTreeBarrierLaneOverlapStress(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			p.GlobalBarrier()
 			if i%10 == 0 {
-				// Mix in reductions and broadcasts so payload rounds and
-				// the rendezvous interleave with barrier rounds.
+				// Mix in reductions and broadcasts so payload rounds
+				// interleave with barrier rounds.
 				if got := p.AllReduceInt64(OpSum, 1); got != procs {
 					return fmt.Errorf("sum = %d", got)
 				}
@@ -415,7 +414,7 @@ func waitPurged(t *testing.T, what string, cond func() bool) {
 }
 
 // collStateEmpty reports whether p holds no pending collective state:
-// no open round, tree or broadcast.
+// no open round.
 func collStateEmpty(p *Proc) bool {
 	p.treeMu.Lock()
 	defer p.treeMu.Unlock()
@@ -424,9 +423,9 @@ func collStateEmpty(p *Proc) bool {
 
 // TestPeerLossPurgesCollectiveState: killing a peer between arrival and
 // release must (a) fail the survivors' blocked collectives with
-// ErrPeerLost and (b) purge every pending round and broadcast
-// rendezvous entry, at P = 3 and at P = 5 — whether the survivors block
-// in tree rounds or in a broadcast rooted at the victim.
+// ErrPeerLost and (b) purge every pending round, at P = 3 and at P = 5
+// — whether the survivors block in reductions and barriers or in a
+// broadcast rooted at the victim.
 func TestPeerLossPurgesCollectiveState(t *testing.T) {
 	survivors := map[string]func(p *Proc, victim int){
 		"rounds": func(p *Proc, _ int) {

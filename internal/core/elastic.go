@@ -57,15 +57,12 @@ type Checkpoint struct {
 // Checkpoint takes a collective snapshot of every space. All
 // processors must call it at the same program point with the same app
 // cursor (verified). The sequence is ChangeProtocol's reset path:
-// flushToBase drives every live space to the base state (authoritative
+// quiesce drives every live space to the base state (authoritative
 // data at the home, no dirty cached copies, nothing in flight), and only
 // then is the home data copied. A final barrier holds every processor
 // until all snapshots are done, so no post-checkpoint write can race a
 // copy.
 func (p *Proc) Checkpoint(app uint64) (*Checkpoint, error) {
-	if err := p.verifyCollective(fmt.Sprintf("ckpt:%d", app)); err != nil {
-		return nil, err
-	}
 	sps := *p.spaces.Load()
 	live := make([]*Space, 0, len(sps))
 	for _, sp := range sps {
@@ -73,7 +70,9 @@ func (p *Proc) Checkpoint(app uint64) (*Checkpoint, error) {
 			live = append(live, sp)
 		}
 	}
-	p.flushToBase(live...)
+	if err := p.quiesce(fmt.Sprintf("ckpt:%d", app), live...); err != nil {
+		return nil, err
+	}
 
 	ck := &Checkpoint{
 		Rank:    int(p.id),

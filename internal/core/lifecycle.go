@@ -109,19 +109,34 @@ func (p *Proc) LiveSpaces() int {
 	return n
 }
 
-// flushToBase drives every space in sps to the base state: a barrier
-// fences in-flight brackets, and flushFenced does the rest. Every
-// space-wide reset that keeps the space (ChangeProtocol, Checkpoint)
-// starts here; FreeSpace fences with its verifying round instead.
-// Collective; the caller holds no engine.
-func (p *Proc) flushToBase(sps ...*Space) {
-	p.ctx.DefaultBarrier()
-	p.flushFenced(sps...)
+// quiesce opens every lifecycle collective that resets or frees spaces
+// (ChangeProtocol, Checkpoint, FreeSpace): one verifying round checks
+// that every processor made the same call (tag), fences in-flight
+// brackets and ORs holdsCoherence over sps across the cluster. Only if
+// some processor holds state are the spaces flushed to the base state
+// (flushFenced). When none does, nothing of sps is cached or in flight,
+// and the home copies are the base state already. Collective; the
+// caller holds no engine.
+func (p *Proc) quiesce(tag string, sps ...*Space) error {
+	holds := false
+	for _, sp := range sps {
+		sp.eng.Lock()
+		holds = p.holdsCoherence(sp)
+		sp.eng.Unlock()
+		if holds {
+			break
+		}
+	}
+	flush, err := p.verifyRound(tag, holds)
+	if err == nil && flush {
+		p.flushFenced(sps...)
+	}
+	return err
 }
 
-// flushFenced is flushToBase after its fence: each space's protocol
-// flushes (authoritative data at the home, no cached copies), and a
-// barrier fences the flush traffic. Only then — with nothing in flight
+// flushFenced flushes the spaces in sps once quiesce has fenced them:
+// each space's protocol flushes (authoritative data at the home, no
+// cached copies), and a barrier fences the flush traffic. Only then — with nothing in flight
 // anywhere — is every region's fast-path eligibility withdrawn, so no
 // bracket keeps fast-hitting a flushed copy; the protocol republishes
 // lazily as brackets take the slow path. The write log is dropped with
@@ -144,14 +159,15 @@ func (p *Proc) flushFenced(sps ...*Space) {
 	}
 }
 
-// holdsCoherence reports whether this processor holds state FreeSpace
-// must flush for sp: a view of a region it is not home to, a home
-// directory that lists a sharer or an owner, or a space message it sent
-// itself that no handler has finished (racecheck's home notifications,
-// a home's own unlock). Every message between two processors about a
-// region has a non-home view at one end, so when no processor holds
-// state nothing of sp is cached or in flight, and the home copies are
-// already the base state. Caller holds sp.eng.
+// holdsCoherence reports whether this processor holds state a lifecycle
+// collective must flush for sp (see quiesce): a view of a region it is
+// not home to, a home directory that lists a sharer or an owner, or a
+// space message it sent itself that no handler has finished
+// (racecheck's home notifications, a home's own unlock). Every message
+// between two processors about a region has a non-home view at one end,
+// so when no processor holds state nothing of sp is cached or in
+// flight, and the home copies are already the base state. Caller holds
+// sp.eng.
 func (p *Proc) holdsCoherence(sp *Space) bool {
 	if p.selfPending.Load() != 0 {
 		return true
@@ -168,7 +184,7 @@ func (p *Proc) holdsCoherence(sp *Space) bool {
 // bits withdrawn, State, Flags and PState zeroed, and the directory's
 // coherence fields reset (lock state is the caller's concern). The
 // written bit goes with the space's write log, which every caller drops
-// (flushToBase before the reset, or reinstall after it). Caller holds
+// (flushFenced before the reset, or reinstall after it). Caller holds
 // r's space engine.
 func resetRegion(r *Region) {
 	r.State, r.Flags, r.PState = 0, 0, nil
@@ -180,7 +196,7 @@ func resetRegion(r *Region) {
 
 // assertQuiescent panics unless r's directory, if r is homed here, is
 // idle: no transaction in progress, no queued coherence request and no
-// queued lock waiter. It holds at any collective after flushToBase,
+// queued lock waiter. It holds at any collective after quiesce,
 // because every processor is inside the collective. Caller holds r's
 // space engine.
 func (p *Proc) assertQuiescent(op string, r *Region) {
@@ -208,14 +224,10 @@ func (p *Proc) reinstall(sp *Space, info Info) {
 
 // FreeSpace destroys sp and recycles its table slot. It is a collective
 // operation: every processor must call it, in the same program order,
-// for the same space. It opens with one tree round that verifies the
-// call (every processor returns the mismatch error), fences the space
-// (every processor has stopped using it) and ORs holdsCoherence across
-// the cluster. Only if some processor holds state is the space flushed
-// to the base state, as for a protocol change (flushFenced); a space
-// whose regions only their homes ever touched is freed without a
-// message beyond the round. Then every region of the space is deleted
-// from the region table, and the table slot is nilled with its
+// for the same space. It opens with quiesce, as a protocol change does:
+// a space whose regions only their homes ever touched is freed without
+// a message beyond the verifying round. Then every region of the space
+// is deleted from the region table, and the table slot is nilled with its
 // generation bumped. FreeSpace does not wait for the other processors
 // to finish: the next NewSpace that takes the recycled slot does, in
 // its verifying round.
@@ -231,15 +243,8 @@ func (p *Proc) FreeSpace(sp *Space) error {
 		return &StaleSpaceError{Ref: sp.Ref()}
 	}
 	t := p.rec.Begin()
-	sp.eng.Lock()
-	holds := p.holdsCoherence(sp)
-	sp.eng.Unlock()
-	flush, err := p.verifyRound(fmt.Sprintf("freespace:%d:%d", sp.ID, sp.Gen), holds)
-	if err != nil {
+	if err := p.quiesce(fmt.Sprintf("freespace:%d:%d", sp.ID, sp.Gen), sp); err != nil {
 		return err
-	}
-	if flush {
-		p.flushFenced(sp)
 	}
 	// A region still inside a bracket, holding queued coherence work, or
 	// with the region lock held means the caller broke the quiescence

@@ -36,18 +36,18 @@ import (
 //     each take its armed seq with one compare-and-swap (see
 //     Ctx.NewWaiter).
 //   - treeMu protects the round table (rounds) and its free list, the
-//     state of every barrier, all-reduce and broadcast; Directory.lockMu
-//     guards each home's region lock queue. The dispatch token
-//     serializes the handlers that use them, but not the other code
-//     that does, none of which holds it: the application thread folds
-//     its own round contribution into rounds directly and meets a
-//     broadcast there; after a peer loss purgeSyncState clears rounds
-//     and the lock queues from a goroutine of its own; and the
-//     space-wide resets (ChangeProtocol, FreeSpace, RestoreCheckpoint)
-//     read or reset lock queues on the application thread. Completions are sent after the lock is released — a Send
-//     can block on transport backpressure, or run the destination's
-//     handler then and there, and arrival processing must not stall
-//     behind it.
+//     state of every collective (barrier, all-reduce, broadcast, each
+//     a tree round); Directory.lockMu guards each home's region lock
+//     queue. The dispatch token serializes the handlers that use them,
+//     but not the other code that does, none of which holds it: the
+//     application thread folds its own round contribution into rounds
+//     directly; after a peer loss purgeSyncState clears rounds and the
+//     lock queues from a goroutine of its own; and the space-wide
+//     resets (ChangeProtocol, FreeSpace, RestoreCheckpoint) read or
+//     reset lock queues on the application thread. Completions are
+//     sent after the lock is released — a Send can block on transport
+//     backpressure, or run the destination's handler then and there,
+//     and arrival processing must not stall behind it.
 //   - spaceMu serializes space creation; lookup reads the atomic
 //     spaces snapshot and never locks.
 //   - Region.hot is the lock-free fast path: brackets on a region whose
@@ -116,7 +116,7 @@ type Proc struct {
 
 	// Collective state. collSeq tags every collective in program order
 	// (application thread only). rounds (under treeMu) holds each open
-	// barrier, all-reduce or broadcast round's state at this node, and
+	// round's state at this node, and
 	// roundFree the reset rounds reused by the next ones, so a round
 	// allocates nothing once the list is warm.
 	collSeq   uint64
@@ -143,8 +143,8 @@ type Proc struct {
 
 	// selfPending counts the space messages (protocol messages, batch
 	// frames, unlocks) this processor has sent itself and no handler has
-	// finished with yet; FreeSpace reads it as held coherence state
-	// (holdsCoherence).
+	// finished with yet; the lifecycle collectives read it as held
+	// coherence state (holdsCoherence).
 	selfPending atomic.Int64
 
 	// rec holds the operation, fast-hit and remote-miss counters (always
@@ -276,21 +276,12 @@ func (p *Proc) snapshot() trace.Metrics {
 	return m
 }
 
-// verifyCollective checks that every processor reached the same collective
-// call: processor 0 broadcasts the tag and the others compare.
-func (p *Proc) verifyCollective(tag string) error {
-	got := p.Broadcast(0, []byte(tag))
-	if string(got) != tag {
-		return fmt.Errorf("core: proc %d: collective mismatch: local %q, proc 0 %q", p.id, tag, got)
-	}
-	return nil
-}
-
-// verifyRound is verifyCollective as one tree round, which also fences:
-// nobody leaves it before every processor has entered it. Each processor
-// contributes its tag and a flag; every node of the tree compares its
-// children's tags with its own byte for byte (combineVerify), so every
-// processor learns of a mismatch and returns the error. It returns the
+// verifyRound checks that every processor reached the same collective
+// call, in one tree round that also fences: nobody leaves it before
+// every processor has entered it. Each processor contributes its tag
+// and a flag; every node of the tree compares its children's tags with
+// its own byte for byte (combineVerify), so every processor, the root
+// included, learns of a mismatch and returns the error. It returns the
 // OR of the flags. Counted as a reduce.
 func (p *Proc) verifyRound(tag string, flag bool) (bool, error) {
 	buf := amnet.Alloc(8 + len(tag))

@@ -170,7 +170,7 @@ type Protocol interface {
 //
 // Returning FastWriteLogged makes the same promise for write brackets
 // except one effect: EndWrite would put the region on the write log
-// (Ctx.LogWrite, the store behind proto.DirtyList) and do nothing else.
+// (Ctx.LogWrite) and do nothing else.
 // The runtime's fast close performs that effect itself, setting the
 // region's written bit in the closing CAS, so a protocol whose only
 // section-end work is dirty-list bookkeeping keeps its writes on the

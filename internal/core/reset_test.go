@@ -103,14 +103,12 @@ func staleFastBits(p *Proc, sp *Space, ids []RegionID) error {
 }
 
 // TestLifecycleCollectiveRounds pins the collective rounds each space
-// lifecycle operation enters on every processor under sc. NewSpace on a
-// fresh slot, ChangeProtocol and Checkpoint verify the call with one
-// broadcast, and those that reset the space add the flush barriers
-// (fence, flush, leave together). FreeSpace verifies and fences in one
-// round, and adds the flush barrier only when a processor holds a
-// cached copy; it does not leave together, so NewSpace on the slot it
-// recycled verifies with a round, which waits for every processor to
-// finish freeing.
+// lifecycle operation enters on every processor under sc. Every one
+// opens with one verifying round, which also fences. ChangeProtocol,
+// Checkpoint and FreeSpace add the flush barrier only when a processor
+// holds a cached copy; ChangeProtocol and Checkpoint then leave
+// together (one more barrier). FreeSpace does not, so NewSpace's round
+// on the slot it recycled waits for every processor to finish freeing.
 func TestLifecycleCollectiveRounds(t *testing.T) {
 	type rounds struct{ barriers, bcasts, reduces uint64 }
 	run(t, 3, func(p *Proc) error {
@@ -127,7 +125,7 @@ func TestLifecycleCollectiveRounds(t *testing.T) {
 			return nil
 		}
 		var sp *Space
-		if err := check("NewSpace", rounds{bcasts: 1}, func() (err error) {
+		if err := check("NewSpace", rounds{reduces: 1}, func() (err error) {
 			sp, err = p.NewSpace("sc")
 			return err
 		}); err != nil {
@@ -146,8 +144,8 @@ func TestLifecycleCollectiveRounds(t *testing.T) {
 			want rounds
 			fn   func() error
 		}{
-			{"ChangeProtocol", rounds{barriers: 3, bcasts: 1}, func() error { return p.ChangeProtocol(sp, "sc") }},
-			{"Checkpoint", rounds{barriers: 3, bcasts: 1}, func() error { _, err := p.Checkpoint(0); return err }},
+			{"ChangeProtocol", rounds{barriers: 2, reduces: 1}, func() error { return p.ChangeProtocol(sp, "sc") }},
+			{"Checkpoint", rounds{barriers: 2, reduces: 1}, func() error { _, err := p.Checkpoint(0); return err }},
 			{"FreeSpace", rounds{barriers: 1, reduces: 1}, func() error { return p.FreeSpace(sp) }},
 			{"NewSpace recycled", rounds{reduces: 1}, func() (err error) {
 				sp, err = p.NewSpace("sc")
@@ -159,11 +157,14 @@ func TestLifecycleCollectiveRounds(t *testing.T) {
 			}
 		}
 		// Only the home ever brackets the new space's region: nothing is
-		// cached, so FreeSpace skips the flush.
+		// cached, so ChangeProtocol and FreeSpace skip the flush.
 		if p.ID() == 0 {
 			r := p.Map(p.GMalloc(sp, 8))
 			p.StartWrite(r)
 			p.EndWrite(r)
+		}
+		if err := check("ChangeProtocol home-only", rounds{barriers: 1, reduces: 1}, func() error { return p.ChangeProtocol(sp, "sc") }); err != nil {
+			return err
 		}
 		return check("FreeSpace home-only", rounds{reduces: 1}, func() error { return p.FreeSpace(sp) })
 	})

@@ -236,21 +236,15 @@ func (p *Proc) addSpace(protoName string) *Space {
 
 // NewSpace creates a new space governed by the named protocol. It is a
 // collective operation: every processor must call it, in the same program
-// order, with the same protocol name (verified at runtime: by a broadcast
-// on a fresh slot, by a round on a recycled one).
+// order, with the same protocol name. A verifying round checks that, and
+// no processor leaves it before every processor has entered it, so a
+// recycled slot's new occupant is created only once every processor has
+// finished the FreeSpace that freed the slot (FreeSpace does not wait).
 func (p *Proc) NewSpace(protoName string) (*Space, error) {
 	if _, ok := p.cl.reg.Lookup(protoName); !ok {
 		return nil, fmt.Errorf("core: unknown protocol %q", protoName)
 	}
-	tag := "newspace:" + protoName
-	if len(p.spaceFree) > 0 {
-		// The slot is recycled, and FreeSpace does not wait: verify with a
-		// round, which no processor leaves before every processor has
-		// finished the FreeSpace that freed the slot.
-		if _, err := p.verifyRound(tag, false); err != nil {
-			return nil, err
-		}
-	} else if err := p.verifyCollective(tag); err != nil {
+	if _, err := p.verifyRound("newspace:"+protoName, false); err != nil {
 		return nil, err
 	}
 	return p.addSpace(protoName), nil
@@ -259,17 +253,17 @@ func (p *Proc) NewSpace(protoName string) (*Space, error) {
 // ChangeProtocol changes sp's protocol. It is a collective operation. The
 // semantics follow the paper: the old protocol flushes every region of the
 // space to the base state (authoritative data at the home, no cached
-// copies), then the new protocol is initialized.
+// copies), then the new protocol is initialized. The flush is skipped
+// when no processor holds state of the space (see quiesce).
 func (p *Proc) ChangeProtocol(sp *Space, protoName string) error {
 	info, ok := p.cl.reg.Lookup(protoName)
 	if !ok {
 		return fmt.Errorf("core: unknown protocol %q", protoName)
 	}
-	if err := p.verifyCollective(fmt.Sprintf("chgproto:%d:%s", sp.ID, protoName)); err != nil {
+	t := p.rec.Begin()
+	if err := p.quiesce(fmt.Sprintf("chgproto:%d:%s", sp.ID, protoName), sp); err != nil {
 		return err
 	}
-	t := p.rec.Begin()
-	p.flushToBase(sp)
 	sp.eng.Lock()
 	for _, r := range sp.regions {
 		p.assertQuiescent("ChangeProtocol", r)

@@ -240,50 +240,109 @@ func TestCheckpointSkipsFreedSlots(t *testing.T) {
 	})
 }
 
-// TestFreeSpaceMismatchFailsEverywhere calls FreeSpace on two different
-// spaces: processor 0 and 2 free one, processor 1 the other. The
-// verifying round must report the mismatch on every processor, the root
-// included, and Run must end: nobody goes on to flush or free.
-func TestFreeSpaceMismatchFailsEverywhere(t *testing.T) {
-	cl, err := NewCluster(Options{Procs: 3, SyncTimeout: 60 * time.Second})
-	if err != nil {
-		t.Fatal(err)
+// TestLifecycleMismatchFailsEverywhere: on each row processor 1 makes a
+// different lifecycle call from processors 0 and 2. The verifying round
+// that opens every lifecycle collective must report the mismatch on
+// every processor, the root included, before anything is created,
+// switched, flushed or freed, and Run must end. The rows act on a space
+// whose region the non-homes have read, so a call the verify let
+// through would flush their copies.
+func TestLifecycleMismatchFailsEverywhere(t *testing.T) {
+	type env struct {
+		p    *Proc
+		a, b *Space
 	}
-	defer cl.Close()
-	errs := make([]error, 3)
-	done := make(chan error, 1)
-	go func() {
-		done <- cl.Run(func(p *Proc) error {
-			a, err := p.NewSpace("sc")
+	// on1 returns alt on processor 1 and v elsewhere.
+	on1 := func(p *Proc, v, alt string) string {
+		if p.ID() == 1 {
+			return alt
+		}
+		return v
+	}
+	for _, row := range []struct {
+		name   string
+		call   func(e env) error
+		intact func(e env) bool // nil: only the copies are checked
+	}{
+		{"NewSpace",
+			func(e env) error { _, err := e.p.NewSpace(on1(e.p, "sc", "sc2")); return err },
+			func(e env) bool { return e.p.SpaceSlots() == 3 && e.p.LiveSpaces() == 3 }},
+		{"ChangeProtocol",
+			func(e env) error { return e.p.ChangeProtocol(e.a, on1(e.p, "sc", "sc2")) },
+			func(e env) bool { return e.a.Epoch == 0 && e.a.ProtoName == "sc" }},
+		{"Checkpoint",
+			func(e env) error { _, err := e.p.Checkpoint(uint64(e.p.ID() % 2)); return err }, // app cursor 1 on proc 1, 0 elsewhere
+			nil},
+		{"FreeSpace",
+			func(e env) error {
+				victim := e.a
+				if e.p.ID() == 1 {
+					victim = e.b
+				}
+				return e.p.FreeSpace(victim)
+			},
+			func(e env) bool { return !e.a.Freed() && !e.b.Freed() }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			reg := NewRegistry()
+			sc2 := scInfo()
+			sc2.Name = "sc2"
+			reg.MustRegister(sc2)
+			cl, err := NewCluster(Options{Procs: 3, Registry: reg, SyncTimeout: 60 * time.Second})
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			b, err := p.NewSpace("sc")
-			if err != nil {
-				return err
+			defer cl.Close()
+			errs := make([]error, 3)
+			done := make(chan error, 1)
+			go func() {
+				done <- cl.Run(func(p *Proc) error {
+					a, err := p.NewSpace("sc")
+					if err != nil {
+						return err
+					}
+					b, err := p.NewSpace("sc")
+					if err != nil {
+						return err
+					}
+					var id RegionID
+					if p.ID() == 0 {
+						id = p.GMalloc(a, 8)
+					}
+					r := p.Map(p.BroadcastID(0, id))
+					p.StartRead(r)
+					p.EndRead(r)
+					p.Unmap(r)
+					e := env{p, a, b}
+					err = row.call(e)
+					if err == nil || !strings.Contains(err.Error(), "collective mismatch") {
+						errs[p.ID()] = fmt.Errorf("returned %v, want a collective mismatch", err)
+					}
+					a.eng.Lock()
+					flushed := !r.IsHome() && r.State == scInvalid
+					a.eng.Unlock()
+					if flushed || (row.intact != nil && !row.intact(e)) {
+						return fmt.Errorf("proc %d: a mismatched %s changed the cluster (copy flushed: %v)", p.ID(), row.name, flushed)
+					}
+					// Every processor left the one verifying round, so
+					// they are still in step.
+					p.GlobalBarrier()
+					return nil
+				})
+			}()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("Run hung after a mismatched %s", row.name)
 			}
-			victim := a
-			if p.ID() == 1 {
-				victim = b
+			for i, err := range errs {
+				if err != nil {
+					t.Errorf("proc %d: %s %v", i, row.name, err)
+				}
 			}
-			errs[p.ID()] = p.FreeSpace(victim)
-			if a.Freed() || b.Freed() {
-				return fmt.Errorf("proc %d: a mismatched FreeSpace freed a space", p.ID())
-			}
-			return nil
 		})
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Run hung after a mismatched FreeSpace")
-	}
-	for i, err := range errs {
-		if err == nil || !strings.Contains(err.Error(), "collective mismatch") {
-			t.Errorf("proc %d: FreeSpace returned %v, want a collective mismatch", i, err)
-		}
 	}
 }

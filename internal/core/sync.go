@@ -16,16 +16,14 @@ import (
 //
 // Collectives route through a binomial tree rooted at processor 0: rank
 // v's parent is v with its lowest set bit cleared, its children are
-// v+1, v+2, v+4, ... within its subtree. Barriers and all-reduces are
-// one engine: a tree round, a reduce-up/fan-down of O(log P) depth with
-// no node sending more than ⌈log₂ P⌉ messages per wave. A barrier is a
-// round with no payload. Every node folds contributions in the same
-// canonical order (own value, then each child subtree in increasing
-// rank), so a result's bits do not depend on message timing, even for
-// the non-associative float sum. Broadcast fans down its own tree,
-// relabeled so that its root sits at rank 0, and meets the local thread
-// in a round of the same table: whichever of payload and thread comes
-// first waits there for the other.
+// v+1, v+2, v+4, ... within its subtree. Every collective is one
+// engine: a tree round, a reduce-up/fan-down of O(log P) depth with no
+// node sending more than ⌈log₂ P⌉ messages per wave. A barrier is a
+// round with no payload, and a broadcast is a round whose one non-empty
+// contribution is the root's. Every node folds contributions in the
+// same canonical order (own value, then each child subtree in
+// increasing rank), so a result's bits do not depend on message timing,
+// even for the non-associative float sum.
 
 // treeParentOf returns the binomial-tree parent of rank v (root 0): v
 // with its lowest set bit cleared.
@@ -48,14 +46,13 @@ func treeKidsOf(v, n int) []int {
 }
 
 // purgeSyncState drops every pending synchronization record after a
-// peer loss: open rounds (tree rounds and buffered or awaited
-// broadcasts alike) and home-region lock queues. The blocked local
-// waits have already failed (or will fail) with ErrPeerLost via downCh;
-// without the purge their records would strand in the tables, and a
-// late arrival from a surviving peer would repopulate them — the
+// peer loss: open tree rounds and home-region lock queues. The blocked
+// local waits have already failed (or will fail) with ErrPeerLost via
+// downCh; without the purge their records would strand in the tables,
+// and a late arrival from a surviving peer would repopulate them — the
 // arrival paths drop messages once downPeer is set, checked under the
-// same locks, so the tables stay empty. LockHolder is left as is: the holder may be alive,
-// and the cluster is unusable regardless.
+// same locks, so the tables stay empty. LockHolder is left as is: the
+// holder may be alive, and the cluster is unusable regardless.
 func (p *Proc) purgeSyncState() {
 	p.treeMu.Lock()
 	for _, rd := range p.rounds {
@@ -134,7 +131,8 @@ func (p *Proc) unlockRequest(m amnet.Msg) {
 
 // Collective operation codes (field C of hColl messages). A tree
 // round's up-wave carries its combining code — collOpBarrier for a
-// barrier, which has no payload — and its down-wave collOpResult.
+// barrier, which has no payload, collOpBcast for a broadcast — and its
+// down-wave collOpResult.
 const (
 	collOpBcast uint64 = iota
 	collOpSumI
@@ -155,34 +153,29 @@ const (
 )
 
 // collDeliver handles a collective message and owns its payload: a
-// broadcast is forwarded down its tree before the local waiter wakes,
-// so the subtree's latency is not behind it; a result wave ends a tree
-// round; anything else is a child subtree's contribution to one.
+// result wave ends a tree round; anything else is a child subtree's
+// contribution to one.
 func (p *Proc) collDeliver(m amnet.Msg) {
-	switch m.C {
-	case collOpBcast:
-		p.bcastFan(int(m.D), m.A, m.Payload)
-		p.bcastArrived(m.A, m.Payload)
-	case collOpResult:
-		p.treeMu.Lock()
-		rd := p.rounds[m.A]
-		var seq uint64
-		if rd != nil {
-			seq = rd.seq
-			p.closeRound(m.A, rd)
-		}
-		p.treeMu.Unlock()
-		if rd == nil {
-			// Only possible after a peer-down purge dropped the round; the
-			// result wave dies here (the local waiter failed with
-			// ErrPeerLost).
-			amnet.Recycle(m.Payload)
-			return
-		}
-		p.treeRelease(m.A, seq, m.Payload)
-	default:
+	if m.C != collOpResult {
 		p.treeFold(m.A, m.C, m.Src, m.Payload, 0)
+		return
 	}
+	p.treeMu.Lock()
+	rd := p.rounds[m.A]
+	var seq uint64
+	if rd != nil {
+		seq = rd.seq
+		p.closeRound(m.A, rd)
+	}
+	p.treeMu.Unlock()
+	if rd == nil {
+		// Only possible after a peer-down purge dropped the round; the
+		// result wave dies here (the local waiter failed with
+		// ErrPeerLost).
+		amnet.Recycle(m.Payload)
+		return
+	}
+	p.treeRelease(m.A, seq, m.Payload)
 }
 
 // treeRound is one open round's state at one node of the collective
@@ -192,9 +185,7 @@ func (p *Proc) collDeliver(m amnet.Msg) {
 // rank — so combining left to right at every level gives bits that do
 // not depend on arrival order. A barrier's slots stay nil. A complete
 // round is reset at once (only seq stays meaningful), so the round that
-// leaves the table goes straight onto the free list (roundFree). A
-// broadcast round holds either the waiter seq of a thread that asked
-// first or, in vals[0], a payload that arrived first.
+// leaves the table goes straight onto the free list (roundFree).
 type treeRound struct {
 	seq   uint64
 	count int
@@ -270,8 +261,7 @@ func (p *Proc) treeFold(tag, code uint64, src amnet.NodeID, val []byte, seq uint
 	}
 	part := rd.vals[0]
 	for _, v := range rd.vals[1:] {
-		combineInto(code, part, v)
-		amnet.Recycle(v)
+		part = combine(code, part, v)
 	}
 	clear(rd.vals)
 	rd.count = 0
@@ -328,84 +318,25 @@ func (p *Proc) sendFan(dsts []amnet.NodeID, m amnet.Msg) {
 	}
 }
 
-// bcastArrived hands a broadcast payload for tag to the local thread:
-// to its waiter if the thread asked first, else into the round, where it
-// waits for the thread to ask. It owns payload; after a peer loss it
-// drops it instead (see purgeSyncState).
-func (p *Proc) bcastArrived(tag uint64, payload []byte) {
-	p.treeMu.Lock()
-	if p.downPeer.Load() >= 0 {
-		p.treeMu.Unlock()
-		amnet.Recycle(payload)
-		return
-	}
-	if rd := p.rounds[tag]; rd != nil {
-		seq := rd.seq
-		p.closeRound(tag, rd)
-		p.treeMu.Unlock()
-		p.ctx.Complete(seq, amnet.Msg{Payload: payload})
-		return
-	}
-	p.openRound(tag).vals[0] = payload
-	p.treeMu.Unlock()
-}
-
-// bcastAwait returns the broadcast payload for tag, blocking until it
-// arrives: a payload already in the round is taken, else the thread
-// leaves its waiter seq there. treeMu is released before blocking.
-// After a peer loss nothing is recorded: the wait fails with
-// ErrPeerLost.
-func (p *Proc) bcastAwait(tag uint64) []byte {
-	p.treeMu.Lock()
-	if rd := p.rounds[tag]; rd != nil {
-		v := rd.vals[0]
-		rd.vals[0] = nil
-		p.closeRound(tag, rd)
-		p.treeMu.Unlock()
-		return v
-	}
-	seq := p.ctx.NewWaiter()
-	if p.downPeer.Load() < 0 {
-		p.openRound(tag).seq = seq
-	}
-	p.treeMu.Unlock()
-	return p.ctx.Wait(seq).Payload
-}
-
 // Broadcast distributes data from the root processor to all processors and
 // returns it. It is collective: every processor must call it in the same
 // program order. The root's data argument is the value broadcast; other
-// processors may pass nil. Each level of the tree forwards to its own
-// subtrees, so no node sends more than ⌈log₂ P⌉ copies. A root outside
-// [0, P) panics.
+// processors may pass nil. It is one tree round in which only the root
+// contributes, so it costs what a barrier does, and every processor,
+// the root included, returns a copy of its own. A root outside [0, P)
+// panics.
 func (p *Proc) Broadcast(root int, data []byte) []byte {
 	if root < 0 || root >= p.cl.Procs() {
 		panic(fmt.Sprintf("core: Broadcast root %d outside [0, %d)", root, p.cl.Procs()))
 	}
+	var buf []byte
+	if int(p.id) == root {
+		buf = clone(data) // the engine recycles what it folds
+	}
 	// collSeq is application-thread-private; no lock needed for the tag.
 	p.collSeq++
-	tag := p.collSeq
 	p.coll.CountBcast()
-	if int(p.id) != root {
-		return p.bcastAwait(tag)
-	}
-	p.bcastFan(root, tag, data)
-	return data
-}
-
-// bcastFan forwards a broadcast payload to this node's children in the
-// binomial tree rooted at the broadcast's root. The tree is relabeled
-// by virtual rank (id - root) mod P so any root gets the same O(log P)
-// fan-out; D carries the root so forwarders can compute their place.
-func (p *Proc) bcastFan(root int, tag uint64, data []byte) {
-	n := p.cl.Procs()
-	vr := (int(p.id) - root + n) % n
-	kids := treeKidsOf(vr, n)
-	dsts := make([]amnet.NodeID, len(kids))
-	for i, k := range kids {
-		dsts[i] = amnet.NodeID((k + root) % n)
-	}
-	p.sendFan(dsts, amnet.Msg{Handler: hColl, A: tag, C: collOpBcast, D: uint64(root), Payload: data})
+	return p.ctx.treeRun(collOpBcast, buf)
 }
 
 // BroadcastID broadcasts a region id from root: a one-element
@@ -439,6 +370,7 @@ func (p *Proc) BroadcastIDs(root int, ids []RegionID) []RegionID {
 		}
 	}
 	out := p.Broadcast(root, buf)
+	defer amnet.Recycle(out)
 	res := make([]RegionID, len(out)/bcastIDBytes)
 	for i := range res {
 		e := out[i*bcastIDBytes:]
@@ -539,34 +471,44 @@ func (p *Proc) allReduce(code uint64, word uint64) uint64 {
 	return res
 }
 
-// combineInto folds src into dst element-wise with the operator in code.
-func combineInto(code uint64, dst, src []byte) {
-	if code == collOpVerify {
-		combineVerify(dst, src)
-		return
-	}
-	for e := 0; e+8 <= len(dst); e += 8 {
-		a := binary.LittleEndian.Uint64(dst[e:])
-		b := binary.LittleEndian.Uint64(src[e:])
-		var acc uint64
-		switch code {
-		case collOpSumI:
-			acc = uint64(int64(a) + int64(b))
-		case collOpMinI:
-			acc = uint64(min(int64(a), int64(b)))
-		case collOpMaxI:
-			acc = uint64(max(int64(a), int64(b)))
-		case collOpSumF:
-			acc = math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
-		case collOpMinF:
-			acc = math.Float64bits(math.Min(math.Float64frombits(a), math.Float64frombits(b)))
-		case collOpMaxF:
-			acc = math.Float64bits(math.Max(math.Float64frombits(a), math.Float64frombits(b)))
-		default:
-			panic(fmt.Sprintf("core: bad reduction code %d", code))
+// combine folds src into dst with the operator in code and returns the
+// result. It owns both buffers and recycles the one it does not return.
+// A broadcast keeps whichever of the two is non-empty: only the root
+// contributes a payload. A barrier's buffers are empty.
+func combine(code uint64, dst, src []byte) []byte {
+	switch code {
+	case collOpBcast:
+		if len(dst) == 0 {
+			dst, src = src, dst
 		}
-		binary.LittleEndian.PutUint64(dst[e:], acc)
+	case collOpVerify:
+		combineVerify(dst, src)
+	default:
+		for e := 0; e+8 <= len(dst); e += 8 {
+			a := binary.LittleEndian.Uint64(dst[e:])
+			b := binary.LittleEndian.Uint64(src[e:])
+			var acc uint64
+			switch code {
+			case collOpSumI:
+				acc = uint64(int64(a) + int64(b))
+			case collOpMinI:
+				acc = uint64(min(int64(a), int64(b)))
+			case collOpMaxI:
+				acc = uint64(max(int64(a), int64(b)))
+			case collOpSumF:
+				acc = math.Float64bits(math.Float64frombits(a) + math.Float64frombits(b))
+			case collOpMinF:
+				acc = math.Float64bits(math.Min(math.Float64frombits(a), math.Float64frombits(b)))
+			case collOpMaxF:
+				acc = math.Float64bits(math.Max(math.Float64frombits(a), math.Float64frombits(b)))
+			default:
+				panic(fmt.Sprintf("core: bad reduction code %d", code))
+			}
+			binary.LittleEndian.PutUint64(dst[e:], acc)
+		}
 	}
+	amnet.Recycle(src)
+	return dst
 }
 
 // combineVerify folds a child subtree's verifyRound contribution into

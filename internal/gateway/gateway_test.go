@@ -204,11 +204,11 @@ func TestUnknownProtocolRefused(t *testing.T) {
 	}
 }
 
-// TestRoomCreateCostsOneBroadcast: creating a room costs exactly the
-// one broadcast of its collective NewSpace (counted once per processor)
-// and no other collective round — the home allocates the room's region
-// and nobody else needs its id.
-func TestRoomCreateCostsOneBroadcast(t *testing.T) {
+// TestRoomCreateCostsOneRound: creating a room costs exactly the one
+// verifying round of its collective NewSpace (counted once per
+// processor, as a reduce) and no other collective round — the home
+// allocates the room's region and nobody else needs its id.
+func TestRoomCreateCostsOneRound(t *testing.T) {
 	const procs = 3
 	g, srv := startGateway(t, Config{Procs: procs})
 	c := dial(t, srv)
@@ -220,11 +220,11 @@ func TestRoomCreateCostsOneBroadcast(t *testing.T) {
 			t.Fatalf("join %s: %v", name, err)
 		}
 		after := g.cl.Metrics().Coll
-		if d := after.Bcasts - before.Bcasts; d != procs {
-			t.Errorf("%s: creation took %d broadcast participations, want %d (one broadcast)", name, d, procs)
+		if d := after.Reduces - before.Reduces; d != procs {
+			t.Errorf("%s: creation took %d reduce participations, want %d (one round)", name, d, procs)
 		}
-		if d := after.Barriers + after.Reduces - before.Barriers - before.Reduces; d != 0 {
-			t.Errorf("%s: creation took %d barrier or reduce participations, want 0", name, d)
+		if d := after.Barriers + after.Bcasts - before.Barriers - before.Bcasts; d != 0 {
+			t.Errorf("%s: creation took %d barrier or broadcast participations, want 0", name, d)
 		}
 	}
 }

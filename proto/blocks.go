@@ -11,7 +11,7 @@ import (
 // paper's Section 6 ("Protocol development would also be facilitated by
 // the creation of a library of protocol building blocks ... We are
 // currently attempting to isolate the primitives needed for such a
-// library."). The protocols in this package are built from five blocks,
+// library."). The protocols in this package are built from four blocks,
 // so each coherence mechanism is written once:
 //
 //   - Fetcher: a request/reply fetch of a region's contents from its
@@ -19,14 +19,17 @@ import (
 //     the requester as a sharer, and deferring while the home writes;
 //   - Drain: an outstanding-acknowledgement counter a processor can block
 //     on, the substrate of every split-phase (pipelined) operation;
-//   - DirtyList: the regions written since the last synchronization
-//     point, shipped there — a view of the runtime's write log, which
-//     the bracket fast path appends to;
 //   - PushSink: the sharer side of a barrier-time push frame, deferring
 //     records for regions the local thread holds open and acknowledging
 //     the frame once;
 //   - SelfInvalidate: dropping locally cached copies of a space at a
 //     synchronization point.
+//
+// The regions written since the last synchronization point, shipped
+// there, are the runtime's write log: a section-end hook marks one with
+// core.Ctx.LogWrite (the bracket fast path marks a FastWriteLogged
+// region itself), FlushSpace drains it with Ctx.TakeWrites, and every
+// space-wide reset drops it.
 //
 // What no two protocols share stays in the protocol: pipeline's
 // whole-message deferral at the home, atomic's home queue, migratory's
@@ -142,23 +145,6 @@ func (d *Drain) Wait(ctx *core.Ctx) {
 	d.waitSeq = ctx.NewWaiter()
 	ctx.Wait(d.waitSeq)
 }
-
-// DirtyList is a protocol's view of its space's write log (core.Ctx's
-// LogWrite and TakeWrites): the regions written since the last
-// synchronization point, each once. The log and the written bit that
-// keeps an entry unique live in the runtime, so a protocol whose
-// EndWrite only marks the region can publish core.FastWriteLogged and
-// the runtime's fast close marks it instead; every space-wide reset
-// (protocol change, checkpoint, FreeSpace) drops the log.
-type DirtyList struct{}
-
-// Mark puts r on the list unless it is already there. Call from a
-// section-end hook.
-func (DirtyList) Mark(ctx *core.Ctx, r *core.Region) { ctx.LogWrite(r) }
-
-// Take empties sp's list and returns its regions. The slice is valid
-// until the next Mark or fast logged close.
-func (DirtyList) Take(ctx *core.Ctx, sp *core.Space) []*core.Region { return ctx.TakeWrites(sp) }
 
 // PushSink applies inbound push frames on a sharer. Each frame is
 // acknowledged by one AckVerb message echoing the frame's tag in B.

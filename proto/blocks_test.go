@@ -353,10 +353,9 @@ func TestFetchDeferredDuringHomeWrite(t *testing.T) {
 
 // TestProtocolsUseBlocks is the building-block gate: outside blocks.go,
 // no protocol keeps its own acknowledgement counter or hand-rolls a
-// fetch round trip, and nowhere in the package — DirtyList included —
-// does a protocol keep its own dirty list: the write log and its
-// written bit belong to the runtime. It parses the package's non-test
-// sources and fails on
+// fetch round trip, and nowhere in the package does a protocol keep its
+// own dirty list: the write log and its written bit belong to the
+// runtime. It parses the package's non-test sources and fails on
 //
 //   - a struct field named outstanding, drainSeq or waitSeq (Drain's
 //     state) outside blocks.go;
@@ -388,7 +387,7 @@ func TestProtocolsUseBlocks(t *testing.T) {
 		if !strings.Contains(all, ".Flags") || !strings.Contains(strings.ToLower(all), "dirty") {
 			return false
 		}
-		t.Errorf("%s: dirty bit in Region.Flags (%s): use DirtyList", fset.Position(pos), all)
+		t.Errorf("%s: dirty bit in Region.Flags (%s): use Ctx.LogWrite", fset.Position(pos), all)
 		return true
 	}
 	scanned := 0
@@ -405,7 +404,7 @@ func TestProtocolsUseBlocks(t *testing.T) {
 			case *ast.StructType:
 				for _, field := range n.Fields.List {
 					if typ := types.ExprString(field.Type); typ == "[]*core.Region" {
-						t.Errorf("%s: struct field of type %s: use DirtyList", fset.Position(field.Pos()), typ)
+						t.Errorf("%s: struct field of type %s: use Ctx.LogWrite", fset.Position(field.Pos()), typ)
 					}
 				}
 			case *ast.BinaryExpr:

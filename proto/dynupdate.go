@@ -57,7 +57,6 @@ const (
 // the writer-frame transaction it belongs to.
 type updateProto struct {
 	core.Base
-	DirtyList
 	fetch   Fetcher
 	sink    PushSink
 	drain   Drain
@@ -111,7 +110,7 @@ func (u *updateProto) EndRead(ctx *core.Ctx, r *core.Region) {
 // phase contract only validates reads across barriers, where the frame
 // has drained.
 func (u *updateProto) EndWrite(ctx *core.Ctx, r *core.Region) {
-	u.Mark(ctx, r)
+	ctx.LogWrite(r)
 	u.sectionEnd(ctx, r)
 }
 
@@ -159,7 +158,7 @@ func (u *updateProto) Barrier(ctx *core.Ctx, sp *core.Space) {
 // writer-frame transaction. After it the home copies are authoritative
 // and no protocol traffic is in flight.
 func (u *updateProto) FlushSpace(ctx *core.Ctx, sp *core.Space) {
-	if dirty := u.Take(ctx, sp); len(dirty) > 0 {
+	if dirty := ctx.TakeWrites(sp); len(dirty) > 0 {
 		if u.batch == nil {
 			u.batch = ctx.NewBatcher(sp, duWrite)
 		}

@@ -34,9 +34,11 @@
 //     control matters (handlers both before and after accesses).
 //
 // The protocols are assembled from the protocol building blocks the
-// paper's Section 6 proposes (blocks.go): Fetcher, Drain, DirtyList,
-// PushSink and SelfInvalidate. Each coherence mechanism is written once
-// there; a protocol file holds only what is particular to it.
+// paper's Section 6 proposes (blocks.go): Fetcher, Drain, PushSink and
+// SelfInvalidate, plus the runtime's per-space write log
+// (core.Ctx.LogWrite and TakeWrites). Each coherence mechanism is
+// written once there; a protocol file holds only what is particular to
+// it.
 //
 // Each protocol's registry entry declares whether the compiler may
 // optimize its calls and which invocation points are null handlers, as in

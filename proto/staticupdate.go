@@ -47,11 +47,11 @@ const (
 	suPushAck                   // sharer → home: push frame applied
 )
 
-// staticUpdateProto is the per-(space, processor) instance. Its dirty
-// list holds the home regions written since the last barrier.
+// staticUpdateProto is the per-(space, processor) instance. The space's
+// write log (Ctx.LogWrite) holds the home regions written since the
+// last barrier.
 type staticUpdateProto struct {
 	core.Base
-	DirtyList
 	fetch Fetcher
 	sink  PushSink
 	drain Drain
@@ -75,7 +75,7 @@ func (s *staticUpdateProto) StartWrite(ctx *core.Ctx, r *core.Region) {
 // EndWrite marks the region dirty and serves sharer fetches that
 // arrived during the write section.
 func (s *staticUpdateProto) EndWrite(ctx *core.Ctx, r *core.Region) {
-	s.Mark(ctx, r)
+	ctx.LogWrite(r)
 	s.fetch.ServeDeferred(ctx, r)
 }
 
@@ -89,7 +89,7 @@ func (s *staticUpdateProto) FlushSpace(ctx *core.Ctx, sp *core.Space) {
 	if s.batch == nil {
 		s.batch = ctx.NewBatcher(sp, suPush)
 	}
-	for _, r := range s.Take(ctx, sp) {
+	for _, r := range ctx.TakeWrites(sp) {
 		r.Dir.Sharers.ForEach(func(n amnet.NodeID) { s.batch.Add(n, r) })
 	}
 	s.drain.Add(s.batch.Flush(ctx, nil))

@@ -38,7 +38,6 @@ const (
 // acknowledged once.
 type writeThrough struct {
 	core.Base
-	DirtyList
 	fetch Fetcher
 	drain Drain
 	batch *core.ProtoBatcher
@@ -62,7 +61,7 @@ func (w *writeThrough) StartWrite(ctx *core.Ctx, r *core.Region) { w.fetch.Pull(
 // the protocol's barrier-scoped read validity permits).
 func (w *writeThrough) EndWrite(ctx *core.Ctx, r *core.Region) {
 	if !r.IsHome() {
-		w.Mark(ctx, r)
+		ctx.LogWrite(r)
 	}
 }
 
@@ -85,7 +84,7 @@ func (w *writeThrough) DeliverBatch(ctx *core.Ctx, sp *core.Space, src amnet.Nod
 // FlushSpace ships the dirty stores as one wtStore frame per home and
 // drains them.
 func (w *writeThrough) FlushSpace(ctx *core.Ctx, sp *core.Space) {
-	if dirty := w.Take(ctx, sp); len(dirty) > 0 {
+	if dirty := ctx.TakeWrites(sp); len(dirty) > 0 {
 		if w.batch == nil {
 			w.batch = ctx.NewBatcher(sp, wtStore)
 		}
