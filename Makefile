@@ -12,9 +12,17 @@ GO ?= go
 # scheduler goroutine runs beside senders and Kill.
 RACE_PKGS = ./internal/trace ./internal/core ./internal/memory ./internal/amnet ./internal/faultnet ./internal/tcpnet ./internal/gossip ./proto ./internal/gateway ./internal/bench
 
-.PHONY: ci vet build test bench-test race fuzz-smoke bench-compare bench-allocs coll-bench chaos-smoke cluster-smoke gate-smoke examples-smoke paper-smoke
+.PHONY: ci fmt vet build test bench-test race fuzz-smoke bench-compare bench-allocs coll-bench chaos-smoke cluster-smoke gate-smoke examples-smoke paper-smoke
 
-ci: vet build test bench-test race fuzz-smoke bench-allocs coll-bench chaos-smoke cluster-smoke gate-smoke examples-smoke paper-smoke
+ci: fmt vet build test bench-test race fuzz-smoke bench-allocs coll-bench chaos-smoke cluster-smoke gate-smoke examples-smoke paper-smoke
+
+# fmt fails when gofmt would reformat any Go file git tracks, the
+# benchmark module's included, or cannot parse one.
+fmt:
+	@files=$$(git ls-files '*.go'); \
+	if [ -z "$$files" ]; then echo "FAIL: git ls-files lists no Go file"; exit 1; fi; \
+	out=$$(gofmt -l $$files) || { echo "FAIL: gofmt exited nonzero"; exit 1; }; \
+	if [ -n "$$out" ]; then echo "FAIL: not gofmt-formatted:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -4,10 +4,10 @@
 // ops applied through brackets by the room's home processor
 // (DESIGN.md §14).
 //
-// Serve a gateway on :8642 with 4 processors and the adaptive
-// controller picking each room's protocol from its live traffic:
+// Serve a gateway on :8642 with 4 processors, each room's space on the
+// update protocol:
 //
-//	acegate -addr :8642 -procs 4 -adapt
+//	acegate -addr :8642 -procs 4 -protocol update
 //
 // The -probe mode is the scripted counterpart used by `make
 // gate-smoke`: it connects -clients sessions to a running gateway,
@@ -28,7 +28,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/acedsm/ace/internal/core"
 	"github.com/acedsm/ace/internal/gateway"
 )
 
@@ -37,23 +36,14 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:8642", "listen address (serve) or gateway address (probe)")
 		procs    = flag.Int("procs", 4, "processors backing the gateway cluster")
 		protocol = flag.String("protocol", "sc", "protocol new room spaces start on")
-		adapt    = flag.Bool("adapt", false, "enable the adaptive protocol controller")
 		sendq    = flag.Int("sendq", 64, "per-session send queue bound")
 		opq      = flag.Int("opq", 256, "per-room op queue bound")
-		policy   = flag.String("policy", "drop", "slow-client policy: drop | close")
 		probe    = flag.Bool("probe", false, "run as a scripted probe client against -addr")
 		clients  = flag.Int("clients", 8, "probe: concurrent client sessions")
 		rooms    = flag.Int("rooms", 2, "probe: rooms to spread the sessions over")
 		adds     = flag.Int("adds", 16, "probe: adds per session to its own cell")
 	)
 	flag.Parse()
-
-	// Validate before anything listens.
-	if *policy != "drop" && *policy != "close" {
-		fmt.Fprintf(os.Stderr, "acegate: unknown slow-client policy %q\n", *policy)
-		fmt.Fprintln(os.Stderr, "usage: acegate [-addr host:port] [-procs N] [-protocol name] [-adapt] [-sendq N] [-opq N] [-policy drop|close] | acegate -probe [-addr host:port] [-clients N] [-rooms N] [-adds N]")
-		os.Exit(1)
-	}
 
 	if *probe {
 		if err := runProbe(*addr, *clients, *rooms, *adds); err != nil {
@@ -69,12 +59,6 @@ func main() {
 		OpQueue:   *opq,
 		SendQueue: *sendq,
 	}
-	if *policy == "close" {
-		cfg.Policy = gateway.SlowClose
-	}
-	if *adapt {
-		cfg.Adapt = &core.AdaptConfig{}
-	}
 	g, err := gateway.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "acegate:", err)
@@ -86,8 +70,8 @@ func main() {
 		os.Exit(1)
 	}
 	srv := g.Serve(ln)
-	fmt.Printf("acegate: serving ws on %s (procs=%d protocol=%s adapt=%v)\n",
-		srv.Addr(), *procs, *protocol, *adapt)
+	fmt.Printf("acegate: serving ws on %s (procs=%d protocol=%s)\n",
+		srv.Addr(), *procs, *protocol)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

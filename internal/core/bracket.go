@@ -59,8 +59,8 @@ func (p *Proc) GMallocE(sp *Space, size int) (RegionID, error) {
 
 // Map translates a region id into this processor's local view of the
 // region, materializing it (fetching its metadata from the home) if this
-// is the first encounter; a BroadcastIDs that named the region has made
-// the view already. The data is not necessarily valid until a
+// is the first encounter; a BroadcastIDs that named the region has left
+// its metadata here already. The data is not necessarily valid until a
 // StartRead or StartWrite.
 func (p *Proc) Map(id RegionID) *Region {
 	t := p.rec.Begin()
@@ -89,17 +89,24 @@ func (p *Proc) Map(id RegionID) *Region {
 	return r
 }
 
-// fetchRegion materializes a remote region, asking its home for metadata.
+// fetchRegion materializes a remote region from its broadcast hint, or
+// else asks its home for metadata.
 func (p *Proc) fetchRegion(id RegionID) *Region {
 	if amnet.NodeID(id.Home()) == p.id {
 		panic(fmt.Sprintf("core: proc %d: unknown home region %v", p.id, id))
 	}
-	seq := p.ctx.NewWaiter()
-	p.ep.Send(amnet.Msg{Dst: amnet.NodeID(id.Home()), Handler: hLookup, A: uint64(id), B: seq})
-	m := p.ctx.Wait(seq)
-	sp := p.space(int(m.C))
+	h, ok := p.hints[id]
+	if ok {
+		delete(p.hints, id)
+	} else {
+		seq := p.ctx.NewWaiter()
+		p.ep.Send(amnet.Msg{Dst: amnet.NodeID(id.Home()), Handler: hLookup, A: uint64(id), B: seq})
+		m := p.ctx.Wait(seq)
+		h = regionHint{size: int(m.A), space: int(m.C)}
+	}
+	sp := p.space(h.space)
 	sp.eng.Lock()
-	r := p.materialize(id, int(m.A), sp)
+	r := p.materialize(id, h.size, sp)
 	sp.eng.Unlock()
 	return r
 }

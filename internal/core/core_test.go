@@ -670,10 +670,28 @@ func TestLookupServedWhileHomeEngineHeld(t *testing.T) {
 	})
 }
 
+// nonHomeViews counts this processor's views of regions in sps homed
+// elsewhere.
+func nonHomeViews(sps ...*Space) int {
+	n := 0
+	for _, sp := range sps {
+		sp.eng.Lock()
+		for _, r := range sp.regions {
+			if !r.IsHome() {
+				n++
+			}
+		}
+		sp.eng.Unlock()
+	}
+	return n
+}
+
 // TestBroadcastMapsWithoutLookup: a broadcast id carries the size and
 // space of the root's view of its region, so every receiver's first Map
 // of it is local, in the default space and in a NewSpace alike, through
-// BroadcastIDs and BroadcastID. An id the root holds no view of still
+// BroadcastIDs and BroadcastID. The receiver keeps that as a hint, not a
+// view: after mapping half the ids it holds a view of exactly the
+// mapped ones it is not home to. An id the root holds no view of still
 // costs each receiver that is not its home exactly one lookup.
 func TestBroadcastMapsWithoutLookup(t *testing.T) {
 	const procs = 4
@@ -719,8 +737,19 @@ func TestBroadcastMapsWithoutLookup(t *testing.T) {
 		p.GlobalBarrier()
 		before := p.ep.Stats().MsgsSent.Load()
 		rs := make([]*Region, len(ws))
-		for i, w := range ws {
+		half, mappedViews := len(ws)/2, 0
+		for i, w := range ws[:half] {
 			rs[i] = p.Map(w.id)
+			if w.home != p.ID() {
+				mappedViews++
+			}
+		}
+		if views := nonHomeViews(p.DefaultSpace(), other); views != mappedViews {
+			return fmt.Errorf("proc %d: %d non-home views after mapping %d of %d broadcast ids, want %d",
+				p.ID(), views, half, len(ws), mappedViews)
+		}
+		for i, w := range ws[half:] {
+			rs[half+i] = p.Map(w.id)
 		}
 		if sent := p.ep.Stats().MsgsSent.Load() - before; sent != 0 {
 			return fmt.Errorf("proc %d: mapping %d broadcast ids sent %d messages, want 0", p.ID(), len(ws), sent)

@@ -115,8 +115,9 @@ func (p *Proc) LiveSpaces() int {
 // brackets and ORs holdsCoherence over sps across the cluster. Only if
 // some processor holds state are the spaces flushed to the base state
 // (flushFenced). When none does, nothing of sps is cached or in flight,
-// and the home copies are the base state already. Collective; the
-// caller holds no engine.
+// and the home copies are the base state already; only the write logs
+// go, as flushFenced drops them. Collective; the caller holds no
+// engine.
 func (p *Proc) quiesce(tag string, sps ...*Space) error {
 	holds := false
 	for _, sp := range sps {
@@ -128,10 +129,17 @@ func (p *Proc) quiesce(tag string, sps ...*Space) error {
 		}
 	}
 	flush, err := p.verifyRound(tag, holds)
-	if err == nil && flush {
-		p.flushFenced(sps...)
+	if err != nil {
+		return err
 	}
-	return err
+	if flush {
+		p.flushFenced(sps...)
+	} else {
+		for _, sp := range sps {
+			sp.takeLog()
+		}
+	}
+	return nil
 }
 
 // flushFenced flushes the spaces in sps once quiesce has fenced them:
@@ -262,10 +270,14 @@ func (p *Proc) FreeSpace(sp *Space) error {
 			}
 		}
 	}
-	sp.takeLog()
 	sp.regions, sp.log = nil, nil
 	sp.dead.Store(true)
 	sp.eng.Unlock()
+	for id, h := range p.hints {
+		if h.space == sp.ID {
+			delete(p.hints, id)
+		}
+	}
 	p.regMu.Lock()
 	for _, r := range purged {
 		p.regions.Delete(r.ID)

@@ -77,6 +77,12 @@ type Proc struct {
 	regions memory.Table[Region]
 	nextSeq uint64
 
+	// hints holds, for each region a BroadcastIDs named that has no
+	// view here yet, the size and space of the root's view; the
+	// region's first Map consumes it instead of a lookup. FreeSpace
+	// drops a freed space's hints. Application thread only.
+	hints map[RegionID]regionHint
+
 	// spaceMu serializes space creation and destruction. The table
 	// itself is published as a copy-on-write snapshot so space lookup is
 	// one atomic load. Freed slots are nil in the snapshot; spaceFree
@@ -159,6 +165,7 @@ func newProc(c *Cluster, ep amnet.Endpoint) *Proc {
 		ep:     ep,
 		waitCh: make(chan amnet.Msg, 1),
 		rounds: make(map[uint64]*treeRound),
+		hints:  make(map[RegionID]regionHint),
 		rec:    trace.NewRecorder(int(ep.ID()), c.opts.Trace),
 	}
 	p.ctx = &Ctx{p: p}

@@ -350,12 +350,17 @@ func (p *Proc) BroadcastID(root int, id RegionID) RegionID {
 // the root has none).
 const bcastIDBytes = 16
 
+// regionHint is what a BroadcastIDs tells a receiver of a region it has
+// no view of: the size and space id of the root's view.
+type regionHint struct{ size, space int }
+
 // BroadcastIDs broadcasts a slice of region ids from root. Non-root
 // processors may pass nil; all processors must agree on the length only at
 // the root. Each id carries the size and space of the root's view of its
-// region, so a receiver that is not the home and has no view yet creates
-// one here, and its first Map of the region sends no lookup. An id the
-// root has no view of is left to that lookup.
+// region, which a receiver that is not the home and has no view keeps as
+// a hint, so its first Map of the region sends no lookup and an id it
+// never maps costs it no view. An id the root has no view of is left to
+// that lookup.
 func (p *Proc) BroadcastIDs(root int, ids []RegionID) []RegionID {
 	var buf []byte
 	if int(p.id) == root {
@@ -380,10 +385,7 @@ func (p *Proc) BroadcastIDs(root int, ids []RegionID) []RegionID {
 		if size == 0 || amnet.NodeID(id.Home()) == p.id || p.regions.Get(id) != nil {
 			continue
 		}
-		sp := p.space(int(binary.LittleEndian.Uint32(e[12:])))
-		sp.eng.Lock()
-		p.materialize(id, size, sp)
-		sp.eng.Unlock()
+		p.hints[id] = regionHint{size: size, space: int(binary.LittleEndian.Uint32(e[12:]))}
 	}
 	return res
 }

@@ -2,24 +2,24 @@
 // multiplexes large numbers of external client sessions onto spaces.
 // Each room maps to one space (created collectively on first join,
 // destroyed collectively on last leave — exercising the space
-// lifecycle DESIGN.md §14 describes), client ops are applied through
-// brackets by the room's home processor, and when the adaptive
-// controller is enabled each room's protocol follows its live traffic.
+// lifecycle DESIGN.md §14 describes), and client ops are applied
+// through brackets by the room's home processor.
 //
 // Concurrency model. The gateway runs an in-process Ace cluster whose
 // application threads execute a command loop instead of an SPMD
 // program. A room's ops touch only its home processor: a reader appends
 // the op to the room's bounded queue and, if the room was idle, posts a
 // drain straight to the home, which serves its ready rooms round-robin,
-// one quantum each. One coordinator goroutine orders what the whole
-// cluster sees: joins, leaves, and the collectives (create, destroy,
-// barrier, stop), pushed to every processor in the same order, as
-// NewSpace/FreeSpace/Barrier demand. It waits for all but destroys:
-// each channel is FIFO, so a destroy runs before any later command, and
-// the processor that finishes it last counts it. A home asks the
-// coordinator for its rooms' periodic barriers without blocking. Events
-// flow back through each session's bounded send queue under a
-// slow-client policy.
+// one quantum each. A room's traffic enters no collective between its
+// create and its destroy. One coordinator goroutine orders what the
+// whole cluster sees: joins, leaves, and the collectives (create,
+// destroy, stop), pushed to every processor in the same order, as
+// NewSpace/FreeSpace demand. It waits for all but destroys: each
+// channel is FIFO, so a destroy runs before any later command, and the
+// processor that finishes it last counts it. Only session readers file
+// requests with the coordinator. Events flow back through each
+// session's bounded send queue; a session that keeps it full is closed
+// as a slow client.
 package gateway
 
 import (
@@ -33,46 +33,25 @@ import (
 	"github.com/acedsm/ace/proto"
 )
 
-// SlowPolicy selects what happens to a session whose bounded send
-// queue is full when an event must be delivered.
-type SlowPolicy int
-
-const (
-	// SlowDrop drops the event and counts it; a session exceeding its
-	// drop budget in a row is closed as a slow client.
-	SlowDrop SlowPolicy = iota
-	// SlowClose closes the session at the first full-queue event.
-	SlowClose
-)
-
 // Config configures a Gateway.
 type Config struct {
 	// Procs is the cluster size backing the gateway. Default 4.
 	Procs int
 	// Protocol is the protocol new room spaces start on. Default "sc".
 	Protocol string
-	// Adapt, if non-nil, enables the adaptive controller: each room's
-	// protocol then follows its live traffic, evaluated at the
-	// gateway's periodic room barriers.
-	Adapt *core.AdaptConfig
 	// OpQueue bounds each room's pending-op queue. Default 256.
 	OpQueue int
 	// SendQueue bounds each session's event send queue. Default 64.
 	SendQueue int
-	// Policy is the slow-client policy. Default SlowDrop.
-	Policy SlowPolicy
-	// DropBudget is how many consecutive drops a SlowDrop session
-	// survives before it is closed. Default 64.
-	DropBudget int
 }
 
 const (
 	// quantum is the most ops one drain applies before the room yields
 	// to other rooms on the same home processor.
 	quantum = 32
-	// barrierEvery is how many drains a room goes between collective
-	// space barriers (the adaptive controller's evaluation points).
-	barrierEvery = 16
+	// dropBudget is how many events in a row a session's full send
+	// queue may drop before the session is closed as a slow client.
+	dropBudget = 64
 )
 
 func (c Config) withDefaults() Config {
@@ -88,9 +67,6 @@ func (c Config) withDefaults() Config {
 	if c.SendQueue <= 0 {
 		c.SendQueue = 64
 	}
-	if c.DropBudget <= 0 {
-		c.DropBudget = 64
-	}
 	return c
 }
 
@@ -98,7 +74,6 @@ func (c Config) withDefaults() Config {
 const (
 	ctlCreate  = iota // collective: NewSpace + room region setup
 	ctlDestroy        // collective, not waited for: FreeSpace
-	ctlBarrier        // collective: space barrier (adapt evaluation)
 	ctlDrain          // home only: the room joins the run queue
 	ctlStop           // collective: exit the command loop
 )
@@ -140,8 +115,6 @@ type room struct {
 	// queued: posted to the home, on its channel or in its run queue,
 	// so the room is there at most once. Guarded by mu.
 	queued bool
-
-	drains int // drains since the last barrier request (home proc only)
 }
 
 // request kinds from sessions to the coordinator.
@@ -149,14 +122,12 @@ const (
 	reqJoin = iota
 	reqLeave
 	reqDisconnect
-	reqBarrier // from a home: a collective barrier on rm's space
 )
 
 type request struct {
 	kind int
 	room string
 	sess *session
-	rm   *room
 }
 
 // Gateway multiplexes websocket sessions onto room spaces.
@@ -188,7 +159,6 @@ func New(cfg Config) (*Gateway, error) {
 	opts := core.Options{
 		Procs:    cfg.Procs,
 		Registry: reg,
-		Adapt:    cfg.Adapt,
 	}
 	cl, err := core.NewCluster(opts)
 	if err != nil {
@@ -243,7 +213,7 @@ func (g *Gateway) Close() error {
 }
 
 // coordinator issues every collective: room lifecycle (create on first
-// join, destroy on last leave) and the rooms' barriers.
+// join, destroy on last leave) and the final stop.
 func (g *Gateway) coordinator() {
 	for {
 		select {
@@ -291,8 +261,6 @@ func (g *Gateway) handleRequest(req request) {
 			g.leave(req.sess, name)
 		}
 		g.stats.SessionsClosed.Add(1)
-	case reqBarrier:
-		g.collective(ctlCmd{kind: ctlBarrier, room: req.rm})
 	}
 }
 
@@ -474,11 +442,6 @@ func (g *Gateway) procLoop(p *core.Proc) error {
 			if rm.freeing.Add(-1) == 0 && rm.reg != nil {
 				g.stats.RoomsDestroyed.Add(1)
 			}
-		case ctlBarrier:
-			if sp := cmd.room.sps[me]; sp != nil && !sp.Freed() {
-				p.Barrier(sp)
-			}
-			cmd.done.Done()
 		case ctlDrain:
 			run = append(run, cmd.room)
 		case ctlStop:
@@ -527,17 +490,6 @@ func (g *Gateway) drain(p *core.Proc, rm *room) bool {
 		g.stats.StaleSpaceRefs.Add(uint64(n))
 		g.stats.OpsDropped.Add(uint64(n))
 		batch = nil
-	} else if n > 0 {
-		// Every barrierEvery drains the space takes a barrier, which only
-		// the coordinator issues. Asking never blocks: if reqCh is full,
-		// the count stands and the next drain asks again.
-		if rm.drains++; rm.drains >= barrierEvery {
-			select {
-			case g.reqCh <- request{kind: reqBarrier, rm: rm}:
-				rm.drains = 0
-			default:
-			}
-		}
 	}
 	r := rm.reg
 	for _, op := range batch {
@@ -573,7 +525,7 @@ func (g *Gateway) drain(p *core.Proc, rm *room) bool {
 }
 
 // broadcast sends an event to every member through its bounded send
-// queue (the slow-client policy applies per session).
+// queue (a full queue drops the event for that session alone).
 func (g *Gateway) broadcast(rm *room, f Frame) {
 	buf, err := EncodeFrame(f)
 	if err != nil {

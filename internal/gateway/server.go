@@ -59,7 +59,7 @@ type session struct {
 	done chan struct{}
 
 	closed atomic.Bool
-	drops  atomic.Int64 // consecutive SlowDrop drops
+	drops  atomic.Int64 // consecutive full-queue drops
 
 	joined map[string]struct{} // coordinator-owned
 }
@@ -75,8 +75,9 @@ func (s *session) closeSession() {
 	}
 }
 
-// send enqueues one encoded event frame, applying the slow-client
-// policy when the bounded queue is full. Never blocks: a home
+// send enqueues one encoded event frame. When the bounded queue is
+// full the event is dropped and counted, and a session past dropBudget
+// drops in a row is closed as a slow client. Never blocks: a home
 // processor must not stall behind one slow client.
 func (s *session) send(frame []byte) {
 	if s.closed.Load() {
@@ -88,16 +89,10 @@ func (s *session) send(frame []byte) {
 		s.g.stats.FramesOut.Add(1)
 		s.g.stats.ObserveSendQueue(len(s.out))
 	default:
-		switch s.g.cfg.Policy {
-		case SlowClose:
+		s.g.stats.SendQueueDrops.Add(1)
+		if s.drops.Add(1) > dropBudget {
 			s.g.stats.SlowClients.Add(1)
 			s.closeSession()
-		default: // SlowDrop
-			s.g.stats.SendQueueDrops.Add(1)
-			if int(s.drops.Add(1)) > s.g.cfg.DropBudget {
-				s.g.stats.SlowClients.Add(1)
-				s.closeSession()
-			}
 		}
 	}
 }

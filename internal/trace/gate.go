@@ -31,11 +31,10 @@ type GateStats struct {
 	Broadcasts     atomic.Uint64
 
 	// SendQueueDrops counts event frames dropped because a session's
-	// bounded send queue was full (the SlowDrop policy); SlowClients
-	// counts sessions closed for sustained backpressure (SlowClose, or
-	// SlowDrop past its drop budget). SendQueueHighWater is the deepest
-	// any session's queue has been; OpQueueHighWater the deepest any
-	// room's op queue has been.
+	// bounded send queue was full; SlowClients counts sessions closed
+	// for sustained backpressure (past the gateway's budget of drops in
+	// a row). SendQueueHighWater is the deepest any session's queue has
+	// been; OpQueueHighWater the deepest any room's op queue has been.
 	SendQueueDrops     atomic.Uint64
 	SlowClients        atomic.Uint64
 	SendQueueHighWater atomic.Uint64
