@@ -81,8 +81,9 @@ bench-compare:
 # peer-loss purge and once-only peer-down latch, overlapping rounds,
 # handler-vs-application-thread folding and the lifecycle collectives'
 # mismatch detection on every processor repeat the same way, as do
-# tcpnet's reconnect under a live cluster, its readers' direct dispatch
-# against a full journal, and acks riding data frames, and the fabric's
+# tcpnet's reconnect under a live cluster and from a link's accepting
+# side, its readers' direct dispatch against a full journal, acks riding
+# data frames and an inline write's tail going out first, and the fabric's
 # mixed direct/queued dispatch bare and under faultnet. faultnet forwards direct dispatch to
 # the fabric it wraps, so every drill cell runs handlers on the same
 # direct-dispatch path as a cluster without faults. Each line goes
@@ -102,7 +103,7 @@ chaos-smoke:
 	$(GOTEST_GATE) -race -run 'TestLookupServedWhileHomeEngineHeld|TestBroadcastMapsWithoutLookup|TestRejoinVsTreeReduction|TestResetWithdrawsFastBits' ./internal/core
 	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestPeerLossPurgesCollectiveState|TestDuplicatePeerDownFirstWins|TestTreeBarrierLaneOverlapStress|TestDispatchSyncStress|TestLifecycleMismatchFailsEverywhere' ./internal/core
 	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestAdaptiveControllerUnderFaults' ./proto
-	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestKillLinkUnderCluster|TestReaderDispatchNeverWaitsOnJournal|TestAcksRideDataFrames' ./internal/tcpnet
+	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestKillLinkUnderCluster|TestKillLinkFromAcceptorSide|TestReaderDispatchNeverWaitsOnJournal|TestAcksRideDataFrames|TestInlineTailWrittenFirst' ./internal/tcpnet
 	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestDirectDispatchMixedKeepsOrderAndSerializesLanes' ./internal/amnet
 
 # cluster-smoke is the multi-process deployment gate: 4 real acenode

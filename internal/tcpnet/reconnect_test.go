@@ -1,8 +1,10 @@
 package tcpnet
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -18,7 +20,9 @@ import (
 // TestKillLinkReconnectsWithoutLossOrDup severs a busy link mid-stream
 // and checks the supervision machinery restores the fabric contract:
 // every frame delivered exactly once, in order, with reconnect,
-// backoff and retransmit events visible in the counters.
+// backoff and retransmit events visible in the counters. The kill lands
+// while frames wait in the sender's queue (killQueued): a kill between
+// bursts, once everything written is acked, has nothing to retransmit.
 func TestKillLinkReconnectsWithoutLossOrDup(t *testing.T) {
 	nwi, err := New(Loopback(2))
 	if err != nil {
@@ -41,10 +45,11 @@ func TestKillLinkReconnectsWithoutLossOrDup(t *testing.T) {
 		}
 	})
 	go func() {
+		killed := false
 		for i := 0; i < total; i++ {
 			eps[0].Send(amnet.Msg{Dst: 1, Handler: 7, A: uint64(i)})
-			if i == total/2 {
-				nw.KillLink(0, 1)
+			if i >= total/2 && !killed {
+				killed = killQueued(nw.eps[0].out[1])
 			}
 		}
 	}()
@@ -68,38 +73,38 @@ func TestKillLinkReconnectsWithoutLossOrDup(t *testing.T) {
 	}
 }
 
-// TestReplayedFramesDeduped plays a journal replay by hand: a raw
-// connection introduces itself as node 0 and sends frames 1,2,3, then —
-// as a reconnecting sender whose acks were lost would — replays 2,3
-// before continuing with 4. The receiver must deliver each sequence
-// exactly once and count the dropped duplicates.
-func TestReplayedFramesDeduped(t *testing.T) {
-	nwi, err := New(Loopback(2))
-	if err != nil {
-		t.Fatal(err)
+// killQueued closes s's connection, as KillLink does, but only while
+// frames wait in its queue, and under its lock so that the writer cannot
+// take them first: it meets them on the dead connection, and the replay
+// retransmits them whichever side notices the failure first.
+func killQueued(s *sender) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.queue) == 0 {
+		return false
 	}
-	defer nwi.Close()
-	nw := nwi.(*network)
+	s.conn.Close()
+	return true
+}
+
+// TestReplayedFramesDeduped plays a journal replay by hand: the test,
+// playing node 0, sends frames 1,2,3, then — as a reconnecting sender
+// whose acks were lost would — replays 2,3 before continuing with 4.
+// The receiver must deliver each sequence exactly once and count the
+// dropped duplicates.
+func TestReplayedFramesDeduped(t *testing.T) {
+	nw, conn := halfMesh(t, 1)
+	defer nw.Close()
 	eps := nw.Endpoints()
 	var got []uint64
 	var mu sync.Mutex
-	eps[1].Register(7, func(m amnet.Msg) {
+	eps[0].Register(7, func(m amnet.Msg) {
 		mu.Lock()
 		got = append(got, m.A)
 		mu.Unlock()
 	})
 	nw.Start() // registration done; open the dispatch gate
 
-	conn, err := net.Dial("tcp", nw.addrs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var hello [4]byte
-	binary.LittleEndian.PutUint32(hello[:], 0) // introduce as node 0
-	if _, err := conn.Write(hello[:]); err != nil {
-		t.Fatal(err)
-	}
 	rawFrame := func(a, seq uint64) []byte {
 		buf := make([]byte, frameHeader)
 		putHeader(buf, &amnet.Msg{Dst: 1, Src: 0, Handler: 7, A: a}, 0, seq)
@@ -131,7 +136,7 @@ func TestReplayedFramesDeduped(t *testing.T) {
 			}
 		}
 	}
-	if d := eps[1].Stats().Snapshot().DupFramesDropped; d != 2 {
+	if d := eps[0].Stats().Snapshot().DupFramesDropped; d != 2 {
 		t.Errorf("DupFramesDropped = %d, want 2", d)
 	}
 }
@@ -229,20 +234,76 @@ func TestUnreachablePeerDeclaredDown(t *testing.T) {
 	eps[0].Send(amnet.Msg{Dst: 1, Handler: 7})
 }
 
+// halfMesh builds node, one real node of a two-node cluster; the test
+// plays the other through conn, a raw connection on which it reads and
+// writes frames itself. With node = 0 the real node dials the test's
+// listener and conn is the accepted end, its hello already read, and the
+// listener is closed again, so a redial is refused; with node = 1 the
+// test has dialed the node and introduced itself as node 0. conn closes
+// at the end of the test.
+func halfMesh(t *testing.T, node int) (*network, net.Conn) {
+	t.Helper()
+	nd, err := Listen(Config{Nodes: 2, Local: []int{node}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hello [4]byte
+	var conn net.Conn
+	var nwi amnet.Network
+	if node == 0 {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		if nwi, err = nd.Connect([]string{nd.Addrs()[0], ln.Addr().String()}); err != nil {
+			t.Fatal(err)
+		}
+		if conn, err = ln.Accept(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, hello[:]); err != nil || hello != [4]byte{} {
+			t.Fatalf("hello %v, %v: want node 0's", hello, err)
+		}
+	} else {
+		if nwi, err = nd.Connect([]string{"unused", nd.Addrs()[0]}); err != nil {
+			t.Fatal(err)
+		}
+		if conn, err = net.Dial("tcp", nd.Addrs()[0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(hello[:]); err != nil { // introduce as node 0
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() { conn.Close() })
+	return nwi.(*network), conn
+}
+
 // blockProducer drives node 0's sender to node 1 into the stalled
-// state: node 1's acks are silenced (they ride its own 1→0 sender, so
-// closing node 0's listener and severing that link stops every ack
-// while 0→1 data keeps flowing), the journal fills to maxPending with
-// frames that are delivered but never acknowledged, and the writer goes
-// idle. A further Send must then block on backpressure; it runs on its
-// own goroutine, and the returned channel closes when it returns.
-func blockProducer(t *testing.T, nw *network) <-chan struct{} {
+// state. nw and conn come from halfMesh(t, 0), and the test, playing
+// node 1, reads every frame node 0 sends on conn and acks none: the
+// journal fills to maxPending with frames that are delivered but never
+// acknowledged, and the writer goes idle. A further Send must then
+// block on backpressure; it runs on its own goroutine, and the returned
+// channel closes when it returns.
+func blockProducer(t *testing.T, nw *network, conn net.Conn) <-chan struct{} {
 	t.Helper()
 	eps := nw.Endpoints()
 	var delivered atomic.Uint64
-	eps[1].Register(7, func(m amnet.Msg) { delivered.Add(1) })
-	nw.listeners[0].Close()
-	nw.KillLink(1, 0)
+	go func() {
+		br := bufio.NewReader(conn)
+		for {
+			f, err := readFrame(br)
+			if err != nil {
+				return
+			}
+			amnet.Recycle(f.msg.Payload)
+			if f.seq != 0 {
+				delivered.Add(1)
+			}
+		}
+	}()
 
 	for i := 0; i < maxPending; i++ {
 		eps[0].Send(amnet.Msg{Dst: 1, Handler: 7, A: uint64(i)})
@@ -285,22 +346,26 @@ func blockProducer(t *testing.T, nw *network) <-chan struct{} {
 // declared down and the send failing out. The ack-stall probe must
 // drive the writer onto the dead connection so the existing
 // reconnect→peerLost path runs and its notFull broadcast frees the
-// producer.
+// producer. The death here is one node 0's reader cannot notice: its
+// end of the connection takes no more writes, while its reads block,
+// because the test, playing node 1, neither writes nor closes its end.
 func TestBlockedEnqueueUnblocksOnPeerDown(t *testing.T) {
-	nwi, err := New(Loopback(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nwi.Close()
-	nw := nwi.(*network)
+	nw, conn := halfMesh(t, 0)
+	defer nw.Close()
 	downs := make(chan amnet.NodeID, 1)
 	nw.eps[0].SetPeerDownHandler(func(peer amnet.NodeID) { downs <- peer })
-	sendDone := blockProducer(t, nw)
+	sendDone := blockProducer(t, nw, conn)
 
-	// Now the peer dies for good. The blocked producer must be released
-	// by the peer-down path, not left hanging.
-	nw.listeners[1].Close()
-	nw.KillLink(0, 1)
+	// Now the peer dies for good: halfMesh's listener refuses redials.
+	// The blocked producer must be released by the peer-down path, not
+	// left hanging.
+	s := nw.eps[0].out[1]
+	s.mu.Lock()
+	dead := s.conn.(*net.TCPConn)
+	s.mu.Unlock()
+	if err := dead.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
 
 	select {
 	case peer := <-downs:
@@ -323,12 +388,8 @@ func TestBlockedEnqueueUnblocksOnPeerDown(t *testing.T) {
 // handler exactly once; repeating the call and naming an out-of-range
 // id are no-ops, and a later Send to the peer is dropped at once.
 func TestDeclarePeerDownReleasesBlockedSender(t *testing.T) {
-	nwi, err := New(Loopback(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nwi.Close()
-	nw := nwi.(*network)
+	nw, conn := halfMesh(t, 0)
+	defer nw.Close()
 	var downs atomic.Int32
 	nw.eps[0].SetPeerDownHandler(func(peer amnet.NodeID) {
 		if peer != 1 {
@@ -336,7 +397,7 @@ func TestDeclarePeerDownReleasesBlockedSender(t *testing.T) {
 		}
 		downs.Add(1)
 	})
-	sendDone := blockProducer(t, nw)
+	sendDone := blockProducer(t, nw, conn)
 
 	nw.DeclarePeerDown(1)
 	select {
@@ -366,18 +427,14 @@ func TestDeclarePeerDownReleasesBlockedSender(t *testing.T) {
 // TestReaderDispatchNeverWaitsOnJournal pins the rule that keeps reader
 // dispatch deadlock-free: a goroutine holding the node's token never
 // waits on the journal bound. Node 0's link to node 1 is held at
-// maxPending with node 1's acks silenced (blockProducer). A frame node 0
-// sends itself is then dispatched on node 0's reader, and its handler
-// replies into the full link. The reply must go out past the bound — a
-// reader waiting there could be the very one that has to read the ack —
-// and the reader must go on to deliver the next frame.
+// maxPending with node 1's acks silenced (blockProducer). Node 1 then
+// sends node 0 two frames, dispatched on node 0's reader, and the first
+// one's handler replies into the full link. The reply must go out past
+// the bound — a reader waiting there could be the very one that has to
+// read the ack — and the reader must go on to deliver the next frame.
 func TestReaderDispatchNeverWaitsOnJournal(t *testing.T) {
-	nwi, err := New(Loopback(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nwi.Close()
-	nw := nwi.(*network)
+	nw, conn := halfMesh(t, 0)
+	defer nw.Close()
 	ep := nw.eps[0]
 	delivered := make(chan uint64, 2)
 	handle := func(m amnet.Msg) {
@@ -388,10 +445,15 @@ func TestReaderDispatchNeverWaitsOnJournal(t *testing.T) {
 	}
 	ep.Register(8, handle)
 	ep.RegisterTry(8, func(m amnet.Msg) bool { handle(m); return true })
-	blockProducer(t, nw)
+	blockProducer(t, nw, conn)
 
-	ep.Send(amnet.Msg{Dst: 0, Handler: 8, A: 1})
-	ep.Send(amnet.Msg{Dst: 0, Handler: 8, A: 2})
+	for seq := uint64(1); seq <= 2; seq++ {
+		buf := make([]byte, frameHeader)
+		putHeader(buf, &amnet.Msg{Dst: 0, Src: 1, Handler: 8, A: seq}, 0, seq)
+		if _, err := conn.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for want := uint64(1); want <= 2; want++ {
 		select {
 		case a := <-delivered:
@@ -429,31 +491,13 @@ func TestReaderDispatchNeverWaitsOnJournal(t *testing.T) {
 // nothing — the journal keeps its frames and acked stays put — while a
 // genuine ack on the next frame still releases them.
 func TestHostileAckOnDataFrameIgnored(t *testing.T) {
-	nwi, err := New(Loopback(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nwi.Close()
-	nw := nwi.(*network)
-	eps := nw.Endpoints()
+	nw, conn := halfMesh(t, 1) // the test plays node 0
+	defer nw.Close()
+	ep := nw.eps[0]
 	got := make(chan uint64, 2)
-	eps[1].Register(7, func(m amnet.Msg) { got <- m.A })
-	var back atomic.Int32
-	eps[0].Register(7, func(m amnet.Msg) { back.Add(1) })
+	ep.Register(7, func(m amnet.Msg) { got <- m.A })
 	nw.Start()
 
-	// A raw connection to node 1 introducing itself as node 0. Its first
-	// frame, acking nothing, is delivered while node 1 still listens:
-	// the connection has been accepted.
-	conn, err := net.Dial("tcp", nw.addrs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	var hello [4]byte
-	if _, err := conn.Write(hello[:]); err != nil {
-		t.Fatal(err)
-	}
 	deliver := func(seq, ack uint64) {
 		t.Helper()
 		buf := make([]byte, frameHeader)
@@ -473,22 +517,23 @@ func TestHostileAckOnDataFrameIgnored(t *testing.T) {
 	}
 	deliver(1, 0)
 
-	// Silence node 0's acks to node 1 (they ride node 0's sender, which
-	// can no longer reach node 1), then leave three frames unacked in
-	// node 1's journal to node 0.
-	nw.listeners[1].Close()
-	nw.KillLink(0, 1)
+	// Leave three frames unacked in node 1's journal to node 0: the
+	// test reads them off the connection and acks none.
 	for i := 0; i < 3; i++ {
-		eps[1].Send(amnet.Msg{Dst: 0, Handler: 7})
+		ep.Send(amnet.Msg{Dst: 0, Handler: 7})
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for back.Load() < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("node 0 got %d of 3 frames", back.Load())
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	for back := 0; back < 3; {
+		f, err := readFrame(br)
+		if err != nil {
+			t.Fatalf("node 0 got %d of 3 frames: %v", back, err)
 		}
-		time.Sleep(time.Millisecond)
+		if f.seq != 0 {
+			back++
+		}
 	}
-	s := nw.eps[1].out[0]
+	s := ep.out[0]
 	journal := func() (int, uint64) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -521,11 +566,11 @@ func TestAckNeverJournaledIgnored(t *testing.T) {
 		s.journal = append(s.journal, f)
 		s.nextSeq = i
 	}
-	s.ack(100) // never journaled: must be a no-op
+	s.ack(100, false) // never journaled: must be a no-op
 	if len(s.journal) != 3 || s.acked != 0 {
 		t.Fatalf("bogus ack accepted: journal %d frames, acked %d", len(s.journal), s.acked)
 	}
-	s.ack(2) // genuine ack still works after the bogus one
+	s.ack(2, false) // genuine ack still works after the bogus one
 	if len(s.journal) != 1 || s.acked != 2 {
 		t.Fatalf("genuine ack after bogus one: journal %d frames, acked %d", len(s.journal), s.acked)
 	}
@@ -546,9 +591,11 @@ func TestPeerLostLeavesJournalToWriter(t *testing.T) {
 	defer peer.Close()
 	ep := &endpoint{Node: amnet.NewNode(0, frameHeader), nw: &network{}, links: make([]recvLink, 2), downSent: make(map[amnet.NodeID]bool)}
 	s := newSender(ep, 1, "", conn)
+	go io.ReadFull(peer, make([]byte, len(s.hello))) // take the hello, then stop reading
 	// Queue the frames before the writer starts so it takes them as one
-	// batch; two of them overflow its 64 KiB buffer, so it blocks in a
-	// socket write with frames of the batch still unread.
+	// batch, its first connection's replay; two of them overflow its
+	// 64 KiB buffer, so it blocks in a socket write with frames of the
+	// batch still unread.
 	const size = 40 << 10
 	for i := 0; i < 4; i++ {
 		s.enqueue(amnet.Alloc(size))
@@ -627,7 +674,7 @@ func hostileFrameClosesConn(t *testing.T, m amnet.Msg) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
+	if _, err := io.Copy(io.Discard, conn); errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatal("node 1 kept the connection open after a hostile frame")
 	}
 	eps[0].Send(amnet.Msg{Dst: 1, Handler: 7, A: 42})

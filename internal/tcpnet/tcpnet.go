@@ -5,15 +5,30 @@
 // paper's portability claim: Ace runs on any system with an Active
 // Messages mechanism (Section 1).
 //
-// The send path is coalescing: Send encodes the frame into a pooled
-// buffer and hands it to a per-connection writer goroutine, which drains
-// its queue in batches through one buffered writer and flushes only when
-// the queue goes empty — a burst of n messages costs one flush syscall
-// per 64 KiB, a lone message still flushes immediately, so throughput is
-// gained without a latency tax. Frame and payload buffers come from the
-// amnet buffer pool
-// (amnet.Alloc/Recycle); a delivered Msg.Payload is owned by the
-// handler per the fabric's ownership contract.
+// A pair of distinct nodes shares one duplex TCP connection: the lower
+// id dials, the higher id accepts, and each side's sender and reader
+// use the same socket, so a reply's data segment carries the TCP ack of
+// the request it answers. A node sends itself nothing over a socket: a
+// self-message goes straight to its own amnet.Node, in a pooled copy of
+// its payload.
+//
+// The send path is coalescing, except for replies. Send encodes the
+// frame into a pooled buffer (amnet.Alloc/Recycle; a delivered
+// Msg.Payload is owned by the handler per the fabric's ownership
+// contract). If the link is idle — its writer is parked, nothing is
+// queued, no tail is pending — and a data frame has arrived from the
+// peer since the link's last inline write, Send writes the frame itself
+// with one non-blocking write that never parks; whatever the kernel does
+// not take becomes the link's tail, which the writer sends before
+// anything queued later. Every other frame goes to the link's writer
+// goroutine, which drains its queue in batches through one buffered
+// writer and flushes when the queue goes empty: a burst of n messages
+// costs one write per 64 KiB. The reply rule is what keeps bursts
+// batched: a request/reply exchange writes each message on the
+// goroutine that made it, with no hand-off to the writer, while a
+// one-way stream inlines at most its first frame, since nothing comes
+// back to re-arm the rule, and coalesces the rest. Inlining every send
+// instead cut a 16 B stream to a write per message.
 //
 // The receive path is the channel fabric's, direct dispatch included:
 // the endpoint embeds an amnet.Node. A connection's reader dispatches
@@ -27,15 +42,20 @@
 // acknowledges it. Acks are cumulative and ride in the header of every
 // frame going the other way; a standalone ack frame goes out only when
 // ackEvery data frames met no reverse traffic, on a duplicate, or from
-// the once-a-second probe. A broken connection is redialed with
-// exponential backoff and jitter,
-// the journal is retransmitted, and the receiver drops the frames it
+// the once-a-second probe. A broken connection is redialed by the dialer
+// with exponential backoff and jitter; the acceptor's accept loop hands
+// the redial to its sender. Both sides open the new connection with a
+// standalone ack, which is how the acceptor answers the redial, and
+// replay their journals on it, and each receiver drops the frames it
 // already delivered — so a transient connection loss costs latency, not
-// the fabric contract. A peer that stays unreachable past maxAttempts
-// reconnects is declared down through amnet.PeerAware, turning would-be
-// hangs into typed errors upstream. Supervision is fixed by the
-// constants below, not configured. Reconnects, backoffs, retransmits
-// and duplicate drops are all counted in the endpoint Stats.
+// the fabric contract. A dialer whose maxAttempts redials in a row go
+// unanswered, or an acceptor that sees no connection from its dialer
+// within as long as those attempts can last (redialBudget), declares the
+// peer down through amnet.PeerAware, turning would-be hangs into typed
+// errors upstream.
+// Supervision is fixed by the constants below, not configured.
+// Reconnects, backoffs, retransmits and duplicate drops are all counted
+// in the endpoint Stats.
 package tcpnet
 
 import (
@@ -48,6 +68,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"github.com/acedsm/ace/internal/amnet"
@@ -87,7 +108,9 @@ const (
 
 	// maxAttempts is the number of consecutive failed dials (or
 	// reconnect attempts) after which a dial fails (or the peer is
-	// declared down through amnet.PeerAware).
+	// declared down through amnet.PeerAware). A redial fails unless the
+	// acceptor answers it. The acceptor of a link waits for the dialer's
+	// connection as long as those attempts can last (redialBudget).
 	maxAttempts = 8
 
 	// ackEvery is the receive-side ack cadence: a reader sends a
@@ -105,6 +128,20 @@ const (
 	// network.probeLoop).
 	probeInterval = time.Second
 )
+
+// redialBudget is how long the acceptor of a link waits for the
+// dialer's connection before it declares the peer down: as long as the
+// dialer can take to notice the failure (a write's writeTimeout) and
+// then make its maxAttempts attempts, each a dial and a backoff with
+// full jitter. A link's first connection gets the same budget, counted
+// from Connect.
+var redialBudget = func() time.Duration {
+	d := writeTimeout + maxAttempts*dialTimeout
+	for n := 1; n <= maxAttempts; n++ {
+		d += 2 * backoffStep(n)
+	}
+	return d
+}()
 
 // Loopback is the in-process preset: an n-node full TCP mesh on
 // ephemeral 127.0.0.1 ports — what test and benchmark clusters run on.
@@ -124,8 +161,8 @@ func (c Config) Connect(n int) (amnet.Network, error) {
 }
 
 // New builds the transport for cfg: a listener, mailbox and dispatch
-// pump per local node, and supervised senders from every local node to
-// every node in the cluster. With the loopback preset (no Addrs) that
+// pump per local node, and a supervised link from every local node to
+// every other node in the cluster. With the loopback preset (no Addrs) that
 // is the full in-process mesh; with Addrs and Local set it is one
 // process's share of a multi-process cluster.
 func New(cfg Config) (amnet.Network, error) {
@@ -163,14 +200,15 @@ func Listen(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("tcpnet: no local nodes")
 	}
 	nw := &network{
-		nodes:     cfg.Nodes,
-		local:     local,
-		eps:       make([]*endpoint, len(local)),
-		byID:      make([]*endpoint, cfg.Nodes),
-		listeners: make([]net.Listener, len(local)),
-		started:   make(chan struct{}),
-		wired:     make(chan struct{}),
-		quit:      make(chan struct{}),
+		nodes:      cfg.Nodes,
+		local:      local,
+		eps:        make([]*endpoint, len(local)),
+		byID:       make([]*endpoint, cfg.Nodes),
+		listeners:  make([]net.Listener, len(local)),
+		started:    make(chan struct{}),
+		wired:      make(chan struct{}),
+		quit:       make(chan struct{}),
+		redialWait: redialBudget,
 	}
 	for i, id := range local {
 		if id < 0 || id >= cfg.Nodes || nw.byID[id] != nil {
@@ -192,15 +230,13 @@ func Listen(cfg Config) (*Node, error) {
 			nw:       nw,
 			links:    make([]recvLink, cfg.Nodes),
 			downSent: make(map[amnet.NodeID]bool),
-			inbound:  make(map[net.Conn]struct{}),
 		}
 		nw.eps[i] = ep
 		nw.byID[id] = ep
 	}
 	// Accept side: each local node runs a persistent accept loop for the
-	// network's lifetime; the first frame on each connection identifies
-	// the sender, so initial mesh connections and reconnects look the
-	// same.
+	// network's lifetime; the hello on each connection names the dialing
+	// peer, so initial mesh connections and redials look the same.
 	for i := range local {
 		nw.acceptWG.Add(1)
 		go nw.acceptLoop(i)
@@ -227,12 +263,14 @@ func (nd *Node) Addrs() []string {
 }
 
 // Connect completes the mesh: addrs is every node's data address,
-// indexed by node id, and each local node dials a supervised sender to
-// every one of them (including itself, keeping the path uniform). The
-// returned network's endpoints are the local nodes in Config.Local
-// order; dispatch is held back until the network's Start (or the
-// first local Send) so the runtime can finish registering handlers
-// before a fast peer's frames are delivered.
+// indexed by node id. Each local node gets a supervised link to every
+// other node, and dials only the higher ids: a lower id dials it, and
+// its accept loop hands that connection to the link, or, if none comes
+// within redialBudget, declares that peer down. The returned
+// network's endpoints are the local nodes in Config.Local order;
+// dispatch is held back until the network's Start (or the first local
+// Send) so the runtime can finish registering handlers before a fast
+// peer's frames are delivered.
 func (nd *Node) Connect(addrs []string) (amnet.Network, error) {
 	nw := nd.nw
 	if nd.connected {
@@ -245,19 +283,20 @@ func (nd *Node) Connect(addrs []string) (amnet.Network, error) {
 	nw.addrs = append([]string(nil), addrs...)
 	for _, ep := range nw.eps {
 		ep.out = make([]*sender, nw.nodes)
-		for j := 0; j < nw.nodes; j++ {
-			conn, err := dialInitial(addrs[j])
-			if err != nil {
-				nw.Close()
-				return nil, err
+		for j := range nw.nodes {
+			if j == int(ep.ID()) {
+				continue // self-messages never reach a socket (see Send)
 			}
-			tuneConn(conn)
+			var conn net.Conn
+			if int(ep.ID()) < j {
+				c, err := dialInitial(addrs[j])
+				if err != nil {
+					nw.Close()
+					return nil, err
+				}
+				conn = c
+			}
 			s := newSender(ep, amnet.NodeID(j), addrs[j], conn)
-			if _, err := conn.Write(s.hello[:]); err != nil {
-				conn.Close()
-				nw.Close()
-				return nil, err
-			}
 			ep.out[j] = s
 			nw.sendWG.Add(1)
 			go s.run(&nw.sendWG)
@@ -265,9 +304,9 @@ func (nd *Node) Connect(addrs []string) (amnet.Network, error) {
 	}
 	nw.sendWG.Add(1)
 	go nw.probeLoop()
-	// Sender tables exist for every local endpoint; inbound readers
-	// parked on the wire gate (a peer that connected faster than our
-	// bootstrap) may begin decoding and acking.
+	// Sender tables exist for every local endpoint; accept loops parked
+	// on the wire gate (a peer that dialed faster than our bootstrap)
+	// may hand their connections over.
 	nw.wire()
 	for _, ep := range nw.eps {
 		nw.pumpWG.Add(1)
@@ -294,7 +333,6 @@ func (nd *Node) Close() error {
 // accept queue, and one transient refusal must not fail the whole
 // mesh. The budget is reconnect's.
 func dialInitial(addr string) (net.Conn, error) {
-	step := backoffBase
 	for attempt := 1; ; attempt++ {
 		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err == nil {
@@ -303,22 +341,28 @@ func dialInitial(addr string) (net.Conn, error) {
 		if attempt >= maxAttempts {
 			return nil, fmt.Errorf("tcpnet: dial %s: %w", addr, err)
 		}
-		step = backoff(step)
+		backoff(attempt)
 	}
 }
 
+// backoffStep is the retry pause before attempt n, counted from 1:
+// backoffBase doubled per attempt up to backoffMax.
+func backoffStep(n int) time.Duration {
+	return min(backoffBase<<(n-1), backoffMax)
+}
+
 // backoff is the one retry pause of dialInitial and reconnect: it sleeps
-// step plus up to 100% jitter and returns the next step, doubled up to
-// backoffMax.
-func backoff(step time.Duration) time.Duration {
+// backoffStep(n) plus up to 100% jitter.
+func backoff(n int) {
+	step := backoffStep(n)
 	time.Sleep(step + time.Duration(rand.Int63n(int64(step))))
-	return min(2*step, backoffMax)
 }
 
 // tuneConn shapes a mesh connection for the coalescing writer: Nagle is
-// off (the writer already batches frames, so the kernel must not hold a
-// flushed batch back), and the socket buffers are pinned so throughput
-// does not ride on the kernel's autotuning warm-up.
+// off (the writer already batches frames and an inline write is one
+// frame that should leave now, so the kernel must not hold either back),
+// and the socket buffers are pinned so throughput does not ride on the
+// kernel's autotuning warm-up.
 func tuneConn(conn net.Conn) {
 	tc, ok := conn.(*net.TCPConn)
 	if !ok {
@@ -339,13 +383,16 @@ type network struct {
 	started   chan struct{} // closed by Start: dispatch may begin
 	live      atomic.Bool   // set by Start, before started closes: readers may dispatch directly
 	startOnce sync.Once
-	wired     chan struct{} // closed by Connect: sender tables exist
+	wired     chan struct{} // closed by Connect: sender tables exist, accepted connections may be handed over
 	wireOnce  sync.Once
 	quit      chan struct{} // closed by Close: the probe loop exits
-	acceptWG  sync.WaitGroup
-	sendWG    sync.WaitGroup // writers and the probe loop
-	pumpWG    sync.WaitGroup
-	closed    atomic.Bool
+	// redialWait is how long an acceptor waits for its dialer's
+	// connection: redialBudget, shortened only by tests.
+	redialWait time.Duration
+	acceptWG   sync.WaitGroup
+	sendWG     sync.WaitGroup // writers and the probe loop
+	pumpWG     sync.WaitGroup
+	closed     atomic.Bool
 }
 
 func (n *network) Endpoints() []amnet.Endpoint {
@@ -367,10 +414,10 @@ func (n *network) Start() {
 	})
 }
 
-// wire releases inbound readers: before Connect builds the sender
-// tables, a reader delivering frames would have no reverse link to ack
-// on. Closed by Connect, and by Close so an abandoned bootstrap's
-// parked readers exit.
+// wire releases the accept loops: before Connect builds the sender
+// tables, an accepted connection has no link to join. Closed by
+// Connect, and by Close so an abandoned bootstrap's parked accept loops
+// go on to drop what they accepted.
 func (n *network) wire() { n.wireOnce.Do(func() { close(n.wired) }) }
 
 // DeclarePeerDown forces the supervised senders to peer as lost, as if
@@ -395,11 +442,15 @@ func (n *network) DeclarePeerDown(peer amnet.NodeID) {
 }
 
 // acceptLoop accepts connections for node j until the listener closes.
-// Each connection opens with a 4-byte hello naming the sender; a
-// connection that fails the hello (timeout, bad id) is dropped without
-// disturbing the node.
+// Each connection opens with a 4-byte hello naming the dialer, which
+// must be a lower id: only a lower id dials. The connection is handed
+// to the link to that peer, as its first connection or as a redial
+// replacing the current one. A connection that fails the hello
+// (timeout, an id out of range, this node's own or a higher one) is
+// dropped without disturbing the node.
 func (n *network) acceptLoop(j int) {
 	defer n.acceptWG.Done()
+	ep := n.eps[j]
 	for {
 		conn, err := n.listeners[j].Accept()
 		if err != nil {
@@ -414,25 +465,31 @@ func (n *network) acceptLoop(j int) {
 		}
 		conn.SetReadDeadline(time.Time{})
 		src := int32(binary.LittleEndian.Uint32(hello[:]))
-		if src < 0 || int(src) >= n.nodes {
+		if src < 0 || src >= int32(ep.ID()) {
 			conn.Close()
 			continue
 		}
-		n.eps[j].addReader(conn, amnet.NodeID(src))
+		<-n.wired
+		if ep.out == nil || ep.out[src] == nil { // closed before Connect finished
+			conn.Close()
+			continue
+		}
+		ep.out[src].adopt(conn)
 	}
 }
 
-// KillLink forcibly closes the current src→dst connection, as if the
-// network dropped it. The supervised sender redials, retransmits its
-// journal, and the receiver dedups — a test hook for the reconnect
-// machinery. src must be a local node.
+// KillLink forcibly closes src's end of the connection between src and
+// dst, as if the network dropped it. Both sides notice, the dialer
+// redials, each side replays its journal, and each receiver dedups — a
+// test hook for the reconnect machinery. src must be a local node and
+// dst another node.
 func (n *network) KillLink(src, dst int) {
 	n.byID[src].out[dst].killConn()
 }
 
 // Close tears the mesh down in dependency order: stop accepting, drain
-// and close every sender (closing its connection unblocks the remote
-// reader), wait for readers, then close the nodes so the pumps exit.
+// and close every sender (closing its connection ends both sides'
+// readers), wait for readers, then close the nodes so the pumps exit.
 func (n *network) Close() error {
 	if !n.closed.Swap(true) {
 		close(n.quit)
@@ -455,20 +512,10 @@ func (n *network) Close() error {
 			}
 		}
 	}
+	// Each writer closes its link's connections as it exits, which ends
+	// the readers on them: a peer that outlives this mesh (multi-process
+	// shutdown is not synchronized) cannot hold a reader open.
 	n.sendWG.Wait()
-	// Sever inbound connections locally: a peer that outlives this mesh
-	// (multi-process shutdown is not synchronized) would otherwise hold
-	// our readers open indefinitely.
-	for _, ep := range n.eps {
-		if ep == nil {
-			continue
-		}
-		ep.inboundMu.Lock()
-		for conn := range ep.inbound {
-			conn.Close()
-		}
-		ep.inboundMu.Unlock()
-	}
 	for _, ep := range n.eps {
 		if ep != nil {
 			ep.readers.Wait()
@@ -492,43 +539,66 @@ func (n *network) Close() error {
 // reader running a handler that waited here could be the very reader
 // that must read the ack. So nothing that waits here runs handlers, the
 // readers never wait here, and the wait is bounded by network round
-// trips, not by remote handler progress.
+// trips, not by remote handler progress. An inline write changes none
+// of this: it happens after the bound, and never parks.
 const maxPending = 4096
 
-// sender owns one outgoing link: Send enqueues encoded frames, the
-// writer goroutine drains them in batches through a buffered writer and
+// sender owns one link, the connection to one peer that its reader
+// shares. Send writes a frame inline when the link is idle and answered
+// (see the package comment), or enqueues it for the writer goroutine,
+// which drains the queue in batches through a buffered writer and
 // flushes when the queue goes empty. Data frames carry a sequence
 // number and are retained in the journal until the peer's cumulative
-// ack covers them; on connection failure the writer redials with
-// backoff and replays the journal. Frames are pooled: control frames
-// are recycled after writing, data frames when acked.
+// ack covers them; when the connection fails the dialer redials with
+// backoff, the acceptor waits for that redial, and each replays its
+// journal on the new connection. Frames are pooled: control frames are
+// recycled after writing, data frames when acked.
 type sender struct {
 	mu       sync.Mutex
-	notEmpty *sync.Cond // writer waits: queue has frames or closed
-	notFull  *sync.Cond // producers wait: journal below maxPending or closed
-	conn     net.Conn
-	queue    [][]byte // frames not yet handed to the writer
-	journal  [][]byte // data frames not yet acked: seqs nextSeq-len+1..nextSeq (superset of queue's data frames)
-	jarr     [][]byte // journal's whole backing array, so release can slide the journal back to its front
-	nextSeq  uint64   // last assigned data sequence number (0 = control)
-	acked    uint64   // highest cumulative ack received
-	// replaying is set while reconnect writes a journal snapshot outside
+	notEmpty *sync.Cond      // writer waits: frames to write, a broken connection, a redial, or closed
+	notFull  *sync.Cond      // producers wait: journal below maxPending or closed
+	conn     net.Conn        // the link's connection; nil until an acceptor's first
+	raw      syscall.RawConn // conn's handle for inline writes; nil if it has none
+	next     net.Conn        // acceptor: the latest redial, not yet taken by the writer
+	broken   bool            // conn failed or was superseded: the writer must reconnect
+	busy     bool            // the writer is not parked idle (it has work, is reconnecting or not yet up): no inline write
+	heard    bool            // a data frame arrived from the peer since the last inline write
+	tail     []byte          // unwritten rest of an inline write, written before the queue
+	queue    [][]byte        // frames not yet handed to the writer
+	journal  [][]byte        // data frames not yet acked: seqs nextSeq-len+1..nextSeq (superset of queue's data frames)
+	jarr     [][]byte        // journal's whole backing array, so release can slide the journal back to its front
+	nextSeq  uint64          // last assigned data sequence number (0 = control)
+	acked    uint64          // highest cumulative ack received
+	failed   int             // dialer: redial attempts since the peer last answered a connection
+	// replaying is set while resume writes a journal snapshot outside
 	// the lock; ack() then only records the ack and leaves the release to
 	// the end of the replay, so snapshot frames stay valid through it.
 	replaying bool
 	closed    bool
 
+	// The inline write's argument and result, under mu. rawWrite is
+	// writeRaw as a method value, built once so a write allocates
+	// nothing.
+	inline   []byte
+	inlineN  int
+	rawWrite func(fd uintptr) bool
+
 	ep    *endpoint
 	peer  amnet.NodeID
+	dials bool // this side dials: its id is the lower
 	addr  string
 	hello [4]byte
 }
 
+// newSender builds the link from ep to peer. conn is the connection the
+// dialer already made, nil on the acceptor side. The writer owns the
+// link (busy) until it first parks with the connection up.
 func newSender(ep *endpoint, peer amnet.NodeID, addr string, conn net.Conn) *sender {
-	s := &sender{conn: conn, ep: ep, peer: peer, addr: addr}
+	s := &sender{conn: conn, ep: ep, peer: peer, dials: ep.ID() < peer, addr: addr, busy: true}
 	binary.LittleEndian.PutUint32(s.hello[:], uint32(ep.ID()))
 	s.notEmpty = sync.NewCond(&s.mu)
 	s.notFull = sync.NewCond(&s.mu)
+	s.rawWrite = s.writeRaw
 	return s
 }
 
@@ -537,14 +607,16 @@ func newSender(ep *endpoint, peer amnet.NodeID, addr string, conn net.Conn) *sen
 // horizon is ahead of the last ack written back gets a standalone ack,
 // so an idle peer's journal is released within probeInterval. And it is
 // the ack-stall watchdog: while a sender's journal holds unacked frames
-// and its queue is empty, its writer is parked — if the connection died
-// in that state nothing would ever write to it again, so the reconnect
-// budget would never be consumed and producers blocked on backpressure
-// would hang forever with the peer never declared down. Every
-// probeInterval each such sender gets an ack frame too, forcing its
-// writer through a write: on a live connection it is one more ack, on a
-// dead one it triggers the normal reconnect→peerLost path, which frees
-// the producers.
+// and its queue is empty, its writer is parked. A reader notices a
+// connection the peer closed or reset, but not a half-open one (the
+// peer's host vanished, or a socket that takes no writes while its
+// reads just block): nothing would ever write to it again, so the
+// reconnect budget would never be consumed and producers blocked on
+// backpressure would hang forever with the peer never declared down.
+// Every probeInterval each such sender gets an ack frame too, forcing
+// its writer through a write: on a live connection it is one more ack,
+// on a dead one it fails (or draws the reset that fails the reader),
+// and the normal reconnect→peerLost path frees the producers.
 func (n *network) probeLoop() {
 	defer n.sendWG.Done()
 	t := time.NewTicker(probeInterval)
@@ -557,6 +629,9 @@ func (n *network) probeLoop() {
 		}
 		for _, ep := range n.eps {
 			for j, s := range ep.out {
+				if s == nil {
+					continue
+				}
 				s.mu.Lock()
 				stalled := !s.closed && len(s.journal) > 0 && len(s.queue) == 0
 				s.mu.Unlock()
@@ -569,10 +644,11 @@ func (n *network) probeLoop() {
 }
 
 // enqueue appends one encoded data frame, assigning its sequence number
-// and journaling it. While the unacked journal is at capacity it blocks,
-// unless the node's token is held (see maxPending). After close, frames
-// are dropped (Network.Close documents that queued messages may be
-// dropped).
+// and journaling it, and then writes it inline if the link is idle and
+// answered, or queues it for the writer. While the unacked journal is at
+// capacity it blocks, unless the node's token is held (see maxPending).
+// After close, frames are dropped (Network.Close documents that queued
+// messages may be dropped).
 func (s *sender) enqueue(frame []byte) {
 	s.mu.Lock()
 	for len(s.journal) >= maxPending && !s.closed && !s.ep.Busy() {
@@ -585,19 +661,65 @@ func (s *sender) enqueue(frame []byte) {
 	}
 	s.nextSeq++
 	binary.LittleEndian.PutUint64(frame[seqOff:], s.nextSeq)
-	s.queue = append(s.queue, frame)
 	grow := len(s.journal) == cap(s.journal)
 	s.journal = append(s.journal, frame)
 	if grow {
 		s.jarr = s.journal[:cap(s.journal)]
 	}
+	if s.heard && !s.busy && !s.broken && s.raw != nil && len(s.queue) == 0 && s.tail == nil {
+		done := s.writeInline(frame)
+		s.mu.Unlock()
+		if !done {
+			s.notEmpty.Signal() // the writer sends the tail
+		}
+		return
+	}
+	s.queue = append(s.queue, frame)
 	s.mu.Unlock()
 	s.notEmpty.Signal()
 }
 
+// writeInline stamps frame with the reverse link's ack and makes one
+// non-blocking write of it on the calling goroutine. It reports whether
+// the kernel took the whole frame; if not, the rest becomes the tail. A
+// failed write leaves the whole frame as the tail, and the writer's own
+// write of it finds the error and reconnects. The frame is journaled
+// already, so a replay covers it whatever this write managed. The
+// caller holds s.mu.
+func (s *sender) writeInline(frame []byte) bool {
+	s.heard = false
+	link := &s.ep.links[s.peer]
+	ack := link.seen.Load()
+	binary.LittleEndian.PutUint64(frame[ackOff:], ack)
+	link.told.Store(ack)
+	s.inline, s.inlineN = frame, 0
+	err := s.raw.Write(s.rawWrite)
+	n := s.inlineN
+	s.inline = nil
+	if err == nil && n == len(frame) {
+		return true
+	}
+	s.tail = frame[n:]
+	return false
+}
+
+// writeRaw is the inline write's RawConn callback: one write(2) on the
+// non-blocking socket, counted as one socket write. It returns true
+// whatever the write did, so RawConn.Write never parks the caller to
+// wait for the socket.
+func (s *sender) writeRaw(fd uintptr) bool {
+	s.ep.Stats().Flushes.Add(1)
+	n, err := syscall.Write(int(fd), s.inline)
+	if err == nil {
+		s.inlineN = n
+	}
+	return true
+}
+
 // enqueueControl appends a control frame (seq 0). Control frames skip
-// the journal and the backpressure bound: acks must flow even when the
-// data path is saturated, or the saturation could never clear.
+// the journal, the backpressure bound and the inline write: acks must
+// flow even when the data path is saturated, or the saturation could
+// never clear.
 func (s *sender) enqueueControl(frame []byte) {
 	s.mu.Lock()
 	if s.closed {
@@ -610,13 +732,18 @@ func (s *sender) enqueueControl(frame []byte) {
 	s.notEmpty.Signal()
 }
 
-// ack processes a cumulative acknowledgment: every journaled frame with
-// seq ≤ n is released. Monotonic — stale acks (reordered across a
-// reconnect) are ignored. During a journal replay only the ack level is
-// recorded; the replay releases the covered frames when it ends.
-func (s *sender) ack(n uint64) {
+// ack processes a cumulative acknowledgment carried by a frame from the
+// peer, data reporting whether that frame was a data frame (which
+// re-arms the inline write): every journaled frame with seq ≤ n is
+// released. Monotonic — stale acks (reordered across a reconnect) are
+// ignored. During a journal replay only the ack level is recorded; the
+// replay releases the covered frames when it ends.
+func (s *sender) ack(n uint64, data bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if data {
+		s.heard = true
+	}
 	// An ack for a sequence never journaled here (n > nextSeq) can only
 	// come from a corrupt or hostile peer. Accepting it would recycle
 	// in-flight journal frames (a use-after-free through the buffer
@@ -660,8 +787,9 @@ func (s *sender) release(n uint64) {
 }
 
 // dropQueue empties the queue, recycling its control frames (its data
-// frames are the journal's), and returns how many data frames it held.
-// The caller holds s.mu.
+// frames are the journal's), and drops the tail (a journal frame's
+// rest). It returns how many data frames the queue held. The caller
+// holds s.mu.
 func (s *sender) dropQueue() int {
 	data := 0
 	for i, f := range s.queue {
@@ -673,6 +801,7 @@ func (s *sender) dropQueue() int {
 		s.queue[i] = nil
 	}
 	s.queue = s.queue[:0]
+	s.tail = nil
 	return data
 }
 
@@ -697,6 +826,46 @@ func (s *sender) killConn() {
 	}
 }
 
+// adopt takes a redial that the accept loop received from the peer: it
+// becomes the link's next connection, and the current one, which the
+// dialer has given up on, is closed so that the writer and the reader
+// on it let go. The writer takes the redial over in awaitRedial, and a
+// resume that was already under way leaves the link broken (see
+// resume), so the writer goes back for it.
+func (s *sender) adopt(conn net.Conn) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		conn.Close()
+		return
+	}
+	if s.next != nil {
+		s.next.Close() // superseded before the writer took it
+	}
+	s.next, s.broken = conn, true
+	old := s.conn
+	s.mu.Unlock()
+	if old != nil {
+		old.Close()
+	}
+	s.notEmpty.Signal()
+}
+
+// connLost is the reader's report that conn failed: if it is still the
+// link's connection, the writer must reconnect. A reader of a connection
+// already replaced reports nothing.
+func (s *sender) connLost(conn net.Conn) {
+	s.mu.Lock()
+	lost := s.conn == conn && !s.closed
+	if lost {
+		s.broken = true
+	}
+	s.mu.Unlock()
+	if lost {
+		s.notEmpty.Signal()
+	}
+}
+
 func (s *sender) shuttingDown() bool {
 	s.mu.Lock()
 	c := s.closed
@@ -704,46 +873,72 @@ func (s *sender) shuttingDown() bool {
 	return c || s.ep.nw.closed.Load()
 }
 
-// run is the writer goroutine: it swaps the whole queue out under one
-// lock, copies the batch into the buffered writer, and flushes only
-// once the queue is empty — so bursts coalesce into single syscalls
-// while a lone frame still goes out immediately. A write failure
-// outside shutdown enters the reconnect loop instead of crashing.
+// run is the writer goroutine. It brings the link up, then loops: it
+// takes the tail and the whole queue under one lock, copies them into
+// the buffered writer, tail first, and flushes only once the queue is
+// empty — so bursts coalesce into single syscalls while a lone frame
+// still goes out immediately. A write failure or a broken connection
+// outside shutdown enters the reconnect path instead of crashing.
 func (s *sender) run(wg *sync.WaitGroup) {
 	defer wg.Done()
 	// The writer may be reading any journal frame up to the moment it
-	// exits, so only its exit releases the journal of a shut-down sender.
+	// exits, so only its exit releases the journal of a shut-down
+	// sender. An unclaimed redial dies with it.
 	defer func() {
 		s.mu.Lock()
 		s.release(math.MaxUint64)
+		if s.next != nil {
+			s.next.Close()
+			s.next = nil
+		}
 		s.mu.Unlock()
 	}()
-	conn := s.conn
-	bw := s.newWriter(conn)
+	bw, ok := s.connect()
+	if !ok {
+		return
+	}
 	var batch [][]byte
 	for {
 		s.mu.Lock()
-		for len(s.queue) == 0 && !s.closed {
+		for len(s.queue) == 0 && s.tail == nil && !s.closed && !s.broken {
+			s.busy = false
 			s.notEmpty.Wait()
 		}
-		if len(s.queue) == 0 { // closed and drained
+		s.busy = true
+		conn := s.conn
+		if s.closed && len(s.queue) == 0 && s.tail == nil { // closed and drained
 			s.mu.Unlock()
 			bw.Flush()
 			conn.Close()
 			return
 		}
+		// A broken connection is closed already, so writing what is
+		// pending fails at once and the reconnect replays it: the frames
+		// count as retransmits whichever of the reader or the writer
+		// noticed the failure first.
+		broken := s.broken
+		tail := s.tail
+		s.tail = nil
 		batch, s.queue = s.queue, batch[:0]
 		s.mu.Unlock()
-		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		err := s.writeBatch(bw, batch)
-		if err == nil {
-			// Flush only when no more frames are waiting; otherwise loop
-			// around and extend the batch.
-			s.mu.Lock()
-			empty := len(s.queue) == 0
-			s.mu.Unlock()
-			if empty {
-				err = bw.Flush()
+		var err error
+		if broken && len(batch) == 0 && tail == nil {
+			err = net.ErrClosed
+		} else {
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+			if tail != nil {
+				bw.Write(tail) // an error sticks in bw, for writeBatch or Flush to report
+			}
+			err = s.writeBatch(bw, batch)
+			if err == nil {
+				// Flush only when no more frames are waiting; otherwise loop
+				// around and extend the batch.
+				s.mu.Lock()
+				empty := len(s.queue) == 0
+				s.mu.Unlock()
+				if empty {
+					err = bw.Flush()
+				}
 			}
 		}
 		if err != nil {
@@ -751,9 +946,7 @@ func (s *sender) run(wg *sync.WaitGroup) {
 				conn.Close()
 				return
 			}
-			var ok bool
-			conn, bw, ok = s.reconnect()
-			if !ok {
+			if bw, ok = s.reconnect(); !ok {
 				return
 			}
 		}
@@ -806,69 +999,144 @@ func (s *sender) writeBatch(bw *bufio.Writer, batch [][]byte) error {
 	return err
 }
 
-// reconnect redials the peer with exponential backoff and jitter and
-// resumes the link on the fresh connection. After maxAttempts
-// consecutive failures the peer is declared down and the sender shuts
-// itself off.
-func (s *sender) reconnect() (net.Conn, *bufio.Writer, bool) {
+// connect brings the link up on its first connection: the one Connect
+// dialed, or, on the acceptor, the first the peer dials.
+func (s *sender) connect() (*bufio.Writer, bool) {
+	if s.dials {
+		if bw, err := s.resume(s.conn); err == nil {
+			return bw, true
+		}
+	}
+	return s.reconnect()
+}
+
+// reconnect restores the link on a fresh connection. The dialer redials
+// with exponential backoff and jitter. A redial that connects still
+// counts as a failed attempt until the acceptor answers it (answered),
+// so an acceptor that closes every redial — it has declared this side
+// down — exhausts the budget as a refused dial does: after maxAttempts
+// unanswered attempts the dialer declares the peer down and shuts the
+// sender off. The acceptor waits for the redial instead (awaitRedial).
+func (s *sender) reconnect() (*bufio.Writer, bool) {
 	s.killConn()
-	stats := s.ep.Stats()
-	step := backoffBase
-	for attempt := 1; ; attempt++ {
-		if s.shuttingDown() {
-			return nil, nil, false
+	if !s.dials {
+		return s.awaitRedial()
+	}
+	for {
+		s.mu.Lock()
+		s.failed++
+		n := s.failed
+		s.mu.Unlock()
+		if n > maxAttempts {
+			s.peerLost()
+			return nil, false
 		}
-		step = backoff(step)
-		stats.Backoffs.Add(1)
 		if s.shuttingDown() {
-			return nil, nil, false
+			return nil, false
 		}
-		conn, err := net.DialTimeout("tcp", s.addr, dialTimeout)
-		if err == nil {
-			var bw *bufio.Writer
-			if bw, err = s.resume(conn); err == nil {
-				stats.Reconnects.Add(1)
-				return conn, bw, true
+		backoff(n)
+		s.ep.Stats().Backoffs.Add(1)
+		if s.shuttingDown() {
+			return nil, false
+		}
+		if conn, err := net.DialTimeout("tcp", s.addr, dialTimeout); err == nil {
+			if bw, err := s.resume(conn); err == nil {
+				return bw, true
 			}
 			conn.Close()
-		}
-		if attempt >= maxAttempts {
-			s.peerLost()
-			return nil, nil, false
 		}
 	}
 }
 
-// resume adopts a freshly dialed connection: it resends the hello and
-// replays the journal (the receiver drops what it already delivered).
-// The journal is snapshotted under the lock and replayed outside it: a
-// replay can take up to writeTimeout, and holding the lock that long
-// would stall enqueue and — via the reader's ack path — the receive
-// path for this peer. The queue is dropped (its data frames are
-// journaled; its control frames are stale); frames enqueued during the
-// replay land behind the snapshot in the queue, preserving seq order.
-// The replaying flag keeps concurrent acks from recycling snapshot
-// frames mid-write; killConn still interrupts a stuck replay because
-// the new connection is already adopted.
+// answered is the report of a dialer's reader that conn, a redial,
+// delivered its first frame: the acceptor has taken it, so it counts as
+// a reconnect, and if it is still the link's connection the attempts
+// start over.
+func (s *sender) answered(conn net.Conn) {
+	s.mu.Lock()
+	if s.conn == conn {
+		s.failed = 0
+	}
+	s.mu.Unlock()
+	s.ep.Stats().Reconnects.Add(1)
+}
+
+// awaitRedial is the acceptor's reconnect: it resumes the link on each
+// connection the accept loop hands over (adopt) until one takes. If none
+// comes within the network's redialWait (redialBudget), the first
+// connection or a redial after a loss, the peer is declared down.
+func (s *sender) awaitRedial() (*bufio.Writer, bool) {
+	s.mu.Lock()
+	redial, expired := s.conn != nil, false
+	s.mu.Unlock()
+	t := time.AfterFunc(s.ep.nw.redialWait, func() {
+		s.mu.Lock()
+		expired = true
+		s.mu.Unlock()
+		s.notEmpty.Signal()
+	})
+	defer t.Stop()
+	for {
+		s.mu.Lock()
+		for s.next == nil && !s.closed && !expired {
+			s.notEmpty.Wait()
+		}
+		conn, closed := s.next, s.closed
+		s.next = nil
+		s.mu.Unlock()
+		switch {
+		case closed:
+			if conn != nil {
+				conn.Close()
+			}
+			return nil, false
+		case conn == nil: // no connection within the budget
+			s.peerLost()
+			return nil, false
+		}
+		if bw, err := s.resume(conn); err == nil {
+			if redial {
+				s.ep.Stats().Reconnects.Add(1)
+			}
+			return bw, true
+		}
+		conn.Close()
+	}
+}
+
+// resume makes conn the link's connection: a reader starts on conn, and
+// the dialer's hello, a standalone ack and the journal go out on it (the
+// receiver drops what it already delivered). The ack re-acks everything
+// delivered from the peer, whose acks may have died with the old
+// connection, and it is how an acceptor answers a dialer (see
+// reconnect). The journal is snapshotted under the lock and replayed
+// outside it: a replay can take up to writeTimeout, and holding the lock
+// that long would stall enqueue and — via the reader's ack path — the
+// receive path for this peer. The queue and the tail are dropped (their
+// data frames are journaled; the queue's control frames are stale);
+// frames enqueued during the replay land behind the snapshot in the
+// queue, preserving seq order, and none is written inline, because the
+// writer is busy. The replaying flag keeps concurrent acks from
+// recycling snapshot frames mid-write; killConn still interrupts a stuck
+// replay because the new connection is already adopted.
 func (s *sender) resume(conn net.Conn) (*bufio.Writer, error) {
 	tuneConn(conn)
-	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if _, err := conn.Write(s.hello[:]); err != nil {
-		return nil, err
-	}
+	ack := amnet.Alloc(frameHeader)
+	putHeader(ack, &amnet.Msg{Dst: s.peer, Src: s.ep.ID()}, 0, 0)
 	s.mu.Lock()
-	s.conn = conn
+	s.conn, s.raw, s.broken = conn, rawConn(conn), s.next != nil // a newer redial supersedes conn
+	redial := s.failed > 0
 	retrans := len(s.journal) - s.dropQueue()
-	snap := append([][]byte(nil), s.journal...)
+	snap := append([][]byte{ack}, s.journal...)
 	s.replaying = true
 	s.mu.Unlock()
-	// Acks stamped on the old connection may have died with it: owe the
-	// peer the whole horizon again, so the probe re-acks it if the
-	// replay below carries none.
-	s.ep.links[s.peer].told.Store(0)
+	s.ep.addReader(conn, s, redial)
 
-	bw := s.newWriter(conn)
 	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	bw := s.newWriter(conn)
+	if s.dials {
+		bw.Write(s.hello[:]) // an error sticks in bw, for writeBatch to report
+	}
 	err := s.writeBatch(bw, snap)
 	if err == nil {
 		err = bw.Flush()
@@ -887,6 +1155,17 @@ func (s *sender) resume(conn net.Conn) (*bufio.Writer, error) {
 	return bw, nil
 }
 
+// rawConn returns conn's raw handle for inline writes, or nil if conn
+// has none (a net.Pipe in tests): such a link queues every frame.
+func rawConn(conn net.Conn) syscall.RawConn {
+	if sc, ok := conn.(syscall.Conn); ok {
+		if raw, err := sc.SyscallConn(); err == nil {
+			return raw
+		}
+	}
+	return nil
+}
+
 // peerLost shuts the sender down after an exhausted reconnect budget
 // (or DeclarePeerDown) and notifies the endpoint's peer-down handler:
 // graceful degradation instead of a hang (the runtime turns it into
@@ -899,8 +1178,9 @@ func (s *sender) peerLost() {
 	s.mu.Unlock()
 	s.notFull.Broadcast()
 	// Wake or interrupt the writer: when the declaration is external
-	// (DeclarePeerDown) it may be parked on the queue or blocked
-	// mid-write; on the writer's own path both are no-ops.
+	// (DeclarePeerDown) it may be parked on the queue, waiting for a
+	// redial or blocked mid-write; on the writer's own path these are
+	// no-ops. Closing the connection also ends the reader on it.
 	s.notEmpty.Signal()
 	s.killConn()
 	s.ep.firePeerDown(s.peer)
@@ -910,30 +1190,25 @@ func (s *sender) peerLost() {
 // the endpoint, not the connection, so the dedup horizon survives
 // reconnects — exactly what makes journal replay safe. mu serializes the
 // link's readers (an old and a new one may briefly overlap) through
-// dedup and delivery; the writer of the reverse link reads seen and
-// writes told without it.
+// dedup and delivery; the link's writer and inline writes read seen and
+// write told without it.
 type recvLink struct {
 	mu     sync.Mutex
 	seen   atomic.Uint64 // highest data seq delivered from this src; stored under mu
-	told   atomic.Uint64 // the ack the reverse link's writer last stamped on a frame
+	told   atomic.Uint64 // the ack last stamped on a frame going back to this src
 	queued uint64        // seen when the reader last queued a standalone ack (under mu)
 	dups   int           // duplicates dropped since the last re-ack (under mu)
 }
 
 // endpoint is one local node: its amnet.Node, which every reader
-// dispatches into, and its supervised senders.
+// dispatches into, and its supervised links, indexed by peer (nil at
+// its own id).
 type endpoint struct {
 	*amnet.Node
 	nw      *network
 	out     []*sender
 	readers sync.WaitGroup
 	links   []recvLink
-
-	// inbound tracks the accepted connections feeding the readers, so
-	// Close can sever them locally instead of waiting for the remote
-	// sender to hang up (peers may well outlive this process's mesh).
-	inboundMu sync.Mutex
-	inbound   map[net.Conn]struct{}
 
 	downMu   sync.Mutex
 	downFn   func(amnet.NodeID)
@@ -998,9 +1273,12 @@ const (
 // seqOf reads the sequence number of an encoded frame.
 func seqOf(f []byte) uint64 { return binary.LittleEndian.Uint64(f[seqOff:]) }
 
-// Send encodes the message into a pooled frame buffer and enqueues it on
-// the destination's writer. The payload is copied here, synchronously;
-// per-connection writers preserve TCP's per-pair FIFO. Counters are
+// Send encodes the message into a pooled frame buffer and hands it to
+// the destination's link, which writes it inline or queues it for its
+// writer (see enqueue). The payload is copied here, synchronously; one
+// connection per pair, written in journal order, preserves per-pair
+// FIFO. A message to this node itself goes to its amnet.Node as on the
+// channel fabric, in a pooled copy of the payload. Counters are
 // per-message and exact regardless of how frames later coalesce.
 func (e *endpoint) Send(m amnet.Msg) {
 	if int(m.Dst) < 0 || int(m.Dst) >= len(e.out) {
@@ -1012,6 +1290,13 @@ func (e *endpoint) Send(m amnet.Msg) {
 	m.Src = e.ID()
 	e.nw.Start() // a local send implies local handlers are registered
 	stamp := e.CountSend(&m)
+	if m.Dst == m.Src {
+		p := amnet.Alloc(len(m.Payload))
+		copy(p, m.Payload)
+		m.Payload = p
+		e.Dispatch(m, stamp)
+		return
+	}
 	buf := amnet.Alloc(frameHeader + len(m.Payload))
 	putHeader(buf, &m, stamp, 0)
 	copy(buf[frameHeader:], m.Payload)
@@ -1044,47 +1329,40 @@ func putHeader(buf []byte, m *amnet.Msg, stamp int64, seq uint64) {
 	binary.LittleEndian.PutUint64(buf[ackOff:], 0)
 }
 
-// addReader starts a goroutine decoding frames from one incoming
-// connection. Reads are buffered, and each payload lands in a pooled
-// buffer owned by the eventual handler. The dedup horizon (recvLink)
-// outlives the connection: a replacement reader after a reconnect drops
-// the replayed frames the old one already delivered, and delivers under
-// the link lock so the node keeps per-link sequence order even if old
-// and new briefly overlap.
-func (e *endpoint) addReader(conn net.Conn, src amnet.NodeID) {
-	e.inboundMu.Lock()
-	e.inbound[conn] = struct{}{}
-	e.inboundMu.Unlock()
+// addReader starts a goroutine decoding the frames that s's peer sends
+// on conn, the link's connection. Reads are buffered, and each payload
+// lands in a pooled buffer owned by the eventual handler. If conn is a
+// dialer's redial, its first frame tells s that the acceptor took it
+// (answered). When conn fails or closes, the reader tells s, whose
+// writer reconnects. The
+// dedup horizon (recvLink) outlives the connection: a replacement
+// reader after a reconnect drops the replayed frames the old one
+// already delivered, and delivers under the link lock so the node keeps
+// per-link sequence order even if old and new briefly overlap.
+func (e *endpoint) addReader(conn net.Conn, s *sender, redial bool) {
 	e.readers.Add(1)
 	go func() {
 		defer e.readers.Done()
-		defer func() {
-			conn.Close()
-			e.inboundMu.Lock()
-			delete(e.inbound, conn)
-			e.inboundMu.Unlock()
-		}()
-		// A peer whose bootstrap outpaced ours can connect — and send —
-		// before Connect has built our sender tables. Park until wired;
-		// frames wait in the socket buffer, bounded by the peer's
-		// journal backpressure.
-		<-e.nw.wired
-		if e.out == nil {
-			return // closed without ever connecting
-		}
+		defer s.connLost(conn)
+		defer conn.Close()
 		br := bufio.NewReaderSize(conn, 64<<10)
-		link, rev := &e.links[src], e.out[src]
-		for {
+		src := s.peer
+		link := &e.links[src]
+		for answer := redial; ; answer = false {
 			f, err := readFrame(br)
 			if err != nil {
 				return // connection closed or stream corrupt
+			}
+			if answer {
+				s.answered(conn)
 			}
 			if f.seq != 0 && (f.msg.Src != src || f.msg.Dst != e.ID()) {
 				amnet.Recycle(f.msg.Payload)
 				return // misaddressed data frame: as corrupt as a bad length
 			}
-			// Every frame acks our reverse sender; ack() judges the value.
-			rev.ack(f.ack)
+			// Every frame acks our side of the link; ack() judges the
+			// value. A data frame also re-arms the inline write.
+			s.ack(f.ack, f.seq != 0)
 			if f.seq == 0 { // control: a standalone ack, consumed above
 				amnet.Recycle(f.msg.Payload)
 				continue
