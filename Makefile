@@ -125,22 +125,23 @@ gate-smoke:
 # allocate: a hit bracket, whether it is only counted (disabled) or also
 # timed (metrics), the same hit between a Map and an Unmap (mapped), a
 # logged write hit (logged: a staticupdate home write, whose close also
-# keeps the region on the write log), and a barrier round, whose
-# tree-round state is reused from a free list. It fails when go test
-# fails, when any of the five result lines is missing, and when any
-# reports nonzero allocs/op. Then it runs the
+# keeps the region on the write log), a Bare hit pair (bare: the form
+# direct dispatch compiles a bracket with a null partner to), and a
+# barrier round, whose tree-round state is reused from a free list. It
+# fails when go test fails, when any of the six result lines is
+# missing, and when any reports nonzero allocs/op. Then it runs the
 # allocation pins that are tests — a remote sc read miss, a staticupdate
 # barrier push round and a tcpnet round trip — and fails unless each
 # one ran and passed.
 ALLOC_PINS := TestRemoteReadMissDoesNotAllocate|TestStaticUpdatePushDoesNotAllocate|TestRoundTripDoesNotAllocate
 bench-allocs:
-	@out=$$($(GO) test -bench 'BenchmarkBracket/(disabled|metrics|mapped|logged)$$|BenchmarkCollectives/GlobalBarrier/procs=4$$' -benchmem -benchtime=200ms -run '^$$' .); \
+	@out=$$($(GO) test -bench 'BenchmarkBracket/(disabled|metrics|mapped|logged|bare)$$|BenchmarkCollectives/GlobalBarrier/procs=4$$' -benchmem -benchtime=200ms -run '^$$' .); \
 	status=$$?; echo "$$out"; \
 	if [ $$status -ne 0 ]; then echo "FAIL: go test -bench exited $$status"; exit 1; fi; \
 	echo "$$out" | awk '{ name = $$1; sub(/-[0-9]+$$/, "", name) } \
-		name ~ /^(BenchmarkBracket\/(disabled|metrics|mapped|logged)|BenchmarkCollectives\/GlobalBarrier\/procs=4)$$/ { seen[name] = 1; \
+		name ~ /^(BenchmarkBracket\/(disabled|metrics|mapped|logged|bare)|BenchmarkCollectives\/GlobalBarrier\/procs=4)$$/ { seen[name] = 1; \
 			if ($$(NF-1) + 0 != 0) { print "FAIL: allocates: " $$0; bad = 1 } } \
-		END { n = split("BenchmarkBracket/disabled BenchmarkBracket/metrics BenchmarkBracket/mapped BenchmarkBracket/logged BenchmarkCollectives/GlobalBarrier/procs=4", want, " "); \
+		END { n = split("BenchmarkBracket/disabled BenchmarkBracket/metrics BenchmarkBracket/mapped BenchmarkBracket/logged BenchmarkBracket/bare BenchmarkCollectives/GlobalBarrier/procs=4", want, " "); \
 			for (i = 1; i <= n; i++) if (!(want[i] in seen)) { print "FAIL: no " want[i] " result"; bad = 1 } exit bad }'
 	@out=$$($(GO) test -count=1 -v -run '^($(ALLOC_PINS))$$' ./internal/core ./proto ./internal/tcpnet); \
 	status=$$?; echo "$$out" | grep -E '^(--- |ok|FAIL)'; \

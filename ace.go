@@ -90,7 +90,8 @@
 //	cl.WriteTrace(f)
 //
 // With Options.Trace nil a bracketed operation is counted but not timed:
-// one atomic add (two on a fast-path hit), no clock read, no allocation.
+// a plain increment of a tally the processor's thread folds into the
+// shared counters, no clock read, no allocation.
 //
 // # Failure model
 //

@@ -76,20 +76,25 @@ func benchApp(b *testing.B, run func(int, bench.AppFunc) (apputil.Result, error)
 // disabled with a Map and an Unmap around every pair, em3d's per-edge
 // pattern. logged is a StartWrite/EndWrite pair at the home under
 // staticupdate, a logged write hit: the close's CAS also keeps the
-// region on the space's write log. make bench-allocs requires the
-// disabled, metrics, mapped and logged cases to report 0 allocs/op.
+// region on the space's write log. bare is disabled's pair as
+// StartReadBare/EndReadBare, the form the direct-dispatch pass emits for
+// a bracket whose partner is a null handler. make bench-allocs requires
+// the disabled, metrics, mapped, logged and bare cases to report 0
+// allocs/op.
 func BenchmarkBracket(b *testing.B) {
 	modes := []struct {
 		name   string
 		cfg    *TraceConfig
 		mapped bool
 		proto  string // default space's protocol; writes if set
+		bare   bool
 	}{
-		{"disabled", nil, false, ""},
-		{"metrics", &TraceConfig{Metrics: true}, false, ""},
-		{"events", &TraceConfig{Metrics: true, Events: 4096}, false, ""},
-		{"mapped", nil, true, ""},
-		{"logged", nil, false, "staticupdate"},
+		{"disabled", nil, false, "", false},
+		{"metrics", &TraceConfig{Metrics: true}, false, "", false},
+		{"events", &TraceConfig{Metrics: true, Events: 4096}, false, "", false},
+		{"mapped", nil, true, "", false},
+		{"logged", nil, false, "staticupdate", false},
+		{"bare", nil, false, "", true},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
@@ -116,6 +121,13 @@ func BenchmarkBracket(b *testing.B) {
 						p.StartRead(r)
 						p.EndRead(r)
 						p.Unmap(r)
+					}
+					return nil
+				}
+				if m.bare {
+					for i := 0; i < b.N; i++ {
+						p.StartReadBare(r)
+						p.EndReadBare(r)
 					}
 					return nil
 				}

@@ -81,7 +81,7 @@ func (b *ProtoBatcher) Flush(c *Ctx, tag func(dst amnet.NodeID, regions int) uin
 		if tag != nil {
 			t = tag(dst, bb.n)
 		}
-		c.p.coll.CountFrame(bb.n, len(bb.data))
+		c.p.coll.CountFrame(bb.n)
 		c.p.selfSent(dst)
 		c.p.ep.Send(amnet.Msg{
 			Dst: dst, Handler: hProtoBatch,

@@ -169,16 +169,7 @@ func (p *Proc) StartRead(r *Region) {
 		r.Space.hit(trace.OpStartRead, t)
 		return
 	}
-	sp := r.Space
-	sp.eng.Lock()
-	sp.Proto.StartRead(sp.ctx, r)
-	r.adjSections(1, rwReaderShift)
-	sp.refreshFast(r)
-	sp.eng.Unlock()
-	if !r.IsHome() {
-		p.rec.RemoteMiss(trace.OpStartRead, sp.ID)
-	}
-	sp.done(trace.OpStartRead, t)
+	p.open(r, trace.OpStartRead, true, t)
 }
 
 // EndRead closes a read section on r.
@@ -188,16 +179,7 @@ func (p *Proc) EndRead(r *Region) {
 		r.Space.hit(trace.OpEndRead, t)
 		return
 	}
-	sp := r.Space
-	sp.eng.Lock()
-	if r.Readers() <= 0 {
-		panic(fmt.Sprintf("core: proc %d: EndRead without StartRead on %v", p.id, r.ID))
-	}
-	r.adjSections(-1, rwReaderShift)
-	sp.Proto.EndRead(sp.ctx, r)
-	sp.refreshFast(r)
-	sp.eng.Unlock()
-	sp.done(trace.OpEndRead, t)
+	p.close(r, trace.OpEndRead, true, t)
 }
 
 // StartWrite opens a write section on r. On return r.Data is valid for
@@ -209,16 +191,7 @@ func (p *Proc) StartWrite(r *Region) {
 		r.Space.hit(trace.OpStartWrite, t)
 		return
 	}
-	sp := r.Space
-	sp.eng.Lock()
-	sp.Proto.StartWrite(sp.ctx, r)
-	r.adjSections(1, rwWriterShift)
-	sp.refreshFast(r)
-	sp.eng.Unlock()
-	if !r.IsHome() {
-		p.rec.RemoteMiss(trace.OpStartWrite, sp.ID)
-	}
-	sp.done(trace.OpStartWrite, t)
+	p.open(r, trace.OpStartWrite, true, t)
 }
 
 // EndWrite closes a write section on r. Under FastWriteLogged the fast
@@ -235,16 +208,57 @@ func (p *Proc) EndWrite(r *Region) {
 		r.Space.hit(trace.OpEndWrite, t)
 		return
 	}
+	p.close(r, trace.OpEndWrite, true, t)
+}
+
+// open is the engine-locked slow path of every section open begun at t:
+// op is OpStartRead or OpStartWrite, and counted is false for the Bare
+// variants, which keep no section count. An open at a region homed
+// elsewhere counts as a remote miss.
+func (p *Proc) open(r *Region, op trace.Op, counted bool, t int64) {
 	sp := r.Space
 	sp.eng.Lock()
-	if r.Writers() <= 0 {
-		panic(fmt.Sprintf("core: proc %d: EndWrite without StartWrite on %v", p.id, r.ID))
+	shift := uint(rwReaderShift)
+	if op == trace.OpStartRead {
+		sp.Proto.StartRead(sp.ctx, r)
+	} else {
+		sp.Proto.StartWrite(sp.ctx, r)
+		shift = rwWriterShift
 	}
-	r.adjSections(-1, rwWriterShift)
-	sp.Proto.EndWrite(sp.ctx, r)
+	if counted {
+		r.adjSections(1, shift)
+	}
 	sp.refreshFast(r)
 	sp.eng.Unlock()
-	sp.done(trace.OpEndWrite, t)
+	if !r.IsHome() {
+		sp.tally.miss[op]++
+	}
+	sp.done(op, t)
+}
+
+// close is open's counterpart for every section close: op is OpEndRead
+// or OpEndWrite. A counted close with no section open panics.
+func (p *Proc) close(r *Region, op trace.Op, counted bool, t int64) {
+	sp := r.Space
+	sp.eng.Lock()
+	if counted {
+		kind, shift, n := "Read", uint(rwReaderShift), r.Readers()
+		if op == trace.OpEndWrite {
+			kind, shift, n = "Write", rwWriterShift, r.Writers()
+		}
+		if n <= 0 {
+			panic(fmt.Sprintf("core: proc %d: End%s without Start%s on %v", p.id, kind, kind, r.ID))
+		}
+		r.adjSections(-1, shift)
+	}
+	if op == trace.OpEndRead {
+		sp.Proto.EndRead(sp.ctx, r)
+	} else {
+		sp.Proto.EndWrite(sp.ctx, r)
+	}
+	sp.refreshFast(r)
+	sp.eng.Unlock()
+	sp.done(op, t)
 }
 
 // Barrier executes a barrier with the semantics of sp's protocol (for
@@ -319,8 +333,10 @@ func (p *Proc) DropCopy(r *Region) bool {
 //
 // Their fast path is a bare eligibility-bit load: publishing the bit
 // already promises the protocol routine is a no-op, and Bare variants
-// keep no counts, so there is nothing to CAS — except for a logged
-// write close, whose CAS sets the written bit as EndWrite's does.
+// keep no section counts, so there is nothing to CAS — except for a
+// logged write close, whose CAS sets the written bit as EndWrite's
+// does. Their slow paths are open and close, uncounted; the op, fast
+// hit and remote miss tallies are the same as their counted twins'.
 
 // StartReadBare opens a read section without bookkeeping.
 func (p *Proc) StartReadBare(r *Region) {
@@ -329,15 +345,7 @@ func (p *Proc) StartReadBare(r *Region) {
 		r.Space.hit(trace.OpStartRead, t)
 		return
 	}
-	sp := r.Space
-	sp.eng.Lock()
-	sp.Proto.StartRead(sp.ctx, r)
-	sp.refreshFast(r)
-	sp.eng.Unlock()
-	if !r.IsHome() {
-		p.rec.RemoteMiss(trace.OpStartRead, sp.ID)
-	}
-	sp.done(trace.OpStartRead, t)
+	p.open(r, trace.OpStartRead, false, t)
 }
 
 // EndReadBare closes a read section without bookkeeping.
@@ -347,12 +355,7 @@ func (p *Proc) EndReadBare(r *Region) {
 		r.Space.hit(trace.OpEndRead, t)
 		return
 	}
-	sp := r.Space
-	sp.eng.Lock()
-	sp.Proto.EndRead(sp.ctx, r)
-	sp.refreshFast(r)
-	sp.eng.Unlock()
-	sp.done(trace.OpEndRead, t)
+	p.close(r, trace.OpEndRead, false, t)
 }
 
 // StartWriteBare opens a write section without bookkeeping.
@@ -362,15 +365,7 @@ func (p *Proc) StartWriteBare(r *Region) {
 		r.Space.hit(trace.OpStartWrite, t)
 		return
 	}
-	sp := r.Space
-	sp.eng.Lock()
-	sp.Proto.StartWrite(sp.ctx, r)
-	sp.refreshFast(r)
-	sp.eng.Unlock()
-	if !r.IsHome() {
-		p.rec.RemoteMiss(trace.OpStartWrite, sp.ID)
-	}
-	sp.done(trace.OpStartWrite, t)
+	p.open(r, trace.OpStartWrite, false, t)
 }
 
 // EndWriteBare closes a write section without bookkeeping.
@@ -383,10 +378,5 @@ func (p *Proc) EndWriteBare(r *Region) {
 		r.Space.hit(trace.OpEndWrite, t)
 		return
 	}
-	sp := r.Space
-	sp.eng.Lock()
-	sp.Proto.EndWrite(sp.ctx, r)
-	sp.refreshFast(r)
-	sp.eng.Unlock()
-	sp.done(trace.OpEndWrite, t)
+	p.close(r, trace.OpEndWrite, false, t)
 }

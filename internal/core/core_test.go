@@ -534,19 +534,27 @@ func TestMessageCountsSingleRemoteRead(t *testing.T) {
 }
 
 func TestEndWithoutStartPanics(t *testing.T) {
-	cl, err := NewCluster(Options{Procs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	err = cl.Run(func(p *Proc) error {
-		id := p.GMalloc(p.DefaultSpace(), 8)
-		r := p.Map(id)
-		p.EndRead(r) // must panic, recovered by Run
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "EndRead without StartRead") {
-		t.Fatalf("err = %v", err)
+	for _, tc := range []struct {
+		want string
+		end  func(*Proc, *Region)
+	}{
+		{"EndRead without StartRead", (*Proc).EndRead},
+		{"EndWrite without StartWrite", (*Proc).EndWrite},
+	} {
+		cl, err := NewCluster(Options{Procs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = cl.Run(func(p *Proc) error {
+			id := p.GMalloc(p.DefaultSpace(), 8)
+			r := p.Map(id)
+			tc.end(p, r) // must panic, recovered by Run
+			return nil
+		})
+		cl.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v", tc.want, err)
+		}
 	}
 }
 

@@ -205,3 +205,107 @@ func TestFastHitCounters(t *testing.T) {
 		}
 	}
 }
+
+// gateProto is a protocol whose bracket routines do nothing and whose
+// fast-path bits are whatever the test sets, so a test chooses which
+// brackets hit.
+type gateProto struct {
+	Base
+	bits FastBits
+}
+
+func (*gateProto) Name() string                { return "gate" }
+func (g *gateProto) FastBits(*Region) FastBits { return g.bits }
+
+// TestBareSectionsCount: each Bare open and close, on a hit and on a
+// miss, counts its op, fast hit and remote miss exactly as its counted
+// twin does, at the home and away from it, and never touches the
+// section counts.
+func TestBareSectionsCount(t *testing.T) {
+	const procs = 2
+	counts := func(bare bool) [procs]trace.SpaceMetrics {
+		reg := NewRegistry()
+		reg.MustRegister(Info{Name: "gate", New: func() Protocol { return &gateProto{} }})
+		cl, err := NewCluster(Options{Procs: procs, Registry: reg, DefaultProtocol: "gate"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		var out [procs]trace.SpaceMetrics
+		err = cl.Run(func(p *Proc) error {
+			sp := p.DefaultSpace()
+			var id RegionID
+			if p.ID() == 0 {
+				id = p.GMalloc(sp, 8)
+			}
+			r := p.Map(p.BroadcastID(0, id))
+			before := p.Snapshot().Spaces[0]
+			sections := []struct {
+				name        string
+				open, close func(*Region)
+				counted     func() int
+			}{
+				{"read", p.StartRead, p.EndRead, r.Readers},
+				{"write", p.StartWrite, p.EndWrite, r.Writers},
+			}
+			want := 1 // sections open between an open and its close
+			if bare {
+				sections[0].open, sections[0].close = p.StartReadBare, p.EndReadBare
+				sections[1].open, sections[1].close = p.StartWriteBare, p.EndWriteBare
+				want = 0
+			}
+			for _, bits := range []FastBits{0, FastRead | FastWrite} { // a miss, then a hit
+				sp.eng.Lock()
+				sp.Proto.(*gateProto).bits = bits
+				sp.refreshFast(r)
+				sp.eng.Unlock()
+				for _, s := range sections {
+					s.open(r)
+					if n := s.counted(); n != want {
+						return fmt.Errorf("proc %d bare=%v bits=%v: %d %s sections open, want %d", p.ID(), bare, bits, n, s.name, want)
+					}
+					s.close(r)
+					if n := s.counted(); n != 0 {
+						return fmt.Errorf("proc %d bare=%v bits=%v: %d %s sections open after close", p.ID(), bare, bits, n, s.name)
+					}
+				}
+			}
+			after := p.Snapshot().Spaces[0]
+			out[p.ID()] = trace.SpaceMetrics{
+				Ops:               after.Ops.Sub(before.Ops),
+				FastOps:           after.FastOps.Sub(before.FastOps),
+				RemoteReadMisses:  after.RemoteReadMisses - before.RemoteReadMisses,
+				RemoteWriteMisses: after.RemoteWriteMisses - before.RemoteWriteMisses,
+			}
+			p.GlobalBarrier()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	counted, bare := counts(false), counts(true)
+	brackets := []trace.Op{trace.OpStartRead, trace.OpEndRead, trace.OpStartWrite, trace.OpEndWrite}
+	for id := range bare {
+		b, c := bare[id], counted[id]
+		if b.Ops != c.Ops || b.FastOps != c.FastOps ||
+			b.RemoteReadMisses != c.RemoteReadMisses || b.RemoteWriteMisses != c.RemoteWriteMisses {
+			t.Errorf("proc %d: bare counts %v/%v/%d/%d, counted %v/%v/%d/%d", id,
+				b.Ops, b.FastOps, b.RemoteReadMisses, b.RemoteWriteMisses,
+				c.Ops, c.FastOps, c.RemoteReadMisses, c.RemoteWriteMisses)
+		}
+		for _, op := range brackets {
+			if b.Ops[op] != 2 || b.FastOps[op] != 1 {
+				t.Errorf("proc %d: bare %v counted %d ops, %d fast; want 2 and 1", id, op, b.Ops[op], b.FastOps[op])
+			}
+		}
+		if b.Ops.Total() != 8 {
+			t.Errorf("proc %d: bare sections counted %v, want only the 8 brackets", id, b.Ops)
+		}
+		misses := uint64(id) // only the remote processor misses: one open of each kind
+		if b.RemoteReadMisses != misses || b.RemoteWriteMisses != misses {
+			t.Errorf("proc %d: bare remote misses read %d write %d, want %d each", id, b.RemoteReadMisses, b.RemoteWriteMisses, misses)
+		}
+	}
+}

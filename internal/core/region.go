@@ -43,11 +43,10 @@ type Region struct {
 	// hot packs the region's runtime-visible hot state into one atomic
 	// word so a bracket hit is a single CAS (see the rw* layout
 	// constants): the open-section counts, the fast-path eligibility
-	// bits the space's protocol publishes, a mirror of the protocol's
-	// State for observability, and the written bit that keeps the
-	// region on its space's write log once. Counts and the written bit
-	// are mutated only by the application thread (fast CAS or
-	// slow-path update); the eligibility bits are cleared and
+	// bits the space's protocol publishes, and the written bit that
+	// keeps the region on its space's write log once. Counts and the
+	// written bit are mutated only by the application thread (fast CAS
+	// or slow-path update); the eligibility bits are cleared and
 	// republished by whichever thread holds the engine lock.
 	hot atomic.Uint64
 
@@ -76,8 +75,6 @@ type Region struct {
 //	bit  33     fast-path-eligible for write brackets (FastWrite)
 //	bit  34     fast-path-eligible for write brackets whose close logs
 //	            the region (FastWriteLogged)
-//	bits 40–47  mirror of the protocol State's low byte (observability
-//	            only; the authoritative State field is engine-locked)
 //	bit  48     written: the region is on its space's write log
 //
 // ABA on the word is benign: the entire decision state of a fast
@@ -96,8 +93,6 @@ const (
 	rwFastLogged  = uint64(FastWriteLogged) << rwFastShift
 	rwFastWrites  = rwFastWrite | rwFastLogged
 	rwFastMask    = rwFastRead | rwFastWrites
-	rwStateShift  = 40
-	rwStateMask   = uint64(0xff) << rwStateShift
 	rwWritten     = uint64(1) << 48
 	rwInUseMask   = rwCountMask<<rwReaderShift | rwCountMask<<rwWriterShift
 )
@@ -240,15 +235,13 @@ func (r *Region) setWritten() bool {
 	}
 }
 
-// publishFast installs the eligibility bits and refreshes the State
-// mirror. Caller holds the region's space engine lock (which serializes
-// publishers); the loop absorbs concurrent count CASes from the
-// application thread's fast path.
+// publishFast installs the eligibility bits. Caller holds the region's
+// space engine lock (which serializes publishers); the loop absorbs
+// concurrent count CASes from the application thread's fast path.
 func (r *Region) publishFast(bits FastBits) {
-	state := uint64(uint8(r.State)) << rwStateShift
 	for {
 		w := r.hot.Load()
-		nw := w&^(rwFastMask|rwStateMask) | uint64(bits)<<rwFastShift | state
+		nw := w&^rwFastMask | uint64(bits)<<rwFastShift
 		if w == nw || r.hot.CompareAndSwap(w, nw) {
 			return
 		}

@@ -69,9 +69,9 @@ type Space struct {
 	// slot recycled; allocation and lookup paths check it lock-free.
 	dead atomic.Bool
 
-	// tally holds the untimed operations that took no lock (fast-path
-	// hits, Map and Unmap of null hooks) not yet added to the recorder.
-	// Application-thread private, so counting them is a plain increment.
+	// tally holds the operations, fast hits and remote misses not yet
+	// added to the recorder: every count the space takes goes through
+	// it. Application-thread private, so counting is a plain increment.
 	tally opTally
 
 	// log is the space's write log: the regions whose written bit is
@@ -101,37 +101,32 @@ func (sp *Space) takeLog() []*Region {
 	return rs
 }
 
-// foldEvery is how many untimed lock-free operations a space's tally
-// holds before the application thread folds it into the recorder. It
-// bounds how far a concurrent Cluster.Metrics scrape can lag behind.
+// foldEvery is how many lock-free operations a space's tally holds
+// before the application thread folds it into the recorder. It bounds
+// how far a concurrent Cluster.Metrics scrape can lag behind.
 const foldEvery = 1024
 
 // opTally is a space's plain count of operations awaiting a fold: ops
-// counts them all, fast the fast-path hits among them, n their total.
+// counts them all, fast the fast-path hits among them, miss the remote
+// bracket opens (at OpStartRead and OpStartWrite), n the operations.
 type opTally struct {
-	ops, fast trace.OpCounts
-	n         int
+	ops, fast, miss trace.OpCounts
+	n               int
 }
 
 // hit records a fast-path completion of op begun at t (the recorder's
 // Begin token). Application thread only, like count.
 func (sp *Space) hit(op trace.Op, t int64) {
-	if t != 0 {
-		sp.proc.rec.FastHit(op, sp.ID)
-		sp.proc.rec.End(op, sp.ID, t)
-		return
-	}
 	sp.tally.fast[op]++
 	sp.count(op, t)
 }
 
-// count records op begun at t on a path that took no lock. Untimed, it
-// only bumps the tally, folding every foldEvery operations; a timed op
-// goes to the recorder directly.
+// count records op begun at t on a path that took no lock: a timed op's
+// latency goes to the recorder, and the op bumps the tally, which folds
+// every foldEvery operations.
 func (sp *Space) count(op trace.Op, t int64) {
 	if t != 0 {
 		sp.proc.rec.End(op, sp.ID, t)
-		return
 	}
 	sp.tally.ops[op]++
 	if sp.tally.n++; sp.tally.n == foldEvery {
@@ -142,7 +137,7 @@ func (sp *Space) count(op trace.Op, t int64) {
 // done records op begun at t on a slow path and folds the tally, so the
 // recorder is exact whenever the application thread leaves one.
 func (sp *Space) done(op trace.Op, t int64) {
-	sp.proc.rec.End(op, sp.ID, t)
+	sp.count(op, t)
 	sp.fold()
 }
 
@@ -152,7 +147,7 @@ func (sp *Space) fold() {
 	if sp.tally.n == 0 {
 		return
 	}
-	sp.proc.rec.Fold(sp.ID, &sp.tally.ops, &sp.tally.fast)
+	sp.proc.rec.Fold(sp.ID, &sp.tally.ops, &sp.tally.fast, &sp.tally.miss)
 	sp.tally = opTally{}
 }
 

@@ -2,10 +2,6 @@ package trace
 
 import "sync/atomic"
 
-// FrameBuckets is the size of the regions-per-frame histogram kept for
-// aggregated protocol frames: buckets 1, 2, 3-4, 5-8, 9-16, 17+.
-const FrameBuckets = 6
-
 // CollStats counts collective and aggregation traffic on one processor.
 // Like NetStats it is always on and lock-free: the counting sites sit on
 // the barrier and push paths, where a mutex would serialize exactly the
@@ -18,8 +14,6 @@ type CollStats struct {
 	bytes      atomic.Uint64
 	aggFrames  atomic.Uint64
 	aggRegions atomic.Uint64
-	aggBytes   atomic.Uint64
-	frameHist  [FrameBuckets]atomic.Uint64
 }
 
 // CountBarrier records one barrier entered by the local thread.
@@ -39,40 +33,15 @@ func (s *CollStats) CountHops(msgs, bytes int) {
 }
 
 // CountFrame records one aggregated protocol frame carrying the given
-// number of region records and payload bytes.
-func (s *CollStats) CountFrame(regions, bytes int) {
+// number of region records.
+func (s *CollStats) CountFrame(regions int) {
 	s.aggFrames.Add(1)
 	s.aggRegions.Add(uint64(regions))
-	s.aggBytes.Add(uint64(bytes))
-	s.frameHist[frameBucket(regions)].Add(1)
-}
-
-// frameBucket maps a regions-per-frame count to its histogram bucket.
-func frameBucket(regions int) int {
-	switch {
-	case regions <= 1:
-		return 0
-	case regions == 2:
-		return 1
-	case regions <= 4:
-		return 2
-	case regions <= 8:
-		return 3
-	case regions <= 16:
-		return 4
-	default:
-		return 5
-	}
-}
-
-// FrameBucketLabel returns the human-readable range of histogram bucket i.
-func FrameBucketLabel(i int) string {
-	return [FrameBuckets]string{"1", "2", "3-4", "5-8", "9-16", "17+"}[i]
 }
 
 // Snapshot returns a plain-value copy of the counters.
 func (s *CollStats) Snapshot() CollSnapshot {
-	c := CollSnapshot{
+	return CollSnapshot{
 		Barriers:   s.barriers.Load(),
 		Reduces:    s.reduces.Load(),
 		Bcasts:     s.bcasts.Load(),
@@ -80,12 +49,7 @@ func (s *CollStats) Snapshot() CollSnapshot {
 		Bytes:      s.bytes.Load(),
 		AggFrames:  s.aggFrames.Load(),
 		AggRegions: s.aggRegions.Load(),
-		AggBytes:   s.aggBytes.Load(),
 	}
-	for i := range s.frameHist {
-		c.FrameHist[i] = s.frameHist[i].Load()
-	}
-	return c
 }
 
 // CollSnapshot is a point-in-time copy of one processor's (or, after
@@ -103,12 +67,9 @@ type CollSnapshot struct {
 	// Bytes is the payload bytes carried by those hops.
 	Bytes uint64
 	// AggFrames counts aggregated protocol frames sent; AggRegions the
-	// region records they carried; AggBytes their payload bytes.
+	// region records they carried.
 	AggFrames  uint64
 	AggRegions uint64
-	AggBytes   uint64
-	// FrameHist is the regions-per-frame histogram (see FrameBucketLabel).
-	FrameHist [FrameBuckets]uint64
 }
 
 // Add returns the element-wise sum of two snapshots.
@@ -120,9 +81,5 @@ func (c CollSnapshot) Add(o CollSnapshot) CollSnapshot {
 	c.Bytes += o.Bytes
 	c.AggFrames += o.AggFrames
 	c.AggRegions += o.AggRegions
-	c.AggBytes += o.AggBytes
-	for i := range c.FrameHist {
-		c.FrameHist[i] += o.FrameHist[i]
-	}
 	return c
 }

@@ -16,13 +16,13 @@
 //     JSON, so a whole run can be inspected in chrome://tracing or
 //     Perfetto (see WriteChromeTrace).
 //
-// All hot-path entry points are allocation-free. Config chooses only
-// what is recorded beyond the counts: an untimed End is one atomic
-// counter add and no clock read; a timed one adds two clock reads and a
-// histogram update. A caller that owns a space's operations on one
-// goroutine can skip End for the untimed ones altogether: it tallies
-// them in plain memory and adds the tally with Fold now and then (the
-// runtime does this for bracket hits).
+// All hot-path entry points are allocation-free. Counts reach a
+// Recorder only through Fold: the caller that owns a space's operations
+// on one goroutine tallies every operation, fast hit and remote miss in
+// plain memory and adds the tally now and then (the runtime folds every
+// 1024 operations and on every slow path). Config chooses only what is
+// recorded beyond the counts: Begin reads no clock when untimed, and a
+// timed End adds two clock reads and a histogram update.
 //
 // Snapshots (Metrics, NetSnapshot, Histogram) are plain values safe to
 // copy, compare and aggregate; live state (Recorder, NetStats) is
@@ -109,26 +109,23 @@ type Event struct {
 	Proto string
 }
 
-// spaceCounters is the live per-space state: one counter and one
+// spaceCounters is the live per-space state: three counters and one
 // histogram per operation, plus the protocol name (swapped atomically on
-// ChangeProtocol).
+// ChangeProtocol). miss counts, at OpStartRead and OpStartWrite, the
+// bracket opens that found the region's data remote: the adaptive
+// controller's sharing-pattern signal.
 type spaceCounters struct {
 	proto atomic.Pointer[string]
 	ops   [NumOps]atomic.Uint64
 	fast  [NumOps]atomic.Uint64
+	miss  [NumOps]atomic.Uint64
 	lat   [NumOps]hist
-	// rmRead/rmWrite count bracket opens that found the region's data
-	// remote (home elsewhere, slow path taken): the adaptive
-	// controller's sharing-pattern signal. Only the slow path reports
-	// them, so the fast path stays allocation- and branch-lean.
-	rmRead  atomic.Uint64
-	rmWrite atomic.Uint64
 }
 
 // Recorder collects one processor's operation counts and, when timing,
 // latencies and events. The zero value is a valid untimed recorder.
-// Begin/End are safe to call from any goroutine; AddSpace and
-// SetProtocol must be externally ordered with respect to End calls that
+// Begin, End and Fold are safe to call from any goroutine; AddSpace and
+// SetProtocol must be externally ordered with respect to the calls that
 // name the space (the runtime guarantees this: spaces are created before
 // they are used).
 type Recorder struct {
@@ -199,25 +196,21 @@ func (r *Recorder) Begin() int64 {
 }
 
 // End closes a bracketed operation started at begin, attributing it to
-// op on the given space (-1 for no space). It always counts the
-// operation; a nonzero begin also records its latency and, with the
-// event ring on, an event. Zero-allocation.
+// op on the given space (-1 for no space): it records the operation's
+// latency and, with the event ring on, an event. It does not count the
+// operation (Fold does), and an untimed begin (0) records nothing.
+// Zero-allocation.
 func (r *Recorder) End(op Op, space int, begin int64) {
 	if begin == 0 {
-		if p := r.spaces.Load(); p != nil && space >= 0 && space < len(*p) {
-			(*p)[space].ops[op].Add(1)
-		}
 		return
 	}
-	end := Now()
-	d := end - begin
+	d := Now() - begin
 	if d < 0 {
 		d = 0
 	}
 	var proto string
 	if p := r.spaces.Load(); p != nil && space >= 0 && space < len(*p) {
 		sc := (*p)[space]
-		sc.ops[op].Add(1)
 		sc.lat[op].observe(d)
 		proto = *sc.proto.Load()
 	}
@@ -226,49 +219,29 @@ func (r *Recorder) End(op Op, space int, begin int64) {
 	}
 }
 
-// FastHit counts an invocation of op on space that completed on the
-// runtime's lock-free bracket fast path. Callers also record the
-// operation itself through Begin/End; FastHit only marks the subset.
-// Zero-allocation.
-func (r *Recorder) FastHit(op Op, space int) {
-	if p := r.spaces.Load(); p != nil && space >= 0 && space < len(*p) {
-		(*p)[space].fast[op].Add(1)
-	}
-}
-
 // Fold adds counts tallied outside the recorder to space's counters:
-// ops counts operations, fast the subset that hit the fast path. A
-// caller that owns a space's untimed operations (one application
-// thread) tallies them in plain memory and folds now and then, instead
-// of paying End's atomic add per operation. Zero-allocation.
-func (r *Recorder) Fold(space int, ops, fast *OpCounts) {
+// ops counts operations, fast the subset that hit the fast path, and
+// miss, at OpStartRead and OpStartWrite, the bracket opens that had to
+// reach a remote home for data or permission. The one goroutine that
+// owns a space's operations tallies them in plain memory and folds now
+// and then, instead of paying an atomic add per operation.
+// Zero-allocation.
+func (r *Recorder) Fold(space int, ops, fast, miss *OpCounts) {
 	p := r.spaces.Load()
 	if p == nil || space < 0 || space >= len(*p) {
 		return
 	}
 	sc := (*p)[space]
-	for op, n := range ops {
-		if n != 0 {
-			sc.ops[op].Add(n)
-		}
-	}
-	for op, n := range fast {
-		if n != 0 {
-			sc.fast[op].Add(n)
-		}
-	}
+	addCounts(&sc.ops, ops)
+	addCounts(&sc.fast, fast)
+	addCounts(&sc.miss, miss)
 }
 
-// RemoteMiss counts a bracket open (OpStartRead or OpStartWrite) on
-// space that had to reach a remote home for data or permission — the
-// slow-path analogue of a cache miss. Zero-allocation.
-func (r *Recorder) RemoteMiss(op Op, space int) {
-	if p := r.spaces.Load(); p != nil && space >= 0 && space < len(*p) {
-		sc := (*p)[space]
-		if op == OpStartWrite {
-			sc.rmWrite.Add(1)
-		} else {
-			sc.rmRead.Add(1)
+// addCounts adds the nonzero counts of src to dst.
+func addCounts(dst *[NumOps]atomic.Uint64, src *OpCounts) {
+	for op, n := range src {
+		if n != 0 {
+			dst[op].Add(n)
 		}
 	}
 }
@@ -291,8 +264,8 @@ func (sc *spaceCounters) snapshot(id int) SpaceMetrics {
 		sm.FastOps[op] = sc.fast[op].Load()
 		sm.Latency[op] = sc.lat[op].snapshot()
 	}
-	sm.RemoteReadMisses = sc.rmRead.Load()
-	sm.RemoteWriteMisses = sc.rmWrite.Load()
+	sm.RemoteReadMisses = sc.miss[OpStartRead].Load()
+	sm.RemoteWriteMisses = sc.miss[OpStartWrite].Load()
 	return sm
 }
 

@@ -13,13 +13,13 @@ import (
 // registered they count nothing and every entry point is a safe no-op;
 // once a space is added they count it without reading the clock.
 func TestNilAndDisabledRecorder(t *testing.T) {
+	one := OpCounts{OpStartRead: 1}
 	for name, r := range map[string]*Recorder{"zero": {}, "nil config": NewRecorder(0, nil)} {
 		if tok := r.Begin(); tok != 0 {
 			t.Errorf("%s: Begin = %d, want 0", name, tok)
 		}
 		r.End(OpMap, 0, r.Begin()) // unknown space: must not panic
-		r.FastHit(OpStartRead, 0)
-		r.RemoteMiss(OpStartRead, 0)
+		r.Fold(0, &one, &one, &one)
 		r.SetProtocol(0, "update")
 		if m := r.Snapshot(); m.Ops.Total() != 0 || m.Spaces != nil {
 			t.Errorf("%s: recorder with no spaces counted %d ops over %d spaces", name, m.Ops.Total(), len(m.Spaces))
@@ -33,6 +33,7 @@ func TestNilAndDisabledRecorder(t *testing.T) {
 
 		r.AddSpace(0, "sc")
 		r.End(OpMap, 0, r.Begin())
+		r.Fold(0, &OpCounts{OpMap: 1}, &OpCounts{}, &OpCounts{})
 		if got := r.Snapshot().Ops.Get(OpMap); got != 1 {
 			t.Errorf("%s: untimed recorder counted %d maps, want 1", name, got)
 		}
@@ -43,10 +44,13 @@ func TestRecorderCountsAndLatency(t *testing.T) {
 	r := NewRecorder(3, &Config{Metrics: true})
 	r.AddSpace(0, "sc")
 	r.AddSpace(1, "update")
+	var none OpCounts
 	for i := 0; i < 10; i++ {
 		r.End(OpStartRead, 0, r.Begin())
+		r.Fold(0, &OpCounts{OpStartRead: 1}, &none, &none)
 	}
 	r.End(OpBarrier, 1, r.Begin())
+	r.Fold(1, &OpCounts{OpBarrier: 1}, &none, &none)
 	m := r.Snapshot()
 	if got := m.Ops.Get(OpStartRead); got != 10 {
 		t.Errorf("start_read = %d, want 10", got)
@@ -74,9 +78,9 @@ func TestRecorderCountsAndLatency(t *testing.T) {
 }
 
 // TestRecorderCountersOnly: an untimed recorder (nil or zero config)
-// still counts every bracket, fast hit and remote miss exactly — the
-// adaptive controller and the public snapshots read these counts — but
-// never reads the clock (Begin returns 0) and records no latency or
+// still counts every folded bracket, fast hit and remote miss exactly —
+// the adaptive controller and the public snapshots read these counts —
+// but never reads the clock (Begin returns 0) and records no latency or
 // events.
 func TestRecorderCountersOnly(t *testing.T) {
 	for _, cfg := range []*Config{nil, {}} {
@@ -88,10 +92,9 @@ func TestRecorderCountersOnly(t *testing.T) {
 		for i := 0; i < 7; i++ {
 			r.End(OpStartWrite, 0, r.Begin())
 		}
-		r.End(OpMap, -1, r.Begin()) // no space: not attributed
-		r.RemoteMiss(OpStartWrite, 0)
-		r.RemoteMiss(OpStartRead, 0)
-		r.FastHit(OpStartWrite, 0)
+		misses := OpCounts{OpStartWrite: 1, OpStartRead: 1}
+		r.Fold(0, &OpCounts{OpStartWrite: 7}, &OpCounts{OpStartWrite: 1}, &misses)
+		r.Fold(-1, &OpCounts{OpMap: 1}, &OpCounts{}, &OpCounts{}) // no space: not attributed
 		m := r.Snapshot()
 		if got := m.Ops.Get(OpStartWrite); got != 7 {
 			t.Errorf("cfg %+v: start_write = %d, want 7", cfg, got)
@@ -114,9 +117,9 @@ func TestRecorderCountersOnly(t *testing.T) {
 	}
 }
 
-// TestRecorderConcurrency hammers brackets from P goroutines while a
-// reader snapshots; run under -race this is the data-race check the
-// lock-free counters must pass.
+// TestRecorderConcurrency hammers brackets and folds from P goroutines
+// while a reader snapshots; run under -race this is the data-race check
+// the lock-free counters must pass.
 func TestRecorderConcurrency(t *testing.T) {
 	const procs, perProc = 8, 2000
 	r := NewRecorder(0, &Config{Metrics: true, Events: 256})
@@ -139,9 +142,13 @@ func TestRecorderConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var none OpCounts
 			for i := 0; i < perProc; i++ {
 				op := Op(i % int(NumOps))
 				r.End(op, 0, r.Begin())
+				one := OpCounts{}
+				one[op] = 1
+				r.Fold(0, &one, &none, &none)
 				if i%100 == 0 {
 					r.AddSpace(1+i%3, "update") // concurrent space growth
 				}
@@ -178,9 +185,10 @@ func TestEventRingWrap(t *testing.T) {
 func TestZeroAllocationBrackets(t *testing.T) {
 	untimed := NewRecorder(0, nil)
 	untimed.AddSpace(0, "sc")
+	one := OpCounts{OpStartWrite: 1}
 	if n := testing.AllocsPerRun(100, func() {
 		untimed.End(OpStartWrite, 0, untimed.Begin())
-		untimed.FastHit(OpStartWrite, 0)
+		untimed.Fold(0, &one, &one, &one)
 	}); n != 0 {
 		t.Errorf("untimed bracket allocates %v times", n)
 	}
