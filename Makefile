@@ -24,8 +24,11 @@ fmt:
 	out=$$(gofmt -l $$files) || { echo "FAIL: gofmt exited nonzero"; exit 1; }; \
 	if [ -n "$$out" ]; then echo "FAIL: not gofmt-formatted:"; echo "$$out"; exit 1; fi
 
+# vet covers the benchmark module too: benchmark/ is a module of its
+# own, so ./... does not reach it.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C benchmark ./...
 
 build:
 	$(GO) build ./...

@@ -54,18 +54,18 @@
 // Setting Options.Adapt turns on the online protocol controller: at
 // barrier points the runtime classifies each adaptable space's access
 // pattern from the trace counters (read/write mix, remote misses,
-// writer and reader counts, lock traffic) and — after a configurable
+// writer and reader counts, lock traffic) and — after a fixed
 // hysteresis — switches the space to the registered protocol advertising
 // that pattern, through the same collective ChangeProtocol an
 // application would call by hand. A program can thus start every space
 // on "sc" and let the runtime specialize it:
 //
-//	cl, _ := ace.NewCluster(ace.Options{Procs: 8, Adapt: &ace.AdaptConfig{}})
+//	cl, _ := ace.NewCluster(ace.Options{Procs: 8, Adapt: true})
 //
 // Controller state (classified pattern, epochs, switches) is surfaced in
 // Metrics.Adapt. Protocols opt in by declaring AdaptHints in their
-// registry Info; see AdaptConfig for tuning and DESIGN.md §7 for the
-// decision procedure.
+// registry Info; see DESIGN.md §7 for the decision procedure and its
+// fixed policy.
 //
 // # Observability
 //
@@ -151,9 +151,6 @@ type (
 	PointSet = core.PointSet
 	// ReduceOp selects an AllReduce combining operator.
 	ReduceOp = core.ReduceOp
-	// AdaptConfig enables and tunes the online adaptive protocol
-	// controller; assign one to Options.Adapt.
-	AdaptConfig = core.AdaptConfig
 	// AdaptHints is a protocol's declaration to the adaptive controller,
 	// part of its registry Info.
 	AdaptHints = core.AdaptHints

@@ -7,7 +7,6 @@ import (
 	"github.com/acedsm/ace/internal/apps/bsc"
 	"github.com/acedsm/ace/internal/apps/em3d"
 	"github.com/acedsm/ace/internal/apps/tsp"
-	"github.com/acedsm/ace/internal/core"
 	"github.com/acedsm/ace/internal/rtiface"
 	"github.com/acedsm/ace/internal/trace"
 )
@@ -134,10 +133,6 @@ func TestFig7bTrafficShape(t *testing.T) {
 // table is a property of the program, not of the host's timing.
 func TestAdaptiveMatchesSC(t *testing.T) {
 	w := WorkloadsFor(ScaleSmall, 4)
-	// Benchmark-length tuning: tens of barriers per run, so short
-	// epochs and eager switching; MinOps keeps idle phases from feeding
-	// the streak.
-	cfg := &core.AdaptConfig{EpochBarriers: 2, Hysteresis: 2, Cooldown: 1, MinOps: 8}
 	landing := map[string]struct {
 		proto    string
 		switches uint64
@@ -153,7 +148,7 @@ func TestAdaptiveMatchesSC(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s (sc): %v", a.Name, err)
 		}
-		ad, err := RunAceAdaptive(w.Procs, a.Run, cfg)
+		ad, err := RunAceAdaptive(w.Procs, a.Run)
 		if err != nil {
 			t.Fatalf("%s (adaptive): %v", a.Name, err)
 		}

@@ -46,8 +46,8 @@ func RunAceObserved(procs int, app AppFunc) (Observed, error) {
 // RunAceAdaptive executes app on a fresh Ace cluster with the online
 // protocol controller enabled (which forces metrics on, so the returned
 // snapshot carries Metrics.Adapt — the controller's switching record).
-func RunAceAdaptive(procs int, app AppFunc, cfg *core.AdaptConfig) (Observed, error) {
-	return runAceCluster(core.Options{Procs: procs, Registry: proto.NewRegistry(), Adapt: cfg}, app)
+func RunAceAdaptive(procs int, app AppFunc) (Observed, error) {
+	return runAceCluster(core.Options{Procs: procs, Registry: proto.NewRegistry(), Adapt: true}, app)
 }
 
 func runAceCluster(opts core.Options, app AppFunc) (Observed, error) {

@@ -78,13 +78,11 @@ func (rn runner) start(cfg Config) *drill {
 	if pol == nil && rn.killable {
 		pol = &faultnet.Policy{Seed: cfg.Seed}
 	}
-	var adapt *core.AdaptConfig
-	if cfg.Protocol == "adaptive" {
+	adapt := cfg.Protocol == "adaptive"
+	if adapt {
 		// The adaptive row starts on "sc" and lets the controller switch
-		// protocols while the drill runs. Aggressive tuning so the
-		// controller switches within the drill's few dozen barriers.
+		// protocols while the drill runs.
 		d.base = "sc"
-		adapt = &core.AdaptConfig{EpochBarriers: 2, Hysteresis: 2, Cooldown: 1, MinOps: 1}
 	}
 	reg := proto.NewRegistry()
 	reg.MustRegister(BrokenInfo())

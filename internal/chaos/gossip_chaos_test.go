@@ -46,7 +46,6 @@ func gossipFabric(t *testing.T, n int, pol *faultnet.Policy, seed int64, mod fun
 			ID:         i,
 			Nodes:      n,
 			Seed:       seed + int64(i),
-			Fanout:     2,
 			GossipAddr: strconv.Itoa(i),
 			DataAddr:   "data-" + strconv.Itoa(i),
 			Seeds:      []string{"0"},

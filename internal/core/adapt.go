@@ -19,13 +19,23 @@ const (
 	PatternHomeWrite        = "home-write"
 )
 
+// The controller's fixed policy: it evaluates a space once per epoch of
+// epochBarriers barriers, switches after hysteresis consecutive epochs
+// point at the same non-installed protocol, then only observes for
+// cooldown epochs while the new protocol warms up. An epoch with fewer
+// than minOps cluster-wide brackets carries no signal and decays the
+// streak instead of feeding it.
+//
 // The controller's monitoring collective is an extra cluster-wide
 // synchronization round every epoch — real money on a converged space
 // that will never switch again. After stableEpochs consecutive epochs
 // that gave the controller nothing to do, the epoch length doubles, up
-// to maxEpochStretch times the configured EpochBarriers; any signal
-// snaps it back.
+// to maxEpochStretch times epochBarriers; any signal snaps it back.
 const (
+	epochBarriers   = 2
+	hysteresis      = 2
+	cooldown        = 1
+	minOps          = 8
 	stableEpochs    = 3
 	maxEpochStretch = 8
 )
@@ -34,17 +44,14 @@ const (
 // of its registry Info. The zero value opts the protocol out entirely:
 // the controller neither installs it nor switches a space away from it.
 type AdaptHints struct {
-	// Adaptive opts the protocol into online adaptation, in both
-	// directions: the controller may install it, and a space currently
-	// running it may be switched away. Only protocols whose barrier
-	// globally synchronizes all processors may declare this — the
-	// controller runs collectives at barrier points and relies on every
-	// processor reaching them in lockstep.
-	Adaptive bool
 	// Pattern names the access pattern the protocol serves best (one of
-	// the Pattern* constants). The controller installs the protocol when
-	// a space's observed pattern matches. Empty means the protocol is a
-	// legal switch source but never a target.
+	// the Pattern* constants) and opts the protocol into online
+	// adaptation, in both directions: the controller installs it when a
+	// space's observed pattern matches, and may switch a space running
+	// it away. Only protocols whose barrier globally synchronizes all
+	// processors may name one — the controller runs collectives at
+	// barrier points and relies on every processor reaching them in
+	// lockstep.
 	Pattern string
 	// HomeWritesOnly marks protocols that reject write sections on
 	// regions homed elsewhere (staticupdate, homewrite panic on them).
@@ -52,54 +59,6 @@ type AdaptHints struct {
 	// has ever opened a remote write section in the run — the strongest
 	// evidence available that the application honors the restriction.
 	HomeWritesOnly bool
-}
-
-// AdaptConfig enables and tunes the online protocol controller
-// (Options.Adapt). The controller observes each adaptable space's access
-// pattern through the trace counters and, at barrier points, switches
-// the space to the registered protocol matching the pattern. All
-// decisions are made from counted cluster-wide aggregates reduced with
-// the runtime's collectives — the controller reads no clock — so every
-// processor takes the same decision at the same barrier and the
-// underlying ChangeProtocol stays collective.
-type AdaptConfig struct {
-	// EpochBarriers is the number of barriers on a space forming one
-	// observation epoch; the controller evaluates once per epoch.
-	// Epochs that give the controller nothing to do stretch this
-	// geometrically (up to 8×) so a converged space stops paying the
-	// per-epoch collective; any signal snaps back. Default 4.
-	EpochBarriers int
-	// Hysteresis is the number of consecutive epochs a space's observed
-	// pattern must point at the same non-installed protocol before the
-	// controller switches. Default 3.
-	Hysteresis int
-	// Cooldown is the number of epochs after a switch during which the
-	// controller only observes, letting the new protocol warm up (fast-
-	// path bits republish lazily, sharer lists rebuild). Default 2;
-	// negative means no cooldown.
-	Cooldown int
-	// MinOps is the minimum cluster-wide bracket count (reads + writes)
-	// per epoch for the epoch to carry signal; quieter epochs decay the
-	// hysteresis streak instead of feeding it. Default 64.
-	MinOps uint64
-}
-
-func (c AdaptConfig) withDefaults() AdaptConfig {
-	if c.EpochBarriers <= 0 {
-		c.EpochBarriers = 4
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 3
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 2
-	} else if c.Cooldown < 0 {
-		c.Cooldown = 0
-	}
-	if c.MinOps == 0 {
-		c.MinOps = 64
-	}
-	return c
 }
 
 // adaptTargetTable maps each advertised pattern to the protocol
@@ -110,12 +69,12 @@ func adaptTargetTable(reg *Registry) map[string]string {
 	t := make(map[string]string)
 	for _, name := range reg.Names() {
 		info, _ := reg.Lookup(name)
-		h := info.Adapt
-		if !h.Adaptive || h.Pattern == "" {
+		pat := info.Adapt.Pattern
+		if pat == "" {
 			continue
 		}
-		if _, dup := t[h.Pattern]; !dup {
-			t[h.Pattern] = name
+		if _, dup := t[pat]; !dup {
+			t[pat] = name
 		}
 	}
 	return t
@@ -139,7 +98,7 @@ type adaptState struct {
 
 	// Monitoring-cadence backoff (see stableEpochs): stable counts
 	// consecutive do-nothing epochs, epochLen is the current barriers-
-	// per-epoch (0 means the configured EpochBarriers).
+	// per-epoch.
 	stable   int
 	epochLen int
 
@@ -150,26 +109,22 @@ type adaptState struct {
 // monitoring cadence halves (the epoch length doubles, capped at
 // maxEpochStretch×), so a converged space stops paying the per-epoch
 // collective.
-func (st *adaptState) calm(cfg *AdaptConfig) {
+func (st *adaptState) calm() {
 	st.stable++
 	if st.stable < stableEpochs {
 		return
 	}
 	st.stable = 0
-	cur := st.epochLen
-	if cur <= 0 {
-		cur = cfg.EpochBarriers
-	}
-	if next := cur * 2; next <= cfg.EpochBarriers*maxEpochStretch {
+	if next := st.epochLen * 2; next <= epochBarriers*maxEpochStretch {
 		st.epochLen = next
 	}
 }
 
-// wake snaps the cadence back to the configured epoch length: the epoch
-// carried signal and the controller needs full resolution again.
+// wake snaps the cadence back to epochBarriers: the epoch carried
+// signal and the controller needs full resolution again.
 func (st *adaptState) wake() {
 	st.stable = 0
-	st.epochLen = 0
+	st.epochLen = epochBarriers
 }
 
 // adaptState returns sp's controller state, creating it on first use.
@@ -180,7 +135,7 @@ func (sp *Space) adaptState() *adaptState {
 	if st := sp.adapt.Load(); st != nil {
 		return st
 	}
-	st := &adaptState{}
+	st := &adaptState{epochLen: epochBarriers}
 	if cur, ok := sp.proc.rec.SpaceSnapshot(sp.ID); ok {
 		st.prev = cur
 	}
@@ -204,26 +159,21 @@ func (st *adaptState) publish(sp *Space) {
 // Proc.Barrier (application thread, engine lock released) when
 // Options.Adapt is set.
 //
-// Collective discipline: the tick is gated on the installed protocol's
-// Adaptive hint, and adaptive protocols have globally synchronizing
+// Collective discipline: the tick is gated on the installed protocol
+// naming a Pattern, and such protocols have globally synchronizing
 // barriers — so when one processor reaches an epoch boundary, all do,
 // and the AllReduce sequence below lines up across processors. Every
 // decision input is a cluster-wide aggregate, making the decision — and
 // therefore the ChangeProtocol call — identical everywhere without any
 // extra coordination round.
 func (p *Proc) adaptTick(sp *Space) {
-	cfg := p.cl.adapt
 	info, ok := p.cl.reg.Lookup(sp.ProtoName)
-	if !ok || !info.Adapt.Adaptive {
+	if !ok || info.Adapt.Pattern == "" {
 		return
 	}
 	st := sp.adaptState()
 	st.barriers++
-	epochLen := st.epochLen
-	if epochLen <= 0 {
-		epochLen = cfg.EpochBarriers
-	}
-	if st.barriers < epochLen {
+	if st.barriers < st.epochLen {
 		return
 	}
 	st.barriers = 0
@@ -279,9 +229,9 @@ func (p *Proc) adaptTick(sp *Space) {
 		return
 	}
 
-	if uint64(reads+writes) < cfg.MinOps {
+	if reads+writes < minOps {
 		st.streak = 0
-		st.calm(cfg)
+		st.calm()
 		st.publish(sp)
 		return
 	}
@@ -298,7 +248,7 @@ func (p *Proc) adaptTick(sp *Space) {
 	if !ok || target == sp.ProtoName {
 		st.streak = 0
 		st.target = ""
-		st.calm(cfg)
+		st.calm()
 		st.publish(sp)
 		return
 	}
@@ -308,14 +258,14 @@ func (p *Proc) adaptTick(sp *Space) {
 	}
 	st.streak++
 	st.wake()
-	if st.streak < cfg.Hysteresis {
+	if st.streak < hysteresis {
 		st.publish(sp)
 		return
 	}
 
 	st.streak = 0
 	st.target = ""
-	st.cooldown = cfg.Cooldown
+	st.cooldown = cooldown
 	st.switches++
 	st.lastSw = st.epoch
 	if err := p.ChangeProtocol(sp, target); err != nil {

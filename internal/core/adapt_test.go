@@ -47,20 +47,16 @@ func TestClassifyPattern(t *testing.T) {
 }
 
 // TestAdaptTargetTable pins pattern→protocol resolution from registry
-// hints: adaptive protocols with a pattern become targets, opted-out and
-// pattern-less protocols do not.
+// hints: protocols naming a pattern become targets, opted-out ones do
+// not.
 func TestAdaptTargetTable(t *testing.T) {
 	mk := func(name string) func() Protocol {
 		return func() Protocol { return &namedBase{name: name} }
 	}
-	reg := NewRegistry() // has "sc": Adaptive, PatternGeneral
+	reg := NewRegistry() // has "sc": PatternGeneral
 	reg.MustRegister(Info{
 		Name: "mig", New: mk("mig"),
-		Adapt: AdaptHints{Adaptive: true, Pattern: PatternMigratory},
-	})
-	reg.MustRegister(Info{
-		Name: "sourceonly", New: mk("sourceonly"),
-		Adapt: AdaptHints{Adaptive: true}, // no pattern: never a target
+		Adapt: AdaptHints{Pattern: PatternMigratory},
 	})
 	reg.MustRegister(Info{
 		Name: "optout", New: mk("optout"),
@@ -77,18 +73,5 @@ func TestAdaptTargetTable(t *testing.T) {
 		if tt[pat] != name {
 			t.Errorf("pattern %q resolves to %q, want %q", pat, tt[pat], name)
 		}
-	}
-}
-
-// TestAdaptConfigDefaults pins withDefaults, including the negative-
-// cooldown escape hatch.
-func TestAdaptConfigDefaults(t *testing.T) {
-	d := AdaptConfig{}.withDefaults()
-	if d.EpochBarriers != 4 || d.Hysteresis != 3 || d.Cooldown != 2 || d.MinOps != 64 {
-		t.Fatalf("zero-value defaults = %+v", d)
-	}
-	e := AdaptConfig{EpochBarriers: 1, Hysteresis: 1, Cooldown: -1, MinOps: 1}.withDefaults()
-	if e.EpochBarriers != 1 || e.Hysteresis != 1 || e.Cooldown != 0 || e.MinOps != 1 {
-		t.Fatalf("explicit config normalized to %+v", e)
 	}
 }

@@ -237,18 +237,21 @@ func (p *Proc) open(r *Region, op trace.Op, counted bool, t int64) {
 }
 
 // close is open's counterpart for every section close: op is OpEndRead
-// or OpEndWrite. A counted close with no section open panics.
+// or OpEndWrite. A counted close with no section open panics before it
+// takes the engine, so the recovered panic leaves the space usable: only
+// the application thread changes section counts, so the check needs no
+// lock.
 func (p *Proc) close(r *Region, op trace.Op, counted bool, t int64) {
 	sp := r.Space
+	kind, shift, n := "Read", uint(rwReaderShift), r.Readers()
+	if op == trace.OpEndWrite {
+		kind, shift, n = "Write", rwWriterShift, r.Writers()
+	}
+	if counted && n <= 0 {
+		panic(fmt.Sprintf("core: proc %d: End%s without Start%s on %v", p.id, kind, kind, r.ID))
+	}
 	sp.eng.Lock()
 	if counted {
-		kind, shift, n := "Read", uint(rwReaderShift), r.Readers()
-		if op == trace.OpEndWrite {
-			kind, shift, n = "Write", rwWriterShift, r.Writers()
-		}
-		if n <= 0 {
-			panic(fmt.Sprintf("core: proc %d: End%s without Start%s on %v", p.id, kind, kind, r.ID))
-		}
 		r.adjSections(-1, shift)
 	}
 	if op == trace.OpEndRead {
@@ -271,7 +274,7 @@ func (p *Proc) Barrier(sp *Space) {
 	sp.Proto.Barrier(sp.ctx, sp)
 	sp.eng.Unlock()
 	sp.done(trace.OpBarrier, t)
-	if p.cl.adapt != nil {
+	if p.cl.opts.Adapt {
 		p.adaptTick(sp)
 	}
 }

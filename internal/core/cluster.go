@@ -55,13 +55,12 @@ type Options struct {
 	// closed by Close.
 	Faults *faultnet.Policy
 
-	// Adapt, if non-nil, enables the online adaptive protocol controller:
-	// at barrier points the runtime classifies each adaptable space's
-	// access pattern from the trace counters and switches the space to
-	// the registered protocol matching the pattern (via the collective
-	// ChangeProtocol). See AdaptConfig for tuning and AdaptHints for how
-	// protocols opt in.
-	Adapt *AdaptConfig
+	// Adapt enables the online adaptive protocol controller: at barrier
+	// points the runtime classifies each adaptable space's access
+	// pattern from the trace counters and switches the space to the
+	// registered protocol matching the pattern (via the collective
+	// ChangeProtocol). See AdaptHints for how protocols opt in.
+	Adapt bool
 
 	// SyncTimeout, when positive, bounds every blocking synchronization
 	// wait (barriers, locks, coherence fetches, collectives). A wait
@@ -82,10 +81,9 @@ type Cluster struct {
 	procs  []*Proc // the processors hosted by this OS process
 	ran    bool
 
-	// adapt is the normalized controller configuration (nil when
-	// adaptation is off); adaptTargets maps each advertised access
-	// pattern to its registered protocol, resolved once at creation.
-	adapt        *AdaptConfig
+	// adaptTargets maps each advertised access pattern to its
+	// registered protocol, resolved once at creation when Options.Adapt
+	// is set.
 	adaptTargets map[string]string
 
 	// onClose holds auxiliary teardown hooks (the gossip membership
@@ -115,10 +113,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 	}
 	if _, ok := reg.Lookup(opts.DefaultProtocol); !ok {
 		return nil, fmt.Errorf("core: unknown default protocol %q", opts.DefaultProtocol)
-	}
-	if opts.Adapt != nil {
-		ac := opts.Adapt.withDefaults()
-		opts.Adapt = &ac
 	}
 	tr := opts.Transport
 	own := true
@@ -150,8 +144,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("core: network is %d nodes (%d local), cluster wants %d", total, len(eps), opts.Procs)
 	}
 	c := &Cluster{opts: opts, reg: reg, net: nw, ownNet: own, nodes: opts.Procs}
-	if opts.Adapt != nil {
-		c.adapt = opts.Adapt
+	if opts.Adapt {
 		c.adaptTargets = adaptTargetTable(reg)
 	}
 	if opts.Trace != nil && opts.Trace.Metrics {

@@ -545,15 +545,26 @@ func TestEndWithoutStartPanics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var sp *Space
 		err = cl.Run(func(p *Proc) error {
-			id := p.GMalloc(p.DefaultSpace(), 8)
+			sp = p.DefaultSpace()
+			id := p.GMalloc(sp, 8)
 			r := p.Map(id)
 			tc.end(p, r) // must panic, recovered by Run
 			return nil
 		})
+		// The panic must leave the engine free, or the home's next
+		// handler (and Close) would block on it for ever.
+		free := sp.eng.TryLock()
+		if free {
+			sp.eng.Unlock()
+		}
 		cl.Close()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v", tc.want, err)
+		}
+		if !free {
+			t.Fatalf("%s: engine still held after the recovered panic", tc.want)
 		}
 	}
 }

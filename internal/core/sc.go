@@ -63,7 +63,7 @@ func scInfo() Info {
 		New:         func() Protocol { return &SCProtocol{} },
 		Optimizable: false,
 		Null:        PointSet(0).With(PointMap).With(PointUnmap),
-		Adapt:       AdaptHints{Adaptive: true, Pattern: PatternGeneral},
+		Adapt:       AdaptHints{Pattern: PatternGeneral},
 	}
 }
 

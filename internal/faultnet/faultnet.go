@@ -48,27 +48,19 @@ type Policy struct {
 	Jitter time.Duration
 
 	// DropProb loses a transmission with the given probability. It is
-	// delivered RedeliverAfter later (default 2ms), as a reliable
-	// transport's retransmission would be, so delivery stays exactly-once
-	// and eventual.
+	// delivered redeliverAfter later, as a reliable transport's
+	// retransmission would be, so delivery stays exactly-once and
+	// eventual.
 	DropProb float64
 
-	// ReorderProb holds a transmission back by ReorderLag (default 2ms)
-	// with the given probability, letting later messages on the link
-	// overtake it on the wire; the release clock holds them behind it.
+	// ReorderProb holds a transmission back by reorderLag with the given
+	// probability, letting later messages on the link overtake it on the
+	// wire; the release clock holds them behind it.
 	ReorderProb float64
 
-	// RedeliverAfter is the redelivery lag for dropped transmissions
-	// and for transmissions lost to a partition window. Default 2ms.
-	RedeliverAfter time.Duration
-
-	// ReorderLag is how far a reordered transmission is held back.
-	// Default 2ms.
-	ReorderLag time.Duration
-
 	// Partitions are transient windows during which all traffic between
-	// a node pair is lost on the wire (and redelivered after the window
-	// heals).
+	// a node pair is lost on the wire (and redelivered redeliverAfter
+	// after the window heals).
 	Partitions []Partition
 
 	// SlowNode, when SlowDelay > 0, names a node whose inbound
@@ -89,21 +81,18 @@ type Partition struct {
 	For   time.Duration
 }
 
+// redeliverAfter is the redelivery lag of a dropped transmission and of
+// one lost to a partition window; reorderLag is how far a reordered
+// transmission is held back.
 const (
-	defaultRedeliver = 2 * time.Millisecond
-	defaultReorder   = 2 * time.Millisecond
+	redeliverAfter = 2 * time.Millisecond
+	reorderLag     = 2 * time.Millisecond
 )
 
 // Wrap returns nw with p's faults injected on every inter-node link.
 // Closing the returned network drains pending deliveries (in per-link
 // send order, ignoring residual fault delays) and closes nw.
 func Wrap(nw amnet.Network, p Policy) *Network {
-	if p.RedeliverAfter <= 0 {
-		p.RedeliverAfter = defaultRedeliver
-	}
-	if p.ReorderLag <= 0 {
-		p.ReorderLag = defaultReorder
-	}
 	inner := nw.Endpoints()
 	fn := &Network{inner: nw, policy: p}
 	fn.killed = make([]atomic.Bool, len(inner))
@@ -359,14 +348,14 @@ func (e *endpoint) Send(m amnet.Msg) {
 	if healAt, part := e.nw.partitionedUntil(m.Src, m.Dst, now.Sub(origin)); part {
 		// The wire eats the transmission; it is redelivered once the
 		// window heals.
-		due = origin.Add(healAt + p.RedeliverAfter)
+		due = origin.Add(healAt + redeliverAfter)
 		stats.CountFault(trace.FaultPartition)
 	} else if p.DropProb > 0 && l.rng.Float64() < p.DropProb {
-		due = due.Add(p.RedeliverAfter)
+		due = due.Add(redeliverAfter)
 		stats.CountFault(trace.FaultDrop)
 	}
 	if p.ReorderProb > 0 && l.rng.Float64() < p.ReorderProb {
-		due = due.Add(p.ReorderLag)
+		due = due.Add(reorderLag)
 		stats.CountFault(trace.FaultReorder)
 	}
 	if p.SlowDelay > 0 && int(m.Dst) == p.SlowNode {

@@ -42,6 +42,9 @@ import (
 	"time"
 )
 
+// fanout is how many peers each Tick gossips to.
+const fanout = 3
+
 // Status is a node's liveness as judged by the local failure detector.
 type Status uint8
 
@@ -83,8 +86,6 @@ type Config struct {
 	// Seed seeds the peer-selection RNG; runs with equal seeds and
 	// equal packet orders make identical choices.
 	Seed int64
-	// Fanout is how many peers each Tick gossips to. Default 3.
-	Fanout int
 	// SuspectAfter and DeadAfter are the failure detector's two
 	// thresholds, measured in time since a node's heartbeat last
 	// advanced. Defaults 3s / 10s.
@@ -119,9 +120,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Fanout <= 0 {
-		c.Fanout = 3
-	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 3 * time.Second
 	}
@@ -227,7 +225,7 @@ func (a *Agent) ID() int { return a.cfg.ID }
 
 // Tick advances one gossip round: the local heartbeat increments, the
 // failure detector re-judges every known peer, and a SYN goes out to
-// Fanout targets chosen from the known gossip addresses (falling back
+// fanout targets chosen from the known gossip addresses (falling back
 // to the configured Seeds while strangers remain).
 func (a *Agent) Tick(now time.Time) {
 	a.mu.Lock()
@@ -280,7 +278,7 @@ func (a *Agent) judgeLocked(now time.Time) {
 	}
 }
 
-// targetsLocked picks Fanout distinct gossip targets: known live peers
+// targetsLocked picks fanout distinct gossip targets: known live peers
 // first, and while any expected node is still unknown, the seed
 // addresses too (so a cold cluster can bootstrap from one seed).
 func (a *Agent) targetsLocked() []string {
@@ -306,8 +304,8 @@ func (a *Agent) targetsLocked() []string {
 	}
 	sort.Strings(pool) // determinism: map order must not leak into choices
 	a.rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-	if len(pool) > a.cfg.Fanout {
-		pool = pool[:a.cfg.Fanout]
+	if len(pool) > fanout {
+		pool = pool[:fanout]
 	}
 	return pool
 }

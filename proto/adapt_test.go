@@ -8,25 +8,17 @@ import (
 	"github.com/acedsm/ace/proto"
 )
 
-// aggressiveAdapt converges within a few epochs so the tests stay fast:
-// one epoch per epochBarriers barriers, switch after two agreeing
-// epochs, one cooldown epoch. Bodies with a write phase and a read phase
-// separated by barriers pass epochBarriers=2 so one epoch always covers
-// a full iteration (a 1-barrier epoch would alternate between
-// writes-only and reads-only classifications and never build a streak).
-func aggressiveAdapt(epochBarriers int) *core.AdaptConfig {
-	return &core.AdaptConfig{EpochBarriers: epochBarriers, Hysteresis: 2, Cooldown: 1, MinOps: 1}
-}
-
 // runAdaptive executes an SPMD body on an adaptive cluster and returns
 // the final protocol name of the space the body worked on (read after a
 // closing barrier, so all processors agree) plus the cluster metrics.
-func runAdaptive(t *testing.T, procs, epochBarriers int, body func(p *core.Proc, sp *core.Space)) (string, trace.Metrics) {
+// The controller's two-barrier epoch covers one iteration of a body with
+// a write phase and a read phase separated by barriers.
+func runAdaptive(t *testing.T, procs int, body func(p *core.Proc, sp *core.Space)) (string, trace.Metrics) {
 	t.Helper()
 	cl, err := core.NewCluster(core.Options{
 		Procs:    procs,
 		Registry: proto.NewRegistry(),
-		Adapt:    aggressiveAdapt(epochBarriers),
+		Adapt:    true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +70,7 @@ func mkRegions(p *core.Proc, sp *core.Space, size int) []*core.Region {
 // stay coherent across the switch.
 func TestAdaptConvergesProducerConsumer(t *testing.T) {
 	const epochs = 8
-	name, m := runAdaptive(t, 4, 2, func(p *core.Proc, sp *core.Space) {
+	name, m := runAdaptive(t, 4, func(p *core.Proc, sp *core.Space) {
 		regs := mkRegions(p, sp, 64)
 		mine := regs[p.ID()]
 		for e := 0; e < epochs; e++ {
@@ -108,7 +100,7 @@ func TestAdaptConvergesProducerConsumer(t *testing.T) {
 // controller must pick the dynamic update protocol.
 func TestAdaptConvergesSingleWriter(t *testing.T) {
 	const epochs = 10
-	name, m := runAdaptive(t, 4, 2, func(p *core.Proc, sp *core.Space) {
+	name, m := runAdaptive(t, 4, func(p *core.Proc, sp *core.Space) {
 		regs := mkRegions(p, sp, 64)
 		for e := 0; e < epochs; e++ {
 			if p.ID() == 0 {
@@ -140,7 +132,7 @@ func TestAdaptConvergesSingleWriter(t *testing.T) {
 // a shared counter. Locks plus writes classify migratory.
 func TestAdaptConvergesMigratory(t *testing.T) {
 	const epochs = 8
-	name, m := runAdaptive(t, 4, 1, func(p *core.Proc, sp *core.Space) {
+	name, m := runAdaptive(t, 4, func(p *core.Proc, sp *core.Space) {
 		regs := mkRegions(p, sp, 64)
 		ctr := regs[0]
 		for e := 0; e < epochs; e++ {
@@ -169,7 +161,7 @@ func TestAdaptConvergesMigratory(t *testing.T) {
 // (homewrite) must win over the push side.
 func TestAdaptConvergesHomeWrite(t *testing.T) {
 	const epochs = 8
-	name, m := runAdaptive(t, 4, 2, func(p *core.Proc, sp *core.Space) {
+	name, m := runAdaptive(t, 4, func(p *core.Proc, sp *core.Space) {
 		regs := mkRegions(p, sp, 64)
 		mine := regs[p.ID()]
 		next := regs[(p.ID()+1)%p.Procs()]
@@ -198,7 +190,7 @@ func TestAdaptConvergesHomeWrite(t *testing.T) {
 // TestAdaptStaysOnSCWithoutSignal: a quiet space (no bracket traffic)
 // never leaves sc, however many barriers pass.
 func TestAdaptStaysOnSCWithoutSignal(t *testing.T) {
-	name, m := runAdaptive(t, 2, 1, func(p *core.Proc, sp *core.Space) {
+	name, m := runAdaptive(t, 2, func(p *core.Proc, sp *core.Space) {
 		for e := 0; e < 10; e++ {
 			p.Barrier(sp)
 		}
@@ -214,13 +206,13 @@ func TestAdaptStaysOnSCWithoutSignal(t *testing.T) {
 }
 
 // TestAdaptIgnoresOptedOutProtocol: a space manually running a protocol
-// without the Adaptive hint (pipeline) is never switched away, even
+// that names no pattern (pipeline) is never switched away, even
 // under a pattern that would otherwise retarget it.
 func TestAdaptIgnoresOptedOutProtocol(t *testing.T) {
 	cl, err := core.NewCluster(core.Options{
 		Procs:    2,
 		Registry: proto.NewRegistry(),
-		Adapt:    aggressiveAdapt(1),
+		Adapt:    true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func UpdateInfo() core.Info {
 		Name:        "update",
 		New:         func() core.Protocol { return newUpdate() },
 		Optimizable: true,
-		Adapt:       core.AdaptHints{Adaptive: true, Pattern: core.PatternSingleWriter},
+		Adapt:       core.AdaptHints{Pattern: core.PatternSingleWriter},
 		// end_read is NOT null: updates that arrive while a region is in
 		// an open section are deferred and applied (and acknowledged)
 		// when the section closes, so the end handlers are load-bearing.

@@ -25,7 +25,6 @@ func HomeWriteInfo() core.Info {
 		New:         func() core.Protocol { return &homeWriteProto{fetch: Fetcher{Verb: hwRead}} },
 		Optimizable: true,
 		Adapt: core.AdaptHints{
-			Adaptive:       true,
 			Pattern:        core.PatternHomeWrite,
 			HomeWritesOnly: true,
 		},

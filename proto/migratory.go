@@ -23,7 +23,7 @@ func MigratoryInfo() core.Info {
 		Name:        "migratory",
 		New:         func() core.Protocol { return &migratoryProto{fetch: Fetcher{Verb: mgReq}} },
 		Optimizable: false, // exclusive access ordering is semantically visible
-		Adapt:       core.AdaptHints{Adaptive: true, Pattern: core.PatternMigratory},
+		Adapt:       core.AdaptHints{Pattern: core.PatternMigratory},
 		Null: core.PointSet(0).
 			With(core.PointMap).
 			With(core.PointUnmap),

@@ -27,7 +27,6 @@ func StaticUpdateInfo() core.Info {
 		New:         func() core.Protocol { return newStaticUpdate() },
 		Optimizable: true,
 		Adapt: core.AdaptHints{
-			Adaptive:       true,
 			Pattern:        core.PatternProducerConsumer,
 			HomeWritesOnly: true,
 		},
