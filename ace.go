@@ -72,9 +72,9 @@
 // The runtime always counts: per-space operation, fast-path hit and
 // remote-miss counters, and network traffic counters. Options.Trace
 // adds the rest of the observability layer: TraceConfig.Metrics times
-// every operation into per-space latency histograms and samples
-// send→deliver latency, and a positive TraceConfig.Events keeps a
-// bounded per-processor event ring exported as Chrome trace_event JSON.
+// every operation into per-space latency histograms, and a positive
+// TraceConfig.Events keeps a bounded per-processor event ring exported
+// as Chrome trace_event JSON.
 // Snapshots are read with Proc.Snapshot (one processor, on its own
 // application thread) or Cluster.Metrics (whole cluster, from any
 // goroutine), and the event trace is written with Cluster.WriteTrace:
@@ -96,8 +96,8 @@
 // # Failure model
 //
 // Options.Faults wraps the cluster's transport in a seeded model of a
-// faulty wire under a reliable transport (delays, reordering, drops
-// with redelivery, partitions, a slow node): delivery stays per-pair
+// faulty wire under a reliable transport (delays, drops with
+// redelivery, partitions, a slow node): delivery stays per-pair
 // FIFO and exactly-once and only its timing suffers, so a correct
 // program still computes correct results — useful for stress testing
 // protocols, and FaultPolicy{Delay: d} alone models a network latency

@@ -177,11 +177,10 @@ func TestFailureModelThroughPublicAPI(t *testing.T) {
 		Procs: 3,
 		Trace: &ace.TraceConfig{Metrics: true},
 		Faults: &ace.FaultPolicy{
-			Seed:        5,
-			Delay:       50 * time.Microsecond,
-			Jitter:      100 * time.Microsecond,
-			DropProb:    0.2,
-			ReorderProb: 0.2,
+			Seed:     5,
+			Delay:    50 * time.Microsecond,
+			Jitter:   100 * time.Microsecond,
+			DropProb: 0.36,
 		},
 	})
 	if err != nil {

@@ -48,8 +48,7 @@
 //     nodes in the network, because a token already held in the chain
 //     fails TryLock. A transport whose Send can wait (tcpnet's journal
 //     bound) must not make a token holder wait: see Node.Busy.
-//   - Same counters. CountSend, CountRecv and ObserveDeliver fire on every
-//     path.
+//   - Same counters. CountSend and CountRecv fire on every path.
 //
 // # Buffer ownership
 //
@@ -247,6 +246,6 @@ func (e *chanEndpoint) Send(m Msg) {
 		panic(fmt.Sprintf("amnet: send to invalid node %d", m.Dst))
 	}
 	m.Src = e.ID()
-	sent := e.CountSend(&m)
-	e.nw.eps[m.Dst].Dispatch(m, sent)
+	e.CountSend(&m)
+	e.nw.eps[m.Dst].Dispatch(m)
 }

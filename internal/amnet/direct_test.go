@@ -32,7 +32,7 @@ func TestDirectDispatchMixedKeepsOrderAndSerializesLanes(t *testing.T) {
 	}{
 		{"chan", nil},
 		{"faultnet/zero", &faultnet.Policy{}},
-		{"faultnet/lossy", &faultnet.Policy{Seed: 1, Delay: 50 * time.Microsecond, DropProb: 0.15, ReorderProb: 0.15}},
+		{"faultnet/lossy", &faultnet.Policy{Seed: 1, Delay: 50 * time.Microsecond, DropProb: 0.28}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nw, err := amnet.NewChanNetwork(amnet.ChanConfig{Nodes: nodes})

@@ -2,13 +2,6 @@ package amnet
 
 import "sync"
 
-// item is a queued message plus, when latency sampling is on, its send
-// stamp on the trace clock.
-type item struct {
-	msg  Msg
-	sent int64
-}
-
 // mailbox is one node's unbounded inbound queue: many senders, one
 // consumer at a time — whoever holds the node's dispatch token (see
 // Node). Unboundedness
@@ -22,12 +15,12 @@ type item struct {
 // has released mu, and close wakes the consumer for good by closing done.
 type mailbox struct {
 	mu     sync.Mutex
-	q      []item
+	q      []Msg
 	closed bool
 
-	// notify holds one token when items may be pending. push stores the
-	// token after appending; consumers re-check the queue after taking
-	// it, so a wakeup is never lost (at most one is spurious).
+	// notify holds one token when messages may be pending. push stores
+	// the token after appending; consumers re-check the queue after
+	// taking it, so a wakeup is never lost (at most one is spurious).
 	notify chan struct{}
 	// done is closed by close(); it wakes consumers permanently.
 	done chan struct{}
@@ -40,16 +33,16 @@ func newMailbox() *mailbox {
 	}
 }
 
-// push queues it. After close the item is dropped and its payload
-// recycled: the fabric owns a payload from Send until a handler gets it.
-func (b *mailbox) push(it item) {
+// push queues m. After close m is dropped and its payload recycled: the
+// fabric owns a payload from Send until a handler gets it.
+func (b *mailbox) push(m Msg) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		Recycle(it.msg.Payload)
+		Recycle(m.Payload)
 		return
 	}
-	b.q = append(b.q, it)
+	b.q = append(b.q, m)
 	b.mu.Unlock()
 	select {
 	case b.notify <- struct{}{}:
@@ -71,7 +64,7 @@ func (b *mailbox) idle() bool {
 // zero) and returns it (ok=true), or returns an empty slice plus whether
 // the mailbox is closed. It never blocks; consumers park in await. The
 // caller owns the returned slice until it passes it back in.
-func (b *mailbox) tryPopAll(into []item) (batch []item, ok, closed bool) {
+func (b *mailbox) tryPopAll(into []Msg) (batch []Msg, ok, closed bool) {
 	b.mu.Lock()
 	if len(b.q) > 0 {
 		batch = b.q
@@ -92,8 +85,8 @@ func (b *mailbox) await() {
 	}
 }
 
-// close marks the mailbox closed and wakes all consumers. Items already
-// queued remain poppable (close-then-drain semantics).
+// close marks the mailbox closed and wakes all consumers. Messages
+// already queued remain poppable (close-then-drain semantics).
 func (b *mailbox) close() {
 	b.mu.Lock()
 	if b.closed {

@@ -18,7 +18,7 @@ func TestMailboxBatchedPop(t *testing.T) {
 	b := newMailbox()
 	const n = 100
 	for i := 0; i < n; i++ {
-		b.push(item{msg: Msg{A: uint64(i)}})
+		b.push(Msg{A: uint64(i)})
 	}
 	batch, ok, _ := b.tryPopAll(nil)
 	if !ok {
@@ -28,17 +28,17 @@ func TestMailboxBatchedPop(t *testing.T) {
 		t.Fatalf("batched pop returned %d items, want %d in one swap", len(batch), n)
 	}
 	for i, it := range batch {
-		if it.msg.A != uint64(i) {
-			t.Fatalf("out of order at %d: got %d", i, it.msg.A)
+		if it.A != uint64(i) {
+			t.Fatalf("out of order at %d: got %d", i, it.A)
 		}
 	}
 	// The slice passed back in becomes the backing array for subsequent
 	// pushes, so the following round's batch reuses its capacity.
-	b.push(item{msg: Msg{A: 1}})
+	b.push(Msg{A: 1})
 	b.tryPopAll(batch) // pending becomes batch[:0]
-	b.push(item{msg: Msg{A: 2}})
+	b.push(Msg{A: 2})
 	again, ok, _ := b.tryPopAll(nil)
-	if !ok || len(again) != 1 || again[0].msg.A != 2 {
+	if !ok || len(again) != 1 || again[0].A != 2 {
 		t.Fatalf("tryPopAll after recycle = %+v, ok=%v", again, ok)
 	}
 	if cap(again) != cap(batch) {
@@ -64,7 +64,7 @@ func TestMailboxFIFOPerSenderUnderConcurrentPush(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
-				b.push(item{msg: Msg{Src: NodeID(s), A: uint64(i)}})
+				b.push(Msg{Src: NodeID(s), A: uint64(i)})
 			}
 		}(s)
 	}
@@ -83,7 +83,7 @@ func TestMailboxCloseWhileNonEmptyDrains(t *testing.T) {
 	got := 0
 	e, b := consumer(func(Msg) { got++ })
 	for i := 0; i < 5; i++ {
-		b.push(item{msg: Msg{A: uint64(i)}})
+		b.push(Msg{A: uint64(i)})
 	}
 	b.close()
 	if !e.serve() || got != 5 {
@@ -93,7 +93,7 @@ func TestMailboxCloseWhileNonEmptyDrains(t *testing.T) {
 		t.Fatal("drained mailbox still live after close")
 	}
 	// Pushes after close are dropped, and the mailbox stays terminal.
-	b.push(item{msg: Msg{A: 99}})
+	b.push(Msg{A: 99})
 	if e.serve() || got != 5 {
 		t.Fatalf("push after close was queued: %d items delivered", got)
 	}
@@ -104,13 +104,13 @@ func TestMailboxCloseWhileNonEmptyDrains(t *testing.T) {
 func TestMailboxAwaitTimer(t *testing.T) {
 	b := newMailbox()
 	start := time.Now()
-	time.AfterFunc(10*time.Millisecond, func() { b.push(item{}) })
+	time.AfterFunc(10*time.Millisecond, func() { b.push(Msg{}) })
 	b.await()
 	if el := time.Since(start); el < 5*time.Millisecond {
 		t.Fatalf("await returned after %v, before the push at ~10ms", el)
 	}
 	// The push's wakeup was consumed; a fresh one is pending now.
-	b.push(item{})
+	b.push(Msg{})
 	start = time.Now()
 	b.await()
 	if el := time.Since(start); el > 500*time.Millisecond {

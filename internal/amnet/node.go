@@ -25,7 +25,7 @@ type Node struct {
 	token sync.Mutex
 	// spare is the last drained batch, recycled as the pending slice at
 	// the next pop. Owned by the token holder.
-	spare    []item
+	spare    []Msg
 	handlers [MaxHandlers]Handler
 	tries    [MaxHandlers]TryHandler
 	stats    trace.NetStats
@@ -59,28 +59,24 @@ func slot(id HandlerID) HandlerID {
 // Stats returns the node's traffic counters.
 func (n *Node) Stats() *trace.NetStats { return &n.stats }
 
-// CountSend counts m as sent by this node and returns its send stamp on
-// the trace clock.
-func (n *Node) CountSend(m *Msg) int64 {
-	n.stats.CountSend(n.header + len(m.Payload))
-	return n.stats.SendStamp()
-}
+// CountSend counts m as sent by this node.
+func (n *Node) CountSend(m *Msg) { n.stats.CountSend(n.header + len(m.Payload)) }
 
-// Dispatch hands m, stamped sent, to the node: its TryHandler runs on the
-// calling goroutine if the node's token is free and nothing is queued,
-// and m is queued otherwise, or when the TryHandler declines. It never
-// blocks on the token. The package comment's direct-dispatch rules bind
-// the caller.
-func (n *Node) Dispatch(m Msg, sent int64) {
-	if try := n.tries[m.Handler]; try == nil || !n.dispatchDirect(try, m, sent) {
-		n.Queue(m, sent)
+// Dispatch hands m to the node: its TryHandler runs on the calling
+// goroutine if the node's token is free and nothing is queued, and m is
+// queued otherwise, or when the TryHandler declines. It never blocks on
+// the token. The package comment's direct-dispatch rules bind the
+// caller.
+func (n *Node) Dispatch(m Msg) {
+	if try := n.tries[m.Handler]; try == nil || !n.dispatchDirect(try, m) {
+		n.Queue(m)
 	}
 }
 
 // dispatchDirect runs try on m if the node is free, reporting whether it
 // did; on false the caller queues m, so it is delivered exactly once
 // either way.
-func (n *Node) dispatchDirect(try TryHandler, m Msg, sent int64) (done bool) {
+func (n *Node) dispatchDirect(try TryHandler, m Msg) (done bool) {
 	// TryLock only: the caller may hold locks and tokens of its own (it
 	// may itself be a directly dispatched handler), so it never waits for
 	// one. A held token means the pump or another goroutine is
@@ -94,16 +90,16 @@ func (n *Node) dispatchDirect(try TryHandler, m Msg, sent int64) (done bool) {
 	// message must go behind it.
 	if n.box.idle() {
 		if done = try(m); done {
-			n.received(&m, sent, trace.RecvDirect)
+			n.received(&m, trace.RecvDirect)
 		}
 	}
 	n.token.Unlock()
 	return done
 }
 
-// Queue queues m, stamped sent, for the pump or a Poll. It never blocks.
-// After Close, m is dropped and its payload recycled.
-func (n *Node) Queue(m Msg, sent int64) { n.box.push(item{msg: m, sent: sent}) }
+// Queue queues m for the pump or a Poll. It never blocks. After Close, m
+// is dropped and its payload recycled.
+func (n *Node) Queue(m Msg) { n.box.push(m) }
 
 // Serve is the node's pump loop: it delivers what is queued, one handler
 // at a time in queue order, parks while nothing is, and returns once
@@ -150,8 +146,8 @@ func (n *Node) Poll() {
 func (n *Node) drain(path trace.RecvPath) (ok, closed bool) {
 	batch, ok, closed := n.box.tryPopAll(n.spare)
 	for i := range batch {
-		n.deliver(batch[i].msg, batch[i].sent, path)
-		batch[i] = item{} // drop payload references promptly
+		n.deliver(batch[i], path)
+		batch[i] = Msg{} // drop payload references promptly
 	}
 	n.spare = batch
 	return ok, closed
@@ -172,8 +168,8 @@ func (n *Node) Busy() bool {
 func (n *Node) Close() { n.box.close() }
 
 // deliver runs m's Handler, counting it against path.
-func (n *Node) deliver(m Msg, sent int64, path trace.RecvPath) {
-	n.received(&m, sent, path)
+func (n *Node) deliver(m Msg, path trace.RecvPath) {
+	n.received(&m, path)
 	h := n.handlers[m.Handler]
 	if h == nil {
 		panic(fmt.Sprintf("amnet: node %d: no handler %d registered (msg from %d)", n.id, m.Handler, m.Src))
@@ -181,9 +177,8 @@ func (n *Node) deliver(m Msg, sent int64, path trace.RecvPath) {
 	h(m)
 }
 
-// received counts one delivery of m, stamped sent, against path.
-func (n *Node) received(m *Msg, sent int64, path trace.RecvPath) {
-	n.stats.ObserveDeliver(sent)
+// received counts one delivery of m against path.
+func (n *Node) received(m *Msg, path trace.RecvPath) {
 	n.stats.CountRecv(path, n.header+len(m.Payload))
 }
 

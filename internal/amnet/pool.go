@@ -17,9 +17,9 @@ import "sync"
 // delivered Msg.Payload has exactly one owner (see Handler).
 
 // poolClasses are the buffer capacities kept, smallest first. The
-// smallest class covers a zero-payload frame (frameHeader ≈ 54 bytes);
-// the largest bounds pool-retained memory — larger buffers fall back to
-// the allocator.
+// smallest class covers a zero-payload TCP frame (tcpnet's 62-byte
+// header); the largest bounds pool-retained memory — larger buffers fall
+// back to the allocator.
 var poolClasses = [...]int{64, 256, 1024, 4096, 16384, 65536}
 
 // bufPool is one size class. Buffers travel as *[]byte so neither Get

@@ -90,10 +90,9 @@ func PolicyByName(name string, seed int64) (*faultnet.Policy, error) {
 		}, nil
 	case "lossy":
 		return &faultnet.Policy{
-			Seed:        seed,
-			Delay:       50 * time.Microsecond,
-			DropProb:    0.15,
-			ReorderProb: 0.15,
+			Seed:     seed,
+			Delay:    50 * time.Microsecond,
+			DropProb: 0.28,
 		}, nil
 	case "partitioned":
 		// Two successive bidirectional windows on the 0↔1 pair (the

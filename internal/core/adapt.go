@@ -184,8 +184,11 @@ func (p *Proc) adaptTick(sp *Space) {
 		return
 	}
 	// The epoch's deltas of the counts the controller reads. The
-	// counters never reset, so the plain miss difference is exact.
-	ops := cur.Ops.Sub(st.prev.Ops)
+	// counters never reset, so the plain differences are exact.
+	var ops trace.OpCounts
+	for op := range ops {
+		ops[op] = cur.Ops[op] - st.prev.Ops[op]
+	}
 	readMisses := cur.RemoteReadMisses - st.prev.RemoteReadMisses
 	st.prev = cur
 

@@ -39,20 +39,19 @@ type Options struct {
 	// Trace selects what the observability layer (package trace) records
 	// beyond the per-space operation, fast-hit and remote-miss counters,
 	// which are always on: Trace.Metrics adds per-space latency
-	// histograms and network send→deliver latency sampling, and a
-	// positive Trace.Events per-processor event rings exported by
-	// WriteTrace. Nil counts only: no clock reads, no allocation.
+	// histograms, and a positive Trace.Events per-processor event rings
+	// exported by WriteTrace. Nil counts only: no clock reads, no
+	// allocation. The network counters are always on too.
 	Trace *trace.Config
 
 	// Faults, if non-nil, wraps the transport (own or provided) in a
 	// fault-injecting layer (package faultnet): seeded per-link delay,
-	// reordering, drop-with-redelivery, partition windows and
-	// slow-receiver backpressure, all surfaced in Metrics. The wrapper
-	// preserves the fabric's FIFO/exactly-once contract; only timing is
-	// perturbed, so &faultnet.Policy{Delay: d} is how a cluster models a
-	// fixed network latency d. When the network came through
-	// amnet.Fixed, the wrapper (and the wrapped network with it) is
-	// closed by Close.
+	// drop-with-redelivery, partition windows and slow-receiver
+	// backpressure, all surfaced in Metrics. The wrapper preserves the
+	// fabric's FIFO/exactly-once contract; only timing is perturbed, so
+	// &faultnet.Policy{Delay: d} is how a cluster models a fixed network
+	// latency d. When the network came through amnet.Fixed, the wrapper
+	// (and the wrapped network with it) is closed by Close.
 	Faults *faultnet.Policy
 
 	// Adapt enables the online adaptive protocol controller: at barrier
@@ -146,11 +145,6 @@ func NewCluster(opts Options) (*Cluster, error) {
 	c := &Cluster{opts: opts, reg: reg, net: nw, ownNet: own, nodes: opts.Procs}
 	if opts.Adapt {
 		c.adaptTargets = adaptTargetTable(reg)
-	}
-	if opts.Trace != nil && opts.Trace.Metrics {
-		for _, ep := range eps {
-			ep.Stats().EnableLatencySampling(true)
-		}
 	}
 	c.procs = make([]*Proc, len(eps))
 	for i := range c.procs {

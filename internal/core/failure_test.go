@@ -164,11 +164,10 @@ func TestFaultsOptionEndToEnd(t *testing.T) {
 	cl, err := NewCluster(Options{
 		Procs: 3,
 		Faults: &faultnet.Policy{
-			Seed:        11,
-			Delay:       50 * time.Microsecond,
-			Jitter:      100 * time.Microsecond,
-			DropProb:    0.15,
-			ReorderProb: 0.15,
+			Seed:     11,
+			Delay:    50 * time.Microsecond,
+			Jitter:   100 * time.Microsecond,
+			DropProb: 0.28,
 		},
 	})
 	if err != nil {

@@ -271,12 +271,15 @@ func TestBareSectionsCount(t *testing.T) {
 				}
 			}
 			after := p.Snapshot().Spaces[0]
-			out[p.ID()] = trace.SpaceMetrics{
-				Ops:               after.Ops.Sub(before.Ops),
-				FastOps:           after.FastOps.Sub(before.FastOps),
+			d := trace.SpaceMetrics{
 				RemoteReadMisses:  after.RemoteReadMisses - before.RemoteReadMisses,
 				RemoteWriteMisses: after.RemoteWriteMisses - before.RemoteWriteMisses,
 			}
+			for op := range d.Ops {
+				d.Ops[op] = after.Ops[op] - before.Ops[op]
+				d.FastOps[op] = after.FastOps[op] - before.FastOps[op]
+			}
+			out[p.ID()] = d
 			p.GlobalBarrier()
 			return nil
 		})

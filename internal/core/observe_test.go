@@ -113,9 +113,6 @@ func checkMetricsParity(t *testing.T, cfg *trace.Config) {
 	if m.Net.MsgsSent == 0 || m.Net.MsgsSent != m.Net.MsgsRecv {
 		t.Errorf("net totals inconsistent: %+v", m.Net)
 	}
-	if cfg != nil && m.Net.Deliver.Count == 0 {
-		t.Error("no send→deliver latency samples with metrics enabled")
-	}
 }
 
 // TestSnapshotDuringRun reads Cluster.Metrics concurrently with the

@@ -1,8 +1,8 @@
 // Package faultnet wraps any amnet.Network with seeded, deterministic
-// wire timing: a fixed per-link delay and jitter, message reordering,
-// bounded drop-with-redelivery, transient partition windows, and
-// slow-receiver backpressure. It is also the one place a modelled network
-// latency lives: Policy{Delay: d} delays every inter-node message by d.
+// wire timing: a fixed per-link delay and jitter, bounded
+// drop-with-redelivery, transient partition windows, and slow-receiver
+// backpressure. It is also the one place a modelled network latency
+// lives: Policy{Delay: d} delays every inter-node message by d.
 //
 // The Ace coherence stack is built on the Active Messages fabric
 // contract — per-pair FIFO ordering and exactly-once eventual delivery —
@@ -50,13 +50,9 @@ type Policy struct {
 	// DropProb loses a transmission with the given probability. It is
 	// delivered redeliverAfter later, as a reliable transport's
 	// retransmission would be, so delivery stays exactly-once and
-	// eventual.
+	// eventual; the link's release clock holds every later message
+	// behind it, so nothing overtakes it.
 	DropProb float64
-
-	// ReorderProb holds a transmission back by reorderLag with the given
-	// probability, letting later messages on the link overtake it on the
-	// wire; the release clock holds them behind it.
-	ReorderProb float64
 
 	// Partitions are transient windows during which all traffic between
 	// a node pair is lost on the wire (and redelivered redeliverAfter
@@ -82,12 +78,8 @@ type Partition struct {
 }
 
 // redeliverAfter is the redelivery lag of a dropped transmission and of
-// one lost to a partition window; reorderLag is how far a reordered
-// transmission is held back.
-const (
-	redeliverAfter = 2 * time.Millisecond
-	reorderLag     = 2 * time.Millisecond
-)
+// one lost to a partition window.
+const redeliverAfter = 2 * time.Millisecond
 
 // Wrap returns nw with p's faults injected on every inter-node link.
 // Closing the returned network drains pending deliveries (in per-link
@@ -239,8 +231,8 @@ type link struct {
 	rng *rand.Rand
 	// last is the due time of the link's latest message. No message is
 	// due before it, so a message the wire holds back (a drop, a
-	// reorder, a partition) holds back every later one on the link as
-	// well, and none is released ahead of an earlier one.
+	// partition) holds back every later one on the link as well, and
+	// none is released ahead of an earlier one.
 	last time.Time
 }
 
@@ -353,10 +345,6 @@ func (e *endpoint) Send(m amnet.Msg) {
 	} else if p.DropProb > 0 && l.rng.Float64() < p.DropProb {
 		due = due.Add(redeliverAfter)
 		stats.CountFault(trace.FaultDrop)
-	}
-	if p.ReorderProb > 0 && l.rng.Float64() < p.ReorderProb {
-		due = due.Add(reorderLag)
-		stats.CountFault(trace.FaultReorder)
 	}
 	if p.SlowDelay > 0 && int(m.Dst) == p.SlowNode {
 		due = due.Add(p.SlowDelay)

@@ -201,7 +201,7 @@ func TestInlineTailWrittenFirst(t *testing.T) {
 
 	// Answer the link: a data frame from node 1 arms the inline write.
 	buf := make([]byte, frameHeader)
-	putHeader(buf, &amnet.Msg{Dst: 0, Src: 1, Handler: 7}, 0, 1)
+	putHeader(buf, &amnet.Msg{Dst: 0, Src: 1, Handler: 7}, 1)
 	if _, err := conn.Write(buf); err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestFrameAfterCloseIsRecycled(t *testing.T) {
 	const size = 40 << 10 // a size class no other traffic here uses
 	for trial := 0; trial < 64; trial++ {
 		p := amnet.Alloc(size)
-		ep.Queue(amnet.Msg{Handler: 9, Payload: p}, 0)
+		ep.Queue(amnet.Msg{Handler: 9, Payload: p})
 		if q := amnet.Alloc(size); &q[0] == &p[0] {
 			return
 		}

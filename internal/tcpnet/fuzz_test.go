@@ -4,31 +4,78 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/acedsm/ace/internal/amnet"
 	"github.com/acedsm/ace/internal/core"
 )
 
-// testMsg, testStamp and testAck are the envelope every
-// encodeTestFrame frame carries: distinct values in every header field,
-// so a decoder that mixes two fields up cannot round-trip them.
+// testMsg and testAck are the envelope every encodeTestFrame frame
+// carries: distinct values in every header field, so a decoder that
+// mixes two fields up cannot round-trip them.
 var testMsg = amnet.Msg{Dst: 1, Src: 2, Handler: 7, A: 0xdeadbeef, B: 0xb0b, C: 0xc0c0, D: 1<<63 | 0xd}
 
-const (
-	testStamp = 0x5eed_0000_1234
-	testAck   = 0xacc_0000_0042
-)
+const testAck = 0xacc_0000_0042
 
 // encodeTestFrame builds a well-formed frame with Send's encoder and
 // stamps its ack as the writer would.
 func encodeTestFrame(seq uint64, payload []byte) []byte {
 	buf := make([]byte, frameHeader+len(payload))
-	putHeader(buf, &testMsg, testStamp, seq)
+	putHeader(buf, &testMsg, seq)
 	binary.LittleEndian.PutUint64(buf[ackOff:], testAck)
 	copy(buf[frameHeader:], payload)
 	return buf
+}
+
+// corpusSeed is one checked-in seed under testdata/fuzz/FuzzReadFrame.
+type corpusSeed struct {
+	name string
+	data []byte
+}
+
+// corpusSeeds are the checked-in seeds, in file name order. All but
+// garbage are built with encodeTestFrame, so a header layout change
+// alters them; TestFuzzCorpusMatchesEncoder keeps the files in step.
+func corpusSeeds() []corpusSeed {
+	// withAck sets a frame's ack word, withLen its length prefix.
+	withAck := func(f []byte, ack uint64) []byte {
+		binary.LittleEndian.PutUint64(f[ackOff:], ack)
+		return f
+	}
+	withLen := func(f []byte, n uint32) []byte {
+		binary.LittleEndian.PutUint32(f[0:], n)
+		return f
+	}
+	return []corpusSeed{
+		// A control frame acking a sequence number no sender ever
+		// journaled: the decoder passes it through, and the sender's
+		// ack() must treat it as a no-op (see
+		// TestAckNeverJournaledIgnored).
+		{"ack_never_journaled", withAck(encodeTestFrame(0, nil), ^uint64(0))},
+		{"control_frame", encodeTestFrame(0, nil)},
+		// The same bogus ack riding a data frame's header: the frame is
+		// delivered and its ack dropped (see
+		// TestHostileAckOnDataFrameIgnored).
+		{"data_frame_ack_never_journaled", withAck(encodeTestFrame(1, []byte("x")), ^uint64(0))},
+		{"garbage", []byte("garbage that is definitely not a frame header at all..")},
+		// Oversized length prefix: must be rejected before allocation.
+		{"length_oversized", withLen(encodeTestFrame(1, nil), 0xffffffff)},
+		{"length_shorter_than_header", withLen(encodeTestFrame(1, nil), 3)},
+		// The header promises more payload than the stream carries.
+		{"payload_truncated", encodeTestFrame(1, make([]byte, 100))[:frameHeader+10]},
+		{"truncated_header", encodeTestFrame(1, nil)[:10]},
+		{"two_frames", append(encodeTestFrame(1, []byte("a")), encodeTestFrame(2, []byte("b"))...)},
+		{"valid_frame", encodeTestFrame(1, []byte("hello fabric"))},
+	}
+}
+
+// corpusFile is a []byte seed in the go test fuzz v1 file encoding.
+func corpusFile(data []byte) string {
+	return fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
 }
 
 // FuzzReadFrame feeds arbitrary byte streams to the frame decoder. The
@@ -38,39 +85,14 @@ func encodeTestFrame(seq uint64, payload []byte) []byte {
 // as a reader goroutine treats a corrupt connection), and every decoded
 // handler id indexes the handler table (< amnet.MaxHandlers).
 func FuzzReadFrame(f *testing.F) {
-	f.Add(encodeTestFrame(1, []byte("hello fabric")))
-	f.Add(encodeTestFrame(0, nil)) // control frame
-	// Control frame acking a sequence number no sender ever journaled:
-	// the decoder passes it through, and the sender's ack() must treat
-	// it as a no-op (see TestAckNeverJournaledIgnored).
-	bogusAck := encodeTestFrame(0, nil)
-	binary.LittleEndian.PutUint64(bogusAck[ackOff:], ^uint64(0))
-	f.Add(bogusAck)
-	// The same bogus ack riding a data frame's header: the frame is
-	// delivered and its ack dropped (see TestHostileAckOnDataFrameIgnored).
-	bogusDataAck := encodeTestFrame(1, []byte("x"))
-	binary.LittleEndian.PutUint64(bogusDataAck[ackOff:], ^uint64(0))
-	f.Add(bogusDataAck)
-	f.Add(encodeTestFrame(1, nil)[:10])
+	for _, seed := range corpusSeeds() {
+		f.Add(seed.data)
+	}
 	f.Add([]byte{})
-	f.Add([]byte("garbage that is definitely not a frame header at all.."))
-	// Length prefix shorter than a header.
-	short := encodeTestFrame(1, nil)
-	binary.LittleEndian.PutUint32(short[0:], 3)
-	f.Add(short)
-	// Oversized length prefix: must be rejected before allocation.
-	huge := encodeTestFrame(1, nil)
-	binary.LittleEndian.PutUint32(huge[0:], 0xffffffff)
-	f.Add(huge)
 	// Length prefix just past the limit.
 	past := encodeTestFrame(1, nil)
 	binary.LittleEndian.PutUint32(past[0:], uint32(maxFrameTotal+1))
 	f.Add(past)
-	// Header promises more payload than the stream carries.
-	trunc := encodeTestFrame(1, make([]byte, 100))
-	f.Add(trunc[:frameHeader+10])
-	// Two valid frames back to back.
-	f.Add(append(encodeTestFrame(1, []byte("a")), encodeTestFrame(2, []byte("b"))...))
 	// A frame carrying a real encoded checkpoint: rejoin ships these
 	// over the fabric verbatim, so the corpus should mutate from the
 	// ACK2 layout (magic, cursors, proto names, region table).
@@ -161,8 +183,8 @@ func TestReadFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := f.msg
-		if f.seq != want.seq || f.sent != testStamp || f.ack != testAck || string(m.Payload) != string(want.payload) || (m.Payload == nil) != (want.payload == nil) {
-			t.Fatalf("frame seq %d: got seq %d, stamp %#x, ack %#x, payload %q", want.seq, f.seq, f.sent, f.ack, m.Payload)
+		if f.seq != want.seq || f.ack != testAck || string(m.Payload) != string(want.payload) || (m.Payload == nil) != (want.payload == nil) {
+			t.Fatalf("frame seq %d: got seq %d, ack %#x, payload %q", want.seq, f.seq, f.ack, m.Payload)
 		}
 		w := testMsg
 		if m.Dst != w.Dst || m.Src != w.Src || m.Handler != w.Handler || m.A != w.A || m.B != w.B || m.C != w.C || m.D != w.D {
@@ -171,5 +193,38 @@ func TestReadFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := readFrame(br); err != io.EOF {
 		t.Fatalf("stream end = %v, want io.EOF", err)
+	}
+}
+
+// TestFuzzCorpusMatchesEncoder rebuilds every checked-in FuzzReadFrame
+// seed and fails on any difference, so a change to the frame layout
+// cannot leave the corpus encoding the old one: each file must stay the
+// case it is named for. On a mismatch the message carries the file's
+// new content.
+func TestFuzzCorpusMatchesEncoder(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzReadFrame")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files, names []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+	}
+	seeds := corpusSeeds()
+	for _, seed := range seeds {
+		names = append(names, seed.name)
+	}
+	if fmt.Sprint(files) != fmt.Sprint(names) {
+		t.Fatalf("corpus files %v, corpusSeeds %v", files, names)
+	}
+	for _, seed := range seeds {
+		got, err := os.ReadFile(filepath.Join(dir, seed.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := corpusFile(seed.data); string(got) != want {
+			t.Errorf("%s is stale; want:\n%s", seed.name, want)
+		}
 	}
 }

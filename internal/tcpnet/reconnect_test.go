@@ -107,7 +107,7 @@ func TestReplayedFramesDeduped(t *testing.T) {
 
 	rawFrame := func(a, seq uint64) []byte {
 		buf := make([]byte, frameHeader)
-		putHeader(buf, &amnet.Msg{Dst: 1, Src: 0, Handler: 7, A: a}, 0, seq)
+		putHeader(buf, &amnet.Msg{Dst: 1, Src: 0, Handler: 7, A: a}, seq)
 		return buf
 	}
 	for _, sa := range [][2]uint64{{1, 1}, {2, 2}, {3, 3}, {2, 2}, {3, 3}, {4, 4}} {
@@ -449,7 +449,7 @@ func TestReaderDispatchNeverWaitsOnJournal(t *testing.T) {
 
 	for seq := uint64(1); seq <= 2; seq++ {
 		buf := make([]byte, frameHeader)
-		putHeader(buf, &amnet.Msg{Dst: 0, Src: 1, Handler: 8, A: seq}, 0, seq)
+		putHeader(buf, &amnet.Msg{Dst: 0, Src: 1, Handler: 8, A: seq}, seq)
 		if _, err := conn.Write(buf); err != nil {
 			t.Fatal(err)
 		}
@@ -501,7 +501,7 @@ func TestHostileAckOnDataFrameIgnored(t *testing.T) {
 	deliver := func(seq, ack uint64) {
 		t.Helper()
 		buf := make([]byte, frameHeader)
-		putHeader(buf, &amnet.Msg{Dst: 1, Src: 0, Handler: 7, A: seq}, 0, seq)
+		putHeader(buf, &amnet.Msg{Dst: 1, Src: 0, Handler: 7, A: seq}, seq)
 		binary.LittleEndian.PutUint64(buf[ackOff:], ack)
 		if _, err := conn.Write(buf); err != nil {
 			t.Fatal(err)
@@ -616,7 +616,7 @@ func TestPeerLostLeavesJournalToWriter(t *testing.T) {
 	reused := make([][]byte, 4)
 	for i := range reused {
 		reused[i] = amnet.Alloc(size)
-		putHeader(reused[i], &amnet.Msg{}, 0, 0)
+		putHeader(reused[i], &amnet.Msg{}, 0)
 	}
 	wg.Wait()
 	s.mu.Lock()
@@ -669,7 +669,7 @@ func hostileFrameClosesConn(t *testing.T, m amnet.Msg) {
 	defer conn.Close()
 	var hello [4]byte // node 0
 	buf := make([]byte, frameHeader)
-	putHeader(buf, &m, 0, 1)
+	putHeader(buf, &m, 1)
 	if _, err := conn.Write(append(hello[:], buf...)); err != nil {
 		t.Fatal(err)
 	}

@@ -1122,7 +1122,7 @@ func (s *sender) awaitRedial() (*bufio.Writer, bool) {
 func (s *sender) resume(conn net.Conn) (*bufio.Writer, error) {
 	tuneConn(conn)
 	ack := amnet.Alloc(frameHeader)
-	putHeader(ack, &amnet.Msg{Dst: s.peer, Src: s.ep.ID()}, 0, 0)
+	putHeader(ack, &amnet.Msg{Dst: s.peer, Src: s.ep.ID()}, 0)
 	s.mu.Lock()
 	s.conn, s.raw, s.broken = conn, rawConn(conn), s.next != nil // a newer redial supersedes conn
 	redial := s.failed > 0
@@ -1250,16 +1250,15 @@ func (e *endpoint) firePeerDown(peer amnet.NodeID) {
 }
 
 // frame layout: [u32 total][i32 dst][i32 src][u16 handler][4 × u64]
-// [i64 send stamp][u64 seq][u64 ack][payload]. The send stamp is on the
-// sender's trace clock (0 when latency sampling is off); it is
-// meaningful because this network's nodes share one process. seq is the
-// per-link data sequence number; 0 marks a control frame, a standalone
-// ack, which is consumed by the reader and never dispatched or counted.
+// [u64 seq][u64 ack][payload], a 62-byte header, so a payload-free
+// frame fits amnet's smallest pool class. seq is the per-link data
+// sequence number; 0 marks a control frame, a standalone ack, which is
+// consumed by the reader and never dispatched or counted.
 // ack, on every frame, is the cumulative ack of the reverse link: the
 // highest seq the frame's sender has delivered from its receiver,
 // stamped by the writer as the frame goes out.
 const (
-	frameHeader = 4 + 4 + 4 + 2 + 32 + 8 + 8 + 8
+	frameHeader = 4 + 4 + 4 + 2 + 32 + 8 + 8
 	seqOff      = frameHeader - 16
 	ackOff      = frameHeader - 8
 
@@ -1289,16 +1288,16 @@ func (e *endpoint) Send(m amnet.Msg) {
 	}
 	m.Src = e.ID()
 	e.nw.Start() // a local send implies local handlers are registered
-	stamp := e.CountSend(&m)
+	e.CountSend(&m)
 	if m.Dst == m.Src {
 		p := amnet.Alloc(len(m.Payload))
 		copy(p, m.Payload)
 		m.Payload = p
-		e.Dispatch(m, stamp)
+		e.Dispatch(m)
 		return
 	}
 	buf := amnet.Alloc(frameHeader + len(m.Payload))
-	putHeader(buf, &m, stamp, 0)
+	putHeader(buf, &m, 0)
 	copy(buf[frameHeader:], m.Payload)
 	e.out[m.Dst].enqueue(buf) // assigns seq under the sender lock
 }
@@ -1308,14 +1307,14 @@ func (e *endpoint) Send(m amnet.Msg) {
 // bypass the journal, the backpressure bound and the traffic counters.
 func (e *endpoint) sendAck(src amnet.NodeID) {
 	buf := amnet.Alloc(frameHeader)
-	putHeader(buf, &amnet.Msg{Dst: src, Src: e.ID()}, 0, 0)
+	putHeader(buf, &amnet.Msg{Dst: src, Src: e.ID()}, 0)
 	e.out[src].enqueueControl(buf)
 }
 
 // putHeader encodes the frame header of m into buf, which holds the
 // whole frame (header and payload): the one encoder of the frame layout
 // above. The ack word is left zero for the writer to stamp.
-func putHeader(buf []byte, m *amnet.Msg, stamp int64, seq uint64) {
+func putHeader(buf []byte, m *amnet.Msg, seq uint64) {
 	binary.LittleEndian.PutUint32(buf[0:], uint32(len(buf)-4))
 	binary.LittleEndian.PutUint32(buf[4:], uint32(m.Dst))
 	binary.LittleEndian.PutUint32(buf[8:], uint32(m.Src))
@@ -1324,7 +1323,6 @@ func putHeader(buf []byte, m *amnet.Msg, stamp int64, seq uint64) {
 	binary.LittleEndian.PutUint64(buf[22:], m.B)
 	binary.LittleEndian.PutUint64(buf[30:], m.C)
 	binary.LittleEndian.PutUint64(buf[38:], m.D)
-	binary.LittleEndian.PutUint64(buf[46:], uint64(stamp))
 	binary.LittleEndian.PutUint64(buf[seqOff:], seq)
 	binary.LittleEndian.PutUint64(buf[ackOff:], 0)
 }
@@ -1398,7 +1396,7 @@ func (e *endpoint) receive(link *recvLink, src amnet.NodeID, f frame) {
 		return
 	}
 	link.seen.Store(f.seq)
-	e.dispatch(f.msg, f.sent)
+	e.dispatch(f.msg)
 	ackNow := f.seq-max(link.told.Load(), link.queued) >= ackEvery
 	if ackNow {
 		link.queued = f.seq
@@ -1413,11 +1411,11 @@ func (e *endpoint) receive(link *recvLink, src amnet.NodeID, f frame) {
 // tables (amnet.Node.Dispatch), and queues it before. A reader running a
 // handler holds the node's token, so the handler's sends never wait on a
 // journal bound (see maxPending).
-func (e *endpoint) dispatch(m amnet.Msg, sent int64) {
+func (e *endpoint) dispatch(m amnet.Msg) {
 	if e.nw.live.Load() {
-		e.Dispatch(m, sent)
+		e.Dispatch(m)
 	} else {
-		e.Queue(m, sent)
+		e.Queue(m)
 	}
 }
 
@@ -1475,20 +1473,17 @@ func decodeHeader(hdr *[frameHeader]byte) (frame, int, error) {
 			C:       binary.LittleEndian.Uint64(hdr[30:]),
 			D:       binary.LittleEndian.Uint64(hdr[38:]),
 		},
-		sent: int64(binary.LittleEndian.Uint64(hdr[46:])),
-		seq:  binary.LittleEndian.Uint64(hdr[seqOff:]),
-		ack:  binary.LittleEndian.Uint64(hdr[ackOff:]),
+		seq: binary.LittleEndian.Uint64(hdr[seqOff:]),
+		ack: binary.LittleEndian.Uint64(hdr[ackOff:]),
 	}
 	return f, int(total) - (frameHeader - 4), nil
 }
 
-// frame is a decoded message plus its sender's trace-clock stamp (0 when
-// latency sampling was off at the sender), its link sequence number (0
-// for control frames) and the cumulative ack it carries for the reverse
+// frame is a decoded message plus its link sequence number (0 for
+// control frames) and the cumulative ack it carries for the reverse
 // link.
 type frame struct {
-	msg  amnet.Msg
-	sent int64
-	seq  uint64
-	ack  uint64
+	msg amnet.Msg
+	seq uint64
+	ack uint64
 }

@@ -142,7 +142,6 @@ func TestStatsMatchTraffic(t *testing.T) {
 	}
 	defer nw.Close()
 	eps := nw.Endpoints()
-	eps[0].Stats().EnableLatencySampling(true)
 
 	const n = 50
 	payloads := []int{0, 1, 7, 64, 1024}
@@ -179,11 +178,6 @@ func TestStatsMatchTraffic(t *testing.T) {
 	}
 	if recv.BytesRecv != wantBytes {
 		t.Errorf("BytesRecv = %d, want %d", recv.BytesRecv, wantBytes)
-	}
-	// Sampling was enabled on the sender: the receiver observed the
-	// stamped frames.
-	if recv.Deliver.Count != n {
-		t.Errorf("deliver samples = %d, want %d", recv.Deliver.Count, n)
 	}
 	// Coalescing must not distort the per-message counters; the flush
 	// count only tells how the same messages were batched onto the wire.
@@ -370,5 +364,16 @@ func TestRoundTripDoesNotAllocate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
 		t.Fatalf("a round trip allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestHeaderOnlyFrameTakesSmallestPoolClass: a frame with no payload —
+// every standalone ack, and every request that carries only its scalar
+// arguments — fits amnet's 64-byte buffer class, not the next one up.
+func TestHeaderOnlyFrameTakesSmallestPoolClass(t *testing.T) {
+	b := amnet.Alloc(frameHeader)
+	defer amnet.Recycle(b)
+	if cap(b) != 64 {
+		t.Fatalf("a %d-byte header-only frame takes a %d-byte buffer, want 64", frameHeader, cap(b))
 	}
 }

@@ -29,19 +29,6 @@ func (c OpCounts) Add(o OpCounts) OpCounts {
 	return c
 }
 
-// Sub returns the element-wise difference c - o, saturating at zero so
-// that deltas taken across a counter reset clamp instead of wrapping.
-func (c OpCounts) Sub(o OpCounts) OpCounts {
-	for i := range c {
-		if c[i] >= o[i] {
-			c[i] -= o[i]
-		} else {
-			c[i] = 0
-		}
-	}
-	return c
-}
-
 // SpaceMetrics is one space's metrics on one processor (or, after
 // aggregation, across processors).
 type SpaceMetrics struct {

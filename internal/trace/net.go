@@ -11,9 +11,6 @@ const (
 	// FaultDelay: a message's wire transit was stretched by the
 	// configured delay/jitter.
 	FaultDelay FaultKind = iota
-	// FaultReorder: the message was held back so a later message on the
-	// same link could overtake it on the wire.
-	FaultReorder
 	// FaultDrop: the first transmission was lost; a bounded redelivery
 	// was scheduled.
 	FaultDrop
@@ -26,7 +23,7 @@ const (
 )
 
 var faultNames = [NumFaultKinds]string{
-	"delay", "reorder", "drop", "partition", "slow",
+	"delay", "drop", "partition", "slow",
 }
 
 func (k FaultKind) String() string {
@@ -83,10 +80,10 @@ const (
 )
 
 // NetStats is one network endpoint's traffic telemetry: message and byte
-// counters for both directions and a sampled send→deliver latency
-// histogram. All updates are atomic; the struct may be read while the
-// network is live, but a consistent snapshot requires the network to be
-// quiescent (for example, inside a barrier).
+// counters for both directions, and the transport's own event counts.
+// All updates are atomic; the struct may be read while the network is
+// live, but a consistent snapshot requires the network to be quiescent
+// (for example, inside a barrier).
 type NetStats struct {
 	MsgsSent  atomic.Uint64
 	BytesSent atomic.Uint64
@@ -119,9 +116,6 @@ type NetStats struct {
 	// Faults counts injected transport faults per kind on endpoints
 	// wrapped by a fault-injecting transport (package faultnet).
 	Faults [NumFaultKinds]atomic.Uint64
-
-	sampling atomic.Bool
-	deliver  hist
 }
 
 // CountFault records one injected fault of the given kind.
@@ -144,34 +138,6 @@ func (s *NetStats) CountRecv(path RecvPath, wire int) {
 	s.BytesRecv.Add(uint64(wire))
 }
 
-// EnableLatencySampling switches send→deliver latency sampling on or
-// off. Off (the default) makes SendStamp free apart from one atomic
-// load.
-func (s *NetStats) EnableLatencySampling(on bool) { s.sampling.Store(on) }
-
-// SendStamp returns a send timestamp to attach to an outgoing message,
-// or 0 when latency sampling is disabled. Transports carry the stamp to
-// the destination and hand it to the receiving endpoint's
-// ObserveDeliver.
-func (s *NetStats) SendStamp() int64 {
-	if !s.sampling.Load() {
-		return 0
-	}
-	return Now()
-}
-
-// ObserveDeliver records the send→deliver latency of a message stamped
-// with sentNS at its source. A zero stamp (sampling disabled at send
-// time) is ignored. Timestamps are on the process-local trace clock, so
-// the measurement is meaningful for in-process transports (the channel
-// network and the loopback TCP network).
-func (s *NetStats) ObserveDeliver(sentNS int64) {
-	if sentNS == 0 {
-		return
-	}
-	s.deliver.observe(Now() - sentNS)
-}
-
 // Snapshot returns the current counter values.
 func (s *NetStats) Snapshot() NetSnapshot {
 	snap := NetSnapshot{
@@ -184,7 +150,6 @@ func (s *NetStats) Snapshot() NetSnapshot {
 		Backoffs:         s.Backoffs.Load(),
 		Retransmits:      s.Retransmits.Load(),
 		DupFramesDropped: s.DupFramesDropped.Load(),
-		Deliver:          s.deliver.snapshot(),
 	}
 	for i := range snap.Faults {
 		snap.Faults[i] = s.Faults[i].Load()
@@ -214,10 +179,6 @@ type NetSnapshot struct {
 	// Faults counts injected transport faults per kind (package
 	// faultnet); all zero on unwrapped transports.
 	Faults FaultCounts
-
-	// Deliver is the sampled send→deliver latency distribution of
-	// messages received by this endpoint.
-	Deliver Histogram
 }
 
 // Add returns the element-wise sum s + o.
@@ -237,6 +198,5 @@ func (s NetSnapshot) Add(o NetSnapshot) NetSnapshot {
 		Retransmits:      s.Retransmits + o.Retransmits,
 		DupFramesDropped: s.DupFramesDropped + o.DupFramesDropped,
 		Faults:           s.Faults.Add(o.Faults),
-		Deliver:          s.Deliver.Add(o.Deliver),
 	}
 }

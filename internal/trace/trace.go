@@ -10,8 +10,8 @@
 //     and protocol name. Its counters are the runtime's only operation
 //     counters: the adaptive controller and the public snapshots read
 //     the same ones.
-//   - NetStats: per-endpoint message/byte counters and sampled
-//     send→deliver latency.
+//   - NetStats: per-endpoint message/byte counters and the transports'
+//     flush, reconnect and injected-fault counts.
 //   - A bounded per-processor event ring exported as Chrome trace_event
 //     JSON, so a whole run can be inspected in chrome://tracing or
 //     Perfetto (see WriteChromeTrace).
@@ -74,8 +74,7 @@ func (o Op) String() string {
 // *Config anywhere in the API means "count only".
 type Config struct {
 	// Metrics times every bracketed operation into per-space latency
-	// histograms, and turns on send→deliver latency sampling on the
-	// network endpoints.
+	// histograms.
 	Metrics bool
 
 	// Events, when positive, is the per-processor event ring capacity:
@@ -86,8 +85,8 @@ type Config struct {
 }
 
 // epoch anchors the package's monotonic clock. All trace timestamps are
-// nanoseconds since process start, comparable across goroutines (and
-// across the in-process network transports).
+// nanoseconds since process start, comparable across goroutines of one
+// process.
 var epoch = time.Now()
 
 // Now returns the current trace timestamp in nanoseconds.
