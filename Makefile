@@ -110,9 +110,10 @@ chaos-smoke:
 	$(GOTEST_GATE) -race -cpu 1,4 -count=5 -run 'TestDirectDispatchMixedKeepsOrderAndSerializesLanes' ./internal/amnet
 
 # cluster-smoke is the multi-process deployment gate: 4 real acenode
-# processes assemble over gossip + TCP on loopback, run em3d (checksum
-# must match the in-process run), and a SIGKILLed member must surface as
-# ErrPeerLost on every survivor within the detector bound.
+# processes assemble over gossip + TCP on loopback, run em3d (every
+# rank's checksum must match the in-process run), a SIGKILLed member
+# must surface as ErrPeerLost on every survivor within the detector
+# bound, and a SIGKILLed em3d member rejoins from its checkpoint.
 cluster-smoke:
 	bash scripts/cluster_smoke.sh
 

@@ -13,20 +13,22 @@
 //
 // The first process binds a known gossip port and seeds the rest;
 // everything else — data-plane ports, membership, failure detection —
-// is negotiated. Each process prints its result; the process hosting
-// node 0 prints the cluster checksum, which matches the same workload
-// on the in-process fabric bit for bit.
+// is negotiated. Every local rank prints the cluster checksum, which
+// matches the same workload on the in-process fabric bit for bit.
 //
-// The elastic workload adds checkpoint/rejoin (DESIGN.md §13): -ckpt
-// names a checkpoint file prefix, every -ckpt-every steps each
-// processor writes its snapshot (keeping the last two), and on startup
-// the processes collectively agree — AllReduce(Min) over each rank's
-// newest on-disk step — on the most recent checkpoint everyone holds,
-// restore it, and replay from there. With -recover, a survivor that
-// loses a peer mid-run tears its mesh down and re-Joins at the next
-// recovery epoch instead of exiting; a SIGKILLed process is restarted
-// by its supervisor with -rejoin -epoch <current>, and the cluster
-// resumes from the agreed checkpoint with a bit-identical result.
+// em3d checkpoints and rejoins (DESIGN.md §13) when -ckpt names a
+// checkpoint file prefix: every -ckpt-every steps each processor writes
+// its snapshot (keeping the last two), and on startup the processes
+// collectively agree — AllReduce(Min) over each rank's newest on-disk
+// step — on the most recent checkpoint everyone holds, restore it, and
+// replay from there. With -recover, a survivor that loses a peer
+// mid-run tears its mesh down and re-Joins at the next recovery epoch
+// instead of exiting; a SIGKILLed process is restarted by its
+// supervisor with -rejoin -epoch <current>, and the cluster resumes
+// from the agreed checkpoint (from step 0 without -ckpt) with a
+// bit-identical result.
+//
+// Every flag is checked before anything binds a port or joins.
 //
 // Exit codes: 0 success, 1 usage or bootstrap failure, 2 workload
 // error, 3 a peer was lost mid-run (ErrPeerLost — the failure
@@ -63,40 +65,31 @@ func main() {
 		dead     = flag.Duration("dead", 0, "failure-detector death threshold (default 3x suspicion)")
 		joinWait = flag.Duration("join-timeout", 30*time.Second, "bound on membership convergence")
 		syncWait = flag.Duration("sync-timeout", 0, "bound on blocking synchronization waits (0 = forever)")
-		run      = flag.String("run", "em3d", "workload: em3d | elastic | wait | hang")
+		run      = flag.String("run", "em3d", "workload: em3d | wait | hang")
 		standAl  = flag.Bool("standalone", false, "skip gossip/TCP: run all nodes in this process on the in-process fabric (reference mode)")
 		steps    = flag.Int("steps", 10, "em3d: simulation steps")
 		size     = flag.Int("size", 256, "em3d: E and H vertices, each")
 		protoF   = flag.String("proto", "", "em3d: protocol for the value spaces (empty = default)")
 		appSeed  = flag.Int64("app-seed", 42, "em3d: workload seed")
-		ckpt     = flag.String("ckpt", "", "elastic: checkpoint file prefix (empty = no checkpoints)")
-		ckptEvry = flag.Int("ckpt-every", 2, "elastic: steps between collective checkpoints")
+		ckpt     = flag.String("ckpt", "", "em3d: checkpoint file prefix (empty = no checkpoints)")
+		ckptEvry = flag.Int("ckpt-every", 2, "em3d: steps between collective checkpoints")
 		epochF   = flag.Uint64("epoch", 0, "recovery epoch to join at (0 = fresh deployment)")
 		rejoinF  = flag.Bool("rejoin", false, "rejoin a recovering cluster at -epoch (restarted member)")
-		recoverF = flag.Bool("recover", false, "elastic: on peer loss, re-join at the next epoch and resume from checkpoint instead of exiting")
-		stepDel  = flag.Duration("step-delay", 0, "elastic: sleep after every step (stretches the run for kill drills)")
+		recoverF = flag.Bool("recover", false, "em3d: on peer loss, re-join at the next epoch and resume from checkpoint instead of exiting")
+		stepDel  = flag.Duration("step-delay", 0, "em3d: sleep after every step (stretches the run for kill drills)")
 	)
 	flag.Parse()
 
-	// Every flag is validated before anything binds a port or joins.
-	localIDs, perr := parseIDs(*local)
-	usage := "usage: acenode -nodes N -local i[,j...] [-gossip addr] [-seeds a,b] [-run em3d|elastic|wait|hang]"
-	bad := *nodes <= 0 || perr != nil || len(localIDs) == 0
-	if *standAl {
-		usage = "usage: acenode -standalone -nodes N [-run em3d|elastic|wait]"
-		bad, perr = *nodes <= 0, nil
+	cfg := em3d.DefaultConfig()
+	cfg.Steps, cfg.Nodes, cfg.Seed, cfg.Proto = *steps, *size, *appSeed, *protoF
+	cfg.Elastic.Delay = *stepDel
+	if *ckpt != "" {
+		cfg.Elastic.Every = *ckptEvry
 	}
-	switch *run {
-	case "em3d", "elastic", "wait", "hang":
-	default:
-		fmt.Fprintf(os.Stderr, "acenode: unknown workload %q\n", *run)
-		bad = true
-	}
-	if bad {
-		fmt.Fprintln(os.Stderr, usage)
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "  -local:", perr)
-		}
+	localIDs, err := validate(*nodes, *local, *standAl, *run, cfg, *ckpt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "acenode:", err)
+		fmt.Fprintln(os.Stderr, "usage: acenode -nodes N (-local i[,j...] [-gossip addr] [-seeds a,b] | -standalone) [-run em3d|wait|hang]")
 		os.Exit(1)
 	}
 
@@ -131,14 +124,8 @@ func main() {
 		return cl, err
 	}
 
-	cfg := em3d.DefaultConfig()
-	cfg.Steps = *steps
-	cfg.Nodes = *size
-	cfg.Seed = *appSeed
-	cfg.Proto = *protoF
-
-	if *run == "elastic" {
-		elasticMain(makeCluster, cfg, *ckpt, *ckptEvry, *stepDel, *epochF, *rejoinF, *recoverF)
+	if *run == "em3d" {
+		em3dMain(makeCluster, cfg, *ckpt, *epochF, *rejoinF, *recoverF)
 		return
 	}
 
@@ -166,27 +153,46 @@ func main() {
 		err = cl.Run(func(p *ace.Proc) error {
 			select {}
 		})
-	case "em3d":
-		err = cl.Run(func(p *ace.Proc) error {
-			res, err := em3d.Run(rtiface.NewAce(p), cfg)
-			if err != nil {
-				return err
-			}
-			if p.ID() == 0 {
-				fmt.Printf("acenode: em3d checksum %.17g (%d steps, %d vertices)\n",
-					res.Checksum, cfg.Steps, cfg.Nodes)
-			}
-			return nil
-		})
 	}
 	exitOn(err)
 }
 
-// elasticMain runs the checkpointing EM3D workload, optionally looping
-// through peer-loss recovery: tear down, re-Join at the next epoch,
-// agree on the newest checkpoint every rank holds, restore, replay.
-func elasticMain(makeCluster func(epoch uint64, rejoin bool) (*ace.Cluster, error),
-	cfg em3d.Config, ckpt string, every int, delay time.Duration, epoch uint64, rejoin, recov bool) {
+// validate checks every flag that can be checked before anything binds
+// or joins, and returns the parsed -local ids (nil under -standalone).
+// The em3d flags are checked only when em3d runs.
+func validate(nodes int, local string, standalone bool, run string, cfg em3d.Config, ckpt string) ([]int, error) {
+	var ids []int
+	if !standalone {
+		var err error
+		if ids, err = parseIDs(local); err != nil {
+			return nil, fmt.Errorf("-local: %v", err)
+		}
+	}
+	_, known := ace.NewRegistry().Lookup(cfg.Proto)
+	switch {
+	case nodes <= 0:
+		return nil, errors.New("-nodes must be positive")
+	case run == "wait" || run == "hang":
+		return ids, nil
+	case run != "em3d":
+		return nil, fmt.Errorf("unknown workload %q", run)
+	case cfg.Proto != "" && !known:
+		return nil, fmt.Errorf("unknown protocol %q", cfg.Proto)
+	case cfg.Steps < 2:
+		return nil, errors.New("-steps must be at least 2")
+	case cfg.Nodes < nodes:
+		return nil, errors.New("-size must be at least -nodes")
+	case ckpt != "" && cfg.Elastic.Every < 1:
+		return nil, errors.New("-ckpt-every must be at least 1 with -ckpt")
+	}
+	return ids, nil
+}
+
+// em3dMain runs EM3D, optionally looping through peer-loss recovery:
+// tear down, re-Join at the next epoch, agree on the newest checkpoint
+// every rank holds, restore, replay.
+func em3dMain(makeCluster func(epoch uint64, rejoin bool) (*ace.Cluster, error),
+	cfg em3d.Config, ckpt string, epoch uint64, rejoin, recov bool) {
 	for {
 		cl, err := makeCluster(epoch, rejoin)
 		if err != nil {
@@ -194,7 +200,8 @@ func elasticMain(makeCluster func(epoch uint64, rejoin bool) (*ace.Cluster, erro
 			os.Exit(1)
 		}
 		err = cl.Run(func(p *ace.Proc) error {
-			el := em3d.ElasticConfig{Every: every, Delay: delay}
+			pcfg := cfg
+			el := &pcfg.Elastic
 			if ckpt != "" {
 				el.Save = func(ck *core.Checkpoint) error {
 					return saveCheckpoint(ckpt, p.ID(), ck)
@@ -215,7 +222,7 @@ func elasticMain(makeCluster func(epoch uint64, rejoin bool) (*ace.Cluster, erro
 					fmt.Printf("acenode: node %d restored from checkpoint step=%d\n", p.ID(), agreed)
 				}
 			}
-			res, err := em3d.RunElastic(p, cfg, el)
+			res, err := em3d.Run(rtiface.NewAce(p), pcfg)
 			if err != nil {
 				return err
 			}

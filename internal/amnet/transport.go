@@ -30,12 +30,6 @@ type FixedTransport struct{ Net Network }
 // Connect implements Transport.
 func (t FixedTransport) Connect(int) (Network, error) { return t.Net, nil }
 
-// TransportFunc adapts a plain constructor function to Transport.
-type TransportFunc func(n int) (Network, error)
-
-// Connect implements Transport.
-func (f TransportFunc) Connect(n int) (Network, error) { return f(n) }
-
 // Connect implements Transport: an in-process channel network of n
 // endpoints. A Nodes count already set in the config must agree with n.
 func (c ChanConfig) Connect(n int) (Network, error) {

@@ -1,18 +1,22 @@
 package em3d_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/acedsm/ace/internal/apps/apputil"
 	"github.com/acedsm/ace/internal/apps/em3d"
+	"github.com/acedsm/ace/internal/bench"
 	"github.com/acedsm/ace/internal/core"
+	"github.com/acedsm/ace/internal/rtiface"
 	"github.com/acedsm/ace/proto"
 )
 
-// runElastic executes RunElastic on a fresh cluster, collecting each
-// processor's latest saved checkpoint, and returns proc 0's result with
-// the cluster's message total in Msgs.
+// runElastic executes Run with cfg.Elastic = el on a fresh cluster,
+// collecting each processor's latest saved checkpoint, and returns proc
+// 0's result with the cluster's message total in Msgs.
 func runElastic(t *testing.T, procs int, cfg em3d.Config, el em3d.ElasticConfig,
 	saved map[int]*core.Checkpoint) apputil.Result {
 	t.Helper()
@@ -39,7 +43,9 @@ func runElastic(t *testing.T, procs int, cfg em3d.Config, el em3d.ElasticConfig,
 			pel.Resume = saved[p.ID()]
 			mu.Unlock()
 		}
-		r, err := em3d.RunElastic(p, cfg, pel)
+		pcfg := cfg
+		pcfg.Elastic = pel
+		r, err := em3d.Run(rtiface.NewAce(p), pcfg)
 		if err != nil {
 			return err
 		}
@@ -57,9 +63,10 @@ func runElastic(t *testing.T, procs int, cfg em3d.Config, el em3d.ElasticConfig,
 	return res
 }
 
-// TestElasticMatchesPlainRun: RunElastic with checkpoints enabled (but
-// never used) computes the same checksum as the plain runner — the
-// checkpoint collectives are invisible to the computation.
+// TestElasticMatchesPlainRun: Run with checkpoints enabled (but never
+// used) computes the same checksum as the plain run — the checkpoint
+// collectives are invisible to the computation. The "" row checkpoints
+// the default space.
 func TestElasticMatchesPlainRun(t *testing.T) {
 	for _, protoName := range []string{"", "staticupdate", "update"} {
 		cfg := smallCfg()
@@ -104,6 +111,24 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 		}
 		if got.Msgs >= base.Msgs {
 			t.Errorf("proto %q: resumed run sent %d msgs, full run %d", protoName, got.Msgs, base.Msgs)
+		}
+	}
+}
+
+// TestElasticNeedsAce: checkpointing goes through the Ace processor, so
+// a non-zero ElasticConfig on the CRL adapter is an error, not a silent
+// plain run.
+func TestElasticNeedsAce(t *testing.T) {
+	for name, el := range map[string]em3d.ElasticConfig{
+		"every":  {Every: 2},
+		"resume": {Resume: &core.Checkpoint{}},
+		"delay":  {Delay: time.Millisecond},
+	} {
+		cfg := smallCfg()
+		cfg.Elastic = el
+		_, err := bench.RunCRL(4, func(rt rtiface.RT) (apputil.Result, error) { return em3d.Run(rt, cfg) })
+		if err == nil || !strings.Contains(err.Error(), "ace runtime") {
+			t.Errorf("%s: CRL run returned %v, want an ace-runtime error", name, err)
 		}
 	}
 }

@@ -33,6 +33,32 @@ type Config struct {
 	// program follows Figure 2: spaces start sequentially consistent and
 	// switch via ChangeProtocol after graph construction.
 	Proto string
+
+	// Elastic adds checkpoint/restore; the zero value takes none.
+	Elastic ElasticConfig
+}
+
+// ElasticConfig adds checkpoint/restore to an EM3D run (DESIGN.md §13).
+// It needs the Ace runtime. The graph construction is deterministic
+// from Config, so a restarted cluster of the same shape reallocates the
+// same region ids; a checkpoint therefore only needs the region
+// contents plus the step it was taken at, and re-execution from there
+// is bit-identical.
+type ElasticConfig struct {
+	// Every takes a collective checkpoint before computing step K for
+	// every K that is a positive multiple of Every (0 disables).
+	Every int
+	// Save persists this processor's checkpoint; called on every
+	// processor, outside any collective (failures propagate as run
+	// errors). Nil discards.
+	Save func(ck *core.Checkpoint) error
+	// Resume, if non-nil, restores this checkpoint after construction
+	// and starts the time-step loop at Resume.App instead of 0.
+	Resume *core.Checkpoint
+	// Delay, if positive, sleeps this long after every step — a drill
+	// knob that stretches the run so a chaos harness can kill a process
+	// mid-computation at a predictable step.
+	Delay time.Duration
 }
 
 // DefaultConfig returns a laptop-scale version of the paper's input.
@@ -50,11 +76,27 @@ type node struct {
 	weights   []float64
 }
 
-// Run executes EM3D on rt.
+// Run executes EM3D on rt. With cfg.Elastic set it checkpoints and
+// resumes; the checksum matches the plain run bit for bit, because
+// construction is replayed, state is reset to the checkpoint image and
+// the remaining steps re-execute deterministically.
 func Run(rt rtiface.RT, cfg Config) (apputil.Result, error) {
 	res := apputil.Result{Name: "em3d", Runtime: rt.Name(), Protocols: protoLabel(cfg.Proto)}
 	if cfg.Nodes < rt.Procs() || cfg.Degree < 1 || cfg.Steps < 2 {
-		return res, fmt.Errorf("em3d: bad config %+v", cfg)
+		return res, fmt.Errorf("em3d: bad config: %d nodes on %d procs, degree %d, %d steps",
+			cfg.Nodes, rt.Procs(), cfg.Degree, cfg.Steps)
+	}
+	el := cfg.Elastic
+	art, _ := rt.(*rtiface.AceRT) // checkpoints and restores go through art.P
+	if art == nil && (el.Every != 0 || el.Save != nil || el.Resume != nil || el.Delay != 0) {
+		return res, fmt.Errorf("em3d: checkpoints need the ace runtime, not %s", rt.Name())
+	}
+	start := 0
+	if el.Resume != nil {
+		start = int(el.Resume.App)
+		if start < 0 || start >= cfg.Steps {
+			return res, fmt.Errorf("em3d: checkpoint step %d outside [0,%d)", start, cfg.Steps)
+		}
 	}
 
 	// Spaces: eval and hval, as in Figure 2. With no custom protocol the
@@ -124,6 +166,18 @@ func Run(rt rtiface.RT, cfg Config) (apputil.Result, error) {
 		}
 	}
 
+	// Restore after the protocol switch so the checkpoint lands on the
+	// same protocol it was taken under (RestoreCheckpoint resets the
+	// installed protocol's state either way).
+	if el.Resume != nil {
+		if err := art.P.RestoreCheckpoint(el.Resume); err != nil {
+			return res, err
+		}
+		// Restore is local; fence it collectively so no processor's
+		// first remote fetch can race a peer still installing its image.
+		art.P.GlobalBarrier()
+	}
+
 	barrier := func(space rtiface.SpaceID) {
 		if useSpaces {
 			srt.BarrierSpace(space)
@@ -135,13 +189,27 @@ func Run(rt rtiface.RT, cfg Config) (apputil.Result, error) {
 	// Main loop (Figure 2, lines 12–17): new E from H, barrier on the
 	// written space, new H from E, barrier.
 	var tm apputil.Timer
-	for step := 0; step < cfg.Steps; step++ {
+	for step := start; step < cfg.Steps; step++ {
+		if el.Every > 0 && step > start && step%el.Every == 0 {
+			ck, err := art.P.Checkpoint(uint64(step))
+			if err != nil {
+				return res, err
+			}
+			if el.Save != nil {
+				if err := el.Save(ck); err != nil {
+					return res, fmt.Errorf("em3d: checkpoint save: %w", err)
+				}
+			}
+		}
 		tm.StartIter()
 		computePhase(rt, eNodes)
 		barrier(eSpace)
 		computePhase(rt, hNodes)
 		barrier(hSpace)
 		tm.EndIter()
+		if el.Delay > 0 {
+			time.Sleep(el.Delay)
+		}
 	}
 
 	// Checksum across all values.

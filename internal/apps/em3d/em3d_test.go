@@ -1,11 +1,13 @@
 package em3d_test
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/acedsm/ace/internal/apps/apputil"
 	"github.com/acedsm/ace/internal/apps/em3d"
 	"github.com/acedsm/ace/internal/bench"
+	"github.com/acedsm/ace/internal/core"
 	"github.com/acedsm/ace/internal/rtiface"
 )
 
@@ -81,16 +83,20 @@ func TestStaticUpdateReducesTraffic(t *testing.T) {
 	}
 }
 
+// TestBadConfigs: each is rejected, and the error names sizes, not the
+// address of a Save hook or Resume image.
 func TestBadConfigs(t *testing.T) {
+	hooks := em3d.ElasticConfig{Save: func(*core.Checkpoint) error { return nil }, Resume: &core.Checkpoint{}}
 	bad := []em3d.Config{
-		{Nodes: 2, Degree: 5, Steps: 4},  // fewer nodes than procs
-		{Nodes: 64, Degree: 0, Steps: 4}, // no edges
-		{Nodes: 64, Degree: 5, Steps: 1}, // too few steps to time
+		{Nodes: 2, Degree: 5, Steps: 4},                  // fewer nodes than procs
+		{Nodes: 64, Degree: 0, Steps: 4},                 // no edges
+		{Nodes: 64, Degree: 5, Steps: 1},                 // too few steps to time
+		{Nodes: 64, Degree: 5, Steps: 1, Elastic: hooks}, // the same, checkpointing
 	}
 	for i, cfg := range bad {
 		_, err := bench.RunAce(4, func(rt rtiface.RT) (apputil.Result, error) { return em3d.Run(rt, cfg) })
-		if err == nil {
-			t.Errorf("config %d should be rejected", i)
+		if err == nil || strings.Contains(err.Error(), "0x") {
+			t.Errorf("config %d: got %v, want a rejection that prints no pointer", i, err)
 		}
 	}
 }

@@ -250,7 +250,7 @@ func Join(cfg NodeConfig) (*Cluster, error) {
 	opts := cfg.Options
 	opts.Procs = cfg.Nodes
 	opts.Faults = nil
-	opts.Transport = amnet.TransportFunc(func(int) (amnet.Network, error) { return nw, nil })
+	opts.Transport = amnet.Fixed(nw)
 	if opts.Registry == nil {
 		opts.Registry = proto.NewRegistry()
 	}
@@ -260,6 +260,9 @@ func Join(cfg NodeConfig) (*Cluster, error) {
 		nw.Close()
 		return nil, err
 	}
+	// The cluster does not own a Fixed network: close it before the
+	// gossip teardown, as an owned fabric would be.
+	cl.RegisterCloser(nw.Close)
 	cl.RegisterCloser(func() error {
 		teardownGossip()
 		return nil

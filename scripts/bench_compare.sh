@@ -2,7 +2,7 @@
 # bench-compare: this tree against another revision, by alternating runs.
 #
 #   make bench-compare BASE=<rev>      (or: bash scripts/bench_compare.sh <rev>)
-#   ROUNDS=3 SECS=6 SEED=1 override the defaults.
+#   ROUNDS=10 SECS=6 SEED=1 are the defaults; set any of them to override.
 #
 # The host drifts 10-20 % in a quarter of an hour, so two commits are never
 # compared across time: BASE is unpacked (git archive) into a temporary
@@ -18,7 +18,7 @@
 set -euo pipefail
 
 BASE=${1:?usage: bench_compare.sh <base-rev>}
-ROUNDS=${ROUNDS:-3}
+ROUNDS=${ROUNDS:-10}
 SECS=${SECS:-6}
 SEED=${SEED:-1}
 

@@ -2,15 +2,15 @@
 # cluster-smoke: end-to-end gate for the multi-process deployment path.
 #
 # Phase 1 — correctness: a 4-process acenode cluster on loopback runs
-# em3d and its checksum must equal the in-process (-standalone) run of
-# the same workload, bit for bit.
+# em3d and every rank's checksum must equal the in-process (-standalone)
+# run of the same workload, bit for bit.
 #
 # Phase 2 — failure detection: 3 processes park in a barrier while a
 # 4th joins and hangs; the 4th is SIGKILLed and every survivor must
 # exit with code 3 (ErrPeerLost) within the detector bound.
 #
-# Phase 3 — elastic rejoin: a 4-process cluster runs the checkpointing
-# elastic workload; one member is SIGKILLed after it has a checkpoint
+# Phase 3 — elastic rejoin: a 4-process cluster runs em3d with
+# checkpoints (-ckpt); one member is SIGKILLed after it has a checkpoint
 # on disk and restarted as a rejoiner at the next epoch. Every process
 # (including the rejoined one) must exit 0 with the bit-identical em3d
 # checksum of the undisturbed standalone run, and the restart must log
@@ -28,7 +28,7 @@ fail() { echo "cluster-smoke: FAIL: $*" >&2; exit 1; }
 $GO build -o "$WORK/acenode" ./cmd/acenode || fail "build"
 
 echo "cluster-smoke: reference (in-process) em3d run"
-REF=$("$WORK/acenode" -standalone -nodes 4 | awk '/checksum/ {print $4}')
+REF=$("$WORK/acenode" -standalone -nodes 4 | awk '/checksum/ {print $4; exit}')
 [ -n "$REF" ] || fail "no reference checksum"
 
 echo "cluster-smoke: 4-process em3d run (gossip seed $SEED)"
@@ -39,9 +39,11 @@ echo "cluster-smoke: 4-process em3d run (gossip seed $SEED)"
 for job in $(jobs -p); do
     wait "$job" || { cat "$WORK"/n*.log >&2; fail "an acenode process failed"; }
 done
-GOT=$(awk '/checksum/ {print $4}' "$WORK/n0.log")
-[ "$GOT" = "$REF" ] || fail "checksum mismatch: cluster $GOT vs in-process $REF"
-echo "cluster-smoke: checksums match ($GOT)"
+for log in n0 n1 n2 n3; do
+    GOT=$(awk '/checksum/ {print $4}' "$WORK/$log.log")
+    [ "$GOT" = "$REF" ] || fail "checksum mismatch on $log: cluster '$GOT' vs in-process $REF"
+done
+echo "cluster-smoke: checksums match on every rank ($REF)"
 
 echo "cluster-smoke: failure-detection drill (SIGKILL one member)"
 FD="-interval 30ms -suspect 300ms -dead 900ms"
@@ -79,8 +81,8 @@ ELAPSED=$(( $(date +%s) - START ))
 echo "cluster-smoke: all survivors reported ErrPeerLost in ${ELAPSED}s"
 
 echo "cluster-smoke: elastic rejoin drill (SIGKILL + rejoin at epoch 1)"
-EL="-run elastic -steps 8 -size 64 -ckpt $WORK/ck -ckpt-every 2 -step-delay 150ms -interval 25ms -recover -join-timeout 20s -sync-timeout 15s"
-EREF=$("$WORK/acenode" -standalone -nodes 4 -run elastic -steps 8 -size 64 | awk '/checksum/ {print $4; exit}')
+EL="-run em3d -steps 8 -size 64 -ckpt $WORK/ck -ckpt-every 2 -step-delay 150ms -interval 25ms -recover -join-timeout 20s -sync-timeout 15s"
+EREF=$("$WORK/acenode" -standalone -nodes 4 -steps 8 -size 64 | awk '/checksum/ {print $4; exit}')
 [ -n "$EREF" ] || fail "no elastic reference checksum"
 PORT3=$((PORT + 2))
 SEED3="127.0.0.1:$PORT3"
