@@ -13,8 +13,10 @@
 //
 // The first process binds a known gossip port and seeds the rest;
 // everything else — data-plane ports, membership, failure detection —
-// is negotiated. Every local rank prints the cluster checksum, which
-// matches the same workload on the in-process fabric bit for bit.
+// is negotiated. A process whose gossip heartbeat stalls for 60 rounds
+// of -interval is declared dead. Every local rank prints the cluster
+// checksum, which matches the same workload on the in-process fabric
+// bit for bit.
 //
 // em3d checkpoints and rejoins (DESIGN.md §13) when -ckpt names a
 // checkpoint file prefix: every -ckpt-every steps each processor writes
@@ -59,10 +61,7 @@ func main() {
 		local    = flag.String("local", "", "comma-separated node ids this process hosts (required)")
 		gossipAt = flag.String("gossip", "127.0.0.1:0", "gossip bind address (seed processes need a fixed port)")
 		seeds    = flag.String("seeds", "", "comma-separated gossip addresses of peer processes")
-		seed     = flag.Int64("seed", 0, "gossip RNG seed")
-		interval = flag.Duration("interval", 50*time.Millisecond, "gossip round period")
-		suspect  = flag.Duration("suspect", 0, "failure-detector suspicion threshold (default 20 intervals)")
-		dead     = flag.Duration("dead", 0, "failure-detector death threshold (default 3x suspicion)")
+		interval = flag.Duration("interval", 50*time.Millisecond, "gossip round period (a peer silent for 60 rounds is dead)")
 		joinWait = flag.Duration("join-timeout", 30*time.Second, "bound on membership convergence")
 		syncWait = flag.Duration("sync-timeout", 0, "bound on blocking synchronization waits (0 = forever)")
 		run      = flag.String("run", "em3d", "workload: em3d | wait | hang")
@@ -86,38 +85,33 @@ func main() {
 	if *ckpt != "" {
 		cfg.Elastic.Every = *ckptEvry
 	}
-	localIDs, err := validate(*nodes, *local, *standAl, *run, cfg, *ckpt)
-	if err != nil {
+	nc := ace.NodeConfig{
+		Nodes:       *nodes,
+		Gossip:      *gossipAt,
+		Interval:    *interval,
+		JoinTimeout: *joinWait,
+		OnResurrect: func(member int) {
+			fmt.Printf("acenode: member %d resurrected (restarted with a fresh generation)\n", member)
+		},
+		Options: ace.Options{SyncTimeout: *syncWait},
+	}
+	if *seeds != "" {
+		nc.Seeds = strings.Split(*seeds, ",")
+	}
+	var err error
+	if nc.Local, err = validate(nc, *local, *standAl, *run, cfg, *ckpt); err != nil {
 		fmt.Fprintln(os.Stderr, "acenode:", err)
-		fmt.Fprintln(os.Stderr, "usage: acenode -nodes N (-local i[,j...] [-gossip addr] [-seeds a,b] | -standalone) [-run em3d|wait|hang]")
+		fmt.Fprintln(os.Stderr, "usage: acenode -nodes N (-local i[,j...] [-gossip addr] [-seeds a,b] [-interval d] | -standalone) [-run em3d|wait|hang]")
 		os.Exit(1)
 	}
 
-	var seedList []string
-	if *seeds != "" {
-		seedList = strings.Split(*seeds, ",")
-	}
 	makeCluster := func(epoch uint64, rejoin bool) (*ace.Cluster, error) {
 		if *standAl {
 			return ace.NewCluster(ace.Options{Procs: *nodes, SyncTimeout: *syncWait})
 		}
-		cl, err := ace.Join(ace.NodeConfig{
-			Nodes:        *nodes,
-			Local:        localIDs,
-			Gossip:       *gossipAt,
-			Seeds:        seedList,
-			Seed:         *seed,
-			Interval:     *interval,
-			SuspectAfter: *suspect,
-			DeadAfter:    *dead,
-			JoinTimeout:  *joinWait,
-			Epoch:        epoch,
-			Rejoin:       rejoin,
-			OnResurrect: func(member int) {
-				fmt.Printf("acenode: member %d resurrected (restarted with a fresh generation)\n", member)
-			},
-			Options: ace.Options{SyncTimeout: *syncWait},
-		})
+		jc := nc
+		jc.Epoch, jc.Rejoin = epoch, rejoin
+		cl, err := ace.Join(jc)
 		if err == nil {
 			fmt.Printf("acenode: joined as node(s) %s of %d (epoch %d)\n", *local, *nodes, epoch)
 		}
@@ -159,8 +153,9 @@ func main() {
 
 // validate checks every flag that can be checked before anything binds
 // or joins, and returns the parsed -local ids (nil under -standalone).
-// The em3d flags are checked only when em3d runs.
-func validate(nodes int, local string, standalone bool, run string, cfg em3d.Config, ckpt string) ([]int, error) {
+// nc carries -nodes, -interval, -join-timeout and -sync-timeout; the
+// em3d flags are checked only when em3d runs.
+func validate(nc ace.NodeConfig, local string, standalone bool, run string, cfg em3d.Config, ckpt string) ([]int, error) {
 	var ids []int
 	if !standalone {
 		var err error
@@ -170,8 +165,14 @@ func validate(nodes int, local string, standalone bool, run string, cfg em3d.Con
 	}
 	_, known := ace.NewRegistry().Lookup(cfg.Proto)
 	switch {
-	case nodes <= 0:
+	case nc.Nodes <= 0:
 		return nil, errors.New("-nodes must be positive")
+	case nc.Interval <= 0:
+		return nil, errors.New("-interval must be positive")
+	case nc.JoinTimeout <= 0:
+		return nil, errors.New("-join-timeout must be positive")
+	case nc.Options.SyncTimeout < 0:
+		return nil, errors.New("-sync-timeout must not be negative")
 	case run == "wait" || run == "hang":
 		return ids, nil
 	case run != "em3d":
@@ -180,7 +181,7 @@ func validate(nodes int, local string, standalone bool, run string, cfg em3d.Con
 		return nil, fmt.Errorf("unknown protocol %q", cfg.Proto)
 	case cfg.Steps < 2:
 		return nil, errors.New("-steps must be at least 2")
-	case cfg.Nodes < nodes:
+	case cfg.Nodes < nc.Nodes:
 		return nil, errors.New("-size must be at least -nodes")
 	case ckpt != "" && cfg.Elastic.Every < 1:
 		return nil, errors.New("-ckpt-every must be at least 1 with -ckpt")

@@ -47,7 +47,7 @@ func gossipFabric(t *testing.T, n int, pol *faultnet.Policy, seed int64, mod fun
 			Nodes:      n,
 			Seed:       seed + int64(i),
 			GossipAddr: strconv.Itoa(i),
-			DataAddr:   "data-" + strconv.Itoa(i),
+			Meta:       "data-" + strconv.Itoa(i),
 			Seeds:      []string{"0"},
 		}
 		if mod != nil {
@@ -86,13 +86,24 @@ func gossipFabric(t *testing.T, n int, pol *faultnet.Policy, seed int64, mod fun
 	return agents, nw, stop
 }
 
-func waitConverged(t *testing.T, agents []*gossip.Agent, within time.Duration) {
+// waitCovered waits until every agent's view holds every node's
+// metadata.
+func waitCovered(t *testing.T, agents []*gossip.Agent, within time.Duration) {
 	t.Helper()
+	covered := func(a *gossip.Agent) bool {
+		view := a.View()
+		for _, st := range view {
+			if st.Meta == "" {
+				return false
+			}
+		}
+		return len(view) == len(agents)
+	}
 	deadline := time.Now().Add(within)
 	for time.Now().Before(deadline) {
 		all := true
 		for _, a := range agents {
-			if !a.Converged() {
+			if !covered(a) {
 				all = false
 				break
 			}
@@ -125,16 +136,15 @@ func TestGossipUnderFaultPolicies(t *testing.T) {
 			const n = 4
 			var deadSeen [n]atomic.Int64
 			agents, nw, stop := gossipFabric(t, n, pol, 42, func(i int, c *gossip.Config) {
-				c.SuspectAfter = 200 * time.Millisecond
 				c.DeadAfter = 600 * time.Millisecond
 				c.OnDead = func(node int) { deadSeen[i].Store(int64(node + 1)) }
 			})
 			defer stop()
-			waitConverged(t, agents, 5*time.Second)
+			waitCovered(t, agents, 5*time.Second)
 
 			// Kill node 3 on the fabric: its packets stop flowing. The
-			// survivors must confirm the death within a bounded number
-			// of suspicion windows.
+			// survivors must declare it dead within a bounded number of
+			// DeadAfter windows.
 			nw.Kill(3)
 			deadline := time.Now().Add(5 * time.Second)
 			for time.Now().Before(deadline) {

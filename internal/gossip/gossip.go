@@ -1,7 +1,7 @@
 // Package gossip implements the membership and failure-detection layer
 // for multi-process Ace clusters: a Cassandra-style anti-entropy
-// protocol (SYN → ACK → ACK2) with per-node heartbeat versions and
-// timeout-based suspicion.
+// protocol (SYN → ACK → ACK2) with per-node heartbeat versions and a
+// silence timeout.
 //
 // Every node periodically picks a few peers and exchanges digests of
 // everything it knows: (node, generation, version) triples. The peer
@@ -13,17 +13,15 @@
 // higher version. Rumors spread epidemically — with fanout f, a new
 // state reaches all n nodes in O(log_f n) rounds.
 //
-// Each node state carries a small metadata payload: the node's gossip
-// address (so learned nodes become gossip targets) and its data-plane
-// address (the ephemeral tcpnet listener — the rendezvous problem this
-// layer exists to solve). Membership has converged when every expected
-// node's data address is known.
+// Each node state carries the node's gossip address (so learned nodes
+// become gossip targets) and Meta, an opaque string its owner supplies
+// and every member learns. The layer never reads Meta; ace.Join puts
+// its data-plane claims there.
 //
-// Failure detection is the simple end of the phi-accrual spectrum: a
-// node whose heartbeat has not advanced for SuspectAfter is suspected,
-// and for DeadAfter is declared dead (the OnDead callback feeds the
-// transport's peer-down path). Fresh heartbeats un-suspect; a higher
-// generation resurrects even a declared-dead node.
+// Failure detection is one bit per peer: a node is alive until its
+// heartbeat has not advanced for DeadAfter, and then dead (the OnDead
+// callback feeds the transport's peer-down path). Only a higher
+// generation revives a dead node.
 //
 // The Agent is a pure state machine: it never starts goroutines, reads
 // clocks, or touches sockets. Time enters through the explicit now
@@ -49,28 +47,18 @@ const fanout = 3
 type Status uint8
 
 const (
-	// Unknown: expected but never heard from.
-	Unknown Status = iota
-	// Alive: heartbeat advancing within SuspectAfter.
-	Alive
-	// Suspect: no heartbeat progress for SuspectAfter.
-	Suspect
+	// Alive: heartbeat advanced within DeadAfter.
+	Alive Status = iota
 	// Dead: no heartbeat progress for DeadAfter; surfaced through
 	// OnDead. Only a higher generation (a restart) revives it.
 	Dead
 )
 
 func (s Status) String() string {
-	switch s {
-	case Alive:
-		return "alive"
-	case Suspect:
-		return "suspect"
-	case Dead:
+	if s == Dead {
 		return "dead"
-	default:
-		return "unknown"
 	}
+	return "alive"
 }
 
 // Config parameterizes an Agent.
@@ -81,53 +69,37 @@ type Config struct {
 	Nodes int
 	// Generation distinguishes incarnations of the same id; a restart
 	// must supply a larger value (wall-clock start time works). Zero
-	// gets 1 so a live node always beats an Unknown one.
+	// gets 1.
 	Generation uint64
 	// Seed seeds the peer-selection RNG; runs with equal seeds and
 	// equal packet orders make identical choices.
 	Seed int64
-	// SuspectAfter and DeadAfter are the failure detector's two
-	// thresholds, measured in time since a node's heartbeat last
-	// advanced. Defaults 3s / 10s.
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
-	// GossipAddr and DataAddr are this node's advertised addresses:
-	// where peers gossip to it and where its tcpnet listener accepts
-	// data connections.
+	// DeadAfter is the failure detector's threshold: a node whose
+	// heartbeat has not advanced for this long is dead. Default 10s.
+	DeadAfter time.Duration
+	// GossipAddr is where peers gossip to this node; Meta is the opaque
+	// payload it advertises with its state.
 	GossipAddr string
-	DataAddr   string
+	Meta       string
 	// Seeds are gossip addresses to contact before any peers are
 	// known — at least one (that is not this node's own) is needed to
 	// join a cluster of strangers.
 	Seeds []string
 
-	// OnAlive fires when a node is first heard from or recovers from
-	// suspicion; OnSuspect and OnDead fire on the respective
-	// transitions. All callbacks run synchronously inside Tick or
-	// Handle, at most once per transition, and must not call back into
-	// the Agent.
-	OnAlive   func(node int)
-	OnSuspect func(node int)
-	OnDead    func(node int)
-
-	// OnResurrect fires when a known node reappears with a higher
-	// generation — a restarted process, whether or not the detector had
-	// declared the old incarnation dead yet (a fast restart can outrun
-	// suspicion, but a generation bump is proof positive the previous
-	// incarnation is gone). Runs under the same rules as the other
-	// callbacks.
+	// OnDead fires when a node is declared dead. OnResurrect fires
+	// when a known node reappears with a higher generation — a
+	// restarted process, whether or not the detector had declared the
+	// old incarnation dead yet (a generation bump is proof positive the
+	// previous incarnation is gone). Both run synchronously inside Tick
+	// or Handle, at most once per transition, and must not call back
+	// into the Agent.
+	OnDead      func(node int)
 	OnResurrect func(node int)
 }
 
 func (c Config) withDefaults() Config {
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3 * time.Second
-	}
 	if c.DeadAfter <= 0 {
 		c.DeadAfter = 10 * time.Second
-	}
-	if c.DeadAfter < c.SuspectAfter {
-		c.DeadAfter = c.SuspectAfter
 	}
 	if c.Generation == 0 {
 		c.Generation = 1
@@ -136,14 +108,14 @@ func (c Config) withDefaults() Config {
 }
 
 // NodeState is one node's gossiped state: the (Gen, Ver) heartbeat pair
-// that orders rumors, the advertised addresses, and the local
-// detector's verdict.
+// that orders rumors, the gossip address, the owner's opaque Meta, and
+// the local detector's verdict.
 type NodeState struct {
 	Node       int    `json:"node"`
 	Gen        uint64 `json:"gen"`
 	Ver        uint64 `json:"ver"`
 	GossipAddr string `json:"gossip_addr"`
-	DataAddr   string `json:"data_addr"`
+	Meta       string `json:"meta"`
 	Status     Status `json:"-"`
 }
 
@@ -214,8 +186,7 @@ func New(cfg Config, send func(addr string, pkt []byte)) (*Agent, error) {
 		Gen:        cfg.Generation,
 		Ver:        1,
 		GossipAddr: cfg.GossipAddr,
-		DataAddr:   cfg.DataAddr,
-		Status:     Alive,
+		Meta:       cfg.Meta,
 	}}
 	return a, nil
 }
@@ -252,28 +223,15 @@ func (a *Agent) Tick(now time.Time) {
 	}
 }
 
-// judgeLocked runs the failure detector over every known peer.
+// judgeLocked declares dead every live peer silent for DeadAfter.
 func (a *Agent) judgeLocked(now time.Time) {
 	for id, ps := range a.peers {
-		if id == a.cfg.ID || ps.Status == Unknown {
+		if id == a.cfg.ID || ps.Status == Dead || now.Sub(ps.heard) < a.cfg.DeadAfter {
 			continue
 		}
-		silent := now.Sub(ps.heard)
-		switch {
-		case silent >= a.cfg.DeadAfter:
-			if ps.Status != Dead {
-				ps.Status = Dead
-				if a.cfg.OnDead != nil {
-					a.cfg.OnDead(id)
-				}
-			}
-		case silent >= a.cfg.SuspectAfter:
-			if ps.Status == Alive {
-				ps.Status = Suspect
-				if a.cfg.OnSuspect != nil {
-					a.cfg.OnSuspect(id)
-				}
-			}
+		ps.Status = Dead
+		if a.cfg.OnDead != nil {
+			a.cfg.OnDead(id)
 		}
 	}
 }
@@ -332,40 +290,29 @@ func (a *Agent) statesLocked(ids []int) []NodeState {
 }
 
 // mergeLocked folds a received state in, returning whether it was news.
+// A dead verdict stands until a higher generation arrives.
 func (a *Agent) mergeLocked(st NodeState, now time.Time) bool {
 	if st.Node < 0 || st.Node >= a.cfg.Nodes || st.Node == a.cfg.ID {
 		return false
 	}
+	st.Status = Alive
 	ps, ok := a.peers[st.Node]
 	if !ok {
-		ps = &peerState{NodeState: st, heard: now}
-		ps.Status = Alive
-		a.peers[st.Node] = ps
-		if a.cfg.OnAlive != nil {
-			a.cfg.OnAlive(st.Node)
-		}
+		a.peers[st.Node] = &peerState{NodeState: st, heard: now}
 		return true
 	}
 	if !st.newer(ps.NodeState) {
 		return false
 	}
 	restarted := st.Gen > ps.Gen
-	resurrected := ps.Status == Dead && restarted
-	wasDown := ps.Status == Suspect || resurrected
-	status := ps.Status
-	if status != Dead || resurrected {
-		status = Alive
-	}
-	ps.NodeState = st
-	ps.Status = status
-	if status == Alive {
+	if ps.Status == Dead && !restarted {
+		st.Status = Dead
+	} else {
 		ps.heard = now
 	}
+	ps.NodeState = st
 	if restarted && a.cfg.OnResurrect != nil {
 		a.cfg.OnResurrect(st.Node)
-	}
-	if wasDown && status == Alive && a.cfg.OnAlive != nil {
-		a.cfg.OnAlive(st.Node)
 	}
 	return true
 }
@@ -451,39 +398,4 @@ func (a *Agent) View() []NodeState {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
-}
-
-// Converged reports whether every expected node's data address is
-// known — the condition the bootstrap path waits for before completing
-// the tcpnet mesh.
-func (a *Agent) Converged() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.peers) < a.cfg.Nodes {
-		return false
-	}
-	for _, ps := range a.peers {
-		if ps.DataAddr == "" {
-			return false
-		}
-	}
-	return true
-}
-
-// DataAddrs returns every node's data address indexed by id; ok is
-// false until Converged.
-func (a *Agent) DataAddrs() (addrs []string, ok bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.peers) < a.cfg.Nodes {
-		return nil, false
-	}
-	addrs = make([]string, a.cfg.Nodes)
-	for id, ps := range a.peers {
-		if ps.DataAddr == "" {
-			return nil, false
-		}
-		addrs[id] = ps.DataAddr
-	}
-	return addrs, true
 }

@@ -421,7 +421,7 @@ func (n *network) Start() {
 func (n *network) wire() { n.wireOnce.Do(func() { close(n.wired) }) }
 
 // DeclarePeerDown forces the supervised senders to peer as lost, as if
-// their reconnect budgets were exhausted: the gossip layer's suspicion
+// their reconnect budgets were exhausted: the gossip layer's death
 // verdict feeding the same amnet.PeerAware path the transport uses for
 // its own failures. Idempotent: each endpoint's peer-down handler fires
 // at most once per peer. An out-of-range id is ignored.

@@ -43,20 +43,12 @@ type NodeConfig struct {
 	// least one.
 	Seeds []string
 
-	// Seed seeds the gossip layer's randomized peer selection. Zero is
-	// a fine default; distinct values de-correlate target choices.
-	Seed int64
-
-	// Interval is the gossip round period. Default 50ms.
+	// Interval is the gossip round period. Default 50ms. It also sets
+	// the failure detector's threshold: a process whose heartbeat has
+	// not advanced for deadRounds intervals is dead, and its nodes are
+	// declared down on the data fabric — blocked synchronization then
+	// fails with ErrPeerLost instead of hanging.
 	Interval time.Duration
-
-	// SuspectAfter and DeadAfter are the failure detector thresholds:
-	// a process whose heartbeats stall for SuspectAfter is suspected,
-	// and at DeadAfter its nodes are declared down on the data fabric —
-	// blocked synchronization then fails with ErrPeerLost instead of
-	// hanging. Defaults 20 and 60 gossip intervals.
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
 
 	// JoinTimeout bounds the wait for membership to converge (every
 	// node's data address learned). Default 30s.
@@ -105,17 +97,15 @@ func (c NodeConfig) withDefaults() NodeConfig {
 	if c.Interval <= 0 {
 		c.Interval = 50 * time.Millisecond
 	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 20 * c.Interval
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 3 * c.SuspectAfter
-	}
 	if c.JoinTimeout <= 0 {
 		c.JoinTimeout = 30 * time.Second
 	}
 	return c
 }
+
+// deadRounds is the failure detector's threshold in gossip rounds: a
+// member silent for deadRounds × Interval is declared dead.
+const deadRounds = 60
 
 // peerDowner is the transport hook the failure detector feeds: tcpnet
 // implements it.
@@ -134,9 +124,10 @@ type peerDowner interface {
 // claims epidemically until every node 0..Nodes-1 is accounted for.
 // Then the full mesh is dialed and the runtime comes up exactly as in
 // process-local clusters. The gossip layer keeps running underneath as
-// the failure detector: a process silent past DeadAfter has its nodes
-// declared down, so survivors' blocked waits fail with ErrPeerLost
-// rather than hanging. Close tears down the mesh and the gossip layer.
+// the failure detector: a process silent for deadRounds intervals has
+// its nodes declared down, so survivors' blocked waits fail with
+// ErrPeerLost rather than hanging. Close tears down the mesh and the
+// gossip layer.
 func Join(cfg NodeConfig) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Nodes <= 0 {
@@ -154,7 +145,8 @@ func Join(cfg NodeConfig) (*Cluster, error) {
 
 	// Phase 1b: gossip our claims until the member map covers every
 	// node. The member id is our lowest hosted node id (distinct
-	// across processes because Local sets are disjoint).
+	// across processes because Local sets are disjoint); it also seeds
+	// the agent's target choices, so members shuffle differently.
 	member := cfg.Local[0]
 	for _, id := range cfg.Local {
 		if id < member {
@@ -175,21 +167,20 @@ func Join(cfg NodeConfig) (*Cluster, error) {
 	claims := make(map[int][]int)
 
 	agent, err := gossip.New(gossip.Config{
-		ID:           member,
-		Nodes:        cfg.Nodes,
-		Generation:   uint64(time.Now().UnixNano()),
-		Seed:         cfg.Seed,
-		SuspectAfter: cfg.SuspectAfter,
-		DeadAfter:    cfg.DeadAfter,
-		GossipAddr:   udp.Addr(),
-		DataAddr:     encodeClaims(cfg.Epoch, cfg.Local, nd.Addrs()),
-		Seeds:        cfg.Seeds,
+		ID:         member,
+		Nodes:      cfg.Nodes,
+		Generation: uint64(time.Now().UnixNano()),
+		Seed:       int64(member),
+		DeadAfter:  deadRounds * cfg.Interval,
+		GossipAddr: udp.Addr(),
+		Meta:       encodeClaims(cfg.Epoch, cfg.Local, nd.Addrs()),
+		Seeds:      cfg.Seeds,
 		OnResurrect: func(m int) {
 			// A higher generation is proof the member's previous
 			// incarnation died, even if it restarted faster than the
-			// failure detector could suspect it. Its old data addresses
-			// are dead sockets: declare them down so survivors' blocked
-			// waits fail with ErrPeerLost and recovery can begin.
+			// failure detector could declare it dead. Its old data
+			// addresses are dead sockets: declare them down so survivors'
+			// blocked waits fail with ErrPeerLost and recovery can begin.
 			declareDown(m, claims, &claimsMu, &fabric)
 			if cfg.OnResurrect != nil {
 				cfg.OnResurrect(m)
@@ -297,7 +288,7 @@ func awaitCoverage(agent *gossip.Agent, cfg NodeConfig, claims map[int][]int, mu
 		covered := 0
 		var newerEpoch uint64
 		for _, st := range agent.View() {
-			epoch, parsed := parseClaims(st.DataAddr)
+			epoch, parsed := parseClaims(st.Meta)
 			if epoch != cfg.Epoch {
 				// A claim from another recovery epoch: a pre-crash data
 				// address (stale — its owner is gone) or a cluster that
@@ -342,7 +333,7 @@ func awaitCoverage(agent *gossip.Agent, cfg NodeConfig, claims map[int][]int, mu
 }
 
 // encodeClaims renders a process's hosted nodes and their data
-// addresses as the gossiped metadata payload: "id=addr,id=addr",
+// addresses as the gossiped Meta payload: "id=addr,id=addr",
 // prefixed with the recovery epoch ("e<N>;...") when nonzero — epoch 0
 // keeps the unprefixed form, so a fresh deployment's claims are
 // readable by older tooling.

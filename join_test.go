@@ -1,6 +1,7 @@
 package ace_test
 
 import (
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -44,7 +45,6 @@ func TestJoinAssemblesCluster(t *testing.T) {
 			cfg := ace.NodeConfig{
 				Nodes:       nodes,
 				Local:       local,
-				Seed:        int64(i),
 				Interval:    20 * time.Millisecond,
 				JoinTimeout: 15 * time.Second,
 			}
@@ -132,6 +132,86 @@ func TestJoinAssemblesCluster(t *testing.T) {
 		if got != want {
 			t.Errorf("node %d: allreduce sum = %d, want %d", id, got, want)
 		}
+	}
+}
+
+// TestJoinDetectsDeadMember: the gossip failure detector turns a dead
+// process into ErrPeerLost on every survivor. Three Joins in one test
+// process — one hosting two nodes — assemble a 4-node cluster; the
+// member hosting node 0 closes while the others wait in a global
+// barrier. Every survivor is tcpnet's acceptor on its links to node 0
+// (the lower id dials), so the transport would wait out its whole
+// redial budget (28 s) before giving up on it: only the detector, at
+// 60 rounds of 10 ms, can fail the survivors' runs within 5 s.
+func TestJoinDetectsDeadMember(t *testing.T) {
+	seed := reserveUDPAddr(t)
+	locals := [][]int{{0}, {1, 2}, {3}}
+	const nodes = 4
+
+	clusters := make([]*ace.Cluster, len(locals))
+	errs := make([]error, len(locals))
+	var wg sync.WaitGroup
+	for i, local := range locals {
+		wg.Add(1)
+		go func(i int, local []int) {
+			defer wg.Done()
+			cfg := ace.NodeConfig{
+				Nodes:       nodes,
+				Local:       local,
+				Interval:    10 * time.Millisecond,
+				JoinTimeout: 15 * time.Second,
+			}
+			if i == 1 {
+				cfg.Gossip = seed
+			} else {
+				cfg.Seeds = []string{seed}
+			}
+			clusters[i], errs[i] = ace.Join(cfg)
+		}(i, local)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			for _, cl := range clusters {
+				if cl != nil {
+					cl.Close()
+				}
+			}
+			t.Fatalf("join %v: %v", locals[i], err)
+		}
+	}
+	victim, survivors := clusters[0], clusters[1:]
+
+	waiting := make(chan struct{}, nodes-1) // one send per survivor node
+	runErrs := make(chan error, len(survivors))
+	for _, cl := range survivors {
+		go func(cl *ace.Cluster) {
+			runErrs <- cl.Run(func(p *ace.Proc) error {
+				waiting <- struct{}{}
+				p.GlobalBarrier()
+				return nil
+			})
+		}(cl)
+	}
+	for i := 0; i < nodes-1; i++ {
+		<-waiting
+	}
+	victim.Close()
+
+	timeout := time.After(5 * time.Second)
+	for range survivors {
+		select {
+		case err := <-runErrs:
+			if !errors.Is(err, ace.ErrPeerLost) {
+				t.Errorf("survivor's Run returned %v, want ErrPeerLost", err)
+			}
+		case <-timeout:
+			// The survivors are still blocked in Run: leave them be.
+			t.Fatal("a survivor's Run did not fail within 5s of the victim's Close")
+		}
+	}
+	for _, cl := range survivors {
+		cl.Close()
 	}
 }
 

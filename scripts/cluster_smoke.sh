@@ -46,7 +46,8 @@ done
 echo "cluster-smoke: checksums match on every rank ($REF)"
 
 echo "cluster-smoke: failure-detection drill (SIGKILL one member)"
-FD="-interval 30ms -suspect 300ms -dead 900ms"
+# A member is dead after 60 silent gossip rounds: 900ms at 15ms.
+FD="-interval 15ms"
 PORT2=$((PORT + 1))
 SEED2="127.0.0.1:$PORT2"
 "$WORK/acenode" -nodes 4 -local 1 -seeds "$SEED2" $FD -run wait >"$WORK/k1.log" 2>&1 &
@@ -75,8 +76,9 @@ for pid in $S0 $S1 $S2; do
 done
 wait "$VICTIM" 2>/dev/null
 ELAPSED=$(( $(date +%s) - START ))
-# The detector bound: dead after 900ms of silence plus gossip spread;
-# 10s of slack keeps the gate robust on loaded CI machines.
+# The detector bound: dead after 900ms (60 rounds) of silence plus
+# gossip spread; 10s of slack keeps the gate robust on loaded CI
+# machines.
 [ "$ELAPSED" -le 10 ] || fail "detection took ${ELAPSED}s, bound 10s"
 echo "cluster-smoke: all survivors reported ErrPeerLost in ${ELAPSED}s"
 
