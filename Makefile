@@ -58,10 +58,12 @@ fuzz-smoke:
 
 # bench-compare measures this tree against BASE by alternating runs of the
 # two builds, workload by workload, and prints the benchmark's own
-# -compare verdicts (see scripts/bench_compare.sh for ROUNDS, SECS, SEED).
+# -compare verdicts and each side's per-round values (see
+# scripts/bench_compare.sh for ROUNDS, SECS, SEED). WORKLOADS, a
+# space-separated list, restricts it to those workloads.
 bench-compare:
-	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev>" >&2; exit 2; }
-	bash scripts/bench_compare.sh $(BASE)
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev> [WORKLOADS=\"<name>...\"]" >&2; exit 2; }
+	bash scripts/bench_compare.sh $(BASE) $(WORKLOADS)
 
 # chaos-smoke is the protocol-conformance stress gate. Its chaos and
 # proto conformance cells all run internal/chaos's one drill: half the seeded schedule under the
@@ -135,9 +137,10 @@ gate-smoke:
 # fails when go test fails, when any of the six result lines is
 # missing, and when any reports nonzero allocs/op. Then it runs the
 # allocation pins that are tests — a remote sc read miss, a staticupdate
-# barrier push round and a tcpnet round trip — and fails unless each
-# one ran and passed.
-ALLOC_PINS := TestRemoteReadMissDoesNotAllocate|TestStaticUpdatePushDoesNotAllocate|TestRoundTripDoesNotAllocate
+# barrier push round, a tcpnet round trip and a short application random
+# stream (at most 2 allocs: no math/rand register) — and fails unless
+# each one ran and passed.
+ALLOC_PINS := TestRemoteReadMissDoesNotAllocate|TestStaticUpdatePushDoesNotAllocate|TestRoundTripDoesNotAllocate|TestRNGAllocs
 bench-allocs:
 	@out=$$($(GO) test -bench 'BenchmarkBracket/(disabled|metrics|mapped|logged|bare)$$|BenchmarkCollectives/GlobalBarrier/procs=4$$' -benchmem -benchtime=200ms -run '^$$' .); \
 	status=$$?; echo "$$out"; \
@@ -147,7 +150,7 @@ bench-allocs:
 			if ($$(NF-1) + 0 != 0) { print "FAIL: allocates: " $$0; bad = 1 } } \
 		END { n = split("BenchmarkBracket/disabled BenchmarkBracket/metrics BenchmarkBracket/mapped BenchmarkBracket/logged BenchmarkBracket/bare BenchmarkCollectives/GlobalBarrier/procs=4", want, " "); \
 			for (i = 1; i <= n; i++) if (!(want[i] in seen)) { print "FAIL: no " want[i] " result"; bad = 1 } exit bad }'
-	@out=$$($(GO) test -count=1 -v -run '^($(ALLOC_PINS))$$' ./internal/core ./proto ./internal/tcpnet); \
+	@out=$$($(GO) test -count=1 -v -run '^($(ALLOC_PINS))$$' ./internal/core ./proto ./internal/tcpnet ./internal/apps/apputil); \
 	status=$$?; echo "$$out" | grep -E '^(--- |ok|FAIL)'; \
 	if [ $$status -ne 0 ]; then echo "FAIL: allocation pins exited $$status"; exit 1; fi; \
 	for t in $$(echo '$(ALLOC_PINS)' | tr '|' ' '); do echo "$$out" | grep -q -- "--- PASS: $$t " || { echo "FAIL: $$t did not pass"; exit 1; }; done

@@ -3,10 +3,7 @@
 // record the experiment harness consumes.
 package apputil
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 // Result is what every benchmark returns from its Run function.
 type Result struct {
@@ -55,13 +52,6 @@ func Owner(n, procs, i int) int {
 		}
 	}
 	return procs - 1
-}
-
-// RNG returns a deterministic random source for the given seed and stream
-// id, so every processor derives identical graph structure without
-// communication.
-func RNG(seed int64, stream int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed*1_000_003 + stream))
 }
 
 // Timer measures per-iteration times, discarding the first iteration

@@ -258,9 +258,14 @@ func computePhase(rt rtiface.RT, nodes []node) {
 // probability PctRemote the neighbor is owned by a different processor.
 func buildNodes(cfg Config, lo, hi int, ownIDs, otherIDs []core.RegionID, class int64, rt rtiface.RT) []node {
 	nodes := make([]node, 0, hi-lo)
+	myLo, myHi := apputil.Block(cfg.Nodes, rt.Procs(), rt.ID())
 	for i := lo; i < hi; i++ {
 		rng := apputil.RNG(cfg.Seed, class*int64(cfg.Nodes)+int64(i))
-		n := node{own: ownIDs[i]}
+		n := node{
+			own:       ownIDs[i],
+			neighbors: make([]core.RegionID, 0, cfg.Degree),
+			weights:   make([]float64, 0, cfg.Degree),
+		}
 		for d := 0; d < cfg.Degree; d++ {
 			var target int
 			if rng.Intn(100) < cfg.PctRemote && rt.Procs() > 1 {
@@ -272,7 +277,6 @@ func buildNodes(cfg Config, lo, hi int, ownIDs, otherIDs []core.RegionID, class 
 					}
 				}
 			} else {
-				myLo, myHi := apputil.Block(cfg.Nodes, rt.Procs(), rt.ID())
 				target = myLo + rng.Intn(myHi-myLo)
 			}
 			n.neighbors = append(n.neighbors, otherIDs[target])

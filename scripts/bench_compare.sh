@@ -1,23 +1,28 @@
 #!/usr/bin/env bash
 # bench-compare: this tree against another revision, by alternating runs.
 #
-#   make bench-compare BASE=<rev>      (or: bash scripts/bench_compare.sh <rev>)
+#   make bench-compare BASE=<rev> [WORKLOADS="em3d.su em3d.sc"]
+#   (or: bash scripts/bench_compare.sh <rev> [workload...])
 #   ROUNDS=10 SECS=6 SEED=1 are the defaults; set any of them to override.
+#   Workload names restrict the alternation to those workloads; with none,
+#   every workload of BENCHMARK.json runs.
 #
 # The host drifts 10-20 % in a quarter of an hour, so two commits are never
 # compared across time: BASE is unpacked (git archive) into a temporary
 # directory, each tree's benchmark/ is built into that tree's own
-# .bench_build/, and for every workload of BENCHMARK.json the two binaries
-# take turns — ROUNDS plain runs each, the order swapped every round, then
-# one traced run each for the exact message counts. The rounds become the
-# samples of two result files in the benchmark's own format, which its
-# -compare judges: per metric b/a, the spread across rounds, the bound, and
-# ok / worse / unresolved. Exit status is -compare's (1 on a worse row or a
-# differing message count). This tree is measured as it stands, uncommitted
-# changes included.
+# .bench_build/, and for every workload the two binaries take turns —
+# ROUNDS plain runs each, the order swapped every round, then one traced
+# run each for the exact message counts. The rounds become the samples of
+# two result files in the benchmark's own format, which its -compare
+# judges: per metric b/a, the spread across rounds, the bound, and
+# ok / worse / unresolved. After the verdicts, each side's value of every
+# end-to-end metric is printed round by round. Exit status is -compare's
+# (1 on a worse row or a differing message count). This tree is measured
+# as it stands, uncommitted changes included.
 set -euo pipefail
 
-BASE=${1:?usage: bench_compare.sh <base-rev>}
+BASE=${1:?usage: bench_compare.sh <base-rev> [workload...]}
+shift
 ROUNDS=${ROUNDS:-10}
 SECS=${SECS:-6}
 SEED=${SEED:-1}
@@ -25,6 +30,13 @@ SEED=${SEED:-1}
 command -v jq >/dev/null || { echo "bench-compare: needs jq" >&2; exit 2; }
 root=$(git rev-parse --show-toplevel)
 cd "$root"
+workloads=$(jq -r '.workloads[].name' BENCHMARK.json)
+if (($# > 0)); then
+    for w in "$@"; do
+        grep -qxF -- "$w" <<<"$workloads" || { echo "bench-compare: no workload $w in BENCHMARK.json" >&2; exit 2; }
+    done
+    workloads="$*"
+fi
 base_commit=$(git rev-parse --verify "$BASE^{commit}")
 work=$(mktemp -d "${TMPDIR:-/tmp}/bench-compare.XXXXXX")
 trap 'rm -rf "$work"' EXIT
@@ -49,7 +61,6 @@ run() {
     (cd "${tree[$1]}" && ./.bench_build/acebenchmark --workload "$2" --seed "$SEED" --seconds "$SECS" \
         --trace "$3" --out "$work/out-$1" | tail -n 1) >>"$4"
 }
-workloads=$(jq -r '.workloads[].name' BENCHMARK.json)
 for w in $workloads; do
     for round in $(seq 1 "$ROUNDS"); do
         order="base new"
@@ -99,4 +110,15 @@ stamp=$(date -u +%Y%m%dT%H%M%S)
 envelope base "$base_commit" >"$results/compare-$stamp-base.json"
 envelope new "$new_commit" >"$results/compare-$stamp-new.json"
 echo "bench-compare: a = $BASE, b = this tree; $ROUNDS alternating rounds of ${SECS}s per workload"
-./.bench_build/acebenchmark -compare "$results/compare-$stamp-base.json" "$results/compare-$stamp-new.json"
+status=0
+./.bench_build/acebenchmark -compare "$results/compare-$stamp-base.json" "$results/compare-$stamp-new.json" || status=$?
+echo "bench-compare: per-round values, round 1 first"
+for w in $workloads; do
+    for m in $(jq -r '.end_to_end[].name' BENCHMARK.json); do
+        for side in base new; do
+            printf '%-15s %-17s %-4s %s\n' "$w" "$m" "$side" \
+                "$(jq -r --arg m "$m" '.metrics[$m].value | . * 10000 | round / 10000' "$work/$side.$w.plain" | tr '\n' ' ')"
+        done
+    done
+done
+exit "$status"
