@@ -136,11 +136,12 @@ gate-smoke:
 # barrier round, whose tree-round state is reused from a free list. It
 # fails when go test fails, when any of the six result lines is
 # missing, and when any reports nonzero allocs/op. Then it runs the
-# allocation pins that are tests — a remote sc read miss, a staticupdate
-# barrier push round, a tcpnet round trip and a short application random
-# stream (at most 2 allocs: no math/rand register) — and fails unless
-# each one ran and passed.
-ALLOC_PINS := TestRemoteReadMissDoesNotAllocate|TestStaticUpdatePushDoesNotAllocate|TestRoundTripDoesNotAllocate|TestRNGAllocs
+# allocation pins that are tests — a remote sc read miss, a wait that
+# parks and is woken from another goroutine, a staticupdate barrier push
+# round, a tcpnet round trip and a short application random stream (at
+# most 2 allocs: no math/rand register) — and fails unless each one ran
+# and passed.
+ALLOC_PINS := TestRemoteReadMissDoesNotAllocate|TestParkedWaitDoesNotAllocate|TestStaticUpdatePushDoesNotAllocate|TestRoundTripDoesNotAllocate|TestRNGAllocs
 bench-allocs:
 	@out=$$($(GO) test -bench 'BenchmarkBracket/(disabled|metrics|mapped|logged|bare)$$|BenchmarkCollectives/GlobalBarrier/procs=4$$' -benchmem -benchtime=200ms -run '^$$' .); \
 	status=$$?; echo "$$out"; \

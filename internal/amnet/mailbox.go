@@ -1,6 +1,9 @@
 package amnet
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // mailbox is one node's unbounded inbound queue: many senders, one
 // consumer at a time — whoever holds the node's dispatch token (see
@@ -14,9 +17,12 @@ import "sync"
 // sync.Cond: the consumer parks holding no lock, a push signals after it
 // has released mu, and close wakes the consumer for good by closing done.
 type mailbox struct {
-	mu     sync.Mutex
-	q      []Msg
-	closed bool
+	mu sync.Mutex
+	q  []Msg
+	// depth is len(q) and closed the close mark, both written under mu
+	// and atomic so idle and Node.Poll read them without it.
+	depth  atomic.Int64
+	closed atomic.Bool
 
 	// notify holds one token when messages may be pending. push stores
 	// the token after appending; consumers re-check the queue after
@@ -37,12 +43,13 @@ func newMailbox() *mailbox {
 // fabric owns a payload from Send until a handler gets it.
 func (b *mailbox) push(m Msg) {
 	b.mu.Lock()
-	if b.closed {
+	if b.closed.Load() {
 		b.mu.Unlock()
 		Recycle(m.Payload)
 		return
 	}
 	b.q = append(b.q, m)
+	b.depth.Store(int64(len(b.q)))
 	b.mu.Unlock()
 	select {
 	case b.notify <- struct{}{}:
@@ -52,12 +59,11 @@ func (b *mailbox) push(m Msg) {
 
 // idle reports whether the mailbox is open with nothing pending. While
 // the caller holds the token nothing can be popped, so a false answer
-// stays false until it lets go.
+// stays false until it lets go. It takes no lock: a push that has
+// returned has published its depth, and one still in flight is
+// concurrent with the caller's message, so either order is FIFO.
 func (b *mailbox) idle() bool {
-	b.mu.Lock()
-	idle := len(b.q) == 0 && !b.closed
-	b.mu.Unlock()
-	return idle
+	return b.depth.Load() == 0 && !b.closed.Load()
 }
 
 // tryPopAll swaps the whole pending slice with `into` (reset to length
@@ -69,10 +75,11 @@ func (b *mailbox) tryPopAll(into []Msg) (batch []Msg, ok, closed bool) {
 	if len(b.q) > 0 {
 		batch = b.q
 		b.q = into[:0]
+		b.depth.Store(0)
 		b.mu.Unlock()
 		return batch, true, false
 	}
-	closed = b.closed
+	closed = b.closed.Load()
 	b.mu.Unlock()
 	return into[:0], false, closed
 }
@@ -89,11 +96,11 @@ func (b *mailbox) await() {
 // already queued remain poppable (close-then-drain semantics).
 func (b *mailbox) close() {
 	b.mu.Lock()
-	if b.closed {
+	if b.closed.Load() {
 		b.mu.Unlock()
 		return
 	}
-	b.closed = true
+	b.closed.Store(true)
 	b.mu.Unlock()
 	close(b.done)
 }

@@ -131,8 +131,13 @@ func (n *Node) serve() (live bool) {
 
 // Poll delivers, on the calling goroutine, whatever is queued if the
 // node's token is free, and returns at once if it is not: a node whose
-// token is taken is being dispatched already.
+// token is taken is being dispatched already. An empty mailbox returns
+// before the token is touched, so a poll never turns a sender's direct
+// dispatch into a queued one.
 func (n *Node) Poll() {
+	if n.box.depth.Load() == 0 {
+		return
+	}
 	defer fatalOnPanic()
 	if n.token.TryLock() {
 		n.drain(trace.RecvPolled)

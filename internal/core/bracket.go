@@ -65,8 +65,7 @@ func (p *Proc) GMallocE(sp *Space, size int) (RegionID, error) {
 func (p *Proc) Map(id RegionID) *Region {
 	t := p.rec.Begin()
 	r := p.regions.Get(id)
-	slow := r == nil
-	if slow {
+	if r == nil {
 		r = p.fetchRegion(id)
 	}
 	sp := r.Space
@@ -79,13 +78,8 @@ func (p *Proc) Map(id RegionID) *Region {
 		sp.Proto.Map(sp.ctx, r)
 		sp.refreshFast(r)
 		sp.eng.Unlock()
-		slow = true
 	}
-	if slow {
-		sp.done(trace.OpMap, t)
-	} else {
-		sp.count(trace.OpMap, t)
-	}
+	sp.count(trace.OpMap, t)
 	return r
 }
 
@@ -144,15 +138,13 @@ func (p *Proc) Unmap(r *Region) {
 		panic(fmt.Sprintf("core: proc %d: unmap of unmapped region %v", p.id, r.ID))
 	}
 	r.MapCount--
-	if sp.null.Has(PointUnmap) { // null-point elimination, as in Map
-		sp.count(trace.OpUnmap, t)
-		return
+	if !sp.null.Has(PointUnmap) { // null-point elimination, as in Map
+		sp.eng.Lock()
+		sp.Proto.Unmap(sp.ctx, r)
+		sp.refreshFast(r)
+		sp.eng.Unlock()
 	}
-	sp.eng.Lock()
-	sp.Proto.Unmap(sp.ctx, r)
-	sp.refreshFast(r)
-	sp.eng.Unlock()
-	sp.done(trace.OpUnmap, t)
+	sp.count(trace.OpUnmap, t)
 }
 
 // StartRead opens a read section on r. On return r.Data is valid for
@@ -233,7 +225,7 @@ func (p *Proc) open(r *Region, op trace.Op, counted bool, t int64) {
 	if !r.IsHome() {
 		sp.tally.miss[op]++
 	}
-	sp.done(op, t)
+	sp.count(op, t)
 }
 
 // close is open's counterpart for every section close: op is OpEndRead
@@ -261,7 +253,7 @@ func (p *Proc) close(r *Region, op trace.Op, counted bool, t int64) {
 	}
 	sp.refreshFast(r)
 	sp.eng.Unlock()
-	sp.done(op, t)
+	sp.count(op, t)
 }
 
 // Barrier executes a barrier with the semantics of sp's protocol (for

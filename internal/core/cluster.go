@@ -223,9 +223,9 @@ func (c *Cluster) Close() error {
 // Options.Trace enabled them). Any goroutine may call it. It is exact
 // while the cluster is quiescent (before and after Run); during a run
 // each processor's counts of each space lag its application thread by
-// fewer than foldEvery lock-free operations, which the thread tallies
-// privately and folds in at every slow path, every Barrier and every
-// foldEvery operations.
+// fewer than foldEvery operations, which the thread tallies privately
+// and folds in every foldEvery operations and at every Barrier, Lock,
+// Unlock, GMalloc, ChangeProtocol and FreeSpace.
 func (c *Cluster) Metrics() trace.Metrics {
 	var m trace.Metrics
 	for _, p := range c.procs {

@@ -99,7 +99,7 @@ func (c *Ctx) TakeWrites(sp *Space) []*Region { return sp.takeLog() }
 // wait can complete this one.
 func (c *Ctx) NewWaiter() uint64 {
 	p := c.p
-	if s := p.waitSeq.Load(); s != 0 || len(p.waitCh) != 0 {
+	if s := p.waitSeq.Load(); s != 0 || p.waitState.Load() != slotEmpty {
 		panic(fmt.Sprintf("core: proc %d: NewWaiter while waiter %d is pending", p.id, p.nextWaiter))
 	}
 	p.nextWaiter++
@@ -111,7 +111,7 @@ func (c *Ctx) NewWaiter() uint64 {
 // engine lock (if any) while blocked and reacquiring it before
 // returning. Only the application thread may call Wait, for the seq its
 // last NewWaiter returned. A handler may complete the wait in the window
-// between NewWaiter and Wait; the slot's channel holds the message.
+// between NewWaiter and Wait; the slot holds the message.
 //
 // Before parking, Wait polls its own endpoint once: a reply or an
 // invalidation ack that had to be queued — the node's token was busy, or
@@ -137,11 +137,8 @@ func (c *Ctx) Wait(seq uint64) amnet.Msg {
 	if c.eng != nil {
 		c.eng.Unlock()
 	}
-	if len(p.waitCh) == 0 {
+	if p.waitState.Load() != slotFull {
 		p.ep.Poll()
-	}
-	if len(p.waitCh) == 0 {
-		p.ep.Stats().WaitsParked.Add(1)
 	}
 	m := p.waitSync(seq)
 	if c.eng != nil {
@@ -150,49 +147,78 @@ func (c *Ctx) Wait(seq uint64) amnet.Msg {
 	return m
 }
 
-// waitSync blocks on the waiter slot, the peer-down signal, and — when
-// configured — the synchronization timeout. A completion that raced in
-// ahead of a failure signal still wins.
+// The waiter slot's states (Proc.waitState). A wait moves it from
+// empty to parked before it blocks; a claimed completion swaps it to
+// full and wakes the wait only if it had parked; the wait empties it
+// again when it takes the message.
+const (
+	slotEmpty uint32 = iota
+	slotFull
+	slotParked
+)
+
+// waitSync takes the completion of wait seq from the slot if it is
+// there, and otherwise parks on the wake token, the peer-down signal
+// and — when configured — the synchronization timeout. A completion
+// that raced in ahead of a failure signal still wins.
 func (p *Proc) waitSync(seq uint64) amnet.Msg {
+	if !p.waitState.CompareAndSwap(slotEmpty, slotParked) {
+		return p.takeWait() // full: the reply is here already
+	}
+	p.ep.Stats().WaitsParked.Add(1)
 	var fail error
 	if d := p.cl.opts.SyncTimeout; d > 0 {
 		t := p.armStall(d)
 		defer t.Stop()
 		select {
-		case m := <-p.waitCh:
-			return m
+		case <-p.wake:
+			return p.takeWait()
 		case <-p.downCh:
 		case <-t.C:
 			fail = &SyncStallError{Local: int(p.id), After: d}
 		}
 	} else {
 		select {
-		case m := <-p.waitCh:
-			return m
+		case <-p.wake:
+			return p.takeWait()
 		case <-p.downCh:
 		}
 	}
 	if fail == nil {
 		fail = &PeerLostError{Local: int(p.id), Peer: int(p.downPeer.Load())}
 	}
-	if m, ok := p.abandonWait(seq); ok {
+	if m, ok := p.abandonWait(seq, true); ok {
 		return m
 	}
 	panic(fail)
 }
 
-// abandonWait ends the failing wait seq: it raises the watermark, then
-// claims the seq. If a completion claimed it first, its message is in
-// the channel or about to be, and it wins: abandonWait returns it with
-// ok set. Once the claim is abandonWait's, a completion finds the seq
-// disarmed and the watermark at or above it, and is dropped — so a
-// failed wait strands nothing in the slot.
-func (p *Proc) abandonWait(seq uint64) (m amnet.Msg, ok bool) {
+// takeWait empties the full slot and returns its message.
+func (p *Proc) takeWait() amnet.Msg {
+	m := p.waitMsg
+	p.waitMsg = amnet.Msg{}
+	p.waitState.Store(slotEmpty)
+	return m
+}
+
+// abandonWait ends the failing wait seq, which parked if parked is set:
+// it raises the watermark, then claims the seq. If a completion claimed
+// it first, its message is in the slot or about to be, and it wins:
+// abandonWait returns it with ok set. A wake token is sent only to a
+// wait that parked, so a wait that never did parks now if the message
+// is not there yet. Once the claim is abandonWait's, a completion finds
+// the seq disarmed and the watermark at or above it, and is dropped —
+// so a failed wait strands nothing in the slot.
+func (p *Proc) abandonWait(seq uint64, parked bool) (m amnet.Msg, ok bool) {
 	p.staleSeq.Store(seq)
 	if p.waitSeq.CompareAndSwap(seq, 0) {
+		p.waitState.Store(slotEmpty)
 		return amnet.Msg{}, false
 	}
-	return <-p.waitCh, true
+	if parked || p.waitState.CompareAndSwap(slotEmpty, slotParked) {
+		<-p.wake
+	}
+	return p.takeWait(), true
 }
 
 // armStall arms the application thread's stall timer for one wait of d.
@@ -224,9 +250,12 @@ func (c *Ctx) Complete(seq uint64, m amnet.Msg) {
 	if seq != 0 {
 		if p.waitSeq.CompareAndSwap(seq, 0) {
 			// The claim makes this the wait's one completion, and the
-			// channel is empty while a wait is armed: the send never
-			// blocks.
-			p.waitCh <- m
+			// wake channel is empty while a wait is armed: the send
+			// never blocks.
+			p.waitMsg = m
+			if p.waitState.Swap(slotFull) == slotParked {
+				p.wake <- struct{}{}
+			}
 			return
 		}
 		if seq <= p.staleSeq.Load() {

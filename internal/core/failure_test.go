@@ -226,7 +226,8 @@ func (s *stale) Error() string {
 // here: a completion that claims first is handed to the failing wait,
 // which returns it instead of failing; once the wait has claimed, a
 // later completion is dropped below the watermark. Either way the slot
-// ends disarmed with its channel empty, and the next NewWaiter arms it.
+// ends disarmed, empty and with no wake token, and the next NewWaiter
+// arms it.
 func TestCompleteRetireRaceNoStrandedCompletion(t *testing.T) {
 	cl, err := NewCluster(Options{Procs: 1})
 	if err != nil {
@@ -241,7 +242,7 @@ func TestCompleteRetireRaceNoStrandedCompletion(t *testing.T) {
 		if completeFirst {
 			ctx.Complete(seq, amnet.Msg{B: seq, Payload: amnet.Alloc(16)})
 		}
-		m, ok := p.abandonWait(seq)
+		m, ok := p.abandonWait(seq, false)
 		if ok != completeFirst {
 			t.Fatalf("iteration %d: abandonWait delivered=%v, want %v", i, ok, completeFirst)
 		}
@@ -253,8 +254,8 @@ func TestCompleteRetireRaceNoStrandedCompletion(t *testing.T) {
 		} else {
 			ctx.Complete(seq, amnet.Msg{B: seq, Payload: amnet.Alloc(16)}) // dropped
 		}
-		if n, armed := len(p.waitCh), p.waitSeq.Load(); n != 0 || armed != 0 {
-			t.Fatalf("iteration %d: slot left with %d queued, armed %d", i, n, armed)
+		if err := slotClear(p); err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
 }
@@ -282,13 +283,13 @@ func TestCompleteRetireConcurrentStress(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			if m, ok := p.abandonWait(seq); ok {
+			if m, ok := p.abandonWait(seq, false); ok {
 				amnet.Recycle(m.Payload)
 			}
 		}()
 		wg.Wait()
-		if n := len(p.waitCh); n != 0 {
-			t.Fatalf("iteration %d: completion stranded in the waiter slot", i)
+		if err := slotClear(p); err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
 }

@@ -31,10 +31,10 @@ import (
 //   - regMu serializes the region table's writers and guards the
 //     allocation sequence. Lookups (Map, the handlers, Ctx.Region)
 //     read the table lock-free.
-//   - The waiter slot (waitSeq, waitCh) is the application thread's one
-//     reply rendezvous, claimed lock-free: Complete and a failing Wait
-//     each take its armed seq with one compare-and-swap (see
-//     Ctx.NewWaiter).
+//   - The waiter slot (waitSeq, waitMsg, waitState) is the application
+//     thread's one reply rendezvous, claimed lock-free: Complete and a
+//     failing Wait each take its armed seq with one compare-and-swap
+//     (see Ctx.NewWaiter).
 //   - treeMu protects the round table (rounds) and its free list, the
 //     state of every collective (barrier, all-reduce, broadcast, each
 //     a tree round); Directory.lockMu guards each home's region lock
@@ -100,12 +100,15 @@ type Proc struct {
 	// reply at a time, so it has one slot: waitSeq holds the armed wait's
 	// seq (0 when none), and whoever claims it from there with a
 	// compare-and-swap — Complete, or a failing Wait — alone decides the
-	// wait's fate. waitCh (capacity one) carries a claimed completion's
-	// message to Wait. staleSeq is the watermark of failed waits: a
-	// completion at or below it is dropped. nextWaiter, the last seq
-	// issued, is application-thread private.
+	// wait's fate. A claimed completion's message goes in waitMsg, and
+	// wake (capacity one) wakes the wait only if waitState says it
+	// parked. staleSeq is the watermark of failed waits: a completion at
+	// or below it is dropped. nextWaiter, the last seq issued, is
+	// application-thread private.
 	waitSeq    atomic.Uint64
-	waitCh     chan amnet.Msg
+	waitMsg    amnet.Msg
+	waitState  atomic.Uint32
+	wake       chan struct{}
 	staleSeq   atomic.Uint64
 	nextWaiter uint64
 
@@ -163,7 +166,7 @@ func newProc(c *Cluster, ep amnet.Endpoint) *Proc {
 		id:     ep.ID(),
 		cl:     c,
 		ep:     ep,
-		waitCh: make(chan amnet.Msg, 1),
+		wake:   make(chan struct{}, 1),
 		rounds: make(map[uint64]*treeRound),
 		hints:  make(map[RegionID]regionHint),
 		rec:    trace.NewRecorder(int(ep.ID()), c.opts.Trace),

@@ -101,9 +101,10 @@ func (sp *Space) takeLog() []*Region {
 	return rs
 }
 
-// foldEvery is how many lock-free operations a space's tally holds
-// before the application thread folds it into the recorder. It bounds
-// how far a concurrent Cluster.Metrics scrape can lag behind.
+// foldEvery is how many operations a space's tally holds before the
+// application thread folds it into the recorder: brackets and maps fold
+// nowhere else, slow paths included. It bounds how far a concurrent
+// Cluster.Metrics scrape can lag behind.
 const foldEvery = 1024
 
 // opTally is a space's plain count of operations awaiting a fold: ops
@@ -121,9 +122,9 @@ func (sp *Space) hit(op trace.Op, t int64) {
 	sp.count(op, t)
 }
 
-// count records op begun at t on a path that took no lock: a timed op's
-// latency goes to the recorder, and the op bumps the tally, which folds
-// every foldEvery operations.
+// count records op begun at t, a bracket or a map on either path: a
+// timed op's latency goes to the recorder, and the op bumps the tally,
+// which folds every foldEvery operations.
 func (sp *Space) count(op trace.Op, t int64) {
 	if t != 0 {
 		sp.proc.rec.End(op, sp.ID, t)
@@ -134,8 +135,9 @@ func (sp *Space) count(op trace.Op, t int64) {
 	}
 }
 
-// done records op begun at t on a slow path and folds the tally, so the
-// recorder is exact whenever the application thread leaves one.
+// done records op begun at t and folds the tally, so the recorder is
+// exact after every space-wide or synchronizing operation: the adaptive
+// controller reads counts folded at its barrier.
 func (sp *Space) done(op trace.Op, t int64) {
 	sp.count(op, t)
 	sp.fold()

@@ -20,9 +20,10 @@
 // Recorder only through Fold: the caller that owns a space's operations
 // on one goroutine tallies every operation, fast hit and remote miss in
 // plain memory and adds the tally now and then (the runtime folds every
-// 1024 operations and on every slow path). Config chooses only what is
-// recorded beyond the counts: Begin reads no clock when untimed, and a
-// timed End adds two clock reads and a histogram update.
+// 1024 operations and at its space-wide and synchronizing operations).
+// Config chooses only what is recorded beyond the counts: Begin reads no
+// clock when untimed, and a timed End adds two clock reads and a
+// histogram update.
 //
 // Snapshots (Metrics, NetSnapshot, Histogram) are plain values safe to
 // copy, compare and aggregate; live state (Recorder, NetStats) is

@@ -16,9 +16,13 @@
 # two result files in the benchmark's own format, which its -compare
 # judges: per metric b/a, the spread across rounds, the bound, and
 # ok / worse / unresolved. After the verdicts, each side's value of every
-# end-to-end metric is printed round by round. Exit status is -compare's
-# (1 on a worse row or a differing message count). This tree is measured
-# as it stands, uncommitted changes included.
+# end-to-end metric is printed round by round, then per workload and
+# metric the median and quartiles of the per-round ratio new/base and the
+# number of rounds the new tree won (a round's two runs are one pair). A
+# gain claimed from medians alone can hide rounds that spread wider than
+# their bound; the wins show whether the pairs agree. Exit status is
+# -compare's (1 on a worse row or a differing message count). This tree
+# is measured as it stands, uncommitted changes included.
 set -euo pipefail
 
 BASE=${1:?usage: bench_compare.sh <base-rev> [workload...]}
@@ -120,5 +124,21 @@ for w in $workloads; do
                 "$(jq -r --arg m "$m" '.metrics[$m].value | . * 10000 | round / 10000' "$work/$side.$w.plain" | tr '\n' ' ')"
         done
     done
+done
+echo "bench-compare: per-round ratio new/base (p25 median p75) and rounds the new tree won"
+for w in $workloads; do
+    jq -r -n --arg w "$w" --slurpfile base "$work/base.$w.plain" --slurpfile new "$work/new.$w.plain" \
+        --slurpfile spec BENCHMARK.json '
+        def q($p): sort as $x | (($x | length) - 1) * $p
+            | $x[floor] + ($x[ceil] - $x[floor]) * (. - floor);
+        def r3: . * 1000 | round / 1000;
+        $spec[0].end_to_end[] as $m
+        | [range($base | length) | {b: $base[.].metrics[$m.name].value, n: $new[.].metrics[$m.name].value}
+           | select(.b > 0 and .n != null)] as $pairs
+        | [$pairs[] | .n / .b] as $r
+        | ($pairs | map(select(if $m.better == "higher" then .n > .b else .n < .b end)) | length) as $wins
+        | if ($r | length) == 0 then "\($w)\t\($m.name)\tno rounds"
+          else "\($w)\t\($m.name)\t\($r | q(0.25) | r3) \($r | q(0.5) | r3) \($r | q(0.75) | r3)\twins \($wins)/\($pairs | length)" end' |
+        awk -F '\t' '{ printf "%-15s %-17s %-22s %s\n", $1, $2, $3, $4 }'
 done
 exit "$status"
